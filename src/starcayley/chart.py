@@ -6,7 +6,9 @@ L_a of g(-1) and its omega-dual L'_a in g(1).  The chart is
     phi(l, m) = exp(ad(sum l^a L_a)) exp(ad(sum m^a L'_a)) . o
 
 which terminates because both ad's are nilpotent on the graded algebra.
-Moment maps are the coordinate functions lambda_A = beta(phi, A); the
+The chart is computed on coordinate vectors with Poly entries through the
+structure constants of g, and the moment maps are the coordinate functions
+lambda_A = beta(phi, A) = sum_j phi_j K_jA with K the Killing Gram matrix; the
 Poisson bracket is the canonical one in these coordinates, and the key
 structural fact is lambda_[A,B] = {lambda_A, lambda_B}.
 """
@@ -35,24 +37,16 @@ def poly_abs(p: Poly) -> Fraction:
     return sum((scalar_abs(c) for c in p.terms.values()), Fraction(0))
 
 
-def lift_element(x: LieElement, vs: VarSet) -> LieElement:
-    """Rational element -> element with constant-polynomial coordinates."""
-    return LieElement(
-        [Poly.const(vs, c) for c in x.u],
-        [[Poly.const(vs, c) for c in row] for row in x.t],
-        [Poly.const(vs, c) for c in x.v],
-    )
-
-
-def exp_ad(g: GradedLieAlgebra, x: LieElement, y: LieElement, max_steps: int = 8) -> LieElement:
-    """exp(ad x) . y for nilpotent ad x; raises if the series fails to stop."""
-    total = y
+def exp_ad(g: GradedLieAlgebra, x: list, y: list, max_steps: int = 8) -> list:
+    """exp(ad x) . y on coordinate vectors, for nilpotent ad x; raises if
+    the series fails to stop."""
+    total = list(y)
     term = y
     for k in range(1, max_steps + 1):
-        term = g.bracket(x, term).scale(Fraction(1, k))
-        if term.is_zero():
+        term = [c * Fraction(1, k) for c in g.coord_bracket(x, term)]
+        if all(c.is_zero() for c in term):
             return total
-        total = total.add(term)
+        total = [a + b for a, b in zip(total, term)]
     raise ValueError("ad series did not terminate; element is not nilpotent here")
 
 
@@ -65,7 +59,7 @@ class SymplecticChart:
     m_names: Tuple[str, ...] = field(init=False)
     L: List[LieElement] = field(init=False)
     Lp: List[LieElement] = field(init=False)
-    phi: LieElement = field(init=False)
+    phi: List[Poly] = field(init=False)
     moment: List[Poly] = field(init=False)
 
     def __post_init__(self):
@@ -77,20 +71,24 @@ class SymplecticChart:
 
         lsym = self._combination(self.L, self.l_names)
         msym = self._combination(self.Lp, self.m_names)
-        o = lift_element(g.base_point(), self.vs)
+        o = [Poly.const(self.vs, c) for c in g.to_coords(g.base_point())]
         self.phi = exp_ad(g, lsym, exp_ad(g, msym, o))
+        # lambda_i = beta(phi, e_i) = sum_j phi_j K_ji
         self.moment = [
-            self._pair_with_basis(i) for i in range(g.dim)
+            sum(
+                (p * row[i] for p, row in zip(self.phi, g.killing) if row[i] != 0),
+                Poly.zero(self.vs),
+            )
+            for i in range(g.dim)
         ]
 
-    def _combination(self, elts: List[LieElement], names: Tuple[str, ...]) -> LieElement:
-        acc = lift_element(self.g.zero(), self.vs)
+    def _combination(self, elts: List[LieElement], names: Tuple[str, ...]) -> List[Poly]:
+        """Coordinates of sum_a x^a elts[a] for the chart variables x^a."""
+        acc = [Poly.zero(self.vs)] * self.g.dim
         for e, name in zip(elts, names):
-            acc = acc.add(lift_element(e, self.vs).scale(Poly.var(self.vs, name)))
+            x = Poly.var(self.vs, name)
+            acc = [a + x * c if c != 0 else a for a, c in zip(acc, self.g.to_coords(e))]
         return acc
-
-    def _pair_with_basis(self, i: int) -> Poly:
-        return self.g.beta(self.phi, lift_element(self.g.basis_element(i), self.vs))
 
     # -- moment maps -----------------------------------------------------
     def moment_map(self, x: LieElement) -> Poly:

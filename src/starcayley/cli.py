@@ -111,7 +111,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, jordan.InvalidDimension, jordan.UnknownAlgebra) as exc:
+    except (
+        ConfigError,
+        jordan.InvalidDimension,
+        jordan.UnknownAlgebra,
+        jordan.ValidationFailed,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .chart import poly_abs, scalar_abs
 from .kkt import GradedLieAlgebra, LieElement
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import NotDivisible, Scalar
-from .starrep import StarRepresentation, z_names
+from .starrep import z_names
 from .weyl import WeylOperator
 
 
@@ -115,10 +115,6 @@ class DiscreteSeries:
 
     def dpi_basis(self) -> List[FormalWeightOperator]:
         return [self.dpi(self.g.basis_element(i)) for i in range(self.g.dim)]
-
-    def dpi_at_weight(self, a: LieElement, m: Scalar) -> WeylOperator:
-        op = self.dpi(a)
-        return op.v + op.s.scale(m)
 
 
 def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[FormalWeightOperator]) -> Tuple[int, Fraction]:

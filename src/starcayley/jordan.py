@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 from . import linalg
 from .poly import Poly, VarSet
-from .scalars import Scalar, rational_to_str
+from .scalars import rational_to_str
 
 
 class InvalidDimension(ValueError):
@@ -355,26 +355,23 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     return A
 
 
-BUILTIN_FACTORY = {
-    "rank1": make_rank_one,
-}
-
-
 def make_algebra(selector: str) -> JordanAlgebra:
     """Parse 'rank1' | 'spin:k' | 'sym:p' | 'file:path'."""
     if selector == "rank1":
         return make_rank_one()
-    if selector.startswith("spin:"):
-        return make_spin_factor(int(selector.split(":", 1)[1]))
-    if selector.startswith("sym:"):
-        return make_sym_matrices(int(selector.split(":", 1)[1]))
-    if selector.startswith("file:"):
-        with open(selector.split(":", 1)[1]) as fh:
-            return load_from_structure_constants(json.load(fh))
+    kind, _, arg = selector.partition(":")
+    if kind in ("spin", "sym"):
+        try:
+            k = int(arg)
+        except ValueError:
+            raise UnknownAlgebra(f"{kind}: needs an integer, got {arg!r}") from None
+        return make_spin_factor(k) if kind == "spin" else make_sym_matrices(k)
+    if kind == "file":
+        try:
+            with open(arg) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UnknownAlgebra(f"cannot read {arg!r}: {exc}") from None
+        return load_from_structure_constants(data)
     raise UnknownAlgebra(f"unknown algebra selector {selector!r}")
 
-
-def scalar_tau(A: JordanAlgebra, x: Sequence, y: Sequence) -> Scalar:
-    """tau(x, y) lifted to a Scalar when coordinates are rational."""
-    v = A.tau(x, y)
-    return v if isinstance(v, Scalar) else Scalar.of(v)

@@ -11,8 +11,13 @@ bracket is
 with T# the adjoint of T for the trace form.  The involution is
 theta(u,T,v) = (v, -T#, u); the base point is o = mu * E with E = (0,Id,0).
 
-All coordinate arithmetic is ring-generic so the same bracket code runs on
-rational elements and on elements with polynomial coordinates.
+The (u, T, v) model, with rational entries, builds the sparse table of
+structure constants c_ij^k once and serves the checks made on the model
+itself (antisymmetry, theta, the Jordan identifications).  Everything
+downstream works on coordinate vectors in the basis (g(-1), t_basis, g(1)):
+``coord_bracket`` brackets such vectors, with rational or Poly entries,
+through the table, and the Killing Gram matrix K = tr(ad_i ad_j) and the
+spur vector are computed from the table.
 """
 
 from __future__ import annotations
@@ -58,13 +63,6 @@ class LieElement:
             [c * a for a in self.v],
         )
 
-    def is_zero(self) -> bool:
-        return (
-            all(linalg._is_zero(a) for a in self.u)
-            and all(linalg._is_zero(x) for row in self.t for x in row)
-            and all(linalg._is_zero(a) for a in self.v)
-        )
-
 
 def _flat(m: Sequence[Sequence]) -> list:
     return [x for row in m for x in row]
@@ -83,9 +81,13 @@ class GradedLieAlgebra:
     tau_gram: linalg.Matrix = field(init=False)
     _tau_gram_inv: linalg.Matrix = field(init=False)
     bracket_table: dict = field(init=False)
+    _structure: dict = field(init=False)
     killing: linalg.Matrix = field(init=False)
+    spur_vector: List[Fraction] = field(init=False)
 
     def __post_init__(self):
+        if self.mu == 0:
+            raise ValueError("mu must be nonzero")
         A = self.jordan
         self.n = A.dim
         self.tau_gram = A.tau_gram()
@@ -130,14 +132,22 @@ class GradedLieAlgebra:
         self.dim0 = len(basis)
         self.dim = 2 * self.n + self.dim0
 
-        # rational left inverse of the flattened basis matrix, so matrix
-        # coordinates can be extracted even for polynomial entries
+        # rational left inverse of the flattened basis matrix; t_coords
+        # checks that it reconstructs its argument
         M = linalg.transpose(flats)  # n^2 x dim0
         MtM = linalg.mat_mul(flats, M)
         self._t_proj = linalg.mat_mul(linalg.invert(MtM), flats)
 
         self.bracket_table = self._build_bracket_table()
+        self._structure = dict(self.bracket_table)
+        for (i, j), nz in self.bracket_table.items():
+            self._structure[(j, i)] = {k: -c for k, c in nz.items()}
         self.killing = self._build_killing()
+        # trace of ad e_j on g(-1)
+        self.spur_vector = [
+            sum((self.bracket_coords(j, a).get(a, 0) for a in range(self.n)), Fraction(0))
+            for j in range(self.dim)
+        ]
 
     # -- basic elements -----------------------------------------------------
     def zero(self) -> LieElement:
@@ -170,12 +180,17 @@ class GradedLieAlgebra:
 
     # -- coordinates --------------------------------------------------------
     def t_coords(self, t: Sequence[Sequence]) -> list:
-        return linalg.mat_vec(self._t_proj, _flat(t))
+        """Coordinates of t along t_basis; raises GradingClosureFailure when
+        t is not in their span."""
+        c = linalg.mat_vec(self._t_proj, _flat(t))
+        if self.t_from_coords(c) != [list(row) for row in t]:
+            raise GradingClosureFailure("matrix is not in the degree-zero span")
+        return c
 
     def t_from_coords(self, c: Sequence) -> list:
         m = linalg.zeros(self.n, self.n)
         for i, ci in enumerate(c):
-            if not linalg._is_zero(ci):
+            if ci != 0:
                 m = linalg.mat_add(m, [[ci * x for x in row] for row in self.t_basis[i]])
         return m
 
@@ -185,11 +200,6 @@ class GradedLieAlgebra:
     def from_coords(self, c: Sequence) -> LieElement:
         n, d0 = self.n, self.dim0
         return LieElement(list(c[:n]), self.t_from_coords(c[n : n + d0]), list(c[n + d0 :]))
-
-    def t_part_residual(self, x: LieElement) -> Fraction:
-        """How far x.t lies from the degree-zero span (rational elements)."""
-        rec = self.t_from_coords(self.t_coords(x.t))
-        return sum(abs(a - b) for ra, rb in zip(rec, x.t) for a, b in zip(ra, rb))
 
     # -- structure maps -------------------------------------------------------
     def sharp(self, t: Sequence[Sequence]) -> list:
@@ -222,10 +232,6 @@ class GradedLieAlgebra:
             list(x.v), linalg.mat_scale(self.sharp(x.t), Fraction(-1)), list(x.u)
         )
 
-    def ad_matrix(self, x: LieElement) -> linalg.Matrix:
-        cols = [self.to_coords(self.bracket(x, self.basis_element(k))) for k in range(self.dim)]
-        return linalg.transpose(cols)
-
     def _build_bracket_table(self) -> dict:
         table = {}
         basis = [self.basis_element(i) for i in range(self.dim)]
@@ -238,40 +244,60 @@ class GradedLieAlgebra:
         return table
 
     def bracket_coords(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return self.bracket_table.get((i, j), {})
-        return {k: -v for k, v in self.bracket_table.get((j, i), {}).items()}
+        """Nonzero coordinates of [e_i, e_j]."""
+        return self._structure.get((i, j), {})
+
+    def coord_bracket(self, x: Sequence, y: Sequence) -> list:
+        """[x, y] on coordinate vectors, through the structure constants.
+
+        Entries may be rationals or Polys; the entries of the result have
+        the type of x[0] * y[0].
+        """
+        out: list = [None] * self.dim
+        for i, xi in enumerate(x):
+            if linalg._is_zero(xi):
+                continue
+            for j, yj in enumerate(y):
+                nz = self._structure.get((i, j))
+                if nz is None or linalg._is_zero(yj):
+                    continue
+                p = xi * yj
+                for k, c in nz.items():
+                    t = p * c
+                    out[k] = t if out[k] is None else out[k] + t
+        probe = x[0] * y[0]
+        zero = probe - probe
+        return [zero if v is None else v for v in out]
 
     def _build_killing(self) -> linalg.Matrix:
-        ads = [
-            self.ad_matrix(self.basis_element(i)) for i in range(self.dim)
-        ]
-        prod_trace = lambda a, b: sum(
-            a[r][c] * b[c][r] for r in range(self.dim) for c in range(self.dim)
-        )
-        return [[prod_trace(ads[i], ads[j]) for j in range(self.dim)] for i in range(self.dim)]
+        """K_ij = tr(ad e_i ad e_j) = sum over k, l of c_il^k c_jk^l."""
+        d = self.dim
+        ads = [[self.bracket_coords(i, l) for l in range(d)] for i in range(d)]
 
-    def beta(self, x: LieElement, y: LieElement):
+        def trace(adi, adj):
+            return sum(
+                (c * adj[k].get(l, 0) for l, col in enumerate(adi) for k, c in col.items()),
+                Fraction(0),
+            )
+
+        return [[trace(ads[i], ads[j]) for j in range(d)] for i in range(d)]
+
+    def beta(self, x: LieElement, y: LieElement) -> Fraction:
         """Killing form, evaluated via the precomputed Gram matrix."""
         cx = self.to_coords(x)
         cy = self.to_coords(y)
-        acc = None
-        for i, bi in enumerate(self.killing):
-            if linalg._is_zero(cx[i]):
-                continue
-            for j, bij in enumerate(bi):
-                if bij == 0 or linalg._is_zero(cy[j]):
-                    continue
-                term = cx[i] * (bij * cy[j])
-                acc = term if acc is None else acc + term
-        if acc is None:
-            probe = cx[0] * cy[0]
-            acc = probe - probe
-        return acc
+        return sum(
+            (
+                cx[i] * self.killing[i][j] * cy[j]
+                for i in range(self.dim)
+                if cx[i] != 0
+                for j in range(self.dim)
+                if cy[j] != 0
+            ),
+            Fraction(0),
+        )
 
-    def omega(self, x: LieElement, y: LieElement):
+    def omega(self, x: LieElement, y: LieElement) -> Fraction:
         """Symplectic pairing beta(o, [x, y])."""
         return self.beta(self.base_point(), self.bracket(x, y))
 
@@ -293,15 +319,9 @@ class GradedLieAlgebra:
             Lp.append(x)
         return L, Lp
 
-    def spur(self, h: LieElement):
-        """Trace of ad(h) restricted to g(-1): sum over a of
-        omega([h, L_a], L'_a)."""
-        L, Lp = self.symplectic_basis()
-        acc = None
-        for a in range(self.n):
-            term = self.omega(self.bracket(h, L[a]), Lp[a])
-            acc = term if acc is None else acc + term
-        return acc
+    def spur(self, h: LieElement) -> Fraction:
+        """Trace of ad(h) restricted to g(-1)."""
+        return sum((s * c for s, c in zip(self.spur_vector, self.to_coords(h))), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +435,16 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
 
 
 def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
-    """beta([x,y],z) + beta(y,[x,z]) = 0 on all basis triples."""
+    """beta([x,y],z) + beta(y,[x,z]) = 0 on all basis triples, that is
+    ad_i^T K + K ad_i = 0, summed over the entries j <= k."""
     res = Fraction(0)
-    basis = [g.basis_element(i) for i in range(g.dim)]
+    K = g.killing
     for i in range(g.dim):
+        cols = [g.bracket_coords(i, j) for j in range(g.dim)]
         for j in range(g.dim):
             for k in range(j, g.dim):
-                r = g.beta(g.bracket(basis[i], basis[j]), basis[k]) + g.beta(
-                    basis[j], g.bracket(basis[i], basis[k])
+                r = sum((c * K[m][k] for m, c in cols[j].items()), Fraction(0)) + sum(
+                    (K[j][m] * c for m, c in cols[k].items()), Fraction(0)
                 )
                 res += abs(r)
     return _combine("killing-invariance", res)

@@ -61,13 +61,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[zero if x is None else x for x in row] for row in out]
 
 
-def mat_vec(a: Matrix, v: Sequence) -> list:
-    return [sum((c * x for c, x in zip(row, v) if c != 0), start=_zero_like(v)) for row in a]
-
-
-def _zero_like(v: Sequence):
-    x = v[0]
-    return x - x
+def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list:
+    return [sum((c * x for c, x in zip(row, v) if c != 0), Fraction(0)) for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -160,23 +155,6 @@ def determinant(a: Matrix) -> Fraction:
 def leading_minors_positive(a: Matrix) -> bool:
     """Sylvester criterion for positive definiteness, exactly."""
     return all(determinant([row[: k + 1] for row in a[: k + 1]]) > 0 for k in range(len(a)))
-
-
-def independent_subset(vectors: List[List[Fraction]]) -> List[int]:
-    """Indices of a maximal linearly independent subset (greedy, in order)."""
-    basis: List[List[Fraction]] = []
-    chosen: List[int] = []
-    for idx, v in enumerate(vectors):
-        w = list(v)
-        for b in basis:
-            p = next((j for j, x in enumerate(b) if x != 0), None)
-            if p is not None and w[p] != 0:
-                f = w[p] / b[p]
-                w = [x - f * y for x, y in zip(w, b)]
-        if any(x != 0 for x in w):
-            basis.append(w)
-            chosen.append(idx)
-    return chosen
 
 
 def in_span(vectors: List[List[Fraction]], v: List[Fraction]) -> List[Fraction] | None:

@@ -8,10 +8,9 @@ and checked on every binary operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .scalars import GaussianRational, Scalar
+from .scalars import Scalar
 
 
 class VarSetMismatch(ValueError):
@@ -96,12 +95,6 @@ class Poly:
 
     def constant_coefficient(self) -> Scalar:
         return self.terms.get((0,) * len(self.vs), Scalar.zero())
-
-    def as_constant(self) -> Scalar:
-        """The value of a degree-0 polynomial; raises otherwise."""
-        if self.total_degree() > 0:
-            raise ValueError("polynomial is not constant")
-        return self.constant_coefficient()
 
     # -- ring ops -----------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -274,11 +267,3 @@ def scalar_ratio(p: "Poly", q: "Poly"):
         return None
     return m if (p - q * m).is_zero() else None
 
-
-def poly_from_rational_coords(vs: VarSet, coords, names) -> Poly:
-    """sum_a coords[a] * vars[a] as a Poly (coords rational)."""
-    p = Poly.zero(vs)
-    for coord, name in zip(coords, names):
-        if coord != 0 and not (isinstance(coord, Fraction) and coord == 0):
-            p = p + Poly.var(vs, name).scale(Scalar.of(coord))
-    return p

@@ -166,9 +166,6 @@ class Scalar:
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
 
-    def is_constant(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {0}
-
     # -- ring operations ------------------------------------------------
     def __add__(self, other) -> "Scalar":
         other = Scalar.coerce(other)
@@ -231,6 +228,10 @@ class Scalar:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a real constant equals its Fraction, so it must hash like it
+        c0 = self.coeffs.get(0, GR_ZERO)
+        if self.coeffs.keys() <= {0} and c0.im == 0:
+            return hash(c0.re)
         return hash(frozenset(self.coeffs.items()))
 
     # -- division --------------------------------------------------------
@@ -315,5 +316,3 @@ class Scalar:
 _ZERO = Scalar()
 _ONE = Scalar({0: GR_ONE})
 _I = Scalar({0: GR_I})
-
-SCALAR_HALF = Scalar.of(Fraction(1, 2))

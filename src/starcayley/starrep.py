@@ -9,9 +9,12 @@ z in g(-1),
 
 and the first-order operator  rho(A) = tau_A + sum_a l_A(z)^a d/dz^a.
 
-Everything is computed from the bracket with polynomial coordinate vectors;
-the closed tube-domain formulas (u + Tz + P(z)v, and h = kappa * Dl) are
-kept as independently verified invariants with measured constants.
+Everything is computed on coordinate vectors through the structure
+constants of g, with z the coordinate vector of g(-1) whose entries are the
+variables z^a; beta(h, o) and spur(h) are dot products of the degree-zero
+coordinates of h with the precomputed vectors K.o and spur_vector.  The
+closed tube-domain formulas (u + Tz + P(z)v, and h = kappa * Dl) are kept
+as independently verified invariants with measured constants.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chart import SymplecticChart, lift_element, poly_abs
+from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra, LieElement
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import Scalar
@@ -36,57 +39,64 @@ class StarRepresentation:
     g: GradedLieAlgebra
 
     zvs: VarSet = field(init=False)
-    z_elt: LieElement = field(init=False)
-    _o: LieElement = field(init=False)
-    _L: List[LieElement] = field(init=False)
-    _Lp: List[LieElement] = field(init=False)
+    _z: List[Poly] = field(init=False)
+    _tau_weights: List[Scalar] = field(init=False)
 
     def __post_init__(self):
         g = self.g
         self.zvs = VarSet(z_names(g.n))
-        self.z_elt = lift_element(g.zero(), self.zvs)
-        self.z_elt.u = [Poly.var(self.zvs, x) for x in self.zvs.names]
-        self._o = lift_element(g.base_point(), self.zvs)
-        L, Lp = g.symplectic_basis()
-        self._L = [lift_element(x, self.zvs) for x in L]
-        self._Lp = [lift_element(x, self.zvs) for x in Lp]
+        zero = Poly.zero(self.zvs)
+        self._z = [Poly.var(self.zvs, x) for x in self.zvs.names] + [zero] * (g.dim - g.n)
+        # tau_A = (1/2 nu)(beta(h, o) + nu spur(h)) = sum_j h_j w_j over the
+        # degree-zero coordinates h_j of h, w_j = (K.o)_j/(2 nu) + spur_j/2
+        o = g.to_coords(g.base_point())
+        ko = [sum((k * c for k, c in zip(row, o) if c != 0), Fraction(0)) for row in g.killing]
+        self._tau_weights = [
+            Scalar.nu(-1, ko[j] / 2) + Scalar.of(g.spur_vector[j] / 2)
+            for j in range(g.n, g.n + g.dim0)
+        ]
 
     # -- the three building blocks ------------------------------------------
-    def _split(self, a: LieElement) -> Tuple[LieElement, LieElement, LieElement]:
+    def _grade_parts(self, a: LieElement) -> List[list]:
+        """Coordinate vectors of the g(-1), g(0) and g(1) parts of a."""
         g = self.g
-        return (
-            lift_element(g.element(u=a.u), self.zvs),
-            lift_element(g.element(t=a.t), self.zvs),
-            lift_element(g.element(v=a.v), self.zvs),
-        )
+        c = g.to_coords(a)
+        cuts = (0, g.n, g.n + g.dim0, g.dim)
+        return [
+            [x if lo <= k < hi else Fraction(0) for k, x in enumerate(c)]
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+
+    def _h_coords(self, a: LieElement) -> List[Poly]:
+        """Degree-zero coordinates of h_A(z) = A_t + [A_v, z]."""
+        g = self.g
+        _, at, av = self._grade_parts(a)
+        br = g.coord_bracket(av, self._z)
+        return [br[k] + Poly.const(self.zvs, at[k]) for k in range(g.n, g.n + g.dim0)]
 
     def h_poly(self, a: LieElement) -> List[List[Poly]]:
         """Matrix-valued polynomial h_A(z), linear in z."""
-        _, at, av = self._split(a)
-        return at.add(self.g.bracket(av, self.z_elt)).t
+        h = list(zip(self._h_coords(a), self.g.t_basis))
+        zero = Poly.zero(self.zvs)
+        n = self.g.n
+        return [
+            [sum((hj * t[r][c] for hj, t in h if t[r][c] != 0), zero) for c in range(n)]
+            for r in range(n)
+        ]
 
     def l_poly(self, a: LieElement) -> List[Poly]:
         """Vector-valued polynomial l_A(z), quadratic in z."""
-        au, at, av = self._split(a)
         g = self.g
-        quad = g.bracket(self.z_elt, g.bracket(self.z_elt, av)).scale(Fraction(1, 2))
-        return au.add(g.bracket(at, self.z_elt)).add(quad).u
-
-    def spur_poly(self, h: List[List[Poly]]) -> Poly:
-        """Trace of ad restricted to g(-1): sum_a omega([h, L_a], L'_a)."""
-        g = self.g
-        helt = LieElement([Poly.zero(self.zvs)] * g.n, h, [Poly.zero(self.zvs)] * g.n)
-        acc = Poly.zero(self.zvs)
-        for La, Lpa in zip(self._L, self._Lp):
-            acc = acc + g.beta(self._o, g.bracket(g.bracket(helt, La), Lpa))
-        return acc
+        z = self._z
+        au, at, av = self._grade_parts(a)
+        tz = g.coord_bracket(at, z)
+        quad = g.coord_bracket(z, g.coord_bracket(z, av))
+        return [Poly.const(self.zvs, au[k]) + tz[k] + quad[k] * Fraction(1, 2) for k in range(g.n)]
 
     def tau_scalar(self, a: LieElement) -> Poly:
-        h = self.h_poly(a)
-        g = self.g
-        helt = LieElement([Poly.zero(self.zvs)] * g.n, h, [Poly.zero(self.zvs)] * g.n)
-        inner = g.beta(helt, self._o) + self.spur_poly(h) * Scalar.nu(1)
-        return inner * Scalar.nu(-1, Fraction(1, 2))
+        return sum(
+            (hj * w for hj, w in zip(self._h_coords(a), self._tau_weights)), Poly.zero(self.zvs)
+        )
 
     def rho_hat(self, a: LieElement) -> WeylOperator:
         op = WeylOperator.from_poly(self.tau_scalar(a))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from starcayley import cli, starrep
+from starcayley import cli, jordan, starrep
 from starcayley.report import ALL_SUITES, RunConfig, run, write_report
 from starcayley.weyl import WeylOperator
 
@@ -37,6 +37,35 @@ class TestExitCodes:
     def test_spin_needs_two_dimensions(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--algebra", "spin:1")
         assert code == 2
+
+    @pytest.mark.parametrize("selector", ["spin:abc", "sym:"])
+    def test_non_integer_dimension_is_config_error(self, capsys, selector):
+        code, _, err = run_cli(capsys, "verify", "--algebra", selector)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_missing_file_is_config_error(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{missing}")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_invalid_json_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_jordan_table_is_config_error(self, capsys, tmp_path):
+        # spin:2 with one structure constant changed breaks the Jordan axioms
+        data = jordan.make_spin_factor(2).to_json()
+        data["structure"][0][1][1] = "2"
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_passing_suites_exit_zero(self, capsys):
         code, out, _ = run_cli(

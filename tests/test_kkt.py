@@ -64,6 +64,24 @@ class TestKillingForm:
         kappa, res = kkt.measure_kappa(g)
         assert kappa == 1 and res == 0
 
+    def test_invariance_fails_on_perturbed_structure(self):
+        # spin:2 with one structure constant changed is not a Jordan algebra;
+        # its bracket is not Killing-invariant
+        A = jordan.make_spin_factor(2)
+        S = [[list(row) for row in plane] for plane in A.structure]
+        S[0][1][1] += 1
+        bad = jordan.JordanAlgebra(
+            name="perturbed",
+            dim=A.dim,
+            rank=A.rank,
+            basis_names=A.basis_names,
+            structure=jordan._freeze(S),
+            unit=A.unit,
+        )
+        result = kkt.verify_killing_invariance(kkt.GradedLieAlgebra(bad))
+        assert not result.passed
+        assert result.residual == 708
+
 
 class TestSymplecticStructure:
     def test_dual_basis_property(self, instance_cache):
@@ -92,6 +110,21 @@ class TestSymplecticStructure:
         for sel in ("rank1", "spin:3", "sym:3"):
             g = instance_cache("lie", sel)
             assert g.spur(g.grade_element()) == g.n
+
+
+class TestConstructorInvariants:
+    def test_zero_mu_rejected(self):
+        with pytest.raises(ValueError, match="mu"):
+            kkt.GradedLieAlgebra(jordan.make_rank_one(), Fraction(0))
+
+    def test_matrix_outside_degree_zero_span_rejected(self, instance_cache):
+        # g(0) of spin:3 is R Id + so(1,2); the elementary matrix E_01 is not
+        # in it, so it has no coordinates
+        g = instance_cache("lie", "spin:3")
+        t = [[Fraction(0)] * 3 for _ in range(3)]
+        t[0][1] = Fraction(1)
+        with pytest.raises(kkt.GradingClosureFailure):
+            g.t_coords(t)
 
 
 class TestBracketOracle:

@@ -93,6 +93,12 @@ class TestScalarRing:
     def test_json_roundtrip(self, a):
         assert Scalar.from_json(a.to_json()) == a
 
+    @given(fractions_st)
+    def test_real_constant_hashes_like_its_fraction(self, x):
+        s = Scalar.of(x)
+        assert s == x and hash(s) == hash(x)
+        assert {x: "x"}[s] == "x"
+
     def test_str_canonical_form(self):
         s = Scalar.nu(1, Fraction(2)) + Scalar.of(Fraction(1, 2)) + Scalar.i()
         text = str(s)
