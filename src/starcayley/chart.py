@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Tuple
 
+from . import weyl
 from .kkt import GradedLieAlgebra, LieElement
 from .poly import Poly, VarSet
 from .scalars import Scalar
@@ -89,6 +91,12 @@ class SymplecticChart:
             x = Poly.var(self.vs, name)
             acc = [a + x * c if c != 0 else a for a, c in zip(acc, self.g.to_coords(e))]
         return acc
+
+    @cached_property
+    def left_stars(self) -> List[weyl.WeylOperator]:
+        """The operators u -> lambda_i star u, one per basis element, built
+        on first use."""
+        return [weyl.left_star_operator(lam, self.l_names, self.m_names) for lam in self.moment]
 
     # -- moment maps -----------------------------------------------------
     def moment_map(self, x: LieElement) -> Poly:

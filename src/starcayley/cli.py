@@ -42,6 +42,8 @@ def cmd_verify(args) -> int:
     )
     config.validate()
     rep = report.run(config)
+    if rep.algebra_error is not None:
+        raise ConfigError(rep.algebra_error)
     print(report.write_report(rep, config))
     return 0 if rep.passed else 1
 

@@ -59,6 +59,8 @@ class Poly:
         pruned: Dict[Tuple[int, ...], Scalar] = {}
         if terms:
             for e, c in terms.items():
+                if len(e) != len(vs):
+                    raise ValueError(f"exponent {tuple(e)} does not fit the variables {vs.names}")
                 if not c.is_zero():
                     pruned[tuple(e)] = c
         object.__setattr__(self, "vs", vs)

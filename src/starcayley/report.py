@@ -59,6 +59,8 @@ class VerificationReport:
     suites: Dict[str, dict] = field(default_factory=dict)
     constants: Dict[str, object] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
+    # why the algebra could not be built; every suite then records it too
+    algebra_error: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -94,7 +96,11 @@ class VerificationReport:
 
 
 class InstanceContext:
-    """Lazily built, shared construction artifacts for one (algebra, mu)."""
+    """Lazily built, shared construction artifacts for one (algebra, mu).
+
+    A build that fails validation is cached too, so it is tried once and
+    every later use re-raises the same error.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -102,8 +108,14 @@ class InstanceContext:
 
     def _get(self, key, builder):
         if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+            try:
+                self._cache[key] = builder()
+            except jordan_mod.ValidationFailed as exc:
+                self._cache[key] = exc
+        value = self._cache[key]
+        if isinstance(value, jordan_mod.ValidationFailed):
+            raise value
+        return value
 
     @property
     def algebra(self) -> jordan_mod.JordanAlgebra:
@@ -215,7 +227,8 @@ def run_star_suite(ctx: InstanceContext) -> dict:
 
     cov_res, cov_bad = weyl_mod.verify_covariance(ch)
     out["covariance_residual"] = str(cov_res)
-    N, b_ok = weyl_mod.verify_property_B(ch)
+    samples = [_random_poly(rng, ch) for _ in range(3)]
+    N, b_ok = weyl_mod.verify_property_B(ch, samples)
     out["property_B_order"] = N
     ctx._cache["property_B_order"] = N
     out["passed"] = (
@@ -306,10 +319,15 @@ def run(config: RunConfig) -> VerificationReport:
         except jordan_mod.ValidationFailed as exc:
             rep.suites[name] = {"passed": False, "error": str(exc)}
         rep.timings[name] = time.perf_counter() - t0
+    try:
+        A = ctx.algebra
+    except jordan_mod.ValidationFailed as exc:
+        rep.algebra_error = str(exc)
+    else:
+        rep.constants["dim_algebra"] = A.dim
+        rep.constants["rank"] = A.rank
     g = ctx._cache.get("lie")
-    rep.constants["dim_algebra"] = ctx.algebra.dim
-    rep.constants["rank"] = ctx.algebra.rank
-    if g is not None:
+    if isinstance(g, kkt_mod.GradedLieAlgebra):
         o = g.base_point()
         rep.constants["dim_g"] = g.dim
         rep.constants["c"] = rational_to_str(g.mu)

@@ -27,7 +27,7 @@ from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra, LieElement
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import Scalar
-from .weyl import WeylOperator, fourier_conjugate, holomorphic_frame, left_star_operator, uses_only
+from .weyl import WeylOperator, fourier_conjugate, holomorphic_frame, uses_only
 
 
 def z_names(n: int) -> Tuple[str, ...]:
@@ -204,8 +204,7 @@ def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperat
     nu -> -nu as a whole; the factor 1/(2 nu) turns that into a minus sign,
     D_A = -(left-star, +1 construction)|nu->-nu.
     """
-    lam = ch.moment[index]
-    right = left_star_operator(lam, ch.l_names, ch.m_names).flip_nu()
+    right = ch.left_stars[index].flip_nu()
     op = right.scale(Scalar.nu(-1, Fraction(1, 2)))
     fop, fvs = fourier_conjugate(op, ch.l_names, ch.m_names)
     eta = tuple(x for x in fvs.names if x not in ch.l_names)

@@ -1,9 +1,18 @@
 import json
+import sys
 
 import pytest
 
-from starcayley import cli, jordan, starrep
-from starcayley.report import ALL_SUITES, RunConfig, run, write_report
+from starcayley import cli, jordan, starrep, weyl
+from starcayley.report import (
+    ALL_SUITES,
+    InstanceContext,
+    RunConfig,
+    run,
+    run_fourier_suite,
+    run_star_suite,
+    write_report,
+)
 from starcayley.weyl import WeylOperator
 
 
@@ -165,3 +174,44 @@ class TestReportApi:
         rep = run(config)
         text = write_report(rep, config)
         assert text.count("[PASS]") + text.count("[FAIL]") >= 1
+
+    def test_non_jordan_table_returns_report(self, tmp_path, monkeypatch):
+        data = jordan.make_spin_factor(2).to_json()
+        data["structure"][0][1][1] = "2"
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(data))
+        real = jordan.make_algebra
+        calls = []
+
+        def counted(selector):
+            calls.append(selector)
+            return real(selector)
+
+        monkeypatch.setattr(jordan, "make_algebra", counted)
+        rep = run(RunConfig(algebra=f"file:{path}"))
+        assert len(calls) == 1
+        assert set(rep.suites) == set(ALL_SUITES)
+        assert all(s == {"passed": False, "error": rep.algebra_error} for s in rep.suites.values())
+        assert rep.algebra_error
+        assert "dim_algebra" not in rep.constants and "rank" not in rep.constants
+        assert not rep.passed
+
+    def test_left_star_operators_built_once_per_instance(self, monkeypatch):
+        real = weyl.left_star_operator
+        calls = []
+
+        def counted(lam, l_names, m_names):
+            calls.append(lam)
+            return real(lam, l_names, m_names)
+
+        # every module of the package that holds the function, so that a
+        # build through an imported name is counted as well
+        for name, mod in list(sys.modules.items()):
+            if name == "starcayley" or name.startswith("starcayley."):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, counted)
+        ctx = InstanceContext(RunConfig(algebra="spin:3"))
+        assert run_star_suite(ctx)["passed"]
+        assert run_fourier_suite(ctx)["passed"]
+        assert len(calls) == ctx.lie.dim

@@ -33,6 +33,12 @@ class TestRingStructure:
     def test_neg(self, p):
         assert (p + (-p)).is_zero()
 
+    def test_exponent_length_must_match_varset(self):
+        with pytest.raises(ValueError):
+            Poly(varset("a", "b"), {(1, 2, 3): Scalar.one()})
+        with pytest.raises(ValueError):
+            Poly(varset("a", "b"), {(1,): Scalar.one()})
+
     def test_reflected_ops_with_rationals(self):
         x = Poly.var(VS, "x")
         assert Fraction(2) + x == x + Poly.const(VS, 2)

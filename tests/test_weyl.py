@@ -1,4 +1,6 @@
+import copy
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,60 @@ from starcayley.weyl import (
     left_star_operator,
     moyal_star,
     uses_only,
+    verify_property_B,
 )
 
 VS = varset("l1", "m1")
 L_NAMES, M_NAMES = ("l1",), ("m1",)
+
+
+def reference_moyal_star(u, v, l_names, m_names):
+    """u star v = sum_k (nu^k / k!) B^k (u (x) v), merged back to one copy.
+
+    B = sum_a d_{L.l_a} d_{R.m_a} - d_{L.m_a} d_{R.l_a} acts on the product
+    of u in the left copy and v in the right copy of a doubled variable set;
+    each order is merged back by substitution.  Slow, but shares nothing
+    with the direct formula of ``moyal_star``.
+    """
+    vs = u.vs
+    vs2 = VarSet(tuple(f"L.{x}" for x in vs.names) + tuple(f"R.{x}" for x in vs.names))
+    uu = u.substitute({x: Poly.var(vs2, f"L.{x}") for x in vs.names}, vs2)
+    vv = v.substitute({x: Poly.var(vs2, f"R.{x}") for x in vs.names}, vs2)
+    merge = {f"{side}.{x}": Poly.var(vs, x) for side in "LR" for x in vs.names}
+
+    def bidiff(p):
+        acc = Poly.zero(vs2)
+        for la, ma in zip(l_names, m_names):
+            acc = acc + p.diff(f"L.{la}").diff(f"R.{ma}") - p.diff(f"L.{ma}").diff(f"R.{la}")
+        return acc
+
+    result = Poly.zero(vs)
+    term, k = uu * vv, 0
+    while not term.is_zero():
+        result = result + term.substitute(merge, vs) * Scalar.nu(k, Fraction(1, factorial(k)))
+        term = bidiff(term)
+        k += 1
+    return result
+
+
+# one unpaired variable t, and the Darboux pairs (l1, m1), (l2, m2) listed
+# out of chart order
+MIXED_VS = VarSet(("m2", "t", "l1", "m1", "l2"))
+MIXED_L, MIXED_M = ("l1", "l2"), ("m1", "m2")
+
+
+@st.composite
+def laurent_polys(draw, vs=MIXED_VS, max_exp=2):
+    """Sums of monomials with Gaussian-rational coefficients at nu-powers
+    -2..2."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(draw(st.integers(0, max_exp)) for _ in vs.names)
+        re = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        im = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        c = Scalar.of(re, im) * Scalar.nu(draw(st.integers(-2, 2)))
+        terms[e] = terms.get(e, Scalar.zero()) + c
+    return Poly(vs, terms)
 
 
 @st.composite
@@ -95,6 +147,19 @@ class TestMoyalStar:
         d = moyal_star(p, q, L_NAMES, M_NAMES) - p * q
         # only positive nu-powers survive in the difference
         assert all(k >= 1 for c in d.terms.values() for k in c.coeffs)
+
+    @given(laurent_polys(), laurent_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_doubled_variable_reference(self, u, v):
+        assert moyal_star(u, v, MIXED_L, MIXED_M) == reference_moyal_star(u, v, MIXED_L, MIXED_M)
+
+    def test_unpaired_variable_only_multiplies(self):
+        t = Poly.var(MIXED_VS, "t")
+        l1 = Poly.var(MIXED_VS, "l1")
+        m1 = Poly.var(MIXED_VS, "m1")
+        nu = Poly.const(MIXED_VS, Scalar.nu(1))
+        assert moyal_star(t * l1, t * m1, MIXED_L, MIXED_M) == t * t * (l1 * m1 + nu)
+        assert moyal_star(t, m1, MIXED_L, MIXED_M) == t * m1
 
 
 class TestLeftStarOperator:
@@ -197,11 +262,20 @@ class TestHolomorphicFrame:
         assert not uses_only(op * WeylOperator.partial(tvs, "w1"), ("z1",))
 
 
+def test_property_b_fails_on_perturbed_operator(instance_cache):
+    ch = copy.copy(instance_cache("chart", "spin:2"))
+    stars = list(ch.left_stars)
+    assert verify_property_B(ch, ch.moment) == (3, True)
+    stars[1] = stars[1] + WeylOperator.identity(ch.vs)
+    ch.left_stars = stars
+    assert verify_property_B(ch, ch.moment) == (3, False)
+
+
 def test_covariance_and_property_b(instance_cache):
     from starcayley.weyl import verify_covariance, verify_property_B
 
     ch = instance_cache("chart", "spin:3")
     res, bad = verify_covariance(ch)
     assert res == 0 and bad == 0
-    N, ok = verify_property_B(ch)
+    N, ok = verify_property_B(ch, ch.moment)
     assert N == 3 and ok
