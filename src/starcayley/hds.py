@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chart import poly_abs, scalar_abs
+from .chart import poly_abs
 from .kkt import GradedLieAlgebra, LieElement
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import NotDivisible, Scalar
-from .starrep import z_names
+from .starrep import bracket_sign, z_names
 from .weyl import WeylOperator
 
 
@@ -45,17 +45,6 @@ class FormalWeightOperator:
 
     v: WeylOperator
     s: WeylOperator
-
-    def sub(self, other: "FormalWeightOperator") -> "FormalWeightOperator":
-        return FormalWeightOperator(self.v - other.v, self.s - other.s)
-
-    def is_zero(self) -> bool:
-        return self.v.is_zero() and self.s.is_zero()
-
-    def residual(self) -> Fraction:
-        return sum(scalar_abs(c) for c in self.v.terms.values()) + sum(
-            scalar_abs(c) for c in self.s.terms.values()
-        )
 
 
 @dataclass
@@ -119,32 +108,17 @@ class DiscreteSeries:
 
 def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[FormalWeightOperator]) -> Tuple[int, Fraction]:
     """[dpi(X), dpi(Y)] = s * dpi([X,Y]) identically in the formal weight;
-    returns (sign s, residual).  Mult-operator commutators vanish, so the
-    m^2 part is identically zero and the check splits by powers of m."""
+    returns (sign s, residual) as ``starrep.bracket_sign``.  Mult-operator
+    commutators vanish, so the m^2 part is identically zero and the check
+    splits into the m^0 and m^1 parts."""
 
-    def residual_for(sign: int) -> Fraction:
-        res = Fraction(0)
-        vs = ops[0].v.vs
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                m0 = ops[i].v * ops[j].v - ops[j].v * ops[i].v
-                m1 = (ops[i].v * ops[j].s - ops[j].s * ops[i].v) - (
-                    ops[j].v * ops[i].s - ops[i].s * ops[j].v
-                )
-                t0 = WeylOperator.zero(vs)
-                t1 = WeylOperator.zero(vs)
-                for k, c in g.bracket_coords(i, j).items():
-                    t0 = t0 + ops[k].v.scale(Fraction(sign) * c)
-                    t1 = t1 + ops[k].s.scale(Fraction(sign) * c)
-                for d in (m0 - t0, m1 - t1):
-                    res += sum(scalar_abs(c) for c in d.terms.values())
-        return res
+    def commutator(i: int, j: int) -> Tuple[WeylOperator, WeylOperator]:
+        x, y = ops[i], ops[j]
+        m0 = x.v * y.v - y.v * x.v
+        m1 = (x.v * y.s - y.s * x.v) - (y.v * x.s - x.s * y.v)
+        return m0, m1
 
-    for sign in (1, -1):
-        r = residual_for(sign)
-        if r == 0:
-            return sign, r
-    return 0, min(residual_for(1), residual_for(-1))
+    return bracket_sign(g, [(op.v, op.s) for op in ops], commutator)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +172,7 @@ def solve_equivalence(
         for i in range(g.dim):
             tau, vec = _split_scalar_part(rho[i])
             target = ds.dpi(alpha(g.basis_element(i)))
-            d = vec - target.v
-            r = sum(scalar_abs(c) for c in d.terms.values())
+            r = poly_abs(vec - target.v)
             if r != 0:
                 ok = False
                 res += r

@@ -331,23 +331,39 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     """Build an algebra from the JSON table and validate it.
 
     Schema: {name, dim, rank, unit: [rational strings], structure:
-    [[[rational]]]}.  Raises ValidationFailed when any axiom fails.
+    [[[rational]]]}.  Raises UnknownAlgebra when the table does not follow
+    the schema, InvalidDimension when its sizes disagree and
+    ValidationFailed when any axiom fails.
     """
     if isinstance(data, str):
         data = json.loads(data)
-    n = int(data["dim"])
-    S = [
-        [[Fraction(c) for c in row] for row in plane] for plane in data["structure"]
-    ]
+    if not isinstance(data, dict):
+        raise UnknownAlgebra("a structure-constant table must be a JSON object")
+    try:
+        n = int(data["dim"])
+        rank = int(data["rank"])
+        S = [
+            [[Fraction(c) for c in row] for row in plane] for plane in data["structure"]
+        ]
+        unit = tuple(Fraction(u) for u in data["unit"])
+        names = tuple(data.get("basis_names", (f"e{i + 1}" for i in range(n))))
+    except KeyError as exc:
+        raise UnknownAlgebra(f"structure-constant table has no {exc} entry") from None
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise UnknownAlgebra(f"malformed structure-constant table: {exc}") from None
     if len(S) != n or any(len(p) != n for p in S) or any(len(r) != n for p in S for r in p):
         raise InvalidDimension("structure table shape does not match dim")
+    if len(unit) != n:
+        raise InvalidDimension(f"unit has {len(unit)} entries, dim is {n}")
+    if not 1 <= rank <= n:
+        raise InvalidDimension(f"rank {rank} is not between 1 and dim {n}")
     A = JordanAlgebra(
         name=str(data.get("name", "custom")),
         dim=n,
-        rank=int(data["rank"]),
-        basis_names=tuple(data.get("basis_names", (f"e{i + 1}" for i in range(n)))),
+        rank=rank,
+        basis_names=names,
         structure=_freeze(S),
-        unit=tuple(Fraction(u) for u in data["unit"]),
+        unit=unit,
     )
     rep = validate_jordan(A)
     if not rep.passed:

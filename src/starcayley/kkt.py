@@ -12,12 +12,12 @@ with T# the adjoint of T for the trace form.  The involution is
 theta(u,T,v) = (v, -T#, u); the base point is o = mu * E with E = (0,Id,0).
 
 The (u, T, v) model, with rational entries, builds the sparse table of
-structure constants c_ij^k once and serves the checks made on the model
-itself (antisymmetry, theta, the Jordan identifications).  Everything
-downstream works on coordinate vectors in the basis (g(-1), t_basis, g(1)):
-``coord_bracket`` brackets such vectors, with rational or Poly entries,
-through the table, and the Killing Gram matrix K = tr(ad_i ad_j) and the
-spur vector are computed from the table.
+structure constants c_ij^k once, gives the coordinates of theta and serves
+the checks made on the model itself (antisymmetry, the Jordan
+identifications).  Everything downstream works on coordinate vectors in
+the basis (g(-1), t_basis, g(1)): ``coord_bracket`` brackets such vectors,
+with rational or Poly entries, through the table, and the Killing Gram
+matrix K = tr(ad_i ad_j) and the spur vector are computed from the table.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ class LieElement:
             [a + b for a, b in zip(self.u, other.u)],
             linalg.mat_add(self.t, other.t),
             [a + b for a, b in zip(self.v, other.v)],
-        )
-
-    def sub(self, other: "LieElement") -> "LieElement":
-        return LieElement(
-            [a - b for a, b in zip(self.u, other.u)],
-            linalg.mat_sub(self.t, other.t),
-            [a - b for a, b in zip(self.v, other.v)],
         )
 
     def scale(self, c) -> "LieElement":
@@ -335,14 +328,8 @@ class SuiteResult:
     passed: bool
     residual: Fraction
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": str(self.residual),
-            "detail": self.detail,
-        }
+    # the measured constant of a check that measures one (kappa), else None
+    value: Optional[Fraction] = None
 
 
 def _combine(name: str, residual: Fraction, detail: str = "") -> SuiteResult:
@@ -392,18 +379,28 @@ def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
 
 
 def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
-    """theta is an involutive automorphism exchanging g(-1) and g(1)."""
+    """theta is an involutive automorphism exchanging g(-1) and g(1).
+
+    With Theta the coordinates of theta(e_i), taken once from the model,
+    Theta^2 = 1 and Theta [e_i, e_j] = [Theta e_i, Theta e_j] are checked
+    through the structure constants."""
+    theta = [g.to_coords(g.theta(g.basis_element(i))) for i in range(g.dim)]
+
+    def apply(c: dict) -> list:
+        out = [Fraction(0)] * g.dim
+        for k, ck in c.items():
+            for m, t in enumerate(theta[k]):
+                out[m] += ck * t
+        return out
+
     res = Fraction(0)
-    basis = [g.basis_element(i) for i in range(g.dim)]
-    for b in basis:
-        d = g.theta(g.theta(b)).sub(b)
-        res += sum(abs(c) for c in g.to_coords(d))
     for i in range(g.dim):
+        tt = apply({k: c for k, c in enumerate(theta[i]) if c != 0})
+        res += sum(abs(x - (1 if m == i else 0)) for m, x in enumerate(tt))
         for j in range(i + 1, g.dim):
-            d = g.theta(g.bracket(basis[i], basis[j])).sub(
-                g.bracket(g.theta(basis[i]), g.theta(basis[j]))
-            )
-            res += sum(abs(c) for c in g.to_coords(d))
+            lhs = apply(g.bracket_coords(i, j))
+            rhs = g.coord_bracket(theta[i], theta[j])
+            res += sum(abs(a - b) for a, b in zip(lhs, rhs))
     return _combine("theta", res)
 
 
@@ -534,6 +531,7 @@ def run_structure_suite(g: GradedLieAlgebra) -> List[SuiteResult]:
             passed=kappa is not None,
             residual=res,
             detail=f"kappa = {kappa}" if kappa is not None else "no proportionality",
+            value=kappa,
         )
     )
     return results

@@ -8,6 +8,7 @@ graded Lie algebra, chart and representation objects.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -45,11 +46,15 @@ class RunConfig:
     def validate(self):
         if self.mu == 0:
             raise ConfigError("mu must be nonzero")
+        if not self.suites:
+            raise ConfigError("no suites selected")
         bad = [s for s in self.suites if s not in ALL_SUITES]
         if bad:
             raise ConfigError(f"unknown suites: {bad}")
         if self.fmt not in ("text", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
+            raise ConfigError(f"cannot write {self.out!r}: no such directory")
 
 
 @dataclass
@@ -172,7 +177,7 @@ def run_lie_suite(ctx: InstanceContext) -> dict:
         out[r.name] = ("pass" if r.passed else f"FAIL residual {r.residual}") + (
             f" ({r.detail})" if r.detail else ""
         )
-    kappa, _ = kkt_mod.measure_kappa(g)
+    kappa = next(r.value for r in results if r.name == "killing-closed-form")
     out["kappa_g"] = str(kappa) if kappa is not None else "not proportional"
     return out
 
@@ -344,6 +349,9 @@ def write_report(rep: VerificationReport, config: RunConfig) -> str:
         else rep.to_text()
     )
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {config.out!r}: {exc.strerror}") from None
     return text

@@ -12,16 +12,19 @@ and the first-order operator  rho(A) = tau_A + sum_a l_A(z)^a d/dz^a.
 Everything is computed on coordinate vectors through the structure
 constants of g, with z the coordinate vector of g(-1) whose entries are the
 variables z^a; beta(h, o) and spur(h) are dot products of the degree-zero
-coordinates of h with the precomputed vectors K.o and spur_vector.  The
-closed tube-domain formulas (u + Tz + P(z)v, and h = kappa * Dl) are kept
-as independently verified invariants with measured constants.
+coordinates of h with the precomputed vectors K.o and spur_vector.  l_A is
+cross-checked against the conformal field u + Tz + P(z)v that hds builds
+from Jordan data, and h_A against kappa * Dl_A.
+
+``bracket_sign`` is the one bracket-sign check, shared by rho and by the
+weighted operators of hds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra, LieElement
@@ -110,26 +113,15 @@ class StarRepresentation:
         return [self.rho_hat(self.g.basis_element(i)) for i in range(self.g.dim)]
 
     # -- invariants -------------------------------------------------------
-    def tube_field(self, a: LieElement) -> List[Poly]:
-        """Independent closed form u + Tz + P(z)v for cross-checking l_poly."""
-        A = self.g.jordan
-        zvec = [Poly.var(self.zvs, x) for x in self.zvs.names]
-        lifted_t = [[Poly.const(self.zvs, c) for c in row] for row in a.t]
-        tz = [sum((row[j] * zvec[j] for j in range(self.g.n)), Poly.zero(self.zvs)) for row in lifted_t]
-        pv = [Poly.zero(self.zvs)] * self.g.n
-        if any(c != 0 for c in a.v):
-            P = A.quadratic_rep(zvec)
-            pv = [
-                sum((row[j] * a.v[j] for j in range(self.g.n)), Poly.zero(self.zvs))
-                for row in P
-            ]
-        return [Poly.const(self.zvs, a.u[i]) + tz[i] + pv[i] for i in range(self.g.n)]
-
     def field_residual(self) -> Fraction:
+        """l_A against the field u + Tz + P(z)v built from Jordan data."""
+        from .hds import DiscreteSeries  # hds imports this module
+
+        ds = DiscreteSeries(self.g)
         res = Fraction(0)
         for i in range(self.g.dim):
             b = self.g.basis_element(i)
-            for p, q in zip(self.l_poly(b), self.tube_field(b)):
+            for p, q in zip(self.l_poly(b), ds.field(b)):
                 res += poly_abs(p - q)
         return res
 
@@ -153,30 +145,42 @@ class StarRepresentation:
         return (kappa, res) if res == 0 else (None, res)
 
 
-def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tuple[int, Fraction]:
-    """Measure the sign s with [rho(A), rho(B)] = s * rho([A,B]) over all
-    basis pairs; returns (s, residual). s = +1 reports a homomorphism,
-    s = -1 an anti-homomorphism, s = 0 neither."""
+def bracket_sign(
+    g: GradedLieAlgebra,
+    parts: List[Sequence[WeylOperator]],
+    commutator: Callable[[int, int], Sequence[WeylOperator]],
+) -> Tuple[int, Fraction]:
+    """Measure the sign s with [X_i, X_j] = s * X([e_i, e_j]) over all basis
+    pairs i < j; returns (s, residual).
 
-    def residual_for(sign: int) -> Fraction:
-        res = Fraction(0)
-        from .chart import scalar_abs
-
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                comm = rho[i] * rho[j] - rho[j] * rho[i]
-                target = WeylOperator.zero(rho[0].vs)
-                for k, c in g.bracket_coords(i, j).items():
-                    target = target + rho[k].scale(Fraction(sign) * c)
-                diff = comm - target
-                res += sum(scalar_abs(c) for c in diff.terms.values())
-        return res
-
+    parts[k] lists the operator components of X(e_k) and commutator(i, j)
+    the matching components of [X_i, X_j].  Each commutator and each image
+    sum_k c_ij^k parts[k] is formed once; both sign residuals are summed in
+    the same pass.  s = +1 reports a homomorphism, s = -1 an
+    anti-homomorphism, s = 0 neither, with the smaller residual.
+    """
+    res = {1: Fraction(0), -1: Fraction(0)}
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            nz = g.bracket_coords(i, j).items()
+            for c, comm in enumerate(commutator(i, j)):
+                image = WeylOperator.zero(comm.vs)
+                for k, ck in nz:
+                    image = image + parts[k][c].scale(ck)
+                res[1] += poly_abs(comm - image)
+                res[-1] += poly_abs(comm + image)
     for sign in (1, -1):
-        r = residual_for(sign)
-        if r == 0:
-            return sign, r
-    return 0, min(residual_for(1), residual_for(-1))
+        if res[sign] == 0:
+            return sign, res[sign]
+    return 0, min(res.values())
+
+
+def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tuple[int, Fraction]:
+    """Bracket sign of rho: [rho(A), rho(B)] = s * rho([A,B]); returns
+    (s, residual) as ``bracket_sign``."""
+    return bracket_sign(
+        g, [(op,) for op in rho], lambda i, j: (rho[i] * rho[j] - rho[j] * rho[i],)
+    )
 
 
 @dataclass
@@ -225,22 +229,12 @@ def verify_star_transform(
 ) -> List[StarTransformResult]:
     """Compare the transformed star operators D_A against rho(A), per basis
     element, and check that D_A is holomorphic."""
-    from .chart import scalar_abs
-
     out = []
     n = srep.g.n
     for i in range(srep.g.dim):
         d_op, hvs = star_transform_operator(ch, i)
         holo = uses_only(d_op, hvs.names[:n])
         r_emb = embed_z_operator(rho[i], hvs)
-        diff = d_op - r_emb
-        res = sum(scalar_abs(c) for c in diff.terms.values())
-        out.append(
-            StarTransformResult(
-                index=i,
-                holomorphic=holo,
-                matches_rho=diff.is_zero(),
-                residual=res,
-            )
-        )
+        res = poly_abs(d_op - r_emb)
+        out.append(StarTransformResult(index=i, holomorphic=holo, matches_rho=res == 0, residual=res))
     return out

@@ -66,6 +66,39 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: {k: v for k, v in d.items() if k != "rank"}, id="no-rank"),
+            pytest.param(lambda d: {**d, "unit": ["x", "0"]}, id="non-rational"),
+            pytest.param(lambda d: [d], id="not-an-object"),
+            pytest.param(lambda d: {**d, "unit": d["unit"] + ["0"]}, id="unit-length"),
+            pytest.param(lambda d: {**d, "rank": 0}, id="zero-rank"),
+        ],
+    )
+    def test_malformed_table_is_config_error(self, capsys, tmp_path, edit):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(edit(jordan.make_spin_factor(2).to_json())))
+        code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["absent/report.json", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path, target):
+        out = tmp_path / target
+        code, _, err = run_cli(
+            capsys, "verify", "--algebra", "rank1", "--suites", "jordan", "--out", str(out)
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("suites", [",", " , "])
+    def test_empty_suite_list_is_config_error(self, capsys, suites):
+        code, out, err = run_cli(capsys, "verify", "--algebra", "rank1", "--suites", suites)
+        assert code == 2
+        assert "overall" not in out
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_non_jordan_table_is_config_error(self, capsys, tmp_path):
         # spin:2 with one structure constant changed breaks the Jordan axioms
         data = jordan.make_spin_factor(2).to_json()

@@ -5,6 +5,7 @@ import pytest
 from starcayley import jordan, kkt
 from starcayley.hds import (
     DiscreteSeries,
+    FormalWeightOperator,
     NoEquivalence,
     closed_form_weight,
     compare_with_closed_form,
@@ -66,6 +67,16 @@ def test_dpi_homomorphism_in_formal_weight(selector, instance_cache):
     sign, res = verify_dpi_homomorphism(g, ds.dpi_basis())
     assert res == 0
     assert sign == 1
+
+
+@pytest.mark.parametrize("selector,residual", [("rank1", 2), ("spin:3", 3), ("sym:2", 2)])
+def test_dpi_sign_check_fails_on_perturbed_weight_part(selector, residual, instance_cache):
+    # 1 added to the weight part of one operator breaks the bracket in both signs
+    g = instance_cache("lie", selector)
+    ds = instance_cache("series", selector)
+    ops = ds.dpi_basis()
+    ops[1] = FormalWeightOperator(ops[1].v, ops[1].s + WeylOperator.identity(ds.zvs))
+    assert verify_dpi_homomorphism(g, ops) == (0, residual)
 
 
 class TestEquivalence:

@@ -29,6 +29,21 @@ def test_structure_suites(selector, instance_cache):
         assert result.passed, f"{selector}: {result.name} residual {result.residual}"
 
 
+def _perturbed_spin2() -> jordan.JordanAlgebra:
+    """spin:2 with one structure constant changed: not a Jordan algebra."""
+    A = jordan.make_spin_factor(2)
+    S = [[list(row) for row in plane] for plane in A.structure]
+    S[0][1][1] += 1
+    return jordan.JordanAlgebra(
+        name="perturbed",
+        dim=A.dim,
+        rank=A.rank,
+        basis_names=A.basis_names,
+        structure=jordan._freeze(S),
+        unit=A.unit,
+    )
+
+
 class TestKillingForm:
     def test_grade_element_pairing(self, instance_cache):
         # beta(E, E) = 2n for every instance
@@ -65,22 +80,17 @@ class TestKillingForm:
         assert kappa == 1 and res == 0
 
     def test_invariance_fails_on_perturbed_structure(self):
-        # spin:2 with one structure constant changed is not a Jordan algebra;
         # its bracket is not Killing-invariant
-        A = jordan.make_spin_factor(2)
-        S = [[list(row) for row in plane] for plane in A.structure]
-        S[0][1][1] += 1
-        bad = jordan.JordanAlgebra(
-            name="perturbed",
-            dim=A.dim,
-            rank=A.rank,
-            basis_names=A.basis_names,
-            structure=jordan._freeze(S),
-            unit=A.unit,
-        )
-        result = kkt.verify_killing_invariance(kkt.GradedLieAlgebra(bad))
+        result = kkt.verify_killing_invariance(kkt.GradedLieAlgebra(_perturbed_spin2()))
         assert not result.passed
         assert result.residual == 708
+
+
+def test_theta_fails_on_perturbed_structure():
+    # theta is not an automorphism of the perturbed bracket
+    result = kkt.verify_theta(kkt.GradedLieAlgebra(_perturbed_spin2()))
+    assert not result.passed
+    assert result.residual == Fraction(8, 3)
 
 
 class TestSymplecticStructure:

@@ -99,6 +99,17 @@ def test_rho_is_anti_homomorphism(selector, instance_cache):
     assert sign == -1  # measured: bracket reverses under rho
 
 
+@pytest.mark.parametrize("selector,residual", [("rank1", 2), ("spin:3", 3), ("sym:2", 2)])
+def test_rho_sign_check_fails_on_perturbed_operator(selector, residual, instance_cache):
+    # rho plus the constant 1 on one basis element is neither a homomorphism
+    # nor an anti-homomorphism
+    g = instance_cache("lie", selector)
+    srep = instance_cache("srep", selector)
+    rho = list(instance_cache("rho", selector))
+    rho[1] = rho[1] + WeylOperator.identity(srep.zvs)
+    assert verify_rho_homomorphism(g, rho) == (0, residual)
+
+
 class TestStarTransform:
     @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
     def test_holomorphic_and_flip_relation(self, selector, instance_cache):
