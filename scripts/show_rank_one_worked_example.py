@@ -2,8 +2,9 @@
 """Walk through the full pipeline on the one-dimensional Jordan algebra.
 
 Prints every intermediate object: bracket table, moment maps, the three
-representation operators, the formal-weight operators, and the solved
-weight parameter.  Useful as a readable end-to-end sanity check.
+representation operators, the weight-m operators dpi_m = V + m*S, and the
+solved weight parameter.  Each dpi is stored as the first-order operator
+dpi_1 = S + V; its multiplier S is the coefficient of the formal weight m.  Useful as a readable end-to-end sanity check.
 """
 
 import pathlib
@@ -17,10 +18,12 @@ from starcayley import (
     GradedLieAlgebra,
     StarRepresentation,
     SymplecticChart,
+    WeylOperator,
     make_rank_one,
     solve_equivalence,
 )
 from starcayley.hds import compare_with_closed_form, special_nu_value
+from starcayley.weyl import split_first_order
 
 
 def main() -> None:
@@ -43,9 +46,10 @@ def main() -> None:
         print(f"  rho[{i}] = {op}")
 
     ds = DiscreteSeries(g)
-    print("\nformal-weight operators (V + m*S):")
+    print("\nweight-m operators dpi_m = V + m*S (S the multiplier of dpi_1, V its vector field):")
     for i, op in enumerate(ds.dpi_basis()):
-        print(f"  dpi[{i}] = ({op.v})  +  m * ({op.s})")
+        s_op = WeylOperator.from_poly(split_first_order(op)[0])
+        print(f"  dpi[{i}] = ({op - s_op})  +  m * ({s_op})")
 
     eq = solve_equivalence(g, srep.rho_basis(), ds)
     cmpr = compare_with_closed_form(g, eq.m_star)

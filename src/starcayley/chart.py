@@ -98,15 +98,6 @@ class SymplecticChart:
         on first use."""
         return [weyl.left_star_operator(lam, self.l_names, self.m_names) for lam in self.moment]
 
-    # -- moment maps -----------------------------------------------------
-    def moment_map(self, x: LieElement) -> Poly:
-        """lambda_x = beta(phi, x) for a rational element x, by linearity."""
-        acc = Poly.zero(self.vs)
-        for c, lam in zip(self.g.to_coords(x), self.moment):
-            if c != 0:
-                acc = acc + lam * c
-        return acc
-
     def poisson(self, p: Poly, q: Poly) -> Poly:
         acc = Poly.zero(self.vs)
         for la, ma in zip(self.l_names, self.m_names):

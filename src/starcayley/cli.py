@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import jordan, kkt, report
 from .report import ALL_SUITES, BUILTIN_SELECTORS, ConfigError, RunConfig
+from .weyl import WeylOperator, split_first_order
 
 
 def _parse_mu(text: str) -> Fraction:
@@ -76,8 +77,10 @@ def cmd_show(args) -> int:
         for i, op in enumerate(ctx.rho):
             print(f"rho[{i}] = {op}")
     elif args.what == "dpi":
+        # dpi_m = V + m*S, with S the multiplier of dpi_1 and V its vector field
         for i, op in enumerate(ctx.series.dpi_basis()):
-            print(f"dpi[{i}] = ({op.v})  +  m * ({op.s})")
+            s_op = WeylOperator.from_poly(split_first_order(op)[0])
+            print(f"dpi[{i}] = ({op - s_op})  +  m * ({s_op})")
     else:
         raise ConfigError(f"unknown --what {args.what!r}")
     return 0

@@ -2,18 +2,24 @@
 
 For X = (u, T, v) the conformal field on the tube domain is
 X(z) = u + Tz + P(z)v with Tr DX(z) = Tr T + 2 tau(z, v).  The weight-m
-operator is
+operator is first order,
 
-    dpi_m(X) = -m (r/n) Tr DX(z) - sum_a X(z)^a d/dz^a
+    dpi_m(X) = m s_X + V_X,   s_X = -(r/n) Tr DX(z),   V_X = -sum_a X(z)^a d/dz^a,
 
-with m kept formal: each operator is stored as a pair (V, S) meaning
-V + m*S, and homomorphism checks are done per power of m.  The solver
-searches an intertwining automorphism alpha in {+id, -id, +theta, -theta}
-matching the star representation against dpi, then solves for the unique
-weight m* by exact division, and compares with the closed-form value
-(beta(o,o) + n nu c) / (2 nu r c).  That value follows from the grading
-element E = (0, Id, 0): h_E = Id, l_E(z) = z, beta(E, o) = beta(o,o)/mu and
-spur(E) = n give rho(E) = (beta(o,o)/mu + n nu)/(2 nu) + sum z^a d_a, while
+with m kept formal.  The bracket of first-order operators is linear in
+their multipliers and never multiplies two of them:
+[dpi_m X, dpi_m Y] = m (V_X s_Y - V_Y s_X) + [V_X, V_Y].  So
+[dpi_m X, dpi_m Y] = sigma dpi_m([X,Y]) holds for every m exactly when it holds
+for dpi_1 = s_X + V_X with the multiplier and the vector field compared
+separately, which is how ``starrep.bracket_sign`` compares them.  Each
+operator is therefore stored as dpi_1, whose multiplier is the coefficient
+of m.  The solver searches an intertwining automorphism alpha in
+{+id, -id, +theta, -theta} matching the star representation against dpi,
+then solves for the unique weight m* by exact division, and compares with
+the closed-form value (beta(o,o) + n nu c) / (2 nu r c).  That value follows
+from the grading element E = (0, Id, 0): h_E = Id, l_E(z) = z,
+beta(E, o) = beta(o,o)/mu and spur(E) = n give
+rho(E) = (beta(o,o)/mu + n nu)/(2 nu) + sum z^a d_a, while
 dpi_m(-E) = m r + sum z^a d_a; the solver finds alpha = -id.  The value is
 thus fixed by this package's own normalisations of rho and dpi_m; the
 repository does not hold the paper's text to check them against.
@@ -30,7 +36,7 @@ from .kkt import GradedLieAlgebra, LieElement
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import NotDivisible, Scalar
 from .starrep import bracket_sign, z_names
-from .weyl import WeylOperator
+from .weyl import WeylOperator, first_order, split_first_order
 
 
 class NoEquivalence(ValueError):
@@ -40,36 +46,25 @@ class NoEquivalence(ValueError):
 
 
 @dataclass
-class FormalWeightOperator:
-    """V + m * S with a formal weight m; S is a multiplication operator."""
-
-    v: WeylOperator
-    s: WeylOperator
-
-
-@dataclass
 class DiscreteSeries:
     g: GradedLieAlgebra
 
     def __post_init__(self):
         self.zvs = VarSet(z_names(self.g.n))
         self._zvec = [Poly.var(self.zvs, x) for x in self.zvs.names]
+        self._P = self.g.jordan.quadratic_rep(self._zvec)
 
     def field(self, a: LieElement) -> List[Poly]:
         """X(z) = u + Tz + P(z)v, from the Jordan data directly."""
-        A = self.g.jordan
         n = self.g.n
         comps = []
-        P = A.quadratic_rep(self._zvec) if any(c != 0 for c in a.v) else None
         for i in range(n):
             acc = Poly.const(self.zvs, a.u[i])
             for j in range(n):
                 if a.t[i][j] != 0:
                     acc = acc + self._zvec[j] * a.t[i][j]
-            if P is not None:
-                for j in range(n):
-                    if a.v[j] != 0:
-                        acc = acc + P[i][j] * a.v[j]
+                if a.v[j] != 0:
+                    acc = acc + self._P[i][j] * a.v[j]
             comps.append(acc)
         return comps
 
@@ -81,44 +76,20 @@ class DiscreteSeries:
             acc = acc + comps[i].diff(x)
         return acc
 
-    def trace_d_closed(self, a: LieElement) -> Poly:
-        """Cross-check: Tr T + 2 tau(z, v)."""
-        from .linalg import trace
+    def dpi(self, a: LieElement) -> WeylOperator:
+        """dpi_1(X) = s_X - sum_a X(z)^a d_a; s_X is the coefficient of m."""
+        s = self.trace_d_field(a) * Fraction(-self.g.jordan.rank, self.g.n)
+        return first_order(s, [-comp for comp in self.field(a)])
 
-        A = self.g.jordan
-        acc = Poly.const(self.zvs, trace(a.t))
-        tau_zv = A.tau(self._zvec, [Poly.const(self.zvs, c) for c in a.v])
-        return acc + tau_zv * Fraction(2)
-
-    def dpi(self, a: LieElement) -> FormalWeightOperator:
-        n = self.g.n
-        v_op = WeylOperator.zero(self.zvs)
-        for i, comp in enumerate(self.field(a)):
-            d = [0] * n
-            d[i] = 1
-            v_op = v_op - WeylOperator(
-                self.zvs, {(e, tuple(d)): c for e, c in comp.terms.items()}
-            )
-        scalar = self.trace_d_field(a) * Fraction(-self.g.jordan.rank, n)
-        return FormalWeightOperator(v_op, WeylOperator.from_poly(scalar))
-
-    def dpi_basis(self) -> List[FormalWeightOperator]:
+    def dpi_basis(self) -> List[WeylOperator]:
         return [self.dpi(self.g.basis_element(i)) for i in range(self.g.dim)]
 
 
-def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[FormalWeightOperator]) -> Tuple[int, Fraction]:
-    """[dpi(X), dpi(Y)] = s * dpi([X,Y]) identically in the formal weight;
-    returns (sign s, residual) as ``starrep.bracket_sign``.  Mult-operator
-    commutators vanish, so the m^2 part is identically zero and the check
-    splits into the m^0 and m^1 parts."""
-
-    def commutator(i: int, j: int) -> Tuple[WeylOperator, WeylOperator]:
-        x, y = ops[i], ops[j]
-        m0 = x.v * y.v - y.v * x.v
-        m1 = (x.v * y.s - y.s * x.v) - (y.v * x.s - x.s * y.v)
-        return m0, m1
-
-    return bracket_sign(g, [(op.v, op.s) for op in ops], commutator)
+def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fraction]:
+    """[dpi_m(X), dpi_m(Y)] = sigma * dpi_m([X,Y]) identically in the formal
+    weight m, checked on dpi_1 (see the module docstring); returns
+    (sign sigma, residual) as ``starrep.bracket_sign``."""
+    return bracket_sign(g, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +102,6 @@ def _automorphism_candidates(g: GradedLieAlgebra):
     yield "-id", lambda a: a.scale(Fraction(-1))
     yield "+theta", g.theta
     yield "-theta", lambda a: g.theta(a).scale(Fraction(-1))
-
-
-def _split_scalar_part(op: WeylOperator) -> Tuple[Poly, WeylOperator]:
-    """Separate the pure multiplication part from the derivative terms."""
-    n = len(op.vs.names)
-    zero_d = (0,) * n
-    scal = {a: c for (a, b), c in op.terms.items() if b == zero_d}
-    rest = {(a, b): c for (a, b), c in op.terms.items() if b != zero_d}
-    return Poly(op.vs, scal), WeylOperator(op.vs, rest)
 
 
 @dataclass
@@ -164,20 +126,19 @@ def solve_equivalence(
     be consistent across the whole basis.  Raises NoEquivalence otherwise.
     """
     ds = ds or DiscreteSeries(g)
+    rho_parts = [split_first_order(op) for op in rho]
     best = None
     for name, alpha in _automorphism_candidates(g):
         ok = True
         m_star: Optional[Scalar] = None
         res = Fraction(0)
-        for i in range(g.dim):
-            tau, vec = _split_scalar_part(rho[i])
-            target = ds.dpi(alpha(g.basis_element(i)))
-            r = poly_abs(vec - target.v)
+        for i, (tau, vec) in enumerate(rho_parts):
+            s_poly, dpi_vec = split_first_order(ds.dpi(alpha(g.basis_element(i))))
+            r = sum((poly_abs(p - q) for p, q in zip(vec, dpi_vec)), Fraction(0))
             if r != 0:
                 ok = False
                 res += r
                 continue
-            s_poly, _ = _split_scalar_part(target.s)
             if s_poly.is_zero():
                 if not tau.is_zero():
                     ok = False

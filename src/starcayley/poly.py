@@ -8,7 +8,7 @@ and checked on every binary operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .scalars import Scalar
 
@@ -90,13 +90,6 @@ class Poly:
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        i = self.vs.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    def constant_coefficient(self) -> Scalar:
-        return self.terms.get((0,) * len(self.vs), Scalar.zero())
 
     # -- ring ops -----------------------------------------------------------
     def _check(self, other: "Poly"):
@@ -224,13 +217,6 @@ class Poly:
             {"exponents": list(e), "coefficient": c.to_json()}
             for e, c in sorted(self.terms.items())
         ]
-
-    @staticmethod
-    def from_json(vs: VarSet, data: Iterable[dict]) -> "Poly":
-        return Poly(
-            vs,
-            {tuple(t["exponents"]): Scalar.from_json(t["coefficient"]) for t in data},
-        )
 
     def __str__(self) -> str:
         if not self.terms:

@@ -30,10 +30,6 @@ def _frac(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def rational_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -85,10 +81,6 @@ class GaussianRational:
 
     def to_json(self) -> dict:
         return {"re": rational_to_str(self.re), "im": rational_to_str(self.im)}
-
-    @staticmethod
-    def from_json(d: dict) -> "GaussianRational":
-        return GaussianRational(Fraction(d["re"]), Fraction(d["im"]))
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -291,10 +283,6 @@ class Scalar:
     # -- serialization / display ------------------------------------------
     def to_json(self) -> dict:
         return {str(k): c.to_json() for k, c in sorted(self.coeffs.items())}
-
-    @staticmethod
-    def from_json(d: dict) -> "Scalar":
-        return Scalar({int(k): GaussianRational.from_json(c) for k, c in d.items()})
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -17,20 +17,29 @@ cross-checked against the conformal field u + Tz + P(z)v that hds builds
 from Jordan data, and h_A against kappa * Dl_A.
 
 ``bracket_sign`` is the one bracket-sign check, shared by rho and by the
-weighted operators of hds.
+weighted operators of hds: both are first order, so each commutator is a
+bracket of vector fields with multipliers, not a product of operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra, LieElement
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import Scalar
-from .weyl import WeylOperator, fourier_conjugate, holomorphic_frame, uses_only
+from .weyl import (
+    WeylOperator,
+    first_order,
+    first_order_bracket,
+    fourier_conjugate,
+    holomorphic_frame,
+    split_first_order,
+    uses_only,
+)
 
 
 def z_names(n: int) -> Tuple[str, ...]:
@@ -102,12 +111,7 @@ class StarRepresentation:
         )
 
     def rho_hat(self, a: LieElement) -> WeylOperator:
-        op = WeylOperator.from_poly(self.tau_scalar(a))
-        for i, comp in enumerate(self.l_poly(a)):
-            d = [0] * self.g.n
-            d[i] = 1
-            op = op + WeylOperator(self.zvs, {(e, tuple(d)): c for e, c in comp.terms.items()})
-        return op
+        return first_order(self.tau_scalar(a), self.l_poly(a))
 
     def rho_basis(self) -> List[WeylOperator]:
         return [self.rho_hat(self.g.basis_element(i)) for i in range(self.g.dim)]
@@ -145,28 +149,28 @@ class StarRepresentation:
         return (kappa, res) if res == 0 else (None, res)
 
 
-def bracket_sign(
-    g: GradedLieAlgebra,
-    parts: List[Sequence[WeylOperator]],
-    commutator: Callable[[int, int], Sequence[WeylOperator]],
-) -> Tuple[int, Fraction]:
+def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fraction]:
     """Measure the sign s with [X_i, X_j] = s * X([e_i, e_j]) over all basis
-    pairs i < j; returns (s, residual).
+    pairs i < j of first-order operators X_k = ops[k]; returns (s, residual).
 
-    parts[k] lists the operator components of X(e_k) and commutator(i, j)
-    the matching components of [X_i, X_j].  Each commutator and each image
-    sum_k c_ij^k parts[k] is formed once; both sign residuals are summed in
+    Each operator is split once into its multiplier and vector field; each
+    commutator is their first-order bracket, and it is compared with the
+    image sum_k c_ij^k X_k component by component, both sign residuals in
     the same pass.  s = +1 reports a homomorphism, s = -1 an
-    anti-homomorphism, s = 0 neither, with the smaller residual.
+    anti-homomorphism, s = 0 neither, with the smaller residual.  Raises
+    ValueError if an operator has a term of order > 1.
     """
+    parts = [split_first_order(op) for op in ops]
+    flat = [[f, *a] for f, a in parts]
     res = {1: Fraction(0), -1: Fraction(0)}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             nz = g.bracket_coords(i, j).items()
-            for c, comm in enumerate(commutator(i, j)):
-                image = WeylOperator.zero(comm.vs)
+            f, a = first_order_bracket(parts[i], parts[j])
+            for c, comm in enumerate([f, *a]):
+                image = Poly.zero(comm.vs)
                 for k, ck in nz:
-                    image = image + parts[k][c].scale(ck)
+                    image = image + flat[k][c] * ck
                 res[1] += poly_abs(comm - image)
                 res[-1] += poly_abs(comm + image)
     for sign in (1, -1):
@@ -178,9 +182,7 @@ def bracket_sign(
 def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tuple[int, Fraction]:
     """Bracket sign of rho: [rho(A), rho(B)] = s * rho([A,B]); returns
     (s, residual) as ``bracket_sign``."""
-    return bracket_sign(
-        g, [(op,) for op in rho], lambda i, j: (rho[i] * rho[j] - rho[j] * rho[i],)
-    )
+    return bracket_sign(g, rho)
 
 
 @dataclass

@@ -4,12 +4,15 @@ A WeylOperator is a finite sum  sum c_{ab} x^a d^b  with all multiplication
 factors to the left of all derivatives; composition re-normal-orders via
 the commutation relation d x = x d + 1.  On top of this sit
 
+  * first-order operators f + sum_j a_j d_j, split into their parts
+    (f, [a_j]) and bracketed as vector fields with multipliers, with no
+    normal ordering,
   * the Moyal star product on chart polynomials, computed straight from the
     bidifferential formula, which factorises over the Darboux pairs on
     monomials,
-  * left star multiplication as an operator, built from ordered
-    Poisson-tensor contractions; it shares no code with the star product
-    and is its independent cross-check (property B),
+  * left star multiplication as an operator, built from Poisson-tensor
+    contractions summed over multisets of indices; it shares no code with
+    the star product and is its independent cross-check (property B),
   * the partial Fourier transform and the passage to the holomorphic frame,
     both realized as exact conjugation homomorphisms on generators with
     the factor order of each normal-ordered word preserved.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Sequence, Tuple
@@ -129,12 +132,6 @@ class WeylOperator:
                         out[(xe, de)] = s
         return WeylOperator(self.vs, out)
 
-    def __pow__(self, n: int) -> "WeylOperator":
-        r = WeylOperator.identity(self.vs)
-        for _ in range(n):
-            r = r * self
-        return r
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WeylOperator)
@@ -225,6 +222,52 @@ class WeylOperator:
 
 
 # ---------------------------------------------------------------------------
+# first-order operators: a multiplier plus a vector field
+# ---------------------------------------------------------------------------
+
+
+def first_order(f: Poly, a: Sequence[Poly]) -> WeylOperator:
+    """The operator f + sum_j a_j d_j."""
+    zero = (0,) * len(f.vs.names)
+    terms: Dict[Key, Scalar] = {(e, zero): c for e, c in f.terms.items()}
+    for j, aj in enumerate(a):
+        d = tuple(int(i == j) for i in range(len(zero)))
+        terms.update(((e, d), c) for e, c in aj.terms.items())
+    return WeylOperator(f.vs, terms)
+
+
+def split_first_order(op: WeylOperator) -> Tuple[Poly, List[Poly]]:
+    """(f, [a_j]) with op = f + sum_j a_j d_j; raises ValueError on any term
+    of order > 1 rather than dropping it."""
+    parts: List[Dict[Tuple[int, ...], Scalar]] = [{} for _ in range(len(op.vs.names) + 1)]
+    for (e, d), c in op.terms.items():
+        order = sum(d)
+        if order > 1:
+            raise ValueError(f"not first order: a term with derivative exponents {d}")
+        parts[d.index(1) + 1 if order else 0][e] = c
+    f, *a = (Poly(op.vs, p) for p in parts)
+    return f, a
+
+
+def first_order_bracket(
+    x: Tuple[Poly, Sequence[Poly]], y: Tuple[Poly, Sequence[Poly]]
+) -> Tuple[Poly, List[Poly]]:
+    """[f + a.d, g + b.d] = (a.grad g - b.grad f) + sum_j (a.grad b_j - b.grad a_j) d_j,
+    on split parts (f, a) and (g, b); the second-order parts of the two
+    compositions cancel, so no normal ordering is needed."""
+    (f, a), (g, b) = x, y
+    names = f.vs.names
+    zero = Poly.zero(f.vs)
+
+    def along(c: Sequence[Poly], p: Poly) -> Poly:
+        if p.is_zero():
+            return zero
+        return sum((ci * p.diff(v) for ci, v in zip(c, names) if not ci.is_zero()), zero)
+
+    return along(a, g) - along(b, f), [along(a, bj) - along(b, aj) for aj, bj in zip(a, b)]
+
+
+# ---------------------------------------------------------------------------
 # Moyal star product (direct bidifferential formula)
 # ---------------------------------------------------------------------------
 
@@ -306,7 +349,12 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
 def left_star_operator(
     lam: Poly, l_names: Sequence[str], m_names: Sequence[str]
 ) -> WeylOperator:
-    """The operator u -> lam star u, built from ordered index contractions."""
+    """The operator u -> lam star u, built from Poisson-tensor contractions.
+
+    The k-th order part sums over multisets of k contraction indices: each
+    multiset stands for its k!/prod(mult!) orderings, so it carries the
+    weight sign * nu^k / prod(mult!).
+    """
     vs = lam.vs
     n = len(l_names)
     nvars = len(vs.names)
@@ -327,12 +375,11 @@ def left_star_operator(
     emit(lam, zero_d, Scalar.one())
     deg = lam.total_degree()
     for k in range(1, deg + 1):
-        nu_k = Scalar.nu(k, Fraction(1, factorial(k)))
-        for tup in itertools.product(range(2 * n), repeat=k):
+        for combo in itertools.combinations_with_replacement(range(2 * n), k):
             p = lam
             dexp = [0] * nvars
             sign = 1
-            for c in tup:
+            for c in combo:
                 if c < n:
                     p = p.diff(l_names[c])
                     dexp[m_idx[c]] += 1
@@ -344,7 +391,10 @@ def left_star_operator(
                     break
             if p.is_zero():
                 continue
-            emit(p, tuple(dexp), nu_k if sign > 0 else -nu_k)
+            weight = Fraction(sign)
+            for mult in Counter(combo).values():
+                weight /= factorial(mult)
+            emit(p, tuple(dexp), Scalar.nu(k, weight))
     return WeylOperator(vs, out)
 
 

@@ -196,6 +196,32 @@ class TestShowAndList:
         assert code == 0
         assert out.strip()
 
+    @pytest.mark.parametrize(
+        "what,lines",
+        [
+            (
+                "rho",
+                [
+                    "rho[0] = (1) d_z1",
+                    "rho[1] = (1/2 + 1*nu^-1) 1 + (1) z1 d_z1",
+                    "rho[2] = (1 + 2*nu^-1) z1 + (1) z1^2 d_z1",
+                ],
+            ),
+            (
+                "dpi",
+                [
+                    "dpi[0] = ((-1) d_z1)  +  m * (0)",
+                    "dpi[1] = ((-1) z1 d_z1)  +  m * ((-1) 1)",
+                    "dpi[2] = ((-1) z1^2 d_z1)  +  m * ((-2) z1)",
+                ],
+            ),
+        ],
+    )
+    def test_show_rank_one_operators_exactly(self, capsys, what, lines):
+        code, out, _ = run_cli(capsys, "show", "--algebra", "rank1", "--what", what)
+        assert code == 0
+        assert out.splitlines() == lines
+
 
 class TestReportApi:
     def test_all_suites_constant(self):

@@ -7,9 +7,10 @@ from starcayley.scalars import (
     GaussianRational,
     NotDivisible,
     Scalar,
-    rational_from_str,
     rational_to_str,
 )
+
+from conftest import scalar_from_json
 
 fractions_st = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -91,7 +92,7 @@ class TestScalarRing:
 
     @given(scalars())
     def test_json_roundtrip(self, a):
-        assert Scalar.from_json(a.to_json()) == a
+        assert scalar_from_json(a.to_json()) == a
 
     @given(fractions_st)
     def test_real_constant_hashes_like_its_fraction(self, x):
@@ -107,4 +108,4 @@ class TestScalarRing:
 
 def test_rational_str_roundtrip():
     for v in (Fraction(0), Fraction(-7, 3), Fraction(5)):
-        assert rational_from_str(rational_to_str(v)) == v
+        assert Fraction(rational_to_str(v)) == v

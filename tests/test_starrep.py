@@ -7,6 +7,7 @@ from starcayley.poly import Poly
 from starcayley.scalars import Scalar
 from starcayley.starrep import (
     StarRepresentation,
+    bracket_sign,
     star_transform_operator,
     verify_rho_homomorphism,
     verify_star_transform,
@@ -108,6 +109,15 @@ def test_rho_sign_check_fails_on_perturbed_operator(selector, residual, instance
     rho = list(instance_cache("rho", selector))
     rho[1] = rho[1] + WeylOperator.identity(srep.zvs)
     assert verify_rho_homomorphism(g, rho) == (0, residual)
+
+
+def test_bracket_sign_rejects_second_order_operator(instance_cache):
+    # a d^2 term is an error, not a term the first-order bracket drops
+    g = instance_cache("lie", "rank1")
+    rho = list(instance_cache("rho", "rank1"))
+    rho[1] = rho[1] + rho[0] * rho[0]
+    with pytest.raises(ValueError):
+        bracket_sign(g, rho)
 
 
 class TestStarTransform:

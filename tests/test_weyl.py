@@ -9,10 +9,13 @@ from starcayley.poly import Poly, VarSet, varset
 from starcayley.scalars import Scalar
 from starcayley.weyl import (
     WeylOperator,
+    first_order,
+    first_order_bracket,
     fourier_conjugate,
     holomorphic_frame,
     left_star_operator,
     moyal_star,
+    split_first_order,
     uses_only,
     verify_property_B,
 )
@@ -119,6 +122,39 @@ class TestNormalOrdering:
     @settings(max_examples=25, deadline=None)
     def test_associativity(self, a, b, c):
         assert (a * b) * c == a * (b * c)
+
+
+@st.composite
+def first_order_parts(draw):
+    """Two first-order operators as split parts (f, [a_j]) in 1-3 variables,
+    with Gaussian-rational nu-Laurent coefficients."""
+    vs = VarSet(tuple(f"x{i + 1}" for i in range(draw(st.integers(1, 3)))))
+
+    def parts():
+        return draw(laurent_polys(vs)), [draw(laurent_polys(vs)) for _ in vs.names]
+
+    return parts(), parts()
+
+
+class TestFirstOrder:
+    @given(first_order_parts())
+    @settings(max_examples=40, deadline=None)
+    def test_split_inverts_constructor(self, xy):
+        f, a = xy[0]
+        assert split_first_order(first_order(f, a)) == (f, a)
+
+    @given(first_order_parts())
+    @settings(max_examples=40, deadline=None)
+    def test_bracket_equals_composed_commutator(self, xy):
+        # composition stays the independent cross-check of the bracket
+        x, y = xy
+        X, Y = first_order(*x), first_order(*y)
+        assert first_order(*first_order_bracket(x, y)) == X * Y - Y * X
+
+    def test_second_order_term_raises(self):
+        d = WeylOperator.partial(VS, "l1")
+        with pytest.raises(ValueError):
+            split_first_order(d + d * d)
 
 
 class TestMoyalStar:
