@@ -4,8 +4,8 @@ From a Euclidean Jordan algebra this package builds the associated
 3-graded Lie algebra, a symplectic chart with moment maps, the Moyal star
 product and its left-multiplication operators, the star representation on
 holomorphic polynomials, and the derived discrete series operators — all
-over an exact Gaussian-rational Laurent scalar ring — and verifies the
-structural identities connecting them.
+over an exact ring of Laurent polynomials in nu with rational
+coefficients — and verifies the structural identities connecting them.
 """
 
 from .jordan import (
@@ -21,7 +21,7 @@ from .chart import SymplecticChart
 from .weyl import WeylOperator, left_star_operator, moyal_star
 from .starrep import StarRepresentation
 from .hds import DiscreteSeries, NoEquivalence, solve_equivalence
-from .scalars import GaussianRational, Scalar
+from .scalars import Scalar
 from .poly import Poly, VarSet
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "solve_equivalence",
     "NoEquivalence",
     "Scalar",
-    "GaussianRational",
     "Poly",
     "VarSet",
 ]

@@ -31,8 +31,8 @@ def l_coordinate_names(n: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
 
 
 def scalar_abs(s: Scalar) -> Fraction:
-    """Sum of |re| + |im| over all nu-coefficients; zero iff s is zero."""
-    return sum((abs(c.re) + abs(c.im) for c in s.coeffs.values()), Fraction(0))
+    """Sum of |c| over all nu-coefficients; zero iff s is zero."""
+    return sum((abs(c) for c in s.coeffs.values()), Fraction(0))
 
 
 def poly_abs(p: Poly) -> Fraction:

@@ -68,18 +68,18 @@ class DiscreteSeries:
             comps.append(acc)
         return comps
 
+    def _divergence(self, comps: List[Poly]) -> Poly:
+        return sum((c.diff(x) for c, x in zip(comps, self.zvs.names)), Poly.zero(self.zvs))
+
     def trace_d_field(self, a: LieElement) -> Poly:
         """Tr DX(z), computed by differentiating the field components."""
-        comps = self.field(a)
-        acc = Poly.zero(self.zvs)
-        for i, x in enumerate(self.zvs.names):
-            acc = acc + comps[i].diff(x)
-        return acc
+        return self._divergence(self.field(a))
 
     def dpi(self, a: LieElement) -> WeylOperator:
         """dpi_1(X) = s_X - sum_a X(z)^a d_a; s_X is the coefficient of m."""
-        s = self.trace_d_field(a) * Fraction(-self.g.jordan.rank, self.g.n)
-        return first_order(s, [-comp for comp in self.field(a)])
+        comps = self.field(a)
+        s = self._divergence(comps) * Fraction(-self.g.jordan.rank, self.g.n)
+        return first_order(s, [-comp for comp in comps])
 
     def dpi_basis(self) -> List[WeylOperator]:
         return [self.dpi(self.g.basis_element(i)) for i in range(self.g.dim)]
@@ -215,5 +215,4 @@ def special_nu_value(g: GradedLieAlgebra) -> Tuple[Fraction, bool]:
     n, c = g.n, g.mu
     nu0 = -boo / (Fraction(n) * c)
     num = Scalar.of(boo) + Scalar.nu(1, Fraction(n) * c)
-    val = num.eval_nu(nu0)
-    return nu0, val.is_zero()
+    return nu0, num.eval_nu(nu0) == 0

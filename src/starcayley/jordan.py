@@ -148,9 +148,6 @@ class JordanAlgebra:
             ],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 # ---------------------------------------------------------------------------
 # built-in instances

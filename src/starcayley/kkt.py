@@ -13,8 +13,8 @@ theta(u,T,v) = (v, -T#, u); the base point is o = mu * E with E = (0,Id,0).
 
 The (u, T, v) model, with rational entries, builds the sparse table of
 structure constants c_ij^k once, gives the coordinates of theta and serves
-the checks made on the model itself (antisymmetry, the Jordan
-identifications).  Everything downstream works on coordinate vectors in
+the check made on the model itself (antisymmetry).  Everything else,
+including the Jordan identifications, works on coordinate vectors in
 the basis (g(-1), t_basis, g(1)): ``coord_bracket`` brackets such vectors,
 with rational or Poly entries, through the table, and the Killing Gram
 matrix K = tr(ad_i ad_j) and the spur vector are computed from the table.
@@ -405,27 +405,31 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
 
 
 def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
-    """Box and triple product against brackets, over the Jordan basis
-    embedded in g(-1):  x box y = -1/2 [x, theta y]  and
-    {x, y, z} = -1/2 [[x, theta y], z]."""
+    """Box and triple product against brackets of the table, over the Jordan
+    basis e_a of g(-1):  e_a box e_b = -1/2 [e_a, theta e_b]  and
+    {e_a, e_b, e_c} = -1/2 [[e_a, theta e_b], e_c].
+
+    The brackets are ``coord_bracket`` on coordinate vectors, with the
+    coordinates of theta e_b taken once from the model as in
+    ``verify_theta``; the right-hand sides come from the Jordan algebra.  So
+    the check asks whether the table that every later check uses reproduces
+    the box and the triple product."""
     A = g.jordan
+    n, minus_half = g.n, Fraction(-1, 2)
+    unit = [[Fraction(int(k == a)) for k in range(g.dim)] for a in range(n)]
+    theta = [g.to_coords(g.theta(g.basis_element(b))) for b in range(n)]
     res = Fraction(0)
-    for a in range(g.n):
-        x = g.element(u=A.basis_vector(a))
-        for b in range(g.n):
-            y = g.element(u=A.basis_vector(b))
-            inner = g.bracket(x, g.theta(y))
-            br = inner.scale(Fraction(-1, 2))
-            box = A.box(A.basis_vector(a), A.basis_vector(b))
-            res += sum(abs(p - q) for rp, rq in zip(br.t, box) for p, q in zip(rp, rq))
-            res += sum(abs(c) for c in br.u) + sum(abs(c) for c in br.v)
-            for c in range(g.n):
-                z = g.element(u=A.basis_vector(c))
-                dbl = g.bracket(inner, z).scale(Fraction(-1, 2))
+    for a in range(n):
+        for b in range(n):
+            inner = g.coord_bracket(unit[a], theta[b])
+            box = g.t_coords(A.box(A.basis_vector(a), A.basis_vector(b)))
+            want = [0] * n + box + [0] * n
+            res += sum(abs(x * minus_half - y) for x, y in zip(inner, want))
+            for c in range(n):
                 trip = A.triple(A.basis_vector(a), A.basis_vector(b), A.basis_vector(c))
-                res += sum(abs(p - q) for p, q in zip(dbl.u, trip))
-                res += sum(abs(xx) for row in dbl.t for xx in row)
-                res += sum(abs(c2) for c2 in dbl.v)
+                want = trip + [0] * (g.dim - n)
+                dbl = g.coord_bracket(inner, unit[c])
+                res += sum(abs(x * minus_half - y) for x, y in zip(dbl, want))
     return _combine(
         "identifications", res, "box and triple product match the bracket forms"
     )

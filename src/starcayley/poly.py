@@ -151,6 +151,8 @@ class Poly:
         return Poly(self.vs, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         r = Poly.const(self.vs, 1)
         for _ in range(n):
             r = r * self
@@ -206,18 +208,9 @@ class Poly:
 
     def eval_nu(self, value) -> "Poly":
         """Substitute a rational for nu in every coefficient."""
-        return Poly(
-            self.vs,
-            {e: Scalar.from_gaussian(c.eval_nu(value)) for e, c in self.terms.items()},
-        )
+        return Poly(self.vs, {e: Scalar.of(c.eval_nu(value)) for e, c in self.terms.items()})
 
-    # -- serialization / display --------------------------------------------
-    def to_json(self) -> list:
-        return [
-            {"exponents": list(e), "coefficient": c.to_json()}
-            for e, c in sorted(self.terms.items())
-        ]
-
+    # -- display ------------------------------------------------------------
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -271,7 +271,7 @@ def run_theorem_suite(ctx: InstanceContext) -> dict:
     sign_dpi, res_dpi = hds_mod.verify_dpi_homomorphism(g, ops)
     out["dpi_bracket_sign"] = sign_dpi
     out["dpi_hom_residual"] = str(res_dpi)
-    field_res = ctx.srep.field_residual()
+    field_res = ctx.srep.field_residual(ctx.series)
     out["tube_field_residual"] = str(field_res)
     kappa_h, kres = ctx.srep.measure_kappa_h()
     out["kappa_h"] = str(kappa_h) if kappa_h is not None else f"none (residual {kres})"

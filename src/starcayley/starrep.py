@@ -117,15 +117,13 @@ class StarRepresentation:
         return [self.rho_hat(self.g.basis_element(i)) for i in range(self.g.dim)]
 
     # -- invariants -------------------------------------------------------
-    def field_residual(self) -> Fraction:
-        """l_A against the field u + Tz + P(z)v built from Jordan data."""
-        from .hds import DiscreteSeries  # hds imports this module
-
-        ds = DiscreteSeries(self.g)
+    def field_residual(self, series) -> Fraction:
+        """l_A against the field u + Tz + P(z)v that ``series``, an
+        ``hds.DiscreteSeries`` of the same g, builds from Jordan data."""
         res = Fraction(0)
         for i in range(self.g.dim):
             b = self.g.basis_element(i)
-            for p, q in zip(self.l_poly(b), ds.field(b)):
+            for p, q in zip(self.l_poly(b), series.field(b)):
                 res += poly_abs(p - q)
         return res
 
@@ -199,16 +197,20 @@ def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperat
     Right star multiplication u -> u star lambda_A is an anti-homomorphism
     in A, like rho; by the Moyal symmetry a star_{-nu} b = b star_nu a it is
     the left-star operator with nu -> -nu.  Fourier_- is the partial Fourier
-    transform with kernel sign -1: m^a -> -i d/deta^a, d/dm^a -> -i eta^a.
+    transform with kernel sign -1, in its variable rotated by i, eta = i xi:
+    m^a -> d/deta^a, d/dm^a -> -eta^a (``weyl.fourier_conjugate``).
 
-    The kernel sign follows from flipping nu.  Followed by the frame
-    z = l + i nu eta, the transform with kernel sign s sends l -> (z+zbar)/2,
-    d/dl -> d/dz + d/dzbar, m^a -> -s nu (d/dz^a - d/dzbar^a) and
-    d/dm^a -> s (z^a - zbar^a)/(2 nu): real images in which s enters only
-    through s nu.  So kernel sign -1 is kernel sign +1 with nu -> -nu, and
-    D_A is the left-star construction with kernel sign +1, carried through
-    nu -> -nu as a whole; the factor 1/(2 nu) turns that into a minus sign,
-    D_A = -(left-star, +1 construction)|nu->-nu.
+    The kernel sign follows from flipping nu.  With kernel sign s the
+    rotated transform sends m^a -> -s d/deta^a and d/dm^a -> s eta^a;
+    followed by the frame z = l + nu eta, zbar = l - nu eta, it sends
+    l -> (z+zbar)/2, d/dl -> d/dz + d/dzbar, m^a -> -s nu (d/dz^a - d/dzbar^a)
+    and d/dm^a -> s (z^a - zbar^a)/(2 nu), in which s enters only through
+    s nu.  These composite images are those of the unrotated transform
+    (m^a -> s i d/dxi^a, d/dm^a -> s i xi^a) followed by z = l + i nu xi, so
+    D_A does not depend on the rotation.  So kernel sign -1 is kernel sign
+    +1 with nu -> -nu, and D_A is the left-star construction with kernel
+    sign +1, carried through nu -> -nu as a whole; the factor 1/(2 nu) turns
+    that into a minus sign, D_A = -(left-star, +1 construction)|nu->-nu.
     """
     right = ch.left_stars[index].flip_nu()
     op = right.scale(Scalar.nu(-1, Fraction(1, 2)))

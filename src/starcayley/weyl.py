@@ -13,9 +13,12 @@ the commutation relation d x = x d + 1.  On top of this sit
   * left star multiplication as an operator, built from Poisson-tensor
     contractions summed over multisets of indices; it shares no code with
     the star product and is its independent cross-check (property B),
-  * the partial Fourier transform and the passage to the holomorphic frame,
-    both realized as exact conjugation homomorphisms on generators with
-    the factor order of each normal-ordered word preserved.
+  * the partial Fourier transform, in its Fourier variable rotated by i
+    so that every generator image is real, and the passage to the
+    holomorphic frame z = l + nu eta, zbar = l - nu eta, both realized as
+    exact conjugation homomorphisms on generators with the factor order of
+    each normal-ordered word preserved.  Neither introduces i, so all
+    coefficients stay rational.
 """
 
 from __future__ import annotations
@@ -50,9 +53,11 @@ class WeylOperator:
     def __init__(self, vs: VarSet, terms: Dict[Key, Scalar] | None = None):
         pruned: Dict[Key, Scalar] = {}
         if terms:
-            for k, c in terms.items():
+            for (a, b), c in terms.items():
+                if len(a) != len(vs) or len(b) != len(vs):
+                    raise ValueError(f"exponents {(a, b)} do not fit the variables {vs.names}")
                 if not c.is_zero():
-                    pruned[(tuple(k[0]), tuple(k[1]))] = c
+                    pruned[(tuple(a), tuple(b))] = c
         object.__setattr__(self, "vs", vs)
         object.__setattr__(self, "terms", pruned)
 
@@ -410,23 +415,24 @@ def fourier_conjugate(
     eta_names: Sequence[str] | None = None,
 ) -> Tuple[WeylOperator, VarSet]:
     """Conjugate by the partial Fourier transform in the m-variables, with
-    kernel sign -1.
+    kernel sign -1, in the Fourier variable rotated by i.
 
-    Generator images: l stays, d/dl stays, multiplication by m^a becomes
-    -i d/deta^a, and d/dm^a becomes -i eta^a.
+    With kernel sign -1 the transform sends m^a -> -i d/dxi^a and
+    d/dm^a -> -i xi^a; in eta = i xi these are the real images of the
+    algebraic Fourier transform of the Weyl algebra: l and d/dl stay,
+    multiplication by m^a becomes d/deta^a, and d/dm^a becomes -eta^a.
     """
     if eta_names is None:
         eta_names = tuple(f"h{a + 1}" for a in range(len(m_names)))
     target = VarSet(tuple(l_names) + tuple(eta_names))
-    i = Scalar.of(0, -1)
     x_images: Dict[str, WeylOperator] = {}
     d_images: Dict[str, WeylOperator] = {}
     for la in l_names:
         x_images[la] = WeylOperator.mult_var(target, la)
         d_images[la] = WeylOperator.partial(target, la)
     for ma, ea in zip(m_names, eta_names):
-        x_images[ma] = WeylOperator.partial(target, ea).scale(i)
-        d_images[ma] = WeylOperator.mult_var(target, ea).scale(i)
+        x_images[ma] = WeylOperator.partial(target, ea)
+        d_images[ma] = -WeylOperator.mult_var(target, ea)
     return op.map_generators(target, x_images, d_images), target
 
 
@@ -437,10 +443,11 @@ def holomorphic_frame(
     z_names: Sequence[str] | None = None,
     zbar_names: Sequence[str] | None = None,
 ) -> Tuple[WeylOperator, VarSet]:
-    """Change variables to z = l + i nu eta and its conjugate.
+    """Change variables to z = l + nu eta and zbar = l - nu eta.
 
-    Generator images: mult l -> (z + zbar)/2, mult eta -> (z - zbar)/(2 i nu),
-    d/dl -> d/dz + d/dzbar, d/deta -> i nu (d/dz - d/dzbar).
+    Generator images: mult l -> (z + zbar)/2, mult eta -> (z - zbar)/(2 nu),
+    d/dl -> d/dz + d/dzbar, d/deta -> nu (d/dz - d/dzbar).  In the unrotated
+    variable xi = -i eta these are z = l + i nu xi and its conjugate.
     """
     n = len(l_names)
     if z_names is None:
@@ -449,9 +456,7 @@ def holomorphic_frame(
         zbar_names = tuple(f"w{a + 1}" for a in range(n))
     target = VarSet(tuple(z_names) + tuple(zbar_names))
     half = Scalar.of(Fraction(1, 2))
-    # 1/(2 i nu) = -(i/2) nu^-1
-    inv2inu = Scalar.nu(-1, Fraction(1, 2)) * Scalar.i() * Scalar.of(-1)
-    inu = Scalar.nu(1) * Scalar.i()
+    inv2nu = Scalar.nu(-1, Fraction(1, 2))
     x_images: Dict[str, WeylOperator] = {}
     d_images: Dict[str, WeylOperator] = {}
     for la, ea, za, wa in zip(l_names, eta_names, z_names, zbar_names):
@@ -460,9 +465,9 @@ def holomorphic_frame(
         dz = WeylOperator.partial(target, za)
         dw = WeylOperator.partial(target, wa)
         x_images[la] = (mz + mw).scale(half)
-        x_images[ea] = (mz - mw).scale(inv2inu)
+        x_images[ea] = (mz - mw).scale(inv2nu)
         d_images[la] = dz + dw
-        d_images[ea] = (dz - dw).scale(inu)
+        d_images[ea] = (dz - dw).scale(Scalar.nu(1))
     return op.map_generators(target, x_images, d_images), target
 
 

@@ -8,25 +8,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from starcayley import jordan, kkt  # noqa: E402
 from starcayley.poly import Poly  # noqa: E402
-from starcayley.scalars import GaussianRational, Scalar  # noqa: E402
 
 
 def degree_in(p: Poly, name: str) -> int:
     """Highest exponent of one variable in p."""
     i = p.vs.index(name)
     return max((e[i] for e in p.terms), default=0)
-
-
-def scalar_from_json(d: dict) -> Scalar:
-    """Inverse of ``Scalar.to_json``."""
-    return Scalar(
-        {int(k): GaussianRational(Fraction(c["re"]), Fraction(c["im"])) for k, c in d.items()}
-    )
-
-
-def poly_from_json(vs, data) -> Poly:
-    """Inverse of ``Poly.to_json``."""
-    return Poly(vs, {tuple(t["exponents"]): scalar_from_json(t["coefficient"]) for t in data})
 
 
 @pytest.fixture(scope="session")

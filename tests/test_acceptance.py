@@ -1,6 +1,6 @@
 """Acceptance checklist: one test (and one printed pass/fail line) per criterion.
 
-Every comparison is exact over the Gaussian-rational Laurent ring — no
+Every comparison is exact over the rational Laurent ring in nu — no
 tolerances anywhere.  Run with ``pytest -s tests/test_acceptance.py`` to see
 the per-criterion lines even when everything passes.
 

@@ -153,4 +153,4 @@ def test_special_nu_substitution(selector, instance_cache):
     assert nu0 == Fraction(-2 * g.mu)  # beta(o,o) = 2 n mu^2, c = mu
     # the closed-form weight numerator therefore kills m at nu0
     m = closed_form_weight(g)
-    assert m.eval_nu(nu0).is_zero()
+    assert m.eval_nu(nu0) == 0

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,18 @@ class TestKillingForm:
         result = kkt.verify_killing_invariance(kkt.GradedLieAlgebra(_perturbed_spin2()))
         assert not result.passed
         assert result.residual == 708
+
+
+def test_identifications_fail_on_perturbed_table(instance_cache):
+    # one constant of [e_0, theta e_0] changed in the table, not in the model
+    g = copy.copy(instance_cache("lie", "spin:2"))
+    key = (0, g.n + g.dim0)
+    structure = dict(g._structure)
+    structure[key] = {**structure[key], g.n: structure[key].get(g.n, 0) + 1}
+    g._structure = structure
+    result = kkt.verify_identifications(g)
+    assert not result.passed
+    assert result.residual == Fraction(3, 2)
 
 
 def test_theta_fails_on_perturbed_structure():

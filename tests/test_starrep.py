@@ -73,7 +73,7 @@ class TestFieldPolynomials:
     @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
     def test_tube_field_identity(self, selector, instance_cache):
         srep = instance_cache("srep", selector)
-        assert srep.field_residual() == 0
+        assert srep.field_residual(instance_cache("series", selector)) == 0
 
     @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
     def test_kappa_h_is_one(self, selector, instance_cache):

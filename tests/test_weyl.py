@@ -61,15 +61,12 @@ MIXED_L, MIXED_M = ("l1", "l2"), ("m1", "m2")
 
 @st.composite
 def laurent_polys(draw, vs=MIXED_VS, max_exp=2):
-    """Sums of monomials with Gaussian-rational coefficients at nu-powers
-    -2..2."""
+    """Sums of monomials with rational coefficients at nu-powers -2..2."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
         e = tuple(draw(st.integers(0, max_exp)) for _ in vs.names)
-        re = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
-        im = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
-        c = Scalar.of(re, im) * Scalar.nu(draw(st.integers(-2, 2)))
-        terms[e] = terms.get(e, Scalar.zero()) + c
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        terms[e] = terms.get(e, Scalar.zero()) + Scalar.nu(draw(st.integers(-2, 2)), c)
     return Poly(vs, terms)
 
 
@@ -101,6 +98,12 @@ def operators(draw, vs=VS):
 
 
 class TestNormalOrdering:
+    def test_exponent_length_must_match_varset(self):
+        with pytest.raises(ValueError):
+            WeylOperator(VS, {((1,), (0, 0)): Scalar.one()})
+        with pytest.raises(ValueError):
+            WeylOperator(VS, {((1, 0), (0, 0, 1)): Scalar.one()})
+
     def test_canonical_commutation(self):
         x = WeylOperator.mult_var(VS, "l1")
         d = WeylOperator.partial(VS, "l1")
@@ -127,7 +130,7 @@ class TestNormalOrdering:
 @st.composite
 def first_order_parts(draw):
     """Two first-order operators as split parts (f, [a_j]) in 1-3 variables,
-    with Gaussian-rational nu-Laurent coefficients."""
+    with rational nu-Laurent coefficients."""
     vs = VarSet(tuple(f"x{i + 1}" for i in range(draw(st.integers(1, 3)))))
 
     def parts():
@@ -227,11 +230,14 @@ class TestFourierConjugation:
     def test_generator_images(self):
         m_mult = WeylOperator.mult_var(VS, "m1")
         img, tvs = fourier_conjugate(m_mult, L_NAMES, M_NAMES)
-        # kernel sign -1: m -> -i d/deta, d/dm -> -i eta
-        assert img == WeylOperator.partial(tvs, "h1").scale(-Scalar.i())
+        # kernel sign -1 in the rotated variable: m -> d/deta, d/dm -> -eta
+        assert img == WeylOperator.partial(tvs, "h1")
         dm = WeylOperator.partial(VS, "m1")
         img2, _ = fourier_conjugate(dm, L_NAMES, M_NAMES)
-        assert img2 == WeylOperator.mult_var(tvs, "h1").scale(-Scalar.i())
+        assert img2 == -WeylOperator.mult_var(tvs, "h1")
+        for gen in (WeylOperator.mult_var(VS, "l1"), WeylOperator.partial(VS, "l1")):
+            img3, _ = fourier_conjugate(gen, L_NAMES, M_NAMES)
+            assert str(img3) == str(gen)
 
     @given(operators(), operators())
     @settings(max_examples=25, deadline=None)
@@ -258,23 +264,23 @@ class TestHolomorphicFrame:
 
     def test_z_multiplication_pulls_back(self):
         fvs = self._roundtrip_names()
-        # mult by l + i nu eta should become mult by z exactly
-        combo = WeylOperator.mult_var(fvs, "l1") + WeylOperator.mult_var(fvs, "h1").scale(
-            Scalar.nu(1) * Scalar.i()
-        )
-        img, tvs = holomorphic_frame(combo, ("l1",), self.ETA)
+        # mult by l + nu eta becomes mult by z, and l - nu eta mult by zbar
+        l, eta = WeylOperator.mult_var(fvs, "l1"), WeylOperator.mult_var(fvs, "h1")
+        img, tvs = holomorphic_frame(l + eta.scale(Scalar.nu(1)), ("l1",), self.ETA)
         assert img == WeylOperator.mult_var(tvs, "z1")
+        img2, _ = holomorphic_frame(l - eta.scale(Scalar.nu(1)), ("l1",), self.ETA)
+        assert img2 == WeylOperator.mult_var(tvs, "w1")
 
     def test_dz_formula(self):
         fvs = self._roundtrip_names()
-        # (1/2nu)(nu d_l - i d_eta) = d_z
+        # (1/2nu)(nu d_l + d_eta) = d_z and (1/2nu)(nu d_l - d_eta) = d_zbar
+        dl = WeylOperator.partial(fvs, "l1").scale(Scalar.nu(1))
+        deta = WeylOperator.partial(fvs, "h1")
         half_nu_inv = Scalar.nu(-1, Fraction(1, 2))
-        combo = (
-            WeylOperator.partial(fvs, "l1").scale(Scalar.nu(1))
-            - WeylOperator.partial(fvs, "h1").scale(Scalar.i())
-        ).scale(half_nu_inv)
-        img, tvs = holomorphic_frame(combo, ("l1",), self.ETA)
+        img, tvs = holomorphic_frame((dl + deta).scale(half_nu_inv), ("l1",), self.ETA)
         assert img == WeylOperator.partial(tvs, "z1")
+        img2, _ = holomorphic_frame((dl - deta).scale(half_nu_inv), ("l1",), self.ETA)
+        assert img2 == WeylOperator.partial(tvs, "w1")
 
     def test_ccr_preserved(self):
         fvs = self._roundtrip_names()
@@ -290,6 +296,24 @@ class TestHolomorphicFrame:
         ib, _ = holomorphic_frame(b, ("l1",), self.ETA)
         iab, _ = holomorphic_frame(a * b, ("l1",), self.ETA)
         assert iab == ia * ib
+
+    def test_composite_images(self):
+        # Fourier, then the frame: l -> (z+zbar)/2, d_l -> d_z + d_zbar,
+        # m -> nu (d_z - d_zbar), d_m -> -(z - zbar)/(2 nu); the same images as
+        # the unrotated m -> -i d_xi, d_m -> -i xi followed by z = l + i nu xi
+        tvs = VarSet(("z1", "w1"))
+        z, w = WeylOperator.mult_var(tvs, "z1"), WeylOperator.mult_var(tvs, "w1")
+        dz, dw = WeylOperator.partial(tvs, "z1"), WeylOperator.partial(tvs, "w1")
+        want = {
+            WeylOperator.mult_var(VS, "l1"): (z + w).scale(Scalar.of(Fraction(1, 2))),
+            WeylOperator.partial(VS, "l1"): dz + dw,
+            WeylOperator.mult_var(VS, "m1"): (dz - dw).scale(Scalar.nu(1)),
+            WeylOperator.partial(VS, "m1"): (w - z).scale(Scalar.nu(-1, Fraction(1, 2))),
+        }
+        for gen, image in want.items():
+            fop, fvs = fourier_conjugate(gen, L_NAMES, M_NAMES)
+            img, hvs = holomorphic_frame(fop, L_NAMES, fvs.names[1:])
+            assert hvs == tvs and img == image
 
     def test_uses_only(self):
         tvs = VarSet(("z1", "w1"))
