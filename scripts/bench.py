@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Paired end-to-end benchmark of two starcayley checkouts.
+
+    python3 scripts/bench.py --parent DIR --change DIR \
+        --workloads full-sym3 operators-spin5 per-suite-small \
+        --seeds 1-10 --seconds 20 --label NAME
+
+For every seed and workload it runs ``python3 perfbench/run.py --workload W
+--seed S --seconds N --trace 0`` once in each checkout, back to back, the
+parent first on odd seeds and the change first on even ones, so that a
+drift in host speed falls on both sides alike.  Each checkout runs its own
+``perfbench/``.  The final JSON line of every run goes into
+``BENCH_<label>.json`` at the root of this repository, with both commit
+shas and the Python version; the script then prints, per workload and
+metric, the two medians, their ratio and the number of pairs in which the
+change was better.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+METRICS = ("verify_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+
+
+def parse_seeds(text: str) -> list:
+    """'1-10' or '1,4,7' (or a mix, '1-3,7') as a list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, sep, hi = part.partition("-")
+        seeds += range(int(lo), int(hi) + 1) if sep else [int(lo)]
+    if not seeds:
+        raise argparse.ArgumentTypeError("no seeds given")
+    return seeds
+
+
+def git_sha(checkout: pathlib.Path):
+    out = subprocess.run(
+        ["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True
+    )
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def run_one(checkout: pathlib.Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = [line for line in out.stdout.splitlines() if line.strip()]
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        return {"error": f"exit {out.returncode}: {out.stderr.strip()[-500:]}"}
+
+
+def summarize(runs: list, workloads: list) -> list:
+    """(workload, metric, parent median, change median, change wins, pairs)."""
+    rows = []
+    for w in workloads:
+        pairs = {}
+        for r in runs:
+            if r["workload"] == w and "metrics" in r["result"]:
+                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        both = [p for p in pairs.values() if len(p) == 2]
+        for m in METRICS:
+            par = [p["parent"][m]["value"] for p in both]
+            chg = [p["change"][m]["value"] for p in both]
+            if both:
+                wins = sum(c < p for p, c in zip(par, chg))
+                rows.append((w, m, statistics.median(par), statistics.median(chg), wins, len(both)))
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, type=pathlib.Path)
+    ap.add_argument("--change", required=True, type=pathlib.Path)
+    ap.add_argument("--workloads", required=True, nargs="+")
+    ap.add_argument("--seeds", required=True, type=parse_seeds)
+    ap.add_argument("--seconds", required=True, type=int)
+    ap.add_argument("--label", required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, path in sides.items():
+        if not (path / "perfbench" / "run.py").is_file():
+            print(f"error: {side} checkout {path} has no perfbench/run.py", file=sys.stderr)
+            return 2
+
+    runs = []
+    for seed in args.seeds:
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        for w in args.workloads:
+            for side in order:
+                result = run_one(sides[side], w, seed, args.seconds)
+                runs.append({"workload": w, "seed": seed, "side": side, "result": result})
+                verify = result.get("metrics", {}).get("verify_s", {}).get("value")
+                print(f"seed {seed:3d}  {w:18s} {side:7s} verify_s {verify}", flush=True)
+
+    out = {
+        "label": args.label,
+        "parent_sha": git_sha(sides["parent"]),
+        "change_sha": git_sha(sides["change"]),
+        "python": platform.python_version(),
+        "command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0",
+        "seconds": args.seconds,
+        "seeds": args.seeds,
+        "workloads": args.workloads,
+        "runs": runs,
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {path}")
+    print(f"{'workload':18s} {'metric':12s} {'parent':>10s} {'change':>10s} {'ratio':>7s}  wins")
+    for w, m, p, c, wins, n in summarize(runs, args.workloads):
+        ratio = c / p if p else float("nan")
+        print(f"{w:18s} {m:12s} {p:10.4f} {c:10.4f} {ratio:7.3f}  {wins}/{n}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

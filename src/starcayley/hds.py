@@ -68,17 +68,11 @@ class DiscreteSeries:
             comps.append(acc)
         return comps
 
-    def _divergence(self, comps: List[Poly]) -> Poly:
-        return sum((c.diff(x) for c, x in zip(comps, self.zvs.names)), Poly.zero(self.zvs))
-
-    def trace_d_field(self, a: LieElement) -> Poly:
-        """Tr DX(z), computed by differentiating the field components."""
-        return self._divergence(self.field(a))
-
     def dpi(self, a: LieElement) -> WeylOperator:
         """dpi_1(X) = s_X - sum_a X(z)^a d_a; s_X is the coefficient of m."""
         comps = self.field(a)
-        s = self._divergence(comps) * Fraction(-self.g.jordan.rank, self.g.n)
+        div = sum((c.diff(x) for c, x in zip(comps, self.zvs.names)), Poly.zero(self.zvs))
+        s = div * Fraction(-self.g.jordan.rank, self.g.n)
         return first_order(s, [-comp for comp in comps])
 
     def dpi_basis(self) -> List[WeylOperator]:

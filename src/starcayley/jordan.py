@@ -327,27 +327,36 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
 def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     """Build an algebra from the JSON table and validate it.
 
-    Schema: {name, dim, rank, unit: [rational strings], structure:
-    [[[rational]]]}.  Raises UnknownAlgebra when the table does not follow
-    the schema, InvalidDimension when its sizes disagree and
-    ValidationFailed when any axiom fails.
+    Schema: {name, dim, rank: integers, unit: [rational strings],
+    structure: [[[rational]]], optional basis_names: [distinct strings]}.
+    Raises UnknownAlgebra when the table does not follow the schema,
+    InvalidDimension when its sizes disagree and ValidationFailed when any
+    axiom fails.
     """
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
         raise UnknownAlgebra("a structure-constant table must be a JSON object")
     try:
-        n = int(data["dim"])
-        rank = int(data["rank"])
+        n, rank = data["dim"], data["rank"]
         S = [
             [[Fraction(c) for c in row] for row in plane] for plane in data["structure"]
         ]
         unit = tuple(Fraction(u) for u in data["unit"])
-        names = tuple(data.get("basis_names", (f"e{i + 1}" for i in range(n))))
     except KeyError as exc:
         raise UnknownAlgebra(f"structure-constant table has no {exc} entry") from None
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UnknownAlgebra(f"malformed structure-constant table: {exc}") from None
+    # bool is an int subclass, so compare the type itself
+    if type(n) is not int or type(rank) is not int:
+        raise UnknownAlgebra(f"dim and rank must be integers, got {n!r} and {rank!r}")
+    names = data.get("basis_names", [f"e{i + 1}" for i in range(n)])
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise UnknownAlgebra("basis_names must be a list of strings")
+    if len(set(names)) != len(names):
+        raise UnknownAlgebra("basis_names must be distinct")
+    if len(names) != n:
+        raise InvalidDimension(f"basis_names has {len(names)} entries, dim is {n}")
     if len(S) != n or any(len(p) != n for p in S) or any(len(r) != n for p in S for r in p):
         raise InvalidDimension("structure table shape does not match dim")
     if len(unit) != n:
@@ -358,7 +367,7 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
         name=str(data.get("name", "custom")),
         dim=n,
         rank=rank,
-        basis_names=names,
+        basis_names=tuple(names),
         structure=_freeze(S),
         unit=unit,
     )

@@ -11,13 +11,18 @@ bracket is
 with T# the adjoint of T for the trace form.  The involution is
 theta(u,T,v) = (v, -T#, u); the base point is o = mu * E with E = (0,Id,0).
 
-The (u, T, v) model, with rational entries, builds the sparse table of
-structure constants c_ij^k once, gives the coordinates of theta and serves
-the check made on the model itself (antisymmetry).  Everything else,
-including the Jordan identifications, works on coordinate vectors in
-the basis (g(-1), t_basis, g(1)): ``coord_bracket`` brackets such vectors,
-with rational or Poly entries, through the table, and the Killing Gram
-matrix K = tr(ad_i ad_j) and the spur vector are computed from the table.
+The sparse table of structure constants c_ij^k is written block by block
+from this formula (``GradedLieAlgebra._block_table``): every basis element
+lies in one grading block, so each pair needs one of four block formulas,
+and the g(0) pieces come from the pass that closes the span of the boxes.
+The (u, T, v) model, with rational entries, is kept as the independent
+oracle the table is tested against; it gives the coordinates of theta,
+the symplectic pairing and the check made on the model itself
+(antisymmetry).  Everything else, including the Jordan identifications,
+works on coordinate vectors in the basis (g(-1), t_basis, g(1)):
+``coord_bracket`` brackets such vectors, with rational or Poly entries,
+through the table, and the Killing Gram matrix K = tr(ad_i ad_j) and the
+spur vector are computed from the table.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ class GradedLieAlgebra:
     dim0: int = field(init=False)
     dim: int = field(init=False)
     t_basis: List[linalg.Matrix] = field(init=False)
-    _t_proj: linalg.Matrix = field(init=False)
+    _span: linalg.Echelon = field(init=False)
     tau_gram: linalg.Matrix = field(init=False)
     _tau_gram_inv: linalg.Matrix = field(init=False)
     bracket_table: dict = field(init=False)
@@ -82,56 +87,49 @@ class GradedLieAlgebra:
         if self.mu == 0:
             raise ValueError("mu must be nonzero")
         A = self.jordan
-        self.n = A.dim
+        n = self.n = A.dim
         self.tau_gram = A.tau_gram()
         self._tau_gram_inv = linalg.invert(self.tau_gram)
 
-        # span of the box operators, grown until closed under commutators
-        # and the tau-adjoint
-        cands = [
-            A.box(A.basis_vector(a), A.basis_vector(b))
-            for a in range(self.n)
-            for b in range(self.n)
-        ]
+        # g(0): the independent boxes e_a box e_b, then the span grown until
+        # it is closed under the tau-adjoint and commutators.  A round in
+        # which nothing grows holds every T_i# and the coordinates of every
+        # [T_i, T_j]; on a Jordan algebra the first round is that round.
+        e = [A.basis_vector(a) for a in range(n)]
         basis: List[linalg.Matrix] = []
-        flats: List[list] = []
+        self._span = linalg.Echelon()
 
-        def absorb(m: linalg.Matrix) -> bool:
-            f = _flat(m)
-            if linalg.in_span(flats, f) is not None:
-                return False
-            basis.append(m)
-            flats.append(f)
-            return True
+        def absorb(m: linalg.Matrix) -> dict:
+            """Nonzero coordinates of m along the basis, after appending m
+            when it is independent of it."""
+            c = self._span.absorb(_flat(m))
+            if c is None:
+                basis.append(m)
+                return {len(basis) - 1: Fraction(1)}
+            return {k: x for k, x in enumerate(c) if x}
 
-        for m in cands:
-            absorb(m)
-        grew = True
+        boxes = [A.box(e[a], e[b]) for a in range(n) for b in range(n)]
+        box_coords = [absorb(m) for m in boxes]
         rounds = 0
-        while grew:
-            grew = False
+        while True:
             rounds += 1
-            if rounds > self.n * self.n + 1:
+            if rounds > n * n + 1:
                 raise GradingClosureFailure("degree-zero span does not stabilize")
-            for m in list(basis):
-                if absorb(self.sharp(m)):
-                    grew = True
+            size = len(basis)
+            sharps = [self.sharp(m) for m in basis]
+            for m in sharps:
+                absorb(m)
+            comm = {}
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    if absorb(linalg.commutator(basis[i], basis[j])):
-                        grew = True
+                    comm[(i, j)] = absorb(linalg.commutator(basis[i], basis[j]))
+            if len(basis) == size:
+                break
 
         self.t_basis = basis
-        self.dim0 = len(basis)
-        self.dim = 2 * self.n + self.dim0
-
-        # rational left inverse of the flattened basis matrix; t_coords
-        # checks that it reconstructs its argument
-        M = linalg.transpose(flats)  # n^2 x dim0
-        MtM = linalg.mat_mul(flats, M)
-        self._t_proj = linalg.mat_mul(linalg.invert(MtM), flats)
-
-        self.bracket_table = self._build_bracket_table()
+        d0 = self.dim0 = len(basis)
+        self.dim = 2 * n + d0
+        self.bracket_table = self._block_table(box_coords, comm, sharps)
         self._structure = dict(self.bracket_table)
         for (i, j), nz in self.bracket_table.items():
             self._structure[(j, i)] = {k: -c for k, c in nz.items()}
@@ -175,8 +173,8 @@ class GradedLieAlgebra:
     def t_coords(self, t: Sequence[Sequence]) -> list:
         """Coordinates of t along t_basis; raises GradingClosureFailure when
         t is not in their span."""
-        c = linalg.mat_vec(self._t_proj, _flat(t))
-        if self.t_from_coords(c) != [list(row) for row in t]:
+        c = self._span.coords(_flat(t))
+        if c is None:
             raise GradingClosureFailure("matrix is not in the degree-zero span")
         return c
 
@@ -225,15 +223,34 @@ class GradedLieAlgebra:
             list(x.v), linalg.mat_scale(self.sharp(x.t), Fraction(-1)), list(x.u)
         )
 
-    def _build_bracket_table(self) -> dict:
+    def _block_table(self, box_coords: list, comm: dict, sharps: list) -> dict:
+        """Nonzero c_ij^k for i < j, keyed in that order, block by block:
+
+            [e_a, T_i] = -T_i e_a,              [e_a, f_b] = -2 e_a box e_b,
+            [T_i, T_j] = T_i T_j - T_j T_i,     [T_i, f_b] = -T_i# e_b,
+
+        with e_a, T_i, f_b the basis of g(-1), g(0), g(1); every other pair
+        of blocks brackets to zero.  ``box_coords[a n + b]`` and ``comm[(i, j)]``
+        map g(0) indices to the nonzero coordinates of e_a box e_b and of
+        [T_i, T_j]; ``sharps[i]`` is T_i#."""
+        n, d0, T = self.n, self.dim0, self.t_basis
+        f = n + d0
         table = {}
-        basis = [self.basis_element(i) for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                c = self.to_coords(self.bracket(basis[i], basis[j]))
-                nz = {k: v for k, v in enumerate(c) if v != 0}
-                if nz:
-                    table[(i, j)] = nz
+
+        def put(i, j, nz):
+            if nz:
+                table[(i, j)] = nz
+
+        for a in range(n):
+            for i in range(d0):
+                put(a, n + i, {k: -T[i][k][a] for k in range(n) if T[i][k][a]})
+            for b in range(n):
+                put(a, f + b, {n + k: -2 * c for k, c in box_coords[a * n + b].items()})
+        for i in range(d0):
+            for j in range(i + 1, d0):
+                put(n + i, n + j, {n + k: c for k, c in comm[(i, j)].items()})
+            for b in range(n):
+                put(n + i, f + b, {f + k: -sharps[i][k][b] for k in range(n) if sharps[i][k][b]})
         return table
 
     def bracket_coords(self, i: int, j: int) -> dict:

@@ -8,7 +8,7 @@ Gaussian elimination is fine.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 
@@ -80,41 +80,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def solve(a: Matrix, rhs: Sequence[Fraction]) -> List[Fraction] | None:
-    """Solve a*x = rhs exactly; None when inconsistent.
-
-    For underdetermined consistent systems returns one solution (free
-    variables set to zero).
-    """
-    n = len(a)
-    m = len(a[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        pr = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][m]
-    return x
-
-
 def invert(a: Matrix) -> Matrix:
     n = len(a)
     aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
@@ -158,8 +123,62 @@ def leading_minors_positive(a: Matrix) -> bool:
 
 
 def in_span(vectors: List[List[Fraction]], v: List[Fraction]) -> List[Fraction] | None:
-    """Coordinates of v in the span of ``vectors`` (columns), else None."""
-    if not vectors:
-        return None if any(x != 0 for x in v) else []
-    cols = transpose(vectors)
-    return solve(cols, v)
+    """Coordinates of v in the span of ``vectors``, else None.  A vector that
+    depends on the ones before it gets coordinate zero, so the coordinates
+    are unique."""
+    span = Echelon()
+    kept = [i for i, w in enumerate(vectors) if span.absorb(w) is None]
+    c = span.coords(v)
+    if c is None:
+        return None
+    out = [Fraction(0)] * len(vectors)
+    for i, x in zip(kept, c):
+        out[i] = x
+    return out
+
+
+class Echelon:
+    """A growing list of independent vectors kept in row echelon form.
+
+    Each row is a reduced vector with 1 at its pivot and the combination of
+    the added vectors that it equals, so reducing v against the rows in
+    order gives both membership and the coordinates of v.  Adding vectors
+    one at a time is one Gaussian elimination: the vectors that
+    ``absorb`` keeps are the pivot columns of the matrix they form, in order.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self._rows: list = []  # (pivot, reduced row, combination as a dict)
+
+    def _reduce(self, v: Sequence[Fraction]) -> Tuple[list, dict]:
+        r = list(v)
+        coords: dict = {}
+        for p, row, comb in self._rows:
+            f = r[p]
+            if f:
+                r = [x - f * y if y else x for x, y in zip(r, row)]
+                for k, c in comb.items():
+                    coords[k] = coords.get(k, 0) + f * c
+        return r, coords
+
+    def coords(self, v: Sequence[Fraction]) -> List[Fraction] | None:
+        """Coordinates of v along the added vectors, or None off their span."""
+        r, coords = self._reduce(v)
+        if any(r):
+            return None
+        return [Fraction(coords.get(k, 0)) for k in range(self.size)]
+
+    def absorb(self, v: Sequence[Fraction]) -> List[Fraction] | None:
+        """Coordinates of v when it lies in the span; otherwise add v as the
+        next vector and return None."""
+        r, coords = self._reduce(v)
+        p = next((i for i, x in enumerate(r) if x), None)
+        if p is None:
+            return [Fraction(coords.get(k, 0)) for k in range(self.size)]
+        pv = r[p]
+        comb = {k: -c / pv for k, c in coords.items() if c}
+        comb[self.size] = 1 / pv
+        self._rows.append((p, [x / pv for x in r], comb))
+        self.size += 1
+        return None

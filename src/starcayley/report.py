@@ -104,19 +104,29 @@ class InstanceContext:
     """Lazily built, shared construction artifacts for one (algebra, mu).
 
     A build that fails validation is cached too, so it is tried once and
-    every later use re-raises the same error.
+    every later use re-raises the same error.  ``build_s`` holds each
+    artifact's own build time in seconds: the builds it started itself are
+    subtracted, since they have their own entries.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self._cache: dict = {}
+        self.build_s: Dict[str, float] = {}
+        self._nested_s = 0.0  # time of finished builds inside the current one
 
     def _get(self, key, builder):
         if key not in self._cache:
+            outer, self._nested_s = self._nested_s, 0.0
+            t0 = time.perf_counter()
             try:
                 self._cache[key] = builder()
             except jordan_mod.ValidationFailed as exc:
                 self._cache[key] = exc
+            finally:
+                elapsed = time.perf_counter() - t0
+                self.build_s[key] = elapsed - self._nested_s
+                self._nested_s = outer + elapsed
         value = self._cache[key]
         if isinstance(value, jordan_mod.ValidationFailed):
             raise value
@@ -339,6 +349,8 @@ def run(config: RunConfig) -> VerificationReport:
         rep.constants["beta_oo"] = rational_to_str(g.beta(o, o))
     if "property_B_order" in ctx._cache:
         rep.constants["N"] = ctx._cache["property_B_order"]
+    for key, seconds in ctx.build_s.items():
+        rep.timings[f"build:{key}"] = seconds
     return rep
 
 

@@ -436,6 +436,40 @@ def fourier_conjugate(
     return op.map_generators(target, x_images, d_images), target
 
 
+@functools.lru_cache(maxsize=None)
+def _frame_kernel(
+    alpha: int, gamma: int, beta: int, delta: int
+) -> Tuple[Tuple[Tuple[int, int, int, int], Fraction], ...]:
+    """One Darboux pair's factor of the frame image of
+    l^alpha eta^gamma d_l^beta d_eta^delta, that is of
+
+        ((z + zbar)/2)^alpha ((z - zbar)/(2 nu))^gamma
+        (d_z + d_zbar)^beta (nu (d_z - d_zbar))^delta.
+
+    The multiplications stand left of the constant-coefficient derivatives,
+    so the product is already normal-ordered.  Its nu-power is
+    delta - gamma; returns ((z, zbar, d_z, d_zbar exponents), coefficient)
+    pairs with nonzero coefficient.
+    """
+
+    def expand(p: int, q: int) -> Dict[int, int]:
+        # (x + y)^p (x - y)^q as {exponent of x: coefficient}
+        acc: Dict[int, int] = {}
+        for i in range(p + 1):
+            for j in range(q + 1):
+                c = _binom(p, i) * _binom(q, j) * (-1) ** (q - j)
+                acc[i + j] = acc.get(i + j, 0) + c
+        return {i: c for i, c in acc.items() if c}
+
+    mult, der = expand(alpha, gamma), expand(beta, delta)
+    scale = Fraction(1, 2 ** (alpha + gamma))
+    return tuple(
+        ((i, alpha + gamma - i, p, beta + delta - p), scale * c * d)
+        for i, c in mult.items()
+        for p, d in der.items()
+    )
+
+
 def holomorphic_frame(
     op: WeylOperator,
     l_names: Sequence[str],
@@ -447,28 +481,36 @@ def holomorphic_frame(
 
     Generator images: mult l -> (z + zbar)/2, mult eta -> (z - zbar)/(2 nu),
     d/dl -> d/dz + d/dzbar, d/deta -> nu (d/dz - d/dzbar).  In the unrotated
-    variable xi = -i eta these are z = l + i nu xi and its conjugate.
+    variable xi = -i eta these are z = l + i nu xi and its conjugate.  Every
+    x-image is a multiplication and every d-image has constant
+    coefficients, so the image of a normal-ordered word needs no
+    reordering: it is the product over the pairs (l_a, eta_a) of the cached
+    ``_frame_kernel`` of the pair's exponents.
     """
     n = len(l_names)
     if z_names is None:
         z_names = tuple(f"z{a + 1}" for a in range(n))
     if zbar_names is None:
         zbar_names = tuple(f"w{a + 1}" for a in range(n))
+    pairs = [(op.vs.index(la), op.vs.index(ea)) for la, ea in zip(l_names, eta_names)]
+    if sorted(i for p in pairs for i in p) != list(range(len(op.vs.names))):
+        raise ValueError(f"{op.vs.names} are not the pairs {tuple(l_names)}, {tuple(eta_names)}")
     target = VarSet(tuple(z_names) + tuple(zbar_names))
-    half = Scalar.of(Fraction(1, 2))
-    inv2nu = Scalar.nu(-1, Fraction(1, 2))
-    x_images: Dict[str, WeylOperator] = {}
-    d_images: Dict[str, WeylOperator] = {}
-    for la, ea, za, wa in zip(l_names, eta_names, z_names, zbar_names):
-        mz = WeylOperator.mult_var(target, za)
-        mw = WeylOperator.mult_var(target, wa)
-        dz = WeylOperator.partial(target, za)
-        dw = WeylOperator.partial(target, wa)
-        x_images[la] = (mz + mw).scale(half)
-        x_images[ea] = (mz - mw).scale(inv2nu)
-        d_images[la] = dz + dw
-        d_images[ea] = (dz - dw).scale(Scalar.nu(1))
-    return op.map_generators(target, x_images, d_images), target
+    out: Dict[Key, Scalar] = {}
+    for (a, b), c in op.terms.items():
+        k = sum(b[j] - a[j] for _, j in pairs)
+        kers = [_frame_kernel(a[i], a[j], b[i], b[j]) for i, j in pairs]
+        for combo in itertools.product(*kers):
+            f = Fraction(1)
+            for _, cf in combo:
+                f *= cf
+            key = (
+                tuple(e[0] for e, _ in combo) + tuple(e[1] for e, _ in combo),
+                tuple(e[2] for e, _ in combo) + tuple(e[3] for e, _ in combo),
+            )
+            term = Scalar({k0 + k: g * f for k0, g in c.coeffs.items()})
+            out[key] = out[key] + term if key in out else term
+    return WeylOperator(target, out), target
 
 
 def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:

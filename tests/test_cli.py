@@ -83,6 +83,26 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param({"dim": 2.5}, id="float-dim"),
+            pytest.param({"dim": 2.0}, id="integral-float-dim"),
+            pytest.param({"rank": True}, id="bool-rank"),
+            pytest.param({"basis_names": ["s", "u1", "u2"]}, id="three-names-for-dim-2"),
+            pytest.param({"basis_names": ["s", "s"]}, id="repeated-name"),
+            pytest.param({"basis_names": ["s", 1]}, id="non-string-name"),
+        ],
+    )
+    def test_mistyped_table_is_config_error(self, capsys, tmp_path, edit):
+        # each of these was read as a valid spin:2 and passed every suite
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps({**jordan.make_spin_factor(2).to_json(), **edit}))
+        code, out, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
+        assert code == 2
+        assert "PASS" not in out
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("target", ["absent/report.json", "."], ids=["missing-dir", "a-dir"])
     def test_unwritable_out_is_config_error(self, capsys, tmp_path, target):
         out = tmp_path / target
@@ -233,6 +253,18 @@ class TestReportApi:
         rep = run(config)
         text = write_report(rep, config)
         assert text.count("[PASS]") + text.count("[FAIL]") >= 1
+
+    def test_build_timings(self):
+        # the chart builds g first; each artifact reports its own time
+        rep = run(RunConfig(algebra="spin:3", suites=("chart",)))
+        builds = {k: v for k, v in rep.timings.items() if k.startswith("build:")}
+        assert set(builds) == {"build:algebra", "build:lie", "build:chart"}
+        assert all(v >= 0 for v in builds.values())
+        # nested builds are not counted twice: the own times add up to the
+        # outermost build, which the suite's time contains
+        assert sum(builds.values()) <= rep.timings["chart"]
+        assert "build:lie" in rep.to_json()["timings"]
+        assert "build:" not in rep.to_text()
 
     def test_non_jordan_table_returns_report(self, tmp_path, monkeypatch):
         data = jordan.make_spin_factor(2).to_json()

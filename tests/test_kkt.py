@@ -45,6 +45,29 @@ def _perturbed_spin2() -> jordan.JordanAlgebra:
     )
 
 
+@pytest.mark.parametrize("selector", ["rank1", "spin:2", "spin:3", "sym:2", "spin:4", "perturbed"])
+def test_block_table_matches_model_bracket(selector, instance_cache):
+    # the (u, T, v) model bracket is the independent oracle for the table
+    # written from the block formulas
+    if selector == "perturbed":
+        g = kkt.GradedLieAlgebra(_perturbed_spin2())
+    else:
+        g = instance_cache("lie", selector)
+    basis = [g.basis_element(i) for i in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            c = g.to_coords(g.bracket(basis[i], basis[j]))
+            nz = {k: x for k, x in enumerate(c) if x != 0}
+            assert nz == g.bracket_table.get((i, j), {}), (i, j)
+
+
+def test_perturbed_closure_grows():
+    # its three independent boxes do not span a closed g(0): the closure
+    # pass adds a fourth matrix
+    g = kkt.GradedLieAlgebra(_perturbed_spin2())
+    assert g.dim0 == 4
+
+
 class TestKillingForm:
     def test_grade_element_pairing(self, instance_cache):
         # beta(E, E) = 2n for every instance

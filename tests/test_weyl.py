@@ -297,6 +297,30 @@ class TestHolomorphicFrame:
         iab, _ = holomorphic_frame(a * b, ("l1",), self.ETA)
         assert iab == ia * ib
 
+    @given(
+        st.sampled_from([1, 2]).flatmap(
+            lambda k: operators(
+                vs=VarSet(tuple(f"l{a + 1}" for a in range(k)) + tuple(f"h{a + 1}" for a in range(k)))
+            )
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_generator_map(self, op):
+        # the per-pair kernels against map_generators, which composes the
+        # generator images factor by factor with normal ordering
+        k = len(op.vs.names) // 2
+        l_names, eta_names = op.vs.names[:k], op.vs.names[k:]
+        img, tvs = holomorphic_frame(op, l_names, eta_names)
+        x_images, d_images = {}, {}
+        for a, (la, ea) in enumerate(zip(l_names, eta_names)):
+            mz, mw = WeylOperator.mult_var(tvs, f"z{a + 1}"), WeylOperator.mult_var(tvs, f"w{a + 1}")
+            dz, dw = WeylOperator.partial(tvs, f"z{a + 1}"), WeylOperator.partial(tvs, f"w{a + 1}")
+            x_images[la] = (mz + mw).scale(Scalar.of(Fraction(1, 2)))
+            x_images[ea] = (mz - mw).scale(Scalar.nu(-1, Fraction(1, 2)))
+            d_images[la] = dz + dw
+            d_images[ea] = (dz - dw).scale(Scalar.nu(1))
+        assert img == op.map_generators(tvs, x_images, d_images)
+
     def test_composite_images(self):
         # Fourier, then the frame: l -> (z+zbar)/2, d_l -> d_z + d_zbar,
         # m -> nu (d_z - d_zbar), d_m -> -(z - zbar)/(2 nu); the same images as
