@@ -321,6 +321,12 @@ class TestHolomorphicFrame:
             d_images[ea] = (dz - dw).scale(Scalar.nu(1))
         assert img == op.map_generators(tvs, x_images, d_images)
 
+    def test_rejects_variables_outside_the_pairs(self):
+        # a variable with no frame image would otherwise be dropped
+        op = WeylOperator.mult_var(VarSet(("l1", "h1", "x")), "x")
+        with pytest.raises(ValueError):
+            holomorphic_frame(op, ("l1",), self.ETA)
+
     def test_composite_images(self):
         # Fourier, then the frame: l -> (z+zbar)/2, d_l -> d_z + d_zbar,
         # m -> nu (d_z - d_zbar), d_m -> -(z - zbar)/(2 nu); the same images as
