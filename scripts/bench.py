@@ -11,9 +11,13 @@ parent first on odd seeds and the change first on even ones, so that a
 drift in host speed falls on both sides alike.  Each checkout runs its own
 ``perfbench/``.  The final JSON line of every run goes into
 ``BENCH_<label>.json`` at the root of this repository, with both commit
-shas and the Python version; the script then prints, per workload and
-metric, the two medians, their ratio and the number of pairs in which the
-change was better.  Standard library only.
+shas and the Python version.  The script then prints, per workload and
+metric, each side's median and quartiles over the complete pairs, their
+ratio, the number of pairs in which the change was better, and whether a
+claimed gain would hold: better in at least 9 of 10 pairs, with the median
+better by more than the parent's interquartile range.  It exits 1 when a
+run errored, read ``correct: false`` or had failed calls, or when a pair
+misses a side.  Standard library only.
 """
 
 from __future__ import annotations
@@ -61,8 +65,38 @@ def run_one(checkout: pathlib.Path, workload: str, seed: int, seconds: int) -> d
         return {"error": f"exit {out.returncode}: {out.stderr.strip()[-500:]}"}
 
 
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def problems(runs: list) -> list:
+    """One line per run that errored, read ``correct: false`` or had failed
+    calls, and per seed whose pair misses a side."""
+    out, sides = [], {}
+    for r in runs:
+        res, where = r["result"], f"{r['workload']} seed {r['seed']} {r['side']}"
+        sides.setdefault((r["workload"], r["seed"]), set()).add(r["side"])
+        if "metrics" not in res:
+            out.append(f"{where}: {res.get('error', 'no metrics')}")
+        elif res.get("correct") is not True:
+            out.append(f"{where}: correct is {res.get('correct')}")
+        if res.get("failed", 0):
+            out.append(f"{where}: {res['failed']} failed calls")
+    for (w, seed), have in sorted(sides.items()):
+        for side in sorted({"parent", "change"} - have):
+            out.append(f"{w} seed {seed}: no {side} run")
+    return out
+
+
 def summarize(runs: list, workloads: list) -> list:
-    """(workload, metric, parent median, change median, change wins, pairs)."""
+    """One row per workload and metric over the pairs in which both sides
+    gave metrics: each side's quartiles, the change's wins and the verdict
+    of the claim rule (the change better in at least 9 of 10 pairs, and
+    its median better by more than the parent's interquartile range)."""
     rows = []
     for w in workloads:
         pairs = {}
@@ -70,12 +104,16 @@ def summarize(runs: list, workloads: list) -> list:
             if r["workload"] == w and "metrics" in r["result"]:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
         both = [p for p in pairs.values() if len(p) == 2]
+        if not both:
+            continue
         for m in METRICS:
             par = [p["parent"][m]["value"] for p in both]
             chg = [p["change"][m]["value"] for p in both]
-            if both:
-                wins = sum(c < p for p, c in zip(par, chg))
-                rows.append((w, m, statistics.median(par), statistics.median(chg), wins, len(both)))
+            wins = sum(c < p for p, c in zip(par, chg))
+            qp, qc = quartiles(par), quartiles(chg)
+            claim = 10 * wins >= 9 * len(both) and qp[1] - qc[1] > qp[2] - qp[0]
+            rows.append(dict(workload=w, metric=m, parent=qp, change=qc, wins=wins,
+                             pairs=len(both), claim=claim))
     return rows
 
 
@@ -118,11 +156,18 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
-    print(f"{'workload':18s} {'metric':12s} {'parent':>10s} {'change':>10s} {'ratio':>7s}  wins")
-    for w, m, p, c, wins, n in summarize(runs, args.workloads):
+    print(f"{'workload':18s} {'metric':12s} {'parent median [q1, q3]':>28s} "
+          f"{'change median [q1, q3]':>28s} {'ratio':>6s} {'wins':>6s}  claim")
+    for r in summarize(runs, args.workloads):
+        (p1, p, p3), (c1, c, c3) = r["parent"], r["change"]
         ratio = c / p if p else float("nan")
-        print(f"{w:18s} {m:12s} {p:10.4f} {c:10.4f} {ratio:7.3f}  {wins}/{n}")
-    return 0
+        print(f"{r['workload']:18s} {r['metric']:12s} {p:9.4f} [{p1:.4f}, {p3:.4f}] "
+              f"{c:9.4f} [{c1:.4f}, {c3:.4f}] {ratio:6.3f} {r['wins']:>3d}/{r['pairs']:<2d}  "
+              f"{'holds' if r['claim'] else 'fails'}")
+    bad = problems(runs)
+    for line in bad:
+        print(f"problem: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

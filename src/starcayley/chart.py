@@ -23,20 +23,15 @@ from typing import List, Tuple
 from . import weyl
 from .kkt import GradedLieAlgebra, LieElement
 from .poly import Poly, VarSet
-from .scalars import Scalar
 
 
 def l_coordinate_names(n: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(f"l{a + 1}" for a in range(n)), tuple(f"m{a + 1}" for a in range(n))
 
 
-def scalar_abs(s: Scalar) -> Fraction:
-    """Sum of |c| over all nu-coefficients; zero iff s is zero."""
-    return sum((abs(c) for c in s.coeffs.values()), Fraction(0))
-
-
 def poly_abs(p: Poly) -> Fraction:
-    return sum((scalar_abs(c) for c in p.terms.values()), Fraction(0))
+    """Sum of |c| over all (monomial, nu-power) coefficients; zero iff p is zero."""
+    return Fraction(sum(abs(c) for c in p.terms.values()))
 
 
 def exp_ad(g: GradedLieAlgebra, x: list, y: list, max_steps: int = 8) -> list:

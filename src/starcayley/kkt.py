@@ -280,8 +280,10 @@ class GradedLieAlgebra:
         return [zero if v is None else v for v in out]
 
     def _build_killing(self) -> linalg.Matrix:
-        """K_ij = tr(ad e_i ad e_j) = sum over k, l of c_il^k c_jk^l."""
-        d = self.dim
+        """K_ij = tr(ad e_i ad e_j) = sum over k, l of c_il^k c_jk^l.  The table
+        respects the grading, so K_ij = 0 unless the grades of i and j sum to
+        zero: only g(-1) x g(1) and g(0) x g(0) are traced, for j >= i."""
+        d, n, f = self.dim, self.n, self.n + self.dim0
         ads = [[self.bracket_coords(i, l) for l in range(d)] for i in range(d)]
 
         def trace(adi, adj):
@@ -290,7 +292,12 @@ class GradedLieAlgebra:
                 Fraction(0),
             )
 
-        return [[trace(ads[i], ads[j]) for j in range(d)] for i in range(d)]
+        K = linalg.zeros(d, d)
+        pairs = [(i, j) for i in range(n) for j in range(f, d)]
+        pairs += [(i, j) for i in range(n, f) for j in range(i, f)]
+        for i, j in pairs:
+            K[i][j] = K[j][i] = trace(ads[i], ads[j])
+        return K
 
     def beta(self, x: LieElement, y: LieElement) -> Fraction:
         """Killing form, evaluated via the precomputed Gram matrix."""

@@ -1,16 +1,30 @@
-"""Multivariate polynomials over the exact scalar ring.
+"""Multivariate polynomials over rational Laurent polynomials in nu.
 
 Variables live in an ordered ``VarSet``; the order is authoritative for the
 symplectic pairing used by the operator layer, so it is carried explicitly
 and checked on every binary operation.
+
+The coefficient ring is flat.  ``Poly.terms`` maps each key, the exponents
+of the variables followed by the power of nu, to a nonzero exact rational:
+an ``int`` when it is integral, a ``Fraction`` otherwise.  The two compare
+and hash equal, so the split is invisible to every identity; it exists
+because integer arithmetic is several times cheaper, and each operation
+stores an integral result as an ``int``.  Carrying nu as a trailing
+exponent, which may be negative, lets products and derivatives treat it
+like any other exponent.  ``Scalar`` is the public Laurent scalar;
+``Poly.coeff`` returns the coefficient of one monomial as a Scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from fractions import Fraction
+from operator import add
+from typing import Callable, Dict, Mapping, Tuple
 
-from .scalars import Scalar
+from .scalars import NotDivisible, Scalar
+
+Key = Tuple[int, ...]
 
 
 class VarSetMismatch(ValueError):
@@ -46,96 +60,152 @@ def varset(*names: str) -> VarSet:
     return VarSet(tuple(names))
 
 
-def _coerce_coeff(c) -> Scalar:
-    return c if isinstance(c, Scalar) else Scalar.coerce(c)
+def exact(c):
+    """c as an exact rational, an int when integral; raises TypeError on
+    anything else (a float, a bool, a Scalar)."""
+    if type(c) not in (int, Fraction):
+        raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
-class Poly:
-    """Polynomial with Scalar coefficients and non-negative exponents."""
+def pruned(terms: dict) -> dict:
+    """The entries of terms with a nonzero value, integral ones as int."""
+    return {k: exact(c) for k, c in terms.items() if c}
+
+
+def add_terms(t1: dict, t2: dict) -> dict:
+    out = dict(t1)
+    for k, c in t2.items():
+        if k in out:
+            s = out[k] + c
+            if s:
+                out[k] = s.numerator if s.__class__ is Fraction and s.denominator == 1 else s
+            else:
+                del out[k]
+        else:
+            out[k] = c
+    return out
+
+
+def scale_terms(terms: dict, c, shift: Callable[[tuple, int], tuple]) -> dict:
+    """terms times c, a rational or a Scalar; ``shift(key, k)`` is the key
+    multiplied by nu^k."""
+    if not isinstance(c, Scalar):
+        c = exact(c)
+        return pruned({k: v * c for k, v in terms.items()}) if c else {}
+    out: dict = {}
+    for s, cs in c.coeffs.items():
+        cs = exact(cs)
+        for k, v in terms.items():
+            k = shift(k, s)
+            out[k] = out[k] + v * cs if k in out else v * cs
+    return pruned(out)
+
+
+class FlatTerms:
+    """The ring structure that Poly and WeylOperator share: a variable set
+    ``vs`` and a flat dict ``terms`` from keys carrying the nu-power to
+    nonzero exact rationals.  No operation changes an instance."""
 
     __slots__ = ("vs", "terms")
 
-    def __init__(self, vs: VarSet, terms: Mapping[Tuple[int, ...], Scalar] | None = None):
-        pruned: Dict[Tuple[int, ...], Scalar] = {}
-        if terms:
-            for e, c in terms.items():
-                if len(e) != len(vs):
-                    raise ValueError(f"exponent {tuple(e)} does not fit the variables {vs.names}")
-                if not c.is_zero():
-                    pruned[tuple(e)] = c
-        object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "terms", pruned)
+    def __init__(self, vs: VarSet, terms: Mapping | None = None):
+        out = {}
+        for key, c in (terms or {}).items():
+            if not self._fits(key, len(vs)):
+                raise ValueError(f"key {key} is not the exponents of {vs.names}, nu-power")
+            c = exact(c)
+            if c:
+                out[key] = c
+        self.vs, self.terms = vs, out
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Poly is immutable")
+    @classmethod
+    def _new(cls, vs: VarSet, terms: dict):
+        """An instance over an already validated and pruned term dict."""
+        r = cls.__new__(cls)
+        r.vs, r.terms = vs, terms
+        return r
+
+    def _check(self, other):
+        if self.vs is not other.vs and self.vs != other.vs:
+            raise VarSetMismatch(f"{self.vs.names} vs {other.vs.names}")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(self.vs, add_terms(self.terms, other.terms))
+
+    def __neg__(self):
+        return self._new(self.vs, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """self times c, a rational or a Scalar."""
+        return self._new(self.vs, scale_terms(self.terms, c, self._shift))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.vs == other.vs and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.vs, frozenset(self.terms.items())))
+
+
+class Poly(FlatTerms):
+    """Polynomial in the variables of ``vs`` with flat terms
+    {exponents + (nu-power,): nonzero rational}."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _fits(e: Key, n: int) -> bool:
+        return len(e) == n + 1
+
+    @staticmethod
+    def _shift(e: Key, k: int) -> Key:
+        return e[:-1] + (e[-1] + k,)
 
     # -- constructors ----------------------------------------------------
     @staticmethod
     def zero(vs: VarSet) -> "Poly":
-        return Poly(vs)
+        return Poly._new(vs, {})
 
     @staticmethod
     def const(vs: VarSet, c) -> "Poly":
-        return Poly(vs, {(0,) * len(vs): _coerce_coeff(c)})
+        """The constant c, a rational or a Scalar."""
+        return Poly._new(vs, {(0,) * (len(vs) + 1): 1}).scale(c)
 
     @staticmethod
     def var(vs: VarSet, name: str) -> "Poly":
-        e = [0] * len(vs)
+        e = [0] * (len(vs) + 1)
         e[vs.index(name)] = 1
-        return Poly(vs, {tuple(e): Scalar.one()})
+        return Poly._new(vs, {tuple(e): 1})
 
-    # -- predicates -------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
+    # -- accessors --------------------------------------------------------------
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) - e[-1] for e in self.terms), default=0)
+
+    def coeff(self, mono: Key) -> Scalar:
+        """The coefficient of the monomial with exponents ``mono``, as a Scalar."""
+        return Scalar({e[-1]: c for e, c in self.terms.items() if e[:-1] == mono})
 
     # -- ring ops -----------------------------------------------------------
-    def _check(self, other: "Poly"):
-        if self.vs != other.vs:
-            raise VarSetMismatch(f"{self.vs.names} vs {other.vs.names}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Scalar.zero()) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        r = Poly.__new__(Poly)
-        object.__setattr__(r, "vs", self.vs)
-        object.__setattr__(r, "terms", out)
-        return r
-
-    def __neg__(self) -> "Poly":
-        r = Poly.__new__(Poly)
-        object.__setattr__(r, "vs", self.vs)
-        object.__setattr__(r, "terms", {e: -c for e, c in self.terms.items()})
-        return r
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        out: Dict[Tuple[int, ...], Scalar] = {}
+        out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Scalar.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                if e in out:
+                    out[e] += c1 * c2
                 else:
-                    out[e] = s
-        r = Poly.__new__(Poly)
-        object.__setattr__(r, "vs", self.vs)
-        object.__setattr__(r, "terms", out)
-        return r
+                    out[e] = c1 * c2
+        return self._new(self.vs, pruned(out))
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -146,10 +216,6 @@ class Poly:
     def __rsub__(self, other) -> "Poly":
         return (-self).__radd__(other)
 
-    def scale(self, c) -> "Poly":
-        c = _coerce_coeff(c)
-        return Poly(self.vs, {e: c * v for e, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -158,29 +224,14 @@ class Poly:
             r = r * self
         return r
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.vs == other.vs and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vs, frozenset(self.terms.items())))
-
     # -- calculus --------------------------------------------------------
     def diff(self, name: str) -> "Poly":
+        # lowering one exponent is injective on the terms it keeps
         i = self.vs.index(name)
-        out: Dict[Tuple[int, ...], Scalar] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            k = ne[i]
-            ne[i] = k - 1
-            ne = tuple(ne)
-            s = out.get(ne, Scalar.zero()) + c * k
-            if not s.is_zero():
-                out[ne] = s
-            else:
-                out.pop(ne, None)
-        return Poly(self.vs, out)
+        terms = self.terms.items()
+        return Poly._new(
+            self.vs, {e[:i] + (e[i] - 1,) + e[i + 1 :]: exact(c * e[i]) for e, c in terms if e[i]}
+        )
 
     def substitute(self, mapping: Mapping[str, "Poly"], target: VarSet) -> "Poly":
         """Replace every variable appearing in self by its image polynomial.
@@ -192,8 +243,8 @@ class Poly:
                 raise VarSetMismatch(f"image of {name} is not over the target varset")
         result = Poly.zero(target)
         for e, c in self.terms.items():
-            term = Poly.const(target, c)
-            for i, k in enumerate(e):
+            term = Poly._new(target, {(0,) * len(target) + e[-1:]: c})
+            for i, k in enumerate(e[:-1]):
                 if k == 0:
                     continue
                 name = self.vs.names[i]
@@ -204,19 +255,27 @@ class Poly:
         return result
 
     def flip_nu(self) -> "Poly":
-        return Poly(self.vs, {e: c.flip_nu() for e, c in self.terms.items()})
+        return self._new(self.vs, {e: -c if e[-1] % 2 else c for e, c in self.terms.items()})
 
     def eval_nu(self, value) -> "Poly":
         """Substitute a rational for nu in every coefficient."""
-        return Poly(self.vs, {e: Scalar.of(c.eval_nu(value)) for e, c in self.terms.items()})
+        v = Fraction(exact(value))
+        out: dict = {}
+        for e, c in self.terms.items():
+            k = e[:-1] + (0,)
+            out[k] = out.get(k, 0) + c * v ** e[-1]
+        return self._new(self.vs, pruned(out))
 
     # -- display ------------------------------------------------------------
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        monos: Dict[Key, dict] = {}
+        for e, c in self.terms.items():
+            monos.setdefault(e[:-1], {})[e[-1]] = c
         parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
+        for e in sorted(monos, key=lambda t: (sum(t), t), reverse=True):
+            c = Scalar(monos[e])
             mono = "*".join(
                 f"{self.vs.names[i]}^{k}" if k > 1 else self.vs.names[i]
                 for i, k in enumerate(e)
@@ -236,15 +295,11 @@ def scalar_ratio(p: "Poly", q: "Poly"):
 
     For q = 0 the ratio exists (conventionally 0) only when p = 0.
     """
-    from .scalars import NotDivisible
-
     if q.is_zero():
         return Scalar.zero() if p.is_zero() else None
-    e, qc = next(iter(q.terms.items()))
-    pc = p.terms.get(e, Scalar.zero())
+    mono = next(iter(q.terms))[:-1]
     try:
-        m = pc.div_exact(qc)
+        m = p.coeff(mono).div_exact(q.coeff(mono))
     except NotDivisible:
         return None
     return m if (p - q * m).is_zero() else None
-

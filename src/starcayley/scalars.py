@@ -125,14 +125,6 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Scalar":
-        if n < 0:
-            raise ValueError("use div_exact for negative powers")
-        r = _ONE
-        for _ in range(n):
-            r = r * self
-        return r
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             try:
@@ -182,10 +174,6 @@ class Scalar:
         return _scalar({k + amin - bmin: c for k, c in quot.items()})
 
     # -- substitutions ----------------------------------------------------
-    def flip_nu(self) -> "Scalar":
-        """The ring automorphism nu -> -nu."""
-        return _scalar({k: (c if k % 2 == 0 else -c) for k, c in self.coeffs.items()})
-
     def eval_nu(self, value: RationalLike) -> Fraction:
         """Substitute a rational for nu (CLI-level only); raises
         ZeroDivisionError at nu = 0 when a negative power is present."""

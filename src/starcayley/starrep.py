@@ -224,7 +224,7 @@ def embed_z_operator(op: WeylOperator, target: VarSet) -> WeylOperator:
     pad = len(target.names) - len(op.vs.names)
     return WeylOperator(
         target,
-        {(a + (0,) * pad, b + (0,) * pad): c for (a, b), c in op.terms.items()},
+        {(a[:-1] + (0,) * pad + a[-1:], b + (0,) * pad): c for (a, b), c in op.terms.items()},
     )
 
 

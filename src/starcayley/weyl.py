@@ -2,7 +2,10 @@
 
 A WeylOperator is a finite sum  sum c_{ab} x^a d^b  with all multiplication
 factors to the left of all derivatives; composition re-normal-orders via
-the commutation relation d x = x d + 1.  On top of this sit
+the commutation relation d x = x d + 1.  Its terms are flat like those of
+``Poly``: the key (a, b) holds the multiplication exponents followed by the
+power of nu, which is central and so rides with them, and the derivative
+exponents.  On top of this sit
 
   * first-order operators f + sum_j a_j d_j, split into their parts
     (f, [a_j]) and bracketed as vector fields with multipliers, with no
@@ -15,10 +18,10 @@ the commutation relation d x = x d + 1.  On top of this sit
     the star product and is its independent cross-check (property B),
   * the partial Fourier transform, in its Fourier variable rotated by i
     so that every generator image is real, and the passage to the
-    holomorphic frame z = l + nu eta, zbar = l - nu eta, both realized as
-    exact conjugation homomorphisms on generators with the factor order of
-    each normal-ordered word preserved.  Neither introduces i, so all
-    coefficients stay rational.
+    holomorphic frame z = l + nu eta, zbar = l - nu eta, both exact
+    conjugation homomorphisms that factorise over the Darboux pairs on
+    normal-ordered words.  Neither introduces i, so all coefficients stay
+    rational.
 """
 
 from __future__ import annotations
@@ -27,55 +30,52 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from math import comb, factorial, prod
+from operator import add
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .poly import Poly, VarSet, VarSetMismatch
+from .poly import FlatTerms, Poly, VarSet, VarSetMismatch, exact, pruned
 from .scalars import Scalar
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    r = 1
-    for i in range(k):
-        r = r * (n - i) // (i + 1)
-    return r
+@functools.lru_cache(maxsize=None)
+def _reorder(p: int, q: int) -> Tuple[Tuple[int, int], ...]:
+    """d^p x^q = sum_k C(p,k) C(q,k) k! x^(q-k) d^(p-k), as (k, weight) pairs."""
+    return tuple((k, comb(p, k) * comb(q, k) * factorial(k)) for k in range(min(p, q) + 1))
 
 
-class WeylOperator:
-    """sum over (a, b) of  c * x^a d^b  on polynomials in a fixed varset."""
+class WeylOperator(FlatTerms):
+    """sum over (a, b) of  c * x^a d^b  on polynomials in a fixed varset,
+    with flat terms {(a + (nu-power,), b): nonzero rational}."""
 
-    __slots__ = ("vs", "terms")
+    __slots__ = ()
 
-    def __init__(self, vs: VarSet, terms: Dict[Key, Scalar] | None = None):
-        pruned: Dict[Key, Scalar] = {}
-        if terms:
-            for (a, b), c in terms.items():
-                if len(a) != len(vs) or len(b) != len(vs):
-                    raise ValueError(f"exponents {(a, b)} do not fit the variables {vs.names}")
-                if not c.is_zero():
-                    pruned[(tuple(a), tuple(b))] = c
-        object.__setattr__(self, "vs", vs)
-        object.__setattr__(self, "terms", pruned)
+    @staticmethod
+    def _fits(key: Key, n: int) -> bool:
+        a, b = key
+        return len(a) == n + 1 and len(b) == n
+
+    @staticmethod
+    def _shift(key: Key, k: int) -> Key:
+        a, b = key
+        return a[:-1] + (a[-1] + k,), b
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(vs: VarSet) -> "WeylOperator":
-        return WeylOperator(vs)
+        return WeylOperator._new(vs, {})
 
     @staticmethod
     def identity(vs: VarSet) -> "WeylOperator":
-        z = (0,) * len(vs.names)
-        return WeylOperator(vs, {(z, z): Scalar.one()})
+        return WeylOperator._new(vs, {((0,) * (len(vs) + 1), (0,) * len(vs)): 1})
 
     @staticmethod
     def from_poly(p: Poly) -> "WeylOperator":
         """Multiplication by p."""
-        z = (0,) * len(p.vs.names)
-        return WeylOperator(p.vs, {(e, z): c for e, c in p.terms.items()})
+        z = (0,) * len(p.vs)
+        return WeylOperator._new(p.vs, {(e, z): c for e, c in p.terms.items()})
 
     @staticmethod
     def mult_var(vs: VarSet, name: str) -> "WeylOperator":
@@ -83,133 +83,70 @@ class WeylOperator:
 
     @staticmethod
     def partial(vs: VarSet, name: str) -> "WeylOperator":
-        z = [0] * len(vs.names)
-        d = list(z)
+        d = [0] * len(vs)
         d[vs.index(name)] = 1
-        return WeylOperator(vs, {(tuple(z), tuple(d)): Scalar.one()})
+        return WeylOperator._new(vs, {((0,) * (len(vs) + 1), tuple(d)): 1})
 
     # -- ring structure ----------------------------------------------------
-    def _check(self, other: "WeylOperator"):
-        if self.vs != other.vs:
-            raise VarSetMismatch(f"{self.vs.names} vs {other.vs.names}")
-
-    def __add__(self, other: "WeylOperator") -> "WeylOperator":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Scalar.zero()) + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return WeylOperator(self.vs, out)
-
-    def __neg__(self) -> "WeylOperator":
-        return WeylOperator(self.vs, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "WeylOperator") -> "WeylOperator":
-        return self + (-other)
-
-    def scale(self, c) -> "WeylOperator":
-        c = Scalar.coerce(c)
-        return WeylOperator(self.vs, {k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other: "WeylOperator") -> "WeylOperator":
-        """Composition: self after other, re-normal-ordered."""
+        """Composition: self after other, re-normal-ordered variable by
+        variable (``_reorder``)."""
         self._check(other)
-        nvars = len(self.vs.names)
-        out: Dict[Key, Scalar] = {}
+        n = len(self.vs)
+        out: dict = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                base = c1 * c2
-                # move d^b1 past x^a2: sum over contraction multi-indices k
-                ranges = [range(min(b1[i], a2[i]) + 1) for i in range(nvars)]
-                for kk in itertools.product(*ranges):
-                    f = 1
-                    for i in range(nvars):
-                        f *= _binom(b1[i], kk[i]) * _binom(a2[i], kk[i]) * factorial(kk[i])
-                    xe = tuple(a1[i] + a2[i] - kk[i] for i in range(nvars))
-                    de = tuple(b1[i] + b2[i] - kk[i] for i in range(nvars))
-                    s = out.get((xe, de), Scalar.zero()) + base * Fraction(f)
-                    if s.is_zero():
-                        out.pop((xe, de), None)
-                    else:
-                        out[(xe, de)] = s
-        return WeylOperator(self.vs, out)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylOperator)
-            and self.vs == other.vs
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.vs, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+                xe, de = list(map(add, a1, a2)), list(map(add, b1, b2))
+                moves = [
+                    [(i, k, w) for k, w in _reorder(b1[i], a2[i])]
+                    for i in range(n)
+                    if b1[i] and a2[i]
+                ]
+                for combo in itertools.product(*moves):
+                    x, d, c = list(xe), list(de), c1 * c2
+                    for i, k, w in combo:
+                        x[i] -= k
+                        d[i] -= k
+                        c *= w
+                    key = (tuple(x), tuple(d))
+                    out[key] = out[key] + c if key in out else c
+        return self._new(self.vs, pruned(out))
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
         if p.vs != self.vs:
             raise VarSetMismatch(f"{self.vs.names} vs {p.vs.names}")
-        nvars = len(self.vs.names)
-        out: Dict[Tuple[int, ...], Scalar] = {}
+        out: dict = {}
         for (a, b), c in self.terms.items():
+            b0 = b + (0,)
             for e, pc in p.terms.items():
-                if any(e[i] < b[i] for i in range(nvars)):
+                # d^b x^e = e!/(e-b)! x^(e-b), zero when some e_i < b_i
+                w = 1
+                for x, k in zip(e, b):
+                    for t in range(k):
+                        w *= x - t
+                if not w:
                     continue
-                f = 1
-                for i in range(nvars):
-                    for t in range(b[i]):
-                        f *= e[i] - t
-                mono = tuple(a[i] + e[i] - b[i] for i in range(nvars))
-                s = out.get(mono, Scalar.zero()) + c * pc * Fraction(f)
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Poly(self.vs, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+                f = c * pc * w
+                mono = tuple(u + v - z for u, v, z in zip(a, e, b0))
+                out[mono] = out[mono] + f if mono in out else f
+        return Poly._new(self.vs, pruned(out))
 
     def order(self) -> int:
         """Highest total derivative order appearing."""
         return max((sum(b) for (_, b) in self.terms), default=0)
 
     def flip_nu(self) -> "WeylOperator":
-        return WeylOperator(self.vs, {k: c.flip_nu() for k, c in self.terms.items()})
-
-    # -- conjugation on generators -------------------------------------------
-    def map_generators(
-        self,
-        target: VarSet,
-        x_images: Dict[str, "WeylOperator"],
-        d_images: Dict[str, "WeylOperator"],
-    ) -> "WeylOperator":
-        """Algebra homomorphism fixed by generator images.
-
-        Each normal-ordered word x^a d^b maps to the composition of the
-        generator images in the same order (all multiplications, then all
-        derivatives); images are composed with `*` so the result is again
-        normal-ordered.
-        """
-        acc = WeylOperator.zero(target)
-        for (a, b), c in self.terms.items():
-            word = WeylOperator.identity(target)
-            for i, name in enumerate(self.vs.names):
-                for _ in range(a[i]):
-                    word = word * x_images[name]
-            for i, name in enumerate(self.vs.names):
-                for _ in range(b[i]):
-                    word = word * d_images[name]
-            acc = acc + word.scale(c)
-        return acc
+        return self._new(self.vs, {k: -c if k[0][-1] % 2 else c for k, c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        words: Dict[Key, dict] = {}
+        for (a, b), c in self.terms.items():
+            words.setdefault((a[:-1], b), {})[a[-1]] = c
         bits = []
-        for (a, b), c in sorted(self.terms.items()):
+        for (a, b), c in sorted(words.items()):
             factors = []
             for i, name in enumerate(self.vs.names):
                 if a[i] == 1:
@@ -222,7 +159,7 @@ class WeylOperator:
                 elif b[i] > 1:
                     factors.append(f"d_{name}^{b[i]}")
             body = " ".join(factors) if factors else "1"
-            bits.append(f"({c}) {body}")
+            bits.append(f"({Scalar(c)}) {body}")
         return " + ".join(bits)
 
 
@@ -233,18 +170,18 @@ class WeylOperator:
 
 def first_order(f: Poly, a: Sequence[Poly]) -> WeylOperator:
     """The operator f + sum_j a_j d_j."""
-    zero = (0,) * len(f.vs.names)
-    terms: Dict[Key, Scalar] = {(e, zero): c for e, c in f.terms.items()}
+    n = len(f.vs)
+    terms = {(e, (0,) * n): c for e, c in f.terms.items()}
     for j, aj in enumerate(a):
-        d = tuple(int(i == j) for i in range(len(zero)))
+        d = tuple(int(i == j) for i in range(n))
         terms.update(((e, d), c) for e, c in aj.terms.items())
-    return WeylOperator(f.vs, terms)
+    return WeylOperator._new(f.vs, terms)
 
 
 def split_first_order(op: WeylOperator) -> Tuple[Poly, List[Poly]]:
     """(f, [a_j]) with op = f + sum_j a_j d_j; raises ValueError on any term
     of order > 1 rather than dropping it."""
-    parts: List[Dict[Tuple[int, ...], Scalar]] = [{} for _ in range(len(op.vs.names) + 1)]
+    parts: List[dict] = [{} for _ in range(len(op.vs) + 1)]
     for (e, d), c in op.terms.items():
         order = sum(d)
         if order > 1:
@@ -286,23 +223,21 @@ def _falling(x: int, k: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_kernel(p1: int, q1: int, p2: int, q2: int) -> Tuple[Tuple[int, Fraction], ...]:
+def _pair_kernel(p1: int, q1: int, p2: int, q2: int) -> Tuple[Tuple[int, int], ...]:
     """One Darboux pair's factor of  l^p1 m^q1  star  l^p2 m^q2.
 
     The term (alpha, beta) is nu^(alpha+beta) times
     (-1)^beta p1^(alpha) q2^(alpha) q1^(beta) p2^(beta) / (alpha! beta!)
     times l^(p1+p2-alpha-beta) m^(q1+q2-alpha-beta), with x^(k) the falling
-    factorial.  Both the nu-power and the exponent drop depend only on
-    s = alpha + beta, so the terms are merged by s: (s, coefficient) pairs
-    with nonzero coefficient.
+    factorial; the coefficient is the integer
+    (-1)^beta C(p1, alpha) q2^(alpha) C(q1, beta) p2^(beta).  Both the
+    nu-power and the exponent drop depend only on s = alpha + beta, so the
+    terms are merged by s: (s, coefficient) pairs with nonzero coefficient.
     """
-    acc: Dict[int, Fraction] = {}
+    acc: Dict[int, int] = {}
     for a in range(min(p1, q2) + 1):
         for b in range(min(q1, p2) + 1):
-            c = Fraction(
-                _falling(p1, a) * _falling(q2, a) * _falling(q1, b) * _falling(p2, b),
-                factorial(a) * factorial(b),
-            )
+            c = comb(p1, a) * _falling(q2, a) * comb(q1, b) * _falling(p2, b)
             acc[a + b] = acc.get(a + b, 0) + (-c if b % 2 else c)
     return tuple((s, c) for s, c in sorted(acc.items()) if c)
 
@@ -323,11 +258,11 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
     if v.vs != vs:
         raise VarSetMismatch(f"{vs.names} vs {v.vs.names}")
     pairs = [(vs.index(la), vs.index(ma)) for la, ma in zip(l_names, m_names)]
-    out: Dict[Tuple[int, ...], Scalar] = {}
+    out: dict = {}
     for e1, c1 in u.terms.items():
         for e2, c2 in v.terms.items():
             base = c1 * c2
-            esum = [a + b for a, b in zip(e1, e2)]
+            esum = list(map(add, e1, e2))
             # pairs whose exponents allow a contraction; the rest contribute 1
             active = [
                 (i, j, _pair_kernel(e1[i], e1[j], e2[i], e2[j]))
@@ -335,20 +270,15 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
                 if (e1[i] and e2[j]) or (e1[j] and e2[i])
             ]
             for combo in itertools.product(*(ker for _, _, ker in active)):
-                e = list(esum)
-                k = 0
-                f = Fraction(1)
-                for (i, j, _), (s, c) in zip(active, combo):
+                e, c = list(esum), base
+                for (i, j, _), (s, w) in zip(active, combo):
                     e[i] -= s
                     e[j] -= s
-                    k += s
-                    f *= c
-                term = base if k == 0 and f == 1 else Scalar(
-                    {k0 + k: g * f for k0, g in base.coeffs.items()}
-                )
+                    e[-1] += s
+                    c *= w
                 e = tuple(e)
-                out[e] = out[e] + term if e in out else term
-    return Poly(vs, out)
+                out[e] = out[e] + c if e in out else c
+    return Poly._new(vs, pruned(out))
 
 
 def left_star_operator(
@@ -362,27 +292,14 @@ def left_star_operator(
     """
     vs = lam.vs
     n = len(l_names)
-    nvars = len(vs.names)
     l_idx = [vs.index(x) for x in l_names]
     m_idx = [vs.index(x) for x in m_names]
-    out: Dict[Key, Scalar] = {}
-
-    def emit(p: Poly, dexp: Tuple[int, ...], coeff: Scalar):
-        for e, c in p.terms.items():
-            k = (e, dexp)
-            s = out.get(k, Scalar.zero()) + c * coeff
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-
-    zero_d = (0,) * nvars
-    emit(lam, zero_d, Scalar.one())
-    deg = lam.total_degree()
-    for k in range(1, deg + 1):
+    zero_d = (0,) * len(vs)
+    out: dict = {(e, zero_d): c for e, c in lam.terms.items()}
+    for k in range(1, lam.total_degree() + 1):
         for combo in itertools.combinations_with_replacement(range(2 * n), k):
             p = lam
-            dexp = [0] * nvars
+            dexp = [0] * len(vs)
             sign = 1
             for c in combo:
                 if c < n:
@@ -396,16 +313,72 @@ def left_star_operator(
                     break
             if p.is_zero():
                 continue
-            weight = Fraction(sign)
-            for mult in Counter(combo).values():
-                weight /= factorial(mult)
-            emit(p, tuple(dexp), Scalar.nu(k, weight))
-    return WeylOperator(vs, out)
+            weight = exact(Fraction(sign, prod(factorial(m) for m in Counter(combo).values())))
+            dexp = tuple(dexp)
+            for e, c in p.terms.items():
+                key = (e[:-1] + (e[-1] + k,), dexp)
+                out[key] = out[key] + c * weight if key in out else c * weight
+    return WeylOperator._new(vs, pruned(out))
 
 
 # ---------------------------------------------------------------------------
-# Fourier transform and holomorphic frame as generator conjugations
+# Fourier transform and holomorphic frame as per-pair conjugations
 # ---------------------------------------------------------------------------
+
+# one pair's image of x1^alpha x2^gamma d1^beta d2^delta: a rational factor
+# and a tuple of ((x1', x2', d1', d2') exponents, nu-power, int coefficient)
+PairImage = Tuple[object, Tuple[Tuple[Tuple[int, int, int, int], int, int], ...]]
+
+
+def _pairwise_image(
+    op: WeylOperator,
+    pairs: Sequence[Tuple[str, str]],
+    kernel: Callable[[int, int, int, int], PairImage],
+    target: VarSet,
+) -> WeylOperator:
+    """The image of op under a homomorphism that sends the generators of each
+    pair of variables to operators in the matching pair of ``target``.
+
+    Images of different pairs commute, so the image of a normal-ordered
+    word is the product over the pairs of ``kernel`` of the pair's
+    exponents, and the target pairs are (target[a], target[n + a])."""
+    idx = [(op.vs.index(x), op.vs.index(y)) for x, y in pairs]
+    if sorted(i for p in idx for i in p) != list(range(len(op.vs))):
+        raise ValueError(f"{op.vs.names} are not the pairs {tuple(pairs)}")
+    out: dict = {}
+    for (a, b), c in op.terms.items():
+        kers = []
+        for i, j in idx:
+            factor, image = kernel(a[i], a[j], b[i], b[j])
+            c *= factor
+            kers.append(image)
+        for combo in itertools.product(*kers):
+            w, k = 1, a[-1]
+            for _, s, wi in combo:
+                w *= wi
+                k += s
+            f = c * w
+            key = (
+                tuple(e[0] for e, _, _ in combo) + tuple(e[1] for e, _, _ in combo) + (k,),
+                tuple(e[2] for e, _, _ in combo) + tuple(e[3] for e, _, _ in combo),
+            )
+            out[key] = out[key] + f if key in out else f
+    return WeylOperator._new(target, pruned(out))
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
+    """One Darboux pair's factor of the Fourier image of
+    l^alpha m^gamma d_l^beta d_m^delta, that is of
+
+        l^alpha d_eta^gamma d_l^beta (-eta)^delta,
+
+    with d_eta^gamma eta^delta normal-ordered by ``_reorder``.
+    """
+    sign = -1 if delta % 2 else 1
+    return 1, tuple(
+        ((alpha, delta - k, beta, gamma - k), 0, sign * w) for k, w in _reorder(gamma, delta)
+    )
 
 
 def fourier_conjugate(
@@ -420,26 +393,19 @@ def fourier_conjugate(
     With kernel sign -1 the transform sends m^a -> -i d/dxi^a and
     d/dm^a -> -i xi^a; in eta = i xi these are the real images of the
     algebraic Fourier transform of the Weyl algebra: l and d/dl stay,
-    multiplication by m^a becomes d/deta^a, and d/dm^a becomes -eta^a.
+    multiplication by m^a becomes d/deta^a, and d/dm^a becomes -eta^a.  Each
+    normal-ordered word maps to the product over the pairs (l^a, m^a) of the
+    cached ``_fourier_kernel``.  Raises ValueError when op has a variable
+    outside the pairs.
     """
     if eta_names is None:
         eta_names = tuple(f"h{a + 1}" for a in range(len(m_names)))
     target = VarSet(tuple(l_names) + tuple(eta_names))
-    x_images: Dict[str, WeylOperator] = {}
-    d_images: Dict[str, WeylOperator] = {}
-    for la in l_names:
-        x_images[la] = WeylOperator.mult_var(target, la)
-        d_images[la] = WeylOperator.partial(target, la)
-    for ma, ea in zip(m_names, eta_names):
-        x_images[ma] = WeylOperator.partial(target, ea)
-        d_images[ma] = -WeylOperator.mult_var(target, ea)
-    return op.map_generators(target, x_images, d_images), target
+    return _pairwise_image(op, list(zip(l_names, m_names)), _fourier_kernel, target), target
 
 
 @functools.lru_cache(maxsize=None)
-def _frame_kernel(
-    alpha: int, gamma: int, beta: int, delta: int
-) -> Tuple[Tuple[Tuple[int, int, int, int], Fraction], ...]:
+def _frame_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
     """One Darboux pair's factor of the frame image of
     l^alpha eta^gamma d_l^beta d_eta^delta, that is of
 
@@ -448,8 +414,7 @@ def _frame_kernel(
 
     The multiplications stand left of the constant-coefficient derivatives,
     so the product is already normal-ordered.  Its nu-power is
-    delta - gamma; returns ((z, zbar, d_z, d_zbar exponents), coefficient)
-    pairs with nonzero coefficient.
+    delta - gamma, and its factor 1/2^(alpha + gamma).
     """
 
     def expand(p: int, q: int) -> Dict[int, int]:
@@ -457,14 +422,12 @@ def _frame_kernel(
         acc: Dict[int, int] = {}
         for i in range(p + 1):
             for j in range(q + 1):
-                c = _binom(p, i) * _binom(q, j) * (-1) ** (q - j)
-                acc[i + j] = acc.get(i + j, 0) + c
+                acc[i + j] = acc.get(i + j, 0) + comb(p, i) * comb(q, j) * (-1) ** (q - j)
         return {i: c for i, c in acc.items() if c}
 
     mult, der = expand(alpha, gamma), expand(beta, delta)
-    scale = Fraction(1, 2 ** (alpha + gamma))
-    return tuple(
-        ((i, alpha + gamma - i, p, beta + delta - p), scale * c * d)
+    return exact(Fraction(1, 2 ** (alpha + gamma))), tuple(
+        ((i, alpha + gamma - i, p, beta + delta - p), delta - gamma, c * d)
         for i, c in mult.items()
         for p, d in der.items()
     )
@@ -485,32 +448,16 @@ def holomorphic_frame(
     x-image is a multiplication and every d-image has constant
     coefficients, so the image of a normal-ordered word needs no
     reordering: it is the product over the pairs (l_a, eta_a) of the cached
-    ``_frame_kernel`` of the pair's exponents.
+    ``_frame_kernel`` of the pair's exponents.  Raises ValueError when op
+    has a variable outside the pairs.
     """
     n = len(l_names)
     if z_names is None:
         z_names = tuple(f"z{a + 1}" for a in range(n))
     if zbar_names is None:
         zbar_names = tuple(f"w{a + 1}" for a in range(n))
-    pairs = [(op.vs.index(la), op.vs.index(ea)) for la, ea in zip(l_names, eta_names)]
-    if sorted(i for p in pairs for i in p) != list(range(len(op.vs.names))):
-        raise ValueError(f"{op.vs.names} are not the pairs {tuple(l_names)}, {tuple(eta_names)}")
     target = VarSet(tuple(z_names) + tuple(zbar_names))
-    out: Dict[Key, Scalar] = {}
-    for (a, b), c in op.terms.items():
-        k = sum(b[j] - a[j] for _, j in pairs)
-        kers = [_frame_kernel(a[i], a[j], b[i], b[j]) for i, j in pairs]
-        for combo in itertools.product(*kers):
-            f = Fraction(1)
-            for _, cf in combo:
-                f *= cf
-            key = (
-                tuple(e[0] for e, _ in combo) + tuple(e[1] for e, _ in combo),
-                tuple(e[2] for e, _ in combo) + tuple(e[3] for e, _ in combo),
-            )
-            term = Scalar({k0 + k: g * f for k0, g in c.coeffs.items()})
-            out[key] = out[key] + term if key in out else term
-    return WeylOperator(target, out), target
+    return _pairwise_image(op, list(zip(l_names, eta_names)), _frame_kernel, target), target
 
 
 def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:

@@ -61,6 +61,23 @@ def test_block_table_matches_model_bracket(selector, instance_cache):
             assert nz == g.bracket_table.get((i, j), {}), (i, j)
 
 
+@pytest.mark.parametrize("selector", ["rank1", "spin:2", "spin:3", "sym:2", "perturbed"])
+def test_killing_blocks_equal_every_trace(selector, instance_cache):
+    # K is traced only where the grades sum to zero, for j >= i; every
+    # dim^2 trace tr(ad_i ad_j) of the table must agree with it
+    if selector == "perturbed":
+        g = kkt.GradedLieAlgebra(_perturbed_spin2())
+    else:
+        g = instance_cache("lie", selector)
+    ad = [[g.bracket_coords(i, l) for l in range(g.dim)] for i in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(g.dim):
+            trace = sum(
+                c * ad[j][k].get(l, 0) for l, col in enumerate(ad[i]) for k, c in col.items()
+            )
+            assert g.killing[i][j] == trace, (i, j)
+
+
 def test_perturbed_closure_grows():
     # its three independent boxes do not span a closed g(0): the closure
     # pass adds a fourth matrix

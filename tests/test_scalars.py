@@ -43,15 +43,6 @@ class TestScalarRing:
         with pytest.raises(NotDivisible):
             (Scalar.nu(2) + Scalar.one()).div_exact(Scalar.nu(1) + Scalar.one())
 
-    @given(scalars())
-    def test_flip_nu_involution(self, a):
-        assert a.flip_nu().flip_nu() == a
-
-    @given(scalars(), scalars())
-    def test_flip_nu_is_homomorphism(self, a, b):
-        assert (a * b).flip_nu() == a.flip_nu() * b.flip_nu()
-        assert (a + b).flip_nu() == a.flip_nu() + b.flip_nu()
-
     @given(scalars(), scalars())
     def test_eval_nu_is_homomorphism(self, a, b):
         x = Fraction(3, 2)
