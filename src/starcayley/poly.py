@@ -113,7 +113,7 @@ class FlatTerms:
         out = {}
         for key, c in (terms or {}).items():
             if not self._fits(key, len(vs)):
-                raise ValueError(f"key {key} is not the exponents of {vs.names}, nu-power")
+                raise ValueError(f"key {key} does not fit {vs.names} and a nu-power")
             c = exact(c)
             if c:
                 out[key] = c

@@ -103,12 +103,12 @@ class WeylOperator(FlatTerms):
                     if b1[i] and a2[i]
                 ]
                 for combo in itertools.product(*moves):
-                    x, d, c = list(xe), list(de), c1 * c2
-                    for i, k, w in combo:
+                    x, d, w = list(xe), list(de), 1
+                    for i, k, wi in combo:
                         x[i] -= k
                         d[i] -= k
-                        c *= w
-                    key = (tuple(x), tuple(d))
+                        w *= wi
+                    key, c = (tuple(x), tuple(d)), c1 * c2 * w
                     out[key] = out[key] + c if key in out else c
         return self._new(self.vs, pruned(out))
 
@@ -270,13 +270,13 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
                 if (e1[i] and e2[j]) or (e1[j] and e2[i])
             ]
             for combo in itertools.product(*(ker for _, _, ker in active)):
-                e, c = list(esum), base
-                for (i, j, _), (s, w) in zip(active, combo):
+                e, w = list(esum), 1
+                for (i, j, _), (s, ws) in zip(active, combo):
                     e[i] -= s
                     e[j] -= s
                     e[-1] += s
-                    c *= w
-                e = tuple(e)
+                    w *= ws
+                e, c = tuple(e), base * w
                 out[e] = out[e] + c if e in out else c
     return Poly._new(vs, pruned(out))
 
