@@ -79,7 +79,7 @@ def add_terms(t1: dict, t2: dict) -> dict:
         if k in out:
             s = out[k] + c
             if s:
-                out[k] = s.numerator if s.__class__ is Fraction and s.denominator == 1 else s
+                out[k] = exact(s)
             else:
                 del out[k]
         else:

@@ -2,8 +2,10 @@
 
 Two layers: arbitrary-precision rationals (``fractions.Fraction``) and
 Laurent polynomials in the formal deformation parameter nu with rational
-coefficients.  The Laurent ring is the universal coefficient ring for
-everything downstream; nu is never evaluated inside the core.  No step of
+coefficients.  The Laurent ring is the coefficient ring of everything
+downstream; ``Scalar`` is its public form (m*, kappa, the closed-form
+weight), while ``Poly`` and ``WeylOperator`` store it flat, the nu-power
+in each term's key.  nu is never evaluated inside the core.  No step of
 the verifier introduces the imaginary unit: the Fourier step works in a
 variable rotated by i (see ``weyl.fourier_conjugate``).
 """
