@@ -13,9 +13,12 @@ drift in host speed falls on both sides alike.  Each checkout runs its own
 ``BENCH_<label>.json`` at the root of this repository, with both commit
 shas and the Python version.  The script then prints, per workload and
 metric, each side's median and quartiles over the complete pairs, their
-ratio, the number of pairs in which the change was better, and whether a
-claimed gain would hold: better in at least 9 of 10 pairs, with the median
-better by more than the parent's interquartile range.  It exits 1 when a
+ratio, the number of pairs in which the change was better, whether a
+claimed gain would hold (better in at least 9 of 10 pairs, with the median
+better by more than the parent's interquartile range) and the
+no-regression verdict: ``worse`` when the change's median exceeds the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json`` times
+the parent's median, ``within`` otherwise.  It exits 1 when a
 run errored, read ``correct: false`` or had failed calls, or when a pair
 misses a side.  Standard library only.
 """
@@ -32,6 +35,10 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 METRICS = ("verify_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+BOUNDS = {
+    m["name"]: m["bound"]
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+}
 
 
 def parse_seeds(text: str) -> list:
@@ -94,9 +101,11 @@ def problems(runs: list) -> list:
 
 def summarize(runs: list, workloads: list) -> list:
     """One row per workload and metric over the pairs in which both sides
-    gave metrics: each side's quartiles, the change's wins and the verdict
+    gave metrics: each side's quartiles, the change's wins, the verdict
     of the claim rule (the change better in at least 9 of 10 pairs, and
-    its median better by more than the parent's interquartile range)."""
+    its median better by more than the parent's interquartile range) and
+    whether the change's median is worse than the parent's by more than
+    the metric's bound, a fraction of the parent's median."""
     rows = []
     for w in workloads:
         pairs = {}
@@ -112,8 +121,9 @@ def summarize(runs: list, workloads: list) -> list:
             wins = sum(c < p for p, c in zip(par, chg))
             qp, qc = quartiles(par), quartiles(chg)
             claim = 10 * wins >= 9 * len(both) and qp[1] - qc[1] > qp[2] - qp[0]
+            worse = qc[1] - qp[1] > BOUNDS[m] * qp[1]
             rows.append(dict(workload=w, metric=m, parent=qp, change=qc, wins=wins,
-                             pairs=len(both), claim=claim))
+                             pairs=len(both), claim=claim, worse=worse))
     return rows
 
 
@@ -157,13 +167,13 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path}")
     print(f"{'workload':18s} {'metric':12s} {'parent median [q1, q3]':>28s} "
-          f"{'change median [q1, q3]':>28s} {'ratio':>6s} {'wins':>6s}  claim")
+          f"{'change median [q1, q3]':>28s} {'ratio':>6s} {'wins':>6s}  claim  bound")
     for r in summarize(runs, args.workloads):
         (p1, p, p3), (c1, c, c3) = r["parent"], r["change"]
         ratio = c / p if p else float("nan")
         print(f"{r['workload']:18s} {r['metric']:12s} {p:9.4f} [{p1:.4f}, {p3:.4f}] "
               f"{c:9.4f} [{c1:.4f}, {c3:.4f}] {ratio:6.3f} {r['wins']:>3d}/{r['pairs']:<2d}  "
-              f"{'holds' if r['claim'] else 'fails'}")
+              f"{'holds' if r['claim'] else 'fails'}  {'worse' if r['worse'] else 'within'}")
     bad = problems(runs)
     for line in bad:
         print(f"problem: {line}", file=sys.stderr)

@@ -28,7 +28,7 @@ from starcayley.weyl import split_first_order
 
 def main() -> None:
     g = GradedLieAlgebra(make_rank_one(), mu=Fraction(1))
-    print(f"dim g = {g.dim}, beta(o,o) = {g.beta(g.base_point(), g.base_point())}")
+    print(f"dim g = {g.dim}, beta(o,o) = {g.beta(g.o, g.o)}")
 
     print("\nbracket table (nonzero [e_i, e_j], i < j):")
     for (i, j), nz in sorted(g.bracket_table.items()):

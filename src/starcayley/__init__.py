@@ -16,7 +16,7 @@ from .jordan import (
     make_sym_matrices,
     validate_jordan,
 )
-from .kkt import GradedLieAlgebra, LieElement
+from .kkt import GradedLieAlgebra
 from .chart import SymplecticChart
 from .weyl import WeylOperator, left_star_operator, moyal_star
 from .starrep import StarRepresentation
@@ -32,7 +32,6 @@ __all__ = [
     "make_sym_matrices",
     "validate_jordan",
     "GradedLieAlgebra",
-    "LieElement",
     "SymplecticChart",
     "WeylOperator",
     "moyal_star",

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import List, Tuple
 
 from . import weyl
-from .kkt import GradedLieAlgebra, LieElement
+from .kkt import GradedLieAlgebra
 from .poly import Poly, VarSet
 
 
@@ -54,8 +54,8 @@ class SymplecticChart:
     vs: VarSet = field(init=False)
     l_names: Tuple[str, ...] = field(init=False)
     m_names: Tuple[str, ...] = field(init=False)
-    L: List[LieElement] = field(init=False)
-    Lp: List[LieElement] = field(init=False)
+    L: List[list] = field(init=False)  # coordinate vectors
+    Lp: List[list] = field(init=False)
     phi: List[Poly] = field(init=False)
     moment: List[Poly] = field(init=False)
 
@@ -68,7 +68,7 @@ class SymplecticChart:
 
         lsym = self._combination(self.L, self.l_names)
         msym = self._combination(self.Lp, self.m_names)
-        o = [Poly.const(self.vs, c) for c in g.to_coords(g.base_point())]
+        o = [Poly.const(self.vs, c) for c in g.o]
         self.phi = exp_ad(g, lsym, exp_ad(g, msym, o))
         # lambda_i = beta(phi, e_i) = sum_j phi_j K_ji
         self.moment = [
@@ -79,12 +79,12 @@ class SymplecticChart:
             for i in range(g.dim)
         ]
 
-    def _combination(self, elts: List[LieElement], names: Tuple[str, ...]) -> List[Poly]:
+    def _combination(self, elts: List[list], names: Tuple[str, ...]) -> List[Poly]:
         """Coordinates of sum_a x^a elts[a] for the chart variables x^a."""
         acc = [Poly.zero(self.vs)] * self.g.dim
         for e, name in zip(elts, names):
             x = Poly.var(self.vs, name)
-            acc = [a + x * c if c != 0 else a for a, c in zip(acc, self.g.to_coords(e))]
+            acc = [a + x * c if c != 0 else a for a, c in zip(acc, e)]
         return acc
 
     @cached_property

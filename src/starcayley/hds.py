@@ -1,6 +1,7 @@
 """Derived holomorphic discrete series operators and the equivalence solver.
 
-For X = (u, T, v) the conformal field on the tube domain is
+For X in g with parts u, T and v in g(-1), g(0) and g(1), read from its
+coordinate vector, the conformal field on the tube domain is
 X(z) = u + Tz + P(z)v with Tr DX(z) = Tr T + 2 tau(z, v).  The weight-m
 operator is first order,
 
@@ -32,7 +33,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .chart import poly_abs
-from .kkt import GradedLieAlgebra, LieElement
+from . import linalg
+from .kkt import GradedLieAlgebra
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import NotDivisible, Scalar
 from .starrep import bracket_sign, z_names
@@ -54,21 +56,24 @@ class DiscreteSeries:
         self._zvec = [Poly.var(self.zvs, x) for x in self.zvs.names]
         self._P = self.g.jordan.quadratic_rep(self._zvec)
 
-    def field(self, a: LieElement) -> List[Poly]:
-        """X(z) = u + Tz + P(z)v, from the Jordan data directly."""
-        n = self.g.n
+    def field(self, a: list) -> List[Poly]:
+        """X(z) = u + Tz + P(z)v, from the Jordan data directly: u and v are
+        read from the coordinate vector a and T is the matrix of its g(0)
+        coordinates along t_basis."""
+        n, f = self.g.n, self.g.n + self.g.dim0
+        u, t, v = a[:n], self.g.t_from_coords(a[n:f]), a[f:]
         comps = []
         for i in range(n):
-            acc = Poly.const(self.zvs, a.u[i])
+            acc = Poly.const(self.zvs, u[i])
             for j in range(n):
-                if a.t[i][j] != 0:
-                    acc = acc + self._zvec[j] * a.t[i][j]
-                if a.v[j] != 0:
-                    acc = acc + self._P[i][j] * a.v[j]
+                if t[i][j] != 0:
+                    acc = acc + self._zvec[j] * t[i][j]
+                if v[j] != 0:
+                    acc = acc + self._P[i][j] * v[j]
             comps.append(acc)
         return comps
 
-    def dpi(self, a: LieElement) -> WeylOperator:
+    def dpi(self, a: list) -> WeylOperator:
         """dpi_1(X) = s_X - sum_a X(z)^a d_a; s_X is the coefficient of m."""
         comps = self.field(a)
         div = sum((c.diff(x) for c, x in zip(comps, self.zvs.names)), Poly.zero(self.zvs))
@@ -76,7 +81,7 @@ class DiscreteSeries:
         return first_order(s, [-comp for comp in comps])
 
     def dpi_basis(self) -> List[WeylOperator]:
-        return [self.dpi(self.g.basis_element(i)) for i in range(self.g.dim)]
+        return [self.dpi(e) for e in linalg.identity(self.g.dim)]
 
 
 def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fraction]:
@@ -92,10 +97,11 @@ def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tup
 
 
 def _automorphism_candidates(g: GradedLieAlgebra):
+    """(name, alpha) with alpha acting on coordinate vectors."""
     yield "+id", lambda a: a
-    yield "-id", lambda a: a.scale(Fraction(-1))
-    yield "+theta", g.theta
-    yield "-theta", lambda a: g.theta(a).scale(Fraction(-1))
+    yield "-id", lambda a: [-x for x in a]
+    yield "+theta", g.apply_theta
+    yield "-theta", lambda a: [-x for x in g.apply_theta(a)]
 
 
 @dataclass
@@ -126,8 +132,8 @@ def solve_equivalence(
         ok = True
         m_star: Optional[Scalar] = None
         res = Fraction(0)
-        for i, (tau, vec) in enumerate(rho_parts):
-            s_poly, dpi_vec = split_first_order(ds.dpi(alpha(g.basis_element(i))))
+        for e, (tau, vec) in zip(linalg.identity(g.dim), rho_parts):
+            s_poly, dpi_vec = split_first_order(ds.dpi(alpha(e)))
             r = sum((poly_abs(p - q) for p, q in zip(vec, dpi_vec)), Fraction(0))
             if r != 0:
                 ok = False
@@ -181,8 +187,7 @@ class WeightComparison:
 
 def closed_form_weight(g: GradedLieAlgebra) -> Scalar:
     """(beta(o,o) + n nu c) / (2 nu r c) with c = mu, as a Laurent scalar."""
-    o = g.base_point()
-    boo = g.beta(o, o)
+    boo = g.beta(g.o, g.o)
     n, r, c = g.n, g.jordan.rank, g.mu
     num = Scalar.of(boo) + Scalar.nu(1, Fraction(n) * c)
     return num * Scalar.nu(-1, Fraction(1, 2) / (Fraction(r) * c))
@@ -204,8 +209,7 @@ def compare_with_closed_form(g: GradedLieAlgebra, m_star: Scalar) -> WeightCompa
 def special_nu_value(g: GradedLieAlgebra) -> Tuple[Fraction, bool]:
     """nu0 = -beta(o,o)/(n c); at this value the numerator of the closed-form
     weight vanishes.  Returns (nu0, numerator_vanishes)."""
-    o = g.base_point()
-    boo = g.beta(o, o)
+    boo = g.beta(g.o, g.o)
     n, c = g.n, g.mu
     nu0 = -boo / (Fraction(n) * c)
     num = Scalar.of(boo) + Scalar.nu(1, Fraction(n) * c)

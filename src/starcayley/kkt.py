@@ -2,33 +2,36 @@
 
 g = g(-1) + g(0) + g(1), where the outer pieces are two copies of the
 Jordan algebra and g(0) is the span of the box operators, closed under
-commutators and the tau-adjoint.  Elements are triples (u, T, v); the
-bracket is
+commutators and the tau-adjoint.  In the matrix model an element is a
+triple (u, T, v) and the bracket is
 
     [(u,T,v), (u',T',v')] =
         (Tu' - T'u,  2 u'box v + [T,T'] - 2 u box v',  T'# v - T# v')
 
 with T# the adjoint of T for the trace form.  The involution is
-theta(u,T,v) = (v, -T#, u); the base point is o = mu * E with E = (0,Id,0).
+theta(u,T,v) = (v, -T#, u); the grading element is E = (0, Id, 0) and the
+base point is o = mu * E.
 
 The sparse table of structure constants c_ij^k is written block by block
 from this formula (``GradedLieAlgebra._block_table``): every basis element
 lies in one grading block, so each pair needs one of four block formulas,
 and the g(0) pieces come from the pass that closes the span of the boxes.
-The (u, T, v) model, with rational entries, is kept as the independent
-oracle the table is tested against; it gives the coordinates of theta,
-the symplectic pairing and the check made on the model itself
-(antisymmetry).  Everything else, including the Jordan identifications,
-works on coordinate vectors in the basis (g(-1), t_basis, g(1)):
-``coord_bracket`` brackets such vectors, with rational or Poly entries,
-through the table, and the Killing Gram matrix K = tr(ad_i ad_j) and the
-spur vector are computed from the table.
+The (u, T, v) model, with rational entries, serves the construction and is
+kept as the independent oracle the table is tested against; it gives the
+coordinates of theta (on first use) and the check made on the model
+itself (antisymmetry).  Outside this module an element of g is its
+coordinate vector in the basis (g(-1), t_basis, g(1)): E, o and the
+symplectic basis are held as such vectors, ``coord_bracket`` brackets
+them, with rational or Poly entries, through the table, and beta pairs
+them through the Killing Gram matrix K = tr(ad_i ad_j), which is computed
+from the table like the spur vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -46,20 +49,6 @@ class LieElement:
     u: list
     t: list  # matrix
     v: list
-
-    def add(self, other: "LieElement") -> "LieElement":
-        return LieElement(
-            [a + b for a, b in zip(self.u, other.u)],
-            linalg.mat_add(self.t, other.t),
-            [a + b for a, b in zip(self.v, other.v)],
-        )
-
-    def scale(self, c) -> "LieElement":
-        return LieElement(
-            [c * a for a in self.u],
-            [[c * x for x in row] for row in self.t],
-            [c * a for a in self.v],
-        )
 
 
 def _flat(m: Sequence[Sequence]) -> list:
@@ -82,8 +71,12 @@ class GradedLieAlgebra:
     _structure: dict = field(init=False)
     killing: linalg.Matrix = field(init=False)
     spur_vector: List[Fraction] = field(init=False)
+    E: list = field(init=False)
+    o: list = field(init=False)
 
     def __post_init__(self):
+        if type(self.mu) not in (int, Fraction):
+            raise TypeError(f"mu must be int or Fraction, got {type(self.mu).__name__}")
         if self.mu == 0:
             raise ValueError("mu must be nonzero")
         A = self.jordan
@@ -139,35 +132,10 @@ class GradedLieAlgebra:
             sum((self.bracket_coords(j, a).get(a, 0) for a in range(self.n)), Fraction(0))
             for j in range(self.dim)
         ]
-
-    # -- basic elements -----------------------------------------------------
-    def zero(self) -> LieElement:
-        z = Fraction(0)
-        return LieElement(
-            [z] * self.n, linalg.zeros(self.n, self.n), [z] * self.n
-        )
-
-    def element(self, u=None, t=None, v=None) -> LieElement:
-        x = self.zero()
-        if u is not None:
-            x.u = list(u)
-        if t is not None:
-            x.t = [list(row) for row in t]
-        if v is not None:
-            x.v = list(v)
-        return x
-
-    def grade_element(self) -> LieElement:
-        """E = (0, Id, 0); ad E is the grading operator."""
-        return self.element(t=linalg.identity(self.n))
-
-    def base_point(self) -> LieElement:
-        return self.grade_element().scale(self.mu)
-
-    def basis_element(self, i: int) -> LieElement:
-        c = [Fraction(0)] * self.dim
-        c[i] = Fraction(1)
-        return self.from_coords(c)
+        # E = (0, Id, 0), whose ad is the grading operator, and o = mu E
+        zero = [Fraction(0)] * n
+        self.E = zero + self.t_coords(linalg.identity(n)) + zero
+        self.o = [self.mu * c for c in self.E]
 
     # -- coordinates --------------------------------------------------------
     def t_coords(self, t: Sequence[Sequence]) -> list:
@@ -222,6 +190,22 @@ class GradedLieAlgebra:
         return LieElement(
             list(x.v), linalg.mat_scale(self.sharp(x.t), Fraction(-1)), list(x.u)
         )
+
+    @cached_property
+    def theta_coords(self) -> List[list]:
+        """Theta: row i holds the coordinates of theta e_i, taken from the
+        model on first use."""
+        return [self.to_coords(self.theta(self.from_coords(e))) for e in linalg.identity(self.dim)]
+
+    def apply_theta(self, c: Sequence) -> list:
+        """theta on a coordinate vector, through Theta."""
+        out = [Fraction(0)] * self.dim
+        for k, ck in enumerate(c):
+            if ck:
+                for m, t in enumerate(self.theta_coords[k]):
+                    if t:
+                        out[m] += ck * t
+        return out
 
     def _block_table(self, box_coords: list, comm: dict, sharps: list) -> dict:
         """Nonzero c_ij^k for i < j, keyed in that order, block by block:
@@ -299,46 +283,34 @@ class GradedLieAlgebra:
             K[i][j] = K[j][i] = trace(ads[i], ads[j])
         return K
 
-    def beta(self, x: LieElement, y: LieElement) -> Fraction:
-        """Killing form, evaluated via the precomputed Gram matrix."""
-        cx = self.to_coords(x)
-        cy = self.to_coords(y)
+    def beta(self, x: Sequence, y: Sequence) -> Fraction:
+        """Killing form of two coordinate vectors, through the Gram matrix."""
         return sum(
             (
-                cx[i] * self.killing[i][j] * cy[j]
+                x[i] * self.killing[i][j] * y[j]
                 for i in range(self.dim)
-                if cx[i] != 0
+                if x[i] != 0
                 for j in range(self.dim)
-                if cy[j] != 0
+                if y[j] != 0
             ),
             Fraction(0),
         )
 
-    def omega(self, x: LieElement, y: LieElement) -> Fraction:
+    def omega(self, x: Sequence, y: Sequence) -> Fraction:
         """Symplectic pairing beta(o, [x, y])."""
-        return self.beta(self.base_point(), self.bracket(x, y))
+        return self.beta(self.o, self.coord_bracket(x, y))
 
     # -- symplectic basis ------------------------------------------------------
-    def symplectic_basis(self) -> Tuple[List[LieElement], List[LieElement]]:
-        """Basis L_a of g(-1) and the dual basis L'_a of g(1) with
+    def symplectic_basis(self) -> Tuple[List[list], List[list]]:
+        """Coordinates of the basis L_a = e_a of g(-1) and of the dual basis
+        L'_b = sum_c (P^-1)_cb f_c of g(1), P_ab = omega(e_a, f_b), so that
         omega(L_a, L'_b) = delta_ab."""
-        n = self.n
-        L = [self.element(u=self.jordan.basis_vector(a)) for a in range(n)]
-        V = [self.element(v=self.jordan.basis_vector(b)) for b in range(n)]
-        P = [[self.omega(L[a], V[b]) for b in range(n)] for a in range(n)]
+        n, f = self.n, self.n + self.dim0
+        unit = linalg.identity(self.dim)
+        P = [[self.omega(unit[a], unit[f + b]) for b in range(n)] for a in range(n)]
         Pinv = linalg.invert(P)
-        Lp = []
-        for b in range(n):
-            x = self.zero()
-            for c in range(n):
-                if Pinv[c][b] != 0:
-                    x = x.add(V[c].scale(Pinv[c][b]))
-            Lp.append(x)
-        return L, Lp
-
-    def spur(self, h: LieElement) -> Fraction:
-        """Trace of ad(h) restricted to g(-1)."""
-        return sum((s * c for s, c in zip(self.spur_vector, self.to_coords(h))), Fraction(0))
+        Lp = [[Fraction(0)] * f + [Pinv[c][b] for c in range(n)] for b in range(n)]
+        return unit[:n], Lp
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +334,7 @@ def _combine(name: str, residual: Fraction, detail: str = "") -> SuiteResult:
 
 def verify_antisymmetry(g: GradedLieAlgebra) -> SuiteResult:
     res = Fraction(0)
-    basis = [g.basis_element(i) for i in range(g.dim)]
+    basis = [g.from_coords(e) for e in linalg.identity(g.dim)]
     for i in range(g.dim):
         d = g.bracket(basis[i], basis[i])
         res += sum(abs(c) for c in g.to_coords(d))
@@ -408,21 +380,14 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
     With Theta the coordinates of theta(e_i), taken once from the model,
     Theta^2 = 1 and Theta [e_i, e_j] = [Theta e_i, Theta e_j] are checked
     through the structure constants."""
-    theta = [g.to_coords(g.theta(g.basis_element(i))) for i in range(g.dim)]
-
-    def apply(c: dict) -> list:
-        out = [Fraction(0)] * g.dim
-        for k, ck in c.items():
-            for m, t in enumerate(theta[k]):
-                out[m] += ck * t
-        return out
-
+    theta = g.theta_coords
     res = Fraction(0)
     for i in range(g.dim):
-        tt = apply({k: c for k, c in enumerate(theta[i]) if c != 0})
+        tt = g.apply_theta(theta[i])
         res += sum(abs(x - (1 if m == i else 0)) for m, x in enumerate(tt))
         for j in range(i + 1, g.dim):
-            lhs = apply(g.bracket_coords(i, j))
+            nz = g.bracket_coords(i, j)
+            lhs = g.apply_theta([nz.get(k, 0) for k in range(g.dim)])
             rhs = g.coord_bracket(theta[i], theta[j])
             res += sum(abs(a - b) for a, b in zip(lhs, rhs))
     return _combine("theta", res)
@@ -434,14 +399,13 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     {e_a, e_b, e_c} = -1/2 [[e_a, theta e_b], e_c].
 
     The brackets are ``coord_bracket`` on coordinate vectors, with the
-    coordinates of theta e_b taken once from the model as in
-    ``verify_theta``; the right-hand sides come from the Jordan algebra.  So
+    coordinates of theta e_b from ``theta_coords`` as in ``verify_theta``;
+    the right-hand sides come from the Jordan algebra.  So
     the check asks whether the table that every later check uses reproduces
     the box and the triple product."""
     A = g.jordan
     n, minus_half = g.n, Fraction(-1, 2)
-    unit = [[Fraction(int(k == a)) for k in range(g.dim)] for a in range(n)]
-    theta = [g.to_coords(g.theta(g.basis_element(b))) for b in range(n)]
+    unit, theta = linalg.identity(g.dim), g.theta_coords
     res = Fraction(0)
     for a in range(n):
         for b in range(n):
@@ -496,12 +460,9 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
     G = g.tau_gram
     e = [A.basis_vector(a) for a in range(n)]
     boxes = [_flat(A.box(e[a], e[b])) for a in range(n) for b in range(n)]
-    box_coords = []
-    for t in g.t_basis:
-        c = linalg.in_span(boxes, _flat(t))
-        if c is None:
-            raise GradingClosureFailure("g(0) is not spanned by the box operators")
-        box_coords.append(c)
+    box_coords = linalg.in_span(boxes, [_flat(t) for t in g.t_basis])
+    if None in box_coords:
+        raise GradingClosureFailure("g(0) is not spanned by the box operators")
     # 2 tau(T e_a, e_b) = 2 (T^T G)[a][b], flattened in the order of `boxes`
     pair = [
         [2 * x for x in _flat(linalg.mat_mul(linalg.transpose(t), G))]

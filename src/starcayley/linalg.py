@@ -122,18 +122,22 @@ def leading_minors_positive(a: Matrix) -> bool:
     return all(determinant([row[: k + 1] for row in a[: k + 1]]) > 0 for k in range(len(a)))
 
 
-def in_span(vectors: List[List[Fraction]], v: List[Fraction]) -> List[Fraction] | None:
-    """Coordinates of v in the span of ``vectors``, else None.  A vector that
+def in_span(vectors: List[List[Fraction]], targets: List[List[Fraction]]) -> list:
+    """Coordinates of each target in the span of ``vectors``, or None for a
+    target off the span; the vectors are eliminated once.  A vector that
     depends on the ones before it gets coordinate zero, so the coordinates
     are unique."""
     span = Echelon()
     kept = [i for i, w in enumerate(vectors) if span.absorb(w) is None]
-    c = span.coords(v)
-    if c is None:
-        return None
-    out = [Fraction(0)] * len(vectors)
-    for i, x in zip(kept, c):
-        out[i] = x
+    out = []
+    for v in targets:
+        c = span.coords(v)
+        if c is not None:
+            full = [Fraction(0)] * len(vectors)
+            for i, x in zip(kept, c):
+                full[i] = x
+            c = full
+        out.append(c)
     return out
 
 

@@ -44,6 +44,8 @@ class RunConfig:
     associativity_trials: int = 20
 
     def validate(self):
+        if type(self.mu) not in (int, Fraction):
+            raise ConfigError(f"mu must be an int or a Fraction, got {type(self.mu).__name__}")
         if self.mu == 0:
             raise ConfigError("mu must be nonzero")
         if not self.suites:
@@ -302,7 +304,7 @@ def run_theorem_suite(ctx: InstanceContext) -> dict:
     out["nu0"] = str(nu0)
     out["numerator_vanishes_at_nu0"] = vanish
     if solved:
-        tau_e = ctx.srep.tau_scalar(g.grade_element())
+        tau_e = ctx.srep.tau_scalar(g.E)
         out["tau_of_grade_element_at_nu0"] = str(tau_e.eval_nu(nu0))
     out["passed"] = (
         sign_rho != 0 and res_rho == 0 and sign_dpi != 0 and res_dpi == 0
@@ -343,10 +345,9 @@ def run(config: RunConfig) -> VerificationReport:
         rep.constants["rank"] = A.rank
     g = ctx._cache.get("lie")
     if isinstance(g, kkt_mod.GradedLieAlgebra):
-        o = g.base_point()
         rep.constants["dim_g"] = g.dim
         rep.constants["c"] = rational_to_str(g.mu)
-        rep.constants["beta_oo"] = rational_to_str(g.beta(o, o))
+        rep.constants["beta_oo"] = rational_to_str(g.beta(g.o, g.o))
     if "property_B_order" in ctx._cache:
         rep.constants["N"] = ctx._cache["property_B_order"]
     for key, seconds in ctx.build_s.items():

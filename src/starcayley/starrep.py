@@ -1,7 +1,8 @@
 """The star representation on holomorphic polynomials.
 
-For each Lie algebra element A = (u, T, v) one forms, with a symbolic point
-z in g(-1),
+For each element A of g, given by its coordinate vector with parts A_u,
+A_t and A_v in g(-1), g(0) and g(1), one forms, with a symbolic point z in
+g(-1),
 
     h_A(z)   = A_t + (degree-0 part of [A_v, z])          (matrix, linear in z)
     l_A(z)   = A_u + [A_t, z] + 1/2 [z, [z, A_v]]          (vector, quadratic)
@@ -28,7 +29,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .chart import SymplecticChart, poly_abs
-from .kkt import GradedLieAlgebra, LieElement
+from . import linalg
+from .kkt import GradedLieAlgebra
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import Scalar
 from .weyl import (
@@ -61,32 +63,30 @@ class StarRepresentation:
         self._z = [Poly.var(self.zvs, x) for x in self.zvs.names] + [zero] * (g.dim - g.n)
         # tau_A = (1/2 nu)(beta(h, o) + nu spur(h)) = sum_j h_j w_j over the
         # degree-zero coordinates h_j of h, w_j = (K.o)_j/(2 nu) + spur_j/2
-        o = g.to_coords(g.base_point())
-        ko = [sum((k * c for k, c in zip(row, o) if c != 0), Fraction(0)) for row in g.killing]
+        ko = [sum((k * c for k, c in zip(row, g.o) if c != 0), Fraction(0)) for row in g.killing]
         self._tau_weights = [
             Scalar.nu(-1, ko[j] / 2) + Scalar.of(g.spur_vector[j] / 2)
             for j in range(g.n, g.n + g.dim0)
         ]
 
     # -- the three building blocks ------------------------------------------
-    def _grade_parts(self, a: LieElement) -> List[list]:
+    def _grade_parts(self, a: list) -> List[list]:
         """Coordinate vectors of the g(-1), g(0) and g(1) parts of a."""
         g = self.g
-        c = g.to_coords(a)
         cuts = (0, g.n, g.n + g.dim0, g.dim)
         return [
-            [x if lo <= k < hi else Fraction(0) for k, x in enumerate(c)]
+            [x if lo <= k < hi else Fraction(0) for k, x in enumerate(a)]
             for lo, hi in zip(cuts, cuts[1:])
         ]
 
-    def _h_coords(self, a: LieElement) -> List[Poly]:
+    def _h_coords(self, a: list) -> List[Poly]:
         """Degree-zero coordinates of h_A(z) = A_t + [A_v, z]."""
         g = self.g
         _, at, av = self._grade_parts(a)
         br = g.coord_bracket(av, self._z)
         return [br[k] + Poly.const(self.zvs, at[k]) for k in range(g.n, g.n + g.dim0)]
 
-    def h_poly(self, a: LieElement) -> List[List[Poly]]:
+    def h_poly(self, a: list) -> List[List[Poly]]:
         """Matrix-valued polynomial h_A(z), linear in z."""
         h = list(zip(self._h_coords(a), self.g.t_basis))
         zero = Poly.zero(self.zvs)
@@ -96,7 +96,7 @@ class StarRepresentation:
             for r in range(n)
         ]
 
-    def l_poly(self, a: LieElement) -> List[Poly]:
+    def l_poly(self, a: list) -> List[Poly]:
         """Vector-valued polynomial l_A(z), quadratic in z."""
         g = self.g
         z = self._z
@@ -105,24 +105,23 @@ class StarRepresentation:
         quad = g.coord_bracket(z, g.coord_bracket(z, av))
         return [Poly.const(self.zvs, au[k]) + tz[k] + quad[k] * Fraction(1, 2) for k in range(g.n)]
 
-    def tau_scalar(self, a: LieElement) -> Poly:
+    def tau_scalar(self, a: list) -> Poly:
         return sum(
             (hj * w for hj, w in zip(self._h_coords(a), self._tau_weights)), Poly.zero(self.zvs)
         )
 
-    def rho_hat(self, a: LieElement) -> WeylOperator:
+    def rho_hat(self, a: list) -> WeylOperator:
         return first_order(self.tau_scalar(a), self.l_poly(a))
 
     def rho_basis(self) -> List[WeylOperator]:
-        return [self.rho_hat(self.g.basis_element(i)) for i in range(self.g.dim)]
+        return [self.rho_hat(e) for e in linalg.identity(self.g.dim)]
 
     # -- invariants -------------------------------------------------------
     def field_residual(self, series) -> Fraction:
         """l_A against the field u + Tz + P(z)v that ``series``, an
         ``hds.DiscreteSeries`` of the same g, builds from Jordan data."""
         res = Fraction(0)
-        for i in range(self.g.dim):
-            b = self.g.basis_element(i)
+        for b in linalg.identity(self.g.dim):
             for p, q in zip(self.l_poly(b), series.field(b)):
                 res += poly_abs(p - q)
         return res
@@ -131,8 +130,7 @@ class StarRepresentation:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis."""
         kappa: Optional[Scalar] = None
         res = Fraction(0)
-        for i in range(self.g.dim):
-            b = self.g.basis_element(i)
+        for b in linalg.identity(self.g.dim):
             h = self.h_poly(b)
             lp = self.l_poly(b)
             dmat = [[lp[c].diff(x) for x in self.zvs.names] for c in range(self.g.n)]

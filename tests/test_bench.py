@@ -1,5 +1,5 @@
 """The paired-benchmark summary: each side's quartiles, the claim verdict,
-and every run that errored or failed."""
+the no-regression verdict, and every run that errored or failed."""
 
 import importlib.util
 from pathlib import Path
@@ -58,6 +58,28 @@ def test_claim_needs_a_gap_larger_than_the_parent_iqr():
     ]
     row = next(r for r in bench.summarize(runs, ["w"]) if r["metric"] == "verify_s")
     assert row["wins"] == 10 and not row["claim"]
+
+
+def _paired(parent, change):
+    return [
+        {"workload": "w", "seed": seed, "side": side, "result": _result(value)}
+        for seed in range(1, 11)
+        for side, value in (("parent", parent), ("change", change))
+    ]
+
+
+def test_median_beyond_the_bound_reads_worse():
+    # verify_s has bound 0.2 in BENCHMARK.json: 1.3 s against 1.0 s is worse
+    assert bench.BOUNDS["verify_s"] == 0.2
+    row = next(r for r in bench.summarize(_paired(1.0, 1.3), ["w"]) if r["metric"] == "verify_s")
+    assert row["worse"] and row["wins"] == 0
+
+
+def test_median_inside_the_bound_reads_within():
+    # 1.1 s against 1.0 s is slower in every pair but inside the bound
+    rows = {r["metric"]: r for r in bench.summarize(_paired(1.0, 1.1), ["w"])}
+    assert not rows["verify_s"]["worse"] and rows["verify_s"]["wins"] == 0
+    assert not any(r["worse"] for r in rows.values())
 
 
 def test_problems_name_errored_and_failed_runs():

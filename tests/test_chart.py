@@ -76,12 +76,12 @@ def test_moment_of_base_point_at_origin(instance_cache):
         g = instance_cache("lie", sel)
         ch = instance_cache("chart", sel)
         # lambda_o = sum_i o_i lambda_i, by linearity
-        coords = g.to_coords(g.base_point())
+        coords = g.o
         lam_o = sum(
             (lam * c for c, lam in zip(coords, ch.moment) if c != 0), Poly.zero(ch.vs)
         )
         constant = lam_o.coeff((0,) * len(ch.vs))
-        assert constant.eval_nu(Fraction(0)) == g.beta(g.base_point(), g.base_point())
+        assert constant.eval_nu(Fraction(0)) == g.beta(g.o, g.o)
 
 
 def test_perturbed_structure_breaks_hamiltonicity():

@@ -6,6 +6,7 @@ import pytest
 from starcayley import cli, jordan, starrep, weyl
 from starcayley.report import (
     ALL_SUITES,
+    ConfigError,
     InstanceContext,
     RunConfig,
     run,
@@ -246,6 +247,14 @@ class TestShowAndList:
 class TestReportApi:
     def test_all_suites_constant(self):
         assert ALL_SUITES == ("jordan", "lie", "chart", "star", "fourier", "theorem")
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, True, "1"])
+    def test_inexact_mu_is_config_error(self, mu):
+        config = RunConfig(algebra="rank1", mu=mu)
+        with pytest.raises(ConfigError, match="mu"):
+            config.validate()
+        with pytest.raises(ConfigError, match="mu"):
+            run(config)
 
     def test_text_report_one_line_per_check(self):
         config = RunConfig(algebra="rank1", mu=1, suites=("jordan",))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from starcayley import jordan, kkt
+from starcayley import jordan, kkt, linalg
 from starcayley.hds import (
     NoEquivalence,
     closed_form_weight,
@@ -32,17 +32,20 @@ def trace_d_field(ds, a):
 
 def trace_d_closed(ds, a):
     """Tr DX(z) in closed form, Tr T + 2 tau(z, v): the cross-check of
-    ``trace_d_field``, which differentiates the field."""
+    ``trace_d_field``, which differentiates the field.  T and v are read
+    from the coordinate vector a."""
+    n, f = ds.g.n, ds.g.n + ds.g.dim0
+    t, v = ds.g.t_from_coords(a[n:f]), a[f:]
     z = [Poly.var(ds.zvs, x) for x in ds.zvs.names]
-    tau_zv = ds.g.jordan.tau(z, [Poly.const(ds.zvs, c) for c in a.v])
-    return Poly.const(ds.zvs, trace(a.t)) + tau_zv * Fraction(2)
+    tau_zv = ds.g.jordan.tau(z, [Poly.const(ds.zvs, c) for c in v])
+    return Poly.const(ds.zvs, trace(t)) + tau_zv * Fraction(2)
 
 
 class TestFieldOperators:
     def test_translation_part(self, instance_cache):
         ds = instance_cache("series", "spin:3")
         g = ds.g
-        x = g.element(u=[Fraction(1), Fraction(0), Fraction(2)])
+        x = [Fraction(1), Fraction(0), Fraction(2)] + [Fraction(0)] * (g.dim - 3)
         v, s = weight_parts(ds.dpi(x))
         expected = -(
             WeylOperator.partial(ds.zvs, "z1")
@@ -54,7 +57,7 @@ class TestFieldOperators:
     def test_rank_one_quadratic_part(self, instance_cache):
         ds = instance_cache("series", "rank1")
         g = ds.g
-        x = g.element(v=[Fraction(1)])
+        x = linalg.identity(g.dim)[2]
         v, s = weight_parts(ds.dpi(x))
         z = WeylOperator.mult_var(ds.zvs, "z1")
         d = WeylOperator.partial(ds.zvs, "z1")
@@ -65,7 +68,7 @@ class TestFieldOperators:
         # X = (0, Id, 0): scalar factor is -(r/n) * n = -r
         for sel in ("rank1", "sym:2", "spin:3"):
             ds = instance_cache("series", sel)
-            _, s = weight_parts(ds.dpi(ds.g.grade_element()))
+            _, s = weight_parts(ds.dpi(ds.g.E))
             assert s == WeylOperator.identity(ds.zvs).scale(
                 Scalar.of(-ds.g.jordan.rank)
             )
@@ -74,8 +77,7 @@ class TestFieldOperators:
     def test_trace_of_derivative_closed_form(self, selector, instance_cache):
         ds = instance_cache("series", selector)
         g = ds.g
-        for i in range(g.dim):
-            b = g.basis_element(i)
+        for b in linalg.identity(g.dim):
             assert trace_d_field(ds, b) == trace_d_closed(ds, b)
 
 
@@ -131,9 +133,9 @@ class TestEquivalence:
         g = instance_cache("lie", "rank1")
         srep = instance_cache("srep", "rank1")
         ds = instance_cache("series", "rank1")
-        m_from_E = srep.tau_scalar(g.grade_element())
-        s_E = trace_d_field(ds, g.grade_element()) * Fraction(1)  # = 1
-        v_elt = g.element(v=[Fraction(1)])
+        m_from_E = srep.tau_scalar(g.E)
+        s_E = trace_d_field(ds, g.E) * Fraction(1)  # = 1
+        v_elt = linalg.identity(g.dim)[2]
         m_from_v = srep.tau_scalar(v_elt)
         s_v = trace_d_field(ds, v_elt)
         from starcayley.poly import scalar_ratio

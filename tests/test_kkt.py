@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from starcayley import jordan, kkt
+from starcayley import jordan, kkt, linalg
 
 
 @pytest.mark.parametrize(
@@ -30,6 +30,11 @@ def test_structure_suites(selector, instance_cache):
         assert result.passed, f"{selector}: {result.name} residual {result.residual}"
 
 
+def spur(g: kkt.GradedLieAlgebra, h: list) -> Fraction:
+    """Trace of ad(h) restricted to g(-1), for h a coordinate vector."""
+    return sum((s * c for s, c in zip(g.spur_vector, h)), Fraction(0))
+
+
 def _perturbed_spin2() -> jordan.JordanAlgebra:
     """spin:2 with one structure constant changed: not a Jordan algebra."""
     A = jordan.make_spin_factor(2)
@@ -53,7 +58,7 @@ def test_block_table_matches_model_bracket(selector, instance_cache):
         g = kkt.GradedLieAlgebra(_perturbed_spin2())
     else:
         g = instance_cache("lie", selector)
-    basis = [g.basis_element(i) for i in range(g.dim)]
+    basis = [g.from_coords(e) for e in linalg.identity(g.dim)]
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             c = g.to_coords(g.bracket(basis[i], basis[j]))
@@ -90,21 +95,20 @@ class TestKillingForm:
         # beta(E, E) = 2n for every instance
         for sel in ("rank1", "spin:3", "sym:2", "sym:3"):
             g = instance_cache("lie", sel)
-            E = g.grade_element()
+            E = g.E
             assert g.beta(E, E) == 2 * g.n
 
     def test_base_point_pairing_scales_with_mu(self):
         A = jordan.make_spin_factor(3)
         for mu in (Fraction(1), Fraction(2), Fraction(-3, 2)):
             g = kkt.GradedLieAlgebra(A, mu)
-            o = g.base_point()
+            o = g.o
             assert g.beta(o, o) == 2 * g.n * mu * mu
 
     def test_sl2_cross_pairing(self, instance_cache):
         # beta(u-part, v-part) = -4 tau(1,1) = -4 in the rank-one case
         g = instance_cache("lie", "rank1")
-        u = g.element(u=[Fraction(1)])
-        v = g.element(v=[Fraction(1)])
+        u, _, v = linalg.identity(g.dim)
         assert g.beta(u, v) == -4
 
     def test_closed_form_matches_off_the_zero_grade(self, instance_cache):
@@ -114,6 +118,12 @@ class TestKillingForm:
         for i in range(g.dim):
             for j in range(g.dim):
                 assert g.killing[i][j] == closed[i][j], (i, j)
+
+    def test_closed_form_needs_boxes_spanning_g0(self):
+        # the perturbed closure adds a fourth g(0) matrix outside the span
+        # of its boxes, so the block formula has no coordinates for it
+        with pytest.raises(kkt.GradingClosureFailure):
+            kkt.closed_form_killing(kkt.GradedLieAlgebra(_perturbed_spin2()))
 
     def test_rank_one_closed_form_is_exact(self, instance_cache):
         g = instance_cache("lie", "rank1")
@@ -166,19 +176,26 @@ class TestSymplecticStructure:
         # with mu = 1 the dual of u is -v/4
         g = instance_cache("lie", "rank1")
         _, Lp = g.symplectic_basis()
-        assert Lp[0].v == [Fraction(-1, 4)]
-        assert all(c == 0 for c in Lp[0].u)
+        assert Lp[0][g.n + g.dim0 :] == [Fraction(-1, 4)]
+        assert all(c == 0 for c in Lp[0][: g.n])
 
     def test_spur_of_grade_element(self, instance_cache):
         for sel in ("rank1", "spin:3", "sym:3"):
             g = instance_cache("lie", sel)
-            assert g.spur(g.grade_element()) == g.n
+            assert spur(g, g.E) == g.n
 
 
 class TestConstructorInvariants:
     def test_zero_mu_rejected(self):
         with pytest.raises(ValueError, match="mu"):
             kkt.GradedLieAlgebra(jordan.make_rank_one(), Fraction(0))
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, True, "1"])
+    def test_inexact_mu_rejected(self, mu):
+        # mu must be an int or a Fraction where g is built, not fail later
+        # in the chart's coefficient ring
+        with pytest.raises(TypeError, match="mu"):
+            kkt.GradedLieAlgebra(jordan.make_rank_one(), mu)
 
     def test_matrix_outside_degree_zero_span_rejected(self, instance_cache):
         # g(0) of spin:3 is R Id + so(1,2); the elementary matrix E_01 is not
@@ -195,9 +212,8 @@ class TestBracketOracle:
         # basis order (u, E, v); [E,u] = u... expressed through the table:
         # [u-part, E] = -u? check the standard sl2 relations via elements
         g = instance_cache("lie", "rank1")
-        u = g.element(u=[Fraction(1)])
-        v = g.element(v=[Fraction(1)])
-        E = g.grade_element()
+        u, _, v = (g.from_coords(e) for e in linalg.identity(g.dim))
+        E = g.from_coords(g.E)
         assert g.bracket(E, u).u == [Fraction(1)]  # [E, u] = u (lowers grade)
         assert g.bracket(E, v).v == [Fraction(-1)]
         uv = g.bracket(u, v)
@@ -205,13 +221,13 @@ class TestBracketOracle:
 
     def test_theta_swaps_grades(self, instance_cache):
         g = instance_cache("lie", "spin:3")
-        x = g.element(u=[Fraction(1), Fraction(2), Fraction(0)])
+        x = g.from_coords([Fraction(1), Fraction(2)] + [Fraction(0)] * (g.dim - 2))
         tx = g.theta(x)
         assert tx.v == x.u and all(c == 0 for c in tx.u)
 
     def test_coordinates_roundtrip(self, instance_cache):
         g = instance_cache("lie", "sym:2")
-        for i in range(g.dim):
-            b = g.basis_element(i)
+        for i, e in enumerate(linalg.identity(g.dim)):
+            b = g.from_coords(e)
             c = g.to_coords(b)
             assert c[i] == 1 and sum(abs(x) for x in c) == 1

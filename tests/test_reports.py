@@ -12,7 +12,9 @@ from starcayley.report import RunConfig, run
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
 
 
-@pytest.mark.parametrize("selector", ["rank1", "spin:2", "spin:3", "spin:4", "sym:2"])
+@pytest.mark.parametrize(
+    "selector", ["rank1", "spin:2", "spin:3", "spin:4", "spin:5", "sym:2", "sym:3"]
+)
 def test_report_matches_committed_oracle(selector):
     got = json.loads(json.dumps(run(RunConfig(algebra=selector)).to_json()))
     want = json.loads((REPORTS / f"{selector.replace(':', '_')}.json").read_text())
