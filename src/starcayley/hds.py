@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chart import poly_abs
 from . import linalg
+from .chart import poly_abs
 from .kkt import GradedLieAlgebra
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import NotDivisible, Scalar

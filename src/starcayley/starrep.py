@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .chart import SymplecticChart, poly_abs
 from . import linalg
+from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra
 from .poly import Poly, VarSet, scalar_ratio
 from .scalars import Scalar
