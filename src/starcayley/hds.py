@@ -110,9 +110,6 @@ class EquivalenceResult:
     m_star: Scalar
     residual: Fraction
 
-    def to_json(self) -> dict:
-        return {"alpha": self.alpha, "m_star": str(self.m_star), "residual": str(self.residual)}
-
 
 def solve_equivalence(
     g: GradedLieAlgebra,
@@ -175,14 +172,6 @@ class WeightComparison:
     m_closed: Scalar
     match: str  # "exact" | "proportional" | "failed"
     factor: Optional[Scalar]
-
-    def to_json(self) -> dict:
-        return {
-            "m_star": str(self.m_star),
-            "m_closed_form": str(self.m_closed),
-            "match": self.match,
-            "factor": None if self.factor is None else str(self.factor),
-        }
 
 
 def closed_form_weight(g: GradedLieAlgebra) -> Scalar:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import Poly, VarSet
@@ -52,6 +52,11 @@ class JordanAlgebra:
     # structure[a][b][c]: coefficient of e_c in e_a o e_b
     structure: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
     unit: Tuple[Fraction, ...]
+    # the report of the validation that loaded the algebra from a table, so
+    # that a report validates it once; None for a built-in
+    validation: Optional["JordanValidationReport"] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     # -- products ---------------------------------------------------------
     def mul(self, x: Sequence, y: Sequence) -> list:
@@ -128,9 +133,6 @@ class JordanAlgebra:
         v = [Fraction(0)] * self.dim
         v[a] = Fraction(1)
         return v
-
-    def zero(self) -> List[Fraction]:
-        return [Fraction(0)] * self.dim
 
     def symbolic_element(self, vs: VarSet, prefix: str) -> List[Poly]:
         return [Poly.var(vs, f"{prefix}{a + 1}") for a in range(self.dim)]
@@ -317,7 +319,7 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
 
     gram = A.tau_gram()
     sym = all(gram[a][b] == gram[b][a] for a in range(n) for b in range(n))
-    rep.positive_definite = sym and linalg.leading_minors_positive(gram)
+    rep.positive_definite = sym and linalg.positive_definite(gram)
     if not rep.positive_definite:
         rep.failures.append("trace form: Gram matrix not positive definite")
 
@@ -325,7 +327,8 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
 
 
 def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
-    """Build an algebra from the JSON table and validate it.
+    """Build an algebra from the JSON table and validate it; the algebra
+    keeps the validation report as ``validation``.
 
     Schema: {name, dim, rank: integers, unit: [rational strings],
     structure: [[[rational]]], optional basis_names: [distinct strings]}.
@@ -374,6 +377,7 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     rep = validate_jordan(A)
     if not rep.passed:
         raise ValidationFailed(rep)
+    object.__setattr__(A, "validation", rep)  # frozen: set once, here
     return A
 
 

@@ -16,15 +16,15 @@ The sparse table of structure constants c_ij^k is written block by block
 from this formula (``GradedLieAlgebra._block_table``): every basis element
 lies in one grading block, so each pair needs one of four block formulas,
 and the g(0) pieces come from the pass that closes the span of the boxes.
-The (u, T, v) model, with rational entries, serves the construction and is
-kept as the independent oracle the table is tested against; it gives the
-coordinates of theta (on first use) and the check made on the model
-itself (antisymmetry).  Outside this module an element of g is its
-coordinate vector in the basis (g(-1), t_basis, g(1)): E, o and the
-symplectic basis are held as such vectors, ``coord_bracket`` brackets
-them, with rational or Poly entries, through the table, and beta pairs
-them through the Killing Gram matrix K = tr(ad_i ad_j), which is computed
-from the table like the spur vector.
+The (u, T, v) model, with rational entries, is the construction's model:
+it gives the coordinates of theta on first use and is the independent
+oracle the table is tested against, but no check of the lie suite runs on
+it.  Outside this module an element of g is its coordinate vector in the
+basis (g(-1), t_basis, g(1)): E, o and the symplectic basis are held as
+such vectors, ``coord_bracket`` brackets them, with rational or Poly
+entries, through the table, and beta pairs them through the Killing Gram
+matrix K = tr(ad_i ad_j), which is computed from the table like the spur
+vector.
 """
 
 from __future__ import annotations
@@ -333,6 +333,8 @@ def _combine(name: str, residual: Fraction, detail: str = "") -> SuiteResult:
 
 
 def verify_antisymmetry(g: GradedLieAlgebra) -> SuiteResult:
+    """[e_i, e_i] = 0 in the model.  It cannot fail, as [x, x] cancels term by
+    term, so no suite runs it; the benchmark tracer still patches it."""
     res = Fraction(0)
     basis = [g.from_coords(e) for e in linalg.identity(g.dim)]
     for i in range(g.dim):
@@ -362,7 +364,10 @@ def verify_jacobi(g: GradedLieAlgebra) -> SuiteResult:
 
 
 def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
-    """[g_i, g_j] lands in g_{i+j} (zero when |i+j| > 1), checked per block."""
+    """[g_i, g_j] lands in g_{i+j} (zero when |i+j| > 1), checked per block.
+    It cannot fail, as ``_block_table`` writes each block formula into its
+    target block by index, so no suite runs it; the benchmark tracer still
+    patches it."""
     n, d0 = g.n, g.dim0
     grade = lambda idx: -1 if idx < n else (0 if idx < n + d0 else 1)
     res = Fraction(0)
@@ -506,9 +511,7 @@ def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction]:
 
 def run_structure_suite(g: GradedLieAlgebra) -> List[SuiteResult]:
     results = [
-        verify_antisymmetry(g),
         verify_jacobi(g),
-        verify_grading(g),
         verify_theta(g),
         verify_identifications(g),
         verify_killing_invariance(g),

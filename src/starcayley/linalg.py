@@ -97,29 +97,21 @@ def invert(a: Matrix) -> Matrix:
     return [row[n:] for row in aug]
 
 
-def determinant(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [list(row) for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        pv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-def leading_minors_positive(a: Matrix) -> bool:
-    """Sylvester criterion for positive definiteness, exactly."""
-    return all(determinant([row[: k + 1] for row in a[: k + 1]]) > 0 for k in range(len(a)))
+def positive_definite(a: Matrix) -> bool:
+    """Whether the symmetric matrix a is positive definite, exactly: Gaussian
+    elimination without row exchanges meets only positive pivots.  The k-th
+    pivot is the ratio of the k-th to the (k-1)-th leading minor, so this is
+    Sylvester's criterion from one elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    for c, pivot_row in enumerate(m):
+        pv = pivot_row[c]
+        if pv <= 0:
+            return False
+        for row in m[c + 1 :]:
+            f = row[c] / pv
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], pivot_row[c:])]
+    return True
 
 
 def in_span(vectors: List[List[Fraction]], targets: List[List[Fraction]]) -> list:

@@ -52,9 +52,6 @@ class VarSet:
     def __len__(self) -> int:
         return len(self.names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
 
 def varset(*names: str) -> VarSet:
     return VarSet(tuple(names))

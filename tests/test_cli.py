@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from starcayley.report import (
     write_report,
 )
 from starcayley.weyl import WeylOperator
+
+REPORTS = Path(__file__).resolve().parent.parent / "reports"
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +132,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_non_jordan_table_message(self, capsys, tmp_path):
+        data = jordan.make_spin_factor(2).to_json()
+        data["structure"][0][1][1] = "2"
+        path = tmp_path / "perturbed.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
+        assert code == 2
+        assert err == (
+            "error: commutativity: structure constants not symmetric; jordan identity: "
+            "x o (x^2 o y) != x^2 o (x o y); unit: e o x != x\n"
+        )
+
+    def test_indefinite_trace_form_is_config_error(self, capsys, tmp_path):
+        # commutative, Jordan and unital, but the Gram matrix is diag(2, -2)
+        data = jordan.make_spin_factor(2).to_json()
+        data["structure"][1][1][0] = "-1"
+        path = tmp_path / "indefinite.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
+        assert code == 2
+        assert err == "error: trace form: Gram matrix not positive definite\n"
 
     def test_passing_suites_exit_zero(self, capsys):
         code, out, _ = run_cli(
@@ -295,6 +320,28 @@ class TestReportApi:
         assert rep.algebra_error
         assert "dim_algebra" not in rep.constants and "rank" not in rep.constants
         assert not rep.passed
+
+    def test_file_table_is_validated_once(self, tmp_path, monkeypatch):
+        # the jordan suite reuses the report of the validation in the load
+        data = {**jordan.make_sym_matrices(3).to_json(), "name": "sym3-table"}
+        path = tmp_path / "sym3.json"
+        path.write_text(json.dumps(data))
+        real = jordan.validate_jordan
+        calls = []
+
+        def counted(A):
+            calls.append(A.name)
+            return real(A)
+
+        monkeypatch.setattr(jordan, "validate_jordan", counted)
+        got = run(RunConfig(algebra=f"file:{path}")).to_json()
+        assert calls == ["sym3-table"]
+        want = json.loads((REPORTS / "sym_3.json").read_text())
+        assert got["suites"]["jordan"].pop("name") == "sym3-table"
+        want["suites"]["jordan"].pop("name")
+        for rep in (got, want):
+            del rep["algebra"], rep["timings"]
+        assert json.loads(json.dumps(got)) == want
 
     def test_left_star_operators_built_once_per_instance(self, monkeypatch):
         real = weyl.left_star_operator

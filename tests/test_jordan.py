@@ -102,6 +102,22 @@ class TestLoader:
         with pytest.raises(jordan.ValidationFailed):
             jordan.load_from_structure_constants(data)
 
+    def test_rejects_indefinite_trace_form(self):
+        # e1 o e1 = -e0 makes spin:2 the complex numbers: commutative, Jordan
+        # and unital, with Gram matrix diag(2, -2)
+        data = jordan.make_spin_factor(2).to_json()
+        data["structure"][1][1][0] = "-1"
+        with pytest.raises(jordan.ValidationFailed) as info:
+            jordan.load_from_structure_constants(data)
+        assert info.value.report.failures == ["trace form: Gram matrix not positive definite"]
+        assert str(info.value) == "trace form: Gram matrix not positive definite"
+
+    def test_loaded_algebra_keeps_its_validation(self):
+        A = jordan.make_spin_factor(2)
+        assert A.validation is None
+        B = jordan.load_from_structure_constants(A.to_json())
+        assert B.validation.passed and B.validation.to_json() == jordan.validate_jordan(A).to_json()
+
     def test_rejects_bad_shape(self):
         A = jordan.make_rank_one()
         data = A.to_json()

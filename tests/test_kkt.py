@@ -18,15 +18,11 @@ def test_dimension_table(selector, dim_g, instance_cache):
 @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
 def test_structure_suites(selector, instance_cache):
     g = instance_cache("lie", selector)
-    for check in (
-        kkt.verify_antisymmetry,
-        kkt.verify_jacobi,
-        kkt.verify_grading,
-        kkt.verify_theta,
-        kkt.verify_identifications,
-        kkt.verify_killing_invariance,
-    ):
-        result = check(g)
+    results = kkt.run_structure_suite(g)
+    assert [r.name for r in results] == [
+        "jacobi", "theta", "identifications", "killing-invariance", "killing-closed-form"
+    ]
+    for result in results:
         assert result.passed, f"{selector}: {result.name} residual {result.residual}"
 
 

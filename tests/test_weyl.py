@@ -17,6 +17,7 @@ from starcayley.weyl import (
     moyal_star,
     split_first_order,
     uses_only,
+    verify_covariance,
     verify_property_B,
 )
 
@@ -408,6 +409,18 @@ def test_property_b_fails_on_perturbed_operator(instance_cache):
     stars[1] = stars[1] + WeylOperator.identity(ch.vs)
     ch.left_stars = stars
     assert verify_property_B(ch, ch.moment) == (3, False)
+
+
+def test_covariance_fails_on_perturbed_moment_map(instance_cache):
+    # only the nu^3 term of a commutator can differ, so a cubic term in one
+    # variable (l1^3 or m1^3) would leave the residual at zero; l1 m1^2 does not
+    ch = copy.copy(instance_cache("chart", "spin:2"))
+    l1, m1 = Poly.var(ch.vs, "l1"), Poly.var(ch.vs, "m1")
+    moment = list(ch.moment)
+    assert verify_covariance(ch) == (0, 0)
+    moment[0] = moment[0] + l1 * m1 * m1
+    ch.moment = moment
+    assert verify_covariance(ch) == (4, 1)
 
 
 def test_covariance_and_property_b(instance_cache):
