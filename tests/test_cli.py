@@ -131,15 +131,6 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
         assert code == 2
-        assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_non_jordan_table_message(self, capsys, tmp_path):
-        data = jordan.make_spin_factor(2).to_json()
-        data["structure"][0][1][1] = "2"
-        path = tmp_path / "perturbed.json"
-        path.write_text(json.dumps(data))
-        code, _, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
-        assert code == 2
         assert err == (
             "error: commutativity: structure constants not symmetric; jordan identity: "
             "x o (x^2 o y) != x^2 o (x o y); unit: e o x != x\n"
