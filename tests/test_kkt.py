@@ -22,6 +22,9 @@ def test_structure_suites(selector, instance_cache):
     assert [r.name for r in results] == [
         "jacobi", "theta", "identifications", "killing-invariance", "killing-closed-form"
     ]
+    # antisymmetry and grading hold by construction and left the suite; they
+    # stay asserted for as long as the functions exist
+    results += [kkt.verify_antisymmetry(g), kkt.verify_grading(g)]
     for result in results:
         assert result.passed, f"{selector}: {result.name} residual {result.residual}"
 
