@@ -41,7 +41,6 @@ def cmd_verify(args) -> int:
         out=args.out,
         seed=args.seed,
     )
-    config.validate()
     rep = report.run(config)
     if rep.algebra_error is not None:
         raise ConfigError(rep.algebra_error)
@@ -59,10 +58,9 @@ def cmd_list_algebras(_args) -> int:
 
 
 def cmd_show(args) -> int:
-    mu = _parse_mu(args.mu)
-    if mu == 0:
-        raise ConfigError("mu must be nonzero")
-    ctx = report.InstanceContext(RunConfig(algebra=args.algebra, mu=mu))
+    config = RunConfig(algebra=args.algebra, mu=_parse_mu(args.mu))
+    config.validate()
+    ctx = report.InstanceContext(config)
     g = ctx.lie
     if args.what == "bracket-table":
         out = {

@@ -5,7 +5,7 @@ generic loader, symbolic validation of the axioms, and the standard
 operators: left multiplication L, trace form tau, box operator, triple
 product, quadratic representation.
 
-Element coordinates are generic: they may be Fractions, Scalars, or Polys;
+Element coordinates are generic: they may be Fractions or Polys;
 everything here only uses +, -, * and scaling by rational structure
 constants, so the same code runs numerically and symbolically.
 """
@@ -34,13 +34,6 @@ class ValidationFailed(ValueError):
     def __init__(self, report: "JordanValidationReport"):
         super().__init__("; ".join(report.failures))
         self.report = report
-
-
-def _scale(c: Fraction, x):
-    """c*x for a rational c and a generic ring element x."""
-    if isinstance(x, Fraction):
-        return c * x
-    return x * c  # Scalar / Poly implement __mul__ with Fraction
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,7 @@ class JordanAlgebra:
                 for c in range(n):
                     s = row[b][c]
                     if s != 0:
-                        out[c] = out[c] + _scale(s, prod)
+                        out[c] = out[c] + s * prod
         return out
 
     def L(self, x: Sequence) -> list:
@@ -92,7 +85,7 @@ class JordanAlgebra:
                 for c in range(n):
                     s = self.structure[b][a][c]
                     if s != 0:
-                        m[c][a] = m[c][a] + _scale(s, xb)
+                        m[c][a] = m[c][a] + s * xb
         return m
 
     def tau(self, x: Sequence, y: Sequence):
@@ -107,7 +100,7 @@ class JordanAlgebra:
     def trace(self, x: Sequence):
         """Jordan trace: (r/n) * Tr L(x); equals the matrix trace for
         matrix algebras and satisfies trace(e) = rank."""
-        return _scale(Fraction(self.rank, self.dim), linalg.trace(self.L(x)))
+        return Fraction(self.rank, self.dim) * linalg.trace(self.L(x))
 
     def box(self, x: Sequence, y: Sequence) -> list:
         """Matrix of z -> {x, y, z}: L(x o y) + [L(x), L(y)]."""

@@ -407,7 +407,15 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     coordinates of theta e_b from ``theta_coords`` as in ``verify_theta``;
     the right-hand sides come from the Jordan algebra.  So
     the check asks whether the table that every later check uses reproduces
-    the box and the triple product."""
+    the box and the triple product.
+
+    It can fail only on a wrong build of the table or of theta, never on a
+    wrong structure-constant input.  theta e_b = f_b, so identity 1 reads
+    -1/2 [e_a, f_b] = e_a box e_b, which is the [e_a, f_b] block formula of
+    ``_block_table`` itself.  By identity 1 and the block [e_a, T] = -T e_a,
+    identity 2 reduces to (x box y) z = {x, y, z}, and with L(x) z = x o z
+    both sides expand to (x o y) o z + x o (y o z) - y o (x o z) for any
+    table, Jordan or not."""
     A = g.jordan
     n, minus_half = g.n, Fraction(-1, 2)
     unit, theta = linalg.identity(g.dim), g.theta_coords

@@ -1,8 +1,11 @@
 """Small exact linear algebra helpers over Fraction.
 
 Matrices are lists of lists of Fractions (or of any commutative ring
-element for the generic routines).  Sizes here are tiny (<= 36), so plain
-Gaussian elimination is fine.
+element for the generic routines).  Eliminations run on n x n matrices,
+n the dimension of the Jordan algebra (at most 6 for a built-in, 27 for
+the Albert algebra loaded from a table), and on the degree-zero span of
+g, whose vectors are flattened n x n matrices; plain Gaussian elimination
+is used throughout.
 """
 
 from __future__ import annotations

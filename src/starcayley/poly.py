@@ -11,8 +11,9 @@ and hash equal, so the split is invisible to every identity; it exists
 because integer arithmetic is several times cheaper, and each operation
 stores an integral result as an ``int``.  Carrying nu as a trailing
 exponent, which may be negative, lets products and derivatives treat it
-like any other exponent.  ``Scalar`` is the public Laurent scalar;
-``Poly.coeff`` returns the coefficient of one monomial as a Scalar.
+like any other exponent.  ``Scalar``, the Laurent polynomial in nu, is
+the Poly over no variables, with keys (nu-power,); ``Poly.coeff`` returns
+the coefficient of one monomial as a Scalar.
 """
 
 from __future__ import annotations
@@ -20,11 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Callable, Dict, Mapping, Tuple
 
-from .scalars import NotDivisible, Scalar
-
 Key = Tuple[int, ...]
+
+
+class NotDivisible(ArithmeticError):
+    """No exact quotient exists in the Laurent ring."""
+
+
+def rational_to_str(x) -> str:
+    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 class VarSetMismatch(ValueError):
@@ -57,6 +65,9 @@ def varset(*names: str) -> VarSet:
     return VarSet(tuple(names))
 
 
+NO_VARS = VarSet(())
+
+
 def exact(c):
     """c as an exact rational, an int when integral; raises TypeError on
     anything else (a float, a bool, a Scalar)."""
@@ -84,6 +95,19 @@ def add_terms(t1: dict, t2: dict) -> dict:
     return out
 
 
+def mul_terms(t1: dict, t2: dict) -> dict:
+    """The product of two Poly term dicts: keys add entry by entry."""
+    out: dict = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            if e in out:
+                out[e] += c1 * c2
+            else:
+                out[e] = c1 * c2
+    return pruned(out)
+
+
 def scale_terms(terms: dict, c, shift: Callable[[tuple, int], tuple]) -> dict:
     """terms times c, a rational or a Scalar; ``shift(key, k)`` is the key
     multiplied by nu^k."""
@@ -91,8 +115,7 @@ def scale_terms(terms: dict, c, shift: Callable[[tuple, int], tuple]) -> dict:
         c = exact(c)
         return pruned({k: v * c for k, v in terms.items()}) if c else {}
     out: dict = {}
-    for s, cs in c.coeffs.items():
-        cs = exact(cs)
+    for (s,), cs in c.terms.items():
         for k, v in terms.items():
             k = shift(k, s)
             out[k] = out[k] + v * cs if k in out else v * cs
@@ -191,18 +214,10 @@ class Poly(FlatTerms):
 
     # -- ring ops -----------------------------------------------------------
     def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
+        if not isinstance(other, Poly) or isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                if e in out:
-                    out[e] += c1 * c2
-                else:
-                    out[e] = c1 * c2
-        return self._new(self.vs, pruned(out))
+        return self._new(self.vs, mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -279,12 +294,124 @@ class Poly(FlatTerms):
                 if k > 0
             )
             cs = str(c)
-            if len(c.coeffs) > 1:
+            if len(c.terms) > 1:
                 cs = f"({cs})"
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+class Scalar(Poly):
+    """Laurent polynomial sum_k c_k nu^k with rational c_k: the Poly over no
+    variables, with terms {(k,): c_k}.  Its ring operations are Poly's; it
+    adds int and Fraction operands, equality and hashing with rationals,
+    exact division, evaluation at a rational nu and its own display."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Mapping | None = None):
+        super().__init__(NO_VARS, {(k,): c for k, c in (coeffs or {}).items()})
+
+    # -- constructors -------------------------------------------------
+    @staticmethod
+    def zero() -> "Scalar":
+        return _ZERO
+
+    @staticmethod
+    def one() -> "Scalar":
+        return _ONE
+
+    @staticmethod
+    def of(c) -> "Scalar":
+        return Scalar({0: c})
+
+    @staticmethod
+    def nu(k: int = 1, coeff=1) -> "Scalar":
+        """coeff * nu^k (k may be negative)."""
+        return Scalar({k: coeff})
+
+    @property
+    def coeffs(self) -> Mapping[int, Fraction]:
+        """Read-only view {nu-power: nonzero Fraction}."""
+        return MappingProxyType({k: Fraction(c) for (k,), c in self.terms.items()})
+
+    # -- ring operations, with rational operands ------------------------
+    def __add__(self, other) -> "Scalar":
+        if isinstance(other, (int, Fraction)):
+            other = Scalar.of(other)
+        elif not isinstance(other, Scalar):
+            return NotImplemented
+        return super().__add__(other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "Scalar":
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if isinstance(other, Scalar):
+            return self._new(NO_VARS, mul_terms(self.terms, other.terms))
+        return NotImplemented
+
+    def __rmul__(self, other) -> "Scalar":
+        # p * s for a Poly p over variables is Poly.__mul__'s scaling, not a
+        # product of Scalars
+        return NotImplemented if isinstance(other, Poly) else self * other
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(0,): other} if other else {})
+        return self.terms == other.terms if isinstance(other, Scalar) else NotImplemented
+
+    def __hash__(self):
+        # a constant equals its rational, so it must hash like it
+        if self.terms.keys() <= {(0,)}:
+            return hash(self.terms.get((0,), 0))
+        return super().__hash__()
+
+    # -- division and evaluation ---------------------------------------------
+    def div_exact(self, other: "Scalar") -> "Scalar":
+        """Exact quotient q with q*other == self, else NotDivisible: long
+        division after shifting both to ordinary polynomials in nu."""
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            raise ZeroDivisionError("division by zero Scalar")
+        amin, bmin = min(a, default=0), min(b)
+        rem = {k - amin: c for k, c in a.items()}
+        b = {k - bmin: c for k, c in b.items()}
+        bdeg = max(b)
+        quot: dict = {}
+        while rem and max(rem) >= bdeg:
+            rdeg = max(rem)
+            q = quot[rdeg - bdeg] = rem[rdeg] / b[bdeg]
+            for k, c in b.items():
+                s = rem.get(k + rdeg - bdeg, 0) - q * c
+                if s:
+                    rem[k + rdeg - bdeg] = s
+                else:
+                    rem.pop(k + rdeg - bdeg, None)
+        if rem:
+            raise NotDivisible("no exact Laurent quotient")
+        return Scalar({k + amin - bmin: c for k, c in quot.items()})
+
+    def eval_nu(self, value) -> Fraction:
+        """Substitute a rational for nu (CLI-level only); raises
+        ZeroDivisionError at nu = 0 when a negative power is present."""
+        return Fraction(super().eval_nu(value).terms.get((0,), 0))
+
+    # -- display ------------------------------------------------------------
+    def __str__(self) -> str:
+        parts = []
+        for (k,), c in sorted(self.terms.items(), reverse=True):
+            c = rational_to_str(c)
+            parts.append(c if k == 0 else f"{c}*nu" if k == 1 else f"{c}*nu^{k}")
+        return " + ".join(parts) or "0"
+
+    __repr__ = __str__
+
+
+_ZERO = Scalar()
+_ONE = Scalar({0: 1})
 
 
 def scalar_ratio(p: "Poly", q: "Poly"):

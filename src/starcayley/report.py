@@ -249,7 +249,6 @@ def run_star_suite(ctx: InstanceContext) -> dict:
     samples = [_random_poly(rng, ch) for _ in range(3)]
     N, b_ok = weyl_mod.verify_property_B(ch, samples)
     out["property_B_order"] = N
-    ctx._cache["property_B_order"] = N
     out["passed"] = (
         unit_ok
         and lowest_ok
@@ -350,8 +349,8 @@ def run(config: RunConfig) -> VerificationReport:
         rep.constants["dim_g"] = g.dim
         rep.constants["c"] = rational_to_str(g.mu)
         rep.constants["beta_oo"] = rational_to_str(g.beta(g.o, g.o))
-    if "property_B_order" in ctx._cache:
-        rep.constants["N"] = ctx._cache["property_B_order"]
+    if "property_B_order" in rep.suites.get("star", {}):
+        rep.constants["N"] = rep.suites["star"]["property_B_order"]
     for key, seconds in ctx.build_s.items():
         rep.timings[f"build:{key}"] = seconds
     return rep

@@ -32,6 +32,11 @@ class TestExitCodes:
         assert code == 2
         assert "mu" in err
 
+    def test_show_zero_mu_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "show", "--algebra", "rank1", "--mu", "0", "--what", "rho")
+        assert code == 2
+        assert out == "" and err == "error: mu must be nonzero\n"
+
     def test_unknown_algebra_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--algebra", "oct:3")
         assert code == 2

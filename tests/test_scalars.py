@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from starcayley.scalars import NotDivisible, Scalar, rational_to_str
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 fractions_st = st.fractions(
     min_value=-20, max_value=20, max_denominator=6
@@ -68,3 +74,24 @@ class TestScalarRing:
 def test_rational_str_roundtrip():
     for v in (Fraction(0), Fraction(-7, 3), Fraction(5)):
         assert Fraction(rational_to_str(v)) == v
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0])
+def test_rejects_float_coefficients(value):
+    with pytest.raises(TypeError):
+        Scalar({0: value})
+    with pytest.raises(TypeError):
+        Scalar.nu(1, value)
+    with pytest.raises(TypeError):
+        Scalar.one() * value
+
+
+@pytest.mark.parametrize("module", ["starcayley.scalars", "starcayley.poly"])
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    out = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
