@@ -33,7 +33,9 @@ class TestExitCodes:
         assert "mu" in err
 
     def test_show_zero_mu_is_config_error(self, capsys):
-        code, out, err = run_cli(capsys, "show", "--algebra", "rank1", "--mu", "0", "--what", "rho")
+        code, out, err = run_cli(
+            capsys, "show", "--algebra", "rank1", "--mu", "0", "--what", "rho"
+        )
         assert code == 2
         assert out == "" and err == "error: mu must be nonzero\n"
 
