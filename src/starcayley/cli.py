@@ -1,16 +1,22 @@
 """Command-line driver.
 
     starcayley verify --algebra spin:3 --mu 1 --suites all --format json --out report.json
+    starcayley verify --algebra sym:3 --profile 20
     starcayley list-algebras
     starcayley show --algebra sym:2 --what bracket-table|moment-maps|rho|dpi
 
 Exit codes: 0 all selected suites pass, 1 some suite failed, 2 bad config.
+``--profile N`` runs the verification under cProfile and prints the N
+entries with the most own time to stderr; stdout and the exit code do not
+change.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
+import pstats
 import sys
 from fractions import Fraction
 
@@ -24,6 +30,18 @@ def _parse_mu(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad --mu value {text!r}: {exc}")
+
+
+def _parse_profile(text):
+    if text is None:
+        return None
+    try:
+        top = int(text)
+    except ValueError:
+        top = 0
+    if top <= 0:
+        raise ConfigError(f"bad --profile value {text!r}: must be a positive integer")
+    return top
 
 
 def _parse_suites(text: str) -> tuple:
@@ -41,7 +59,13 @@ def cmd_verify(args) -> int:
         out=args.out,
         seed=args.seed,
     )
-    rep = report.run(config)
+    top = _parse_profile(args.profile)
+    if top is None:
+        rep = report.run(config)
+    else:
+        profile = cProfile.Profile()
+        rep = profile.runcall(report.run, config)
+        pstats.Stats(profile, stream=sys.stderr).sort_stats("tottime").print_stats(top)
     if rep.algebra_error is not None:
         raise ConfigError(rep.algebra_error)
     print(report.write_report(rep, config))
@@ -95,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", default="text", choices=("text", "json"))
     v.add_argument("--out", default=None)
     v.add_argument("--seed", type=int, default=20260826)
+    v.add_argument("--profile", default=None, metavar="N", help="print the top N by own time")
     v.set_defaults(func=cmd_verify)
 
     ls = sub.add_parser("list-algebras", help="list built-in instances")

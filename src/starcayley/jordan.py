@@ -2,8 +2,8 @@
 
 Built-in instances (rank one, spin factors, real symmetric matrices), a
 generic loader, symbolic validation of the axioms, and the standard
-operators: left multiplication L, trace form tau, box operator, triple
-product, quadratic representation.
+operators: left multiplication L, trace form tau, box operator (the
+matrix of the triple product), quadratic representation.
 
 Element coordinates are generic: they may be Fractions or Polys;
 everything here only uses +, -, * and scaling by rational structure
@@ -106,13 +106,6 @@ class JordanAlgebra:
         """Matrix of z -> {x, y, z}: L(x o y) + [L(x), L(y)]."""
         lx, ly = self.L(x), self.L(y)
         return linalg.mat_add(self.L(self.mul(x, y)), linalg.commutator(lx, ly))
-
-    def triple(self, x: Sequence, y: Sequence, z: Sequence) -> list:
-        """{x, y, z} = (x o y) o z + x o (y o z) - y o (x o z)."""
-        t1 = self.mul(self.mul(x, y), z)
-        t2 = self.mul(x, self.mul(y, z))
-        t3 = self.mul(y, self.mul(x, z))
-        return [a + b - c for a, b, c in zip(t1, t2, t3)]
 
     def quadratic_rep(self, z: Sequence) -> list:
         """P(z) = 2 L(z)^2 - L(z^2); satisfies P(z)v = {z, v, z}."""

@@ -25,10 +25,22 @@ such vectors, ``coord_bracket`` brackets them, with rational or Poly
 entries, through the table, and beta pairs them through the Killing Gram
 matrix K = tr(ad_i ad_j), which is computed from the table like the spur
 vector.
+
+The table is stored once, as integer numerators D c_ij^k over one common
+denominator D, the lcm of the denominators of the constants (D = 2 on
+sym:p, D = 1 on the spin factors); this is the layout of FLINT's
+fmpq_mat.  Theta is held the same way over its own denominator D_theta.
+K, the spur vector, E and o hold an int wherever the value is integral,
+as ``poly.exact`` does.  The checks of the lie suite run on these
+integers with sparse dict accumulators and divide each residual once, at
+the end, by its power of D and D_theta.  Fractions are formed only there,
+in the views ``bracket_coords``, ``bracket_table``, ``coord_bracket`` and
+``apply_theta``, and where a check compares with Jordan data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -36,6 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .jordan import JordanAlgebra
+from .poly import exact
 
 
 class GradingClosureFailure(ValueError):
@@ -55,6 +68,32 @@ def _flat(m: Sequence[Sequence]) -> list:
     return [x for row in m for x in row]
 
 
+def _ratio(num: int, den: int):
+    """num / den exactly, an int when den divides num."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _common_denominator(values) -> int:
+    """The least common denominator of rational values."""
+    return math.lcm(*(x.denominator for x in values))
+
+
+def _sparse_sum(terms, acc: Optional[dict] = None) -> dict:
+    """acc plus the sum of c row over the pairs (c, row) of terms, with
+    each row a sparse dict; acc is updated in place."""
+    acc = {} if acc is None else acc
+    for c, row in terms:
+        for m, x in row.items():
+            acc[m] = acc.get(m, 0) + c * x
+    return acc
+
+
+def _sparse_numerators(row: Sequence, den: int) -> dict:
+    """{m: den row[m]} over the nonzero entries, as ints; den must be a
+    common denominator of the row."""
+    return {m: (x * den).numerator for m, x in enumerate(row) if x}
+
+
 @dataclass
 class GradedLieAlgebra:
     jordan: JordanAlgebra
@@ -67,10 +106,13 @@ class GradedLieAlgebra:
     _span: linalg.Echelon = field(init=False)
     tau_gram: linalg.Matrix = field(init=False)
     _tau_gram_inv: linalg.Matrix = field(init=False)
-    bracket_table: dict = field(init=False)
+    # the matrices e_a box e_b, at index a n + b
+    _boxes: List[linalg.Matrix] = field(init=False)
+    # D and the numerators D c_ij^k, keyed (i, j) in both orders
+    denom: int = field(init=False)
     _structure: dict = field(init=False)
     killing: linalg.Matrix = field(init=False)
-    spur_vector: List[Fraction] = field(init=False)
+    spur_vector: list = field(init=False)
     E: list = field(init=False)
     o: list = field(init=False)
 
@@ -101,8 +143,8 @@ class GradedLieAlgebra:
                 return {len(basis) - 1: Fraction(1)}
             return {k: x for k, x in enumerate(c) if x}
 
-        boxes = [A.box(e[a], e[b]) for a in range(n) for b in range(n)]
-        box_coords = [absorb(m) for m in boxes]
+        self._boxes = [A.box(e[a], e[b]) for a in range(n) for b in range(n)]
+        box_coords = [absorb(m) for m in self._boxes]
         rounds = 0
         while True:
             rounds += 1
@@ -122,20 +164,23 @@ class GradedLieAlgebra:
         self.t_basis = basis
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
-        self.bracket_table = self._block_table(box_coords, comm, sharps)
-        self._structure = dict(self.bracket_table)
-        for (i, j), nz in self.bracket_table.items():
-            self._structure[(j, i)] = {k: -c for k, c in nz.items()}
+        table = self._block_table(box_coords, comm, sharps)
+        D = self.denom = _common_denominator(c for nz in table.values() for c in nz.values())
+        self._structure = {}
+        for (i, j), nz in table.items():
+            row = self._structure[(i, j)] = {k: (c * D).numerator for k, c in nz.items()}
+            self._structure[(j, i)] = {k: -c for k, c in row.items()}
         self.killing = self._build_killing()
         # trace of ad e_j on g(-1)
+        S = self._structure
         self.spur_vector = [
-            sum((self.bracket_coords(j, a).get(a, 0) for a in range(self.n)), Fraction(0))
+            _ratio(sum(S[(j, a)].get(a, 0) for a in range(n) if (j, a) in S), self.denom)
             for j in range(self.dim)
         ]
         # E = (0, Id, 0), whose ad is the grading operator, and o = mu E
-        zero = [Fraction(0)] * n
-        self.E = zero + self.t_coords(linalg.identity(n)) + zero
-        self.o = [self.mu * c for c in self.E]
+        zero = [0] * n
+        self.E = zero + [exact(c) for c in self.t_coords(linalg.identity(n))] + zero
+        self.o = [exact(self.mu * c) for c in self.E]
 
     # -- coordinates --------------------------------------------------------
     def t_coords(self, t: Sequence[Sequence]) -> list:
@@ -192,20 +237,23 @@ class GradedLieAlgebra:
         )
 
     @cached_property
-    def theta_coords(self) -> List[list]:
-        """Theta: row i holds the coordinates of theta e_i, taken from the
+    def theta_table(self) -> Tuple[List[dict], int]:
+        """Theta as (rows, D_theta): row i maps m to the integer numerator
+        of the m-th coordinate of theta e_i over D_theta.  Taken from the
         model on first use."""
-        return [self.to_coords(self.theta(self.from_coords(e))) for e in linalg.identity(self.dim)]
+        rows = [self.to_coords(self.theta(self.from_coords(e))) for e in linalg.identity(self.dim)]
+        den = _common_denominator(_flat(rows))
+        return [_sparse_numerators(row, den) for row in rows], den
 
     def apply_theta(self, c: Sequence) -> list:
-        """theta on a coordinate vector, through Theta."""
-        out = [Fraction(0)] * self.dim
+        """theta on a rational coordinate vector, through Theta."""
+        rows, den = self.theta_table
+        out = [0] * self.dim
         for k, ck in enumerate(c):
             if ck:
-                for m, t in enumerate(self.theta_coords[k]):
-                    if t:
-                        out[m] += ck * t
-        return out
+                for m, t in rows[k].items():
+                    out[m] += ck * t
+        return [Fraction(x, den) for x in out]
 
     def _block_table(self, box_coords: list, comm: dict, sharps: list) -> dict:
         """Nonzero c_ij^k for i < j, keyed in that order, block by block:
@@ -238,14 +286,22 @@ class GradedLieAlgebra:
         return table
 
     def bracket_coords(self, i: int, j: int) -> dict:
-        """Nonzero coordinates of [e_i, e_j]."""
-        return self._structure.get((i, j), {})
+        """Nonzero coordinates of [e_i, e_j], ints where integral."""
+        D = self.denom
+        return {k: _ratio(c, D) for k, c in self._structure.get((i, j), {}).items()}
+
+    @property
+    def bracket_table(self) -> dict:
+        """Nonzero c_ij^k for i < j, keyed in that order, as
+        ``bracket_coords`` gives them."""
+        return {(i, j): self.bracket_coords(i, j) for i, j in self._structure if i < j}
 
     def coord_bracket(self, x: Sequence, y: Sequence) -> list:
         """[x, y] on coordinate vectors, through the structure constants.
 
-        Entries may be rationals or Polys; the entries of the result have
-        the type of x[0] * y[0].
+        Entries may be rationals or Polys; they are multiplied by the
+        integer numerators and each sum is divided by D once.  The entries
+        of the result have the type of x[0] * y[0] / D.
         """
         out: list = [None] * self.dim
         for i, xi in enumerate(x):
@@ -259,28 +315,36 @@ class GradedLieAlgebra:
                 for k, c in nz.items():
                     t = p * c
                     out[k] = t if out[k] is None else out[k] + t
+        if self.denom != 1:
+            scale = Fraction(1, self.denom)
+            out = [None if v is None else v * scale for v in out]
         probe = x[0] * y[0]
         zero = probe - probe
         return [zero if v is None else v for v in out]
 
     def _build_killing(self) -> linalg.Matrix:
-        """K_ij = tr(ad e_i ad e_j) = sum over k, l of c_il^k c_jk^l.  The table
-        respects the grading, so K_ij = 0 unless the grades of i and j sum to
-        zero: only g(-1) x g(1) and g(0) x g(0) are traced, for j >= i."""
+        """K_ij = tr(ad e_i ad e_j) = sum over k, l of c_il^k c_jk^l, summed
+        over the integer numerators and divided by D^2.  The table respects
+        the grading, so K_ij = 0 unless the grades of i and j sum to zero:
+        only g(-1) x g(1) and g(0) x g(0) are traced, for j >= i."""
         d, n, f = self.dim, self.n, self.n + self.dim0
-        ads = [[self.bracket_coords(i, l) for l in range(d)] for i in range(d)]
+        S, D2 = self._structure, self.denom**2
+        ads = [[S.get((i, l)) for l in range(d)] for i in range(d)]
 
         def trace(adi, adj):
-            return sum(
-                (c * adj[k].get(l, 0) for l, col in enumerate(adi) for k, c in col.items()),
-                Fraction(0),
-            )
+            s = 0
+            for l, col in enumerate(adi):
+                if col:
+                    for k, c in col.items():
+                        if adj[k]:
+                            s += c * adj[k].get(l, 0)
+            return s
 
-        K = linalg.zeros(d, d)
+        K = [[0] * d for _ in range(d)]
         pairs = [(i, j) for i in range(n) for j in range(f, d)]
         pairs += [(i, j) for i in range(n, f) for j in range(i, f)]
         for i, j in pairs:
-            K[i][j] = K[j][i] = trace(ads[i], ads[j])
+            K[i][j] = K[j][i] = _ratio(trace(ads[i], ads[j]), D2)
         return K
 
     def beta(self, x: Sequence, y: Sequence) -> Fraction:
@@ -343,24 +407,32 @@ def verify_antisymmetry(g: GradedLieAlgebra) -> SuiteResult:
     return _combine("antisymmetry", res)
 
 
+def _witness(ijk: tuple, residual: Fraction) -> str:
+    return f"first failing (i, j, k) = {ijk}, residual {residual}"
+
+
 def verify_jacobi(g: GradedLieAlgebra) -> SuiteResult:
-    """Jacobi identity on all basis triples i < j < k, via the sparse table."""
-    res = Fraction(0)
-    bad = 0
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                acc = [Fraction(0)] * g.dim
+    """Jacobi identity on all basis triples i < j < k, via the integer table:
+    each cyclic term c_bc^m c_am^p has its numerator over D^2, and a term
+    whose inner bracket [e_b, e_c] is zero is skipped.  On failure the
+    detail names the first failing triple and its residual."""
+    S, d, D2 = g._structure, g.dim, g.denom**2
+    res = bad = 0
+    first = None
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                acc: dict = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = g.bracket_coords(b, c)
-                    for m, cm in inner.items():
-                        for p, cp in g.bracket_coords(a, m).items():
-                            acc[p] += cm * cp
-                r = sum(abs(x) for x in acc)
+                    if (b, c) in S:
+                        _sparse_sum(((x, S.get((a, m), {})) for m, x in S[(b, c)].items()), acc)
+                r = sum(map(abs, acc.values()))
                 if r:
                     bad += 1
                     res += r
-    return _combine("jacobi", res, f"{bad} failing triples" if bad else "")
+                    first = first or ((i, j, k), r)
+    detail = f"{bad} failing triples; {_witness(first[0], Fraction(first[1], D2))}" if bad else ""
+    return _combine("jacobi", Fraction(res, D2), detail)
 
 
 def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
@@ -384,18 +456,27 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
 
     With Theta the coordinates of theta(e_i), taken once from the model,
     Theta^2 = 1 and Theta [e_i, e_j] = [Theta e_i, Theta e_j] are checked
-    through the structure constants."""
-    theta = g.theta_coords
-    res = Fraction(0)
-    for i in range(g.dim):
-        tt = g.apply_theta(theta[i])
-        res += sum(abs(x - (1 if m == i else 0)) for m, x in enumerate(tt))
-        for j in range(i + 1, g.dim):
-            nz = g.bracket_coords(i, j)
-            lhs = g.apply_theta([nz.get(k, 0) for k in range(g.dim)])
-            rhs = g.coord_bracket(theta[i], theta[j])
-            res += sum(abs(a - b) for a, b in zip(lhs, rhs))
-    return _combine("theta", res)
+    through the structure constants, on integer numerators: the square
+    over D_theta^2, both sides of the automorphism identity over
+    D D_theta^2."""
+    rows, dt = g.theta_table
+    S, d, D = g._structure, g.dim, g.denom
+    square = automorphism = 0
+    for i in range(d):
+        acc = _sparse_sum(((t, rows[k]) for k, t in rows[i].items()), {i: -dt * dt})
+        square += sum(map(abs, acc.values()))
+        for j in range(i + 1, d):
+            acc = _sparse_sum((dt * c, rows[k]) for k, c in S.get((i, j), {}).items())
+            products = ((p, q, tp * tq) for p, tp in rows[i].items() for q, tq in rows[j].items())
+            _sparse_sum(((-w, S[(p, q)]) for p, q, w in products if (p, q) in S), acc)
+            automorphism += sum(map(abs, acc.values()))
+    return _combine("theta", Fraction(square * D + automorphism, D * dt * dt))
+
+
+def _distance(num: dict, den: int, want: dict):
+    """den times the l1 distance between the vector num / den and want,
+    both sparse."""
+    return sum(abs(num.get(m, 0) - den * want.get(m, 0)) for m in num.keys() | want.keys())
 
 
 def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
@@ -403,9 +484,12 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     basis e_a of g(-1):  e_a box e_b = -1/2 [e_a, theta e_b]  and
     {e_a, e_b, e_c} = -1/2 [[e_a, theta e_b], e_c].
 
-    The brackets are ``coord_bracket`` on coordinate vectors, with the
-    coordinates of theta e_b from ``theta_coords`` as in ``verify_theta``;
-    the right-hand sides come from the Jordan algebra.  So
+    The brackets are taken on the integer numerators of the table and of
+    Theta, with theta e_b from ``theta_table`` as in ``verify_theta``:
+    [e_a, theta e_b] over D D_theta and the double bracket over
+    D^2 D_theta.  The right-hand sides come from the Jordan algebra: the
+    matrix of e_a box e_b, with its coordinates along t_basis, and its
+    column c, which is {e_a, e_b, e_c} by the definition of the box.  So
     the check asks whether the table that every later check uses reproduces
     the box and the triple product.
 
@@ -416,40 +500,49 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     identity 2 reduces to (x box y) z = {x, y, z}, and with L(x) z = x o z
     both sides expand to (x o y) o z + x o (y o z) - y o (x o z) for any
     table, Jordan or not."""
-    A = g.jordan
-    n, minus_half = g.n, Fraction(-1, 2)
-    unit, theta = linalg.identity(g.dim), g.theta_coords
-    res = Fraction(0)
+    n = g.n
+    rows, dt = g.theta_table
+    S, D = g._structure, g.denom
+    boxes = triples = 0
     for a in range(n):
         for b in range(n):
-            inner = g.coord_bracket(unit[a], theta[b])
-            box = g.t_coords(A.box(A.basis_vector(a), A.basis_vector(b)))
-            want = [0] * n + box + [0] * n
-            res += sum(abs(x * minus_half - y) for x, y in zip(inner, want))
+            inner = _sparse_sum((t, S.get((a, q), {})) for q, t in rows[b].items())
+            box = g._boxes[a * n + b]
+            want = {n + k: y for k, y in enumerate(g.t_coords(box)) if y}
+            boxes += _distance(inner, -2 * D * dt, want)
             for c in range(n):
-                trip = A.triple(A.basis_vector(a), A.basis_vector(b), A.basis_vector(c))
-                want = trip + [0] * (g.dim - n)
-                dbl = g.coord_bracket(inner, unit[c])
-                res += sum(abs(x * minus_half - y) for x, y in zip(dbl, want))
-    return _combine(
-        "identifications", res, "box and triple product match the bracket forms"
-    )
+                dbl = _sparse_sum((x, S.get((m, c), {})) for m, x in inner.items())
+                want = {k: row[c] for k, row in enumerate(box) if row[c]}
+                triples += _distance(dbl, -2 * D * D * dt, want)
+    res = Fraction(boxes, 2 * D * dt) + Fraction(triples, 2 * D * D * dt)
+    return _combine("identifications", res, "box and triple product match the bracket forms")
 
 
 def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
     """beta([x,y],z) + beta(y,[x,z]) = 0 on all basis triples, that is
-    ad_i^T K + K ad_i = 0, summed over the entries j <= k."""
-    res = Fraction(0)
-    K = g.killing
-    for i in range(g.dim):
-        cols = [g.bracket_coords(i, j) for j in range(g.dim)]
-        for j in range(g.dim):
-            for k in range(j, g.dim):
-                r = sum((c * K[m][k] for m, c in cols[j].items()), Fraction(0)) + sum(
-                    (K[j][m] * c for m, c in cols[k].items()), Fraction(0)
-                )
-                res += abs(r)
-    return _combine("killing-invariance", res)
+    ad_i^T K + K ad_i = 0, summed over the entries j <= k.
+
+    On integer numerators, K over its denominator D_K: with
+    X_jk = sum_m c_ij^m K_mk the (j, k) entry is X_jk + X_kj, as K is
+    symmetric, with numerator over D D_K; X is accumulated sparsely.  On
+    failure the detail names the first failing (i, j, k) and its
+    residual."""
+    dk = _common_denominator(_flat(g.killing))
+    K = [_sparse_numerators(row, dk) for row in g.killing]
+    S, d, den = g._structure, g.dim, g.denom * dk
+    res = 0
+    first = None
+    for i in range(d):
+        X = [_sparse_sum((c, K[m]) for m, c in S.get((i, j), {}).items()) for j in range(d)]
+        pairs = {(min(j, k), max(j, k)) for j, row in enumerate(X) for k in row}
+        sums = {(j, k): abs(X[j].get(k, 0) + X[k].get(j, 0)) for j, k in pairs}
+        bad = {key: r for key, r in sums.items() if r}
+        res += sum(bad.values())
+        if bad and first is None:
+            j, k = min(bad)
+            first = ((i, j, k), bad[(j, k)])
+    detail = _witness(first[0], Fraction(first[1], den)) if first else ""
+    return _combine("killing-invariance", Fraction(res, den), detail)
 
 
 def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
@@ -468,29 +561,27 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
     [v', T] = T# v' and the -4 tau(u, v') block.  (The Killing form of gl(V),
     2n tr(TT') - 2 tr(T) tr(T'), agrees with it only when g(0) = gl(V).)
     """
-    A = g.jordan
     n, d0 = g.n, g.dim0
     G = g.tau_gram
-    e = [A.basis_vector(a) for a in range(n)]
-    boxes = [_flat(A.box(e[a], e[b])) for a in range(n) for b in range(n)]
+    boxes = [_flat(m) for m in g._boxes]
     box_coords = linalg.in_span(boxes, [_flat(t) for t in g.t_basis])
     if None in box_coords:
         raise GradingClosureFailure("g(0) is not spanned by the box operators")
-    # 2 tau(T e_a, e_b) = 2 (T^T G)[a][b], flattened in the order of `boxes`
-    pair = [
-        [2 * x for x in _flat(linalg.mat_mul(linalg.transpose(t), G))]
-        for t in g.t_basis
-    ]
+    # 2 tau(T e_a, e_b) = 2 (T^T G)[a][b], flattened in the order of `boxes`;
+    # both factors as integer numerators, the box coordinates sparse
+    pair = [_flat(linalg.mat_mul(linalg.transpose(t), G)) for t in g.t_basis]
+    dp = _common_denominator(_flat(pair))
+    pair = [[(2 * x * dp).numerator for x in row] for row in pair]
+    dc = _common_denominator(_flat(box_coords))
+    cols = [_sparse_numerators(col, dc) for col in box_coords]
 
-    out = linalg.zeros(g.dim, g.dim)
+    out = [[0] * g.dim for _ in range(g.dim)]
     for i in range(d0):
         for j in range(d0):
-            out[n + i][n + j] = sum(
-                (p * c for p, c in zip(pair[i], box_coords[j]) if c != 0), Fraction(0)
-            )
+            out[n + i][n + j] = _ratio(sum(pair[i][k] * c for k, c in cols[j].items()), dp * dc)
     for a in range(n):
         for b in range(n):
-            out[a][n + d0 + b] = out[n + d0 + b][a] = -4 * G[a][b]
+            out[a][n + d0 + b] = out[n + d0 + b][a] = exact(-4 * G[a][b])
     return out
 
 
@@ -499,22 +590,15 @@ def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction]:
     the closed block formula: intrinsic = kappa * closed.  Returns
     (kappa or None, residual after the best match)."""
     closed = closed_form_killing(g)
-    kappa = None
-    for i in range(g.dim):
-        for j in range(g.dim):
-            if closed[i][j] != 0:
-                kappa = g.killing[i][j] / closed[i][j]
-                break
-        if kappa is not None:
-            break
-    if kappa is None:
-        return None, sum(abs(x) for row in g.killing for x in row)
-    res = sum(
-        abs(g.killing[i][j] - kappa * closed[i][j])
-        for i in range(g.dim)
-        for j in range(g.dim)
-    )
-    return (kappa if res == 0 else None), res
+    pairs = [(x, y) for rk, rc in zip(g.killing, closed) for x, y in zip(rk, rc) if x or y]
+    ref = next(((x, y) for x, y in pairs if y), None)
+    if ref is None:
+        return None, Fraction(sum(abs(x) for x, _ in pairs))
+    # kappa = a / b from the first nonzero closed entry, and each
+    # |x - kappa y| = |b x - a y| / |b|, in integers where K and closed are
+    a, b = ref
+    res = Fraction(sum(abs(b * x - a * y) for x, y in pairs), abs(b))
+    return (Fraction(a, b) if res == 0 else None), res
 
 
 def run_structure_suite(g: GradedLieAlgebra) -> List[SuiteResult]:

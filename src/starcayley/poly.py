@@ -222,6 +222,12 @@ class Poly(FlatTerms):
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
 
+    def __add__(self, other) -> "Poly":
+        # a Scalar operand is a constant, in either order, as under *
+        if other.vs is not self.vs and isinstance(other, Scalar) and not isinstance(self, Scalar):
+            other = Poly.const(self.vs, other)
+        return FlatTerms.__add__(self, other)
+
     def __radd__(self, other) -> "Poly":
         return self + Poly.const(self.vs, other)
 
@@ -231,7 +237,7 @@ class Poly(FlatTerms):
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        r = Poly.const(self.vs, 1)
+        r = self._new(self.vs, {(0,) * (len(self.vs) + 1): 1})
         for _ in range(n):
             r = r * self
         return r

@@ -65,7 +65,7 @@ class StarRepresentation:
         # degree-zero coordinates h_j of h, w_j = (K.o)_j/(2 nu) + spur_j/2
         ko = [sum((k * c for k, c in zip(row, g.o) if c != 0), Fraction(0)) for row in g.killing]
         self._tau_weights = [
-            Scalar.nu(-1, ko[j] / 2) + Scalar.of(g.spur_vector[j] / 2)
+            Scalar.nu(-1, Fraction(ko[j], 2)) + Scalar.of(Fraction(g.spur_vector[j], 2))
             for j in range(g.n, g.n + g.dim0)
         ]
 

@@ -160,6 +160,24 @@ class TestExitCodes:
         assert code == 0
         assert "[PASS]" in out
 
+    @pytest.mark.parametrize("top", ["0", "-3", "x", "1.5", ""])
+    def test_bad_profile_is_config_error(self, capsys, top):
+        code, out, err = run_cli(capsys, "verify", "--algebra", "rank1", "--profile", top)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad --profile") and err.count("\n") == 1
+
+    def test_profile_leaves_stdout_and_exit_code(self, capsys):
+        args = ("verify", "--algebra", "spin:2", "--format", "json")
+        code, out, err = run_cli(capsys, *args)
+        code_p, out_p, err_p = run_cli(capsys, *args, "--profile", "5")
+        assert code_p == code == 0 and err == ""
+        plain, profiled = json.loads(out), json.loads(out_p)
+        assert plain.pop("timings").keys() == profiled.pop("timings").keys()
+        assert profiled == plain
+        assert "Ordered by: internal time" in err_p
+        assert "restriction <5>" in err_p
+
     def test_failing_suite_exit_one(self, capsys, monkeypatch):
         # a fault injected into the star transform (D_A shifted by the
         # identity) must fail the fourier suite and surface as exit 1

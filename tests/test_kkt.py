@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from starcayley import jordan, kkt, linalg
+from starcayley.report import BUILTIN_SELECTORS
 
 
 @pytest.mark.parametrize(
@@ -34,11 +35,11 @@ def spur(g: kkt.GradedLieAlgebra, h: list) -> Fraction:
     return sum((s * c for s, c in zip(g.spur_vector, h)), Fraction(0))
 
 
-def _perturbed_spin2() -> jordan.JordanAlgebra:
-    """spin:2 with one structure constant changed: not a Jordan algebra."""
-    A = jordan.make_spin_factor(2)
+def _perturbed(A: jordan.JordanAlgebra, a: int, b: int, c: int) -> jordan.JordanAlgebra:
+    """A with the structure constant of e_c in e_a o e_b raised by 1: not a
+    Jordan algebra."""
     S = [[list(row) for row in plane] for plane in A.structure]
-    S[0][1][1] += 1
+    S[a][b][c] += 1
     return jordan.JordanAlgebra(
         name="perturbed",
         dim=A.dim,
@@ -47,6 +48,70 @@ def _perturbed_spin2() -> jordan.JordanAlgebra:
         structure=jordan._freeze(S),
         unit=A.unit,
     )
+
+
+def _perturbed_spin2() -> jordan.JordanAlgebra:
+    # its table has D = 1 and its Theta D_theta = 3
+    return _perturbed(jordan.make_spin_factor(2), 0, 1, 1)
+
+
+def _perturbed_sym2() -> jordan.JordanAlgebra:
+    # its table has D = 2
+    return _perturbed(jordan.make_sym_matrices(2), 1, 0, 1)
+
+
+def _fraction_residuals(g: kkt.GradedLieAlgebra):
+    """Reference residuals in Fraction arithmetic, from ``bracket_coords``
+    and the model's theta only: the Jacobi and Killing-invariance residual
+    of each failing basis triple, keyed (i, j, k), and the theta residual."""
+    d = g.dim
+    c = [[g.bracket_coords(i, j) for j in range(d)] for i in range(d)]
+    jacobi = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                acc = [Fraction(0)] * d
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, cm in c[b][e].items():
+                        for p, cp in c[a][m].items():
+                            acc[p] += cm * cp
+                jacobi[(i, j, k)] = sum(abs(x) for x in acc)
+
+    theta = [g.to_coords(g.theta(g.from_coords(e))) for e in linalg.identity(d)]
+
+    def apply(v):
+        return [sum((v[k] * theta[k][m] for k in range(d)), Fraction(0)) for m in range(d)]
+
+    def bracket(x, y):
+        out = [Fraction(0)] * d
+        for i in range(d):
+            for j in range(d):
+                for k, ck in c[i][j].items():
+                    out[k] += x[i] * y[j] * ck
+        return out
+
+    theta_res = Fraction(0)
+    for i in range(d):
+        theta_res += sum(abs(x - (m == i)) for m, x in enumerate(apply(theta[i])))
+        for j in range(i + 1, d):
+            lhs = apply([c[i][j].get(k, 0) for k in range(d)])
+            theta_res += sum(abs(a - b) for a, b in zip(lhs, bracket(theta[i], theta[j])))
+
+    K = [
+        [sum(x * c[j][k].get(l, 0) for l in range(d) for k, x in c[i][l].items()) for j in range(d)]
+        for i in range(d)
+    ]
+    killing = {
+        (i, j, k): abs(
+            sum(x * K[m][k] for m, x in c[i][j].items())
+            + sum(K[j][m] * x for m, x in c[i][k].items())
+        )
+        for i in range(d)
+        for j in range(d)
+        for k in range(j, d)
+    }
+    failing = lambda by_triple: {t: r for t, r in by_triple.items() if r}
+    return failing(jacobi), theta_res, failing(killing)
 
 
 @pytest.mark.parametrize("selector", ["rank1", "spin:2", "spin:3", "sym:2", "spin:4", "perturbed"])
@@ -129,19 +194,30 @@ class TestKillingForm:
         kappa, res = kkt.measure_kappa(g)
         assert kappa == 1 and res == 0
 
+    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+    def test_kappa_is_a_fraction(self, selector, instance_cache):
+        # K and the closed form hold ints, and int / int would be a float
+        g = instance_cache("lie", selector)
+        kappa, res = kkt.measure_kappa(g)
+        assert type(kappa) is Fraction and kappa == 1
+        assert type(res) is Fraction and res == 0
+
     def test_invariance_fails_on_perturbed_structure(self):
-        # its bracket is not Killing-invariant
+        # its bracket is not Killing-invariant; the detail names the first
+        # failing triple
         result = kkt.verify_killing_invariance(kkt.GradedLieAlgebra(_perturbed_spin2()))
         assert not result.passed
         assert result.residual == 708
+        assert result.detail == "first failing (i, j, k) = (0, 2, 6), residual 18"
 
 
 def test_identifications_fail_on_perturbed_table(instance_cache):
     # one constant of [e_0, theta e_0] changed in the table, not in the model
     g = copy.copy(instance_cache("lie", "spin:2"))
     key = (0, g.n + g.dim0)
+    # the table holds numerators over D, so adding D raises the constant by 1
     structure = dict(g._structure)
-    structure[key] = {**structure[key], g.n: structure[key].get(g.n, 0) + 1}
+    structure[key] = {**structure[key], g.n: structure[key].get(g.n, 0) + g.denom}
     g._structure = structure
     result = kkt.verify_identifications(g)
     assert not result.passed
@@ -153,6 +229,33 @@ def test_theta_fails_on_perturbed_structure():
     result = kkt.verify_theta(kkt.GradedLieAlgebra(_perturbed_spin2()))
     assert not result.passed
     assert result.residual == Fraction(8, 3)
+
+
+def test_jacobi_fails_on_perturbed_structure():
+    # the detail counts the failing triples and names the first
+    result = kkt.verify_jacobi(kkt.GradedLieAlgebra(_perturbed_spin2()))
+    assert not result.passed
+    assert result.residual == 170
+    assert result.detail == "13 failing triples; first failing (i, j, k) = (0, 1, 6), residual 4"
+
+
+@pytest.mark.parametrize(
+    "make,denom,theta_denom", [(_perturbed_spin2, 1, 3), (_perturbed_sym2, 2, 1)]
+)
+def test_integer_checks_match_fraction_reference(make, denom, theta_denom):
+    # the checks run on numerators over D and D_theta and divide once at the
+    # end; each residual and witness must equal the Fraction computation
+    g = kkt.GradedLieAlgebra(make())
+    assert (g.denom, g.theta_table[1]) == (denom, theta_denom)
+    jacobi, theta, killing = _fraction_residuals(g)
+    results = kkt.verify_jacobi(g), kkt.verify_theta(g), kkt.verify_killing_invariance(g)
+    assert [r.residual for r in results] == [sum(jacobi.values()), theta, sum(killing.values())]
+    assert not any(r.passed for r in results)
+    for result, by_triple in ((results[0], jacobi), (results[2], killing)):
+        first = min(by_triple)
+        witness = f"first failing (i, j, k) = {first}, residual {by_triple[first]}"
+        assert result.detail.endswith(witness)
+    assert results[0].detail.startswith(f"{len(jacobi)} failing triples; ")
 
 
 class TestSymplecticStructure:

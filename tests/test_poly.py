@@ -130,6 +130,29 @@ class TestScalarOperand:
     def test_scalar_product_stays_scalar(self, a, b):
         assert type(a * b) is Scalar and type(a + b) is Scalar and type(-a) is Scalar
 
+    @given(laurent_polys(), scalars)
+    def test_sum_embeds_scalar_in_either_order(self, p, s):
+        # a Scalar operand is the constant Poly.const(p.vs, s), as under *
+        c = Poly.const(VS, s)
+        assert type(p + s) is Poly and p + s == s + p == p + c
+        assert type(p - s) is Poly and p - s == p - c
+        assert s - p == c - p
+
+    def test_scalar_sum_on_one_variable(self):
+        x, nu = Poly.var(varset("x"), "x"), Scalar.nu(1)
+        assert x + nu == nu + x and x - nu == -(nu - x)
+        assert (x + nu).vs == (x - nu).vs == varset("x")
+
+    @given(scalars, st.integers(0, 3))
+    def test_scalar_power_stays_scalar(self, s, k):
+        power = s**k
+        assert type(power) is Scalar
+        expected = Scalar.one()
+        for _ in range(k):
+            expected = expected * s
+        assert power == expected
+        assert type(Scalar.nu(1) ** 2) is Scalar and Scalar.nu(1) ** 2 == Scalar.nu(2)
+
 
 class TestScalarRatio:
     def test_exact_ratio(self):

@@ -50,6 +50,17 @@ class TestRankOneOracle:
         )
 
 
+def test_tau_weights_from_integer_killing_and_spur(instance_cache):
+    # K and the spur vector hold ints; w_j = (K.o)_j / (2 nu) + spur_j / 2
+    # must be built from Fractions, as int / 2 would be a float
+    g = instance_cache("lie", "rank1")
+    assert all(type(x) is int for row in g.killing for x in row)
+    assert all(type(x) is int for x in g.spur_vector)
+    (w,) = StarRepresentation(g)._tau_weights
+    assert w.coeffs == {-1: Fraction(1), 0: Fraction(1, 2)}
+    assert all(type(c) in (int, Fraction) for c in w.terms.values())
+
+
 class TestFieldPolynomials:
     def test_pure_cases(self, instance_cache):
         srep = instance_cache("srep", "spin:3")
