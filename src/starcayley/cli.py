@@ -108,8 +108,17 @@ def cmd_show(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError, so that it ends
+    as one ``error:`` line and exit 2 like every other bad input; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="starcayley", description=__doc__.strip().splitlines()[0])
+    p = _Parser(prog="starcayley", description=__doc__.strip().splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run verification suites on one instance")
@@ -136,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         ConfigError,

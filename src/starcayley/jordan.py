@@ -22,6 +22,11 @@ from .poly import Poly, VarSet
 from .scalars import rational_to_str
 
 
+# the largest dimension a built-in spin:k or sym:p may have; the builders
+# allocate a dense dim^3 table, and 64 keeps the Albert algebra's 27
+MAX_BUILTIN_DIM = 64
+
+
 class InvalidDimension(ValueError):
     pass
 
@@ -155,6 +160,11 @@ def make_rank_one() -> JordanAlgebra:
     )
 
 
+def _check_builtin_dim(name: str, n: int) -> None:
+    if n > MAX_BUILTIN_DIM:
+        raise InvalidDimension(f"{name} has dimension {n}, above the limit {MAX_BUILTIN_DIM}")
+
+
 def make_spin_factor(k: int) -> JordanAlgebra:
     """Spin factor on R + R^(k-1): (s,u) o (t,v) = (st + <u,v>, sv + tu).
 
@@ -162,6 +172,7 @@ def make_spin_factor(k: int) -> JordanAlgebra:
     """
     if k < 2:
         raise InvalidDimension("spin factor needs k >= 2")
+    _check_builtin_dim(f"spin:{k}", k)
     n = k
     S = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     S[0][0][0] = Fraction(1)
@@ -204,6 +215,7 @@ def make_sym_matrices(p: int) -> JordanAlgebra:
     """
     if p < 1:
         raise InvalidDimension("need p >= 1")
+    _check_builtin_dim(f"sym:{p}", p * (p + 1) // 2)
     basis = sym_matrix_basis(p)
     n = len(basis)
 

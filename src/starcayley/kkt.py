@@ -17,7 +17,7 @@ from this formula (``GradedLieAlgebra._block_table``): every basis element
 lies in one grading block, so each pair needs one of four block formulas,
 and the g(0) pieces come from the pass that closes the span of the boxes.
 The (u, T, v) model, with rational entries, is the construction's model:
-it gives the coordinates of theta on first use and is the independent
+it gives theta on g(0) on first use and is the independent
 oracle the table is tested against, but no check of the lie suite runs on
 it.  Outside this module an element of g is its coordinate vector in the
 basis (g(-1), t_basis, g(1)): E, o and the symplectic basis are held as
@@ -239,11 +239,18 @@ class GradedLieAlgebra:
     @cached_property
     def theta_table(self) -> Tuple[List[dict], int]:
         """Theta as (rows, D_theta): row i maps m to the integer numerator
-        of the m-th coordinate of theta e_i over D_theta.  Taken from the
+        of the m-th coordinate of theta e_i over D_theta.  As
+        theta(u, T, v) = (v, -T#, u) swaps e_a and f_a, the rows of g(-1)
+        and g(1) are written by index; those of g(0) are taken from the
         model on first use."""
-        rows = [self.to_coords(self.theta(self.from_coords(e))) for e in linalg.identity(self.dim)]
-        den = _common_denominator(_flat(rows))
-        return [_sparse_numerators(row, den) for row in rows], den
+        n, f = self.n, self.n + self.dim0
+        mid = [self.to_coords(self.theta(self.from_coords(e))) for e in linalg.identity(self.dim)[n:f]]
+        den = _common_denominator(_flat(mid))
+        return (
+            [{f + a: den} for a in range(n)]
+            + [_sparse_numerators(row, den) for row in mid]
+            + [{a: den} for a in range(n)]
+        ), den
 
     def apply_theta(self, c: Sequence) -> list:
         """theta on a rational coordinate vector, through Theta."""

@@ -95,17 +95,25 @@ def add_terms(t1: dict, t2: dict) -> dict:
     return out
 
 
-def mul_terms(t1: dict, t2: dict) -> dict:
-    """The product of two Poly term dicts: keys add entry by entry."""
-    out: dict = {}
+def mul_add(acc: dict, t1: dict, t2: dict, sign: int = 1) -> dict:
+    """Add sign t1 t2, for sign = 1 or -1, into the term dict acc, whose
+    keys add entry by entry; acc may be left with zero or integral
+    ``Fraction`` values.  Returns acc."""
     for e1, c1 in t1.items():
+        if sign < 0:
+            c1 = -c1
         for e2, c2 in t2.items():
             e = tuple(map(add, e1, e2))
-            if e in out:
-                out[e] += c1 * c2
+            if e in acc:
+                acc[e] += c1 * c2
             else:
-                out[e] = c1 * c2
-    return pruned(out)
+                acc[e] = c1 * c2
+    return acc
+
+
+def mul_terms(t1: dict, t2: dict) -> dict:
+    """The product of two Poly term dicts."""
+    return pruned(mul_add({}, t1, t2))
 
 
 def scale_terms(terms: dict, c, shift: Callable[[tuple, int], tuple]) -> dict:

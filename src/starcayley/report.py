@@ -244,8 +244,11 @@ def run_star_suite(ctx: InstanceContext) -> dict:
     out["associativity_trials"] = ASSOCIATIVITY_TRIALS
     out["associativity_failures"] = assoc_fail
 
-    cov_res, cov_bad = weyl_mod.verify_covariance(ch)
+    cov_res, _, cov_witness = weyl_mod.verify_covariance(ch)
     out["covariance_residual"] = str(cov_res)
+    if cov_witness is not None:
+        ij, r = cov_witness
+        out["covariance_witness"] = f"first failing (i, j) = {ij}, residual {r}"
     samples = [_random_poly(rng, ch) for _ in range(3)]
     N, b_ok = weyl_mod.verify_property_B(ch, samples)
     out["property_B_order"] = N

@@ -37,9 +37,9 @@ from .weyl import (
     WeylOperator,
     first_order,
     first_order_bracket,
+    first_order_parts,
     fourier_conjugate,
     holomorphic_frame,
-    split_first_order,
     uses_only,
 )
 
@@ -149,30 +149,34 @@ def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fra
     """Measure the sign s with [X_i, X_j] = s * X([e_i, e_j]) over all basis
     pairs i < j of first-order operators X_k = ops[k]; returns (s, residual).
 
-    Each operator is split once into its multiplier and vector field; each
-    commutator is their first-order bracket, and it is compared with the
-    image sum_k c_ij^k X_k component by component, both sign residuals in
-    the same pass.  s = +1 reports a homomorphism, s = -1 an
-    anti-homomorphism, s = 0 neither, with the smaller residual.  Raises
-    ValueError if an operator has a term of order > 1.
+    Each operator is split once into its multiplier and vector field, with
+    their gradients (``weyl.first_order_parts``).  Each commutator is their
+    first-order bracket, and it is compared with the image
+    sum_k c_ij^k X_k component by component, the image accumulated into one
+    term dict and both sign residuals summed over the union of the keys.
+    s = +1 reports a homomorphism, s = -1 an anti-homomorphism, s = 0
+    neither, with the smaller residual.  Raises ValueError if an operator
+    has a term of order > 1.
     """
-    parts = [split_first_order(op) for op in ops]
-    flat = [[f, *a] for f, a in parts]
-    res = {1: Fraction(0), -1: Fraction(0)}
+    fields = [first_order_parts(op) for op in ops]
+    res = {1: 0, -1: 0}
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             nz = g.bracket_coords(i, j).items()
-            f, a = first_order_bracket(parts[i], parts[j])
-            for c, comm in enumerate([f, *a]):
-                image = Poly.zero(comm.vs)
+            comm = first_order_bracket(fields[i], fields[j])
+            for c, terms in enumerate(comm):
+                image: dict = {}
                 for k, ck in nz:
-                    image = image + flat[k][c] * ck
-                res[1] += poly_abs(comm - image)
-                res[-1] += poly_abs(comm + image)
+                    for e, x in fields[k].parts[c].items():
+                        image[e] = image[e] + x * ck if e in image else x * ck
+                for e in terms.keys() | image.keys():
+                    a, b = terms.get(e, 0), image.get(e, 0)
+                    res[1] += abs(a - b)
+                    res[-1] += abs(a + b)
     for sign in (1, -1):
         if res[sign] == 0:
-            return sign, res[sign]
-    return 0, min(res.values())
+            return sign, Fraction(0)
+    return 0, Fraction(min(res.values()))
 
 
 def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tuple[int, Fraction]:

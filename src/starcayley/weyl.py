@@ -32,9 +32,9 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import add
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import FlatTerms, Poly, VarSet, VarSetMismatch, exact, pruned
+from .poly import FlatTerms, Poly, VarSet, VarSetMismatch, exact, mul_add, pruned
 from .scalars import Scalar
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -191,22 +191,44 @@ def split_first_order(op: WeylOperator) -> Tuple[Poly, List[Poly]]:
     return f, a
 
 
-def first_order_bracket(
-    x: Tuple[Poly, Sequence[Poly]], y: Tuple[Poly, Sequence[Poly]]
-) -> Tuple[Poly, List[Poly]]:
+class FirstOrderParts(NamedTuple):
+    """f + sum_j a_j d_j as the Poly term dicts parts = [f, a_1, ..., a_n],
+    with grads[c][v] the terms of d parts[c] / d x_v."""
+
+    parts: List[dict]
+    grads: List[List[dict]]
+
+
+def first_order_parts(op: WeylOperator) -> FirstOrderParts:
+    """op split as ``split_first_order`` splits it, with the gradient of each
+    part taken once, so that brackets with many operators reuse it."""
+    f, a = split_first_order(op)
+    comps = [f, *a]
+    names = op.vs.names
+    return FirstOrderParts(
+        [p.terms for p in comps],
+        [[p.diff(v).terms for v in names] if p.terms else [{}] * len(names) for p in comps],
+    )
+
+
+def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
     """[f + a.d, g + b.d] = (a.grad g - b.grad f) + sum_j (a.grad b_j - b.grad a_j) d_j,
-    on split parts (f, a) and (g, b); the second-order parts of the two
-    compositions cancel, so no normal ordering is needed."""
-    (f, a), (g, b) = x, y
-    names = f.vs.names
-    zero = Poly.zero(f.vs)
-
-    def along(c: Sequence[Poly], p: Poly) -> Poly:
-        if p.is_zero():
-            return zero
-        return sum((ci * p.diff(v) for ci, v in zip(c, names) if not ci.is_zero()), zero)
-
-    return along(a, g) - along(b, f), [along(a, bj) - along(b, aj) for aj, bj in zip(a, b)]
+    as the term dicts of its parts [multiplier, coefficient of d_1, ...],
+    which may hold zero values.  The second-order parts of the two
+    compositions cancel, so no normal ordering is needed; part c is
+    sum_v a_v d_v y.parts[c] - b_v d_v x.parts[c], multiplied and added
+    into one dict."""
+    a, b = x.parts[1:], y.parts[1:]
+    out = []
+    for dx, dy in zip(x.grads, y.grads):
+        acc: dict = {}
+        for av, bv, dxv, dyv in zip(a, b, dx, dy):
+            if av and dyv:
+                mul_add(acc, av, dyv)
+            if bv and dxv:
+                mul_add(acc, bv, dxv, -1)
+        out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +276,20 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
     the cached ``_pair_kernel`` of the pair's exponents.  Variables outside
     the pairs only add their exponents.
     """
+    return Poly._new(u.vs, pruned(_contractions(u, v, l_names, m_names)))
+
+
+def _contractions(
+    u: Poly,
+    v: Poly,
+    l_names: Sequence[str],
+    m_names: Sequence[str],
+    orders: Optional[Container[int]] = None,
+) -> dict:
+    """The unpruned terms of sum_s nu^s B_s(u, v), where u star v is the
+    sum over all s of nu^s B_s(u, v) and B_s takes s derivatives of each
+    factor: over every s when ``orders`` is None, else over the s in
+    ``orders``.  ``moyal_star`` is the case of every s."""
     vs = u.vs
     if v.vs != vs:
         raise VarSetMismatch(f"{vs.names} vs {v.vs.names}")
@@ -276,9 +312,11 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
                     e[j] -= s
                     e[-1] += s
                     w *= ws
+                if orders is not None and e[-1] - esum[-1] not in orders:
+                    continue
                 e, c = tuple(e), base * w
                 out[e] = out[e] + c if e in out else c
-    return Poly._new(vs, pruned(out))
+    return out
 
 
 def left_star_operator(
@@ -475,25 +513,35 @@ def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def verify_covariance(ch) -> Tuple[Fraction, int]:
+def verify_covariance(ch) -> Tuple[Fraction, int, Optional[Tuple[Tuple[int, int], Fraction]]]:
     """lambda_A star lambda_B - lambda_B star lambda_A = 2 nu {lambda_A, lambda_B}
-    over all basis pairs; returns (residual, failing pair count)."""
-    from .chart import poly_abs
+    over all basis pairs; returns (residual, failing pair count, witness),
+    the witness being the first failing pair (i, j) with its residual, or
+    None.
 
-    two_nu = Scalar.nu(1, Fraction(2))
-    res = Fraction(0)
-    bad = 0
-    for i in range(ch.g.dim):
-        for j in range(i + 1, ch.g.dim):
-            comm = moyal_star(ch.moment[i], ch.moment[j], ch.l_names, ch.m_names) - moyal_star(
-                ch.moment[j], ch.moment[i], ch.l_names, ch.m_names
-            )
-            d = comm - ch.poisson(ch.moment[i], ch.moment[j]) * two_nu
-            r = poly_abs(d)
-            if r:
-                bad += 1
-                res += r
-    return res, bad
+    Write u star v as the sum over s of nu^s B_s(u, v), where B_s takes s
+    derivatives of each factor.  B_1 is the Poisson bracket, by the formula
+    itself.  The Moyal symmetry u star_{-nu} v = v star_nu u gives
+    B_s(v, u) = (-1)^s B_s(u, v), since nu is central, so the even orders
+    cancel in the commutator, and the difference of the two sides is
+    exactly 2 sum over odd s >= 3 of nu^s B_s(u, v).  This holds for any
+    degrees and for coefficients that depend on nu.  Only those
+    contractions are formed, from the ``_pair_kernel`` factors, and only
+    on pairs whose moment maps both have degree >= 3, as B_s vanishes on
+    the others.
+    """
+    res, bad, witness = 0, 0, None
+    deg = [lam.total_degree() for lam in ch.moment]
+    cubic = [i for i, d in enumerate(deg) if d >= 3]
+    for i, j in itertools.combinations(cubic, 2):
+        odd = range(3, min(deg[i], deg[j]) + 1, 2)
+        tail = _contractions(ch.moment[i], ch.moment[j], ch.l_names, ch.m_names, odd)
+        r = 2 * sum(map(abs, tail.values()))
+        if r:
+            bad += 1
+            res += r
+            witness = witness or ((i, j), Fraction(r))
+    return Fraction(res), bad, witness
 
 
 def verify_property_B(ch, samples: Sequence[Poly]) -> Tuple[int, bool]:

@@ -15,6 +15,7 @@ from starcayley.report import (
     run_star_suite,
     write_report,
 )
+from starcayley.poly import Poly
 from starcayley.weyl import WeylOperator
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
@@ -53,6 +54,29 @@ class TestExitCodes:
     def test_bad_mu_string(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--mu", "one")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,start",
+        [
+            pytest.param(("verify", "--seed", "abc"), "error: argument --seed", id="bad-seed"),
+            pytest.param(("verify", "--format", "xml"), "error: argument --format", id="bad-format"),
+            pytest.param(
+                ("show", "--algebra", "rank1"), "error: the following arguments are required: --what",
+                id="missing-what",
+            ),
+            pytest.param((), "error: the following arguments are required: command", id="no-subcommand"),
+        ],
+    )
+    def test_malformed_command_line_is_one_error_line(self, capsys, argv, start):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(start) and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--algebra" in capsys.readouterr().out
 
     def test_spin_needs_two_dimensions(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--algebra", "spin:1")
@@ -378,3 +402,13 @@ class TestReportApi:
         assert run_star_suite(ctx)["passed"]
         assert run_fourier_suite(ctx)["passed"]
         assert len(calls) == ctx.lie.dim
+
+    def test_covariance_witness_only_on_failure(self):
+        ctx = InstanceContext(RunConfig(algebra="spin:2"))
+        assert "covariance_witness" not in run_star_suite(ctx)
+        ch = ctx.chart
+        l1, m1 = (Poly.var(ch.vs, x) for x in ("l1", "m1"))
+        ch.moment = [ch.moment[0] + l1 * m1 * m1, *ch.moment[1:]]
+        star = run_star_suite(ctx)
+        assert not star["passed"] and star["covariance_residual"] == "4"
+        assert star["covariance_witness"] == "first failing (i, j) = (0, 4), residual 4"

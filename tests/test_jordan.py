@@ -48,6 +48,15 @@ class TestBuiltins:
         y = [Fraction(3), Fraction(0), Fraction(5)]
         assert A.mul(x, y) == [Fraction(6), Fraction(3), Fraction(10)]
 
+    @pytest.mark.parametrize("kind", ["spin", "sym"])
+    def test_size_above_the_limit_is_rejected_before_building(self, kind):
+        # the first size whose dimension exceeds the limit: k = 65, p = 11
+        bound = jordan.MAX_BUILTIN_DIM
+        size = bound + 1 if kind == "spin" else next(p for p in range(1, bound) if p * (p + 1) > 2 * bound)
+        with pytest.raises(jordan.InvalidDimension, match=f"above the limit {bound}"):
+            jordan.make_algebra(f"{kind}:{size}")
+        assert bound >= 27  # the Albert algebra's dimension
+
     def test_sym_matrices_product_matches_matrices(self):
         A = jordan.make_sym_matrices(2)
         # E11 o F12 = 1/2 (E11 F12 + F12 E11) = 1/2 F12

@@ -231,6 +231,16 @@ def test_theta_fails_on_perturbed_structure():
     assert result.residual == Fraction(8, 3)
 
 
+@pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+def test_theta_table_matches_model(selector, instance_cache):
+    # the g(+-1) rows are written by index; the model gives every row
+    g = instance_cache("lie", selector)
+    model = [g.to_coords(g.theta(g.from_coords(e))) for e in linalg.identity(g.dim)]
+    rows, den = g.theta_table
+    assert den == kkt._common_denominator(x for row in model for x in row)
+    assert [[Fraction(row.get(m, 0), den) for m in range(g.dim)] for row in rows] == model
+
+
 def test_jacobi_fails_on_perturbed_structure():
     # the detail counts the failing triples and names the first
     result = kkt.verify_jacobi(kkt.GradedLieAlgebra(_perturbed_spin2()))

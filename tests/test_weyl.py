@@ -5,12 +5,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starcayley.chart import poly_abs
 from starcayley.poly import Poly, VarSet, varset
 from starcayley.scalars import Scalar
 from starcayley.weyl import (
     WeylOperator,
     first_order,
     first_order_bracket,
+    first_order_parts,
     fourier_conjugate,
     holomorphic_frame,
     left_star_operator,
@@ -162,7 +164,7 @@ class TestNormalOrdering:
 
 
 @st.composite
-def first_order_parts(draw):
+def split_operator_pairs(draw):
     """Two first-order operators as split parts (f, [a_j]) in 1-3 variables,
     with rational nu-Laurent coefficients."""
     vs = VarSet(tuple(f"x{i + 1}" for i in range(draw(st.integers(1, 3)))))
@@ -174,19 +176,21 @@ def first_order_parts(draw):
 
 
 class TestFirstOrder:
-    @given(first_order_parts())
+    @given(split_operator_pairs())
     @settings(max_examples=40, deadline=None)
     def test_split_inverts_constructor(self, xy):
         f, a = xy[0]
         assert split_first_order(first_order(f, a)) == (f, a)
 
-    @given(first_order_parts())
+    @given(split_operator_pairs())
     @settings(max_examples=40, deadline=None)
     def test_bracket_equals_composed_commutator(self, xy):
         # composition stays the independent cross-check of the bracket
         x, y = xy
         X, Y = first_order(*x), first_order(*y)
-        assert first_order(*first_order_bracket(x, y)) == X * Y - Y * X
+        parts = first_order_bracket(first_order_parts(X), first_order_parts(Y))
+        f, *a = (Poly(X.vs, t) for t in parts)
+        assert first_order(f, a) == X * Y - Y * X
 
     def test_second_order_term_raises(self):
         d = WeylOperator.partial(VS, "l1")
@@ -411,23 +415,68 @@ def test_property_b_fails_on_perturbed_operator(instance_cache):
     assert verify_property_B(ch, ch.moment) == (3, False)
 
 
+def full_commutator_covariance(ch):
+    """(residual, failing pairs) of covariance from the two star products
+    of every pair, the form ``verify_covariance`` reduces to odd orders."""
+    two_nu = Scalar.nu(1, Fraction(2))
+    res, bad = Fraction(0), 0
+    for i in range(ch.g.dim):
+        for j in range(i + 1, ch.g.dim):
+            u, v = ch.moment[i], ch.moment[j]
+            comm = moyal_star(u, v, ch.l_names, ch.m_names) - moyal_star(v, u, ch.l_names, ch.m_names)
+            r = poly_abs(comm - ch.poisson(u, v) * two_nu)
+            if r:
+                res, bad = res + r, bad + 1
+    return res, bad
+
+
+def _perturbed_chart(ch, edits):
+    """A copy of ch whose moment maps lambda_i gain edits[i](l1, m1)."""
+    ch = copy.copy(ch)
+    l1, m1 = Poly.var(ch.vs, "l1"), Poly.var(ch.vs, "m1")
+    moment = list(ch.moment)
+    for i, edit in edits.items():
+        moment[i] = moment[i] + edit(l1, m1)
+    ch.moment = moment
+    return ch
+
+
+@pytest.mark.parametrize("selector", ["spin:2", "spin:3", "sym:2"])
+def test_covariance_matches_full_commutator(selector, instance_cache):
+    ch = instance_cache("chart", selector)
+    assert verify_covariance(ch)[:2] == full_commutator_covariance(ch) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param({0: lambda l, m: l * m * m}, id="cubic"),
+        # a nu-dependent coefficient: the odd-order form must not drop it
+        pytest.param({0: lambda l, m: (l * m * m).scale(Scalar.nu(1))}, id="nu-cubic"),
+        # degree 5 on two moment maps, so that orders 3 and 5 both contract
+        pytest.param({0: lambda l, m: l**2 * m**3, 3: lambda l, m: l**3 * m**2}, id="quintic"),
+    ],
+)
+def test_covariance_matches_full_commutator_when_perturbed(edits, instance_cache):
+    ch = _perturbed_chart(instance_cache("chart", "spin:2"), edits)
+    res, bad, witness = verify_covariance(ch)
+    assert (res, bad) == full_commutator_covariance(ch)
+    assert res != 0 and witness is not None
+
+
 def test_covariance_fails_on_perturbed_moment_map(instance_cache):
     # only the nu^3 term of a commutator can differ, so a cubic term in one
     # variable (l1^3 or m1^3) would leave the residual at zero; l1 m1^2 does not
-    ch = copy.copy(instance_cache("chart", "spin:2"))
-    l1, m1 = Poly.var(ch.vs, "l1"), Poly.var(ch.vs, "m1")
-    moment = list(ch.moment)
-    assert verify_covariance(ch) == (0, 0)
-    moment[0] = moment[0] + l1 * m1 * m1
-    ch.moment = moment
-    assert verify_covariance(ch) == (4, 1)
+    ch = instance_cache("chart", "spin:2")
+    assert verify_covariance(ch) == (0, 0, None)
+    ch = _perturbed_chart(ch, {0: lambda l, m: l * m * m})
+    assert verify_covariance(ch) == (4, 1, ((0, 4), 4))
 
 
 def test_covariance_and_property_b(instance_cache):
     from starcayley.weyl import verify_covariance, verify_property_B
 
     ch = instance_cache("chart", "spin:3")
-    res, bad = verify_covariance(ch)
-    assert res == 0 and bad == 0
+    assert verify_covariance(ch) == (0, 0, None)
     N, ok = verify_property_B(ch, ch.moment)
     assert N == 3 and ok
