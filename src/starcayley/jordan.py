@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import Poly, VarSet
+from .poly import Poly, VarSet, exact
 from .scalars import rational_to_str
 
 
@@ -98,14 +98,29 @@ class JordanAlgebra:
         return linalg.trace(self.L(self.mul(x, y)))
 
     def tau_gram(self) -> linalg.Matrix:
-        n = self.dim
-        basis = [self.basis_vector(a) for a in range(n)]
-        return [[self.tau(basis[a], basis[b]) for b in range(n)] for a in range(n)]
+        """tau(e_a, e_b) = Tr L(e_a o e_b) = sum_c s_ab^c Tr L(e_c), with
+        s_ab^c the structure constants."""
+        n, S = self.dim, self.structure
+        tr = [sum((S[c][a][a] for a in range(n)), Fraction(0)) for c in range(n)]
+        return [
+            [sum((s * t for s, t in zip(S[a][b], tr) if s), Fraction(0)) for b in range(n)]
+            for a in range(n)
+        ]
 
     def trace(self, x: Sequence):
         """Jordan trace: (r/n) * Tr L(x); equals the matrix trace for
         matrix algebras and satisfies trace(e) = rank."""
         return Fraction(self.rank, self.dim) * linalg.trace(self.L(x))
+
+    def left_mult_basis(self) -> List[linalg.Sparse]:
+        """L(e_c) for every basis vector e_c, as sparse matrices with int
+        entries where integral: entry (r, a) is the coefficient of e_r in
+        e_c o e_a."""
+        n, S = self.dim, self.structure
+        return [
+            [{a: exact(S[c][a][r]) for a in range(n) if S[c][a][r]} for r in range(n)]
+            for c in range(n)
+        ]
 
     def box(self, x: Sequence, y: Sequence) -> list:
         """Matrix of z -> {x, y, z}: L(x o y) + [L(x), L(y)]."""

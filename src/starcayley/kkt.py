@@ -16,6 +16,16 @@ The sparse table of structure constants c_ij^k is written block by block
 from this formula (``GradedLieAlgebra._block_table``): every basis element
 lies in one grading block, so each pair needs one of four block formulas,
 and the g(0) pieces come from the pass that closes the span of the boxes.
+That pass runs on sparse matrices (``linalg.Sparse``): L(e_c) is formed
+once per basis vector, each box as
+
+    e_a box e_b = sum_c s_ab^c L(e_c) + L(e_a) L(e_b) - L(e_b) L(e_a)
+
+from the n^2 products L(e_a) L(e_b), and the sharps T# = G^-1 T^T G and
+the commutators of the closure as sparse products, with G the tau Gram
+matrix sum_c s_ab^c Tr L(e_c).  One ``linalg.Echelon`` reduces the
+flattened matrices in the order of the dense elimination, so t_basis,
+which is stored dense, and every coordinate are those of a dense build.
 The (u, T, v) model, with rational entries, is the construction's model:
 it gives theta on g(0) on first use and is the independent
 oracle the table is tested against, but no check of the lie suite runs on
@@ -106,8 +116,8 @@ class GradedLieAlgebra:
     _span: linalg.Echelon = field(init=False)
     tau_gram: linalg.Matrix = field(init=False)
     _tau_gram_inv: linalg.Matrix = field(init=False)
-    # the matrices e_a box e_b, at index a n + b
-    _boxes: List[linalg.Matrix] = field(init=False)
+    # the sparse matrices e_a box e_b, at index a n + b
+    _boxes: List[linalg.Sparse] = field(init=False)
     # D and the numerators D c_ij^k, keyed (i, j) in both orders
     denom: int = field(init=False)
     _structure: dict = field(init=False)
@@ -125,25 +135,38 @@ class GradedLieAlgebra:
         n = self.n = A.dim
         self.tau_gram = A.tau_gram()
         self._tau_gram_inv = linalg.invert(self.tau_gram)
+        G, G_inv = linalg.sparse(self.tau_gram), linalg.sparse(self._tau_gram_inv)
+
+        def sharp(t: linalg.Sparse) -> linalg.Sparse:
+            return linalg.sparse_mul(G_inv, linalg.sparse_mul(linalg.sparse_transpose(t), G))
 
         # g(0): the independent boxes e_a box e_b, then the span grown until
         # it is closed under the tau-adjoint and commutators.  A round in
         # which nothing grows holds every T_i# and the coordinates of every
         # [T_i, T_j]; on a Jordan algebra the first round is that round.
-        e = [A.basis_vector(a) for a in range(n)]
-        basis: List[linalg.Matrix] = []
+        basis: List[linalg.Sparse] = []
         self._span = linalg.Echelon()
 
-        def absorb(m: linalg.Matrix) -> dict:
+        def absorb(m: linalg.Sparse) -> dict:
             """Nonzero coordinates of m along the basis, after appending m
             when it is independent of it."""
-            c = self._span.absorb(_flat(m))
+            c = self._span.absorb(linalg.flat(m))
             if c is None:
                 basis.append(m)
-                return {len(basis) - 1: Fraction(1)}
-            return {k: x for k, x in enumerate(c) if x}
+                return {len(basis) - 1: 1}
+            return c
 
-        self._boxes = [A.box(e[a], e[b]) for a in range(n) for b in range(n)]
+        L, S = A.left_mult_basis(), A.structure
+        LL = [[linalg.sparse_mul(la, lb) for lb in L] for la in L]
+        self._boxes = [
+            linalg.sparse_sum(
+                [(exact(s), L[c]) for c, s in enumerate(S[a][b]) if s]
+                + [(1, LL[a][b]), (-1, LL[b][a])],
+                n,
+            )
+            for a in range(n)
+            for b in range(n)
+        ]
         box_coords = [absorb(m) for m in self._boxes]
         rounds = 0
         while True:
@@ -151,20 +174,20 @@ class GradedLieAlgebra:
             if rounds > n * n + 1:
                 raise GradingClosureFailure("degree-zero span does not stabilize")
             size = len(basis)
-            sharps = [self.sharp(m) for m in basis]
+            sharps = [sharp(m) for m in basis]
             for m in sharps:
                 absorb(m)
             comm = {}
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    comm[(i, j)] = absorb(linalg.commutator(basis[i], basis[j]))
+                    comm[(i, j)] = absorb(linalg.sparse_commutator(basis[i], basis[j]))
             if len(basis) == size:
                 break
 
-        self.t_basis = basis
+        self.t_basis = [linalg.dense(m, n) for m in basis]
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
-        table = self._block_table(box_coords, comm, sharps)
+        table = self._block_table(basis, box_coords, comm, sharps)
         D = self.denom = _common_denominator(c for nz in table.values() for c in nz.values())
         self._structure = {}
         for (i, j), nz in table.items():
@@ -186,10 +209,10 @@ class GradedLieAlgebra:
     def t_coords(self, t: Sequence[Sequence]) -> list:
         """Coordinates of t along t_basis; raises GradingClosureFailure when
         t is not in their span."""
-        c = self._span.coords(_flat(t))
+        c = self._span.coords(linalg.flat(linalg.sparse(t)))
         if c is None:
             raise GradingClosureFailure("matrix is not in the degree-zero span")
-        return c
+        return [Fraction(c.get(k, 0)) for k in range(self.dim0)]
 
     def t_from_coords(self, c: Sequence) -> list:
         m = linalg.zeros(self.n, self.n)
@@ -262,17 +285,17 @@ class GradedLieAlgebra:
                     out[m] += ck * t
         return [Fraction(x, den) for x in out]
 
-    def _block_table(self, box_coords: list, comm: dict, sharps: list) -> dict:
+    def _block_table(self, T: list, box_coords: list, comm: dict, sharps: list) -> dict:
         """Nonzero c_ij^k for i < j, keyed in that order, block by block:
 
             [e_a, T_i] = -T_i e_a,              [e_a, f_b] = -2 e_a box e_b,
             [T_i, T_j] = T_i T_j - T_j T_i,     [T_i, f_b] = -T_i# e_b,
 
         with e_a, T_i, f_b the basis of g(-1), g(0), g(1); every other pair
-        of blocks brackets to zero.  ``box_coords[a n + b]`` and ``comm[(i, j)]``
-        map g(0) indices to the nonzero coordinates of e_a box e_b and of
-        [T_i, T_j]; ``sharps[i]`` is T_i#."""
-        n, d0, T = self.n, self.dim0, self.t_basis
+        of blocks brackets to zero.  ``T[i]`` and ``sharps[i]`` are T_i and
+        T_i#, sparse; ``box_coords[a n + b]`` and ``comm[(i, j)]`` map g(0)
+        indices to the nonzero coordinates of e_a box e_b and of [T_i, T_j]."""
+        n, d0 = self.n, self.dim0
         f = n + d0
         table = {}
 
@@ -280,16 +303,19 @@ class GradedLieAlgebra:
             if nz:
                 table[(i, j)] = nz
 
+        def minus_column(m, b, shift):
+            return {shift + k: -row[b] for k, row in enumerate(m) if b in row}
+
         for a in range(n):
             for i in range(d0):
-                put(a, n + i, {k: -T[i][k][a] for k in range(n) if T[i][k][a]})
+                put(a, n + i, minus_column(T[i], a, 0))
             for b in range(n):
                 put(a, f + b, {n + k: -2 * c for k, c in box_coords[a * n + b].items()})
         for i in range(d0):
             for j in range(i + 1, d0):
                 put(n + i, n + j, {n + k: c for k, c in comm[(i, j)].items()})
             for b in range(n):
-                put(n + i, f + b, {f + k: -sharps[i][k][b] for k in range(n) if sharps[i][k][b]})
+                put(n + i, f + b, minus_column(sharps[i], b, f))
         return table
 
     def bracket_coords(self, i: int, j: int) -> dict:
@@ -311,12 +337,13 @@ class GradedLieAlgebra:
         of the result have the type of x[0] * y[0] / D.
         """
         out: list = [None] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if not linalg._is_zero(yj)]
         for i, xi in enumerate(x):
             if linalg._is_zero(xi):
                 continue
-            for j, yj in enumerate(y):
+            for j, yj in ys:
                 nz = self._structure.get((i, j))
-                if nz is None or linalg._is_zero(yj):
+                if nz is None:
                     continue
                 p = xi * yj
                 for k, c in nz.items():
@@ -414,8 +441,8 @@ def verify_antisymmetry(g: GradedLieAlgebra) -> SuiteResult:
     return _combine("antisymmetry", res)
 
 
-def _witness(ijk: tuple, residual: Fraction) -> str:
-    return f"first failing (i, j, k) = {ijk}, residual {residual}"
+def _witness(idx: tuple, residual: Fraction, names: str = "(i, j, k)") -> str:
+    return f"first failing {names} = {idx}, residual {residual}"
 
 
 def verify_jacobi(g: GradedLieAlgebra) -> SuiteResult:
@@ -465,19 +492,28 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
     Theta^2 = 1 and Theta [e_i, e_j] = [Theta e_i, Theta e_j] are checked
     through the structure constants, on integer numerators: the square
     over D_theta^2, both sides of the automorphism identity over
-    D D_theta^2."""
+    D D_theta^2.  On failure the detail names the first failing row i of
+    the square or pair (i, j) of the automorphism identity, in the order
+    i, then j > i, and its residual."""
     rows, dt = g.theta_table
     S, d, D = g._structure, g.dim, g.denom
     square = automorphism = 0
+    first = None
     for i in range(d):
         acc = _sparse_sum(((t, rows[k]) for k, t in rows[i].items()), {i: -dt * dt})
-        square += sum(map(abs, acc.values()))
+        r = sum(map(abs, acc.values()))
+        square += r
+        if r and first is None:
+            first = _witness(i, Fraction(r, dt * dt), "row i of theta^2")
         for j in range(i + 1, d):
             acc = _sparse_sum((dt * c, rows[k]) for k, c in S.get((i, j), {}).items())
             products = ((p, q, tp * tq) for p, tp in rows[i].items() for q, tq in rows[j].items())
             _sparse_sum(((-w, S[(p, q)]) for p, q, w in products if (p, q) in S), acc)
-            automorphism += sum(map(abs, acc.values()))
-    return _combine("theta", Fraction(square * D + automorphism, D * dt * dt))
+            r = sum(map(abs, acc.values()))
+            automorphism += r
+            if r and first is None:
+                first = _witness((i, j), Fraction(r, D * dt * dt), "(i, j)")
+    return _combine("theta", Fraction(square * D + automorphism, D * dt * dt), first or "")
 
 
 def _distance(num: dict, den: int, want: dict):
@@ -506,23 +542,34 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     ``_block_table`` itself.  By identity 1 and the block [e_a, T] = -T e_a,
     identity 2 reduces to (x box y) z = {x, y, z}, and with L(x) z = x o z
     both sides expand to (x o y) o z + x o (y o z) - y o (x o z) for any
-    table, Jordan or not."""
+    table, Jordan or not.
+
+    On failure the detail names the first failing pair (a, b) of the box
+    identity or triple (a, b, c) of the triple product, in the order a, b,
+    then c, and its residual."""
     n = g.n
     rows, dt = g.theta_table
     S, D = g._structure, g.denom
     boxes = triples = 0
+    first = None
     for a in range(n):
         for b in range(n):
             inner = _sparse_sum((t, S.get((a, q), {})) for q, t in rows[b].items())
             box = g._boxes[a * n + b]
-            want = {n + k: y for k, y in enumerate(g.t_coords(box)) if y}
-            boxes += _distance(inner, -2 * D * dt, want)
+            want = {n + k: y for k, y in g._span.coords(linalg.flat(box)).items()}
+            r = _distance(inner, -2 * D * dt, want)
+            boxes += r
+            if r and first is None:
+                first = _witness((a, b), Fraction(r, 2 * D * dt), "box (a, b)")
             for c in range(n):
                 dbl = _sparse_sum((x, S.get((m, c), {})) for m, x in inner.items())
-                want = {k: row[c] for k, row in enumerate(box) if row[c]}
-                triples += _distance(dbl, -2 * D * D * dt, want)
+                want = {k: row[c] for k, row in enumerate(box) if c in row}
+                r = _distance(dbl, -2 * D * D * dt, want)
+                triples += r
+                if r and first is None:
+                    first = _witness((a, b, c), Fraction(r, 2 * D * D * dt), "triple (a, b, c)")
     res = Fraction(boxes, 2 * D * dt) + Fraction(triples, 2 * D * D * dt)
-    return _combine("identifications", res, "box and triple product match the bracket forms")
+    return _combine("identifications", res, first or "box and triple product match the bracket forms")
 
 
 def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
@@ -570,8 +617,8 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
     """
     n, d0 = g.n, g.dim0
     G = g.tau_gram
-    boxes = [_flat(m) for m in g._boxes]
-    box_coords = linalg.in_span(boxes, [_flat(t) for t in g.t_basis])
+    boxes = [linalg.flat(m) for m in g._boxes]
+    box_coords = linalg.in_span(boxes, [linalg.flat(linalg.sparse(t)) for t in g.t_basis])
     if None in box_coords:
         raise GradingClosureFailure("g(0) is not spanned by the box operators")
     # 2 tau(T e_a, e_b) = 2 (T^T G)[a][b], flattened in the order of `boxes`;

@@ -6,6 +6,15 @@ n the dimension of the Jordan algebra (at most 6 for a built-in, 27 for
 the Albert algebra loaded from a table), and on the degree-zero span of
 g, whose vectors are flattened n x n matrices; plain Gaussian elimination
 is used throughout.
+
+The g build works on sparse matrices: a list of rows, row r a dict from
+column to nonzero entry, with ints where the entries are integral.  Their
+products and linear combinations touch only the nonzero entries, and a
+square one enters ``Echelon`` as the sparse vector of its flattened
+entries, {r n + c: entry}.  ``Echelon`` and ``in_span`` reduce sparse
+vectors, dicts from index to nonzero entry, in the order of dense
+Gaussian elimination, so the kept vectors and the coordinates are those
+of the dense elimination.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
+# row r maps column c to the nonzero entry (r, c)
+Sparse = List[dict]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -117,11 +128,60 @@ def positive_definite(a: Matrix) -> bool:
     return True
 
 
-def in_span(vectors: List[List[Fraction]], targets: List[List[Fraction]]) -> list:
-    """Coordinates of each target in the span of ``vectors``, or None for a
-    target off the span; the vectors are eliminated once.  A vector that
-    depends on the ones before it gets coordinate zero, so the coordinates
-    are unique."""
+def sparse(a: Matrix) -> Sparse:
+    return [{c: x for c, x in enumerate(row) if x} for row in a]
+
+
+def dense(a: Sparse, cols: int) -> Matrix:
+    return [[Fraction(row.get(c, 0)) for c in range(cols)] for row in a]
+
+
+def flat(a: Sparse) -> dict:
+    """The entries of the square sparse matrix a as a sparse vector of
+    length n^2, entry (r, c) at index r n + c."""
+    n = len(a)
+    return {r * n + c: x for r, row in enumerate(a) for c, x in row.items()}
+
+
+def sparse_transpose(a: Sparse) -> Sparse:
+    """The transpose of the square sparse matrix a."""
+    out: Sparse = [{} for _ in a]
+    for r, row in enumerate(a):
+        for c, x in row.items():
+            out[c][r] = x
+    return out
+
+
+def sparse_sum(terms, rows: int) -> Sparse:
+    """sum of c m over the pairs (c, m) of terms, m sparse with ``rows`` rows."""
+    out: Sparse = [{} for _ in range(rows)]
+    for c, m in terms:
+        for acc, row in zip(out, m):
+            for j, x in row.items():
+                acc[j] = acc[j] + c * x if j in acc else c * x
+    return [{j: x for j, x in acc.items() if x} for acc in out]
+
+
+def sparse_mul(a: Sparse, b: Sparse) -> Sparse:
+    out: Sparse = []
+    for row in a:
+        acc: dict = {}
+        for t, x in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def sparse_commutator(a: Sparse, b: Sparse) -> Sparse:
+    return sparse_sum(((1, sparse_mul(a, b)), (-1, sparse_mul(b, a))), len(a))
+
+
+def in_span(vectors: List[dict], targets: List[dict]) -> list:
+    """Coordinates of each sparse target in the span of the sparse
+    ``vectors``, as a dense list, or None for a target off the span; the
+    vectors are eliminated once.  A vector that depends on the ones before
+    it gets coordinate zero, so the coordinates are unique."""
     span = Echelon()
     kept = [i for i, w in enumerate(vectors) if span.absorb(w) is None]
     out = []
@@ -129,55 +189,60 @@ def in_span(vectors: List[List[Fraction]], targets: List[List[Fraction]]) -> lis
         c = span.coords(v)
         if c is not None:
             full = [Fraction(0)] * len(vectors)
-            for i, x in zip(kept, c):
-                full[i] = x
+            for k, x in c.items():
+                full[kept[k]] = x
             c = full
         out.append(c)
     return out
 
 
 class Echelon:
-    """A growing list of independent vectors kept in row echelon form.
+    """A growing list of independent sparse vectors kept in row echelon form.
 
     Each row is a reduced vector with 1 at its pivot and the combination of
-    the added vectors that it equals, so reducing v against the rows in
-    order gives both membership and the coordinates of v.  Adding vectors
-    one at a time is one Gaussian elimination: the vectors that
-    ``absorb`` keeps are the pivot columns of the matrix they form, in order.
+    the added vectors that it equals, both sparse, so reducing v against
+    the rows in order gives both membership and the coordinates of v.
+    Adding vectors one at a time is one Gaussian elimination: the vectors
+    that ``absorb`` keeps are the pivot columns of the matrix they form, in
+    order, and each pivot is the lowest index of the reduced vector.
     """
 
     def __init__(self):
         self.size = 0
-        self._rows: list = []  # (pivot, reduced row, combination as a dict)
+        self._rows: list = []  # (pivot, reduced row, combination), both dicts
 
-    def _reduce(self, v: Sequence[Fraction]) -> Tuple[list, dict]:
-        r = list(v)
+    def _reduce(self, v: dict) -> Tuple[dict, dict]:
+        r = {k: x for k, x in v.items() if x}
         coords: dict = {}
         for p, row, comb in self._rows:
-            f = r[p]
+            f = r.get(p)
             if f:
-                r = [x - f * y if y else x for x, y in zip(r, row)]
+                for k, y in row.items():
+                    x = r.get(k, 0) - f * y
+                    if x:
+                        r[k] = x
+                    else:
+                        del r[k]
                 for k, c in comb.items():
-                    coords[k] = coords.get(k, 0) + f * c
-        return r, coords
+                    coords[k] = coords[k] + f * c if k in coords else f * c
+        return r, {k: c for k, c in coords.items() if c}
 
-    def coords(self, v: Sequence[Fraction]) -> List[Fraction] | None:
-        """Coordinates of v along the added vectors, or None off their span."""
+    def coords(self, v: dict) -> dict | None:
+        """Nonzero coordinates of v along the added vectors, keyed by the
+        order of addition, or None off their span."""
         r, coords = self._reduce(v)
-        if any(r):
-            return None
-        return [Fraction(coords.get(k, 0)) for k in range(self.size)]
+        return None if r else coords
 
-    def absorb(self, v: Sequence[Fraction]) -> List[Fraction] | None:
-        """Coordinates of v when it lies in the span; otherwise add v as the
-        next vector and return None."""
+    def absorb(self, v: dict) -> dict | None:
+        """Nonzero coordinates of v when it lies in the span; otherwise add
+        v as the next vector and return None."""
         r, coords = self._reduce(v)
-        p = next((i for i, x in enumerate(r) if x), None)
-        if p is None:
-            return [Fraction(coords.get(k, 0)) for k in range(self.size)]
-        pv = r[p]
-        comb = {k: -c / pv for k, c in coords.items() if c}
-        comb[self.size] = 1 / pv
-        self._rows.append((p, [x / pv for x in r], comb))
+        if not r:
+            return coords
+        p = min(r)
+        inv = 1 / Fraction(r[p])
+        comb = {k: -c * inv for k, c in coords.items()}
+        comb[self.size] = inv
+        self._rows.append((p, {k: x * inv for k, x in r.items()}, comb))
         self.size += 1
         return None

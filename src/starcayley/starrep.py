@@ -38,8 +38,7 @@ from .weyl import (
     first_order,
     first_order_bracket,
     first_order_parts,
-    fourier_conjugate,
-    holomorphic_frame,
+    star_transform,
     uses_only,
 )
 
@@ -213,12 +212,13 @@ def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperat
     +1 with nu -> -nu, and D_A is the left-star construction with kernel
     sign +1, carried through nu -> -nu as a whole; the factor 1/(2 nu) turns
     that into a minus sign, D_A = -(left-star, +1 construction)|nu->-nu.
+
+    The flip of nu, the factor 1/(2 nu) and both conjugations are one pass
+    over the terms of the left-star operator (``weyl.star_transform``), on
+    integer numerators over one denominator; ``weyl.fourier_conjugate``
+    and ``weyl.holomorphic_frame`` applied in turn are its test oracle.
     """
-    right = ch.left_stars[index].flip_nu()
-    op = right.scale(Scalar.nu(-1, Fraction(1, 2)))
-    fop, fvs = fourier_conjugate(op, ch.l_names, ch.m_names)
-    eta = tuple(x for x in fvs.names if x not in ch.l_names)
-    return holomorphic_frame(fop, ch.l_names, eta)
+    return star_transform(ch.left_stars[index], ch.l_names, ch.m_names)
 
 
 def embed_z_operator(op: WeylOperator, target: VarSet) -> WeylOperator:

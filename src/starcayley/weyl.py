@@ -21,7 +21,13 @@ exponents.  On top of this sit
     holomorphic frame z = l + nu eta, zbar = l - nu eta, both exact
     conjugation homomorphisms that factorise over the Darboux pairs on
     normal-ordered words.  Neither introduces i, so all coefficients stay
-    rational.
+    rational,
+  * the star transform, the frame image of the Fourier image of an
+    operator carried through nu -> -nu and divided by 2 nu, as one pass
+    over its terms with a cached kernel per Darboux pair composed from the
+    two conjugations' kernels.  Every pass accumulates integer numerators
+    over one common denominator and divides once, at the end; the two
+    conjugations applied in turn are the star transform's test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from operator import add
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -76,10 +82,6 @@ class WeylOperator(FlatTerms):
         """Multiplication by p."""
         z = (0,) * len(p.vs)
         return WeylOperator._new(p.vs, {(e, z): c for e, c in p.terms.items()})
-
-    @staticmethod
-    def mult_var(vs: VarSet, name: str) -> "WeylOperator":
-        return WeylOperator.from_poly(Poly.var(vs, name))
 
     @staticmethod
     def partial(vs: VarSet, name: str) -> "WeylOperator":
@@ -135,9 +137,6 @@ class WeylOperator(FlatTerms):
     def order(self) -> int:
         """Highest total derivative order appearing."""
         return max((sum(b) for (_, b) in self.terms), default=0)
-
-    def flip_nu(self) -> "WeylOperator":
-        return self._new(self.vs, {k: -c if k[0][-1] % 2 else c for k, c in self.terms.items()})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -363,9 +362,10 @@ def left_star_operator(
 # Fourier transform and holomorphic frame as per-pair conjugations
 # ---------------------------------------------------------------------------
 
-# one pair's image of x1^alpha x2^gamma d1^beta d2^delta: a rational factor
-# and a tuple of ((x1', x2', d1', d2') exponents, nu-power, int coefficient)
-PairImage = Tuple[object, Tuple[Tuple[Tuple[int, int, int, int], int, int], ...]]
+# one pair's image of x1^alpha x2^gamma d1^beta d2^delta: the image is
+# 1/2^e times the sum of the terms, e the first entry, and each term is
+# (x1', x2', d1', d2' exponents, nu-power, int numerator)
+PairImage = Tuple[int, Tuple[Tuple[int, int, int, int, int, int], ...]]
 
 
 def _pairwise_image(
@@ -373,35 +373,48 @@ def _pairwise_image(
     pairs: Sequence[Tuple[str, str]],
     kernel: Callable[[int, int, int, int], PairImage],
     target: VarSet,
+    flip_nu: bool = False,
+    nu_shift: int = 0,
+    halvings: int = 0,
 ) -> WeylOperator:
     """The image of op under a homomorphism that sends the generators of each
-    pair of variables to operators in the matching pair of ``target``.
+    pair of variables to operators in the matching pair of ``target``,
+    after op has been multiplied by nu^nu_shift / 2^halvings and, when
+    ``flip_nu`` is set, carried through nu -> -nu.
 
     Images of different pairs commute, so the image of a normal-ordered
     word is the product over the pairs of ``kernel`` of the pair's
-    exponents, and the target pairs are (target[a], target[n + a])."""
+    exponents, and the target pairs are (target[a], target[n + a]).  A term
+    c x^a d^b with c = p/q contributes p 2^-e/q times the products of the
+    kernels' integer numerators, e the sum of the kernels' halvings and
+    ``halvings``.  These are accumulated as integer numerators over the one
+    denominator lcm(q 2^e) of all the terms, which each image coefficient
+    is divided by once, at the end."""
     idx = [(op.vs.index(x), op.vs.index(y)) for x, y in pairs]
     if sorted(i for p in idx for i in p) != list(range(len(op.vs))):
         raise ValueError(f"{op.vs.names} are not the pairs {tuple(pairs)}")
-    out: dict = {}
+    words, den = [], 1
     for (a, b), c in op.terms.items():
-        kers = []
+        kers, e = [], halvings
         for i, j in idx:
-            factor, image = kernel(a[i], a[j], b[i], b[j])
-            c *= factor
+            ei, image = kernel(a[i], a[j], b[i], b[j])
+            e += ei
             kers.append(image)
+        if flip_nu and a[-1] % 2:
+            c = -c
+        q = c.denominator << e
+        words.append((c.numerator, q, a[-1] + nu_shift, kers))
+        den = lcm(den, q)
+    out: dict = {}
+    for p, q, k0, kers in words:
+        w0 = p * (den // q)
         for combo in itertools.product(*kers):
-            w, k = 1, a[-1]
-            for _, s, wi in combo:
-                w *= wi
-                k += s
-            f = c * w
-            key = (
-                tuple(e[0] for e, _, _ in combo) + tuple(e[1] for e, _, _ in combo) + (k,),
-                tuple(e[2] for e, _, _ in combo) + tuple(e[3] for e, _, _ in combo),
-            )
-            out[key] = out[key] + f if key in out else f
-    return WeylOperator._new(target, pruned(out))
+            x1, x2, d1, d2, s, w = zip(*combo)
+            key, w = (x1 + x2 + (k0 + sum(s),), d1 + d2), w0 * prod(w)
+            out[key] = out[key] + w if key in out else w
+    return WeylOperator._new(
+        target, {key: w // den if w % den == 0 else Fraction(w, den) for key, w in out.items() if w}
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -414,8 +427,8 @@ def _fourier_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
     with d_eta^gamma eta^delta normal-ordered by ``_reorder``.
     """
     sign = -1 if delta % 2 else 1
-    return 1, tuple(
-        ((alpha, delta - k, beta, gamma - k), 0, sign * w) for k, w in _reorder(gamma, delta)
+    return 0, tuple(
+        (alpha, delta - k, beta, gamma - k, 0, sign * w) for k, w in _reorder(gamma, delta)
     )
 
 
@@ -423,10 +436,9 @@ def fourier_conjugate(
     op: WeylOperator,
     l_names: Sequence[str],
     m_names: Sequence[str],
-    eta_names: Sequence[str] | None = None,
 ) -> Tuple[WeylOperator, VarSet]:
     """Conjugate by the partial Fourier transform in the m-variables, with
-    kernel sign -1, in the Fourier variable rotated by i.
+    kernel sign -1, in the Fourier variable rotated by i, named h1, h2, ...
 
     With kernel sign -1 the transform sends m^a -> -i d/dxi^a and
     d/dm^a -> -i xi^a; in eta = i xi these are the real images of the
@@ -436,9 +448,7 @@ def fourier_conjugate(
     cached ``_fourier_kernel``.  Raises ValueError when op has a variable
     outside the pairs.
     """
-    if eta_names is None:
-        eta_names = tuple(f"h{a + 1}" for a in range(len(m_names)))
-    target = VarSet(tuple(l_names) + tuple(eta_names))
+    target = VarSet(tuple(l_names) + tuple(f"h{a + 1}" for a in range(len(m_names))))
     return _pairwise_image(op, list(zip(l_names, m_names)), _fourier_kernel, target), target
 
 
@@ -452,7 +462,7 @@ def _frame_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
 
     The multiplications stand left of the constant-coefficient derivatives,
     so the product is already normal-ordered.  Its nu-power is
-    delta - gamma, and its factor 1/2^(alpha + gamma).
+    delta - gamma, and its halvings alpha + gamma.
     """
 
     def expand(p: int, q: int) -> Dict[int, int]:
@@ -464,8 +474,8 @@ def _frame_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
         return {i: c for i, c in acc.items() if c}
 
     mult, der = expand(alpha, gamma), expand(beta, delta)
-    return exact(Fraction(1, 2 ** (alpha + gamma))), tuple(
-        ((i, alpha + gamma - i, p, beta + delta - p), delta - gamma, c * d)
+    return alpha + gamma, tuple(
+        (i, alpha + gamma - i, p, beta + delta - p, delta - gamma, c * d)
         for i, c in mult.items()
         for p, d in der.items()
     )
@@ -475,10 +485,9 @@ def holomorphic_frame(
     op: WeylOperator,
     l_names: Sequence[str],
     eta_names: Sequence[str],
-    z_names: Sequence[str] | None = None,
-    zbar_names: Sequence[str] | None = None,
 ) -> Tuple[WeylOperator, VarSet]:
-    """Change variables to z = l + nu eta and zbar = l - nu eta.
+    """Change variables to z = l + nu eta and zbar = l - nu eta, named
+    z1, z2, ... and w1, w2, ... (``_frame_target``).
 
     Generator images: mult l -> (z + zbar)/2, mult eta -> (z - zbar)/(2 nu),
     d/dl -> d/dz + d/dzbar, d/deta -> nu (d/dz - d/dzbar).  In the unrotated
@@ -489,13 +498,44 @@ def holomorphic_frame(
     ``_frame_kernel`` of the pair's exponents.  Raises ValueError when op
     has a variable outside the pairs.
     """
-    n = len(l_names)
-    if z_names is None:
-        z_names = tuple(f"z{a + 1}" for a in range(n))
-    if zbar_names is None:
-        zbar_names = tuple(f"w{a + 1}" for a in range(n))
-    target = VarSet(tuple(z_names) + tuple(zbar_names))
+    target = _frame_target(len(l_names))
     return _pairwise_image(op, list(zip(l_names, eta_names)), _frame_kernel, target), target
+
+
+def _frame_target(n: int) -> VarSet:
+    return VarSet(tuple(f"z{a + 1}" for a in range(n)) + tuple(f"w{a + 1}" for a in range(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _star_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
+    """One Darboux pair's factor of the frame image of the Fourier image of
+    l^alpha m^gamma d_l^beta d_m^delta: ``_frame_kernel`` applied to each
+    term of ``_fourier_kernel``, over the largest of the frame halvings,
+    with equal terms merged."""
+    _, fourier = _fourier_kernel(alpha, gamma, beta, delta)
+    frames = [(s, w, _frame_kernel(*e)) for *e, s, w in fourier]
+    top = max(h for _, _, (h, _) in frames)
+    acc: Dict[Tuple[int, ...], int] = {}
+    for s, w, (h, image) in frames:
+        for *e, t, c in image:
+            key = (*e, s + t)
+            acc[key] = acc.get(key, 0) + (w * c << (top - h))
+    return top, tuple((*key, c) for key, c in acc.items() if c)
+
+
+def star_transform(
+    op: WeylOperator, l_names: Sequence[str], m_names: Sequence[str]
+) -> Tuple[WeylOperator, VarSet]:
+    """holomorphic_frame(fourier_conjugate(op|nu->-nu / (2 nu))) in one pass
+    over the terms of op, through the cached ``_star_kernel`` of each
+    Darboux pair, with the flip of nu and the factor 1/(2 nu) applied to
+    each term on the way; the target variables are those of
+    ``holomorphic_frame``.  The two conjugations are its test oracle."""
+    target = _frame_target(len(l_names))
+    image = _pairwise_image(
+        op, list(zip(l_names, m_names)), _star_kernel, target, flip_nu=True, nu_shift=-1, halvings=1
+    )
+    return image, target
 
 
 def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:

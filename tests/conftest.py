@@ -8,12 +8,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from starcayley import jordan, kkt  # noqa: E402
 from starcayley.poly import Poly  # noqa: E402
+from starcayley.scalars import Scalar  # noqa: E402
+from starcayley.weyl import WeylOperator, fourier_conjugate, holomorphic_frame  # noqa: E402
 
 
 def degree_in(p: Poly, name: str) -> int:
     """Highest exponent of one variable in p."""
     i = p.vs.index(name)
     return max((e[i] for e in p.terms), default=0)
+
+
+def two_conjugations(op: WeylOperator, l_names, m_names):
+    """The oracle of ``weyl.star_transform``, step by step: op with
+    nu -> -nu, times 1/(2 nu), through ``fourier_conjugate`` and then
+    ``holomorphic_frame``."""
+    flipped = WeylOperator(op.vs, {k: -c if k[0][-1] % 2 else c for k, c in op.terms.items()})
+    fop, fvs = fourier_conjugate(flipped.scale(Scalar.nu(-1, Fraction(1, 2))), l_names, m_names)
+    return holomorphic_frame(fop, l_names, fvs.names[len(l_names) :])
 
 
 @pytest.fixture(scope="session")

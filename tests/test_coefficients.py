@@ -30,7 +30,7 @@ def test_no_float_enters_through_scaling(value):
     with pytest.raises(TypeError):
         Poly.const(VS, value)
     with pytest.raises(TypeError):
-        WeylOperator.mult_var(VS, "x").scale(value)
+        WeylOperator.from_poly(Poly.var(VS, "x")).scale(value)
 
 
 def test_integral_values_are_stored_as_int():

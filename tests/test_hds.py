@@ -59,7 +59,7 @@ class TestFieldOperators:
         g = ds.g
         x = linalg.identity(g.dim)[2]
         v, s = weight_parts(ds.dpi(x))
-        z = WeylOperator.mult_var(ds.zvs, "z1")
+        z = WeylOperator.from_poly(Poly.var(ds.zvs, "z1"))
         d = WeylOperator.partial(ds.zvs, "z1")
         assert v == -((z * z) * d)
         assert s == z.scale(Scalar.of(-2))  # -(r/n) Tr DX = -2z

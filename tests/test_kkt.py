@@ -63,7 +63,10 @@ def _perturbed_sym2() -> jordan.JordanAlgebra:
 def _fraction_residuals(g: kkt.GradedLieAlgebra):
     """Reference residuals in Fraction arithmetic, from ``bracket_coords``
     and the model's theta only: the Jacobi and Killing-invariance residual
-    of each failing basis triple, keyed (i, j, k), and the theta residual."""
+    of each failing basis triple, keyed (i, j, k), and the theta residual
+    of each failing row i of theta^2, keyed (i, i), and pair i < j of the
+    automorphism identity, keyed (i, j), so that the first key is the
+    first in the check's order."""
     d = g.dim
     c = [[g.bracket_coords(i, j) for j in range(d)] for i in range(d)]
     jacobi = {}
@@ -90,12 +93,12 @@ def _fraction_residuals(g: kkt.GradedLieAlgebra):
                     out[k] += x[i] * y[j] * ck
         return out
 
-    theta_res = Fraction(0)
+    theta_res = {}
     for i in range(d):
-        theta_res += sum(abs(x - (m == i)) for m, x in enumerate(apply(theta[i])))
+        theta_res[(i, i)] = sum(abs(x - (m == i)) for m, x in enumerate(apply(theta[i])))
         for j in range(i + 1, d):
             lhs = apply([c[i][j].get(k, 0) for k in range(d)])
-            theta_res += sum(abs(a - b) for a, b in zip(lhs, bracket(theta[i], theta[j])))
+            theta_res[(i, j)] = sum(abs(a - b) for a, b in zip(lhs, bracket(theta[i], theta[j])))
 
     K = [
         [sum(x * c[j][k].get(l, 0) for l in range(d) for k, x in c[i][l].items()) for j in range(d)]
@@ -111,7 +114,7 @@ def _fraction_residuals(g: kkt.GradedLieAlgebra):
         for k in range(j, d)
     }
     failing = lambda by_triple: {t: r for t, r in by_triple.items() if r}
-    return failing(jacobi), theta_res, failing(killing)
+    return failing(jacobi), failing(theta_res), failing(killing)
 
 
 @pytest.mark.parametrize("selector", ["rank1", "spin:2", "spin:3", "sym:2", "spin:4", "perturbed"])
@@ -145,6 +148,24 @@ def test_killing_blocks_equal_every_trace(selector, instance_cache):
                 c * ad[j][k].get(l, 0) for l, col in enumerate(ad[i]) for k, c in col.items()
             )
             assert g.killing[i][j] == trace, (i, j)
+
+
+@pytest.mark.parametrize("selector", [*BUILTIN_SELECTORS, "perturbed-spin:2", "perturbed-sym:2"])
+def test_sparse_build_matches_model(selector, instance_cache):
+    # the build forms each box as sum_c s_ab^c L(e_c) + [L(e_a), L(e_b)]
+    # from sparse L(e_c), and tau from Tr L(e_c); the model's box and trace
+    # form are their oracle
+    if selector.startswith("perturbed"):
+        A = {"perturbed-spin:2": _perturbed_spin2, "perturbed-sym:2": _perturbed_sym2}[selector]()
+        g = kkt.GradedLieAlgebra(A)
+    else:
+        A, g = instance_cache("algebra", selector), instance_cache("lie", selector)
+    n = A.dim
+    e = [A.basis_vector(a) for a in range(n)]
+    assert g.tau_gram == [[A.tau(x, y) for y in e] for x in e]
+    for a in range(n):
+        for b in range(n):
+            assert linalg.dense(g._boxes[a * n + b], n) == A.box(e[a], e[b]), (a, b)
 
 
 def test_perturbed_closure_grows():
@@ -222,6 +243,7 @@ def test_identifications_fail_on_perturbed_table(instance_cache):
     result = kkt.verify_identifications(g)
     assert not result.passed
     assert result.residual == Fraction(3, 2)
+    assert result.detail == "first failing box (a, b) = (0, 0), residual 1/2"
 
 
 def test_theta_fails_on_perturbed_structure():
@@ -229,6 +251,7 @@ def test_theta_fails_on_perturbed_structure():
     result = kkt.verify_theta(kkt.GradedLieAlgebra(_perturbed_spin2()))
     assert not result.passed
     assert result.residual == Fraction(8, 3)
+    assert result.detail == "first failing (i, j) = (0, 7), residual 4/3"
 
 
 @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
@@ -259,13 +282,18 @@ def test_integer_checks_match_fraction_reference(make, denom, theta_denom):
     assert (g.denom, g.theta_table[1]) == (denom, theta_denom)
     jacobi, theta, killing = _fraction_residuals(g)
     results = kkt.verify_jacobi(g), kkt.verify_theta(g), kkt.verify_killing_invariance(g)
-    assert [r.residual for r in results] == [sum(jacobi.values()), theta, sum(killing.values())]
+    residuals = [sum(jacobi.values()), sum(theta.values()), sum(killing.values())]
+    assert [r.residual for r in results] == residuals
     assert not any(r.passed for r in results)
     for result, by_triple in ((results[0], jacobi), (results[2], killing)):
         first = min(by_triple)
         witness = f"first failing (i, j, k) = {first}, residual {by_triple[first]}"
         assert result.detail.endswith(witness)
     assert results[0].detail.startswith(f"{len(jacobi)} failing triples; ")
+    # theta^2 = 1 holds for any table, so the first failure is a pair
+    first = min(theta)
+    assert first[0] < first[1]
+    assert results[1].detail == f"first failing (i, j) = {first}, residual {theta[first]}"
 
 
 class TestSymplecticStructure:

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import two_conjugations
 from starcayley import jordan, kkt, linalg
 from starcayley.poly import Poly
+from starcayley.report import BUILTIN_SELECTORS
 from starcayley.scalars import Scalar
 from starcayley.starrep import (
     StarRepresentation,
@@ -26,7 +28,7 @@ class TestRankOneOracle:
     def test_rho_grade_element(self, instance_cache):
         srep = instance_cache("srep", "rank1")
         rho = instance_cache("rho", "rank1")
-        z = WeylOperator.mult_var(srep.zvs, "z1")
+        z = WeylOperator.from_poly(Poly.var(srep.zvs, "z1"))
         d = WeylOperator.partial(srep.zvs, "z1")
         scalar = WeylOperator.identity(srep.zvs).scale(
             Scalar.nu(-1) + Scalar.of(Fraction(1, 2))
@@ -36,7 +38,7 @@ class TestRankOneOracle:
     def test_rho_v(self, instance_cache):
         srep = instance_cache("srep", "rank1")
         rho = instance_cache("rho", "rank1")
-        z = WeylOperator.mult_var(srep.zvs, "z1")
+        z = WeylOperator.from_poly(Poly.var(srep.zvs, "z1"))
         d = WeylOperator.partial(srep.zvs, "z1")
         scalar = z.scale(Scalar.nu(-1, Fraction(2)) + Scalar.one())
         assert rho[2] == scalar + (z * z) * d
@@ -140,6 +142,18 @@ class TestStarTransform:
         assert all(r.holomorphic for r in results)
         # D_A = rho(A), exactly, for every basis element
         assert all(r.matches_rho and r.residual == 0 for r in results)
+
+    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+    def test_transform_equals_the_two_conjugations(self, selector, instance_cache):
+        # the one pass over each left-star operator against the Fourier
+        # conjugation and the holomorphic frame of the scaled right-star
+        # operator, applied in turn, term for term
+        ch = instance_cache("chart", selector)
+        for i, left in enumerate(ch.left_stars):
+            op, tvs = star_transform_operator(ch, i)
+            want, wvs = two_conjugations(left, ch.l_names, ch.m_names)
+            assert tvs == wvs
+            assert op.terms == want.terms, i
 
     def test_rank_one_transform_values(self, instance_cache):
         ch = instance_cache("chart", "rank1")

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import two_conjugations
 from starcayley.chart import poly_abs
 from starcayley.poly import Poly, VarSet, varset
 from starcayley.scalars import Scalar
@@ -18,6 +19,7 @@ from starcayley.weyl import (
     left_star_operator,
     moyal_star,
     split_first_order,
+    star_transform,
     uses_only,
     verify_covariance,
     verify_property_B,
@@ -25,6 +27,11 @@ from starcayley.weyl import (
 
 VS = varset("l1", "m1")
 L_NAMES, M_NAMES = ("l1",), ("m1",)
+
+
+def mult_var(vs: VarSet, name: str) -> WeylOperator:
+    """Multiplication by the variable ``name``."""
+    return WeylOperator.from_poly(Poly.var(vs, name))
 
 
 def reference_moyal_star(u, v, l_names, m_names):
@@ -120,7 +127,7 @@ def polys(draw, vs=VS, max_deg=3):
 @st.composite
 def operators(draw, vs=VS):
     op = WeylOperator.zero(vs)
-    gens = [WeylOperator.mult_var(vs, x) for x in vs.names] + [
+    gens = [mult_var(vs, x) for x in vs.names] + [
         WeylOperator.partial(vs, x) for x in vs.names
     ]
     for _ in range(draw(st.integers(0, 3))):
@@ -141,12 +148,12 @@ class TestNormalOrdering:
             WeylOperator(VS, {((1, 0), (0, 0, 1)): Scalar.one()})
 
     def test_canonical_commutation(self):
-        x = WeylOperator.mult_var(VS, "l1")
+        x = mult_var(VS, "l1")
         d = WeylOperator.partial(VS, "l1")
         assert d * x - x * d == WeylOperator.identity(VS)
 
     def test_euler_operator_square(self):
-        x = WeylOperator.mult_var(VS, "l1")
+        x = mult_var(VS, "l1")
         d = WeylOperator.partial(VS, "l1")
         e = x * d
         expected = (x * x) * (d * d) + e
@@ -243,7 +250,7 @@ class TestLeftStarOperator:
     def test_linear_symbol(self):
         l = Poly.var(VS, "l1")
         op = left_star_operator(l, L_NAMES, M_NAMES)
-        expected = WeylOperator.mult_var(VS, "l1") + WeylOperator.partial(VS, "m1").scale(
+        expected = mult_var(VS, "l1") + WeylOperator.partial(VS, "m1").scale(
             Scalar.nu(1)
         )
         assert op == expected
@@ -266,14 +273,14 @@ class TestLeftStarOperator:
 
 class TestFourierConjugation:
     def test_generator_images(self):
-        m_mult = WeylOperator.mult_var(VS, "m1")
+        m_mult = mult_var(VS, "m1")
         img, tvs = fourier_conjugate(m_mult, L_NAMES, M_NAMES)
         # kernel sign -1 in the rotated variable: m -> d/deta, d/dm -> -eta
         assert img == WeylOperator.partial(tvs, "h1")
         dm = WeylOperator.partial(VS, "m1")
         img2, _ = fourier_conjugate(dm, L_NAMES, M_NAMES)
-        assert img2 == -WeylOperator.mult_var(tvs, "h1")
-        for gen in (WeylOperator.mult_var(VS, "l1"), WeylOperator.partial(VS, "l1")):
+        assert img2 == -mult_var(tvs, "h1")
+        for gen in (mult_var(VS, "l1"), WeylOperator.partial(VS, "l1")):
             img3, _ = fourier_conjugate(gen, L_NAMES, M_NAMES)
             assert str(img3) == str(gen)
 
@@ -296,20 +303,20 @@ class TestFourierConjugation:
         img, tvs = fourier_conjugate(op, l_names, m_names)
         x_images, d_images = {}, {}
         for la, ma, ea in zip(l_names, m_names, tvs.names[k:]):
-            x_images[la] = WeylOperator.mult_var(tvs, la)
+            x_images[la] = mult_var(tvs, la)
             d_images[la] = WeylOperator.partial(tvs, la)
             x_images[ma] = WeylOperator.partial(tvs, ea)
-            d_images[ma] = -WeylOperator.mult_var(tvs, ea)
+            d_images[ma] = -mult_var(tvs, ea)
         assert img == map_generators(op, tvs, x_images, d_images)
 
     def test_rejects_variables_outside_the_pairs(self):
-        op = WeylOperator.mult_var(VarSet(("l1", "m1", "x")), "x")
+        op = mult_var(VarSet(("l1", "m1", "x")), "x")
         with pytest.raises(ValueError):
             fourier_conjugate(op, L_NAMES, M_NAMES)
 
     def test_ccr_preserved(self):
         # the image of [d_m, m] = 1 must again be the identity
-        m_mult = WeylOperator.mult_var(VS, "m1")
+        m_mult = mult_var(VS, "m1")
         dm = WeylOperator.partial(VS, "m1")
         img, tvs = fourier_conjugate(dm * m_mult - m_mult * dm, L_NAMES, M_NAMES)
         assert img == WeylOperator.identity(tvs)
@@ -325,11 +332,11 @@ class TestHolomorphicFrame:
     def test_z_multiplication_pulls_back(self):
         fvs = self._roundtrip_names()
         # mult by l + nu eta becomes mult by z, and l - nu eta mult by zbar
-        l, eta = WeylOperator.mult_var(fvs, "l1"), WeylOperator.mult_var(fvs, "h1")
+        l, eta = mult_var(fvs, "l1"), mult_var(fvs, "h1")
         img, tvs = holomorphic_frame(l + eta.scale(Scalar.nu(1)), ("l1",), self.ETA)
-        assert img == WeylOperator.mult_var(tvs, "z1")
+        assert img == mult_var(tvs, "z1")
         img2, _ = holomorphic_frame(l - eta.scale(Scalar.nu(1)), ("l1",), self.ETA)
-        assert img2 == WeylOperator.mult_var(tvs, "w1")
+        assert img2 == mult_var(tvs, "w1")
 
     def test_dz_formula(self):
         fvs = self._roundtrip_names()
@@ -344,7 +351,7 @@ class TestHolomorphicFrame:
 
     def test_ccr_preserved(self):
         fvs = self._roundtrip_names()
-        x = WeylOperator.mult_var(fvs, "h1")
+        x = mult_var(fvs, "h1")
         d = WeylOperator.partial(fvs, "h1")
         img, tvs = holomorphic_frame(d * x - x * d, ("l1",), self.ETA)
         assert img == WeylOperator.identity(tvs)
@@ -367,7 +374,7 @@ class TestHolomorphicFrame:
         img, tvs = holomorphic_frame(op, l_names, eta_names)
         x_images, d_images = {}, {}
         for a, (la, ea) in enumerate(zip(l_names, eta_names)):
-            mz, mw = WeylOperator.mult_var(tvs, f"z{a + 1}"), WeylOperator.mult_var(tvs, f"w{a + 1}")
+            mz, mw = mult_var(tvs, f"z{a + 1}"), mult_var(tvs, f"w{a + 1}")
             dz, dw = WeylOperator.partial(tvs, f"z{a + 1}"), WeylOperator.partial(tvs, f"w{a + 1}")
             x_images[la] = (mz + mw).scale(Scalar.of(Fraction(1, 2)))
             x_images[ea] = (mz - mw).scale(Scalar.nu(-1, Fraction(1, 2)))
@@ -377,7 +384,7 @@ class TestHolomorphicFrame:
 
     def test_rejects_variables_outside_the_pairs(self):
         # a variable with no frame image would otherwise be dropped
-        op = WeylOperator.mult_var(VarSet(("l1", "h1", "x")), "x")
+        op = mult_var(VarSet(("l1", "h1", "x")), "x")
         with pytest.raises(ValueError):
             holomorphic_frame(op, ("l1",), self.ETA)
 
@@ -386,12 +393,12 @@ class TestHolomorphicFrame:
         # m -> nu (d_z - d_zbar), d_m -> -(z - zbar)/(2 nu); the same images as
         # the unrotated m -> -i d_xi, d_m -> -i xi followed by z = l + i nu xi
         tvs = VarSet(("z1", "w1"))
-        z, w = WeylOperator.mult_var(tvs, "z1"), WeylOperator.mult_var(tvs, "w1")
+        z, w = mult_var(tvs, "z1"), mult_var(tvs, "w1")
         dz, dw = WeylOperator.partial(tvs, "z1"), WeylOperator.partial(tvs, "w1")
         want = {
-            WeylOperator.mult_var(VS, "l1"): (z + w).scale(Scalar.of(Fraction(1, 2))),
+            mult_var(VS, "l1"): (z + w).scale(Scalar.of(Fraction(1, 2))),
             WeylOperator.partial(VS, "l1"): dz + dw,
-            WeylOperator.mult_var(VS, "m1"): (dz - dw).scale(Scalar.nu(1)),
+            mult_var(VS, "m1"): (dz - dw).scale(Scalar.nu(1)),
             WeylOperator.partial(VS, "m1"): (w - z).scale(Scalar.nu(-1, Fraction(1, 2))),
         }
         for gen, image in want.items():
@@ -401,9 +408,29 @@ class TestHolomorphicFrame:
 
     def test_uses_only(self):
         tvs = VarSet(("z1", "w1"))
-        op = WeylOperator.mult_var(tvs, "z1") * WeylOperator.partial(tvs, "z1")
+        op = mult_var(tvs, "z1") * WeylOperator.partial(tvs, "z1")
         assert uses_only(op, ("z1",))
         assert not uses_only(op * WeylOperator.partial(tvs, "w1"), ("z1",))
+
+
+class TestStarTransform:
+    @given(paired_operators("l", "m"), st.integers(-2, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_two_conjugations(self, op, k):
+        # coefficients at nu^k and nu^(k+1), so that the flip of nu meets
+        # both parities; one pass against the conjugations applied in turn
+        op = op.scale(Scalar.nu(k) + Scalar.nu(k + 1, Fraction(1, 3)))
+        n = len(op.vs.names) // 2
+        l_names, m_names = op.vs.names[:n], op.vs.names[n:]
+        img, tvs = star_transform(op, l_names, m_names)
+        want, wvs = two_conjugations(op, l_names, m_names)
+        assert tvs == wvs
+        assert img.terms == want.terms
+
+    def test_rejects_variables_outside_the_pairs(self):
+        op = mult_var(VarSet(("l1", "m1", "x")), "x")
+        with pytest.raises(ValueError):
+            star_transform(op, L_NAMES, M_NAMES)
 
 
 def test_property_b_fails_on_perturbed_operator(instance_cache):
