@@ -184,7 +184,7 @@ class GradedLieAlgebra:
             if len(basis) == size:
                 break
 
-        self.t_basis = [linalg.dense(m, n) for m in basis]
+        self.t_basis = [linalg.dense(m) for m in basis]
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
         table = self._block_table(basis, box_coords, comm, sharps)

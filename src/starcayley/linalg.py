@@ -132,8 +132,9 @@ def sparse(a: Matrix) -> Sparse:
     return [{c: x for c, x in enumerate(row) if x} for row in a]
 
 
-def dense(a: Sparse, cols: int) -> Matrix:
-    return [[Fraction(row.get(c, 0)) for c in range(cols)] for row in a]
+def dense(a: Sparse) -> Matrix:
+    """The square sparse matrix a as a dense matrix of Fractions."""
+    return [[Fraction(row.get(c, 0)) for c in range(len(a))] for row in a]
 
 
 def flat(a: Sparse) -> dict:

@@ -165,7 +165,7 @@ def test_sparse_build_matches_model(selector, instance_cache):
     assert g.tau_gram == [[A.tau(x, y) for y in e] for x in e]
     for a in range(n):
         for b in range(n):
-            assert linalg.dense(g._boxes[a * n + b], n) == A.box(e[a], e[b]), (a, b)
+            assert linalg.dense(g._boxes[a * n + b]) == A.box(e[a], e[b]), (a, b)
 
 
 def test_perturbed_closure_grows():
