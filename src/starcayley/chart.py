@@ -15,18 +15,15 @@ structural fact is lambda_[A,B] = {lambda_A, lambda_B}.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from . import weyl
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet
-
-
-def l_coordinate_names(n: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    return tuple(f"l{a + 1}" for a in range(n)), tuple(f"m{a + 1}" for a in range(n))
+from .poly import Poly, VarSet, gradient, mul_add
 
 
 def poly_abs(p: Poly) -> Fraction:
@@ -54,20 +51,19 @@ class SymplecticChart:
     vs: VarSet = field(init=False)
     l_names: Tuple[str, ...] = field(init=False)
     m_names: Tuple[str, ...] = field(init=False)
-    L: List[list] = field(init=False)  # coordinate vectors
-    Lp: List[list] = field(init=False)
     phi: List[Poly] = field(init=False)
     moment: List[Poly] = field(init=False)
 
     def __post_init__(self):
         g = self.g
         n = g.n
-        self.l_names, self.m_names = l_coordinate_names(n)
+        self.l_names = tuple(f"l{a + 1}" for a in range(n))
+        self.m_names = tuple(f"m{a + 1}" for a in range(n))
         self.vs = VarSet(self.l_names + self.m_names)
-        self.L, self.Lp = g.symplectic_basis()
+        L, Lp = g.symplectic_basis()  # coordinate vectors
 
-        lsym = self._combination(self.L, self.l_names)
-        msym = self._combination(self.Lp, self.m_names)
+        lsym = self._combination(L, self.l_names)
+        msym = self._combination(Lp, self.m_names)
         o = [Poly.const(self.vs, c) for c in g.o]
         self.phi = exp_ad(g, lsym, exp_ad(g, msym, o))
         # lambda_i = beta(phi, e_i) = sum_j phi_j K_ji
@@ -100,22 +96,31 @@ class SymplecticChart:
         return acc
 
     # -- verification -----------------------------------------------------
+    def hamiltonicity_failures(self) -> Iterator[Tuple[Tuple[int, int], Fraction]]:
+        """(i, j) and |lambda_[bi,bj] - {lambda_i, lambda_j}| for each failing
+        basis pair i < j, in that order.  The gradient of each moment map is
+        taken once, and each difference is accumulated into one term dict:
+        the moment maps along the bracket coordinates, minus the Poisson
+        bracket sum_a d_la lambda_i d_ma lambda_j - d_ma lambda_i d_la lambda_j."""
+        n, moment = self.g.n, self.moment
+        grads = [gradient(lam) for lam in moment]
+        for i, j in itertools.combinations(range(self.g.dim), 2):
+            acc: dict = {}
+            for k, c in self.g.bracket_coords(i, j).items():
+                for e, x in moment[k].terms.items():
+                    acc[e] = acc.get(e, 0) + x * c
+            for a in range(n):
+                mul_add(acc, grads[i][a], grads[j][n + a], -1)
+                mul_add(acc, grads[i][n + a], grads[j][a])
+            r = Fraction(sum(map(abs, acc.values())))
+            if r:
+                yield (i, j), r
+
     def hamiltonicity_residual(self) -> Tuple[Fraction, int]:
         """Sum over all basis pairs of |lambda_[bi,bj] - {lambda_i, lambda_j}|,
         plus the count of failing pairs."""
-        res = Fraction(0)
-        bad = 0
-        for i in range(self.g.dim):
-            for j in range(i + 1, self.g.dim):
-                lhs = Poly.zero(self.vs)
-                for k, c in self.g.bracket_coords(i, j).items():
-                    lhs = lhs + self.moment[k] * c
-                d = lhs - self.poisson(self.moment[i], self.moment[j])
-                r = poly_abs(d)
-                if r:
-                    bad += 1
-                    res += r
-        return res, bad
+        rs = [r for _, r in self.hamiltonicity_failures()]
+        return Fraction(sum(rs)), len(rs)
 
     def max_moment_degree(self) -> int:
         return max(p.total_degree() for p in self.moment)

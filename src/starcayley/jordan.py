@@ -135,11 +135,6 @@ class JordanAlgebra:
         )
 
     # -- helpers --------------------------------------------------------
-    def basis_vector(self, a: int) -> List[Fraction]:
-        v = [Fraction(0)] * self.dim
-        v[a] = Fraction(1)
-        return v
-
     def symbolic_element(self, vs: VarSet, prefix: str) -> List[Poly]:
         return [Poly.var(vs, f"{prefix}{a + 1}") for a in range(self.dim)]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 Key = Tuple[int, ...]
 
@@ -114,6 +114,17 @@ def mul_add(acc: dict, t1: dict, t2: dict, sign: int = 1) -> dict:
 def mul_terms(t1: dict, t2: dict) -> dict:
     """The product of two Poly term dicts."""
     return pruned(mul_add({}, t1, t2))
+
+
+def diff_terms(terms: dict, i: int) -> dict:
+    """The term dict of the derivative in the variable at index i; lowering
+    one exponent is injective on the terms it keeps."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: exact(c * e[i]) for e, c in terms.items() if e[i]}
+
+
+def gradient(p: "Poly") -> List[dict]:
+    """The term dicts of the derivatives of p in the variables of ``p.vs``."""
+    return [diff_terms(p.terms, i) for i in range(len(p.vs))]
 
 
 def scale_terms(terms: dict, c, shift: Callable[[tuple, int], tuple]) -> dict:
@@ -252,12 +263,7 @@ class Poly(FlatTerms):
 
     # -- calculus --------------------------------------------------------
     def diff(self, name: str) -> "Poly":
-        # lowering one exponent is injective on the terms it keeps
-        i = self.vs.index(name)
-        terms = self.terms.items()
-        return Poly._new(
-            self.vs, {e[:i] + (e[i] - 1,) + e[i + 1 :]: exact(c * e[i]) for e, c in terms if e[i]}
-        )
+        return Poly._new(self.vs, diff_terms(self.terms, self.vs.index(name)))
 
     def substitute(self, mapping: Mapping[str, "Poly"], target: VarSet) -> "Poly":
         """Replace every variable appearing in self by its image polynomial.

@@ -200,12 +200,16 @@ def run_chart_suite(ctx: InstanceContext) -> dict:
     ch = ctx.chart
     res, bad = ch.hamiltonicity_residual()
     deg = ch.max_moment_degree()
-    return {
+    out = {
         "passed": res == 0 and deg <= 3,
         "hamiltonicity_residual": str(res),
         "failing_pairs": bad,
         "max_moment_degree": deg,
     }
+    if bad:
+        ij, r = next(ch.hamiltonicity_failures())
+        out["hamiltonicity_witness"] = f"first failing (i, j) = {ij}, residual {r}"
+    return out
 
 
 def run_star_suite(ctx: InstanceContext) -> dict:

@@ -15,7 +15,9 @@ constants of g, with z the coordinate vector of g(-1) whose entries are the
 variables z^a; beta(h, o) and spur(h) are dot products of the degree-zero
 coordinates of h with the precomputed vectors K.o and spur_vector.  l_A is
 cross-checked against the conformal field u + Tz + P(z)v that hds builds
-from Jordan data, and h_A against kappa * Dl_A.
+from Jordan data, and h_A against kappa * Dl_A.  The coordinates of h_A
+and l_A are built once per basis element and shared by rho and both
+cross-checks.
 
 ``bracket_sign`` is the one bracket-sign check, shared by rho and by the
 weighted operators of hds: both are first order, so each commutator is a
@@ -24,14 +26,16 @@ bracket of vector fields with multipliers, not a product of operators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from . import linalg
 from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, scalar_ratio
+from .poly import Poly, VarSet, gradient, scalar_ratio
 from .scalars import Scalar
 from .weyl import (
     WeylOperator,
@@ -85,15 +89,22 @@ class StarRepresentation:
         br = g.coord_bracket(av, self._z)
         return [br[k] + Poly.const(self.zvs, at[k]) for k in range(g.n, g.n + g.dim0)]
 
+    def _h_matrix(self, h_coords: List[Poly]) -> List[List[Poly]]:
+        """sum_j h_j T_j over the nonzero coordinates h_j and entries of T_j."""
+        n = self.g.n
+        h = [[Poly.zero(self.zvs)] * n for _ in range(n)]
+        for hj, t in zip(h_coords, self.g.t_basis):
+            for r, c in itertools.product(range(n), repeat=2) if hj.terms else ():
+                if t[r][c]:
+                    h[r][c] = h[r][c] + hj * t[r][c]
+        return h
+
+    def _tau(self, h_coords: List[Poly]) -> Poly:
+        return sum((hj * w for hj, w in zip(h_coords, self._tau_weights)), Poly.zero(self.zvs))
+
     def h_poly(self, a: list) -> List[List[Poly]]:
         """Matrix-valued polynomial h_A(z), linear in z."""
-        h = list(zip(self._h_coords(a), self.g.t_basis))
-        zero = Poly.zero(self.zvs)
-        n = self.g.n
-        return [
-            [sum((hj * t[r][c] for hj, t in h if t[r][c] != 0), zero) for c in range(n)]
-            for r in range(n)
-        ]
+        return self._h_matrix(self._h_coords(a))
 
     def l_poly(self, a: list) -> List[Poly]:
         """Vector-valued polynomial l_A(z), quadratic in z."""
@@ -105,23 +116,25 @@ class StarRepresentation:
         return [Poly.const(self.zvs, au[k]) + tz[k] + quad[k] * Fraction(1, 2) for k in range(g.n)]
 
     def tau_scalar(self, a: list) -> Poly:
-        return sum(
-            (hj * w for hj, w in zip(self._h_coords(a), self._tau_weights)), Poly.zero(self.zvs)
-        )
+        return self._tau(self._h_coords(a))
 
-    def rho_hat(self, a: list) -> WeylOperator:
-        return first_order(self.tau_scalar(a), self.l_poly(a))
+    @cached_property
+    def _basis_parts(self) -> List[Tuple[List[Poly], List[Poly]]]:
+        """(degree-zero coordinates of h_A, l_A) for each basis element A,
+        built on first use and read by rho, the field and kappa_h checks."""
+        return [(self._h_coords(e), self.l_poly(e)) for e in linalg.identity(self.g.dim)]
 
     def rho_basis(self) -> List[WeylOperator]:
-        return [self.rho_hat(e) for e in linalg.identity(self.g.dim)]
+        """rho(A) = tau_A + sum_a l_A(z)^a d/dz^a for each basis element A."""
+        return [first_order(self._tau(h), lp) for h, lp in self._basis_parts]
 
     # -- invariants -------------------------------------------------------
     def field_residual(self, series) -> Fraction:
         """l_A against the field u + Tz + P(z)v that ``series``, an
         ``hds.DiscreteSeries`` of the same g, builds from Jordan data."""
         res = Fraction(0)
-        for b in linalg.identity(self.g.dim):
-            for p, q in zip(self.l_poly(b), series.field(b)):
+        for (_, lp), b in zip(self._basis_parts, linalg.identity(self.g.dim)):
+            for p, q in zip(lp, series.field(b)):
                 res += poly_abs(p - q)
         return res
 
@@ -129,10 +142,9 @@ class StarRepresentation:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis."""
         kappa: Optional[Scalar] = None
         res = Fraction(0)
-        for b in linalg.identity(self.g.dim):
-            h = self.h_poly(b)
-            lp = self.l_poly(b)
-            dmat = [[lp[c].diff(x) for x in self.zvs.names] for c in range(self.g.n)]
+        for h_coords, lp in self._basis_parts:
+            h = self._h_matrix(h_coords)
+            dmat = [[Poly._new(self.zvs, d) for d in gradient(p)] for p in lp]
             for r in range(self.g.n):
                 for c in range(self.g.n):
                     if kappa is None and not dmat[r][c].is_zero():
@@ -186,7 +198,6 @@ def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tup
 
 @dataclass
 class StarTransformResult:
-    index: int
     holomorphic: bool
     matches_rho: bool
     residual: Fraction
@@ -242,5 +253,5 @@ def verify_star_transform(
         holo = uses_only(d_op, hvs.names[:n])
         r_emb = embed_z_operator(rho[i], hvs)
         res = poly_abs(d_op - r_emb)
-        out.append(StarTransformResult(index=i, holomorphic=holo, matches_rho=res == 0, residual=res))
+        out.append(StarTransformResult(holomorphic=holo, matches_rho=res == 0, residual=res))
     return out

@@ -14,8 +14,10 @@ exponents.  On top of this sit
     bidifferential formula, which factorises over the Darboux pairs on
     monomials,
   * left star multiplication as an operator, built from Poisson-tensor
-    contractions summed over multisets of indices; it shares no code with
-    the star product and is its independent cross-check (property B),
+    contractions over multisets of indices, walked depth first so that
+    each derivative of the symbol is taken once, from its prefix's; it
+    shares no code with the star product and is its independent
+    cross-check (property B),
   * the partial Fourier transform, in its Fourier variable rotated by i
     so that every generator image is real, and the passage to the
     holomorphic frame z = l + nu eta, zbar = l - nu eta, both exact
@@ -34,13 +36,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm, perm, prod
 from operator import add
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import FlatTerms, Poly, VarSet, VarSetMismatch, exact, mul_add, pruned
+from .poly import FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, gradient, mul_add, pruned
 from .scalars import Scalar
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -123,10 +124,7 @@ class WeylOperator(FlatTerms):
             b0 = b + (0,)
             for e, pc in p.terms.items():
                 # d^b x^e = e!/(e-b)! x^(e-b), zero when some e_i < b_i
-                w = 1
-                for x, k in zip(e, b):
-                    for t in range(k):
-                        w *= x - t
+                w = prod(map(perm, e, b))
                 if not w:
                     continue
                 f = c * pc * w
@@ -203,11 +201,7 @@ def first_order_parts(op: WeylOperator) -> FirstOrderParts:
     part taken once, so that brackets with many operators reuse it."""
     f, a = split_first_order(op)
     comps = [f, *a]
-    names = op.vs.names
-    return FirstOrderParts(
-        [p.terms for p in comps],
-        [[p.diff(v).terms for v in names] if p.terms else [{}] * len(names) for p in comps],
-    )
+    return FirstOrderParts([p.terms for p in comps], [gradient(p) for p in comps])
 
 
 def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
@@ -235,14 +229,6 @@ def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _falling(x: int, k: int) -> int:
-    """The falling factorial x (x-1) ... (x-k+1)."""
-    r = 1
-    for t in range(k):
-        r *= x - t
-    return r
-
-
 @functools.lru_cache(maxsize=None)
 def _pair_kernel(p1: int, q1: int, p2: int, q2: int) -> Tuple[Tuple[int, int], ...]:
     """One Darboux pair's factor of  l^p1 m^q1  star  l^p2 m^q2.
@@ -250,7 +236,7 @@ def _pair_kernel(p1: int, q1: int, p2: int, q2: int) -> Tuple[Tuple[int, int], .
     The term (alpha, beta) is nu^(alpha+beta) times
     (-1)^beta p1^(alpha) q2^(alpha) q1^(beta) p2^(beta) / (alpha! beta!)
     times l^(p1+p2-alpha-beta) m^(q1+q2-alpha-beta), with x^(k) the falling
-    factorial; the coefficient is the integer
+    factorial ``math.perm(x, k)``; the coefficient is the integer
     (-1)^beta C(p1, alpha) q2^(alpha) C(q1, beta) p2^(beta).  Both the
     nu-power and the exponent drop depend only on s = alpha + beta, so the
     terms are merged by s: (s, coefficient) pairs with nonzero coefficient.
@@ -258,7 +244,7 @@ def _pair_kernel(p1: int, q1: int, p2: int, q2: int) -> Tuple[Tuple[int, int], .
     acc: Dict[int, int] = {}
     for a in range(min(p1, q2) + 1):
         for b in range(min(q1, p2) + 1):
-            c = comb(p1, a) * _falling(q2, a) * comb(q1, b) * _falling(p2, b)
+            c = comb(p1, a) * perm(q2, a) * comb(q1, b) * perm(p2, b)
             acc[a + b] = acc.get(a + b, 0) + (-c if b % 2 else c)
     return tuple((s, c) for s, c in sorted(acc.items()) if c)
 
@@ -323,38 +309,41 @@ def left_star_operator(
 ) -> WeylOperator:
     """The operator u -> lam star u, built from Poisson-tensor contractions.
 
-    The k-th order part sums over multisets of k contraction indices: each
-    multiset stands for its k!/prod(mult!) orderings, so it carries the
-    weight sign * nu^k / prod(mult!).
+    The k-th order part sums over multisets of k contraction indices
+    c < 2n: index c < n differentiates lam in l^c and contributes d/dm^c,
+    index n + a differentiates it in m^a, contributes d/dl^a and flips the
+    sign.  Each multiset stands for its k!/prod(mult!) orderings, so it
+    carries the weight sign * nu^k / prod(mult!).
+
+    The multisets are walked depth first as nondecreasing index sequences.
+    A prefix is extended only by an index whose variable occurs in the
+    prefix's derivative of lam, and that derivative is differentiated once
+    more, on its term dict; the sign and prod(mult!) are carried along, the
+    latter one run length at a time.
     """
     vs = lam.vs
     n = len(l_names)
-    l_idx = [vs.index(x) for x in l_names]
-    m_idx = [vs.index(x) for x in m_names]
+    var = [vs.index(x) for x in (*l_names, *m_names)]
+    dvar = var[n:] + var[:n]
     zero_d = (0,) * len(vs)
     out: dict = {(e, zero_d): c for e, c in lam.terms.items()}
-    for k in range(1, lam.total_degree() + 1):
-        for combo in itertools.combinations_with_replacement(range(2 * n), k):
-            p = lam
-            dexp = [0] * len(vs)
-            sign = 1
-            for c in combo:
-                if c < n:
-                    p = p.diff(l_names[c])
-                    dexp[m_idx[c]] += 1
-                else:
-                    p = p.diff(m_names[c - n])
-                    dexp[l_idx[c - n]] += 1
-                    sign = -sign
-                if p.is_zero():
-                    break
-            if p.is_zero():
+    # a prefix: length k, last index, its run length, sign, prod(mult!),
+    # derivative exponents and the terms of lam's derivative
+    stack = [(0, 0, 0, 1, 1, zero_d, lam.terms)]
+    while stack:
+        k, last, run, sign, den, dexp, terms = stack.pop()
+        for c in range(last, 2 * n):
+            dterms = diff_terms(terms, var[c])
+            if not dterms:
                 continue
-            weight = exact(Fraction(sign, prod(factorial(m) for m in Counter(combo).values())))
-            dexp = tuple(dexp)
-            for e, c in p.terms.items():
-                key = (e[:-1] + (e[-1] + k,), dexp)
-                out[key] = out[key] + c * weight if key in out else c * weight
+            r = run + 1 if c == last else 1
+            s, d = -sign if c >= n else sign, den * r
+            de = dexp[: dvar[c]] + (dexp[dvar[c]] + 1,) + dexp[dvar[c] + 1 :]
+            for e, x in dterms.items():
+                key = (e[:-1] + (e[-1] + k + 1,), de)
+                w = x * s if d == 1 else Fraction(x * s, d)
+                out[key] = out[key] + w if key in out else w
+            stack.append((k + 1, c, r, s, d, de, dterms))
     return WeylOperator._new(vs, pruned(out))
 
 
@@ -540,12 +529,8 @@ def star_transform(
 
 def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:
     """True when every term touches only the given variables."""
-    allowed = {op.vs.index(x) for x in names}
-    for (a, b) in op.terms:
-        for i in range(len(op.vs.names)):
-            if i not in allowed and (a[i] or b[i]):
-                return False
-    return True
+    others = [i for i, x in enumerate(op.vs.names) if x not in names]
+    return not any(a[i] or b[i] for a, b in op.terms for i in others)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from starcayley import jordan, kkt  # noqa: E402
 from starcayley.poly import Poly  # noqa: E402
 from starcayley.scalars import Scalar  # noqa: E402
+from starcayley.poly import exact, pruned  # noqa: E402
 from starcayley.weyl import WeylOperator, fourier_conjugate, holomorphic_frame  # noqa: E402
 
 
@@ -25,6 +29,40 @@ def two_conjugations(op: WeylOperator, l_names, m_names):
     flipped = WeylOperator(op.vs, {k: -c if k[0][-1] % 2 else c for k, c in op.terms.items()})
     fop, fvs = fourier_conjugate(flipped.scale(Scalar.nu(-1, Fraction(1, 2))), l_names, m_names)
     return holomorphic_frame(fop, l_names, fvs.names[len(l_names) :])
+
+
+def multiset_left_star_operator(lam: Poly, l_names, m_names) -> WeylOperator:
+    """The oracle of ``weyl.left_star_operator``: for every order k up to
+    the degree of lam and every multiset of k contraction indices, lam is
+    differentiated from scratch along the multiset (index c < n in l^c,
+    contributing d/dm^c; index n + a in m^a, contributing d/dl^a and a sign
+    flip), weighted by sign * nu^k / prod(mult!)."""
+    vs = lam.vs
+    n = len(l_names)
+    l_idx = [vs.index(x) for x in l_names]
+    m_idx = [vs.index(x) for x in m_names]
+    zero_d = (0,) * len(vs)
+    out: dict = {(e, zero_d): c for e, c in lam.terms.items()}
+    for k in range(1, lam.total_degree() + 1):
+        for combo in itertools.combinations_with_replacement(range(2 * n), k):
+            p = lam
+            dexp = [0] * len(vs)
+            sign = 1
+            for c in combo:
+                if c < n:
+                    p = p.diff(l_names[c])
+                    dexp[m_idx[c]] += 1
+                else:
+                    p = p.diff(m_names[c - n])
+                    dexp[l_idx[c - n]] += 1
+                    sign = -sign
+            if p.is_zero():
+                continue
+            weight = exact(Fraction(sign, prod(factorial(m) for m in Counter(combo).values())))
+            for e, c in p.terms.items():
+                key = (e[:-1] + (e[-1] + k,), tuple(dexp))
+                out[key] = out.get(key, 0) + c * weight
+    return WeylOperator(vs, pruned(out))
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,41 @@ import pytest
 from starcayley import jordan, kkt
 from starcayley.chart import SymplecticChart, poly_abs
 from starcayley.poly import Poly
+from starcayley.report import InstanceContext, RunConfig, run_chart_suite
 
 from conftest import degree_in
+
+
+def poly_chain_hamiltonicity(ch):
+    """(residual, failing pairs, first failing pair with its residual or
+    None) of lambda_[bi,bj] = {lambda_i, lambda_j}, formed pair by pair as
+    Poly sums and ``ch.poisson``: the oracle of the cached-gradient
+    check."""
+    res, bad, first = Fraction(0), 0, None
+    for i in range(ch.g.dim):
+        for j in range(i + 1, ch.g.dim):
+            lhs = Poly.zero(ch.vs)
+            for k, c in ch.g.bracket_coords(i, j).items():
+                lhs = lhs + ch.moment[k] * c
+            r = poly_abs(lhs - ch.poisson(ch.moment[i], ch.moment[j]))
+            if r:
+                res, bad = res + r, bad + 1
+                first = first or ((i, j), r)
+    return res, bad, first
+
+
+def _perturbed(A: jordan.JordanAlgebra, a: int, b: int, c: int) -> jordan.JordanAlgebra:
+    """A with the structure constant of e_c in e_a o e_b raised by 1."""
+    S = [[list(row) for row in plane] for plane in A.structure]
+    S[a][b][c] += Fraction(1)
+    return jordan.JordanAlgebra(
+        name="perturbed",
+        dim=A.dim,
+        rank=A.rank,
+        basis_names=A.basis_names,
+        structure=jordan._freeze(S),
+        unit=A.unit,
+    )
 
 
 class TestRankOneOracle:
@@ -85,18 +118,31 @@ def test_moment_of_base_point_at_origin(instance_cache):
 
 
 def test_perturbed_structure_breaks_hamiltonicity():
-    A = jordan.make_spin_factor(2)
-    S = [[[c for c in row] for row in plane] for plane in A.structure]
-    S[0][1][1] += Fraction(1)
-    bad = jordan.JordanAlgebra(
-        name="perturbed",
-        dim=A.dim,
-        rank=A.rank,
-        basis_names=A.basis_names,
-        structure=jordan._freeze(S),
-        unit=A.unit,
-    )
+    bad = _perturbed(jordan.make_spin_factor(2), 0, 1, 1)
     g = kkt.GradedLieAlgebra(bad, Fraction(1))
     ch = SymplecticChart(g)
     res, failing = ch.hamiltonicity_residual()
     assert res > 0 and failing > 0
+    assert next(ch.hamiltonicity_failures()) == ((0, 2), Fraction(1, 2))
+    # the chart suite names the first failing pair, and only on failure
+    assert "hamiltonicity_witness" not in run_chart_suite(InstanceContext(RunConfig("spin:2")))
+    ctx = InstanceContext(RunConfig("spin:2"))
+    ctx._cache["algebra"] = bad
+    out = run_chart_suite(ctx)
+    assert not out["passed"] and out["failing_pairs"] == failing
+    assert out["hamiltonicity_witness"] == "first failing (i, j) = (0, 2), residual 1/2"
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        pytest.param(lambda: _perturbed(jordan.make_spin_factor(2), 0, 1, 1), id="spin:2"),
+        pytest.param(lambda: _perturbed(jordan.make_sym_matrices(2), 1, 0, 1), id="sym:2"),
+    ],
+)
+def test_hamiltonicity_matches_poly_chain(perturb):
+    # the term-dict check on cached gradients against Poly sums per pair
+    ch = SymplecticChart(kkt.GradedLieAlgebra(perturb(), Fraction(1)))
+    got = (*ch.hamiltonicity_residual(), next(ch.hamiltonicity_failures(), None))
+    assert got == poly_chain_hamiltonicity(ch)
+    assert got[1] > 0

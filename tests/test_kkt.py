@@ -63,10 +63,10 @@ def _perturbed_sym2() -> jordan.JordanAlgebra:
 def _fraction_residuals(g: kkt.GradedLieAlgebra):
     """Reference residuals in Fraction arithmetic, from ``bracket_coords``
     and the model's theta only: the Jacobi and Killing-invariance residual
-    of each failing basis triple, keyed (i, j, k), and the theta residual
-    of each failing row i of theta^2, keyed (i, i), and pair i < j of the
-    automorphism identity, keyed (i, j), so that the first key is the
-    first in the check's order."""
+    of each failing basis triple, keyed (i, j, k), the theta residual of
+    each failing pair i < j of the automorphism identity, keyed (i, j), so
+    that the first key is the first in the check's order, and the residual
+    of each failing row i of theta^2, keyed i."""
     d = g.dim
     c = [[g.bracket_coords(i, j) for j in range(d)] for i in range(d)]
     jacobi = {}
@@ -93,9 +93,9 @@ def _fraction_residuals(g: kkt.GradedLieAlgebra):
                     out[k] += x[i] * y[j] * ck
         return out
 
-    theta_res = {}
+    theta_res, square = {}, {}
     for i in range(d):
-        theta_res[(i, i)] = sum(abs(x - (m == i)) for m, x in enumerate(apply(theta[i])))
+        square[i] = sum(abs(x - (m == i)) for m, x in enumerate(apply(theta[i])))
         for j in range(i + 1, d):
             lhs = apply([c[i][j].get(k, 0) for k in range(d)])
             theta_res[(i, j)] = sum(abs(a - b) for a, b in zip(lhs, bracket(theta[i], theta[j])))
@@ -114,7 +114,7 @@ def _fraction_residuals(g: kkt.GradedLieAlgebra):
         for k in range(j, d)
     }
     failing = lambda by_triple: {t: r for t, r in by_triple.items() if r}
-    return failing(jacobi), failing(theta_res), failing(killing)
+    return failing(jacobi), failing(theta_res), failing(killing), failing(square)
 
 
 @pytest.mark.parametrize("selector", ["rank1", "spin:2", "spin:3", "sym:2", "spin:4", "perturbed"])
@@ -161,7 +161,7 @@ def test_sparse_build_matches_model(selector, instance_cache):
     else:
         A, g = instance_cache("algebra", selector), instance_cache("lie", selector)
     n = A.dim
-    e = [A.basis_vector(a) for a in range(n)]
+    e = linalg.identity(n)
     assert g.tau_gram == [[A.tau(x, y) for y in e] for x in e]
     for a in range(n):
         for b in range(n):
@@ -280,7 +280,7 @@ def test_integer_checks_match_fraction_reference(make, denom, theta_denom):
     # end; each residual and witness must equal the Fraction computation
     g = kkt.GradedLieAlgebra(make())
     assert (g.denom, g.theta_table[1]) == (denom, theta_denom)
-    jacobi, theta, killing = _fraction_residuals(g)
+    jacobi, theta, killing, square = _fraction_residuals(g)
     results = kkt.verify_jacobi(g), kkt.verify_theta(g), kkt.verify_killing_invariance(g)
     residuals = [sum(jacobi.values()), sum(theta.values()), sum(killing.values())]
     assert [r.residual for r in results] == residuals
@@ -290,10 +290,14 @@ def test_integer_checks_match_fraction_reference(make, denom, theta_denom):
         witness = f"first failing (i, j, k) = {first}, residual {by_triple[first]}"
         assert result.detail.endswith(witness)
     assert results[0].detail.startswith(f"{len(jacobi)} failing triples; ")
-    # theta^2 = 1 holds for any table, so the first failure is a pair
     first = min(theta)
-    assert first[0] < first[1]
     assert results[1].detail == f"first failing (i, j) = {first}, residual {theta[first]}"
+    # theta^2 = 1, which the check leaves out, fails only where the tau Gram
+    # matrix is not symmetric, as on the non-commutative perturbed sym:2; a
+    # validated algebra is commutative
+    G = g.tau_gram
+    symmetric = all(G[a][b] == G[b][a] for a in range(g.n) for b in range(a))
+    assert symmetric == (not square)
 
 
 class TestSymplecticStructure:

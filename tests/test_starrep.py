@@ -5,7 +5,7 @@ import pytest
 from conftest import two_conjugations
 from starcayley import jordan, kkt, linalg
 from starcayley.poly import Poly
-from starcayley.report import BUILTIN_SELECTORS
+from starcayley.report import BUILTIN_SELECTORS, InstanceContext, RunConfig, run_theorem_suite
 from starcayley.scalars import Scalar
 from starcayley.starrep import (
     StarRepresentation,
@@ -63,13 +63,30 @@ def test_tau_weights_from_integer_killing_and_spur(instance_cache):
     assert all(type(c) in (int, Fraction) for c in w.terms.values())
 
 
+def test_theorem_suite_builds_h_and_l_once_per_basis_element(monkeypatch):
+    # rho, the field check and the kappa_h check share one list of
+    # (h_A, l_A); the report's tau_scalar(E) adds one h_A of its own
+    calls = {"l_poly": 0, "_h_coords": 0}
+    for name in calls:
+        real = getattr(StarRepresentation, name)
+
+        def counted(self, a, real=real, name=name):
+            calls[name] += 1
+            return real(self, a)
+
+        monkeypatch.setattr(StarRepresentation, name, counted)
+    ctx = InstanceContext(RunConfig(algebra="sym:3"))
+    assert run_theorem_suite(ctx)["passed"]
+    assert calls == {"l_poly": ctx.lie.dim, "_h_coords": ctx.lie.dim + 1}
+
+
 class TestFieldPolynomials:
     def test_pure_cases(self, instance_cache):
         srep = instance_cache("srep", "spin:3")
         g = srep.g
         u_elt = linalg.identity(g.dim)[1]
         assert srep.l_poly(u_elt) == [
-            Poly.const(srep.zvs, c) for c in g.jordan.basis_vector(1)
+            Poly.const(srep.zvs, c) for c in linalg.identity(g.jordan.dim)[1]
         ]
         assert all(p.is_zero() for row in srep.h_poly(u_elt) for p in row)
         assert srep.tau_scalar(u_elt).is_zero()

@@ -5,9 +5,10 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import two_conjugations
+from conftest import multiset_left_star_operator, two_conjugations
 from starcayley.chart import poly_abs
 from starcayley.poly import Poly, VarSet, varset
+from starcayley.report import BUILTIN_SELECTORS
 from starcayley.scalars import Scalar
 from starcayley.weyl import (
     WeylOperator,
@@ -110,6 +111,21 @@ def laurent_polys(draw, vs=MIXED_VS, max_exp=2):
         e = tuple(draw(st.integers(0, max_exp)) for _ in vs.names) + (draw(st.integers(-2, 2)),)
         c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
         terms[e] = terms.get(e, 0) + c
+    return Poly(vs, terms)
+
+
+@st.composite
+def nu_polys(draw, vs=MIXED_VS, max_deg=5):
+    """Sums of monomials of degree up to max_deg with rational coefficients
+    of denominator up to 4 at nu-powers -1..2."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        e = [0] * len(vs)
+        for _ in range(draw(st.integers(0, max_deg))):
+            e[draw(st.integers(0, len(vs) - 1))] += 1
+        key = (*e, draw(st.integers(-1, 2)))
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        terms[key] = terms.get(key, 0) + c
     return Poly(vs, terms)
 
 
@@ -269,6 +285,23 @@ class TestLeftStarOperator:
     def test_order_bounded_by_degree(self, lam):
         op = left_star_operator(lam, L_NAMES, M_NAMES)
         assert op.order() <= lam.total_degree()
+
+    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+    def test_matches_multiset_oracle_on_builtins(self, selector, instance_cache):
+        # the prefix walk against differentiation from scratch per multiset
+        ch = instance_cache("chart", selector)
+        for i, lam in enumerate(ch.moment):
+            want = multiset_left_star_operator(lam, ch.l_names, ch.m_names)
+            assert left_star_operator(lam, ch.l_names, ch.m_names).terms == want.terms, i
+
+    @given(nu_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_multiset_oracle(self, lam):
+        # degree up to 5, coefficients at several nu-powers and with
+        # denominators other than 1, an unpaired variable and the pairs out
+        # of chart order: the walk may assume none of what the built-ins give
+        want = multiset_left_star_operator(lam, MIXED_L, MIXED_M)
+        assert left_star_operator(lam, MIXED_L, MIXED_M).terms == want.terms
 
 
 class TestFourierConjugation:
