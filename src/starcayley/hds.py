@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from . import linalg
@@ -80,8 +81,13 @@ class DiscreteSeries:
         s = div * Fraction(-self.g.jordan.rank, self.g.n)
         return first_order(s, [-comp for comp in comps])
 
+    @cached_property
+    def _dpi_basis(self) -> tuple:
+        return tuple(self.dpi(e) for e in linalg.identity(self.g.dim))
+
     def dpi_basis(self) -> List[WeylOperator]:
-        return [self.dpi(e) for e in linalg.identity(self.g.dim)]
+        """dpi_1 of each basis element, built once; a new list on each call."""
+        return list(self._dpi_basis)
 
 
 def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fraction]:
@@ -121,16 +127,20 @@ def solve_equivalence(
     For each candidate alpha the vector-field parts must agree on the nose;
     the multiplication parts then determine m* by exact division, which must
     be consistent across the whole basis.  Raises NoEquivalence otherwise.
+    dpi is linear, so dpi(alpha e) is formed as sum_k alpha(e)_k dpi(e_k)
+    from ``ds.dpi_basis()``, which every candidate shares.
     """
     ds = ds or DiscreteSeries(g)
     rho_parts = [split_first_order(op) for op in rho]
+    ops, zero = ds.dpi_basis(), WeylOperator.zero(ds.zvs)
     best = None
     for name, alpha in _automorphism_candidates(g):
         ok = True
         m_star: Optional[Scalar] = None
         res = Fraction(0)
         for e, (tau, vec) in zip(linalg.identity(g.dim), rho_parts):
-            s_poly, dpi_vec = split_first_order(ds.dpi(alpha(e)))
+            dpi_alpha = sum((ops[k].scale(c) for k, c in enumerate(alpha(e)) if c), zero)
+            s_poly, dpi_vec = split_first_order(dpi_alpha)
             r = sum((poly_abs(p - q) for p, q in zip(vec, dpi_vec)), Fraction(0))
             if r != 0:
                 ok = False

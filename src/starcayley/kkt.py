@@ -26,10 +26,13 @@ the commutators of the closure as sparse products, with G the tau Gram
 matrix sum_c s_ab^c Tr L(e_c).  One ``linalg.Echelon`` reduces the
 flattened matrices in the order of the dense elimination, so t_basis,
 which is stored dense, and every coordinate are those of a dense build.
-The (u, T, v) model, with rational entries, is the construction's model:
-it gives theta on g(0) on first use and is the independent
-oracle the table is tested against, but no check of the lie suite runs on
-it.  Outside this module an element of g is its coordinate vector in the
+The build keeps the coordinates of each box and of each T_i#, and which
+box it appended as each T_j; Theta, the identifications and the closed
+Killing form read them, so every g(0) fact has one source.  The (u, T, v)
+model, with rational entries, is the construction's model: it is the
+independent oracle that the table and Theta are tested against, and the
+benchmark tracer names its bracket, but no report path runs on it.
+Outside this module an element of g is its coordinate vector in the
 basis (g(-1), t_basis, g(1)): E, o and the symplectic basis are held as
 such vectors, ``coord_bracket`` brackets them, with rational or Poly
 entries, through the table, and beta pairs them through the Killing Gram
@@ -98,12 +101,6 @@ def _sparse_sum(terms, acc: Optional[dict] = None) -> dict:
     return acc
 
 
-def _sparse_numerators(row: Sequence, den: int) -> dict:
-    """{m: den row[m]} over the nonzero entries, as ints; den must be a
-    common denominator of the row."""
-    return {m: (x * den).numerator for m, x in enumerate(row) if x}
-
-
 @dataclass
 class GradedLieAlgebra:
     jordan: JordanAlgebra
@@ -118,6 +115,10 @@ class GradedLieAlgebra:
     _tau_gram_inv: linalg.Matrix = field(init=False)
     # the sparse matrices e_a box e_b, at index a n + b
     _boxes: List[linalg.Sparse] = field(init=False)
+    # the nonzero coordinates of each box and T_i#, and the box appended as T_j
+    _box_coords: List[dict] = field(init=False)
+    _sharp_coords: List[dict] = field(init=False)
+    _t_boxes: List[int] = field(init=False)
     # D and the numerators D c_ij^k, keyed (i, j) in both orders
     denom: int = field(init=False)
     _structure: dict = field(init=False)
@@ -167,7 +168,9 @@ class GradedLieAlgebra:
             for a in range(n)
             for b in range(n)
         ]
-        box_coords = [absorb(m) for m in self._boxes]
+        self._box_coords = [absorb(m) for m in self._boxes]
+        # T_j for j below the size here is the first box with coordinates {j: 1}
+        self._t_boxes = [self._box_coords.index({j: 1}) for j in range(len(basis))]
         rounds = 0
         while True:
             rounds += 1
@@ -175,8 +178,7 @@ class GradedLieAlgebra:
                 raise GradingClosureFailure("degree-zero span does not stabilize")
             size = len(basis)
             sharps = [sharp(m) for m in basis]
-            for m in sharps:
-                absorb(m)
+            self._sharp_coords = [absorb(m) for m in sharps]
             comm = {}
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
@@ -187,7 +189,7 @@ class GradedLieAlgebra:
         self.t_basis = [linalg.dense(m) for m in basis]
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
-        table = self._block_table(basis, box_coords, comm, sharps)
+        table = self._block_table(basis, comm, sharps)
         D = self.denom = _common_denominator(c for nz in table.values() for c in nz.values())
         self._structure = {}
         for (i, j), nz in table.items():
@@ -215,10 +217,16 @@ class GradedLieAlgebra:
         return [Fraction(c.get(k, 0)) for k in range(self.dim0)]
 
     def t_from_coords(self, c: Sequence) -> list:
-        m = linalg.zeros(self.n, self.n)
-        for i, ci in enumerate(c):
-            if ci != 0:
-                m = linalg.mat_add(m, [[ci * x for x in row] for row in self.t_basis[i]])
+        """sum_j c_j T_j over the nonzero c_j and the nonzero entries of T_j;
+        the c_j may be rationals or Polys, and the zero is that of c[0]."""
+        zero = c[0] - c[0]
+        m = [[zero] * self.n for _ in range(self.n)]
+        for cj, t in zip(c, self.t_basis):
+            if not linalg._is_zero(cj):
+                for r, row in enumerate(t):
+                    for col, x in enumerate(row):
+                        if x:
+                            m[r][col] = m[r][col] + cj * x
         return m
 
     def to_coords(self, x: LieElement) -> list:
@@ -264,14 +272,13 @@ class GradedLieAlgebra:
         """Theta as (rows, D_theta): row i maps m to the integer numerator
         of the m-th coordinate of theta e_i over D_theta.  As
         theta(u, T, v) = (v, -T#, u) swaps e_a and f_a, the rows of g(-1)
-        and g(1) are written by index; those of g(0) are taken from the
-        model on first use."""
+        and g(1) are written by index; row n + i of g(0) is -T_i#, whose
+        coordinates the build kept when it closed the span."""
         n, f = self.n, self.n + self.dim0
-        mid = [self.to_coords(self.theta(self.from_coords(e))) for e in linalg.identity(self.dim)[n:f]]
-        den = _common_denominator(_flat(mid))
+        den = _common_denominator(c for nz in self._sharp_coords for c in nz.values())
         return (
             [{f + a: den} for a in range(n)]
-            + [_sparse_numerators(row, den) for row in mid]
+            + [{n + k: (-c * den).numerator for k, c in nz.items()} for nz in self._sharp_coords]
             + [{a: den} for a in range(n)]
         ), den
 
@@ -285,7 +292,7 @@ class GradedLieAlgebra:
                     out[m] += ck * t
         return [Fraction(x, den) for x in out]
 
-    def _block_table(self, T: list, box_coords: list, comm: dict, sharps: list) -> dict:
+    def _block_table(self, T: list, comm: dict, sharps: list) -> dict:
         """Nonzero c_ij^k for i < j, keyed in that order, block by block:
 
             [e_a, T_i] = -T_i e_a,              [e_a, f_b] = -2 e_a box e_b,
@@ -293,7 +300,7 @@ class GradedLieAlgebra:
 
         with e_a, T_i, f_b the basis of g(-1), g(0), g(1); every other pair
         of blocks brackets to zero.  ``T[i]`` and ``sharps[i]`` are T_i and
-        T_i#, sparse; ``box_coords[a n + b]`` and ``comm[(i, j)]`` map g(0)
+        T_i#, sparse; ``_box_coords[a n + b]`` and ``comm[(i, j)]`` map g(0)
         indices to the nonzero coordinates of e_a box e_b and of [T_i, T_j]."""
         n, d0 = self.n, self.dim0
         f = n + d0
@@ -310,7 +317,7 @@ class GradedLieAlgebra:
             for i in range(d0):
                 put(a, n + i, minus_column(T[i], a, 0))
             for b in range(n):
-                put(a, f + b, {n + k: -2 * c for k, c in box_coords[a * n + b].items()})
+                put(a, f + b, {n + k: -2 * c for k, c in self._box_coords[a * n + b].items()})
         for i in range(d0):
             for j in range(i + 1, d0):
                 put(n + i, n + j, {n + k: c for k, c in comm[(i, j)].items()})
@@ -525,9 +532,9 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     Theta, with theta e_b from ``theta_table`` as in ``verify_theta``:
     [e_a, theta e_b] over D D_theta and the double bracket over
     D^2 D_theta.  The right-hand sides come from the Jordan algebra: the
-    matrix of e_a box e_b, with its coordinates along t_basis, and its
-    column c, which is {e_a, e_b, e_c} by the definition of the box.  So
-    the check asks whether the table that every later check uses reproduces
+    matrix of e_a box e_b, with the coordinates along t_basis that the
+    build kept for it, and its column c, which is {e_a, e_b, e_c} by the
+    definition of the box.  So the check asks whether the table that every later check uses reproduces
     the box and the triple product.
 
     It can fail only on a wrong build of the table or of theta, never on a
@@ -550,7 +557,7 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
         for b in range(n):
             inner = _sparse_sum((t, S.get((a, q), {})) for q, t in rows[b].items())
             box = g._boxes[a * n + b]
-            want = {n + k: y for k, y in g._span.coords(linalg.flat(box)).items()}
+            want = {n + k: y for k, y in g._box_coords[a * n + b].items()}
             r = _distance(inner, -2 * D * dt, want)
             boxes += r
             if r and first is None:
@@ -576,7 +583,7 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
     failure the detail names the first failing (i, j, k) and its
     residual."""
     dk = _common_denominator(_flat(g.killing))
-    K = [_sparse_numerators(row, dk) for row in g.killing]
+    K = [{m: (x * dk).numerator for m, x in enumerate(row) if x} for row in g.killing]
     S, d, den = g._structure, g.dim, g.denom * dk
     res = 0
     first = None
@@ -603,30 +610,23 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
 
         beta_0(T, x box y) = 2 tau(Tx, y)
 
-    and extended linearly in T' through its coordinates along the boxes
-    e_a box e_b, which span g(0).  It follows from invariance,
-    beta([u, v'], T) = beta(u, [v', T]), with [u, v'] = -2 u box v',
-    [v', T] = T# v' and the -4 tau(u, v') block.  (The Killing form of gl(V),
-    2n tr(TT') - 2 tr(T) tr(T'), agrees with it only when g(0) = gl(V).)
+    and so on t_basis: when the boxes span g(0), the build appended each T_j
+    as a box e_a box e_b, and beta_0(T_i, T_j) = 2 tau(T_i e_a, e_b).  It
+    follows from invariance, beta([u, v'], T) = beta(u, [v', T]), with
+    [u, v'] = -2 u box v', [v', T] = T# v' and the -4 tau(u, v') block.
+    (The Killing form of gl(V), 2n tr(TT') - 2 tr(T) tr(T'), agrees with it
+    only when g(0) = gl(V).)
     """
-    n, d0 = g.n, g.dim0
-    G = g.tau_gram
-    boxes = [linalg.flat(m) for m in g._boxes]
-    box_coords = linalg.in_span(boxes, [linalg.flat(linalg.sparse(t)) for t in g.t_basis])
-    if None in box_coords:
+    n, d0, G = g.n, g.dim0, g.tau_gram
+    if len(g._t_boxes) < d0:
         raise GradingClosureFailure("g(0) is not spanned by the box operators")
-    # 2 tau(T e_a, e_b) = 2 (T^T G)[a][b], flattened in the order of `boxes`;
-    # both factors as integer numerators, the box coordinates sparse
+    # 2 tau(T e_a, e_b) = 2 (T^T G)[a][b], flattened at a n + b
     pair = [_flat(linalg.mat_mul(linalg.transpose(t), G)) for t in g.t_basis]
-    dp = _common_denominator(_flat(pair))
-    pair = [[(2 * x * dp).numerator for x in row] for row in pair]
-    dc = _common_denominator(_flat(box_coords))
-    cols = [_sparse_numerators(col, dc) for col in box_coords]
 
     out = [[0] * g.dim for _ in range(g.dim)]
     for i in range(d0):
-        for j in range(d0):
-            out[n + i][n + j] = _ratio(sum(pair[i][k] * c for k, c in cols[j].items()), dp * dc)
+        for j, ab in enumerate(g._t_boxes):
+            out[n + i][n + j] = exact(2 * pair[i][ab])
     for a in range(n):
         for b in range(n):
             out[a][n + d0 + b] = out[n + d0 + b][a] = exact(-4 * G[a][b])

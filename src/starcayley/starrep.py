@@ -26,7 +26,6 @@ bracket of vector fields with multipliers, not a product of operators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -89,22 +88,12 @@ class StarRepresentation:
         br = g.coord_bracket(av, self._z)
         return [br[k] + Poly.const(self.zvs, at[k]) for k in range(g.n, g.n + g.dim0)]
 
-    def _h_matrix(self, h_coords: List[Poly]) -> List[List[Poly]]:
-        """sum_j h_j T_j over the nonzero coordinates h_j and entries of T_j."""
-        n = self.g.n
-        h = [[Poly.zero(self.zvs)] * n for _ in range(n)]
-        for hj, t in zip(h_coords, self.g.t_basis):
-            for r, c in itertools.product(range(n), repeat=2) if hj.terms else ():
-                if t[r][c]:
-                    h[r][c] = h[r][c] + hj * t[r][c]
-        return h
-
     def _tau(self, h_coords: List[Poly]) -> Poly:
         return sum((hj * w for hj, w in zip(h_coords, self._tau_weights)), Poly.zero(self.zvs))
 
     def h_poly(self, a: list) -> List[List[Poly]]:
         """Matrix-valued polynomial h_A(z), linear in z."""
-        return self._h_matrix(self._h_coords(a))
+        return self.g.t_from_coords(self._h_coords(a))
 
     def l_poly(self, a: list) -> List[Poly]:
         """Vector-valued polynomial l_A(z), quadratic in z."""
@@ -143,7 +132,7 @@ class StarRepresentation:
         kappa: Optional[Scalar] = None
         res = Fraction(0)
         for h_coords, lp in self._basis_parts:
-            h = self._h_matrix(h_coords)
+            h = self.g.t_from_coords(h_coords)
             dmat = [[Poly._new(self.zvs, d) for d in gradient(p)] for p in lp]
             for r in range(self.g.n):
                 for c in range(self.g.n):

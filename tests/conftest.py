@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from starcayley import jordan, kkt  # noqa: E402
+from starcayley import jordan, kkt, linalg  # noqa: E402
 from starcayley.poly import Poly  # noqa: E402
 from starcayley.scalars import Scalar  # noqa: E402
 from starcayley.poly import exact, pruned  # noqa: E402
@@ -98,3 +98,20 @@ def instance_cache():
         return value
 
     return get
+
+
+@pytest.fixture
+def model_forbidden(monkeypatch):
+    """The (u, T, v) model (``from_coords``, ``theta``) and the second
+    elimination ``linalg.in_span`` raise when called: no report path may
+    reach them."""
+
+    def forbid(name):
+        def raiser(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        return raiser
+
+    monkeypatch.setattr(kkt.GradedLieAlgebra, "from_coords", forbid("from_coords"))
+    monkeypatch.setattr(kkt.GradedLieAlgebra, "theta", forbid("theta"))
+    monkeypatch.setattr(linalg, "in_span", forbid("in_span"))

@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from starcayley import jordan, kkt, linalg
+from starcayley import hds, jordan, kkt, linalg
 from starcayley.hds import (
+    DiscreteSeries,
     NoEquivalence,
     closed_form_weight,
     compare_with_closed_form,
@@ -13,9 +15,24 @@ from starcayley.hds import (
 )
 from starcayley.linalg import trace
 from starcayley.poly import Poly
+from starcayley.report import RunConfig, run
 from starcayley.scalars import Scalar
 from starcayley.starrep import StarRepresentation
 from starcayley.weyl import WeylOperator, split_first_order
+
+
+def count_candidates(monkeypatch, counts: Counter):
+    """Count the automorphisms that ``solve_equivalence`` tries, under
+    counts["candidates"], by wrapping the module-level generator as the
+    benchmark tracer does."""
+    candidates = hds._automorphism_candidates
+
+    def counted(g):
+        for item in candidates(g):
+            counts["candidates"] += 1
+            yield item
+
+    monkeypatch.setattr(hds, "_automorphism_candidates", counted)
 
 
 def weight_parts(op):
@@ -142,14 +159,20 @@ class TestEquivalence:
 
         assert scalar_ratio(m_from_E, s_E) == scalar_ratio(m_from_v, s_v)
 
-    def test_perturbed_scalar_part_fails(self, instance_cache):
+    def test_perturbed_scalar_part_fails(self, instance_cache, monkeypatch):
+        # no candidate matches, so all four are tried, the two theta ones
+        # through combinations of dpi_basis; -id misses only at e_1
         g = instance_cache("lie", "rank1")
         rho = list(instance_cache("rho", "rank1"))
         srep = instance_cache("srep", "rank1")
         rho[1] = rho[1] + WeylOperator.from_poly(Poly.const(srep.zvs, 1))
+        counts = Counter()
+        count_candidates(monkeypatch, counts)
         with pytest.raises(NoEquivalence) as exc:
             solve_equivalence(g, rho)
-        assert exc.value.residual > 0
+        assert str(exc.value) == "no candidate automorphism matches (best: -id, residual 1)"
+        assert exc.value.residual == 1
+        assert counts["candidates"] == 4
 
 
 @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2", "sym:3"])
@@ -161,3 +184,32 @@ def test_special_nu_substitution(selector, instance_cache):
     # the closed-form weight numerator therefore kills m at nu0
     m = closed_form_weight(g)
     assert m.eval_nu(nu0) == 0
+
+
+def test_theorem_suite_builds_each_dpi_once(monkeypatch):
+    # dpi_basis is built once and the solver combines it: one dpi per basis
+    # element, and one field for it plus one for the field cross-check of
+    # l_A; the solver stops at its second candidate, -id
+    counts = Counter()
+    for name in ("dpi", "field"):
+        method = getattr(DiscreteSeries, name)
+
+        def counted(*args, _name=name, _method=method, **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(DiscreteSeries, name, counted)
+    count_candidates(monkeypatch, counts)
+    rep = run(RunConfig(algebra="sym:3", suites=("theorem",)))
+    assert rep.suites["theorem"]["passed"] and rep.suites["theorem"]["alpha"] == "-id"
+    assert counts == {"dpi": 21, "field": 42, "candidates": 2}
+
+
+def test_dpi_basis_is_a_new_list_each_call(instance_cache):
+    # a caller may change its list, as the perturbed sign check does,
+    # without changing the operators that the series keeps
+    ds = instance_cache("series", "rank1")
+    first = ds.dpi_basis()
+    first[0] = first[0] + WeylOperator.identity(ds.zvs)
+    assert ds.dpi_basis() is not first
+    assert ds.dpi_basis()[0] == ds.dpi(linalg.identity(ds.g.dim)[0])

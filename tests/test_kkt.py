@@ -254,9 +254,50 @@ def test_theta_fails_on_perturbed_structure():
     assert result.detail == "first failing (i, j) = (0, 7), residual 4/3"
 
 
+def test_lie_checks_never_reach_the_model(model_forbidden):
+    # Theta's g(0) rows are the build's coordinates of -T_i#, and the
+    # closed Killing form learns from the build that the boxes miss the
+    # closure's fourth matrix
+    g = kkt.GradedLieAlgebra(_perturbed_spin2())
+    assert g.theta_table[1] == 3
+    result = kkt.verify_theta(g)
+    assert result.residual == Fraction(8, 3)
+    assert result.detail == "first failing (i, j) = (0, 7), residual 4/3"
+    assert kkt.verify_jacobi(g).residual == 170
+    assert kkt.verify_identifications(g).passed
+    assert kkt.verify_killing_invariance(g).residual == 708
+    with pytest.raises(kkt.GradingClosureFailure):
+        kkt.closed_form_killing(g)
+
+
+def test_wrong_sharp_fails_the_lie_suite(monkeypatch):
+    # without the transpose the build's sharp G^-1 T G is T itself, as the
+    # tau Gram matrix of a spin factor is scalar: an involution, T## = T,
+    # but not the tau-adjoint on the so(1, 2) part of g(0)
+    monkeypatch.setattr(linalg, "sparse_transpose", lambda t: t)
+    g = kkt.GradedLieAlgebra(jordan.make_spin_factor(3))
+    monkeypatch.undo()
+    n, f = g.n, g.n + g.dim0
+    # it reaches both Theta, whose g(0) rows are -T_i, and the [T_i, f_b]
+    # block: T_3 = E_12 - E_21 is antisymmetric, and [T_3, f_1] is -T_3 f_1
+    # = f_2, where the tau-adjoint would give T_3 f_1 = -f_2
+    rows, den = g.theta_table
+    assert rows[n:f] == [{n + i: -den} for i in range(g.dim0)]
+    assert g.t_basis[3][1][2] == 1 and g.t_basis[3][2][1] == -1
+    assert g.bracket_coords(n + 3, f + 1) == {f + 2: 1}
+    # the model takes its own sharp, so it disagrees with this Theta
+    model = [g.to_coords(g.theta(g.from_coords(e))) for e in linalg.identity(g.dim)]
+    assert [[Fraction(row.get(m, 0), den) for m in range(g.dim)] for row in rows] != model
+    results = kkt.run_structure_suite(g)
+    failing = [r.name for r in results if not r.passed]
+    assert failing == ["jacobi", "theta", "killing-invariance", "killing-closed-form"]
+    assert results[0].detail == "14 failing triples; first failing (i, j, k) = (0, 6, 8), residual 4"
+
+
 @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
 def test_theta_table_matches_model(selector, instance_cache):
-    # the g(+-1) rows are written by index; the model gives every row
+    # the g(+-1) rows are written by index and the g(0) rows come from the
+    # build's sharps; the model's theta is the independent route to every row
     g = instance_cache("lie", selector)
     model = [g.to_coords(g.theta(g.from_coords(e))) for e in linalg.identity(g.dim)]
     rows, den = g.theta_table
