@@ -23,7 +23,7 @@ from typing import Iterator, List, Tuple
 
 from . import weyl
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, gradient, mul_add
+from .poly import Poly, VarSet, gradient, lincomb, mul_add
 
 
 def poly_abs(p: Poly) -> Fraction:
@@ -31,12 +31,15 @@ def poly_abs(p: Poly) -> Fraction:
     return Fraction(sum(abs(c) for c in p.terms.values()))
 
 
-def exp_ad(g: GradedLieAlgebra, x: list, y: list, max_steps: int = 8) -> list:
+EXP_AD_STEPS = 8
+
+
+def exp_ad(g: GradedLieAlgebra, x: list, y: list) -> list:
     """exp(ad x) . y on coordinate vectors, for nilpotent ad x; raises if
-    the series fails to stop."""
+    the series fails to stop within ``EXP_AD_STEPS`` terms."""
     total = list(y)
     term = y
-    for k in range(1, max_steps + 1):
+    for k in range(1, EXP_AD_STEPS + 1):
         term = [c * Fraction(1, k) for c in g.coord_bracket(x, term)]
         if all(c.is_zero() for c in term):
             return total
@@ -105,10 +108,7 @@ class SymplecticChart:
         n, moment = self.g.n, self.moment
         grads = [gradient(lam) for lam in moment]
         for i, j in itertools.combinations(range(self.g.dim), 2):
-            acc: dict = {}
-            for k, c in self.g.bracket_coords(i, j).items():
-                for e, x in moment[k].terms.items():
-                    acc[e] = acc.get(e, 0) + x * c
+            acc = lincomb((c, moment[k].terms) for k, c in self.g.bracket_coords(i, j).items())
             for a in range(n):
                 mul_add(acc, grads[i][a], grads[j][n + a], -1)
                 mul_add(acc, grads[i][n + a], grads[j][a])

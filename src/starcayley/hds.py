@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 from . import linalg
 from .chart import poly_abs
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, scalar_ratio
+from .poly import Poly, VarSet, lincomb, scalar_ratio
 from .scalars import NotDivisible, Scalar
 from .starrep import bracket_sign, z_names
 from .weyl import WeylOperator, first_order, split_first_order
@@ -127,19 +127,21 @@ def solve_equivalence(
     For each candidate alpha the vector-field parts must agree on the nose;
     the multiplication parts then determine m* by exact division, which must
     be consistent across the whole basis.  Raises NoEquivalence otherwise.
-    dpi is linear, so dpi(alpha e) is formed as sum_k alpha(e)_k dpi(e_k)
-    from ``ds.dpi_basis()``, which every candidate shares.
+    dpi is linear, so dpi(alpha e) is formed as sum_k alpha(e)_k dpi(e_k),
+    one accumulation over the term dicts of ``ds.dpi_basis()``, which every
+    candidate shares.
     """
     ds = ds or DiscreteSeries(g)
     rho_parts = [split_first_order(op) for op in rho]
-    ops, zero = ds.dpi_basis(), WeylOperator.zero(ds.zvs)
+    ops = ds.dpi_basis()
     best = None
     for name, alpha in _automorphism_candidates(g):
         ok = True
         m_star: Optional[Scalar] = None
         res = Fraction(0)
         for e, (tau, vec) in zip(linalg.identity(g.dim), rho_parts):
-            dpi_alpha = sum((ops[k].scale(c) for k, c in enumerate(alpha(e)) if c), zero)
+            terms = lincomb((c, ops[k].terms) for k, c in enumerate(alpha(e)) if c)
+            dpi_alpha = WeylOperator(ds.zvs, terms)
             s_poly, dpi_vec = split_first_order(dpi_alpha)
             r = sum((poly_abs(p - q) for p, q in zip(vec, dpi_vec)), Fraction(0))
             if r != 0:

@@ -107,11 +107,6 @@ class JordanAlgebra:
             for a in range(n)
         ]
 
-    def trace(self, x: Sequence):
-        """Jordan trace: (r/n) * Tr L(x); equals the matrix trace for
-        matrix algebras and satisfies trace(e) = rank."""
-        return Fraction(self.rank, self.dim) * linalg.trace(self.L(x))
-
     def left_mult_basis(self) -> List[linalg.Sparse]:
         """L(e_c) for every basis vector e_c, as sparse matrices with int
         entries where integral: entry (r, a) is the coefficient of e_r in
@@ -334,12 +329,20 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
     return rep
 
 
+def _table_entry(x) -> Fraction:
+    # bool is an int subclass and a float is inexact, so check the type itself
+    if type(x) not in (int, str):
+        raise TypeError(f"entries must be integers or rational strings, got {x!r}")
+    return Fraction(x)
+
+
 def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     """Build an algebra from the JSON table and validate it; the algebra
     keeps the validation report as ``validation``.
 
-    Schema: {name, dim, rank: integers, unit: [rational strings],
-    structure: [[[rational]]], optional basis_names: [distinct strings]}.
+    Schema: {name, dim, rank: integers, unit: [rational],
+    structure: [[[rational]]], optional basis_names: [distinct strings]},
+    each rational a JSON integer or a string such as "-3/2".
     Raises UnknownAlgebra when the table does not follow the schema,
     InvalidDimension when its sizes disagree and ValidationFailed when any
     axiom fails.
@@ -351,9 +354,9 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     try:
         n, rank = data["dim"], data["rank"]
         S = [
-            [[Fraction(c) for c in row] for row in plane] for plane in data["structure"]
+            [[_table_entry(c) for c in row] for row in plane] for plane in data["structure"]
         ]
-        unit = tuple(Fraction(u) for u in data["unit"])
+        unit = tuple(_table_entry(u) for u in data["unit"])
     except KeyError as exc:
         raise UnknownAlgebra(f"structure-constant table has no {exc} entry") from None
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -44,10 +44,10 @@ denominator D, the lcm of the denominators of the constants (D = 2 on
 sym:p, D = 1 on the spin factors); this is the layout of FLINT's
 fmpq_mat.  Theta is held the same way over its own denominator D_theta.
 K, the spur vector, E and o hold an int wherever the value is integral,
-as ``poly.exact`` does.  The checks of the lie suite run on these
-integers with sparse dict accumulators and divide each residual once, at
-the end, by its power of D and D_theta.  Fractions are formed only there,
-in the views ``bracket_coords``, ``bracket_table``, ``coord_bracket`` and
+as ``poly.exact`` does.  The checks of the lie suite sum these integers
+with ``poly.lincomb`` and divide each residual once, at the end, by its
+power of D and D_theta.  Fractions are formed only there, in the views
+``bracket_coords``, ``bracket_table``, ``coord_bracket`` and
 ``apply_theta``, and where a check compares with Jordan data.
 """
 
@@ -61,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .jordan import JordanAlgebra
-from .poly import exact
+from .poly import exact, lincomb, ratio
 
 
 class GradingClosureFailure(ValueError):
@@ -81,24 +81,9 @@ def _flat(m: Sequence[Sequence]) -> list:
     return [x for row in m for x in row]
 
 
-def _ratio(num: int, den: int):
-    """num / den exactly, an int when den divides num."""
-    return num // den if num % den == 0 else Fraction(num, den)
-
-
 def _common_denominator(values) -> int:
     """The least common denominator of rational values."""
     return math.lcm(*(x.denominator for x in values))
-
-
-def _sparse_sum(terms, acc: Optional[dict] = None) -> dict:
-    """acc plus the sum of c row over the pairs (c, row) of terms, with
-    each row a sparse dict; acc is updated in place."""
-    acc = {} if acc is None else acc
-    for c, row in terms:
-        for m, x in row.items():
-            acc[m] = acc.get(m, 0) + c * x
-    return acc
 
 
 @dataclass
@@ -199,7 +184,7 @@ class GradedLieAlgebra:
         # trace of ad e_j on g(-1)
         S = self._structure
         self.spur_vector = [
-            _ratio(sum(S[(j, a)].get(a, 0) for a in range(n) if (j, a) in S), self.denom)
+            ratio(sum(S[(j, a)].get(a, 0) for a in range(n) if (j, a) in S), self.denom)
             for j in range(self.dim)
         ]
         # E = (0, Id, 0), whose ad is the grading operator, and o = mu E
@@ -285,12 +270,8 @@ class GradedLieAlgebra:
     def apply_theta(self, c: Sequence) -> list:
         """theta on a rational coordinate vector, through Theta."""
         rows, den = self.theta_table
-        out = [0] * self.dim
-        for k, ck in enumerate(c):
-            if ck:
-                for m, t in rows[k].items():
-                    out[m] += ck * t
-        return [Fraction(x, den) for x in out]
+        out = lincomb((ck, rows[k]) for k, ck in enumerate(c) if ck)
+        return [Fraction(out.get(m, 0), den) for m in range(self.dim)]
 
     def _block_table(self, T: list, comm: dict, sharps: list) -> dict:
         """Nonzero c_ij^k for i < j, keyed in that order, block by block:
@@ -328,7 +309,7 @@ class GradedLieAlgebra:
     def bracket_coords(self, i: int, j: int) -> dict:
         """Nonzero coordinates of [e_i, e_j], ints where integral."""
         D = self.denom
-        return {k: _ratio(c, D) for k, c in self._structure.get((i, j), {}).items()}
+        return {k: ratio(c, D) for k, c in self._structure.get((i, j), {}).items()}
 
     @property
     def bracket_table(self) -> dict:
@@ -343,25 +324,21 @@ class GradedLieAlgebra:
         integer numerators and each sum is divided by D once.  The entries
         of the result have the type of x[0] * y[0] / D.
         """
-        out: list = [None] * self.dim
+        S = self._structure
         ys = [(j, yj) for j, yj in enumerate(y) if not linalg._is_zero(yj)]
-        for i, xi in enumerate(x):
-            if linalg._is_zero(xi):
-                continue
-            for j, yj in ys:
-                nz = self._structure.get((i, j))
-                if nz is None:
-                    continue
-                p = xi * yj
-                for k, c in nz.items():
-                    t = p * c
-                    out[k] = t if out[k] is None else out[k] + t
+        out = lincomb(
+            (xi * yj, S[(i, j)])
+            for i, xi in enumerate(x)
+            if not linalg._is_zero(xi)
+            for j, yj in ys
+            if (i, j) in S
+        )
         if self.denom != 1:
             scale = Fraction(1, self.denom)
-            out = [None if v is None else v * scale for v in out]
+            out = {k: v * scale for k, v in out.items()}
         probe = x[0] * y[0]
         zero = probe - probe
-        return [zero if v is None else v for v in out]
+        return [out.get(k, zero) for k in range(self.dim)]
 
     def _build_killing(self) -> linalg.Matrix:
         """K_ij = tr(ad e_i ad e_j) = sum over k, l of c_il^k c_jk^l, summed
@@ -385,7 +362,7 @@ class GradedLieAlgebra:
         pairs = [(i, j) for i in range(n) for j in range(f, d)]
         pairs += [(i, j) for i in range(n, f) for j in range(i, f)]
         for i, j in pairs:
-            K[i][j] = K[j][i] = _ratio(trace(ads[i], ads[j]), D2)
+            K[i][j] = K[j][i] = ratio(trace(ads[i], ads[j]), D2)
         return K
 
     def beta(self, x: Sequence, y: Sequence) -> Fraction:
@@ -466,7 +443,7 @@ def verify_jacobi(g: GradedLieAlgebra) -> SuiteResult:
                 acc: dict = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     if (b, c) in S:
-                        _sparse_sum(((x, S.get((a, m), {})) for m, x in S[(b, c)].items()), acc)
+                        lincomb(((x, S.get((a, m), {})) for m, x in S[(b, c)].items()), acc)
                 r = sum(map(abs, acc.values()))
                 if r:
                     bad += 1
@@ -507,9 +484,9 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
     automorphism, first = 0, None
     for i in range(d):
         for j in range(i + 1, d):
-            acc = _sparse_sum((dt * c, rows[k]) for k, c in S.get((i, j), {}).items())
+            acc = lincomb((dt * c, rows[k]) for k, c in S.get((i, j), {}).items())
             products = ((p, q, tp * tq) for p, tp in rows[i].items() for q, tq in rows[j].items())
-            _sparse_sum(((-w, S[(p, q)]) for p, q, w in products if (p, q) in S), acc)
+            lincomb(((-w, S[(p, q)]) for p, q, w in products if (p, q) in S), acc)
             r = sum(map(abs, acc.values()))
             automorphism += r
             if r and first is None:
@@ -555,7 +532,7 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     first = None
     for a in range(n):
         for b in range(n):
-            inner = _sparse_sum((t, S.get((a, q), {})) for q, t in rows[b].items())
+            inner = lincomb((t, S.get((a, q), {})) for q, t in rows[b].items())
             box = g._boxes[a * n + b]
             want = {n + k: y for k, y in g._box_coords[a * n + b].items()}
             r = _distance(inner, -2 * D * dt, want)
@@ -563,7 +540,7 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
             if r and first is None:
                 first = _witness((a, b), Fraction(r, 2 * D * dt), "box (a, b)")
             for c in range(n):
-                dbl = _sparse_sum((x, S.get((m, c), {})) for m, x in inner.items())
+                dbl = lincomb((x, S.get((m, c), {})) for m, x in inner.items())
                 want = {k: row[c] for k, row in enumerate(box) if c in row}
                 r = _distance(dbl, -2 * D * D * dt, want)
                 triples += r
@@ -588,7 +565,7 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
     res = 0
     first = None
     for i in range(d):
-        X = [_sparse_sum((c, K[m]) for m, c in S.get((i, j), {}).items()) for j in range(d)]
+        X = [lincomb((c, K[m]) for m, c in S.get((i, j), {}).items()) for j in range(d)]
         pairs = {(min(j, k), max(j, k)) for j, row in enumerate(X) for k in row}
         sums = {(j, k): abs(X[j].get(k, 0) + X[k].get(j, 0)) for j, k in pairs}
         bad = {key: r for key, r in sums.items() if r}

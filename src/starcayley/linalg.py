@@ -9,18 +9,20 @@ is used throughout.
 
 The g build works on sparse matrices: a list of rows, row r a dict from
 column to nonzero entry, with ints where the entries are integral.  Their
-products and linear combinations touch only the nonzero entries, and a
-square one enters ``Echelon`` as the sparse vector of its flattened
-entries, {r n + c: entry}.  ``Echelon`` and ``in_span`` reduce sparse
-vectors, dicts from index to nonzero entry, in the order of dense
-Gaussian elimination, so the kept vectors and the coordinates are those
-of the dense elimination.
+products and linear combinations are ``poly.lincomb`` sums over the
+nonzero entries, and a square one enters ``Echelon`` as the sparse vector
+of its flattened entries, {r n + c: entry}.  ``Echelon`` and ``in_span``
+reduce sparse vectors, dicts from index to nonzero entry, in the order of
+dense Gaussian elimination, so the kept vectors and the coordinates are
+those of the dense elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Sequence, Tuple
+
+from .poly import lincomb, pruned
 
 Matrix = List[List[Fraction]]
 # row r maps column c to the nonzero entry (r, c)
@@ -155,23 +157,12 @@ def sparse_transpose(a: Sparse) -> Sparse:
 
 def sparse_sum(terms, rows: int) -> Sparse:
     """sum of c m over the pairs (c, m) of terms, m sparse with ``rows`` rows."""
-    out: Sparse = [{} for _ in range(rows)]
-    for c, m in terms:
-        for acc, row in zip(out, m):
-            for j, x in row.items():
-                acc[j] = acc[j] + c * x if j in acc else c * x
-    return [{j: x for j, x in acc.items() if x} for acc in out]
+    terms = list(terms)
+    return [pruned(lincomb((c, m[r]) for c, m in terms)) for r in range(rows)]
 
 
 def sparse_mul(a: Sparse, b: Sparse) -> Sparse:
-    out: Sparse = []
-    for row in a:
-        acc: dict = {}
-        for t, x in row.items():
-            for j, y in b[t].items():
-                acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append({j: v for j, v in acc.items() if v})
-    return out
+    return [pruned(lincomb((x, b[t]) for t, x in row.items())) for row in a]
 
 
 def sparse_commutator(a: Sparse, b: Sparse) -> Sparse:
@@ -214,7 +205,7 @@ class Echelon:
 
     def _reduce(self, v: dict) -> Tuple[dict, dict]:
         r = {k: x for k, x in v.items() if x}
-        coords: dict = {}
+        steps = []
         for p, row, comb in self._rows:
             f = r.get(p)
             if f:
@@ -224,9 +215,8 @@ class Echelon:
                         r[k] = x
                     else:
                         del r[k]
-                for k, c in comb.items():
-                    coords[k] = coords[k] + f * c if k in coords else f * c
-        return r, {k: c for k, c in coords.items() if c}
+                steps.append((f, comb))
+        return r, pruned(lincomb(steps))
 
     def coords(self, v: dict) -> dict | None:
         """Nonzero coordinates of v along the added vectors, keyed by the

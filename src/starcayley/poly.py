@@ -76,9 +76,25 @@ def exact(c):
     return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
+def ratio(num: int, den: int):
+    """num / den exactly, an int when den divides num."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 def pruned(terms: dict) -> dict:
     """The entries of terms with a nonzero value, integral ones as int."""
     return {k: exact(c) for k, c in terms.items() if c}
+
+
+def lincomb(pairs, acc: dict | None = None) -> dict:
+    """acc plus the sum of c t over the pairs (c, t), each t a sparse dict,
+    with acc updated in place and returned; it may be left with zero
+    values.  The values need only * and +, so Poly coefficients work."""
+    acc = {} if acc is None else acc
+    for c, t in pairs:
+        for k, x in t.items():
+            acc[k] = acc[k] + c * x if k in acc else c * x
+    return acc
 
 
 def add_terms(t1: dict, t2: dict) -> dict:
@@ -285,9 +301,6 @@ class Poly(FlatTerms):
                 term = term * (mapping[name] ** k)
             result = result + term
         return result
-
-    def flip_nu(self) -> "Poly":
-        return self._new(self.vs, {e: -c if e[-1] % 2 else c for e, c in self.terms.items()})
 
     def eval_nu(self, value) -> "Poly":
         """Substitute a rational for nu in every coefficient."""

@@ -34,13 +34,14 @@ from typing import List, Optional, Tuple
 from . import linalg
 from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, gradient, scalar_ratio
+from .poly import Poly, VarSet, gradient, lincomb, scalar_ratio
 from .scalars import Scalar
 from .weyl import (
     WeylOperator,
     first_order,
     first_order_bracket,
     first_order_parts,
+    split_first_order,
     star_transform,
     uses_only,
 )
@@ -120,11 +121,12 @@ class StarRepresentation:
     # -- invariants -------------------------------------------------------
     def field_residual(self, series) -> Fraction:
         """l_A against the field u + Tz + P(z)v that ``series``, an
-        ``hds.DiscreteSeries`` of the same g, builds from Jordan data."""
+        ``hds.DiscreteSeries`` of the same g, builds from Jordan data; it is
+        read from ``series.dpi_basis()``, whose vector part is minus it."""
         res = Fraction(0)
-        for (_, lp), b in zip(self._basis_parts, linalg.identity(self.g.dim)):
-            for p, q in zip(lp, series.field(b)):
-                res += poly_abs(p - q)
+        for (_, lp), op in zip(self._basis_parts, series.dpi_basis()):
+            for p, q in zip(lp, split_first_order(op)[1]):
+                res += poly_abs(p + q)
         return res
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
@@ -165,10 +167,7 @@ def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fra
             nz = g.bracket_coords(i, j).items()
             comm = first_order_bracket(fields[i], fields[j])
             for c, terms in enumerate(comm):
-                image: dict = {}
-                for k, ck in nz:
-                    for e, x in fields[k].parts[c].items():
-                        image[e] = image[e] + x * ck if e in image else x * ck
+                image = lincomb((ck, fields[k].parts[c]) for k, ck in nz)
                 for e in terms.keys() | image.keys():
                     a, b = terms.get(e, 0), image.get(e, 0)
                     res[1] += abs(a - b)

@@ -41,7 +41,9 @@ from math import comb, factorial, lcm, perm, prod
 from operator import add
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, gradient, mul_add, pruned
+from .poly import (
+    FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, gradient, mul_add, pruned, ratio
+)
 from .scalars import Scalar
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -341,7 +343,7 @@ def left_star_operator(
             de = dexp[: dvar[c]] + (dexp[dvar[c]] + 1,) + dexp[dvar[c] + 1 :]
             for e, x in dterms.items():
                 key = (e[:-1] + (e[-1] + k + 1,), de)
-                w = x * s if d == 1 else Fraction(x * s, d)
+                w = ratio(x * s, d)
                 out[key] = out[key] + w if key in out else w
             stack.append((k + 1, c, r, s, d, de, dterms))
     return WeylOperator._new(vs, pruned(out))
@@ -401,9 +403,7 @@ def _pairwise_image(
             x1, x2, d1, d2, s, w = zip(*combo)
             key, w = (x1 + x2 + (k0 + sum(s),), d1 + d2), w0 * prod(w)
             out[key] = out[key] + w if key in out else w
-    return WeylOperator._new(
-        target, {key: w // den if w % den == 0 else Fraction(w, den) for key, w in out.items() if w}
-    )
+    return WeylOperator._new(target, {key: ratio(w, den) for key, w in out.items() if w})
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ from starcayley.poly import Poly
 from starcayley.weyl import WeylOperator
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
+SPIN2 = jordan.make_spin_factor(2)
 
 
 def run_cli(capsys, *argv):
@@ -127,12 +128,17 @@ class TestExitCodes:
             pytest.param({"basis_names": ["s", "u1", "u2"]}, id="three-names-for-dim-2"),
             pytest.param({"basis_names": ["s", "s"]}, id="repeated-name"),
             pytest.param({"basis_names": ["s", 1]}, id="non-string-name"),
+            pytest.param({"unit": [True, False]}, id="bool-unit"),
+            pytest.param(
+                {"structure": [[list(map(float, r)) for r in p] for p in SPIN2.structure]},
+                id="float-structure",
+            ),
         ],
     )
     def test_mistyped_table_is_config_error(self, capsys, tmp_path, edit):
         # each of these was read as a valid spin:2 and passed every suite
         path = tmp_path / "mistyped.json"
-        path.write_text(json.dumps({**jordan.make_spin_factor(2).to_json(), **edit}))
+        path.write_text(json.dumps({**SPIN2.to_json(), **edit}))
         code, out, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
         assert code == 2
         assert "PASS" not in out

@@ -187,9 +187,9 @@ def test_special_nu_substitution(selector, instance_cache):
 
 
 def test_theorem_suite_builds_each_dpi_once(monkeypatch):
-    # dpi_basis is built once and the solver combines it: one dpi per basis
-    # element, and one field for it plus one for the field cross-check of
-    # l_A; the solver stops at its second candidate, -id
+    # dpi_basis is built once and the solver combines it: one dpi, and one
+    # field inside it, per basis element; the field cross-check of l_A reads
+    # the field from dpi_basis; the solver stops at its second candidate, -id
     counts = Counter()
     for name in ("dpi", "field"):
         method = getattr(DiscreteSeries, name)
@@ -202,7 +202,7 @@ def test_theorem_suite_builds_each_dpi_once(monkeypatch):
     count_candidates(monkeypatch, counts)
     rep = run(RunConfig(algebra="sym:3", suites=("theorem",)))
     assert rep.suites["theorem"]["passed"] and rep.suites["theorem"]["alpha"] == "-id"
-    assert counts == {"dpi": 21, "field": 42, "candidates": 2}
+    assert counts == {"dpi": 21, "field": 21, "candidates": 2}
 
 
 def test_dpi_basis_is_a_new_list_each_call(instance_cache):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcayley import jordan
-from starcayley.linalg import trace
 
 
 def basis_vector(A: jordan.JordanAlgebra, a: int) -> list:
@@ -36,11 +35,6 @@ class TestBuiltins:
         assert (A.dim, A.rank) == (dim, rank)
         rep = jordan.validate_jordan(A)
         assert rep.passed, rep.failures
-
-    def test_unit_trace_is_rank(self):
-        for sel in ("rank1", "spin:4", "sym:3"):
-            A = jordan.make_algebra(sel)
-            assert A.trace(list(A.unit)) == A.rank
 
     def test_tau_of_unit_is_dim(self):
         # tau(e, e) = Tr L(e) = Tr Id = n
@@ -105,11 +99,6 @@ class TestOperators:
         e = list(A.unit)
         # tau(x o y, e) = tau(x, y o e) = tau(x, y)
         assert A.tau(A.mul(x, y), e) == A.tau(x, y)
-
-    def test_jordan_trace_rescales_operator_trace(self):
-        A = jordan.make_sym_matrices(3)
-        x = basis_vector(A, 1)
-        assert A.trace(x) == Fraction(A.rank, A.dim) * trace(A.L(x))
 
 
 class TestLoader:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starcayley.poly import Poly, UnknownVariable, VarSet, scalar_ratio, varset
+from starcayley.poly import Poly, UnknownVariable, VarSet, lincomb, ratio, scalar_ratio, varset
 from starcayley.scalars import Scalar
 
 from conftest import degree_in
@@ -102,19 +102,6 @@ def laurent_polys(draw, vs=VS):
     return Poly(vs, terms)
 
 
-class TestNuFlip:
-    @given(laurent_polys())
-    def test_flip_nu_involution(self, p):
-        assert p.flip_nu().flip_nu() == p
-
-    @given(laurent_polys(), laurent_polys())
-    def test_flip_nu_is_homomorphism(self, p, q):
-        assert (p * q).flip_nu() == p.flip_nu() * q.flip_nu()
-        assert (p + q).flip_nu() == p.flip_nu() + q.flip_nu()
-        nu = Poly.const(VS, Scalar.nu(1))
-        assert nu.flip_nu() == -nu
-
-
 # a Scalar is the Poly over no variables
 scalars = laurent_polys(varset()).map(lambda p: Scalar({k: c for (k,), c in p.terms.items()}))
 
@@ -170,3 +157,38 @@ class TestScalarRatio:
         assert scalar_ratio(Poly.zero(VS), x) == Scalar.zero()
         assert scalar_ratio(x, Poly.zero(VS)) is None
 
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+sparse_vectors = st.dictionaries(st.integers(0, 5), small_rationals, max_size=4)
+
+
+class TestLincomb:
+    @given(st.lists(st.tuples(small_rationals, sparse_vectors), max_size=4), sparse_vectors)
+    @settings(max_examples=50)
+    def test_matches_fraction_sum_in_place(self, pairs, start):
+        acc = dict(start)
+        assert lincomb(pairs, acc) is acc
+        for k in set(start).union(*(t for _, t in pairs)):
+            want = start.get(k, Fraction(0)) + sum((c * t.get(k, 0) for c, t in pairs), Fraction(0))
+            assert acc.get(k, 0) == want
+
+    @given(st.lists(st.tuples(small_rationals, sparse_vectors), max_size=4))
+    @settings(max_examples=50)
+    def test_cancelling_terms_leave_zero_values(self, pairs):
+        acc = lincomb(pairs + [(-c, t) for c, t in pairs])
+        assert set(acc) == set().union(*(t for _, t in pairs))
+        assert not any(acc.values())
+
+    @given(st.lists(st.tuples(laurent_polys(), sparse_vectors), max_size=3))
+    @settings(max_examples=50)
+    def test_poly_coefficients(self, pairs):
+        acc = lincomb(pairs)
+        for k in set().union(*(t for _, t in pairs)):
+            assert acc[k] == sum((c * t[k] for c, t in pairs if k in t), Poly.zero(VS))
+
+    @given(st.integers(-50, 50), st.integers(1, 12))
+    def test_ratio_is_exact_and_int_when_it_divides(self, num, den):
+        r = ratio(num, den)
+        assert r == Fraction(num, den)
+        assert (type(r) is int) == (num % den == 0)
