@@ -158,7 +158,6 @@ class TestScalarRatio:
         assert scalar_ratio(x, Poly.zero(VS)) is None
 
 
-
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 sparse_vectors = st.dictionaries(st.integers(0, 5), small_rationals, max_size=4)
 
@@ -171,7 +170,7 @@ class TestLincomb:
         assert lincomb(pairs, acc) is acc
         for k in set(start).union(*(t for _, t in pairs)):
             want = start.get(k, Fraction(0)) + sum((c * t.get(k, 0) for c, t in pairs), Fraction(0))
-            assert acc.get(k, 0) == want
+            assert acc[k] == want
 
     @given(st.lists(st.tuples(small_rationals, sparse_vectors), max_size=4))
     @settings(max_examples=50)
