@@ -19,16 +19,17 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterator, List, Tuple
 
 from . import weyl
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, gradient, lincomb, mul_add
+from .poly import Poly, VarSet, diff_terms, lincomb, mul_add
 
 
 def poly_abs(p: Poly) -> Fraction:
     """Sum of |c| over all (monomial, nu-power) coefficients; zero iff p is zero."""
-    return Fraction(sum(abs(c) for c in p.terms.values()))
+    return Fraction(sum(map(abs, p.terms.values())), p.den)
 
 
 EXP_AD_STEPS = 8
@@ -70,12 +71,9 @@ class SymplecticChart:
         o = [Poly.const(self.vs, c) for c in g.o]
         self.phi = exp_ad(g, lsym, exp_ad(g, msym, o))
         # lambda_i = beta(phi, e_i) = sum_j phi_j K_ji
+        zero, K = Poly.zero(self.vs), g.killing
         self.moment = [
-            sum(
-                (p * row[i] for p, row in zip(self.phi, g.killing) if row[i] != 0),
-                Poly.zero(self.vs),
-            )
-            for i in range(g.dim)
+            sum((p * row[i] for p, row in zip(self.phi, K) if row[i]), zero) for i in range(g.dim)
         ]
 
     def _combination(self, elts: List[list], names: Tuple[str, ...]) -> List[Poly]:
@@ -104,17 +102,21 @@ class SymplecticChart:
         basis pair i < j, in that order.  The gradient of each moment map is
         taken once, and each difference is accumulated into one term dict:
         the moment maps along the bracket coordinates, minus the Poisson
-        bracket sum_a d_la lambda_i d_ma lambda_j - d_ma lambda_i d_la lambda_j."""
-        n, moment = self.g.n, self.moment
-        grads = [gradient(lam) for lam in moment]
-        for i, j in itertools.combinations(range(self.g.dim), 2):
-            acc = lincomb((c, moment[k].terms) for k, c in self.g.bracket_coords(i, j).items())
+        bracket sum_a d_la lambda_i d_ma lambda_j - d_ma lambda_i d_la lambda_j.
+        The moment maps are brought to one denominator L, so with the table's
+        D every difference is integer numerators over D L^2, divided once."""
+        g, n = self.g, self.g.n
+        L = lcm(*(lam.den for lam in self.moment))
+        moment = [lam.over(L) for lam in self.moment]
+        grads = [[diff_terms(t, v) for v in range(2 * n)] for t in moment]
+        for i, j in itertools.combinations(range(g.dim), 2):
+            acc = lincomb((c * L, moment[k]) for k, c in g.bracket_numerators(i, j).items())
             for a in range(n):
-                mul_add(acc, grads[i][a], grads[j][n + a], -1)
-                mul_add(acc, grads[i][n + a], grads[j][a])
-            r = Fraction(sum(map(abs, acc.values())))
+                mul_add(acc, grads[i][a], grads[j][n + a], -g.denom)
+                mul_add(acc, grads[i][n + a], grads[j][a], g.denom)
+            r = sum(map(abs, acc.values()))
             if r:
-                yield (i, j), r
+                yield (i, j), Fraction(r, g.denom * L * L)
 
     def hamiltonicity_residual(self) -> Tuple[Fraction, int]:
         """Sum over all basis pairs of |lambda_[bi,bj] - {lambda_i, lambda_j}|,

@@ -137,9 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("show", help="print computed objects for one instance")
     s.add_argument("--algebra", required=True)
     s.add_argument("--mu", default="1")
-    s.add_argument(
-        "--what", required=True, choices=("bracket-table", "moment-maps", "rho", "dpi")
-    )
+    s.add_argument("--what", required=True, choices=("bracket-table", "moment-maps", "rho", "dpi"))
     s.set_defaults(func=cmd_show)
     return p
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import List, Optional, Tuple
 
 from . import linalg
@@ -128,20 +129,23 @@ def solve_equivalence(
     the multiplication parts then determine m* by exact division, which must
     be consistent across the whole basis.  Raises NoEquivalence otherwise.
     dpi is linear, so dpi(alpha e) is formed as sum_k alpha(e)_k dpi(e_k),
-    one accumulation over the term dicts of ``ds.dpi_basis()``, which every
-    candidate shares.
+    one integer accumulation over the numerators of ``ds.dpi_basis()``,
+    brought to one denominator L, which every candidate shares.
     """
     ds = ds or DiscreteSeries(g)
     rho_parts = [split_first_order(op) for op in rho]
-    ops = ds.dpi_basis()
+    L = lcm(*(op.den for op in ds.dpi_basis()))
+    nums = [op.over(L) for op in ds.dpi_basis()]
     best = None
     for name, alpha in _automorphism_candidates(g):
         ok = True
         m_star: Optional[Scalar] = None
         res = Fraction(0)
         for e, (tau, vec) in zip(linalg.identity(g.dim), rho_parts):
-            terms = lincomb((c, ops[k].terms) for k, c in enumerate(alpha(e)) if c)
-            dpi_alpha = WeylOperator(ds.zvs, terms)
+            cs = alpha(e)
+            da = lcm(*(c.denominator for c in cs))
+            ws = [(c.numerator * da // c.denominator, nums[k]) for k, c in enumerate(cs) if c]
+            dpi_alpha = WeylOperator._reduced(ds.zvs, lincomb(ws), L * da)
             s_poly, dpi_vec = split_first_order(dpi_alpha)
             r = sum((poly_abs(p - q) for p, q in zip(vec, dpi_vec)), Fraction(0))
             if r != 0:

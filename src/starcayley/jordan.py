@@ -13,12 +13,14 @@ constants, so the same code runs numerically and symbolically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import Poly, VarSet, exact
+from .poly import Poly, VarSet, bilinear, exact, lincomb
 from .scalars import rational_to_str
 
 
@@ -57,41 +59,32 @@ class JordanAlgebra:
     )
 
     # -- products ---------------------------------------------------------
+    @cached_property
+    def _int_structure(self) -> Tuple[dict, int]:
+        """The structure constants as integer numerators
+        {(a, b): {c: D s_ab^c}} over their one denominator D."""
+        S = self.structure
+        D = math.lcm(*(s.denominator for plane in S for row in plane for s in row))
+        table = {
+            (a, b): {c: s.numerator * (D // s.denominator) for c, s in enumerate(row) if s}
+            for a, plane in enumerate(S)
+            for b, row in enumerate(plane)
+        }
+        return {ab: nz for ab, nz in table.items() if nz}, D
+
     def mul(self, x: Sequence, y: Sequence) -> list:
-        n = self.dim
-        zero = x[0] - x[0]
-        out = [zero] * n
-        for a in range(n):
-            xa = x[a]
-            if isinstance(xa, Fraction) and xa == 0:
-                continue
-            row = self.structure[a]
-            for b in range(n):
-                yb = y[b]
-                if isinstance(yb, Fraction) and yb == 0:
-                    continue
-                prod = xa * yb
-                for c in range(n):
-                    s = row[b][c]
-                    if s != 0:
-                        out[c] = out[c] + s * prod
-        return out
+        """x o y from the integer structure table, summed once and divided
+        by D once; on Poly coordinates through ``poly.bilinear``."""
+        table, D = self._int_structure
+        if isinstance(x[0], Poly) or isinstance(y[0], Poly):
+            return bilinear(table, D, x, y, self.dim)
+        out = lincomb((x[a] * y[b], nz) for (a, b), nz in table.items() if x[a] and y[b])
+        return [Fraction(out.get(c, 0)) / D for c in range(self.dim)]
 
     def L(self, x: Sequence) -> list:
-        """Matrix of left multiplication by x in the declared basis."""
-        n = self.dim
-        zero = x[0] - x[0]
-        m = [[zero] * n for _ in range(n)]
-        for a in range(n):  # column: image of e_a
-            for b in range(n):
-                xb = x[b]
-                if isinstance(xb, Fraction) and xb == 0:
-                    continue
-                for c in range(n):
-                    s = self.structure[b][a][c]
-                    if s != 0:
-                        m[c][a] = m[c][a] + s * xb
-        return m
+        """Matrix of left multiplication by x in the declared basis: column
+        a is x o e_a."""
+        return linalg.transpose([self.mul(x, e) for e in linalg.identity(self.dim)])
 
     def tau(self, x: Sequence, y: Sequence):
         """tau(x, y) = Tr L(x o y)."""
@@ -125,9 +118,7 @@ class JordanAlgebra:
     def quadratic_rep(self, z: Sequence) -> list:
         """P(z) = 2 L(z)^2 - L(z^2); satisfies P(z)v = {z, v, z}."""
         lz = self.L(z)
-        return linalg.mat_sub(
-            linalg.mat_scale(linalg.mat_mul(lz, lz), 2), self.L(self.mul(z, z))
-        )
+        return linalg.mat_sub(linalg.mat_scale(linalg.mat_mul(lz, lz), 2), self.L(self.mul(z, z)))
 
     # -- helpers --------------------------------------------------------
     def symbolic_element(self, vs: VarSet, prefix: str) -> List[Poly]:
@@ -155,14 +146,7 @@ class JordanAlgebra:
 def make_rank_one() -> JordanAlgebra:
     """The one-dimensional algebra: x o y = xy, unit 1."""
     one = Fraction(1)
-    return JordanAlgebra(
-        name="rank1",
-        dim=1,
-        rank=1,
-        basis_names=("e",),
-        structure=(((one,),),),
-        unit=(one,),
-    )
+    return JordanAlgebra("rank1", 1, 1, ("e",), structure=(((one,),),), unit=(one,))
 
 
 def _check_builtin_dim(name: str, n: int) -> None:
@@ -187,14 +171,7 @@ def make_spin_factor(k: int) -> JordanAlgebra:
         S[a][a][0] = Fraction(1)
     unit = [Fraction(1)] + [Fraction(0)] * (n - 1)
     names = ("s",) + tuple(f"u{a}" for a in range(1, n))
-    return JordanAlgebra(
-        name=f"spin:{k}",
-        dim=n,
-        rank=2,
-        basis_names=names,
-        structure=_freeze(S),
-        unit=tuple(unit),
-    )
+    return JordanAlgebra(f"spin:{k}", n, 2, names, structure=_freeze(S), unit=tuple(unit))
 
 
 def sym_matrix_basis(p: int) -> List[List[List[Fraction]]]:
@@ -225,35 +202,20 @@ def make_sym_matrices(p: int) -> JordanAlgebra:
     n = len(basis)
 
     def coords(m):
-        c = []
-        for a in range(p):
-            c.append(m[a][a])
-        for a in range(p):
-            for b in range(a + 1, p):
-                c.append(m[a][b])
-        return c
+        return [m[a][a] for a in range(p)] + [m[a][b] for a in range(p) for b in range(a + 1, p)]
 
     S = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     half = Fraction(1, 2)
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
-            xy = linalg.mat_scale(
-                linalg.mat_add(linalg.mat_mul(x, y), linalg.mat_mul(y, x)), half
-            )
+            xy = linalg.mat_scale(linalg.mat_add(linalg.mat_mul(x, y), linalg.mat_mul(y, x)), half)
             for c, v in enumerate(coords(xy)):
                 S[i][j][c] = v
     unit = coords(linalg.identity(p))
     names = tuple(f"E{a + 1}{a + 1}" for a in range(p)) + tuple(
         f"F{a + 1}{b + 1}" for a in range(p) for b in range(a + 1, p)
     )
-    return JordanAlgebra(
-        name=f"sym:{p}",
-        dim=n,
-        rank=p,
-        basis_names=names,
-        structure=_freeze(S),
-        unit=tuple(unit),
-    )
+    return JordanAlgebra(f"sym:{p}", n, p, names, structure=_freeze(S), unit=tuple(unit))
 
 
 def _freeze(S) -> tuple:
@@ -353,9 +315,7 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
         raise UnknownAlgebra("a structure-constant table must be a JSON object")
     try:
         n, rank = data["dim"], data["rank"]
-        S = [
-            [[_table_entry(c) for c in row] for row in plane] for plane in data["structure"]
-        ]
+        S = [[[_table_entry(c) for c in row] for row in plane] for plane in data["structure"]]
         unit = tuple(_table_entry(u) for u in data["unit"])
     except KeyError as exc:
         raise UnknownAlgebra(f"structure-constant table has no {exc} entry") from None

@@ -61,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .jordan import JordanAlgebra
-from .poly import exact, lincomb, ratio
+from .poly import Poly, bilinear, exact, lincomb, ratio
 
 
 class GradingClosureFailure(ValueError):
@@ -248,9 +248,7 @@ class GradedLieAlgebra:
         return LieElement(u, t, v)
 
     def theta(self, x: LieElement) -> LieElement:
-        return LieElement(
-            list(x.v), linalg.mat_scale(self.sharp(x.t), Fraction(-1)), list(x.u)
-        )
+        return LieElement(list(x.v), linalg.mat_scale(self.sharp(x.t), Fraction(-1)), list(x.u))
 
     @cached_property
     def theta_table(self) -> Tuple[List[dict], int]:
@@ -309,7 +307,12 @@ class GradedLieAlgebra:
     def bracket_coords(self, i: int, j: int) -> dict:
         """Nonzero coordinates of [e_i, e_j], ints where integral."""
         D = self.denom
-        return {k: ratio(c, D) for k, c in self._structure.get((i, j), {}).items()}
+        return {k: ratio(c, D) for k, c in self.bracket_numerators(i, j).items()}
+
+    def bracket_numerators(self, i: int, j: int) -> dict:
+        """The nonzero coordinates of [e_i, e_j] times D, as ints; the dict
+        is the table's own and must not be changed."""
+        return self._structure.get((i, j), {})
 
     @property
     def bracket_table(self) -> dict:
@@ -320,25 +323,18 @@ class GradedLieAlgebra:
     def coord_bracket(self, x: Sequence, y: Sequence) -> list:
         """[x, y] on coordinate vectors, through the structure constants.
 
-        Entries may be rationals or Polys; they are multiplied by the
-        integer numerators and each sum is divided by D once.  The entries
-        of the result have the type of x[0] * y[0] / D.
+        Each vector holds rationals or Polys throughout; they are
+        multiplied by the integer numerators and each sum is divided by D
+        once.  The result holds Fractions, or, when x or y holds Polys,
+        Polys from ``poly.bilinear``, with D folded into their denominators.
         """
         S = self._structure
-        ys = [(j, yj) for j, yj in enumerate(y) if not linalg._is_zero(yj)]
-        out = lincomb(
-            (xi * yj, S[(i, j)])
-            for i, xi in enumerate(x)
-            if not linalg._is_zero(xi)
-            for j, yj in ys
-            if (i, j) in S
-        )
-        if self.denom != 1:
-            scale = Fraction(1, self.denom)
-            out = {k: v * scale for k, v in out.items()}
-        probe = x[0] * y[0]
-        zero = probe - probe
-        return [out.get(k, zero) for k in range(self.dim)]
+        if isinstance(x[0], Poly) or isinstance(y[0], Poly):
+            return bilinear(S, self.denom, x, y, self.dim)
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        xs = [(i, xi) for i, xi in enumerate(x) if xi]
+        out = lincomb((xi * yj, S[(i, j)]) for i, xi in xs for j, yj in ys if (i, j) in S)
+        return [Fraction(out[k]) / self.denom if k in out else 0 for k in range(self.dim)]
 
     def _build_killing(self) -> linalg.Matrix:
         """K_ij = tr(ad e_i ad e_j) = sum over k, l of c_il^k c_jk^l, summed
@@ -367,16 +363,9 @@ class GradedLieAlgebra:
 
     def beta(self, x: Sequence, y: Sequence) -> Fraction:
         """Killing form of two coordinate vectors, through the Gram matrix."""
-        return sum(
-            (
-                x[i] * self.killing[i][j] * y[j]
-                for i in range(self.dim)
-                if x[i] != 0
-                for j in range(self.dim)
-                if y[j] != 0
-            ),
-            Fraction(0),
-        )
+        K, ys = self.killing, [(j, yj) for j, yj in enumerate(y) if yj != 0]
+        terms = (xi * K[i][j] * yj for i, xi in enumerate(x) if xi != 0 for j, yj in ys)
+        return sum(terms, Fraction(0))
 
     def omega(self, x: Sequence, y: Sequence) -> Fraction:
         """Symplectic pairing beta(o, [x, y])."""

@@ -29,15 +29,8 @@ Matrix = List[List[Fraction]]
 Sparse = List[dict]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -86,10 +79,7 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def trace(a: Matrix):
-    t = a[0][0]
-    for i in range(1, len(a)):
-        t = t + a[i][i]
-    return t
+    return sum((a[i][i] for i in range(1, len(a))), a[0][0])
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -148,11 +138,7 @@ def flat(a: Sparse) -> dict:
 
 def sparse_transpose(a: Sparse) -> Sparse:
     """The transpose of the square sparse matrix a."""
-    out: Sparse = [{} for _ in a]
-    for r, row in enumerate(a):
-        for c, x in row.items():
-            out[c][r] = x
-    return out
+    return [{r: row[c] for r, row in enumerate(a) if c in row} for c in range(len(a))]
 
 
 def sparse_sum(terms, rows: int) -> Sparse:

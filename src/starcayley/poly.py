@@ -4,25 +4,29 @@ Variables live in an ordered ``VarSet``; the order is authoritative for the
 symplectic pairing used by the operator layer, so it is carried explicitly
 and checked on every binary operation.
 
-The coefficient ring is flat.  ``Poly.terms`` maps each key, the exponents
-of the variables followed by the power of nu, to a nonzero exact rational:
-an ``int`` when it is integral, a ``Fraction`` otherwise.  The two compare
-and hash equal, so the split is invisible to every identity; it exists
-because integer arithmetic is several times cheaper, and each operation
-stores an integral result as an ``int``.  Carrying nu as a trailing
-exponent, which may be negative, lets products and derivatives treat it
-like any other exponent.  ``Scalar``, the Laurent polynomial in nu, is
-the Poly over no variables, with keys (nu-power,); ``Poly.coeff`` returns
-the coefficient of one monomial as a Scalar.
+The coefficient ring is flat and integral, as in FLINT's fmpq_poly.
+``Poly.terms`` maps each key, the exponents of the variables followed by
+the power of nu, to a nonzero ``int`` numerator over one positive ``int``
+``Poly.den``, in canonical form, gcd(den, *numerators) = 1, so ``==`` and
+``hash`` are exact.  A product multiplies the denominators, a sum brings
+both to their lcm, and each result is reduced by one gcd, skipped when
+den = 1.  Fractions are formed only at the edges: a coefficient read out
+(``coeff``, ``rationals``, ``eval_nu``) and display.  nu, a trailing
+exponent that may be negative, is treated like any other exponent.
+``Scalar``, the Laurent polynomial in nu, is the Poly over no variables.
+The term-dict kernels (``mul_add``, ``diff_terms``, ``bilinear``) run on
+numerators; the checks bring their operands to one denominator,
+accumulate with them, and divide once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 Key = Tuple[int, ...]
 
@@ -97,27 +101,26 @@ def lincomb(pairs, acc: dict | None = None) -> dict:
     return acc
 
 
-def add_terms(t1: dict, t2: dict) -> dict:
-    out = dict(t1)
-    for k, c in t2.items():
-        if k in out:
-            s = out[k] + c
-            if s:
-                out[k] = exact(s)
-            else:
-                del out[k]
-        else:
-            out[k] = c
-    return out
+def canonical(terms: dict, den: int) -> Tuple[dict, int]:
+    """Numerators over den in canonical form: zero values dropped and the
+    common factor of den and the numerators divided out.  The dict is
+    handed over and may be returned as it is."""
+    if 0 in terms.values():
+        terms = {k: c for k, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
+    return terms, den
 
 
-def mul_add(acc: dict, t1: dict, t2: dict, sign: int = 1) -> dict:
-    """Add sign t1 t2, for sign = 1 or -1, into the term dict acc, whose
-    keys add entry by entry; acc may be left with zero or integral
-    ``Fraction`` values.  Returns acc."""
+def mul_add(acc: dict, t1: dict, t2: dict, factor: int = 1) -> dict:
+    """Add factor t1 t2 into the term dict acc, whose keys add entry by
+    entry; acc may be left with zero values.  Returns acc."""
     for e1, c1 in t1.items():
-        if sign < 0:
-            c1 = -c1
+        if factor != 1:
+            c1 *= factor
         for e2, c2 in t2.items():
             e = tuple(map(add, e1, e2))
             if e in acc:
@@ -127,59 +130,70 @@ def mul_add(acc: dict, t1: dict, t2: dict, sign: int = 1) -> dict:
     return acc
 
 
-def mul_terms(t1: dict, t2: dict) -> dict:
-    """The product of two Poly term dicts."""
-    return pruned(mul_add({}, t1, t2))
-
-
 def diff_terms(terms: dict, i: int) -> dict:
-    """The term dict of the derivative in the variable at index i; lowering
-    one exponent is injective on the terms it keeps."""
-    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: exact(c * e[i]) for e, c in terms.items() if e[i]}
+    """The numerators of the derivative in the variable at index i, over the
+    same denominator; lowering one exponent is injective on the terms kept."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
 
 
-def gradient(p: "Poly") -> List[dict]:
-    """The term dicts of the derivatives of p in the variables of ``p.vs``."""
-    return [diff_terms(p.terms, i) for i in range(len(p.vs))]
+def bilinear(table: Mapping, den: int, x: Sequence, y: Sequence, size: int) -> List["Poly"]:
+    """The sum over (i, j) of x_i y_j table[(i, j)] / den, a vector of size
+    Polys, for a table {(i, j): {k: integer numerator}} and vectors of
+    Polys over one varset or of rationals, at least one of Polys.  Each
+    vector is brought to one denominator, each x_i y_j formed once, on
+    numerators, and each entry divided once."""
+    vs = next(c.vs for c in (*x, *y) if isinstance(c, Poly))
+    one = (0,) * (len(vs) + 1)
 
+    def numerators(v):
+        # a rational c as the constant c.numerator over c.denominator
+        ps = [(i, c if isinstance(c, Poly) else Poly._new(vs, {one: c.numerator}, c.denominator))
+              for i, c in enumerate(v) if (c.terms if isinstance(c, Poly) else c)]
+        d = lcm(*(p.den for _, p in ps))
+        return [(i, p.over(d)) for i, p in ps], d
 
-def scale_terms(terms: dict, c, shift: Callable[[tuple, int], tuple]) -> dict:
-    """terms times c, a rational or a Scalar; ``shift(key, k)`` is the key
-    multiplied by nu^k."""
-    if not isinstance(c, Scalar):
-        c = exact(c)
-        return pruned({k: v * c for k, v in terms.items()}) if c else {}
-    out: dict = {}
-    for (s,), cs in c.terms.items():
-        for k, v in terms.items():
-            k = shift(k, s)
-            out[k] = out[k] + v * cs if k in out else v * cs
-    return pruned(out)
+    (xs, dx), (ys, dy) = numerators(x), numerators(y)
+    acc: Dict[int, dict] = {}
+    for i, xi in xs:
+        for j, yj in ys:
+            row = table.get((i, j))
+            if row:
+                prod = mul_add({}, xi, yj)
+                for k, s in row.items():
+                    lincomb(((s, prod),), acc.setdefault(k, {}))
+    zero, den = Poly._new(vs, {}), den * dx * dy
+    return [Poly._reduced(vs, acc[k], den) if k in acc else zero for k in range(size)]
 
 
 class FlatTerms:
     """The ring structure that Poly and WeylOperator share: a variable set
-    ``vs`` and a flat dict ``terms`` from keys carrying the nu-power to
-    nonzero exact rationals.  No operation changes an instance."""
+    ``vs``, a flat dict ``terms`` from keys carrying the nu-power to nonzero
+    integer numerators, and their one positive denominator ``den``, in the
+    canonical form of ``canonical``.  No operation changes an instance."""
 
-    __slots__ = ("vs", "terms")
+    __slots__ = ("vs", "terms", "den")
 
     def __init__(self, vs: VarSet, terms: Mapping | None = None):
-        out = {}
-        for key, c in (terms or {}).items():
+        """From {key: int or Fraction} over the lcm of the denominators, a canonical form."""
+        for key in terms or {}:
             if not self._fits(key, len(vs)):
                 raise ValueError(f"key {key} does not fit {vs.names} and a nu-power")
-            c = exact(c)
-            if c:
-                out[key] = c
-        self.vs, self.terms = vs, out
+        terms = {k: exact(c) for k, c in (terms or {}).items()}
+        d = lcm(*(c.denominator for c in terms.values()))
+        self.vs, self.den = vs, d
+        self.terms = {k: c.numerator * (d // c.denominator) for k, c in terms.items() if c}
 
     @classmethod
-    def _new(cls, vs: VarSet, terms: dict):
-        """An instance over an already validated and pruned term dict."""
+    def _new(cls, vs: VarSet, terms: dict, den: int = 1):
+        """An instance over already validated, canonical numerators."""
         r = cls.__new__(cls)
-        r.vs, r.terms = vs, terms
+        r.vs, r.terms, r.den = vs, terms, den
         return r
+
+    @classmethod
+    def _reduced(cls, vs: VarSet, terms: dict, den: int):
+        """An instance over validated numerators, put in canonical form."""
+        return cls._new(vs, *canonical(terms, den))
 
     def _check(self, other):
         if self.vs is not other.vs and self.vs != other.vs:
@@ -188,30 +202,60 @@ class FlatTerms:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def over(self, den: int) -> dict:
+        """The numerators of self over den, a multiple of ``self.den``; the
+        dict may be ``self.terms`` itself, so it must not be changed."""
+        f = den // self.den
+        return self.terms if f == 1 else {k: c * f for k, c in self.terms.items()}
+
+    def rationals(self) -> dict:
+        """{key: coefficient}, each read out as a Fraction."""
+        return {k: Fraction(c, self.den) for k, c in self.terms.items()}
+
     def __add__(self, other):
         self._check(other)
-        return self._new(self.vs, add_terms(self.terms, other.terms))
+        if not other.terms:
+            return self
+        if not self.terms and type(other) is type(self):
+            return other
+        den = lcm(self.den, other.den)
+        out = dict(self.over(den))
+        for k, c in other.over(den).items():
+            out[k] = out[k] + c if k in out else c
+        return self._reduced(self.vs, out, den)
 
     def __neg__(self):
-        return self._new(self.vs, {k: -c for k, c in self.terms.items()})
+        return self._new(self.vs, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         """self times c, a rational or a Scalar."""
-        return self._new(self.vs, scale_terms(self.terms, c, self._shift))
+        if isinstance(c, Scalar):
+            out: dict = {}
+            for (s,), cs in c.terms.items():
+                for k, v in self.terms.items():
+                    k = self._shift(k, s)
+                    out[k] = out[k] + v * cs if k in out else v * cs
+            return self._reduced(self.vs, out, self.den * c.den)
+        c = exact(c)
+        num, den = c.numerator, c.denominator
+        if den == 1 and num in (0, 1):
+            return self if num else self._new(self.vs, {})
+        return self._reduced(self.vs, {k: v * num for k, v in self.terms.items()}, self.den * den)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.vs == other.vs and self.terms == other.terms
+        mine, theirs = (self.vs, self.den, self.terms), (other.vs, other.den, other.terms)
+        return type(other) is type(self) and mine == theirs
 
     def __hash__(self):
-        return hash((self.vs, frozenset(self.terms.items())))
+        return hash((self.vs, frozenset(self.terms.items()), self.den))
 
 
 class Poly(FlatTerms):
     """Polynomial in the variables of ``vs`` with flat terms
-    {exponents + (nu-power,): nonzero rational}."""
+    {exponents + (nu-power,): nonzero numerator} over ``den``."""
 
     __slots__ = ()
 
@@ -245,14 +289,16 @@ class Poly(FlatTerms):
 
     def coeff(self, mono: Key) -> Scalar:
         """The coefficient of the monomial with exponents ``mono``, as a Scalar."""
-        return Scalar({e[-1]: c for e, c in self.terms.items() if e[:-1] == mono})
+        return Scalar._reduced(
+            NO_VARS, {e[-1:]: c for e, c in self.terms.items() if e[:-1] == mono}, self.den
+        )
 
     # -- ring ops -----------------------------------------------------------
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly) or isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        return self._new(self.vs, mul_terms(self.terms, other.terms))
+        return self._reduced(self.vs, mul_add({}, self.terms, other.terms), self.den * other.den)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -279,7 +325,7 @@ class Poly(FlatTerms):
 
     # -- calculus --------------------------------------------------------
     def diff(self, name: str) -> "Poly":
-        return Poly._new(self.vs, diff_terms(self.terms, self.vs.index(name)))
+        return Poly._reduced(self.vs, diff_terms(self.terms, self.vs.index(name)), self.den)
 
     def substitute(self, mapping: Mapping[str, "Poly"], target: VarSet) -> "Poly":
         """Replace every variable appearing in self by its image polynomial.
@@ -291,7 +337,7 @@ class Poly(FlatTerms):
                 raise VarSetMismatch(f"image of {name} is not over the target varset")
         result = Poly.zero(target)
         for e, c in self.terms.items():
-            term = Poly._new(target, {(0,) * len(target) + e[-1:]: c})
+            term = Poly._reduced(target, {(0,) * len(target) + e[-1:]: c}, self.den)
             for i, k in enumerate(e[:-1]):
                 if k == 0:
                     continue
@@ -303,13 +349,13 @@ class Poly(FlatTerms):
         return result
 
     def eval_nu(self, value) -> "Poly":
-        """Substitute a rational for nu in every coefficient."""
+        """Substitute a rational for nu in every coefficient; a Poly."""
         v = Fraction(exact(value))
         out: dict = {}
         for e, c in self.terms.items():
             k = e[:-1] + (0,)
             out[k] = out.get(k, 0) + c * v ** e[-1]
-        return self._new(self.vs, pruned(out))
+        return Poly(self.vs, {k: x / self.den for k, x in out.items()})
 
     # -- display ------------------------------------------------------------
     def __str__(self) -> str:
@@ -317,18 +363,13 @@ class Poly(FlatTerms):
             return "0"
         monos: Dict[Key, dict] = {}
         for e, c in self.terms.items():
-            monos.setdefault(e[:-1], {})[e[-1]] = c
+            monos.setdefault(e[:-1], {})[e[-1:]] = c
         parts = []
         for e in sorted(monos, key=lambda t: (sum(t), t), reverse=True):
-            c = Scalar(monos[e])
-            mono = "*".join(
-                f"{self.vs.names[i]}^{k}" if k > 1 else self.vs.names[i]
-                for i, k in enumerate(e)
-                if k > 0
-            )
-            cs = str(c)
-            if len(c.terms) > 1:
-                cs = f"({cs})"
+            c = Scalar._reduced(NO_VARS, monos[e], self.den)
+            names = self.vs.names
+            mono = "*".join(f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k)
+            cs = f"({c})" if len(c.terms) > 1 else str(c)
             parts.append(f"{cs}*{mono}" if mono else cs)
         return " + ".join(parts)
 
@@ -337,7 +378,7 @@ class Poly(FlatTerms):
 
 class Scalar(Poly):
     """Laurent polynomial sum_k c_k nu^k with rational c_k: the Poly over no
-    variables, with terms {(k,): c_k}.  Its ring operations are Poly's; it
+    variables, with terms {(k,): c_k den} over den.  Its ring operations are Poly's; it
     adds int and Fraction operands, equality and hashing with rationals,
     exact division, evaluation at a rational nu and its own display."""
 
@@ -367,7 +408,7 @@ class Scalar(Poly):
     @property
     def coeffs(self) -> Mapping[int, Fraction]:
         """Read-only view {nu-power: nonzero Fraction}."""
-        return MappingProxyType({k: Fraction(c) for (k,), c in self.terms.items()})
+        return MappingProxyType({k: c for (k,), c in self.rationals().items()})
 
     # -- ring operations, with rational operands ------------------------
     def __add__(self, other) -> "Scalar":
@@ -380,11 +421,7 @@ class Scalar(Poly):
     __radd__ = __add__
 
     def __mul__(self, other) -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, Scalar):
-            return self._new(NO_VARS, mul_terms(self.terms, other.terms))
-        return NotImplemented
+        return self.scale(other) if isinstance(other, (int, Fraction, Scalar)) else NotImplemented
 
     def __rmul__(self, other) -> "Scalar":
         # p * s for a Poly p over variables is Poly.__mul__'s scaling, not a
@@ -393,50 +430,46 @@ class Scalar(Poly):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.terms == ({(0,): other} if other else {})
-        return self.terms == other.terms if isinstance(other, Scalar) else NotImplemented
+            n = other.numerator
+            return self.den == other.denominator and self.terms == ({(0,): n} if n else {})
+        return FlatTerms.__eq__(self, other) if isinstance(other, Scalar) else NotImplemented
 
     def __hash__(self):
         # a constant equals its rational, so it must hash like it
         if self.terms.keys() <= {(0,)}:
-            return hash(self.terms.get((0,), 0))
+            c = self.terms.get((0,), 0)
+            return hash(c if self.den == 1 else Fraction(c, self.den))
         return super().__hash__()
 
     # -- division and evaluation ---------------------------------------------
     def div_exact(self, other: "Scalar") -> "Scalar":
         """Exact quotient q with q*other == self, else NotDivisible: long
-        division after shifting both to ordinary polynomials in nu."""
-        a, b = self.coeffs, other.coeffs
+        division from the top power down, whose quotient powers cannot fall
+        below min(self) - min(other)."""
+        b = other.coeffs
         if not b:
             raise ZeroDivisionError("division by zero Scalar")
-        amin, bmin = min(a, default=0), min(b)
-        rem = {k - amin: c for k, c in a.items()}
-        b = {k - bmin: c for k, c in b.items()}
-        bdeg = max(b)
-        quot: dict = {}
-        while rem and max(rem) >= bdeg:
-            rdeg = max(rem)
-            q = quot[rdeg - bdeg] = rem[rdeg] / b[bdeg]
-            for k, c in b.items():
-                s = rem.get(k + rdeg - bdeg, 0) - q * c
-                if s:
-                    rem[k + rdeg - bdeg] = s
-                else:
-                    rem.pop(k + rdeg - bdeg, None)
-        if rem:
+        top, low = max(b), min(self.coeffs, default=0) - min(b)
+        rem, quot = self, {}
+        while rem.terms and max(rem.coeffs) - top >= low:
+            k = max(rem.coeffs)
+            quot[k - top] = rem.coeffs[k] / b[top]
+            rem = rem - other * Scalar.nu(k - top, quot[k - top])
+        if rem.terms:
             raise NotDivisible("no exact Laurent quotient")
-        return Scalar({k + amin - bmin: c for k, c in quot.items()})
+        return Scalar(quot)
 
     def eval_nu(self, value) -> Fraction:
         """Substitute a rational for nu (CLI-level only); raises
         ZeroDivisionError at nu = 0 when a negative power is present."""
-        return Fraction(super().eval_nu(value).terms.get((0,), 0))
+        r = super().eval_nu(value)
+        return Fraction(r.terms.get((0,), 0), r.den)
 
     # -- display ------------------------------------------------------------
     def __str__(self) -> str:
         parts = []
         for (k,), c in sorted(self.terms.items(), reverse=True):
-            c = rational_to_str(c)
+            c = rational_to_str(Fraction(c, self.den))
             parts.append(c if k == 0 else f"{c}*nu" if k == 1 else f"{c}*nu^{k}")
         return " + ".join(parts) or "0"
 

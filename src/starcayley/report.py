@@ -287,10 +287,14 @@ def run_theorem_suite(ctx: InstanceContext) -> dict:
     sign_rho, res_rho = starrep_mod.verify_rho_homomorphism(g, ctx.rho)
     out["rho_bracket_sign"] = sign_rho
     out["rho_hom_residual"] = str(res_rho)
+    if sign_rho == 0:
+        out["rho_hom_witness"] = starrep_mod.bracket_witness(g, ctx.rho)
     ops = ctx.series.dpi_basis()
     sign_dpi, res_dpi = hds_mod.verify_dpi_homomorphism(g, ops)
     out["dpi_bracket_sign"] = sign_dpi
     out["dpi_hom_residual"] = str(res_dpi)
+    if sign_dpi == 0:
+        out["dpi_hom_witness"] = starrep_mod.bracket_witness(g, ops)
     field_res = ctx.srep.field_residual(ctx.series)
     out["tube_field_residual"] = str(field_res)
     kappa_h, kres = ctx.srep.measure_kappa_h()

@@ -26,15 +26,17 @@ bracket of vector fields with multipliers, not a product of operators.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Tuple
+from math import lcm
+from typing import Iterator, List, Optional, Tuple
 
 from . import linalg
 from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, gradient, lincomb, scalar_ratio
+from .poly import Poly, VarSet, diff_terms, lincomb, scalar_ratio
 from .scalars import Scalar
 from .weyl import (
     WeylOperator,
@@ -78,7 +80,7 @@ class StarRepresentation:
         g = self.g
         cuts = (0, g.n, g.n + g.dim0, g.dim)
         return [
-            [x if lo <= k < hi else Fraction(0) for k, x in enumerate(a)]
+            [x if lo <= k < hi else 0 for k, x in enumerate(a)]
             for lo, hi in zip(cuts, cuts[1:])
         ]
 
@@ -131,51 +133,74 @@ class StarRepresentation:
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis."""
-        kappa: Optional[Scalar] = None
-        res = Fraction(0)
+        kappa, res = None, Fraction(0)
         for h_coords, lp in self._basis_parts:
             h = self.g.t_from_coords(h_coords)
-            dmat = [[Poly._new(self.zvs, d) for d in gradient(p)] for p in lp]
-            for r in range(self.g.n):
+            for r, p in enumerate(lp):
                 for c in range(self.g.n):
-                    if kappa is None and not dmat[r][c].is_zero():
-                        kappa = scalar_ratio(h[r][c], dmat[r][c])
+                    d = Poly._reduced(self.zvs, diff_terms(p.terms, c), p.den)
+                    if kappa is None and d.terms:
+                        kappa = scalar_ratio(h[r][c], d)
                         if kappa is None:
                             return None, Fraction(1)
                     if kappa is not None:
-                        res += poly_abs(h[r][c] - dmat[r][c] * kappa)
+                        res += poly_abs(h[r][c] - d * kappa)
         return (kappa, res) if res == 0 else (None, res)
+
+
+def bracket_residuals(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Iterator[tuple]:
+    """(i, j, r+, r-) for every basis pair i < j of first-order operators
+    X_k = ops[k]: r+ and r- are |[X_i, X_j] -+ X([e_i, e_j])| over
+    ``_bracket_den``.  The operators are brought to one denominator L and
+    split once, with their gradients (``weyl.first_order_parts``); each
+    commutator is their first-order bracket, over L^2, and the image
+    sum_k c_ij^k X_k, over D L, is accumulated from the table's numerators.
+    Raises ValueError if an operator has a term of order > 1."""
+    L, D = lcm(*(op.den for op in ops)), g.denom
+    fields = [first_order_parts(op, L) for op in ops]
+    for i, j in itertools.combinations(range(g.dim), 2):
+        nz = g.bracket_numerators(i, j).items()
+        plus = minus = 0
+        for c, terms in enumerate(first_order_bracket(fields[i], fields[j])):
+            image = lincomb((ck * L, fields[k].parts[c]) for k, ck in nz)
+            for e in terms.keys() | image.keys():
+                a, b = D * terms.get(e, 0), image.get(e, 0)
+                plus += abs(a - b)
+                minus += abs(a + b)
+        yield i, j, plus, minus
+
+
+def _bracket_den(g: GradedLieAlgebra, ops: List[WeylOperator]) -> int:
+    return g.denom * lcm(*(op.den for op in ops)) ** 2
 
 
 def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fraction]:
     """Measure the sign s with [X_i, X_j] = s * X([e_i, e_j]) over all basis
-    pairs i < j of first-order operators X_k = ops[k]; returns (s, residual).
-
-    Each operator is split once into its multiplier and vector field, with
-    their gradients (``weyl.first_order_parts``).  Each commutator is their
-    first-order bracket, and it is compared with the image
-    sum_k c_ij^k X_k component by component, the image accumulated into one
-    term dict and both sign residuals summed over the union of the keys.
-    s = +1 reports a homomorphism, s = -1 an anti-homomorphism, s = 0
-    neither, with the smaller residual.  Raises ValueError if an operator
-    has a term of order > 1.
-    """
-    fields = [first_order_parts(op) for op in ops]
+    pairs i < j of first-order operators X_k = ops[k]; returns (s, residual),
+    the sums of ``bracket_residuals``, divided once.  s = +1 reports a
+    homomorphism, s = -1 an anti-homomorphism, s = 0 neither, with the
+    smaller residual."""
     res = {1: 0, -1: 0}
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            nz = g.bracket_coords(i, j).items()
-            comm = first_order_bracket(fields[i], fields[j])
-            for c, terms in enumerate(comm):
-                image = lincomb((ck, fields[k].parts[c]) for k, ck in nz)
-                for e in terms.keys() | image.keys():
-                    a, b = terms.get(e, 0), image.get(e, 0)
-                    res[1] += abs(a - b)
-                    res[-1] += abs(a + b)
+    for _, _, plus, minus in bracket_residuals(g, ops):
+        res[1] += plus
+        res[-1] += minus
     for sign in (1, -1):
         if res[sign] == 0:
             return sign, Fraction(0)
-    return 0, Fraction(min(res.values()))
+    return 0, Fraction(min(res.values()), _bracket_den(g, ops))
+
+
+def bracket_witness(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Optional[str]:
+    """The first failing pair (i, j) under the sign with the smaller total
+    residual (+1 on a tie) and its residual, as report text; None when
+    either sign holds."""
+    rows = list(bracket_residuals(g, ops))
+    totals = [sum(r[k] for r in rows) for k in (2, 3)]
+    if 0 in totals:
+        return None
+    k = 2 if totals[0] <= totals[1] else 3
+    i, j, *rs = next(r for r in rows if r[k])
+    return f"first failing (i, j) = {(i, j)}, residual {Fraction(rs[k - 2], _bracket_den(g, ops))}"
 
 
 def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tuple[int, Fraction]:
@@ -223,9 +248,10 @@ def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperat
 def embed_z_operator(op: WeylOperator, target: VarSet) -> WeylOperator:
     """Extend an operator in the z-variables to the (z, zbar) variable set."""
     pad = len(target.names) - len(op.vs.names)
-    return WeylOperator(
+    return WeylOperator._new(
         target,
         {(a[:-1] + (0,) * pad + a[-1:], b + (0,) * pad): c for (a, b), c in op.terms.items()},
+        op.den,
     )
 
 

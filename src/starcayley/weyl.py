@@ -3,9 +3,10 @@
 A WeylOperator is a finite sum  sum c_{ab} x^a d^b  with all multiplication
 factors to the left of all derivatives; composition re-normal-orders via
 the commutation relation d x = x d + 1.  Its terms are flat like those of
-``Poly``: the key (a, b) holds the multiplication exponents followed by the
-power of nu, which is central and so rides with them, and the derivative
-exponents.  On top of this sit
+``Poly``, integer numerators over one denominator ``den``: the key (a, b)
+holds the multiplication exponents followed by the power of nu, which is
+central and so rides with them, and the derivative exponents.  Every
+kernel below runs on the numerators and divides once.  On top of this sit
 
   * first-order operators f + sum_j a_j d_j, split into their parts
     (f, [a_j]) and bracketed as vector fields with multipliers, with no
@@ -41,9 +42,7 @@ from math import comb, factorial, lcm, perm, prod
 from operator import add
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import (
-    FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, gradient, mul_add, pruned, ratio
-)
+from .poly import NO_VARS, FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, mul_add
 from .scalars import Scalar
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -57,7 +56,7 @@ def _reorder(p: int, q: int) -> Tuple[Tuple[int, int], ...]:
 
 class WeylOperator(FlatTerms):
     """sum over (a, b) of  c * x^a d^b  on polynomials in a fixed varset,
-    with flat terms {(a + (nu-power,), b): nonzero rational}."""
+    with flat terms {(a + (nu-power,), b): nonzero numerator} over ``den``."""
 
     __slots__ = ()
 
@@ -84,7 +83,7 @@ class WeylOperator(FlatTerms):
     def from_poly(p: Poly) -> "WeylOperator":
         """Multiplication by p."""
         z = (0,) * len(p.vs)
-        return WeylOperator._new(p.vs, {(e, z): c for e, c in p.terms.items()})
+        return WeylOperator._new(p.vs, {(e, z): c for e, c in p.terms.items()}, p.den)
 
     @staticmethod
     def partial(vs: VarSet, name: str) -> "WeylOperator":
@@ -115,7 +114,7 @@ class WeylOperator(FlatTerms):
                         w *= wi
                     key, c = (tuple(x), tuple(d)), c1 * c2 * w
                     out[key] = out[key] + c if key in out else c
-        return self._new(self.vs, pruned(out))
+        return self._reduced(self.vs, out, self.den * other.den)
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
@@ -132,7 +131,7 @@ class WeylOperator(FlatTerms):
                 f = c * pc * w
                 mono = tuple(u + v - z for u, v, z in zip(a, e, b0))
                 out[mono] = out[mono] + f if mono in out else f
-        return Poly._new(self.vs, pruned(out))
+        return Poly._reduced(self.vs, out, self.den * p.den)
 
     def order(self) -> int:
         """Highest total derivative order appearing."""
@@ -143,22 +142,14 @@ class WeylOperator(FlatTerms):
             return "0"
         words: Dict[Key, dict] = {}
         for (a, b), c in self.terms.items():
-            words.setdefault((a[:-1], b), {})[a[-1]] = c
+            words.setdefault((a[:-1], b), {})[a[-1:]] = c
         bits = []
         for (a, b), c in sorted(words.items()):
-            factors = []
-            for i, name in enumerate(self.vs.names):
-                if a[i] == 1:
-                    factors.append(name)
-                elif a[i] > 1:
-                    factors.append(f"{name}^{a[i]}")
-            for i, name in enumerate(self.vs.names):
-                if b[i] == 1:
-                    factors.append(f"d_{name}")
-                elif b[i] > 1:
-                    factors.append(f"d_{name}^{b[i]}")
+            names = self.vs.names
+            factors = [f"{x}^{k}" if k > 1 else x for x, k in zip(names, a) if k]
+            factors += [f"d_{x}^{k}" if k > 1 else f"d_{x}" for x, k in zip(names, b) if k]
             body = " ".join(factors) if factors else "1"
-            bits.append(f"({Scalar(c)}) {body}")
+            bits.append(f"({Scalar._reduced(NO_VARS, c, self.den)}) {body}")
         return " + ".join(bits)
 
 
@@ -168,25 +159,34 @@ class WeylOperator(FlatTerms):
 
 
 def first_order(f: Poly, a: Sequence[Poly]) -> WeylOperator:
-    """The operator f + sum_j a_j d_j."""
+    """The operator f + sum_j a_j d_j, over the lcm of the parts'
+    denominators, canonical as the parts are and their keys disjoint."""
     n = len(f.vs)
-    terms = {(e, (0,) * n): c for e, c in f.terms.items()}
+    den = lcm(f.den, *(aj.den for aj in a))
+    terms = {(e, (0,) * n): c for e, c in f.over(den).items()}
     for j, aj in enumerate(a):
         d = tuple(int(i == j) for i in range(n))
-        terms.update(((e, d), c) for e, c in aj.terms.items())
-    return WeylOperator._new(f.vs, terms)
+        terms.update(((e, d), c) for e, c in aj.over(den).items())
+    return WeylOperator._new(f.vs, terms, den)
 
 
-def split_first_order(op: WeylOperator) -> Tuple[Poly, List[Poly]]:
-    """(f, [a_j]) with op = f + sum_j a_j d_j; raises ValueError on any term
-    of order > 1 rather than dropping it."""
+def _first_order_terms(op: WeylOperator, factor: int = 1) -> List[dict]:
+    """The numerators of f, a_1, ..., a_n in op = f + sum_j a_j d_j, times
+    factor; raises ValueError on any term of order > 1 rather than dropping
+    it."""
     parts: List[dict] = [{} for _ in range(len(op.vs) + 1)]
     for (e, d), c in op.terms.items():
         order = sum(d)
         if order > 1:
             raise ValueError(f"not first order: a term with derivative exponents {d}")
-        parts[d.index(1) + 1 if order else 0][e] = c
-    f, *a = (Poly(op.vs, p) for p in parts)
+        parts[d.index(1) + 1 if order else 0][e] = c * factor
+    return parts
+
+
+def split_first_order(op: WeylOperator) -> Tuple[Poly, List[Poly]]:
+    """(f, [a_j]) with op = f + sum_j a_j d_j; raises ValueError on any term
+    of order > 1 rather than dropping it."""
+    f, *a = (Poly._reduced(op.vs, p, op.den) for p in _first_order_terms(op))
     return f, a
 
 
@@ -198,18 +198,20 @@ class FirstOrderParts(NamedTuple):
     grads: List[List[dict]]
 
 
-def first_order_parts(op: WeylOperator) -> FirstOrderParts:
-    """op split as ``split_first_order`` splits it, with the gradient of each
+def first_order_parts(op: WeylOperator, den: int = 0) -> FirstOrderParts:
+    """op split as ``split_first_order`` splits it, as numerators over den, a
+    multiple of ``op.den`` (``op.den`` when 0), with the gradient of each
     part taken once, so that brackets with many operators reuse it."""
-    f, a = split_first_order(op)
-    comps = [f, *a]
-    return FirstOrderParts([p.terms for p in comps], [gradient(p) for p in comps])
+    parts = _first_order_terms(op, den // op.den if den else 1)
+    n = len(op.vs)
+    return FirstOrderParts(parts, [[diff_terms(p, i) for i in range(n)] for p in parts])
 
 
 def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
     """[f + a.d, g + b.d] = (a.grad g - b.grad f) + sum_j (a.grad b_j - b.grad a_j) d_j,
     as the term dicts of its parts [multiplier, coefficient of d_1, ...],
-    which may hold zero values.  The second-order parts of the two
+    which may hold zero values, numerators over the product of the two
+    denominators.  The second-order parts of the two
     compositions cancel, so no normal ordering is needed; part c is
     sum_v a_v d_v y.parts[c] - b_v d_v x.parts[c], multiplied and added
     into one dict."""
@@ -263,7 +265,7 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
     the cached ``_pair_kernel`` of the pair's exponents.  Variables outside
     the pairs only add their exponents.
     """
-    return Poly._new(u.vs, pruned(_contractions(u, v, l_names, m_names)))
+    return Poly._reduced(u.vs, _contractions(u, v, l_names, m_names), u.den * v.den)
 
 
 def _contractions(
@@ -273,7 +275,7 @@ def _contractions(
     m_names: Sequence[str],
     orders: Optional[Container[int]] = None,
 ) -> dict:
-    """The unpruned terms of sum_s nu^s B_s(u, v), where u star v is the
+    """The unpruned numerators, over u.den v.den, of sum_s nu^s B_s(u, v), where u star v is the
     sum over all s of nu^s B_s(u, v) and B_s takes s derivatives of each
     factor: over every s when ``orders`` is None, else over the s in
     ``orders``.  ``moyal_star`` is the case of every s."""
@@ -321,14 +323,17 @@ def left_star_operator(
     A prefix is extended only by an index whose variable occurs in the
     prefix's derivative of lam, and that derivative is differentiated once
     more, on its term dict; the sign and prod(mult!) are carried along, the
-    latter one run length at a time.
+    latter one run length at a time.  prod(mult!) divides k!, and k is at
+    most the degree of lam, so every weight is an integer over
+    lam.den deg(lam)!, the one denominator of the accumulation.
     """
     vs = lam.vs
     n = len(l_names)
     var = [vs.index(x) for x in (*l_names, *m_names)]
     dvar = var[n:] + var[:n]
     zero_d = (0,) * len(vs)
-    out: dict = {(e, zero_d): c for e, c in lam.terms.items()}
+    top = factorial(lam.total_degree())
+    out: dict = {(e, zero_d): c * top for e, c in lam.terms.items()}
     # a prefix: length k, last index, its run length, sign, prod(mult!),
     # derivative exponents and the terms of lam's derivative
     stack = [(0, 0, 0, 1, 1, zero_d, lam.terms)]
@@ -343,10 +348,10 @@ def left_star_operator(
             de = dexp[: dvar[c]] + (dexp[dvar[c]] + 1,) + dexp[dvar[c] + 1 :]
             for e, x in dterms.items():
                 key = (e[:-1] + (e[-1] + k + 1,), de)
-                w = ratio(x * s, d)
+                w = x * s * (top // d)
                 out[key] = out[key] + w if key in out else w
             stack.append((k + 1, c, r, s, d, de, dterms))
-    return WeylOperator._new(vs, pruned(out))
+    return WeylOperator._reduced(vs, out, lam.den * top)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +381,15 @@ def _pairwise_image(
     Images of different pairs commute, so the image of a normal-ordered
     word is the product over the pairs of ``kernel`` of the pair's
     exponents, and the target pairs are (target[a], target[n + a]).  A term
-    c x^a d^b with c = p/q contributes p 2^-e/q times the products of the
-    kernels' integer numerators, e the sum of the kernels' halvings and
-    ``halvings``.  These are accumulated as integer numerators over the one
-    denominator lcm(q 2^e) of all the terms, which each image coefficient
-    is divided by once, at the end."""
+    c x^a d^b with c = p / op.den contributes p 2^-e / op.den times the
+    products of the kernels' integer numerators, e the sum of the kernels'
+    halvings and ``halvings``.  These are accumulated as integer numerators
+    over the one denominator op.den 2^emax, emax the largest e, and the
+    image is reduced once, at the end."""
     idx = [(op.vs.index(x), op.vs.index(y)) for x, y in pairs]
     if sorted(i for p in idx for i in p) != list(range(len(op.vs))):
         raise ValueError(f"{op.vs.names} are not the pairs {tuple(pairs)}")
-    words, den = [], 1
+    words, emax = [], 0
     for (a, b), c in op.terms.items():
         kers, e = [], halvings
         for i, j in idx:
@@ -393,17 +398,16 @@ def _pairwise_image(
             kers.append(image)
         if flip_nu and a[-1] % 2:
             c = -c
-        q = c.denominator << e
-        words.append((c.numerator, q, a[-1] + nu_shift, kers))
-        den = lcm(den, q)
+        words.append((c, e, a[-1] + nu_shift, kers))
+        emax = max(emax, e)
     out: dict = {}
-    for p, q, k0, kers in words:
-        w0 = p * (den // q)
+    for p, e, k0, kers in words:
+        w0 = p << (emax - e)
         for combo in itertools.product(*kers):
             x1, x2, d1, d2, s, w = zip(*combo)
             key, w = (x1 + x2 + (k0 + sum(s),), d1 + d2), w0 * prod(w)
             out[key] = out[key] + w if key in out else w
-    return WeylOperator._new(target, {key: ratio(w, den) for key, w in out.items() if w})
+    return WeylOperator._reduced(target, out, op.den << emax)
 
 
 @functools.lru_cache(maxsize=None)
@@ -553,20 +557,24 @@ def verify_covariance(ch) -> Tuple[Fraction, int, Optional[Tuple[Tuple[int, int]
     degrees and for coefficients that depend on nu.  Only those
     contractions are formed, from the ``_pair_kernel`` factors, and only
     on pairs whose moment maps both have degree >= 3, as B_s vanishes on
-    the others.
+    the others.  Each pair's numerators are over the product of its two
+    denominators; the residuals are summed over their common multiple
+    top, the square of the lcm, and divided once.
     """
     res, bad, witness = 0, 0, None
     deg = [lam.total_degree() for lam in ch.moment]
+    dens = [lam.den for lam in ch.moment]
+    top = lcm(*dens) ** 2
     cubic = [i for i, d in enumerate(deg) if d >= 3]
     for i, j in itertools.combinations(cubic, 2):
         odd = range(3, min(deg[i], deg[j]) + 1, 2)
         tail = _contractions(ch.moment[i], ch.moment[j], ch.l_names, ch.m_names, odd)
-        r = 2 * sum(map(abs, tail.values()))
+        r = 2 * sum(map(abs, tail.values())) * (top // (dens[i] * dens[j]))
         if r:
             bad += 1
             res += r
-            witness = witness or ((i, j), Fraction(r))
-    return Fraction(res), bad, witness
+            witness = witness or ((i, j), Fraction(r, top))
+    return Fraction(res, top), bad, witness
 
 
 def verify_property_B(ch, samples: Sequence[Poly]) -> Tuple[int, bool]:

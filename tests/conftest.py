@@ -26,7 +26,7 @@ def two_conjugations(op: WeylOperator, l_names, m_names):
     """The oracle of ``weyl.star_transform``, step by step: op with
     nu -> -nu, times 1/(2 nu), through ``fourier_conjugate`` and then
     ``holomorphic_frame``."""
-    flipped = WeylOperator(op.vs, {k: -c if k[0][-1] % 2 else c for k, c in op.terms.items()})
+    flipped = WeylOperator(op.vs, {k: -c if k[0][-1] % 2 else c for k, c in op.rationals().items()})
     fop, fvs = fourier_conjugate(flipped.scale(Scalar.nu(-1, Fraction(1, 2))), l_names, m_names)
     return holomorphic_frame(fop, l_names, fvs.names[len(l_names) :])
 
@@ -42,7 +42,7 @@ def multiset_left_star_operator(lam: Poly, l_names, m_names) -> WeylOperator:
     l_idx = [vs.index(x) for x in l_names]
     m_idx = [vs.index(x) for x in m_names]
     zero_d = (0,) * len(vs)
-    out: dict = {(e, zero_d): c for e, c in lam.terms.items()}
+    out: dict = {(e, zero_d): c for e, c in lam.rationals().items()}
     for k in range(1, lam.total_degree() + 1):
         for combo in itertools.combinations_with_replacement(range(2 * n), k):
             p = lam
@@ -59,7 +59,7 @@ def multiset_left_star_operator(lam: Poly, l_names, m_names) -> WeylOperator:
             if p.is_zero():
                 continue
             weight = exact(Fraction(sign, prod(factorial(m) for m in Counter(combo).values())))
-            for e, c in p.terms.items():
+            for e, c in p.rationals().items():
                 key = (e[:-1] + (e[-1] + k,), tuple(dexp))
                 out[key] = out.get(key, 0) + c * weight
     return WeylOperator(vs, pruned(out))
@@ -100,18 +100,31 @@ def instance_cache():
     return get
 
 
+def _forbid(name):
+    def raiser(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return raiser
+
+
+@pytest.fixture
+def fraction_arithmetic_forbidden(monkeypatch):
+    """Fraction's arithmetic raises when called: the exact kernels must run
+    on integer numerators, and may form Fractions only at the edges, by
+    construction (comparisons and hashing stay allowed)."""
+    for name in (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__neg__", "__abs__",
+    ):
+        monkeypatch.setattr(Fraction, name, _forbid(f"Fraction.{name}"))
+
+
 @pytest.fixture
 def model_forbidden(monkeypatch):
     """The (u, T, v) model (``from_coords``, ``theta``) and the second
     elimination ``linalg.in_span`` raise when called: no report path may
     reach them."""
-
-    def forbid(name):
-        def raiser(*args, **kwargs):
-            raise AssertionError(f"{name} was called")
-
-        return raiser
-
+    forbid = _forbid
     monkeypatch.setattr(kkt.GradedLieAlgebra, "from_coords", forbid("from_coords"))
     monkeypatch.setattr(kkt.GradedLieAlgebra, "theta", forbid("theta"))
     monkeypatch.setattr(linalg, "in_span", forbid("in_span"))

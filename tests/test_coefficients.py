@@ -1,15 +1,22 @@
-"""Every coefficient of a Poly or a WeylOperator is an exact rational: an
-int or a Fraction.  The constructors reject anything else, and the
-artifacts the verifier builds hold nothing else."""
+"""Every coefficient of a Poly, a Scalar or a WeylOperator is an exact
+rational, stored as a nonzero int numerator over the object's one positive
+int denominator ``den``, in canonical form: gcd(den, *numerators) = 1.
+The constructors reject anything but int and Fraction, every ring
+operation returns that form, and the artifacts the verifier builds hold
+nothing else."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starcayley.poly import Poly, varset
+from starcayley.report import _random_poly
 from starcayley.scalars import Scalar
-from starcayley.starrep import star_transform_operator
-from starcayley.weyl import WeylOperator
+from starcayley.starrep import bracket_sign, star_transform_operator, verify_star_transform
+from starcayley.weyl import WeylOperator, verify_covariance, verify_property_B
 
 VS = varset("x", "y")
 
@@ -33,12 +40,24 @@ def test_no_float_enters_through_scaling(value):
         WeylOperator.from_poly(Poly.var(VS, "x")).scale(value)
 
 
+def assert_canonical(obj):
+    nums = list(obj.terms.values())
+    assert type(obj.den) is int and obj.den >= 1
+    assert all(type(c) is int and c != 0 for c in nums)
+    assert math.gcd(obj.den, *nums) == 1
+
+
 def test_integral_values_are_stored_as_int():
     p = Poly(VS, {(1, 0, 0): Fraction(4, 2), (0, 1, -1): Fraction(1, 2)})
-    assert {type(c) for c in p.terms.values()} == {int, Fraction}
+    assert p.terms == {(1, 0, 0): 4, (0, 1, -1): 1} and p.den == 2
+    assert {type(c) for c in p.terms.values()} == {int}
     half = Poly.var(VS, "x") * Fraction(1, 2)
+    assert half.terms == {(1, 0, 0): 1} and half.den == 2
+    # 1/2 + 1/2 is stored as 1 over 1, and (1/2) 4 as 2 over 1
+    assert (half + half).terms == {(1, 0, 0): 1} and (half + half).den == 1
     assert type((half + half).terms[(1, 0, 0)]) is int
-    assert type((half * Fraction(4)).terms[(1, 0, 0)]) is int
+    assert (half * Fraction(4)).terms == {(1, 0, 0): 2} and (half * Fraction(4)).den == 1
+    assert (half - half).terms == {} and (half - half).den == 1
 
 
 def _values(objs):
@@ -59,7 +78,91 @@ def test_artifacts_hold_only_exact_rationals(selector, instance_cache):
     }
     for name, objs in artifacts.items():
         types = {type(c) for c in _values(objs)}
-        assert types and types <= {int, Fraction}, (name, types)
-        assert all(
-            c.denominator != 1 for c in _values(objs) if type(c) is Fraction
-        ), f"{name}: integral Fraction"
+        assert types == {int}, (name, types)
+        for obj in objs:
+            assert_canonical(obj)
+
+
+# -- every ring operation against a plain-Fraction reference -----------------
+
+# denominators up to 4 and negative nu-powers
+small = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+raw_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)), small, max_size=5
+)
+raw_scalars = st.dictionaries(st.integers(-2, 2), small, max_size=3)
+
+
+def _nonzero(d):
+    return {k: v for k, v in d.items() if v}
+
+
+def _add(a, b, sign=1):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + sign * v
+    return _nonzero(out)
+
+
+def _mul(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            out[k] = out.get(k, 0) + v1 * v2
+    return _nonzero(out)
+
+
+@given(raw_terms, raw_terms, st.integers(-6, 6), small, raw_scalars)
+@settings(max_examples=60, deadline=None)
+def test_ring_results_are_canonical_and_match_fractions(a, b, k, c, s):
+    p, q, sc = Poly(VS, a), Poly(VS, b), Scalar(s)
+    nu_s = {(0, 0, e): v for e, v in s.items()}
+    v = Fraction(-3, 2)
+    evaluated = {}
+    for e, x in a.items():
+        evaluated[e[:-1] + (0,)] = evaluated.get(e[:-1] + (0,), 0) + x * v ** e[-1]
+    cases = [
+        (p + q, _add(a, b)),
+        (p - q, _add(a, b, -1)),
+        (-p, _add({}, a, -1)),
+        (p * q, _mul(a, b)),
+        (p.scale(k), _nonzero({e: x * k for e, x in a.items()})),
+        (p.scale(c), _nonzero({e: x * c for e, x in a.items()})),
+        (p.scale(sc), _mul(a, nu_s)),
+        (p * sc, _mul(a, nu_s)),
+        (p.diff("x"), _nonzero({(e[0] - 1,) + e[1:]: x * e[0] for e, x in a.items() if e[0]})),
+        (p.eval_nu(v), _nonzero(evaluated)),
+        (sc * sc, {(e,): x for (_, _, e), x in _mul(nu_s, nu_s).items()}),
+        (sc + c, {(e,): x for (_, _, e), x in _add(nu_s, {(0, 0, 0): c}).items()}),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert got.rationals() == want
+
+
+# -- the kernels of the checks run on ints --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sym3(instance_cache):
+    """Every sym:3 artifact the kernels read, built before Fraction
+    arithmetic is forbidden; sym:3 has denominators of 2 throughout."""
+    ch = instance_cache("chart", "sym:3")
+    ch.left_stars
+    samples = [_random_poly(random.Random(7), ch) for _ in range(3)]
+    dpi = instance_cache("series", "sym:3").dpi_basis()
+    return ch, instance_cache("srep", "sym:3"), instance_cache("rho", "sym:3"), dpi, samples
+
+
+def test_check_kernels_use_no_fraction_arithmetic(sym3, fraction_arithmetic_forbidden):
+    ch, srep, rho, dpi, samples = sym3
+    g = ch.g
+    assert bracket_sign(g, rho) == (-1, 0)
+    assert bracket_sign(g, dpi) == (1, 0)
+    assert ch.hamiltonicity_residual() == (0, 0)
+    assert verify_covariance(ch) == (0, 0, None)
+    assert verify_property_B(ch, samples) == (3, True)
+    results = verify_star_transform(ch, srep, rho)
+    assert len(results) == g.dim
+    assert all(r.holomorphic and r.matches_rho and r.residual == 0 for r in results)

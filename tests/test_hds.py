@@ -15,7 +15,7 @@ from starcayley.hds import (
 )
 from starcayley.linalg import trace
 from starcayley.poly import Poly
-from starcayley.report import RunConfig, run
+from starcayley.report import InstanceContext, RunConfig, run, run_theorem_suite
 from starcayley.scalars import Scalar
 from starcayley.starrep import StarRepresentation
 from starcayley.weyl import WeylOperator, split_first_order
@@ -116,6 +116,27 @@ def test_dpi_sign_check_fails_on_perturbed_weight_part(selector, residual, insta
     ops = ds.dpi_basis()
     ops[1] = ops[1] + WeylOperator.identity(ds.zvs)
     assert verify_dpi_homomorphism(g, ops) == (0, residual)
+
+
+@pytest.mark.parametrize(
+    "selector, witness",
+    [
+        ("rank1", "first failing (i, j) = (0, 2), residual 2"),
+        ("spin:3", "first failing (i, j) = (0, 4), residual 1"),
+        ("sym:2", "first failing (i, j) = (1, 5), residual 1"),
+    ],
+)
+def test_theorem_suite_names_the_first_failing_dpi_pair(selector, witness):
+    # the perturbation of test_dpi_sign_check_fails_on_perturbed_weight_part,
+    # through the theorem suite: the witness is under the sign +1
+    ctx = InstanceContext(RunConfig(algebra=selector))
+    ops = ctx.series.dpi_basis()
+    ops[1] = ops[1] + WeylOperator.identity(ctx.series.zvs)
+    ctx.series._dpi_basis = tuple(ops)
+    out = run_theorem_suite(ctx)
+    assert out["dpi_bracket_sign"] == 0 and not out["passed"]
+    assert out["dpi_hom_witness"] == witness
+    assert "rho_hom_witness" not in out
 
 
 class TestEquivalence:

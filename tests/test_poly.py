@@ -103,7 +103,7 @@ def laurent_polys(draw, vs=VS):
 
 
 # a Scalar is the Poly over no variables
-scalars = laurent_polys(varset()).map(lambda p: Scalar({k: c for (k,), c in p.terms.items()}))
+scalars = laurent_polys(varset()).map(lambda p: Scalar({k: c for (k,), c in p.rationals().items()}))
 
 
 class TestScalarOperand:

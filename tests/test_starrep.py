@@ -60,7 +60,7 @@ def test_tau_weights_from_integer_killing_and_spur(instance_cache):
     assert all(type(x) is int for x in g.spur_vector)
     (w,) = StarRepresentation(g)._tau_weights
     assert w.coeffs == {-1: Fraction(1), 0: Fraction(1, 2)}
-    assert all(type(c) in (int, Fraction) for c in w.terms.values())
+    assert w.terms == {(-1,): 2, (0,): 1} and w.den == 2
 
 
 def test_theorem_suite_builds_h_and_l_once_per_basis_element(monkeypatch):
@@ -140,6 +140,34 @@ def test_rho_sign_check_fails_on_perturbed_operator(selector, residual, instance
     assert verify_rho_homomorphism(g, rho) == (0, residual)
 
 
+@pytest.mark.parametrize(
+    "selector, index, shift, witness",
+    [
+        ("rank1", 1, 1, "first failing (i, j) = (0, 2), residual 2"),
+        ("spin:3", 1, 1, "first failing (i, j) = (0, 4), residual 1"),
+        ("sym:2", 1, 1, "first failing (i, j) = (1, 5), residual 1"),
+        # c_06^2 = 1/2 on sym:2, times the shift 1/3
+        ("sym:2", 2, Fraction(1, 3), "first failing (i, j) = (0, 6), residual 1/6"),
+    ],
+)
+def test_theorem_suite_names_the_first_failing_rho_pair(selector, index, shift, witness):
+    # rho plus a constant on one basis element fails under both signs; the
+    # witness is taken under the sign of the smaller total (-1 here)
+    ctx = InstanceContext(RunConfig(algebra=selector))
+    rho = list(ctx.rho)
+    rho[index] = rho[index] + WeylOperator.identity(ctx.srep.zvs).scale(shift)
+    ctx._cache["rho"] = rho
+    out = run_theorem_suite(ctx)
+    assert out["rho_bracket_sign"] == 0 and not out["passed"]
+    assert out["rho_hom_witness"] == witness
+    assert "dpi_hom_witness" not in out
+
+
+def test_passing_theorem_suite_has_no_witness():
+    out = run_theorem_suite(InstanceContext(RunConfig(algebra="sym:2")))
+    assert out["passed"] and "rho_hom_witness" not in out and "dpi_hom_witness" not in out
+
+
 def test_bracket_sign_rejects_second_order_operator(instance_cache):
     # a d^2 term is an error, not a term the first-order bracket drops
     g = instance_cache("lie", "rank1")
@@ -170,7 +198,7 @@ class TestStarTransform:
             op, tvs = star_transform_operator(ch, i)
             want, wvs = two_conjugations(left, ch.l_names, ch.m_names)
             assert tvs == wvs
-            assert op.terms == want.terms, i
+            assert op == want, i
 
     def test_rank_one_transform_values(self, instance_cache):
         ch = instance_cache("chart", "rank1")
