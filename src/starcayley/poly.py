@@ -378,9 +378,10 @@ class Poly(FlatTerms):
 
 class Scalar(Poly):
     """Laurent polynomial sum_k c_k nu^k with rational c_k: the Poly over no
-    variables, with terms {(k,): c_k den} over den.  Its ring operations are Poly's; it
-    adds int and Fraction operands, equality and hashing with rationals,
-    exact division, evaluation at a rational nu and its own display."""
+    variables, with terms {(k,): c_k den} over den.  Its ring operations
+    are Poly's; it adds int and Fraction operands, equality and hashing
+    with rationals, exact division, evaluation at a rational nu and its
+    own display."""
 
     __slots__ = ()
 
@@ -422,11 +423,6 @@ class Scalar(Poly):
 
     def __mul__(self, other) -> "Scalar":
         return self.scale(other) if isinstance(other, (int, Fraction, Scalar)) else NotImplemented
-
-    def __rmul__(self, other) -> "Scalar":
-        # p * s for a Poly p over variables is Poly.__mul__'s scaling, not a
-        # product of Scalars
-        return NotImplemented if isinstance(other, Poly) else self * other
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

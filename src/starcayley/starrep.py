@@ -36,7 +36,7 @@ from typing import Iterator, List, Optional, Tuple
 from . import linalg
 from .chart import SymplecticChart, poly_abs
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, diff_terms, lincomb, scalar_ratio
+from .poly import Poly, VarSet, diff_terms, lincomb, mul_add, scalar_ratio
 from .scalars import Scalar
 from .weyl import (
     WeylOperator,
@@ -132,19 +132,25 @@ class StarRepresentation:
         return res
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
-        """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis."""
+        """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,
+        read from the first nonzero entry of D(l_A); each entry's residual is
+        formed on numerators over h.den kappa.den l.den and divided once."""
         kappa, res = None, Fraction(0)
         for h_coords, lp in self._basis_parts:
             h = self.g.t_from_coords(h_coords)
             for r, p in enumerate(lp):
-                for c in range(self.g.n):
-                    d = Poly._reduced(self.zvs, diff_terms(p.terms, c), p.den)
-                    if kappa is None and d.terms:
-                        kappa = scalar_ratio(h[r][c], d)
+                for c, hc in enumerate(h[r]):
+                    d = diff_terms(p.terms, c)
+                    if kappa is None and d:
+                        kappa = scalar_ratio(hc, Poly._reduced(self.zvs, d, p.den))
                         if kappa is None:
                             return None, Fraction(1)
+                        k = Poly.const(self.zvs, kappa)
                     if kappa is not None:
-                        res += poly_abs(h[r][c] - d * kappa)
+                        acc = {e: v * k.den * p.den for e, v in hc.terms.items()}
+                        num = sum(map(abs, mul_add(acc, d, k.terms, -hc.den).values()))
+                        if num:
+                            res += Fraction(num, hc.den * k.den * p.den)
         return (kappa, res) if res == 0 else (None, res)
 
 

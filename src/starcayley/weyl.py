@@ -211,10 +211,9 @@ def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
     """[f + a.d, g + b.d] = (a.grad g - b.grad f) + sum_j (a.grad b_j - b.grad a_j) d_j,
     as the term dicts of its parts [multiplier, coefficient of d_1, ...],
     which may hold zero values, numerators over the product of the two
-    denominators.  The second-order parts of the two
-    compositions cancel, so no normal ordering is needed; part c is
-    sum_v a_v d_v y.parts[c] - b_v d_v x.parts[c], multiplied and added
-    into one dict."""
+    denominators.  The second-order parts of the two compositions cancel,
+    so no normal ordering is needed; part c is sum_v a_v d_v y.parts[c] -
+    b_v d_v x.parts[c], multiplied and added into one dict."""
     a, b = x.parts[1:], y.parts[1:]
     out = []
     for dx, dy in zip(x.grads, y.grads):
@@ -275,10 +274,10 @@ def _contractions(
     m_names: Sequence[str],
     orders: Optional[Container[int]] = None,
 ) -> dict:
-    """The unpruned numerators, over u.den v.den, of sum_s nu^s B_s(u, v), where u star v is the
-    sum over all s of nu^s B_s(u, v) and B_s takes s derivatives of each
-    factor: over every s when ``orders`` is None, else over the s in
-    ``orders``.  ``moyal_star`` is the case of every s."""
+    """The unpruned numerators, over u.den v.den, of sum_s nu^s B_s(u, v),
+    where u star v is the sum over all s of nu^s B_s(u, v) and B_s takes s
+    derivatives of each factor: over every s when ``orders`` is None, else
+    over the s in ``orders``.  ``moyal_star`` is the case of every s."""
     vs = u.vs
     if v.vs != vs:
         raise VarSetMismatch(f"{vs.names} vs {v.vs.names}")
