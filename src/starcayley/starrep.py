@@ -205,8 +205,8 @@ def bracket_witness(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Optional[st
     if 0 in totals:
         return None
     k = 2 if totals[0] <= totals[1] else 3
-    i, j, *rs = next(r for r in rows if r[k])
-    return f"first failing (i, j) = {(i, j)}, residual {Fraction(rs[k - 2], _bracket_den(g, ops))}"
+    row = next(r for r in rows if r[k])
+    return f"first failing (i, j) = {row[:2]}, residual {Fraction(row[k], _bracket_den(g, ops))}"
 
 
 def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tuple[int, Fraction]:

@@ -124,7 +124,6 @@ def model_forbidden(monkeypatch):
     """The (u, T, v) model (``from_coords``, ``theta``) and the second
     elimination ``linalg.in_span`` raise when called: no report path may
     reach them."""
-    forbid = _forbid
-    monkeypatch.setattr(kkt.GradedLieAlgebra, "from_coords", forbid("from_coords"))
-    monkeypatch.setattr(kkt.GradedLieAlgebra, "theta", forbid("theta"))
-    monkeypatch.setattr(linalg, "in_span", forbid("in_span"))
+    monkeypatch.setattr(kkt.GradedLieAlgebra, "from_coords", _forbid("from_coords"))
+    monkeypatch.setattr(kkt.GradedLieAlgebra, "theta", _forbid("theta"))
+    monkeypatch.setattr(linalg, "in_span", _forbid("in_span"))
