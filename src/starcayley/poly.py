@@ -446,12 +446,14 @@ class Scalar(Poly):
         if not b:
             raise ZeroDivisionError("division by zero Scalar")
         top, low = max(b), min(self.coeffs, default=0) - min(b)
-        rem, quot = self, {}
-        while rem.terms and max(rem.coeffs) - top >= low:
-            k = max(rem.coeffs)
-            quot[k - top] = rem.coeffs[k] / b[top]
-            rem = rem - other * Scalar.nu(k - top, quot[k - top])
-        if rem.terms:
+        rem, quot = dict(self.coeffs), {}
+        while rem and max(rem) - top >= low:
+            k = max(rem)
+            q = quot[k - top] = rem[k] / b[top]
+            for e, c in b.items():
+                rem[e + k - top] = rem.get(e + k - top, 0) - q * c
+            rem = {e: c for e, c in rem.items() if c}
+        if rem:
             raise NotDivisible("no exact Laurent quotient")
         return Scalar(quot)
 

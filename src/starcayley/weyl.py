@@ -213,16 +213,19 @@ def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
     which may hold zero values, numerators over the product of the two
     denominators.  The second-order parts of the two compositions cancel,
     so no normal ordering is needed; part c is sum_v a_v d_v y.parts[c] -
-    b_v d_v x.parts[c], multiplied and added into one dict."""
-    a, b = x.parts[1:], y.parts[1:]
+    b_v d_v x.parts[c], multiplied and added into one dict, over the v
+    with a_v or b_v nonzero only."""
+    a = [(v, t) for v, t in enumerate(x.parts[1:]) if t]
+    b = [(v, t) for v, t in enumerate(y.parts[1:]) if t]
     out = []
     for dx, dy in zip(x.grads, y.grads):
         acc: dict = {}
-        for av, bv, dxv, dyv in zip(a, b, dx, dy):
-            if av and dyv:
-                mul_add(acc, av, dyv)
-            if bv and dxv:
-                mul_add(acc, bv, dxv, -1)
+        for v, t in a:
+            if dy[v]:
+                mul_add(acc, t, dy[v])
+        for v, t in b:
+            if dx[v]:
+                mul_add(acc, t, dx[v], -1)
         out.append(acc)
     return out
 
