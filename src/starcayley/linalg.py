@@ -30,7 +30,8 @@ Sparse = List[dict]
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
