@@ -60,19 +60,15 @@ class DiscreteSeries:
 
     def field(self, a: list) -> List[Poly]:
         """X(z) = u + Tz + P(z)v, from the Jordan data directly: u and v are
-        read from the coordinate vector a and T is the matrix of its g(0)
-        coordinates along t_basis."""
+        read from the coordinate vector a, and T z from the nonzero entries
+        of T, its g(0) coordinates along t_basis (``t_entries``)."""
         n, f = self.g.n, self.g.n + self.g.dim0
-        u, t, v = a[:n], self.g.t_from_coords(a[n:f]), a[f:]
-        comps = []
-        for i in range(n):
-            acc = Poly.const(self.zvs, u[i])
-            for j in range(n):
-                if t[i][j] != 0:
-                    acc = acc + self._zvec[j] * t[i][j]
-                if v[j] != 0:
-                    acc = acc + self._P[i][j] * v[j]
-            comps.append(acc)
+        comps = [Poly.const(self.zvs, x) for x in a[:n]]
+        for k, x in self.g.t_entries(a[n:f]).items():
+            comps[k // n] = comps[k // n] + self._zvec[k % n] * x
+        for j, vj in enumerate(a[f:]):
+            if vj:
+                comps = [c + self._P[i][j] * vj for i, c in enumerate(comps)]
         return comps
 
     def dpi(self, a: list) -> WeylOperator:
@@ -131,50 +127,50 @@ def solve_equivalence(
     dpi is linear, so dpi(alpha e) is formed as sum_k alpha(e)_k dpi(e_k),
     one integer accumulation over the numerators of ``ds.dpi_basis()``,
     brought to one denominator L, which every candidate shares.
+
+    A candidate stops at its first basis element whose vector fields
+    differ.  Only when no candidate matches are the stopped ones finished,
+    so that the error names the candidate with the smallest full residual,
+    the first of them on a tie; the candidates are drawn once, in order.
     """
     ds = ds or DiscreteSeries(g)
     rho_parts = [split_first_order(op) for op in rho]
     L = lcm(*(op.den for op in ds.dpi_basis()))
     nums = [op.over(L) for op in ds.dpi_basis()]
-    best = None
-    for name, alpha in _automorphism_candidates(g):
-        ok = True
-        m_star: Optional[Scalar] = None
-        res = Fraction(0)
+
+    def check(alpha):
+        """Yields None at each basis element whose vector fields differ and
+        (full residual, m*) at the end."""
+        res, m_star = Fraction(0), None
         for e, (tau, vec) in zip(linalg.identity(g.dim), rho_parts):
             cs = alpha(e)
             da = lcm(*(c.denominator for c in cs))
             ws = [(c.numerator * da // c.denominator, nums[k]) for k, c in enumerate(cs) if c]
-            dpi_alpha = WeylOperator._reduced(ds.zvs, lincomb(ws), L * da)
-            s_poly, dpi_vec = split_first_order(dpi_alpha)
+            s_poly, dpi_vec = split_first_order(WeylOperator._reduced(ds.zvs, lincomb(ws), L * da))
             r = sum((poly_abs(p - q) for p, q in zip(vec, dpi_vec)), Fraction(0))
             if r != 0:
-                ok = False
                 res += r
-                continue
-            if s_poly.is_zero():
-                if not tau.is_zero():
-                    ok = False
-                    res += poly_abs(tau)
-                continue
-            m = scalar_ratio(tau, s_poly)
-            if m is None:
-                ok = False
-                res += Fraction(1)
-                continue
-            if m_star is None:
+                yield None
+            elif s_poly.is_zero():
+                res += poly_abs(tau)
+            elif (m := scalar_ratio(tau, s_poly)) is None:
+                res += 1
+            elif m_star is None:
                 m_star = m
             elif m != m_star:
-                ok = False
-                res += Fraction(1)
-        if ok and m_star is not None:
-            return EquivalenceResult(alpha=name, m_star=m_star, residual=Fraction(0))
-        if best is None or res < best[1]:
-            best = (name, res)
-    raise NoEquivalence(
-        f"no candidate automorphism matches (best: {best[0]}, residual {best[1]})",
-        best[1],
-    )
+                res += 1
+        yield res, m_star
+
+    tried = []
+    for name, alpha in _automorphism_candidates(g):
+        run = check(alpha)
+        first = next(run)
+        if first and first[0] == 0 and first[1] is not None:
+            return EquivalenceResult(alpha=name, m_star=first[1], residual=Fraction(0))
+        tried.append((name, first, run))
+    full = [(name, (first or list(run)[-1])[0]) for name, first, run in tried]
+    name, res = min(full, key=lambda t: t[1])
+    raise NoEquivalence(f"no candidate automorphism matches (best: {name}, residual {res})", res)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +200,9 @@ def compare_with_closed_form(g: GradedLieAlgebra, m_star: Scalar) -> WeightCompa
         factor = m_star.div_exact(m_closed)
     except NotDivisible:
         return WeightComparison(m_star, m_closed, "failed", None)
-    if factor == Scalar.one():
-        return WeightComparison(m_star, m_closed, "exact", factor)
-    if set(factor.coeffs.keys()) <= {0}:
-        return WeightComparison(m_star, m_closed, "proportional", factor)
-    return WeightComparison(m_star, m_closed, "failed", factor)
+    constant = set(factor.coeffs.keys()) <= {0}
+    match = "exact" if factor == Scalar.one() else "proportional" if constant else "failed"
+    return WeightComparison(m_star, m_closed, match, factor)
 
 
 def special_nu_value(g: GradedLieAlgebra) -> Tuple[Fraction, bool]:

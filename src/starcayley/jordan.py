@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -120,10 +120,6 @@ class JordanAlgebra:
         lz = self.L(z)
         return linalg.mat_sub(linalg.mat_scale(linalg.mat_mul(lz, lz), 2), self.L(self.mul(z, z)))
 
-    # -- helpers --------------------------------------------------------
-    def symbolic_element(self, vs: VarSet, prefix: str) -> List[Poly]:
-        return [Poly.var(vs, f"{prefix}{a + 1}") for a in range(self.dim)]
-
     # -- serialization -----------------------------------------------------
     def to_json(self) -> dict:
         return {
@@ -163,31 +159,14 @@ def make_spin_factor(k: int) -> JordanAlgebra:
         raise InvalidDimension("spin factor needs k >= 2")
     _check_builtin_dim(f"spin:{k}", k)
     n = k
-    S = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    S[0][0][0] = Fraction(1)
-    for a in range(1, n):
-        S[0][a][a] = Fraction(1)
-        S[a][0][a] = Fraction(1)
-        S[a][a][0] = Fraction(1)
+
+    def s(a, b, c):  # e_0 is the unit, and e_a o e_b = delta_ab e_0 for a, b >= 1
+        return Fraction(int(c == a + b if 0 in (a, b) else a == b and c == 0))
+
+    S = [[[s(a, b, c) for c in range(n)] for b in range(n)] for a in range(n)]
     unit = [Fraction(1)] + [Fraction(0)] * (n - 1)
     names = ("s",) + tuple(f"u{a}" for a in range(1, n))
     return JordanAlgebra(f"spin:{k}", n, 2, names, structure=_freeze(S), unit=tuple(unit))
-
-
-def sym_matrix_basis(p: int) -> List[List[List[Fraction]]]:
-    """Basis of Sym(p, R): E_aa then E_ab + E_ba for a < b."""
-    basis = []
-    for a in range(p):
-        m = [[Fraction(0)] * p for _ in range(p)]
-        m[a][a] = Fraction(1)
-        basis.append(m)
-    for a in range(p):
-        for b in range(a + 1, p):
-            m = [[Fraction(0)] * p for _ in range(p)]
-            m[a][b] = Fraction(1)
-            m[b][a] = Fraction(1)
-            basis.append(m)
-    return basis
 
 
 def make_sym_matrices(p: int) -> JordanAlgebra:
@@ -198,24 +177,18 @@ def make_sym_matrices(p: int) -> JordanAlgebra:
     if p < 1:
         raise InvalidDimension("need p >= 1")
     _check_builtin_dim(f"sym:{p}", p * (p + 1) // 2)
-    basis = sym_matrix_basis(p)
-    n = len(basis)
+    pairs = [(a, a) for a in range(p)] + [(a, b) for a in range(p) for b in range(a + 1, p)]
+    idx = range(p)
+    basis = [[[Fraction(int({r, c} == s)) for c in idx] for r in idx] for s in map(set, pairs)]
 
-    def coords(m):
-        return [m[a][a] for a in range(p)] + [m[a][b] for a in range(p) for b in range(a + 1, p)]
+    def product(x, y):  # (xy + yx)/2 along the basis
+        xy = linalg.mat_add(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
+        return [xy[a][b] / 2 for a, b in pairs]
 
-    S = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    half = Fraction(1, 2)
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
-            xy = linalg.mat_scale(linalg.mat_add(linalg.mat_mul(x, y), linalg.mat_mul(y, x)), half)
-            for c, v in enumerate(coords(xy)):
-                S[i][j][c] = v
-    unit = coords(linalg.identity(p))
-    names = tuple(f"E{a + 1}{a + 1}" for a in range(p)) + tuple(
-        f"F{a + 1}{b + 1}" for a in range(p) for b in range(a + 1, p)
-    )
-    return JordanAlgebra(f"sym:{p}", n, p, names, structure=_freeze(S), unit=tuple(unit))
+    S = [[product(x, y) for y in basis] for x in basis]
+    unit = [Fraction(int(a == b)) for a, b in pairs]
+    names = tuple(f"{'E' if a == b else 'F'}{a + 1}{b + 1}" for a, b in pairs)
+    return JordanAlgebra(f"sym:{p}", len(pairs), p, names, structure=_freeze(S), unit=tuple(unit))
 
 
 def _freeze(S) -> tuple:
@@ -241,15 +214,8 @@ class JordanValidationReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "commutative": self.commutative,
-            "jordan_identity": self.jordan_identity,
-            "unital": self.unital,
-            "positive_definite": self.positive_definite,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
+        out = {k: v for k, v in asdict(self).items() if k != "failures"}
+        return {**out, "passed": self.passed, "failures": list(self.failures)}
 
 
 def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
@@ -267,9 +233,9 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
     if not rep.commutative:
         rep.failures.append("commutativity: structure constants not symmetric")
 
-    vs = VarSet(tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n)))
-    x = A.symbolic_element(vs, "x")
-    y = A.symbolic_element(vs, "y")
+    vs = VarSet(tuple(f"{v}{i + 1}" for v in "xy" for i in range(n)))
+    xy = [Poly.var(vs, name) for name in vs.names]
+    x, y = xy[:n], xy[n:]
     x2 = A.mul(x, x)
     lhs = A.mul(x, A.mul(x2, y))
     rhs = A.mul(x2, A.mul(x, y))

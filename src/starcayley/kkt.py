@@ -95,6 +95,8 @@ class GradedLieAlgebra:
     dim0: int = field(init=False)
     dim: int = field(init=False)
     t_basis: List[linalg.Matrix] = field(init=False)
+    # the nonzero entries of each T_j as {r n + c: entry}, from the build
+    _t_flat: List[dict] = field(init=False)
     _span: linalg.Echelon = field(init=False)
     tau_gram: linalg.Matrix = field(init=False)
     _tau_gram_inv: linalg.Matrix = field(init=False)
@@ -172,6 +174,7 @@ class GradedLieAlgebra:
                 break
 
         self.t_basis = [linalg.dense(m) for m in basis]
+        self._t_flat = [linalg.flat(m) for m in basis]
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
         table = self._block_table(basis, comm, sharps)
@@ -201,18 +204,16 @@ class GradedLieAlgebra:
             raise GradingClosureFailure("matrix is not in the degree-zero span")
         return [Fraction(c.get(k, 0)) for k in range(self.dim0)]
 
+    def t_entries(self, c: Sequence) -> dict:
+        """sum_j c_j T_j as {r n + col: entry}, summed over the nonzero c_j
+        and the nonzero entries of the sparse T_j that the build formed; an
+        entry may be zero.  The c_j may be rationals or Polys."""
+        return lincomb((cj, t) for cj, t in zip(c, self._t_flat) if not linalg._is_zero(cj))
+
     def t_from_coords(self, c: Sequence) -> list:
-        """sum_j c_j T_j over the nonzero c_j and the nonzero entries of T_j;
-        the c_j may be rationals or Polys, and the zero is that of c[0]."""
-        zero = c[0] - c[0]
-        m = [[zero] * self.n for _ in range(self.n)]
-        for cj, t in zip(c, self.t_basis):
-            if not linalg._is_zero(cj):
-                for r, row in enumerate(t):
-                    for col, x in enumerate(row):
-                        if x:
-                            m[r][col] = m[r][col] + cj * x
-        return m
+        """``t_entries`` as a dense matrix, whose zero is that of c[0]."""
+        zero, m, n = c[0] - c[0], self.t_entries(c), self.n
+        return [[m.get(r * n + col, zero) for col in range(n)] for r in range(n)]
 
     def to_coords(self, x: LieElement) -> list:
         return list(x.u) + self.t_coords(x.t) + list(x.v)

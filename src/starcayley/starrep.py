@@ -94,10 +94,6 @@ class StarRepresentation:
     def _tau(self, h_coords: List[Poly]) -> Poly:
         return sum((hj * w for hj, w in zip(h_coords, self._tau_weights)), Poly.zero(self.zvs))
 
-    def h_poly(self, a: list) -> List[List[Poly]]:
-        """Matrix-valued polynomial h_A(z), linear in z."""
-        return self.g.t_from_coords(self._h_coords(a))
-
     def l_poly(self, a: list) -> List[Poly]:
         """Vector-valued polynomial l_A(z), quadratic in z."""
         g = self.g
@@ -121,15 +117,22 @@ class StarRepresentation:
         return [first_order(self._tau(h), lp) for h, lp in self._basis_parts]
 
     # -- invariants -------------------------------------------------------
-    def field_residual(self, series) -> Fraction:
-        """l_A against the field u + Tz + P(z)v that ``series``, an
-        ``hds.DiscreteSeries`` of the same g, builds from Jordan data; it is
-        read from ``series.dpi_basis()``, whose vector part is minus it."""
-        res = Fraction(0)
+    def _field_residuals(self, series) -> Iterator[Fraction]:
+        """|l_A - X| per basis element A, X the field u + Tz + P(z)v that
+        ``series``, an ``hds.DiscreteSeries`` of the same g, builds from
+        Jordan data: minus the vector part of ``series.dpi_basis()``."""
         for (_, lp), op in zip(self._basis_parts, series.dpi_basis()):
-            for p, q in zip(lp, split_first_order(op)[1]):
-                res += poly_abs(p + q)
-        return res
+            yield sum((poly_abs(p + q) for p, q in zip(lp, split_first_order(op)[1])), Fraction(0))
+
+    def field_residual(self, series) -> Fraction:
+        """l_A against the Jordan-data field, summed over the basis."""
+        return sum(self._field_residuals(series), Fraction(0))
+
+    def field_witness(self, series) -> Optional[str]:
+        """The first basis index failing ``field_residual``, with its
+        residual, as report text; None when every l_A matches."""
+        i, r = next(((i, r) for i, r in enumerate(self._field_residuals(series)) if r), (0, 0))
+        return f"first failing i = {i}, residual {r}" if r else None
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,

@@ -39,7 +39,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
-from operator import add
+from operator import add, sub
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import NO_VARS, FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, mul_add
@@ -118,19 +118,19 @@ class WeylOperator(FlatTerms):
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
+        """The terms grouped by derivative exponents b: d^b p is formed once
+        per b, d^b x^e = e!/(e-b)! x^(e-b) on the terms of p it does not
+        kill, and multiplied by the multiplication parts sharing b."""
         if p.vs != self.vs:
             raise VarSetMismatch(f"{self.vs.names} vs {p.vs.names}")
-        out: dict = {}
+        groups: Dict[Tuple[int, ...], dict] = {}
         for (a, b), c in self.terms.items():
+            groups.setdefault(b, {})[a] = c
+        out: dict = {}
+        for b, mults in groups.items():
             b0 = b + (0,)
-            for e, pc in p.terms.items():
-                # d^b x^e = e!/(e-b)! x^(e-b), zero when some e_i < b_i
-                w = prod(map(perm, e, b))
-                if not w:
-                    continue
-                f = c * pc * w
-                mono = tuple(u + v - z for u, v, z in zip(a, e, b0))
-                out[mono] = out[mono] + f if mono in out else f
+            dp = ((e, pc * prod(map(perm, e, b))) for e, pc in p.terms.items())
+            mul_add(out, mults, {tuple(map(sub, e, b0)): c for e, c in dp if c})
         return Poly._reduced(self.vs, out, self.den * p.den)
 
     def order(self) -> int:
@@ -544,33 +544,65 @@ def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _swapped_cubic(lam: Poly, n: int) -> dict:
+    """The degree-3 terms c l^alpha m^beta nu^k of lam, over the chart's
+    variables l^1..l^n, m^1..m^n, indexed by the l <-> m swap of their
+    monomials: {l^beta m^alpha: [(k, (-1)^|beta| alpha! beta! c)]}."""
+    out: dict = {}
+    for e, c in lam.terms.items():
+        if sum(e) - e[-1] == 3:
+            w = c * prod(map(factorial, e[:-1])) * (-1) ** sum(e[n:-1])
+            out.setdefault(e[n:-1] + e[:n], []).append((e[-1], w))
+    return out
+
+
+def _cubic_b3(swapped: dict, v: Poly) -> dict:
+    """{nu-power: numerator} of nu^3 B_3(u, v), for u and v of degree at
+    most 3, from the ``_swapped_cubic`` of u and the terms of v."""
+    out: dict = {}
+    for e, d in v.terms.items():
+        for k, w in swapped.get(e[:-1], ()):
+            out[k + e[-1] + 3] = out.get(k + e[-1] + 3, 0) + w * d
+    return out
+
+
 def verify_covariance(ch) -> Tuple[Fraction, int, Optional[Tuple[Tuple[int, int], Fraction]]]:
     """lambda_A star lambda_B - lambda_B star lambda_A = 2 nu {lambda_A, lambda_B}
     over all basis pairs; returns (residual, failing pair count, witness),
     the witness being the first failing pair (i, j) with its residual, or
     None.
 
-    Write u star v as the sum over s of nu^s B_s(u, v), where B_s takes s
-    derivatives of each factor.  B_1 is the Poisson bracket, by the formula
-    itself.  The Moyal symmetry u star_{-nu} v = v star_nu u gives
-    B_s(v, u) = (-1)^s B_s(u, v), since nu is central, so the even orders
-    cancel in the commutator, and the difference of the two sides is
-    exactly 2 sum over odd s >= 3 of nu^s B_s(u, v).  This holds for any
-    degrees and for coefficients that depend on nu.  Only those
-    contractions are formed, from the ``_pair_kernel`` factors, and only
-    on pairs whose moment maps both have degree >= 3, as B_s vanishes on
-    the others.  Each pair's numerators are over the product of its two
-    denominators; the residuals are summed over their common multiple
-    top, the square of the lcm, and divided once.
+    Write u star v = sum_s nu^s B_s(u, v), B_s taking s derivatives of each
+    factor; B_1 is the Poisson bracket.  The Moyal symmetry
+    u star_{-nu} v = v star_nu u gives B_s(v, u) = (-1)^s B_s(u, v), so the
+    two sides differ by exactly 2 sum over odd s >= 3 of nu^s B_s(u, v),
+    for any degrees and nu-dependent coefficients; B_s vanishes when a map
+    has degree < 3.  When both have degree 3, only B_3 of their degree-3
+    terms survives: in the sum of ``moyal_star``, the order-3 derivative
+    d_l^alpha' d_m^beta' of c l^alpha m^beta nu^k is a constant only at
+    (alpha', beta') = (alpha, beta), alpha! beta! c nu^k, and then
+    d_m^alpha d_l^beta of d l^gamma m^delta nu^k' only at
+    (gamma, delta) = (beta, alpha), alpha! beta! d nu^k'.  So the pair
+    gives (-1)^|beta| alpha! beta! c d nu^(k + k' + 3), and B_3 is one
+    sparse dot product (``_cubic_b3``) with u's cubic part indexed once by
+    its l <-> m swap (``_swapped_cubic``).  Pairs with a map of higher
+    degree take the odd orders from every pair of terms (``_contractions``).
+    Each pair's numerators are over the product of its denominators, and
+    the residuals are summed over top, the square of the lcm, and divided
+    once.
     """
     res, bad, witness = 0, 0, None
     deg = [lam.total_degree() for lam in ch.moment]
     dens = [lam.den for lam in ch.moment]
     top = lcm(*dens) ** 2
     cubic = [i for i, d in enumerate(deg) if d >= 3]
+    swapped = {i: _swapped_cubic(ch.moment[i], len(ch.l_names)) for i in cubic if deg[i] == 3}
     for i, j in itertools.combinations(cubic, 2):
-        odd = range(3, min(deg[i], deg[j]) + 1, 2)
-        tail = _contractions(ch.moment[i], ch.moment[j], ch.l_names, ch.m_names, odd)
+        if deg[i] == deg[j] == 3:
+            tail = _cubic_b3(swapped[i], ch.moment[j])
+        else:
+            odd = range(3, min(deg[i], deg[j]) + 1, 2)
+            tail = _contractions(ch.moment[i], ch.moment[j], ch.l_names, ch.m_names, odd)
         r = 2 * sum(map(abs, tail.values())) * (top // (dens[i] * dens[j]))
         if r:
             bad += 1
@@ -584,12 +616,21 @@ def verify_property_B(ch, samples: Sequence[Poly]) -> Tuple[int, bool]:
     ``ch.left_stars[i]``: its action equals ``moyal_star(lambda_i, u)`` on
     every sample u.
 
-    Returns (N, ok) with N the highest order among the operators.
+    Returns (N, ok) with N the highest order among the operators, and ok
+    when ``property_B_witness`` finds no failure.
     """
-    N = max(op.order() for op in ch.left_stars)
-    ok = all(
-        op.apply(u) == moyal_star(lam, u, ch.l_names, ch.m_names)
-        for op, lam in zip(ch.left_stars, ch.moment)
-        for u in samples
-    )
-    return N, ok
+    return max(op.order() for op in ch.left_stars), property_B_witness(ch, samples) is None
+
+
+def property_B_witness(ch, samples: Sequence[Poly]) -> Optional[str]:
+    """The first (i, sample) at which op.apply(u), op = ``ch.left_stars[i]``,
+    differs from lambda_i star u, and the residual |op.apply(u) - lambda_i
+    star u|, as report text; None when they agree on every sample."""
+    for i, (op, lam) in enumerate(zip(ch.left_stars, ch.moment)):
+        for k, u in enumerate(samples):
+            lhs, rhs = op.apply(u), moyal_star(lam, u, ch.l_names, ch.m_names)
+            if lhs != rhs:
+                d = lhs - rhs
+                r = Fraction(sum(map(abs, d.terms.values())), d.den)
+                return f"first failing (i, sample) = {(i, k)}, residual {r}"
+    return None
