@@ -2,7 +2,7 @@ import itertools
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, perm, prod
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,12 @@ from starcayley import jordan, kkt, linalg  # noqa: E402
 from starcayley.poly import Poly  # noqa: E402
 from starcayley.scalars import Scalar  # noqa: E402
 from starcayley.poly import exact, pruned  # noqa: E402
-from starcayley.weyl import WeylOperator, fourier_conjugate, holomorphic_frame  # noqa: E402
+from starcayley.weyl import (  # noqa: E402
+    WeylOperator,
+    _contractions,
+    fourier_conjugate,
+    holomorphic_frame,
+)
 
 
 def degree_in(p: Poly, name: str) -> int:
@@ -63,6 +68,52 @@ def multiset_left_star_operator(lam: Poly, l_names, m_names) -> WeylOperator:
                 key = (e[:-1] + (e[-1] + k,), tuple(dexp))
                 out[key] = out.get(key, 0) + c * weight
     return WeylOperator(vs, pruned(out))
+
+
+def term_pair_apply(op: WeylOperator, p: Poly) -> Poly:
+    """The oracle of ``WeylOperator.apply``: every term c x^a d^b of op
+    against every term of p, with d^b x^e = e!/(e-b)! x^(e-b), zero when
+    some e_i < b_i."""
+    out: dict = {}
+    for (a, b), c in op.terms.items():
+        b0 = b + (0,)
+        for e, pc in p.terms.items():
+            w = prod(map(perm, e, b))
+            if not w:
+                continue
+            mono = tuple(u + v - z for u, v, z in zip(a, e, b0))
+            out[mono] = out.get(mono, 0) + c * pc * w
+    return Poly._reduced(op.vs, out, op.den * p.den)
+
+
+def contraction_b3(u: Poly, v: Poly, l_names, m_names) -> dict:
+    """The oracle of ``weyl._cubic_b3``: the numerators of nu^3 B_3(u, v),
+    over u.den v.den, from the ``_pair_kernel`` factors of every pair of
+    terms (``weyl._contractions`` at order 3), as {nu-power: numerator}
+    without zeros; for u and v of degree at most 3 every variable's
+    exponent in it is zero."""
+    out = {}
+    for e, c in _contractions(u, v, l_names, m_names, (3,)).items():
+        assert not any(e[:-1])
+        if c:
+            out[e[-1]] = c
+    return out
+
+
+def contraction_covariance(ch):
+    """The oracle of ``weyl.verify_covariance``: (residual, failing pairs,
+    witness) from the odd orders s >= 3 of ``weyl._contractions`` on every
+    pair of moment maps of degree >= 3, term pair by term pair."""
+    deg = [lam.total_degree() for lam in ch.moment]
+    res, bad, witness = Fraction(0), 0, None
+    for i, j in itertools.combinations(range(len(ch.moment)), 2):
+        u, v = ch.moment[i], ch.moment[j]
+        tail = _contractions(u, v, ch.l_names, ch.m_names, range(3, min(deg[i], deg[j]) + 1, 2))
+        r = Fraction(2 * sum(map(abs, tail.values())), u.den * v.den)
+        if r:
+            res, bad = res + r, bad + 1
+            witness = witness or ((i, j), r)
+    return res, bad, witness
 
 
 @pytest.fixture(scope="session")

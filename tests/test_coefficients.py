@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcayley.poly import Poly, varset
-from starcayley.report import _random_poly
+from starcayley.report import BUILTIN_SELECTORS, _random_poly
 from starcayley.scalars import Scalar
 from starcayley.starrep import bracket_sign, star_transform_operator, verify_star_transform
 from starcayley.weyl import WeylOperator, verify_covariance, verify_property_B
@@ -166,3 +166,27 @@ def test_check_kernels_use_no_fraction_arithmetic(sym3, fraction_arithmetic_forb
     results = verify_star_transform(ch, srep, rho)
     assert len(results) == g.dim
     assert all(r.holomorphic and r.matches_rho and r.residual == 0 for r in results)
+
+
+def chain_random_poly(rng, ch, max_deg=3):
+    """The construction ``report._random_poly`` replaced, from the same
+    draws: each monomial a ``Poly.const`` times ``Poly.var`` factors, and
+    the monomials summed with ``+``."""
+    p = Poly.zero(ch.vs)
+    for _ in range(rng.randint(1, 4)):
+        mono = Poly.const(ch.vs, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, max_deg)):
+            mono = mono * Poly.var(ch.vs, rng.choice(ch.vs.names))
+        p = p + mono
+    return p
+
+
+@pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+def test_random_poly_equals_the_chain_construction(selector, instance_cache):
+    # the same samples and the same draws, so a star suite sees what it saw
+    ch = instance_cache("chart", selector)
+    for seed in range(1, 21):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert _random_poly(rng, ch) == chain_random_poly(ref, ch)
+        assert rng.getstate() == ref.getstate()

@@ -196,6 +196,23 @@ class TestEquivalence:
         assert counts["candidates"] == 4
 
 
+def test_best_candidate_comes_from_full_residuals(instance_cache, monkeypatch):
+    # 3 d/dz1 added to rho(e_5) of spin:2: -id fails there only, with
+    # residual 3, and m* stays consistent; +id stops at e_0 with the partial
+    # residual 2 < 3, but its full residual is 31, so -id is the best
+    g = instance_cache("lie", "spin:2")
+    ds = instance_cache("series", "spin:2")
+    rho = list(instance_cache("rho", "spin:2"))
+    rho[5] = rho[5] + WeylOperator.partial(ds.zvs, "z1").scale(3)
+    counts = Counter()
+    count_candidates(monkeypatch, counts)
+    with pytest.raises(NoEquivalence) as exc:
+        solve_equivalence(g, rho, ds)
+    assert str(exc.value) == "no candidate automorphism matches (best: -id, residual 3)"
+    assert exc.value.residual == 3
+    assert counts["candidates"] == 4
+
+
 @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2", "sym:3"])
 def test_special_nu_substitution(selector, instance_cache):
     g = instance_cache("lie", selector)

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,13 @@ import pytest
 from conftest import two_conjugations
 from starcayley import jordan, kkt, linalg
 from starcayley.poly import Poly
-from starcayley.report import BUILTIN_SELECTORS, InstanceContext, RunConfig, run_theorem_suite
+from starcayley.report import (
+    BUILTIN_SELECTORS,
+    InstanceContext,
+    RunConfig,
+    run_star_suite,
+    run_theorem_suite,
+)
 from starcayley.scalars import Scalar
 from starcayley.starrep import (
     StarRepresentation,
@@ -167,6 +174,41 @@ def test_theorem_suite_names_the_first_failing_rho_pair(selector, index, shift, 
     assert out["rho_bracket_sign"] == 0 and not out["passed"]
     assert out["rho_hom_witness"] == witness
     assert "dpi_hom_witness" not in out
+
+
+def test_theorem_suite_names_the_first_failing_field_element():
+    # z1 d/dz1 added to dpi_1(e_2) of sym:2 moves its vector part, and so
+    # the Jordan-data field read from it, by -z1 at e_2 only
+    ctx = InstanceContext(RunConfig(algebra="sym:2"))
+    zvs = ctx.series.zvs
+    ops = ctx.series.dpi_basis()
+    ops[2] = ops[2] + WeylOperator.from_poly(Poly.var(zvs, "z1")) * WeylOperator.partial(zvs, "z1")
+    ctx.series._dpi_basis = tuple(ops)
+    out = run_theorem_suite(ctx)
+    assert out["tube_field_residual"] == "1" and not out["passed"]
+    assert out["tube_field_witness"] == "first failing i = 2, residual 1"
+
+
+def test_passing_suites_have_no_property_b_or_field_witness():
+    ctx = InstanceContext(RunConfig(algebra="sym:2"))
+    star, theorem = run_star_suite(ctx), run_theorem_suite(ctx)
+    assert star["passed"] and "property_B_witness" not in star
+    assert theorem["passed"] and "tube_field_witness" not in theorem
+
+
+def test_star_suite_names_the_first_failing_property_b_sample():
+    # 1/2 added to the fourth left-star operator adds u/2 to its image of
+    # each sample u; the star suite's first sample, 3/2 l2 m1 - m1 m2, then
+    # has residual 5/4
+    ctx = InstanceContext(RunConfig(algebra="sym:2"))
+    ch = copy.copy(ctx.chart)
+    stars = list(ch.left_stars)
+    stars[3] = stars[3] + WeylOperator.identity(ch.vs).scale(Fraction(1, 2))
+    ch.left_stars = stars
+    ctx._cache["chart"] = ch
+    out = run_star_suite(ctx)
+    assert not out["passed"]
+    assert out["property_B_witness"] == "first failing (i, sample) = (3, 0), residual 5/4"
 
 
 def test_passing_theorem_suite_has_no_witness():

@@ -1,17 +1,26 @@
 import copy
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import multiset_left_star_operator, two_conjugations
+from conftest import (
+    contraction_b3,
+    contraction_covariance,
+    multiset_left_star_operator,
+    term_pair_apply,
+    two_conjugations,
+)
 from starcayley.chart import poly_abs
 from starcayley.poly import Poly, VarSet, varset
-from starcayley.report import BUILTIN_SELECTORS
+from starcayley.report import BUILTIN_SELECTORS, _random_poly
 from starcayley.scalars import Scalar
 from starcayley.weyl import (
     WeylOperator,
+    _cubic_b3,
+    _swapped_cubic,
     first_order,
     first_order_bracket,
     first_order_parts,
@@ -19,6 +28,7 @@ from starcayley.weyl import (
     holomorphic_frame,
     left_star_operator,
     moyal_star,
+    property_B_witness,
     split_first_order,
     star_transform,
     uses_only,
@@ -130,6 +140,20 @@ def nu_polys(draw, vs=MIXED_VS, max_deg=5):
 
 
 @st.composite
+def laurent_operators(draw, vs=MIXED_VS, max_exp=2):
+    """Sums of terms c x^a nu^k d^b with rational c at nu-powers -2..2;
+    about half of them have no derivative part, b = 0."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        a = tuple(draw(st.integers(0, max_exp)) for _ in vs.names) + (draw(st.integers(-2, 2)),)
+        b = tuple(draw(st.integers(0, max_exp)) for _ in vs.names)
+        key = (a, b if draw(st.booleans()) else (0,) * len(vs))
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+        terms[key] = terms.get(key, 0) + c
+    return WeylOperator(vs, terms)
+
+
+@st.composite
 def polys(draw, vs=VS, max_deg=3):
     p = Poly.zero(vs)
     for _ in range(draw(st.integers(0, 3))):
@@ -184,6 +208,21 @@ class TestNormalOrdering:
     @settings(max_examples=25, deadline=None)
     def test_associativity(self, a, b, c):
         assert (a * b) * c == a * (b * c)
+
+
+class TestApply:
+    @given(laurent_operators(), laurent_polys())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_term_pair_oracle(self, op, p):
+        assert op.apply(p) == term_pair_apply(op, p)
+
+    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+    def test_left_stars_match_term_pair_oracle(self, selector, instance_cache):
+        ch = instance_cache("chart", selector)
+        for seed in (1, 2, 3):
+            u = _random_poly(random.Random(seed), ch)
+            for op in ch.left_stars:
+                assert op.apply(u) == term_pair_apply(op, u)
 
 
 @st.composite
@@ -471,9 +510,13 @@ def test_property_b_fails_on_perturbed_operator(instance_cache):
     ch = copy.copy(instance_cache("chart", "spin:2"))
     stars = list(ch.left_stars)
     assert verify_property_B(ch, ch.moment) == (3, True)
+    assert property_B_witness(ch, ch.moment) is None
     stars[1] = stars[1] + WeylOperator.identity(ch.vs)
     ch.left_stars = stars
     assert verify_property_B(ch, ch.moment) == (3, False)
+    # the identity added to the second operator adds u itself, here lambda_0 = m1
+    assert ch.moment[0] == Poly.var(ch.vs, "m1")
+    assert property_B_witness(ch, ch.moment) == "first failing (i, sample) = (1, 0), residual 1"
 
 
 def full_commutator_covariance(ch):
@@ -502,7 +545,7 @@ def _perturbed_chart(ch, edits):
     return ch
 
 
-@pytest.mark.parametrize("selector", ["spin:2", "spin:3", "sym:2"])
+@pytest.mark.parametrize("selector", ["spin:2", "spin:3", "sym:2", "spin:4", "spin:5", "sym:3"])
 def test_covariance_matches_full_commutator(selector, instance_cache):
     ch = instance_cache("chart", selector)
     assert verify_covariance(ch)[:2] == full_commutator_covariance(ch) == (0, 0)
@@ -541,3 +584,83 @@ def test_covariance_and_property_b(instance_cache):
     assert verify_covariance(ch) == (0, 0, None)
     N, ok = verify_property_B(ch, ch.moment)
     assert N == 3 and ok
+
+
+@pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+def test_covariance_matches_contraction_oracle(selector, instance_cache):
+    ch = instance_cache("chart", selector)
+    assert verify_covariance(ch) == contraction_covariance(ch)
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param({0: lambda l, m: l * m * m}, id="cubic-on-linear"),
+        # two cubic maps gain terms that pair under the l <-> m swap
+        pytest.param({4: lambda l, m: l * m * m, 5: lambda l, m: l * l * m}, id="cubic-pair"),
+        pytest.param(
+            {4: lambda l, m: (l * m * m).scale(Scalar.nu(-1)), 5: lambda l, m: l**3 + l * l * m},
+            id="nu-cubic-pair",
+        ),
+        # degree 4 against degree 3: _contractions, not the dot product
+        pytest.param({4: lambda l, m: l**2 * m**2, 5: lambda l, m: l * l * m}, id="quartic"),
+    ],
+)
+def test_covariance_matches_both_oracles_when_perturbed(edits, instance_cache):
+    ch = _perturbed_chart(instance_cache("chart", "spin:2"), edits)
+    got = verify_covariance(ch)
+    assert got == contraction_covariance(ch)
+    assert got[:2] == full_commutator_covariance(ch)
+    assert got[0] != 0
+
+
+CHART_L, CHART_M = ("l1", "l2"), ("m1", "m2")
+CHART_VS = VarSet(CHART_L + CHART_M)
+
+
+@st.composite
+def cubic_pairs(draw):
+    """(u, v, n) with u and v over the chart variables l1..ln, m1..mn,
+    n = 1 or 2: up to 6 terms each, most of degree exactly 3, at nu-powers
+    -1..2 with denominators up to 4."""
+    n = draw(st.sampled_from([1, 2]))
+    vs = VarSet(CHART_L[:n] + CHART_M[:n])
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            e = [0] * (2 * n)
+            for _ in range(draw(st.sampled_from([3, 3, 3, 2, 0]))):
+                e[draw(st.integers(0, 2 * n - 1))] += 1
+            key = (*e, draw(st.integers(-1, 2)))
+            terms[key] = terms.get(key, 0) + draw(st.fractions(-3, 3, max_denominator=4))
+        return Poly(vs, terms)
+
+    return poly(), poly(), n
+
+
+class TestCubicDotProduct:
+    @given(cubic_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_contractions(self, uvn):
+        u, v, n = uvn
+        got = {k: c for k, c in _cubic_b3(_swapped_cubic(u, n), v).items() if c}
+        assert got == contraction_b3(u, v, CHART_L[:n], CHART_M[:n])
+
+    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+    def test_matches_contractions_on_every_cubic_pair(self, selector, instance_cache):
+        # B_3 vanishes on the pairs of a covariant chart, so each pair is
+        # also taken with l1 m1^2 + nu l1^2 m1 added to its second map
+        ch = instance_cache("chart", selector)
+        l1, m1 = Poly.var(ch.vs, "l1"), Poly.var(ch.vs, "m1")
+        extra = l1 * m1 * m1 + (l1 * l1 * m1).scale(Scalar.nu(1))
+        cubic = [lam for lam in ch.moment if lam.total_degree() == 3]
+        nonzero = 0
+        for i, u in enumerate(cubic):
+            swapped = _swapped_cubic(u, len(ch.l_names))
+            for v in cubic[i:]:
+                for w in (v, v + extra):
+                    want = contraction_b3(u, w, ch.l_names, ch.m_names)
+                    assert {k: c for k, c in _cubic_b3(swapped, w).items() if c} == want
+                    nonzero += bool(want)
+        assert nonzero > 0
