@@ -118,9 +118,10 @@ class WeylOperator(FlatTerms):
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
-        """The terms grouped by derivative exponents b: d^b p is formed once
-        per b, d^b x^e = e!/(e-b)! x^(e-b) on the terms of p it does not
-        kill, and multiplied by the multiplication parts sharing b."""
+        """The operator applied to p, its terms grouped by derivative
+        exponents b: d^b p, with d^b x^e = e!/(e-b)! x^(e-b) on the terms of
+        p it does not kill, is formed once per b and multiplied by the
+        multiplication parts that share b."""
         if p.vs != self.vs:
             raise VarSetMismatch(f"{self.vs.names} vs {p.vs.names}")
         groups: Dict[Tuple[int, ...], dict] = {}
