@@ -27,11 +27,6 @@ from .kkt import GradedLieAlgebra
 from .poly import Poly, VarSet, diff_terms, lincomb, mul_add
 
 
-def poly_abs(p: Poly) -> Fraction:
-    """Sum of |c| over all (monomial, nu-power) coefficients; zero iff p is zero."""
-    return Fraction(sum(map(abs, p.terms.values())), p.den)
-
-
 EXP_AD_STEPS = 8
 
 

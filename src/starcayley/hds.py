@@ -35,9 +35,8 @@ from math import lcm
 from typing import List, Optional, Tuple
 
 from . import linalg
-from .chart import poly_abs
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, lincomb, scalar_ratio
+from .poly import Poly, VarSet, lincomb, poly_abs, scalar_ratio
 from .scalars import NotDivisible, Scalar
 from .starrep import bracket_sign, z_names
 from .weyl import WeylOperator, first_order, split_first_order

@@ -478,6 +478,11 @@ _ZERO = Scalar()
 _ONE = Scalar({0: 1})
 
 
+def poly_abs(p: FlatTerms) -> Fraction:
+    """Sum of |c| over all (monomial, nu-power) coefficients; zero iff p is zero."""
+    return Fraction(sum(map(abs, p.terms.values())), p.den)
+
+
 def scalar_ratio(p: "Poly", q: "Poly"):
     """The unique Scalar m with p = q * m, or None if no exact ratio exists.
 

@@ -34,9 +34,9 @@ from math import lcm
 from typing import Iterator, List, Optional, Tuple
 
 from . import linalg
-from .chart import SymplecticChart, poly_abs
+from .chart import SymplecticChart
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, diff_terms, lincomb, mul_add, scalar_ratio
+from .poly import Poly, VarSet, diff_terms, lincomb, mul_add, poly_abs, scalar_ratio
 from .scalars import Scalar
 from .weyl import (
     WeylOperator,

@@ -39,10 +39,10 @@ import functools
 import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
-from operator import add, sub
+from operator import add
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import NO_VARS, FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, mul_add
+from .poly import NO_VARS, FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, mul_add, poly_abs
 from .scalars import Scalar
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -119,9 +119,9 @@ class WeylOperator(FlatTerms):
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
         """The operator applied to p, its terms grouped by derivative
-        exponents b: d^b p, with d^b x^e = e!/(e-b)! x^(e-b) on the terms of
-        p it does not kill, is formed once per b and multiplied by the
-        multiplication parts that share b."""
+        exponents b: d^b p is formed once per b, one derivative at a time
+        on the terms that the previous one kept (``poly.diff_terms``), and
+        multiplied by the multiplication parts that share b."""
         if p.vs != self.vs:
             raise VarSetMismatch(f"{self.vs.names} vs {p.vs.names}")
         groups: Dict[Tuple[int, ...], dict] = {}
@@ -129,9 +129,10 @@ class WeylOperator(FlatTerms):
             groups.setdefault(b, {})[a] = c
         out: dict = {}
         for b, mults in groups.items():
-            b0 = b + (0,)
-            dp = ((e, pc * prod(map(perm, e, b))) for e, pc in p.terms.items())
-            mul_add(out, mults, {tuple(map(sub, e, b0)): c for e, c in dp if c})
+            dp = p.terms
+            for i in [i for i, k in enumerate(b) if k for _ in range(k)]:
+                dp = diff_terms(dp, i)
+            mul_add(out, mults, dp)
         return Poly._reduced(self.vs, out, self.den * p.den)
 
     def order(self) -> int:
@@ -631,7 +632,5 @@ def property_B_witness(ch, samples: Sequence[Poly]) -> Optional[str]:
         for k, u in enumerate(samples):
             lhs, rhs = op.apply(u), moyal_star(lam, u, ch.l_names, ch.m_names)
             if lhs != rhs:
-                d = lhs - rhs
-                r = Fraction(sum(map(abs, d.terms.values())), d.den)
-                return f"first failing (i, sample) = {(i, k)}, residual {r}"
+                return f"first failing (i, sample) = {(i, k)}, residual {poly_abs(lhs - rhs)}"
     return None

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from starcayley import jordan, kkt
-from starcayley.chart import SymplecticChart, poly_abs
-from starcayley.poly import Poly
+from starcayley.chart import SymplecticChart
+from starcayley.poly import Poly, poly_abs
 from starcayley.report import InstanceContext, RunConfig, run_chart_suite
 
 from conftest import degree_in

@@ -13,8 +13,7 @@ from conftest import (
     term_pair_apply,
     two_conjugations,
 )
-from starcayley.chart import poly_abs
-from starcayley.poly import Poly, VarSet, varset
+from starcayley.poly import Poly, VarSet, poly_abs, varset
 from starcayley.report import BUILTIN_SELECTORS, _random_poly
 from starcayley.scalars import Scalar
 from starcayley.weyl import (
