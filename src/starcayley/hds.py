@@ -59,8 +59,8 @@ class DiscreteSeries:
 
     def field(self, a: list) -> List[Poly]:
         """X(z) = u + Tz + P(z)v, from the Jordan data directly: u and v are
-        read from the coordinate vector a, and T z from the nonzero entries
-        of T, its g(0) coordinates along t_basis (``t_entries``)."""
+        read from the coordinate vector a, and Tz from the nonzero entries
+        of T = sum_j a_j T_j over its g(0) coordinates a_j (``t_entries``)."""
         n, f = self.g.n, self.g.n + self.g.dim0
         comps = [Poly.const(self.zvs, x) for x in a[:n]]
         for k, x in self.g.t_entries(a[n:f]).items():

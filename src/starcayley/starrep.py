@@ -131,8 +131,8 @@ class StarRepresentation:
     def field_witness(self, series) -> Optional[str]:
         """The first basis index failing ``field_residual``, with its
         residual, as report text; None when every l_A matches."""
-        i, r = next(((i, r) for i, r in enumerate(self._field_residuals(series)) if r), (0, 0))
-        return f"first failing i = {i}, residual {r}" if r else None
+        rows = enumerate(self._field_residuals(series))
+        return next((f"first failing i = {i}, residual {r}" for i, r in rows if r), None)
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,

@@ -648,8 +648,9 @@ class TestCubicDotProduct:
 
     @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
     def test_matches_contractions_on_every_cubic_pair(self, selector, instance_cache):
-        # B_3 vanishes on the pairs of a covariant chart, so each pair is
-        # also taken with l1 m1^2 + nu l1^2 m1 added to its second map
+        # every pair of cubic moment maps, a map with itself included (rank1
+        # has one); B_3 vanishes on a covariant chart, so each pair is also
+        # taken with l1 m1^2 + nu l1^2 m1 added to its second map
         ch = instance_cache("chart", selector)
         l1, m1 = Poly.var(ch.vs, "l1"), Poly.var(ch.vs, "m1")
         extra = l1 * m1 * m1 + (l1 * l1 * m1).scale(Scalar.nu(1))
