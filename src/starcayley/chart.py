@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from . import weyl
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, diff_terms, lincomb, mul_add
+from .poly import Poly, Tally, VarSet, diff_terms, lincomb, mul_add, tally
 
 
 EXP_AD_STEPS = 8
@@ -92,9 +92,9 @@ class SymplecticChart:
         return acc
 
     # -- verification -----------------------------------------------------
-    def hamiltonicity_failures(self) -> Iterator[Tuple[Tuple[int, int], Fraction]]:
-        """(i, j) and |lambda_[bi,bj] - {lambda_i, lambda_j}| for each failing
-        basis pair i < j, in that order.  The gradient of each moment map is
+    def hamiltonicity_residual(self) -> Tally:
+        """|lambda_[bi,bj] - {lambda_i, lambda_j}| tallied over the basis
+        pairs i < j, in that order.  The gradient of each moment map is
         taken once, and each difference is accumulated into one term dict:
         the moment maps along the bracket coordinates, minus the Poisson
         bracket sum_a d_la lambda_i d_ma lambda_j - d_ma lambda_i d_la lambda_j.
@@ -104,20 +104,16 @@ class SymplecticChart:
         L = lcm(*(lam.den for lam in self.moment))
         moment = [lam.over(L) for lam in self.moment]
         grads = [[diff_terms(t, v) for v in range(2 * n)] for t in moment]
-        for i, j in itertools.combinations(range(g.dim), 2):
-            acc = lincomb((c * L, moment[k]) for k, c in g.bracket_numerators(i, j).items())
-            for a in range(n):
-                mul_add(acc, grads[i][a], grads[j][n + a], -g.denom)
-                mul_add(acc, grads[i][n + a], grads[j][a], g.denom)
-            r = sum(map(abs, acc.values()))
-            if r:
-                yield (i, j), Fraction(r, g.denom * L * L)
 
-    def hamiltonicity_residual(self) -> Tuple[Fraction, int]:
-        """Sum over all basis pairs of |lambda_[bi,bj] - {lambda_i, lambda_j}|,
-        plus the count of failing pairs."""
-        rs = [r for _, r in self.hamiltonicity_failures()]
-        return Fraction(sum(rs)), len(rs)
+        def rows():
+            for i, j in itertools.combinations(range(g.dim), 2):
+                acc = lincomb((c * L, moment[k]) for k, c in g.bracket_numerators(i, j).items())
+                for a in range(n):
+                    mul_add(acc, grads[i][a], grads[j][n + a], -g.denom)
+                    mul_add(acc, grads[i][n + a], grads[j][a], g.denom)
+                yield (i, j), sum(map(abs, acc.values()))
+
+        return tally(rows(), g.denom * L * L)
 
     def max_moment_degree(self) -> int:
         return max(p.total_degree() for p in self.moment)

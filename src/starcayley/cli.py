@@ -75,8 +75,7 @@ def cmd_verify(args) -> int:
 def cmd_list_algebras(_args) -> int:
     for sel in BUILTIN_SELECTORS:
         A = jordan.make_algebra(sel)
-        g_dim = 2 * A.dim + len(kkt.GradedLieAlgebra(A).t_basis)
-        print(f"{sel:8s} dim={A.dim:2d} rank={A.rank} dim_g={g_dim}")
+        print(f"{sel:8s} dim={A.dim:2d} rank={A.rank} dim_g={kkt.GradedLieAlgebra(A).dim}")
     print("custom  file:<path-to-structure-constants.json>")
     return 0
 

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 from . import linalg
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, lincomb, poly_abs, scalar_ratio
+from .poly import Poly, Tally, VarSet, lincomb, poly_abs, scalar_ratio
 from .scalars import NotDivisible, Scalar
 from .starrep import bracket_sign, z_names
 from .weyl import WeylOperator, first_order, split_first_order
@@ -86,10 +86,10 @@ class DiscreteSeries:
         return list(self._dpi_basis)
 
 
-def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fraction]:
+def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tally]:
     """[dpi_m(X), dpi_m(Y)] = sigma * dpi_m([X,Y]) identically in the formal
     weight m, checked on dpi_1 (see the module docstring); returns
-    (sign sigma, residual) as ``starrep.bracket_sign``."""
+    (sign sigma, Tally) as ``starrep.bracket_sign``."""
     return bracket_sign(g, ops)
 
 

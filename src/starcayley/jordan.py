@@ -257,11 +257,17 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
     return rep
 
 
-def _table_entry(x) -> Fraction:
-    # bool is an int subclass and a float is inexact, so check the type itself
-    if type(x) not in (int, str):
-        raise TypeError(f"entries must be integers or rational strings, got {x!r}")
-    return Fraction(x)
+def _table_entries(x, depth: int):
+    """The JSON value x, arrays nested depth deep, as nested lists of
+    Fractions; a string is not an array, though it iterates."""
+    if depth == 0:
+        # bool is an int subclass and a float is inexact, so check the type itself
+        if type(x) not in (int, str):
+            raise TypeError(f"entries must be integers or rational strings, got {x!r}")
+        return Fraction(x)
+    if not isinstance(x, list):
+        raise TypeError(f"expected a JSON array, got {x!r}")
+    return [_table_entries(y, depth - 1) for y in x]
 
 
 def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
@@ -281,8 +287,8 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
         raise UnknownAlgebra("a structure-constant table must be a JSON object")
     try:
         n, rank = data["dim"], data["rank"]
-        S = [[[_table_entry(c) for c in row] for row in plane] for plane in data["structure"]]
-        unit = tuple(_table_entry(u) for u in data["unit"])
+        S = _table_entries(data["structure"], 3)
+        unit = tuple(_table_entries(data["unit"], 1))
     except KeyError as exc:
         raise UnknownAlgebra(f"structure-constant table has no {exc} entry") from None
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -327,7 +333,9 @@ def make_algebra(selector: str) -> JordanAlgebra:
         try:
             k = int(arg)
         except ValueError:
-            raise UnknownAlgebra(f"{kind}: needs an integer, got {arg!r}") from None
+            k = None
+        if k is None or str(k) != arg:  # else the report would not name what was built
+            raise UnknownAlgebra(f"{kind}: needs an integer in canonical form, got {arg!r}")
         return make_spin_factor(k) if kind == "spin" else make_sym_matrices(k)
     if kind == "file":
         try:

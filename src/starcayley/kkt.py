@@ -24,8 +24,8 @@ once per basis vector, each box as
 from the n^2 products L(e_a) L(e_b), and the sharps T# = G^-1 T^T G and
 the commutators of the closure as sparse products, with G the tau Gram
 matrix sum_c s_ab^c Tr L(e_c).  One ``linalg.Echelon`` reduces the
-flattened matrices in the order of the dense elimination, so t_basis,
-which is stored dense, and every coordinate are those of a dense build.
+flattened matrices in the order of the dense elimination, so the basis
+T_j of g(0), kept sparse, and every coordinate are those of a dense build.
 The build keeps the coordinates of each box and of each T_i#, and which
 box it appended as each T_j; Theta, the identifications and the closed
 Killing form read them, so every g(0) fact has one source.  The (u, T, v)
@@ -33,7 +33,7 @@ model, with rational entries, is the construction's model: it is the
 independent oracle that the table and Theta are tested against, and the
 benchmark tracer names its bracket, but no report path runs on it.
 Outside this module an element of g is its coordinate vector in the
-basis (g(-1), t_basis, g(1)): E, o and the symplectic basis are held as
+basis (g(-1), T_j, g(1)): E, o and the symplectic basis are held as
 such vectors, ``coord_bracket`` brackets them, with rational or Poly
 entries, through the table, and beta pairs them through the Killing Gram
 matrix K = tr(ad_i ad_j), which is computed from the table like the spur
@@ -53,6 +53,7 @@ power of D and D_theta.  Fractions are formed only there, in the views
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,7 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .jordan import JordanAlgebra
-from .poly import Poly, bilinear, exact, lincomb, ratio
+from .poly import Poly, bilinear, exact, lincomb, ratio, tally
 
 
 class GradingClosureFailure(ValueError):
@@ -94,7 +95,6 @@ class GradedLieAlgebra:
     n: int = field(init=False)
     dim0: int = field(init=False)
     dim: int = field(init=False)
-    t_basis: List[linalg.Matrix] = field(init=False)
     # the nonzero entries of each T_j as {r n + c: entry}, from the build
     _t_flat: List[dict] = field(init=False)
     _span: linalg.Echelon = field(init=False)
@@ -173,7 +173,6 @@ class GradedLieAlgebra:
             if len(basis) == size:
                 break
 
-        self.t_basis = [linalg.dense(m) for m in basis]
         self._t_flat = [linalg.flat(m) for m in basis]
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
@@ -197,7 +196,7 @@ class GradedLieAlgebra:
 
     # -- coordinates --------------------------------------------------------
     def t_coords(self, t: Sequence[Sequence]) -> list:
-        """Coordinates of t along t_basis; raises GradingClosureFailure when
+        """Coordinates of t along the T_j; raises GradingClosureFailure when
         t is not in their span."""
         c = self._span.coords(linalg.flat(linalg.sparse(t)))
         if c is None:
@@ -415,32 +414,24 @@ def verify_antisymmetry(g: GradedLieAlgebra) -> SuiteResult:
     return _combine("antisymmetry", res)
 
 
-def _witness(idx: tuple, residual: Fraction, names: str = "(i, j, k)") -> str:
-    return f"first failing {names} = {idx}, residual {residual}"
-
-
 def verify_jacobi(g: GradedLieAlgebra) -> SuiteResult:
     """Jacobi identity on all basis triples i < j < k, via the integer table:
     each cyclic term c_bc^m c_am^p has its numerator over D^2, and a term
     whose inner bracket [e_b, e_c] is zero is skipped.  On failure the
     detail names the first failing triple and its residual."""
-    S, d, D2 = g._structure, g.dim, g.denom**2
-    res = bad = 0
-    first = None
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                acc: dict = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    if (b, c) in S:
-                        lincomb(((x, S.get((a, m), {})) for m, x in S[(b, c)].items()), acc)
-                r = sum(map(abs, acc.values()))
-                if r:
-                    bad += 1
-                    res += r
-                    first = first or ((i, j, k), r)
-    detail = f"{bad} failing triples; {_witness(first[0], Fraction(first[1], D2))}" if bad else ""
-    return _combine("jacobi", Fraction(res, D2), detail)
+    S, d = g._structure, g.dim
+
+    def rows():
+        for i, j, k in itertools.combinations(range(d), 3):
+            acc: dict = {}
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                if (b, c) in S:
+                    lincomb(((x, S.get((a, m), {})) for m, x in S[(b, c)].items()), acc)
+            yield (i, j, k), sum(map(abs, acc.values()))
+
+    t = tally(rows(), g.denom**2)
+    detail = f"{t.failures} failing triples; {t.witness('(i, j, k)')}" if t.failures else ""
+    return _combine("jacobi", t.residual, detail)
 
 
 def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
@@ -469,19 +460,18 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
     commutative table: the built-ins, and any ``file:`` table, which the
     loader validates.  On failure the detail names the first failing pair
     (i, j), in the order i, then j > i, and its residual."""
-    rows, dt = g.theta_table
-    S, d, D = g._structure, g.dim, g.denom
-    automorphism, first = 0, None
-    for i in range(d):
-        for j in range(i + 1, d):
-            acc = lincomb((dt * c, rows[k]) for k, c in S.get((i, j), {}).items())
-            products = ((p, q, tp * tq) for p, tp in rows[i].items() for q, tq in rows[j].items())
+    theta, dt = g.theta_table
+    S = g._structure
+
+    def rows():
+        for i, j in itertools.combinations(range(g.dim), 2):
+            acc = lincomb((dt * c, theta[k]) for k, c in S.get((i, j), {}).items())
+            products = ((p, q, tp * tq) for p, tp in theta[i].items() for q, tq in theta[j].items())
             lincomb(((-w, S[(p, q)]) for p, q, w in products if (p, q) in S), acc)
-            r = sum(map(abs, acc.values()))
-            automorphism += r
-            if r and first is None:
-                first = _witness((i, j), Fraction(r, D * dt * dt), "(i, j)")
-    return _combine("theta", Fraction(automorphism, D * dt * dt), first or "")
+            yield (i, j), sum(map(abs, acc.values()))
+
+    t = tally(rows(), g.denom * dt * dt)
+    return _combine("theta", t.residual, t.witness("(i, j)") or "")
 
 
 def _distance(num: dict, den: int, want: dict):
@@ -499,7 +489,7 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     Theta, with theta e_b from ``theta_table`` as in ``verify_theta``:
     [e_a, theta e_b] over D D_theta and the double bracket over
     D^2 D_theta.  The right-hand sides come from the Jordan algebra: the
-    matrix of e_a box e_b, with the coordinates along t_basis that the
+    matrix of e_a box e_b, with the coordinates along the T_j that the
     build kept for it, and its column c, which is {e_a, e_b, e_c} by the
     definition of the box.  So the check asks whether the table that every later check uses reproduces
     the box and the triple product.
@@ -512,32 +502,29 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     both sides expand to (x o y) o z + x o (y o z) - y o (x o z) for any
     table, Jordan or not.
 
-    On failure the detail names the first failing pair (a, b) of the box
-    identity or triple (a, b, c) of the triple product, in the order a, b,
-    then c, and its residual."""
+    Both kinds of row are tallied over 2 D^2 D_theta, the box rows' over
+    2 D D_theta times D.  On failure the detail names the first failing
+    pair (a, b) of the box identity or triple (a, b, c) of the triple
+    product, in the order a, b, then c, and its residual."""
     n = g.n
-    rows, dt = g.theta_table
+    theta, dt = g.theta_table
     S, D = g._structure, g.denom
-    boxes = triples = 0
-    first = None
-    for a in range(n):
-        for b in range(n):
-            inner = lincomb((t, S.get((a, q), {})) for q, t in rows[b].items())
+
+    def rows():
+        for a, b in itertools.product(range(n), repeat=2):
+            inner = lincomb((t, S.get((a, q), {})) for q, t in theta[b].items())
             box = g._boxes[a * n + b]
             want = {n + k: y for k, y in g._box_coords[a * n + b].items()}
-            r = _distance(inner, -2 * D * dt, want)
-            boxes += r
-            if r and first is None:
-                first = _witness((a, b), Fraction(r, 2 * D * dt), "box (a, b)")
+            yield (a, b), D * _distance(inner, -2 * D * dt, want)
             for c in range(n):
                 dbl = lincomb((x, S.get((m, c), {})) for m, x in inner.items())
                 want = {k: row[c] for k, row in enumerate(box) if c in row}
-                r = _distance(dbl, -2 * D * D * dt, want)
-                triples += r
-                if r and first is None:
-                    first = _witness((a, b, c), Fraction(r, 2 * D * D * dt), "triple (a, b, c)")
-    res = Fraction(boxes, 2 * D * dt) + Fraction(triples, 2 * D * D * dt)
-    return _combine("identifications", res, first or "box and triple product match the bracket forms")
+                yield (a, b, c), _distance(dbl, -2 * D * D * dt, want)
+
+    t = tally(rows(), 2 * D * D * dt)
+    names = "box (a, b)" if t.first and len(t.first[0]) == 2 else "triple (a, b, c)"
+    detail = t.witness(names) or "box and triple product match the bracket forms"
+    return _combine("identifications", t.residual, detail)
 
 
 def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
@@ -551,20 +538,16 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
     residual."""
     dk = _common_denominator(_flat(g.killing))
     K = [{m: (x * dk).numerator for m, x in enumerate(row) if x} for row in g.killing]
-    S, d, den = g._structure, g.dim, g.denom * dk
-    res = 0
-    first = None
-    for i in range(d):
-        X = [lincomb((c, K[m]) for m, c in S.get((i, j), {}).items()) for j in range(d)]
-        pairs = {(min(j, k), max(j, k)) for j, row in enumerate(X) for k in row}
-        sums = {(j, k): abs(X[j].get(k, 0) + X[k].get(j, 0)) for j, k in pairs}
-        bad = {key: r for key, r in sums.items() if r}
-        res += sum(bad.values())
-        if bad and first is None:
-            j, k = min(bad)
-            first = ((i, j, k), bad[(j, k)])
-    detail = _witness(first[0], Fraction(first[1], den)) if first else ""
-    return _combine("killing-invariance", Fraction(res, den), detail)
+    S, d = g._structure, g.dim
+
+    def rows():
+        for i in range(d):
+            X = [lincomb((c, K[m]) for m, c in S.get((i, j), {}).items()) for j in range(d)]
+            for j, k in sorted({(min(j, k), max(j, k)) for j, row in enumerate(X) for k in row}):
+                yield (i, j, k), abs(X[j].get(k, 0) + X[k].get(j, 0))
+
+    t = tally(rows(), g.denom * dk)
+    return _combine("killing-invariance", t.residual, t.witness("(i, j, k)") or "")
 
 
 def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
@@ -577,8 +560,9 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
 
         beta_0(T, x box y) = 2 tau(Tx, y)
 
-    and so on t_basis: when the boxes span g(0), the build appended each T_j
-    as a box e_a box e_b, and beta_0(T_i, T_j) = 2 tau(T_i e_a, e_b).  It
+    and so on the T_j: when the boxes span g(0), the build appended each T_j
+    as a box e_a box e_b, and beta_0(T_i, T_j) = 2 tau(T_i e_a, e_b)
+    = 2 sum_r (T_i)_ra G_rb, read from the sparse entries of T_i.  It
     follows from invariance, beta([u, v'], T) = beta(u, [v', T]), with
     [u, v'] = -2 u box v', [v', T] = T# v' and the -4 tau(u, v') block.
     (The Killing form of gl(V), 2n tr(TT') - 2 tr(T) tr(T'), agrees with it
@@ -587,13 +571,11 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
     n, d0, G = g.n, g.dim0, g.tau_gram
     if len(g._t_boxes) < d0:
         raise GradingClosureFailure("g(0) is not spanned by the box operators")
-    # 2 tau(T e_a, e_b) = 2 (T^T G)[a][b], flattened at a n + b
-    pair = [_flat(linalg.mat_mul(linalg.transpose(t), G)) for t in g.t_basis]
-
     out = [[0] * g.dim for _ in range(g.dim)]
-    for i in range(d0):
-        for j, ab in enumerate(g._t_boxes):
-            out[n + i][n + j] = exact(2 * pair[i][ab])
+    for i, t in enumerate(g._t_flat):
+        for j, (a, b) in enumerate(divmod(ab, n) for ab in g._t_boxes):
+            pair = sum(x * G[rc // n][b] for rc, x in t.items() if rc % n == a)
+            out[n + i][n + j] = exact(2 * pair)
     for a in range(n):
         for b in range(n):
             out[a][n + d0 + b] = out[n + d0 + b][a] = exact(-4 * G[a][b])

@@ -125,11 +125,6 @@ def sparse(a: Matrix) -> Sparse:
     return [{c: x for c, x in enumerate(row) if x} for row in a]
 
 
-def dense(a: Sparse) -> Matrix:
-    """The square sparse matrix a as a dense matrix of Fractions."""
-    return [[Fraction(row.get(c, 0)) for c in range(len(a))] for row in a]
-
-
 def flat(a: Sparse) -> dict:
     """The entries of the square sparse matrix a as a sparse vector of
     length n^2, entry (r, c) at index r n + c."""

@@ -16,7 +16,10 @@ exponent that may be negative, is treated like any other exponent.
 ``Scalar``, the Laurent polynomial in nu, is the Poly over no variables.
 The term-dict kernels (``mul_add``, ``diff_terms``, ``bilinear``) run on
 numerators; the checks bring their operands to one denominator,
-accumulate with them, and divide once.
+accumulate with them, and divide once.  Every pairwise check is a pass
+over (index, residual numerator) rows, which ``tally`` sums into a
+``Tally``: the residual, the failure count and the first failing row,
+whose ``witness`` is the report text.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Key = Tuple[int, ...]
 
@@ -481,6 +484,39 @@ _ONE = Scalar({0: 1})
 def poly_abs(p: FlatTerms) -> Fraction:
     """Sum of |c| over all (monomial, nu-power) coefficients; zero iff p is zero."""
     return Fraction(sum(map(abs, p.terms.values())), p.den)
+
+
+def abs_numerator(p: FlatTerms, den: int) -> int:
+    """``poly_abs(p)`` times den, a multiple of p.den, as an int."""
+    return sum(map(abs, p.terms.values())) * (den // p.den)
+
+
+class Tally(NamedTuple):
+    """One pass of a check: the summed residual, the number of failing rows
+    and the first failing (index, residual), or None."""
+
+    residual: Fraction
+    failures: int
+    first: Optional[tuple]
+
+    def witness(self, names: str) -> Optional[str]:
+        """The first failing row as report text, its index named by names;
+        None when no row failed."""
+        return self.first and f"first failing {names} = {self.first[0]}, residual {self.first[1]}"
+
+
+def tally(rows: Iterable[tuple], den: int = 1) -> Tally:
+    """The Tally of (index, residual) rows, each residual an int numerator
+    over den: the numerators are summed, the nonzero rows counted and the
+    first kept, and Fractions formed only at the end."""
+    total = failures = 0
+    first = None
+    for index, r in rows:
+        if r:
+            total += r
+            failures += 1
+            first = first or (index, r)
+    return Tally(Fraction(total, den), failures, first and (first[0], Fraction(first[1], den)))
 
 
 def scalar_ratio(p: "Poly", q: "Poly"):

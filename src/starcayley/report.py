@@ -21,7 +21,7 @@ from . import jordan as jordan_mod
 from . import kkt as kkt_mod
 from . import starrep as starrep_mod
 from . import weyl as weyl_mod
-from .poly import Poly
+from .poly import Poly, Tally
 from .scalars import Scalar, rational_to_str
 
 ALL_SUITES = ("jordan", "lie", "chart", "star", "fourier", "theorem")
@@ -176,6 +176,12 @@ def _random_poly(rng: random.Random, ch, max_deg: int = 3) -> Poly:
 # -- suite runners --------------------------------------------------------
 
 
+def _put_witness(out: dict, key: str, t: Tally, names: str) -> None:
+    """out[key] = the witness of t, only when some row of t failed."""
+    if t.failures:
+        out[key] = t.witness(names)
+
+
 def run_jordan_suite(ctx: InstanceContext) -> dict:
     A = ctx.algebra
     rep = A.validation or jordan_mod.validate_jordan(A)
@@ -200,17 +206,15 @@ def run_lie_suite(ctx: InstanceContext) -> dict:
 
 def run_chart_suite(ctx: InstanceContext) -> dict:
     ch = ctx.chart
-    res, bad = ch.hamiltonicity_residual()
+    ham = ch.hamiltonicity_residual()
     deg = ch.max_moment_degree()
     out = {
-        "passed": res == 0 and deg <= 3,
-        "hamiltonicity_residual": str(res),
-        "failing_pairs": bad,
+        "passed": ham.failures == 0 and deg <= 3,
+        "hamiltonicity_residual": str(ham.residual),
+        "failing_pairs": ham.failures,
         "max_moment_degree": deg,
     }
-    if bad:
-        ij, r = next(ch.hamiltonicity_failures())
-        out["hamiltonicity_witness"] = f"first failing (i, j) = {ij}, residual {r}"
+    _put_witness(out, "hamiltonicity_witness", ham, "(i, j)")
     return out
 
 
@@ -238,59 +242,51 @@ def run_star_suite(ctx: InstanceContext) -> dict:
     out["associativity_trials"] = ASSOCIATIVITY_TRIALS
     out["associativity_failures"] = assoc_fail
 
-    cov_res, _, cov_witness = weyl_mod.verify_covariance(ch)
-    out["covariance_residual"] = str(cov_res)
-    if cov_witness is not None:
-        ij, r = cov_witness
-        out["covariance_witness"] = f"first failing (i, j) = {ij}, residual {r}"
+    cov = weyl_mod.verify_covariance(ch)
+    out["covariance_residual"] = str(cov.residual)
+    _put_witness(out, "covariance_witness", cov, "(i, j)")
     samples = [_random_poly(rng, ch) for _ in range(3)]
-    N, b_ok = weyl_mod.verify_property_B(ch, samples)
-    out["property_B_order"] = N
-    if not b_ok:
-        out["property_B_witness"] = weyl_mod.property_B_witness(ch, samples)
+    prop_b = weyl_mod.verify_property_B(ch, samples)
+    N = out["property_B_order"] = max(op.order() for op in ch.left_stars)
+    _put_witness(out, "property_B_witness", prop_b, "(i, sample)")
     out["passed"] = (
         unit_ok
         and lowest_ok
         and first_order_ok
         and assoc_fail == 0
-        and cov_res == 0
-        and b_ok
+        and cov.failures == 0
+        and prop_b.failures == 0
         and N == 3
     )
     return out
 
 
 def run_fourier_suite(ctx: InstanceContext) -> dict:
-    results = starrep_mod.verify_star_transform(ctx.chart, ctx.srep, ctx.rho)
-    holo = all(r.holomorphic for r in results)
-    match = all(r.matches_rho for r in results)
-    total = sum((r.residual for r in results), Fraction(0))
-    return {
-        "passed": holo and match,
+    holo, t = starrep_mod.verify_star_transform(ctx.chart, ctx.srep, ctx.rho)
+    out = {
+        "passed": holo and t.failures == 0,
         "holomorphic": holo,
-        "matches_rho": match,
-        "residual": str(total),
+        "matches_rho": t.failures == 0,
+        "residual": str(t.residual),
     }
+    _put_witness(out, "star_transform_witness", t, "i")
+    return out
 
 
 def run_theorem_suite(ctx: InstanceContext) -> dict:
     g = ctx.lie
     out: dict = {}
-    sign_rho, res_rho = starrep_mod.verify_rho_homomorphism(g, ctx.rho)
+    sign_rho, rho_hom = starrep_mod.verify_rho_homomorphism(g, ctx.rho)
     out["rho_bracket_sign"] = sign_rho
-    out["rho_hom_residual"] = str(res_rho)
-    if sign_rho == 0:
-        out["rho_hom_witness"] = starrep_mod.bracket_witness(g, ctx.rho)
-    ops = ctx.series.dpi_basis()
-    sign_dpi, res_dpi = hds_mod.verify_dpi_homomorphism(g, ops)
+    out["rho_hom_residual"] = str(rho_hom.residual)
+    _put_witness(out, "rho_hom_witness", rho_hom, "(i, j)")
+    sign_dpi, dpi_hom = hds_mod.verify_dpi_homomorphism(g, ctx.series.dpi_basis())
     out["dpi_bracket_sign"] = sign_dpi
-    out["dpi_hom_residual"] = str(res_dpi)
-    if sign_dpi == 0:
-        out["dpi_hom_witness"] = starrep_mod.bracket_witness(g, ops)
-    field_res = ctx.srep.field_residual(ctx.series)
-    out["tube_field_residual"] = str(field_res)
-    if field_res:
-        out["tube_field_witness"] = ctx.srep.field_witness(ctx.series)
+    out["dpi_hom_residual"] = str(dpi_hom.residual)
+    _put_witness(out, "dpi_hom_witness", dpi_hom, "(i, j)")
+    field = ctx.srep.field_residual(ctx.series)
+    out["tube_field_residual"] = str(field.residual)
+    _put_witness(out, "tube_field_witness", field, "i")
     kappa_h, kres = ctx.srep.measure_kappa_h()
     out["kappa_h"] = str(kappa_h) if kappa_h is not None else f"none (residual {kres})"
     try:
@@ -313,8 +309,8 @@ def run_theorem_suite(ctx: InstanceContext) -> dict:
         tau_e = ctx.srep.tau_scalar(g.E)
         out["tau_of_grade_element_at_nu0"] = str(tau_e.eval_nu(nu0))
     out["passed"] = (
-        sign_rho != 0 and res_rho == 0 and sign_dpi != 0 and res_dpi == 0
-        and field_res == 0 and kappa_h is not None and solved and vanish
+        sign_rho != 0 and sign_dpi != 0 and field.failures == 0
+        and kappa_h is not None and solved and vanish
     )
     return out
 

@@ -31,12 +31,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import linalg
 from .chart import SymplecticChart
 from .kkt import GradedLieAlgebra
-from .poly import Poly, VarSet, diff_terms, lincomb, mul_add, poly_abs, scalar_ratio
+from .poly import (
+    Poly, Tally, VarSet, abs_numerator, diff_terms, lincomb, mul_add, scalar_ratio, tally,
+)
 from .scalars import Scalar
 from .weyl import (
     WeylOperator,
@@ -117,22 +119,19 @@ class StarRepresentation:
         return [first_order(self._tau(h), lp) for h, lp in self._basis_parts]
 
     # -- invariants -------------------------------------------------------
-    def _field_residuals(self, series) -> Iterator[Fraction]:
-        """|l_A - X| per basis element A, X the field u + Tz + P(z)v that
-        ``series``, an ``hds.DiscreteSeries`` of the same g, builds from
-        Jordan data: minus the vector part of ``series.dpi_basis()``."""
-        for (_, lp), op in zip(self._basis_parts, series.dpi_basis()):
-            yield sum((poly_abs(p + q) for p, q in zip(lp, split_first_order(op)[1])), Fraction(0))
-
-    def field_residual(self, series) -> Fraction:
-        """l_A against the Jordan-data field, summed over the basis."""
-        return sum(self._field_residuals(series), Fraction(0))
-
-    def field_witness(self, series) -> Optional[str]:
-        """The first basis index failing ``field_residual``, with its
-        residual, as report text; None when every l_A matches."""
-        rows = enumerate(self._field_residuals(series))
-        return next((f"first failing i = {i}, residual {r}" for i, r in rows if r), None)
+    def field_residual(self, series) -> Tally:
+        """|l_A - X| tallied over the basis elements A, X the field
+        u + Tz + P(z)v that ``series``, an ``hds.DiscreteSeries`` of the
+        same g, builds from Jordan data: minus the vector part of
+        ``series.dpi_basis()``.  The rows are over the lcm of the
+        denominators of the l_A and of the operators."""
+        ops = series.dpi_basis()
+        L = lcm(*(op.den for op in ops), *(p.den for _, lp in self._basis_parts for p in lp))
+        rows = (
+            (i, sum(abs_numerator(p + q, L) for p, q in zip(lp, split_first_order(op)[1])))
+            for i, ((_, lp), op) in enumerate(zip(self._basis_parts, ops))
+        )
+        return tally(rows, L)
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,
@@ -157,16 +156,22 @@ class StarRepresentation:
         return (kappa, res) if res == 0 else (None, res)
 
 
-def bracket_residuals(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Iterator[tuple]:
-    """(i, j, r+, r-) for every basis pair i < j of first-order operators
-    X_k = ops[k]: r+ and r- are |[X_i, X_j] -+ X([e_i, e_j])| over
-    ``_bracket_den``.  The operators are brought to one denominator L and
-    split once, with their gradients (``weyl.first_order_parts``); each
-    commutator is their first-order bracket, over L^2, and the image
-    sum_k c_ij^k X_k, over D L, is accumulated from the table's numerators.
-    Raises ValueError if an operator has a term of order > 1."""
+def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tally]:
+    """Measure the sign s with [X_i, X_j] = s * X([e_i, e_j]) over all basis
+    pairs i < j of first-order operators X_k = ops[k]; returns (s, Tally).
+
+    Each pair's commutator is formed once, and both |[X_i, X_j] -+
+    X([e_i, e_j])| are tallied from it.  The operators are brought to one
+    denominator L and split once, with their gradients
+    (``weyl.first_order_parts``); each commutator is their first-order
+    bracket, over L^2, and the image sum_k c_ij^k X_k, over D L, is
+    accumulated from the table's numerators.  s = +1 reports a
+    homomorphism, s = -1 an anti-homomorphism and s = 0 neither; the Tally
+    is that of the sign with the smaller total, +1 on a tie.  Raises
+    ValueError if an operator has a term of order > 1."""
     L, D = lcm(*(op.den for op in ops)), g.denom
     fields = [first_order_parts(op, L) for op in ops]
+    rows = []
     for i, j in itertools.combinations(range(g.dim), 2):
         nz = g.bracket_numerators(i, j).items()
         plus = minus = 0
@@ -176,53 +181,17 @@ def bracket_residuals(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Iterator[
                 a, b = D * terms.get(e, 0), image.get(e, 0)
                 plus += abs(a - b)
                 minus += abs(a + b)
-        yield i, j, plus, minus
+        rows.append(((i, j), plus, minus))
+    plus = tally(((ij, p) for ij, p, _ in rows), D * L * L)
+    minus = tally(((ij, m) for ij, _, m in rows), D * L * L)
+    best = plus if plus.residual <= minus.residual else minus
+    return (0 if best.failures else 1 if best is plus else -1), best
 
 
-def _bracket_den(g: GradedLieAlgebra, ops: List[WeylOperator]) -> int:
-    return g.denom * lcm(*(op.den for op in ops)) ** 2
-
-
-def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Fraction]:
-    """Measure the sign s with [X_i, X_j] = s * X([e_i, e_j]) over all basis
-    pairs i < j of first-order operators X_k = ops[k]; returns (s, residual),
-    the sums of ``bracket_residuals``, divided once.  s = +1 reports a
-    homomorphism, s = -1 an anti-homomorphism, s = 0 neither, with the
-    smaller residual."""
-    res = {1: 0, -1: 0}
-    for _, _, plus, minus in bracket_residuals(g, ops):
-        res[1] += plus
-        res[-1] += minus
-    for sign in (1, -1):
-        if res[sign] == 0:
-            return sign, Fraction(0)
-    return 0, Fraction(min(res.values()), _bracket_den(g, ops))
-
-
-def bracket_witness(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Optional[str]:
-    """The first failing pair (i, j) under the sign with the smaller total
-    residual (+1 on a tie) and its residual, as report text; None when
-    either sign holds."""
-    rows = list(bracket_residuals(g, ops))
-    totals = [sum(r[k] for r in rows) for k in (2, 3)]
-    if 0 in totals:
-        return None
-    k = 2 if totals[0] <= totals[1] else 3
-    row = next(r for r in rows if r[k])
-    return f"first failing (i, j) = {row[:2]}, residual {Fraction(row[k], _bracket_den(g, ops))}"
-
-
-def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tuple[int, Fraction]:
+def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tuple[int, Tally]:
     """Bracket sign of rho: [rho(A), rho(B)] = s * rho([A,B]); returns
-    (s, residual) as ``bracket_sign``."""
+    (s, Tally) as ``bracket_sign``."""
     return bracket_sign(g, rho)
-
-
-@dataclass
-class StarTransformResult:
-    holomorphic: bool
-    matches_rho: bool
-    residual: Fraction
 
 
 def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperator, VarSet]:
@@ -266,15 +235,16 @@ def embed_z_operator(op: WeylOperator, target: VarSet) -> WeylOperator:
 
 def verify_star_transform(
     ch: SymplecticChart, srep: StarRepresentation, rho: List[WeylOperator]
-) -> List[StarTransformResult]:
+) -> Tuple[bool, Tally]:
     """Compare the transformed star operators D_A against rho(A), per basis
-    element, and check that D_A is holomorphic."""
-    out = []
-    n = srep.g.n
+    element: returns whether every D_A is holomorphic, and |D_A - rho(A)|
+    tallied over the basis, over the lcm of the differences' denominators.
+    A D_A that is not holomorphic differs from the embedded rho(A), so the
+    Tally's witness covers both failures."""
+    n, holomorphic, diffs = srep.g.n, True, []
     for i in range(srep.g.dim):
         d_op, hvs = star_transform_operator(ch, i)
-        holo = uses_only(d_op, hvs.names[:n])
-        r_emb = embed_z_operator(rho[i], hvs)
-        res = poly_abs(d_op - r_emb)
-        out.append(StarTransformResult(holomorphic=holo, matches_rho=res == 0, residual=res))
-    return out
+        holomorphic &= uses_only(d_op, hvs.names[:n])
+        diffs.append(d_op - embed_z_operator(rho[i], hvs))
+    L = lcm(*(d.den for d in diffs))
+    return holomorphic, tally(((i, abs_numerator(d, L)) for i, d in enumerate(diffs)), L)

@@ -37,12 +37,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 from operator import add
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import NO_VARS, FlatTerms, Poly, VarSet, VarSetMismatch, diff_terms, mul_add, poly_abs
+from .poly import (
+    NO_VARS, FlatTerms, Poly, Tally, VarSet, VarSetMismatch, abs_numerator, diff_terms, mul_add,
+    tally,
+)
 from .scalars import Scalar
 
 Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -568,11 +570,9 @@ def _cubic_b3(swapped: dict, v: Poly) -> dict:
     return out
 
 
-def verify_covariance(ch) -> Tuple[Fraction, int, Optional[Tuple[Tuple[int, int], Fraction]]]:
+def verify_covariance(ch) -> Tally:
     """lambda_A star lambda_B - lambda_B star lambda_A = 2 nu {lambda_A, lambda_B}
-    over all basis pairs; returns (residual, failing pair count, witness),
-    the witness being the first failing pair (i, j) with its residual, or
-    None.
+    tallied over all basis pairs (i, j).
 
     Write u star v = sum_s nu^s B_s(u, v), B_s taking s derivatives of each
     factor; B_1 is the Poisson bracket.  The Moyal symmetry
@@ -590,47 +590,39 @@ def verify_covariance(ch) -> Tuple[Fraction, int, Optional[Tuple[Tuple[int, int]
     its l <-> m swap (``_swapped_cubic``).  Pairs with a map of higher
     degree take the odd orders from every pair of terms (``_contractions``).
     Each pair's numerators are over the product of its denominators, and
-    the residuals are summed over top, the square of the lcm, and divided
-    once.
+    the residuals are tallied over top, the square of the lcm.
     """
-    res, bad, witness = 0, 0, None
     deg = [lam.total_degree() for lam in ch.moment]
     dens = [lam.den for lam in ch.moment]
     top = lcm(*dens) ** 2
     cubic = [i for i, d in enumerate(deg) if d >= 3]
     swapped = {i: _swapped_cubic(ch.moment[i], len(ch.l_names)) for i in cubic if deg[i] == 3}
-    for i, j in itertools.combinations(cubic, 2):
-        if deg[i] == deg[j] == 3:
-            tail = _cubic_b3(swapped[i], ch.moment[j])
-        else:
-            odd = range(3, min(deg[i], deg[j]) + 1, 2)
-            tail = _contractions(ch.moment[i], ch.moment[j], ch.l_names, ch.m_names, odd)
-        r = 2 * sum(map(abs, tail.values())) * (top // (dens[i] * dens[j]))
-        if r:
-            bad += 1
-            res += r
-            witness = witness or ((i, j), Fraction(r, top))
-    return Fraction(res, top), bad, witness
+
+    def rows():
+        for i, j in itertools.combinations(cubic, 2):
+            if deg[i] == deg[j] == 3:
+                tail = _cubic_b3(swapped[i], ch.moment[j])
+            else:
+                odd = range(3, min(deg[i], deg[j]) + 1, 2)
+                tail = _contractions(ch.moment[i], ch.moment[j], ch.l_names, ch.m_names, odd)
+            yield (i, j), 2 * sum(map(abs, tail.values())) * (top // (dens[i] * dens[j]))
+
+    return tally(rows(), top)
 
 
-def verify_property_B(ch, samples: Sequence[Poly]) -> Tuple[int, bool]:
+def verify_property_B(ch, samples: Sequence[Poly]) -> Tally:
     """Star multiplication by each moment map is the differential operator
-    ``ch.left_stars[i]``: its action equals ``moyal_star(lambda_i, u)`` on
-    every sample u.
+    ``ch.left_stars[i]``: |op.apply(u) - moyal_star(lambda_i, u)| tallied
+    over the rows (i, sample), in that order.  Each difference has a
+    denominator dividing lcm(op.den, lambda_i.den) u.den, so the rows are
+    over the product of the lcms of those denominators."""
+    ops, moment = ch.left_stars, ch.moment
+    top = lcm(*(x.den for x in (*ops, *moment))) * lcm(*(u.den for u in samples))
 
-    Returns (N, ok) with N the highest order among the operators, and ok
-    when ``property_B_witness`` finds no failure.
-    """
-    return max(op.order() for op in ch.left_stars), property_B_witness(ch, samples) is None
+    def rows():
+        for i, (op, lam) in enumerate(zip(ops, moment)):
+            for k, u in enumerate(samples):
+                lhs, rhs = op.apply(u), moyal_star(lam, u, ch.l_names, ch.m_names)
+                yield (i, k), 0 if lhs == rhs else abs_numerator(lhs - rhs, top)
 
-
-def property_B_witness(ch, samples: Sequence[Poly]) -> Optional[str]:
-    """The first (i, sample) at which op.apply(u), op = ``ch.left_stars[i]``,
-    differs from lambda_i star u, and the residual |op.apply(u) - lambda_i
-    star u|, as report text; None when they agree on every sample."""
-    for i, (op, lam) in enumerate(zip(ch.left_stars, ch.moment)):
-        for k, u in enumerate(samples):
-            lhs, rhs = op.apply(u), moyal_star(lam, u, ch.l_names, ch.m_names)
-            if lhs != rhs:
-                return f"first failing (i, sample) = {(i, k)}, residual {poly_abs(lhs - rhs)}"
-    return None
+    return tally(rows(), top)

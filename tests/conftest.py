@@ -21,6 +21,12 @@ from starcayley.weyl import (  # noqa: E402
 )
 
 
+def dense(a: list) -> list:
+    """The square sparse matrix a, rows of {column: entry}, as a dense matrix
+    of Fractions."""
+    return [[Fraction(row.get(c, 0)) for c in range(len(a))] for row in a]
+
+
 def degree_in(p: Poly, name: str) -> int:
     """Highest exponent of one variable in p."""
     i = p.vs.index(name)

@@ -97,7 +97,7 @@ def test_criterion_3_moment_maps(instance_cache):
     ok = True
     for sel in LIE_SELECTORS:
         ch = instance_cache("chart", sel)
-        res, bad = ch.hamiltonicity_residual()
+        res, bad, _ = ch.hamiltonicity_residual()
         ok = ok and res == 0 and bad == 0 and ch.max_moment_degree() <= 3
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60
@@ -131,13 +131,12 @@ def test_criterion_5_star_transform(instance_cache):
     ok = True
     details = []
     for sel in ("rank1", "spin:3", "sym:2"):
-        results = verify_star_transform(
+        holo, t = verify_star_transform(
             instance_cache("chart", sel),
             instance_cache("srep", sel),
             instance_cache("rho", sel),
         )
-        holo = all(r.holomorphic for r in results)
-        match = all(r.matches_rho for r in results)
+        match = t.failures == 0 and t.residual == 0
         ok = ok and holo and match
         if not match:
             details.append(f"{sel}: holomorphic={holo}, equals-rho=False")
@@ -152,8 +151,8 @@ def test_criterion_6_homomorphisms(instance_cache):
     details = []
     for sel in ("rank1", "spin:3", "sym:2"):
         g = instance_cache("lie", sel)
-        sign_r, res_r = verify_rho_homomorphism(g, instance_cache("rho", sel))
-        sign_d, res_d = hds.verify_dpi_homomorphism(
+        sign_r, (res_r, _, _) = verify_rho_homomorphism(g, instance_cache("rho", sel))
+        sign_d, (res_d, _, _) = hds.verify_dpi_homomorphism(
             g, instance_cache("series", sel).dpi_basis()
         )
         ok = ok and sign_r != 0 and res_r == 0 and sign_d != 0 and res_d == 0
@@ -206,7 +205,7 @@ def test_criterion_9_negative_controls(instance_cache):
     bad = _perturbed_spin2()
     g_bad = kkt.GradedLieAlgebra(bad)
     jac = kkt.verify_jacobi(g_bad)
-    ham_res, ham_bad = SymplecticChart(g_bad).hamiltonicity_residual()
+    ham_res, ham_bad, _ = SymplecticChart(g_bad).hamiltonicity_residual()
     structure_detected = (not jac.passed) and ham_res > 0 and ham_bad > 0
 
     g = instance_cache("lie", "rank1")

@@ -83,7 +83,11 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "verify", "--algebra", "spin:1")
         assert code == 2
 
-    @pytest.mark.parametrize("selector", ["spin:abc", "sym:"])
+    @pytest.mark.parametrize(
+        "selector",
+        # a non-canonical integer would build spin:3 or sym:2 under another name
+        ["spin:abc", "sym:", "spin:03", "spin: 3", "spin:+3", "sym:0_2"],
+    )
     def test_non_integer_dimension_is_config_error(self, capsys, selector):
         code, _, err = run_cli(capsys, "verify", "--algebra", selector)
         assert code == 2
@@ -110,6 +114,10 @@ class TestExitCodes:
             pytest.param(lambda d: [d], id="not-an-object"),
             pytest.param(lambda d: {**d, "unit": d["unit"] + ["0"]}, id="unit-length"),
             pytest.param(lambda d: {**d, "rank": 0}, id="zero-rank"),
+            # a string iterates as its characters; this one passed as rank1
+            pytest.param(
+                lambda d: {"dim": 1, "rank": 1, "unit": "1", "structure": "1"}, id="string-table"
+            ),
         ],
     )
     def test_malformed_table_is_config_error(self, capsys, tmp_path, edit):
@@ -129,6 +137,8 @@ class TestExitCodes:
             pytest.param({"basis_names": ["s", "s"]}, id="repeated-name"),
             pytest.param({"basis_names": ["s", 1]}, id="non-string-name"),
             pytest.param({"unit": [True, False]}, id="bool-unit"),
+            pytest.param({"unit": "10"}, id="string-unit"),
+            pytest.param({"structure": [["10", "01"], ["01", "10"]]}, id="string-rows"),
             pytest.param(
                 {"structure": [[list(map(float, r)) for r in p] for p in SPIN2.structure]},
                 id="float-structure",

@@ -138,6 +138,26 @@ class TestLoader:
         with pytest.raises(jordan.InvalidDimension):
             jordan.load_from_structure_constants(data)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param({"structure": "1"}, id="string-table"),
+            pytest.param({"structure": ["1"]}, id="string-plane"),
+            pytest.param({"structure": [["1"]]}, id="string-row"),
+            pytest.param({"unit": "1"}, id="string-unit"),
+        ],
+    )
+    def test_rejects_a_string_in_place_of_an_array(self, edit):
+        # a string iterates as its characters, each of them a rational
+        data = {**jordan.make_rank_one().to_json(), **edit}
+        with pytest.raises(jordan.UnknownAlgebra, match="expected a JSON array"):
+            jordan.load_from_structure_constants(data)
+
+    @pytest.mark.parametrize("selector", ["spin:03", "spin: 3", "spin:+3", "spin:3 ", "sym:0_2"])
+    def test_selector_takes_only_canonical_integers(self, selector):
+        with pytest.raises(jordan.UnknownAlgebra, match="canonical"):
+            jordan.make_algebra(selector)
+
     def test_unknown_selector(self):
         with pytest.raises(jordan.UnknownAlgebra):
             jordan.make_algebra("octonion:3")

@@ -2,6 +2,7 @@ import copy
 from fractions import Fraction
 
 import pytest
+from conftest import dense
 
 from starcayley import jordan, kkt, linalg
 from starcayley.report import BUILTIN_SELECTORS
@@ -165,7 +166,7 @@ def test_sparse_build_matches_model(selector, instance_cache):
     assert g.tau_gram == [[A.tau(x, y) for y in e] for x in e]
     for a in range(n):
         for b in range(n):
-            assert linalg.dense(g._boxes[a * n + b]) == A.box(e[a], e[b]), (a, b)
+            assert dense(g._boxes[a * n + b]) == A.box(e[a], e[b]), (a, b)
 
 
 def test_perturbed_closure_grows():
@@ -283,7 +284,8 @@ def test_wrong_sharp_fails_the_lie_suite(monkeypatch):
     # = f_2, where the tau-adjoint would give T_3 f_1 = -f_2
     rows, den = g.theta_table
     assert rows[n:f] == [{n + i: -den} for i in range(g.dim0)]
-    assert g.t_basis[3][1][2] == 1 and g.t_basis[3][2][1] == -1
+    t3 = g.t_from_coords(linalg.identity(g.dim0)[3])
+    assert t3[1][2] == 1 and t3[2][1] == -1
     assert g.bracket_coords(n + 3, f + 1) == {f + 2: 1}
     # the model takes its own sharp, so it disagrees with this Theta
     model = [g.to_coords(g.theta(g.from_coords(e))) for e in linalg.identity(g.dim)]

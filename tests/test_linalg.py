@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import dense
 from hypothesis import given, settings, strategies as st
 
 from starcayley import linalg
@@ -55,10 +56,10 @@ def square_pairs():
 def test_sparse_products_and_sums_match_dense(ab, c):
     a, b = ab
     sa, sb = linalg.sparse(a), linalg.sparse(b)
-    assert linalg.dense(linalg.sparse_mul(sa, sb)) == linalg.mat_mul(a, b)
-    assert linalg.dense(linalg.sparse_commutator(sa, sb)) == linalg.commutator(a, b)
+    assert dense(linalg.sparse_mul(sa, sb)) == linalg.mat_mul(a, b)
+    assert dense(linalg.sparse_commutator(sa, sb)) == linalg.commutator(a, b)
     total = linalg.sparse_sum(iter([(1, sa), (c, sb)]), len(a))
-    assert linalg.dense(total) == linalg.mat_add(a, linalg.mat_scale(b, c))
+    assert dense(total) == linalg.mat_add(a, linalg.mat_scale(b, c))
     # no zero is stored, and a sum that cancels is empty
     assert all(all(row.values()) for row in total)
     assert linalg.sparse_sum([(c, sb), (-c, sb)], len(b)) == [{} for _ in b]

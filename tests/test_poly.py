@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starcayley.poly import Poly, UnknownVariable, VarSet, lincomb, ratio, scalar_ratio, varset
+from starcayley.poly import (
+    Poly, Tally, UnknownVariable, VarSet, lincomb, ratio, scalar_ratio, tally, varset,
+)
 from starcayley.scalars import Scalar
 
 from conftest import degree_in
@@ -191,3 +193,26 @@ class TestLincomb:
         r = ratio(num, den)
         assert r == Fraction(num, den)
         assert (type(r) is int) == (num % den == 0)
+
+
+class TestTally:
+    def test_sums_counts_and_keeps_the_first_failing_row(self, fraction_arithmetic_forbidden):
+        # numerators over one denominator, divided once at the end: 3/4 + 5/4
+        # is 2, and no Fraction arithmetic runs on the way
+        rows = iter([((0, 1), 0), ((0, 2), 3), ((1, 2), 0), ((1, 3), 5)])
+        t = tally(rows, 4)
+        assert t == Tally(Fraction(2), 2, ((0, 2), Fraction(3, 4)))
+        assert type(t.residual) is Fraction and type(t.first[1]) is Fraction
+        assert t.witness("(i, j)") == "first failing (i, j) = (0, 2), residual 3/4"
+
+    def test_passing_rows_have_no_witness(self):
+        t = tally((i, 0) for i in range(5))
+        assert t == (0, 0, None) and t.witness("i") is None
+        assert tally([]) == (0, 0, None)
+
+    @given(st.lists(st.integers(0, 20), max_size=8), st.integers(1, 12))
+    def test_matches_fraction_sums(self, residuals, den):
+        rows = list(enumerate(residuals))
+        bad = [(i, Fraction(r, den)) for i, r in rows if r]
+        want = (sum((r for _, r in bad), Fraction(0)), len(bad), bad[0] if bad else None)
+        assert tally(rows, den) == want

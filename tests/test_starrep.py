@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import two_conjugations
-from starcayley import jordan, kkt, linalg
+from starcayley import jordan, kkt, linalg, starrep
 from starcayley.poly import Poly
 from starcayley.report import (
     BUILTIN_SELECTORS,
     InstanceContext,
     RunConfig,
+    run_fourier_suite,
     run_star_suite,
     run_theorem_suite,
 )
@@ -109,14 +110,15 @@ class TestFieldPolynomials:
         g = srep.g
         t_elt = linalg.identity(g.dim)[g.n]
         h = h_poly(srep, t_elt)
+        t0 = g.t_from_coords(linalg.identity(g.dim0)[0])
         for i in range(g.n):
             for j in range(g.n):
-                assert h[i][j] == Poly.const(srep.zvs, g.t_basis[0][i][j])
+                assert h[i][j] == Poly.const(srep.zvs, t0[i][j])
 
     @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
     def test_tube_field_identity(self, selector, instance_cache):
         srep = instance_cache("srep", selector)
-        assert srep.field_residual(instance_cache("series", selector)) == 0
+        assert srep.field_residual(instance_cache("series", selector)) == (0, 0, None)
 
     @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
     def test_kappa_h_is_one(self, selector, instance_cache):
@@ -137,8 +139,8 @@ class TestFieldPolynomials:
 def test_rho_is_anti_homomorphism(selector, instance_cache):
     g = instance_cache("lie", selector)
     rho = instance_cache("rho", selector)
-    sign, res = verify_rho_homomorphism(g, rho)
-    assert res == 0
+    sign, tally = verify_rho_homomorphism(g, rho)
+    assert tally == (0, 0, None)
     assert sign == -1  # measured: bracket reverses under rho
 
 
@@ -150,7 +152,8 @@ def test_rho_sign_check_fails_on_perturbed_operator(selector, residual, instance
     srep = instance_cache("srep", selector)
     rho = list(instance_cache("rho", selector))
     rho[1] = rho[1] + WeylOperator.identity(srep.zvs)
-    assert verify_rho_homomorphism(g, rho) == (0, residual)
+    sign, (res, failures, _) = verify_rho_homomorphism(g, rho)
+    assert (sign, res) == (0, residual) and failures > 0
 
 
 @pytest.mark.parametrize(
@@ -194,6 +197,61 @@ def test_passing_suites_have_no_property_b_or_field_witness():
     star, theorem = run_star_suite(ctx), run_theorem_suite(ctx)
     assert star["passed"] and "property_B_witness" not in star
     assert theorem["passed"] and "tube_field_witness" not in theorem
+    fourier = run_fourier_suite(ctx)
+    assert fourier["passed"] and "star_transform_witness" not in fourier
+
+
+@pytest.mark.parametrize("selector", ["rank1", "sym:2"])
+def test_failing_rho_forms_each_bracket_once(selector, monkeypatch):
+    # the theorem suite forms each first-order bracket of rho and of dpi once:
+    # the witness of the failing rho comes from the pass that measured it
+    ctx = InstanceContext(RunConfig(algebra=selector))
+    rho = list(ctx.rho)
+    rho[1] = rho[1] + WeylOperator.identity(ctx.srep.zvs)
+    ctx._cache["rho"] = rho
+    calls = []
+    bracket = starrep.first_order_bracket
+    counted = lambda x, y: calls.append(1) or bracket(x, y)
+    monkeypatch.setattr(starrep, "first_order_bracket", counted)
+    out = run_theorem_suite(ctx)
+    assert out["rho_bracket_sign"] == 0 and "rho_hom_witness" in out
+    dim = ctx.lie.dim
+    assert len(calls) == 2 * dim * (dim - 1) // 2
+
+
+@pytest.mark.parametrize(
+    "index, shift, witness",
+    [
+        (2, Fraction(1, 3), "first failing i = 2, residual 1/3"),
+        # the last basis element, so the pass reaches every D_A
+        (9, 1, "first failing i = 9, residual 1"),
+    ],
+)
+def test_fourier_suite_names_the_first_failing_basis_element(index, shift, witness):
+    # rho perturbed as in the theorem suite's control: D_A stays holomorphic
+    # and differs from rho(A) by the constant alone
+    ctx = InstanceContext(RunConfig(algebra="sym:2"))
+    rho = list(ctx.rho)
+    rho[index] = rho[index] + WeylOperator.identity(ctx.srep.zvs).scale(shift)
+    ctx._cache["rho"] = rho
+    out = run_fourier_suite(ctx)
+    assert not out["passed"] and out["holomorphic"] and not out["matches_rho"]
+    assert out["residual"] == str(shift)
+    assert out["star_transform_witness"] == witness
+
+
+def test_fourier_witness_names_a_non_holomorphic_transform():
+    # l1 added to the fourth left-star operator puts (z1 + w1)/2 over 2 nu
+    # into D_3, which is then not holomorphic and so differs from rho(e_3)
+    ctx = InstanceContext(RunConfig(algebra="sym:2"))
+    ch = copy.copy(ctx.chart)
+    stars = list(ch.left_stars)
+    stars[3] = stars[3] + WeylOperator.from_poly(Poly.var(ch.vs, "l1"))
+    ch.left_stars = stars
+    ctx._cache["chart"] = ch
+    out = run_fourier_suite(ctx)
+    assert not out["passed"] and not out["holomorphic"] and not out["matches_rho"]
+    assert out["star_transform_witness"] == "first failing i = 3, residual 1/2"
 
 
 def test_star_suite_names_the_first_failing_property_b_sample():
@@ -231,10 +289,10 @@ class TestStarTransform:
         ch = instance_cache("chart", selector)
         srep = instance_cache("srep", selector)
         rho = instance_cache("rho", selector)
-        results = verify_star_transform(ch, srep, rho)
-        assert all(r.holomorphic for r in results)
+        holomorphic, tally = verify_star_transform(ch, srep, rho)
+        assert holomorphic
         # D_A = rho(A), exactly, for every basis element
-        assert all(r.matches_rho and r.residual == 0 for r in results)
+        assert tally == (0, 0, None)
 
     @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
     def test_transform_equals_the_two_conjugations(self, selector, instance_cache):
