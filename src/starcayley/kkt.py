@@ -78,10 +78,6 @@ class LieElement:
     v: list
 
 
-def _flat(m: Sequence[Sequence]) -> list:
-    return [x for row in m for x in row]
-
-
 def _common_denominator(values) -> int:
     """The least common denominator of rational values."""
     return math.lcm(*(x.denominator for x in values))
@@ -536,7 +532,7 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
     symmetric, with numerator over D D_K; X is accumulated sparsely.  On
     failure the detail names the first failing (i, j, k) and its
     residual."""
-    dk = _common_denominator(_flat(g.killing))
+    dk = _common_denominator(x for row in g.killing for x in row)
     K = [{m: (x * dk).numerator for m, x in enumerate(row) if x} for row in g.killing]
     S, d = g._structure, g.dim
 
