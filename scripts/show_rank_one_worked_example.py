@@ -56,8 +56,8 @@ def main() -> None:
     print(f"\nintertwiner: alpha = {eq.alpha}")
     print(f"solved weight m* = {eq.m_star}")
     print(f"closed-form weight = {cmpr.m_closed}  ({cmpr.match}, factor {cmpr.factor})")
-    nu0, vanishes = special_nu_value(g)
-    print(f"special parameter value nu0 = {nu0}; numerator vanishes: {vanishes}")
+    nu0, vanishes = special_nu_value(g, eq.m_star)
+    print(f"special parameter value nu0 = {nu0}; m* vanishes there: {vanishes}")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ separately, which is how ``starrep.bracket_sign`` compares them.  Each
 operator is therefore stored as dpi_1, whose multiplier is the coefficient
 of m.  The solver searches an intertwining automorphism alpha in
 {+id, -id, +theta, -theta} matching the star representation against dpi,
-then solves for the unique weight m* by exact division, and compares with
-the closed-form value (beta(o,o) + n nu c) / (2 nu r c).  That value follows
+reads the weight m* with ``poly.proportion``, and compares it with the
+closed-form value (beta(o,o) + n nu c) / (2 nu r c).  That value follows
 from the grading element E = (0, Id, 0): h_E = Id, l_E(z) = z,
 beta(E, o) = beta(o,o)/mu and spur(E) = n give
 rho(E) = (beta(o,o)/mu + n nu)/(2 nu) + sum z^a d_a, while
@@ -36,8 +36,8 @@ from typing import List, Optional, Tuple
 
 from . import linalg
 from .kkt import GradedLieAlgebra
-from .poly import Poly, Tally, VarSet, lincomb, poly_abs, scalar_ratio
-from .scalars import NotDivisible, Scalar
+from .poly import Poly, Tally, VarSet, lincomb, proportion
+from .scalars import Scalar
 from .starrep import bracket_sign, z_names
 from .weyl import WeylOperator, first_order, split_first_order
 
@@ -99,11 +99,11 @@ def verify_dpi_homomorphism(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tup
 
 
 def _automorphism_candidates(g: GradedLieAlgebra):
-    """(name, alpha) with alpha acting on coordinate vectors."""
+    """(name, alpha) with alpha acting on coordinate vectors, -theta negating first."""
     yield "+id", lambda a: a
     yield "-id", lambda a: [-x for x in a]
     yield "+theta", g.apply_theta
-    yield "-theta", lambda a: [-x for x in g.apply_theta(a)]
+    yield "-theta", lambda a: g.apply_theta([-x for x in a])
 
 
 @dataclass
@@ -120,12 +120,13 @@ def solve_equivalence(
 ) -> EquivalenceResult:
     """Find (alpha, m*) with rho(A) = dpi_{m*}(alpha(A)) for every basis A.
 
-    For each candidate alpha the vector-field parts must agree on the nose;
-    the multiplication parts then determine m* by exact division, which must
-    be consistent across the whole basis.  Raises NoEquivalence otherwise.
-    dpi is linear, so dpi(alpha e) is formed as sum_k alpha(e)_k dpi(e_k),
-    one integer accumulation over the numerators of ``ds.dpi_basis()``,
-    brought to one denominator L, which every candidate shares.
+    For each candidate alpha, ``poly.proportion`` reads m* and the l1
+    residual from rows per basis element A: each component of the difference
+    of the vector fields, with divisor 0, then the multipliers (tau_A, s_A)
+    of rho(A) and dpi_1(alpha A).  Raises NoEquivalence if no candidate
+    matches.  dpi is linear, so dpi(alpha e), e an int unit vector, is
+    sum_k alpha(e)_k dpi(e_k), one integer accumulation over the numerators
+    of ``ds.dpi_basis()``, brought to one denominator L.
 
     A candidate stops at its first basis element whose vector fields
     differ.  Only when no candidate matches are the stopped ones finished,
@@ -136,38 +137,32 @@ def solve_equivalence(
     rho_parts = [split_first_order(op) for op in rho]
     L = lcm(*(op.den for op in ds.dpi_basis()))
     nums = [op.over(L) for op in ds.dpi_basis()]
+    units = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
+    zero = Poly.zero(ds.zvs)
 
     def check(alpha):
         """Yields None at each basis element whose vector fields differ and
-        (full residual, m*) at the end."""
-        res, m_star = Fraction(0), None
-        for e, (tau, vec) in zip(linalg.identity(g.dim), rho_parts):
+        ``proportion`` over all the rows, (m* or None, Tally), at the end."""
+        rows = []
+        for i, (e, (tau, vec)) in enumerate(zip(units, rho_parts)):
             cs = alpha(e)
             da = lcm(*(c.denominator for c in cs))
             ws = [(c.numerator * da // c.denominator, nums[k]) for k, c in enumerate(cs) if c]
             s_poly, dpi_vec = split_first_order(WeylOperator._reduced(ds.zvs, lincomb(ws), L * da))
-            r = sum((poly_abs(p - q) for p, q in zip(vec, dpi_vec)), Fraction(0))
-            if r != 0:
-                res += r
+            diffs = [p - q for p, q in zip(vec, dpi_vec)]
+            rows += [(i, d, zero) for d in diffs] + [(i, tau, s_poly)]
+            if any(d.terms for d in diffs):
                 yield None
-            elif s_poly.is_zero():
-                res += poly_abs(tau)
-            elif (m := scalar_ratio(tau, s_poly)) is None:
-                res += 1
-            elif m_star is None:
-                m_star = m
-            elif m != m_star:
-                res += 1
-        yield res, m_star
+        yield proportion(rows)
 
     tried = []
     for name, alpha in _automorphism_candidates(g):
         run = check(alpha)
         first = next(run)
-        if first and first[0] == 0 and first[1] is not None:
-            return EquivalenceResult(alpha=name, m_star=first[1], residual=Fraction(0))
+        if first and first[0] is not None:
+            return EquivalenceResult(alpha=name, m_star=first[0], residual=first[1].residual)
         tried.append((name, first, run))
-    full = [(name, (first or list(run)[-1])[0]) for name, first, run in tried]
+    full = [(name, (first or list(run)[-1])[1].residual) for name, first, run in tried]
     name, res = min(full, key=lambda t: t[1])
     raise NoEquivalence(f"no candidate automorphism matches (best: {name}, residual {res})", res)
 
@@ -194,21 +189,20 @@ def closed_form_weight(g: GradedLieAlgebra) -> Scalar:
 
 
 def compare_with_closed_form(g: GradedLieAlgebra, m_star: Scalar) -> WeightComparison:
+    """m* = factor * m_closed, the factor read by ``poly.proportion`` from one
+    row per nu-power, top down: "exact" for 1, "proportional" for another
+    rational and "failed", with no factor, when none exists."""
     m_closed = closed_form_weight(g)
-    try:
-        factor = m_star.div_exact(m_closed)
-    except NotDivisible:
-        return WeightComparison(m_star, m_closed, "failed", None)
-    constant = set(factor.coeffs.keys()) <= {0}
-    match = "exact" if factor == Scalar.one() else "proportional" if constant else "failed"
+    a, b = m_star.coeffs, m_closed.coeffs
+    powers = sorted(a.keys() | b.keys(), reverse=True)
+    factor, _ = proportion((k, Scalar.of(a.get(k, 0)), Scalar.of(b.get(k, 0))) for k in powers)
+    match = "failed" if factor is None else "exact" if factor == 1 else "proportional"
     return WeightComparison(m_star, m_closed, match, factor)
 
 
-def special_nu_value(g: GradedLieAlgebra) -> Tuple[Fraction, bool]:
-    """nu0 = -beta(o,o)/(n c); at this value the numerator of the closed-form
-    weight vanishes.  Returns (nu0, numerator_vanishes)."""
-    boo = g.beta(g.o, g.o)
-    n, c = g.n, g.mu
-    nu0 = -boo / (Fraction(n) * c)
-    num = Scalar.of(boo) + Scalar.nu(1, Fraction(n) * c)
-    return nu0, num.eval_nu(nu0) == 0
+def special_nu_value(g: GradedLieAlgebra, m_star: Optional[Scalar]) -> Tuple[Fraction, bool]:
+    """nu0 = -beta(o,o)/(n c), where the numerator of the closed-form weight
+    vanishes.  Returns (nu0, whether the measured weight m* vanishes at
+    nu0), False when no m* was found."""
+    nu0 = -g.beta(g.o, g.o) / (Fraction(g.n) * g.mu)
+    return nu0, m_star is not None and m_star.eval_nu(nu0) == 0

@@ -62,7 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .jordan import JordanAlgebra
-from .poly import Poly, bilinear, exact, lincomb, ratio, tally
+from .poly import Poly, Scalar, bilinear, exact, lincomb, proportion, ratio, tally
 
 
 class GradingClosureFailure(ValueError):
@@ -578,37 +578,32 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
     return out
 
 
-def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction]:
-    """Proportionality constant between the intrinsic Killing Gram matrix and
-    the closed block formula: intrinsic = kappa * closed.  Returns
-    (kappa or None, residual after the best match)."""
-    closed = closed_form_killing(g)
-    pairs = [(x, y) for rk, rc in zip(g.killing, closed) for x, y in zip(rk, rc) if x or y]
-    ref = next(((x, y) for x, y in pairs if y), None)
-    if ref is None:
-        return None, Fraction(sum(abs(x) for x, _ in pairs))
-    # kappa = a / b from the first nonzero closed entry, and each
-    # |x - kappa y| = |b x - a y| / |b|, in integers where K and closed are
-    a, b = ref
-    res = Fraction(sum(abs(b * x - a * y) for x, y in pairs), abs(b))
-    return (Fraction(a, b) if res == 0 else None), res
+def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction, str]:
+    """(kappa or None, residual, detail) for K = kappa * closed, the Killing
+    Gram matrix and the closed block formula, by ``poly.proportion`` over
+    their entries in row-major order.  With no closed form, when the boxes
+    miss part of g(0), K is measured against zero and the detail says why."""
+    try:
+        closed, why = closed_form_killing(g), None
+    except GradingClosureFailure as exc:
+        closed, why = [[0] * g.dim for _ in range(g.dim)], str(exc)
+    c, t = proportion(
+        ((i, j), Scalar.of(x), Scalar.of(y))
+        for i, (rk, rc) in enumerate(zip(g.killing, closed))
+        for j, (x, y) in enumerate(zip(rk, rc))
+        if x or y
+    )
+    kappa = None if c is None or why else Fraction(c.terms.get((0,), 0), c.den)
+    detail = why or (f"kappa = {kappa}" if kappa is not None else "no proportionality")
+    return kappa, t.residual, detail
 
 
 def run_structure_suite(g: GradedLieAlgebra) -> List[SuiteResult]:
-    results = [
+    kappa, res, detail = measure_kappa(g)
+    return [
         verify_jacobi(g),
         verify_theta(g),
         verify_identifications(g),
         verify_killing_invariance(g),
+        SuiteResult("killing-closed-form", kappa is not None, res, detail, kappa),
     ]
-    kappa, res = measure_kappa(g)
-    results.append(
-        SuiteResult(
-            name="killing-closed-form",
-            passed=kappa is not None,
-            residual=res,
-            detail=f"kappa = {kappa}" if kappa is not None else "no proportionality",
-            value=kappa,
-        )
-    )
-    return results

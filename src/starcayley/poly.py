@@ -19,7 +19,8 @@ numerators; the checks bring their operands to one denominator,
 accumulate with them, and divide once.  Every pairwise check is a pass
 over (index, residual numerator) rows, which ``tally`` sums into a
 ``Tally``: the residual, the failure count and the first failing row,
-whose ``witness`` is the report text.
+whose ``witness`` is the report text.  Every measured constant is the c
+of x = c y that ``proportion`` reads from (index, x, y) rows.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Key = Tuple[int, ...]
-
-
-class NotDivisible(ArithmeticError):
-    """No exact quotient exists in the Laurent ring."""
 
 
 def rational_to_str(x) -> str:
@@ -383,8 +380,7 @@ class Scalar(Poly):
     """Laurent polynomial sum_k c_k nu^k with rational c_k: the Poly over no
     variables, with terms {(k,): c_k den} over den.  Its ring operations
     are Poly's; it adds int and Fraction operands, equality and hashing
-    with rationals, exact division, evaluation at a rational nu and its
-    own display."""
+    with rationals, evaluation at a rational nu and its own display."""
 
     __slots__ = ()
 
@@ -440,26 +436,7 @@ class Scalar(Poly):
             return hash(c if self.den == 1 else Fraction(c, self.den))
         return super().__hash__()
 
-    # -- division and evaluation ---------------------------------------------
-    def div_exact(self, other: "Scalar") -> "Scalar":
-        """Exact quotient q with q*other == self, else NotDivisible: long
-        division from the top power down, whose quotient powers cannot fall
-        below min(self) - min(other)."""
-        b = other.coeffs
-        if not b:
-            raise ZeroDivisionError("division by zero Scalar")
-        top, low = max(b), min(self.coeffs, default=0) - min(b)
-        rem, quot = dict(self.coeffs), {}
-        while rem and max(rem) - top >= low:
-            k = max(rem)
-            q = quot[k - top] = rem[k] / b[top]
-            for e, c in b.items():
-                rem[e + k - top] = rem.get(e + k - top, 0) - q * c
-            rem = {e: c for e, c in rem.items() if c}
-        if rem:
-            raise NotDivisible("no exact Laurent quotient")
-        return Scalar(quot)
-
+    # -- evaluation ------------------------------------------------------------
     def eval_nu(self, value) -> Fraction:
         """Substitute a rational for nu (CLI-level only); raises
         ZeroDivisionError at nu = 0 when a negative power is present."""
@@ -481,13 +458,9 @@ _ZERO = Scalar()
 _ONE = Scalar({0: 1})
 
 
-def poly_abs(p: FlatTerms) -> Fraction:
-    """Sum of |c| over all (monomial, nu-power) coefficients; zero iff p is zero."""
-    return Fraction(sum(map(abs, p.terms.values())), p.den)
-
-
 def abs_numerator(p: FlatTerms, den: int) -> int:
-    """``poly_abs(p)`` times den, a multiple of p.den, as an int."""
+    """den times the sum of |c| over the (monomial, nu-power) coefficients c
+    of p, as an int; den is a multiple of p.den."""
     return sum(map(abs, p.terms.values())) * (den // p.den)
 
 
@@ -519,16 +492,32 @@ def tally(rows: Iterable[tuple], den: int = 1) -> Tally:
     return Tally(Fraction(total, den), failures, first and (first[0], Fraction(first[1], den)))
 
 
-def scalar_ratio(p: "Poly", q: "Poly"):
-    """The unique Scalar m with p = q * m, or None if no exact ratio exists.
+def proportion(rows: Iterable[tuple]) -> Tuple[Optional[Scalar], Tally]:
+    """The Scalar c with x = c y on every (index, x, y) row, x and y Polys
+    over one varset or Scalars, every divisor y free of nu: returns c, or
+    None when some row fails, and the Tally of |x - c y| over the rows.
 
-    For q = 0 the ratio exists (conventionally 0) only when p = 0.
-    """
-    if q.is_zero():
-        return Scalar.zero() if p.is_zero() else None
-    mono = next(iter(q.terms))[:-1]
-    try:
-        m = p.coeff(mono).div_exact(q.coeff(mono))
-    except NotDivisible:
-        return None
-    return m if (p - q * m).is_zero() else None
+    Rows with x and y both zero are dropped.  c is read at the first term
+    of the first nonzero y, as x's coefficients there over y's rational, so
+    no Laurent division is needed; c = 0 when every y is zero.  Raises
+    ValueError if that y depends on nu."""
+    rows = [r for r in rows if r[1].terms or r[2].terms]
+    c, lifted = Scalar.zero(), {}
+    ref = next(((x, y) for _, x, y in rows if y.terms), None)
+    if ref:
+        x, y = ref
+        if any(e[-1] for e in y.terms):
+            raise ValueError(f"the divisor {y} depends on nu")
+        e, b = next(iter(y.terms.items()))
+        at_e = {k[-1:]: v for k, v in x.terms.items() if k[:-1] == e[:-1]}
+        c = Scalar._reduced(NO_VARS, at_e, x.den).scale(Fraction(y.den, b))
+        lifted = {(0,) * len(y.vs) + k: v for k, v in c.terms.items()}
+    L = lcm(*(x.den for _, x, _ in rows), *(c.den * y.den for _, _, y in rows))
+
+    def residuals():
+        for i, x, y in rows:
+            acc = mul_add(dict(x.over(L)), y.terms, lifted, -(L // (c.den * y.den)))
+            yield i, sum(map(abs, acc.values()))
+
+    t = tally(residuals(), L)
+    return (None if t.failures else c), t

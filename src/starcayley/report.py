@@ -289,9 +289,11 @@ def run_theorem_suite(ctx: InstanceContext) -> dict:
     _put_witness(out, "tube_field_witness", field, "i")
     kappa_h, kres = ctx.srep.measure_kappa_h()
     out["kappa_h"] = str(kappa_h) if kappa_h is not None else f"none (residual {kres})"
+    m_star = None
     try:
         eq = hds_mod.solve_equivalence(g, ctx.rho, ctx.series)
-        cmpr = hds_mod.compare_with_closed_form(g, eq.m_star)
+        m_star = eq.m_star
+        cmpr = hds_mod.compare_with_closed_form(g, m_star)
         out["alpha"] = eq.alpha
         out["m_star"] = str(eq.m_star)
         out["m_closed_form"] = str(cmpr.m_closed)
@@ -302,7 +304,7 @@ def run_theorem_suite(ctx: InstanceContext) -> dict:
         out["match"] = "failed"
         out["error"] = str(exc)
         solved = False
-    nu0, vanish = hds_mod.special_nu_value(g)
+    nu0, vanish = hds_mod.special_nu_value(g, m_star)
     out["nu0"] = str(nu0)
     out["numerator_vanishes_at_nu0"] = vanish
     if solved:

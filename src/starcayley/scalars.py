@@ -12,6 +12,6 @@ No step of the verifier introduces the imaginary unit: the Fourier step
 works in a variable rotated by i (see ``weyl.fourier_conjugate``).
 """
 
-from .poly import NotDivisible, Scalar, rational_to_str
+from .poly import Scalar, rational_to_str
 
-__all__ = ["NotDivisible", "Scalar", "rational_to_str"]
+__all__ = ["Scalar", "rational_to_str"]

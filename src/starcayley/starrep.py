@@ -37,7 +37,7 @@ from . import linalg
 from .chart import SymplecticChart
 from .kkt import GradedLieAlgebra
 from .poly import (
-    Poly, Tally, VarSet, abs_numerator, diff_terms, lincomb, mul_add, scalar_ratio, tally,
+    Poly, Tally, VarSet, abs_numerator, diff_terms, lincomb, proportion, tally,
 )
 from .scalars import Scalar
 from .weyl import (
@@ -135,25 +135,20 @@ class StarRepresentation:
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,
-        read from the first nonzero entry of D(l_A); each entry's residual is
-        formed on numerators over h.den kappa.den l.den and divided once."""
-        kappa, res = None, Fraction(0)
-        for h_coords, lp in self._basis_parts:
-            h = self.g.t_from_coords(h_coords)
-            for r, p in enumerate(lp):
-                for c, hc in enumerate(h[r]):
-                    d = diff_terms(p.terms, c)
-                    if kappa is None and d:
-                        kappa = scalar_ratio(hc, Poly._reduced(self.zvs, d, p.den))
-                        if kappa is None:
-                            return None, Fraction(1)
-                        k = Poly.const(self.zvs, kappa)
-                    if kappa is not None:
-                        acc = {e: v * k.den * p.den for e, v in hc.terms.items()}
-                        num = sum(map(abs, mul_add(acc, d, k.terms, -hc.den).values()))
-                        if num:
-                            res += Fraction(num, hc.den * k.den * p.den)
-        return (kappa, res) if res == 0 else (None, res)
+        read by ``poly.proportion`` from the rows (A, r, c) of the entries
+        (h_A)_rc and d l_A^r / dz^c; returns (kappa or None, residual)."""
+
+        def rows():
+            for i, (h_coords, lp) in enumerate(self._basis_parts):
+                h = self.g.t_from_coords(h_coords)
+                for r, p in enumerate(lp):
+                    for c, hc in enumerate(h[r]):
+                        d = diff_terms(p.terms, c)
+                        if d or hc.terms:
+                            yield (i, r, c), hc, Poly._reduced(self.zvs, d, p.den)
+
+        kappa, t = proportion(rows())
+        return kappa, t.residual
 
 
 def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tally]:

@@ -27,6 +27,12 @@ def dense(a: list) -> list:
     return [[Fraction(row.get(c, 0)) for c in range(len(a))] for row in a]
 
 
+def poly_abs(p: Poly) -> Fraction:
+    """Sum of |c| over all (monomial, nu-power) coefficients c of p; zero
+    iff p is zero."""
+    return Fraction(sum(map(abs, p.terms.values())), p.den)
+
+
 def degree_in(p: Poly, name: str) -> int:
     """Highest exponent of one variable in p."""
     i = p.vs.index(name)

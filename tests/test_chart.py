@@ -4,10 +4,10 @@ import pytest
 
 from starcayley import jordan, kkt
 from starcayley.chart import SymplecticChart
-from starcayley.poly import Poly, poly_abs
+from starcayley.poly import Poly
 from starcayley.report import InstanceContext, RunConfig, run_chart_suite
 
-from conftest import degree_in
+from conftest import degree_in, poly_abs
 
 
 def poly_chain_hamiltonicity(ch):

@@ -5,6 +5,7 @@ The constructors reject anything but int and Fraction, every ring
 operation returns that form, and the artifacts the verifier builds hold
 nothing else."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starcayley.hds import NoEquivalence, solve_equivalence
 from starcayley.poly import Poly, varset
 from starcayley.report import BUILTIN_SELECTORS, _random_poly
 from starcayley.scalars import Scalar
@@ -155,7 +157,7 @@ def sym3(instance_cache):
     return ch, instance_cache("srep", "sym:3"), instance_cache("rho", "sym:3"), dpi, samples
 
 
-def test_check_kernels_use_no_fraction_arithmetic(sym3, fraction_arithmetic_forbidden):
+def test_check_kernels_use_no_fraction_arithmetic(sym3, instance_cache, fraction_arithmetic_forbidden):
     ch, srep, rho, dpi, samples = sym3
     g = ch.g
     assert bracket_sign(g, rho) == (-1, (0, 0, None))
@@ -165,6 +167,21 @@ def test_check_kernels_use_no_fraction_arithmetic(sym3, fraction_arithmetic_forb
     assert verify_property_B(ch, samples) == (0, 0, None)
     assert max(op.order() for op in ch.left_stars) == 3
     assert verify_star_transform(ch, srep, rho) == (True, (0, 0, None))
+    # the measured constants kappa_h and m*, on the passing instance and
+    # with h of a g(0) element, and then rho(e_1), perturbed
+    assert srep.measure_kappa_h() == (1, 0)
+    parts = list(srep._basis_parts)
+    h, lp = parts[7]
+    parts[7] = ([h[0] + Poly.const(srep.zvs, 1), *h[1:]], lp)
+    bad = copy.copy(srep)
+    bad._basis_parts = parts
+    assert bad.measure_kappa_h() == (None, 2)
+    ds = instance_cache("series", "sym:3")
+    eq = solve_equivalence(g, rho, ds)
+    assert (eq.alpha, str(eq.m_star), eq.residual) == ("-id", "1 + 2*nu^-1", 0)
+    rho = [rho[0], rho[1] + WeylOperator.identity(srep.zvs), *rho[2:]]
+    with pytest.raises(NoEquivalence, match=r"best: -id, residual 1\)"):
+        solve_equivalence(g, rho, ds)
 
 
 def chain_random_poly(rng, ch, max_deg=3):

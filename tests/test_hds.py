@@ -14,7 +14,7 @@ from starcayley.hds import (
     verify_dpi_homomorphism,
 )
 from starcayley.linalg import trace
-from starcayley.poly import Poly
+from starcayley.poly import Poly, proportion
 from starcayley.report import InstanceContext, RunConfig, run, run_theorem_suite
 from starcayley.scalars import Scalar
 from starcayley.starrep import StarRepresentation
@@ -177,13 +177,16 @@ class TestEquivalence:
         v_elt = linalg.identity(g.dim)[2]
         m_from_v = srep.tau_scalar(v_elt)
         s_v = trace_d_field(ds, v_elt)
-        from starcayley.poly import scalar_ratio
-
-        assert scalar_ratio(m_from_E, s_E) == scalar_ratio(m_from_v, s_v)
+        m, t = proportion([(0, m_from_E, s_E)])
+        assert t == (0, 0, None)
+        assert proportion([(0, m_from_v, s_v)]) == (m, (0, 0, None))
+        assert proportion([(0, m_from_E, s_E), (2, m_from_v, s_v)]) == (m, (0, 0, None))
 
     def test_perturbed_scalar_part_fails(self, instance_cache, monkeypatch):
         # no candidate matches, so all four are tried, the two theta ones
-        # through combinations of dpi_basis; -id misses only at e_1
+        # through combinations of dpi_basis; -id misses only at e_1, where
+        # m* is read, with s_1 = 1: m* is 1 too large, and e_2, with
+        # s_2 = 2 z1, is left with the l1 residual |(m* - (m* + 1)) 2 z1| = 2
         g = instance_cache("lie", "rank1")
         rho = list(instance_cache("rho", "rank1"))
         srep = instance_cache("srep", "rank1")
@@ -192,8 +195,8 @@ class TestEquivalence:
         count_candidates(monkeypatch, counts)
         with pytest.raises(NoEquivalence) as exc:
             solve_equivalence(g, rho)
-        assert str(exc.value) == "no candidate automorphism matches (best: -id, residual 1)"
-        assert exc.value.residual == 1
+        assert str(exc.value) == "no candidate automorphism matches (best: -id, residual 2)"
+        assert exc.value.residual == 2
         assert counts["candidates"] == 4
 
 
@@ -217,12 +220,42 @@ def test_best_candidate_comes_from_full_residuals(instance_cache, monkeypatch):
 @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2", "sym:3"])
 def test_special_nu_substitution(selector, instance_cache):
     g = instance_cache("lie", selector)
-    nu0, vanishes = special_nu_value(g)
+    rho, ds = instance_cache("rho", selector), instance_cache("series", selector)
+    nu0, vanishes = special_nu_value(g, solve_equivalence(g, rho, ds).m_star)
     assert vanishes
     assert nu0 == Fraction(-2 * g.mu)  # beta(o,o) = 2 n mu^2, c = mu
     # the closed-form weight numerator therefore kills m at nu0
     m = closed_form_weight(g)
     assert m.eval_nu(nu0) == 0
+
+
+@pytest.mark.parametrize(
+    "selector, m_star",
+    [("rank1", "3/2 + 1*nu^-1"), ("spin:3", "7/4 + 3/2*nu^-1"), ("sym:2", "7/4 + 3/2*nu^-1")],
+)
+def test_shifted_weight_does_not_vanish_at_nu0(selector, m_star):
+    # rho(e_i) less the multiplier s_i of dpi_1(e_i) is dpi_{m*+1}(-e_i), as
+    # dpi_1(-e_i) has the multiplier -s_i: the solver measures m* + 1, which
+    # is not 0 at nu0, where the numerator of the closed form is
+    ctx = InstanceContext(RunConfig(algebra=selector))
+    ctx._cache["rho"] = [r - weight_parts(d)[1] for r, d in zip(ctx.rho, ctx.series.dpi_basis())]
+    out = run_theorem_suite(ctx)
+    assert out["m_star"] == m_star == str(closed_form_weight(ctx.lie) + 1)
+    assert (out["alpha"], out["match"], out["factor"]) == ("-id", "failed", None)
+    assert out["numerator_vanishes_at_nu0"] is False and not out["passed"]
+
+
+def test_closed_form_factor_is_rational(instance_cache):
+    # the factor is read at the top nu-power of m_closed and checked on
+    # every power; a nu-dependent ratio is no factor
+    g = instance_cache("lie", "sym:2")
+    m = closed_form_weight(g)
+    assert compare_with_closed_form(g, m).factor == 1
+    cmp = compare_with_closed_form(g, m * Fraction(-2, 3))
+    assert (cmp.match, cmp.factor) == ("proportional", Fraction(-2, 3))
+    for bad in (m * Scalar.nu(1), m + Scalar.nu(-2), Scalar.zero() + 1):
+        cmp = compare_with_closed_form(g, bad)
+        assert (cmp.match, cmp.factor) == ("failed", None)
 
 
 def test_theorem_suite_builds_each_dpi_once(monkeypatch):

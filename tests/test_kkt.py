@@ -5,7 +5,7 @@ import pytest
 from conftest import dense
 
 from starcayley import jordan, kkt, linalg
-from starcayley.report import BUILTIN_SELECTORS
+from starcayley.report import BUILTIN_SELECTORS, SUITE_RUNNERS, InstanceContext, RunConfig
 
 
 @pytest.mark.parametrize(
@@ -213,14 +213,14 @@ class TestKillingForm:
 
     def test_rank_one_closed_form_is_exact(self, instance_cache):
         g = instance_cache("lie", "rank1")
-        kappa, res = kkt.measure_kappa(g)
-        assert kappa == 1 and res == 0
+        kappa, res, detail = kkt.measure_kappa(g)
+        assert kappa == 1 and res == 0 and detail == "kappa = 1"
 
     @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
     def test_kappa_is_a_fraction(self, selector, instance_cache):
         # K and the closed form hold ints, and int / int would be a float
         g = instance_cache("lie", selector)
-        kappa, res = kkt.measure_kappa(g)
+        kappa, res, _ = kkt.measure_kappa(g)
         assert type(kappa) is Fraction and kappa == 1
         assert type(res) is Fraction and res == 0
 
@@ -269,6 +269,21 @@ def test_lie_checks_never_reach_the_model(model_forbidden):
     assert kkt.verify_killing_invariance(g).residual == 708
     with pytest.raises(kkt.GradingClosureFailure):
         kkt.closed_form_killing(g)
+
+
+@pytest.mark.parametrize("make, residual", [(_perturbed_spin2, 656), (_perturbed_sym2, 300)])
+def test_lie_suite_reports_a_closure_failure(make, residual):
+    # the boxes miss a matrix of the closure, so there is no closed form:
+    # K is measured against zero, with the residual sum |K_ij|, and the
+    # suite reports it beside the failures it measured before
+    ctx = InstanceContext(RunConfig())
+    ctx._cache["algebra"] = make()
+    out = SUITE_RUNNERS["lie"](ctx)
+    assert sum(abs(x) for row in ctx.lie.killing for x in row) == residual
+    reason = "g(0) is not spanned by the box operators"
+    assert out["killing-closed-form"] == f"FAIL residual {residual} ({reason})"
+    assert out["kappa_g"] == "not proportional" and not out["passed"]
+    assert out["jacobi"].startswith("FAIL") and out["killing-invariance"].startswith("FAIL")
 
 
 def test_wrong_sharp_fails_the_lie_suite(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcayley.poly import (
-    Poly, Tally, UnknownVariable, VarSet, lincomb, ratio, scalar_ratio, tally, varset,
+    Poly, Tally, UnknownVariable, VarSet, lincomb, proportion, ratio, tally, varset,
 )
 from starcayley.scalars import Scalar
 
@@ -144,20 +144,64 @@ class TestScalarOperand:
 
 
 class TestScalarRatio:
+    """``proportion``: the Scalar c with x = c y on every row, and the Tally
+    of |x - c y|."""
+
     def test_exact_ratio(self):
-        x = Poly.var(VS, "x")
-        p = x * Scalar.nu(1, Fraction(3, 2))
-        assert scalar_ratio(p, x) == Scalar.nu(1, Fraction(3, 2))
+        x, y = Poly.var(VS, "x"), Poly.var(VS, "y")
+        m = Scalar.nu(1, Fraction(3, 2)) + Scalar.nu(-1, 2)
+        assert proportion([(0, x * m, x)]) == (m, (0, 0, None))
+        rows = [(0, (x * y + y) * m, x * y + y), (1, Poly.zero(VS), Poly.zero(VS)), (2, x * m, x)]
+        assert proportion(rows) == (m, (0, 0, None))
+        assert proportion([(0, Scalar.of(3), Scalar.of(-2))]) == (Fraction(-3, 2), (0, 0, None))
 
     def test_no_ratio(self):
+        # c is read at x, the first term of the divisor, so the rest of the
+        # row is its residual: c = 0 in the first case, 1 in the second
         x, y = Poly.var(VS, "x"), Poly.var(VS, "y")
-        assert scalar_ratio(x, y) is None
-        assert scalar_ratio(x + y, x) is None
+        assert proportion([(0, x, y)]) == (None, (1, 1, (0, 1)))
+        assert proportion([(0, x + y, x)]) == (None, (1, 1, (0, 1)))
 
     def test_zero_cases(self):
+        # rows with x and y both zero are dropped; with no nonzero divisor
+        # c is 0 and the residual is that of x against 0
+        x, zero = Poly.var(VS, "x") * Fraction(2, 3), Poly.zero(VS)
+        assert proportion([]) == (0, (0, 0, None))
+        assert proportion([(0, zero, zero)]) == (0, (0, 0, None))
+        assert proportion([(0, zero, x)]) == (0, (0, 0, None))
+        two_thirds = Fraction(2, 3)
+        want = (None, (two_thirds, 1, (1, two_thirds)))
+        assert proportion([(0, zero, zero), (1, x, zero)]) == want
+
+    def test_nu_dependent_divisor_raises(self):
         x = Poly.var(VS, "x")
-        assert scalar_ratio(Poly.zero(VS), x) == Scalar.zero()
-        assert scalar_ratio(x, Poly.zero(VS)) is None
+        with pytest.raises(ValueError, match="depends on nu"):
+            proportion([(0, Poly.zero(VS), Poly.zero(VS)), (1, x, x + x * Scalar.nu(1))])
+        with pytest.raises(ValueError, match="depends on nu"):
+            proportion([(0, Scalar.one(), Scalar.nu(-1))])
+
+    def test_first_failing_row_and_its_l1_residual(self, fraction_arithmetic_forbidden):
+        # c = 2, read at row 0; rows 2 and 4 miss by 1/3 and 1/2, summed
+        # over one denominator, 6, with no Fraction arithmetic
+        one, x, y = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+        rows = [
+            (0, Poly(VS, {x: 2}), Poly(VS, {x: 1})),
+            (1, Poly(VS, {y: 4, x: 6}), Poly(VS, {y: 2, x: 3})),
+            (2, Poly(VS, {y: 2, one: Fraction(1, 3)}), Poly(VS, {y: 1})),
+            (3, Poly(VS, {}), Poly(VS, {})),
+            (4, Poly(VS, {x: Fraction(5, 2)}), Poly(VS, {x: 1})),
+        ]
+        c, t = proportion(iter(rows))
+        assert c is None
+        assert t == Tally(Fraction(5, 6), 2, (2, Fraction(1, 3)))
+        assert t.witness("i") == "first failing i = 2, residual 1/3"
+
+    @given(scalars, st.lists(polys(), max_size=4))
+    @settings(max_examples=50)
+    def test_multiples_of_the_divisors_give_the_factor(self, c, ys):
+        rows = [(i, y * c, y) for i, y in enumerate(ys)]
+        want = c if any(not y.is_zero() for y in ys) else 0
+        assert proportion(rows) == (want, (0, 0, None))
 
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from starcayley.scalars import NotDivisible, Scalar, rational_to_str
+from starcayley.scalars import Scalar, rational_to_str
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,18 +36,6 @@ class TestScalarRing:
     @given(scalars())
     def test_additive_inverse(self, a):
         assert (a - a).is_zero()
-
-    @given(scalars(), scalars())
-    def test_div_exact_roundtrip(self, a, b):
-        if b.is_zero():
-            return
-        assert (a * b).div_exact(b) == a
-
-    def test_div_not_exact(self):
-        # nu does not divide 1 in the polynomial sense unless Laurent shifts
-        # line up; (nu + 1) does not divide nu^2 evenly
-        with pytest.raises(NotDivisible):
-            (Scalar.nu(2) + Scalar.one()).div_exact(Scalar.nu(1) + Scalar.one())
 
     @given(scalars(), scalars())
     def test_eval_nu_is_homomorphism(self, a, b):

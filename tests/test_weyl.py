@@ -10,10 +10,11 @@ from conftest import (
     contraction_b3,
     contraction_covariance,
     multiset_left_star_operator,
+    poly_abs,
     term_pair_apply,
     two_conjugations,
 )
-from starcayley.poly import Poly, VarSet, poly_abs, varset
+from starcayley.poly import Poly, VarSet, varset
 from starcayley.report import BUILTIN_SELECTORS, _random_poly
 from starcayley.scalars import Scalar
 from starcayley.weyl import (
