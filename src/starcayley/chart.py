@@ -5,12 +5,10 @@ L_a of g(-1) and its omega-dual L'_a in g(1).  The chart is
 
     phi(l, m) = exp(ad(sum l^a L_a)) exp(ad(sum m^a L'_a)) . o
 
-which terminates because both ad's are nilpotent on the graded algebra.
-The chart is computed on coordinate vectors with Poly entries through the
-structure constants of g, and the moment maps are the coordinate functions
-lambda_A = beta(phi, A) = sum_j phi_j K_jA with K the Killing Gram matrix; the
-Poisson bracket is the canonical one in these coordinates, and the key
-structural fact is lambda_[A,B] = {lambda_A, lambda_B}.
+which terminates because both ad's are nilpotent on the graded algebra,
+computed on coordinate vectors with Poly entries.  The moment maps are
+lambda_A = beta(phi, A) = sum_j phi_j K_jA, K the Killing Gram matrix; the
+Poisson bracket is the canonical one, and lambda_[A,B] = {lambda_A, lambda_B}.
 """
 
 from __future__ import annotations
@@ -94,23 +92,21 @@ class SymplecticChart:
     # -- verification -----------------------------------------------------
     def hamiltonicity_residual(self) -> Tally:
         """|lambda_[bi,bj] - {lambda_i, lambda_j}| tallied over the basis
-        pairs i < j, in that order.  The gradient of each moment map is
-        taken once, and each difference is accumulated into one term dict:
-        the moment maps along the bracket coordinates, minus the Poisson
-        bracket sum_a d_la lambda_i d_ma lambda_j - d_ma lambda_i d_la lambda_j.
-        The moment maps are brought to one denominator L, so with the table's
-        D every difference is integer numerators over D L^2, divided once."""
-        g, n = self.g, self.g.n
+        pairs i < j, in that order.  The moment maps are brought to one
+        denominator L and their gradients taken once; each difference is
+        accumulated into one term dict of integer numerators over D L^2, D
+        the table's denominator."""
+        g, n, one = self.g, self.g.n, self.vs.one
         L = lcm(*(lam.den for lam in self.moment))
         moment = [lam.over(L) for lam in self.moment]
-        grads = [[diff_terms(t, v) for v in range(2 * n)] for t in moment]
+        grads = [[diff_terms(t, self.vs, v) for v in range(2 * n)] for t in moment]
 
         def rows():
             for i, j in itertools.combinations(range(g.dim), 2):
                 acc = lincomb((c * L, moment[k]) for k, c in g.bracket_numerators(i, j).items())
                 for a in range(n):
-                    mul_add(acc, grads[i][a], grads[j][n + a], -g.denom)
-                    mul_add(acc, grads[i][n + a], grads[j][a], g.denom)
+                    mul_add(acc, grads[i][a], grads[j][n + a], one, -g.denom)
+                    mul_add(acc, grads[i][n + a], grads[j][a], one, g.denom)
                 yield (i, j), sum(map(abs, acc.values()))
 
         return tally(rows(), g.denom * L * L)

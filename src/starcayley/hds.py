@@ -7,18 +7,16 @@ operator is first order,
 
     dpi_m(X) = m s_X + V_X,   s_X = -(r/n) Tr DX(z),   V_X = -sum_a X(z)^a d/dz^a,
 
-with m kept formal.  The bracket of first-order operators is linear in
-their multipliers and never multiplies two of them:
-[dpi_m X, dpi_m Y] = m (V_X s_Y - V_Y s_X) + [V_X, V_Y].  So
-[dpi_m X, dpi_m Y] = sigma dpi_m([X,Y]) holds for every m exactly when it holds
-for dpi_1 = s_X + V_X with the multiplier and the vector field compared
-separately, which is how ``starrep.bracket_sign`` compares them.  Each
-operator is therefore stored as dpi_1, whose multiplier is the coefficient
-of m.  The solver searches an intertwining automorphism alpha in
-{+id, -id, +theta, -theta} matching the star representation against dpi,
-reads the weight m* with ``poly.proportion``, and compares it with the
-closed-form value (beta(o,o) + n nu c) / (2 nu r c).  That value follows
-from the grading element E = (0, Id, 0): h_E = Id, l_E(z) = z,
+with m kept formal.  The bracket of first-order operators never
+multiplies two multipliers: [dpi_m X, dpi_m Y] = m (V_X s_Y - V_Y s_X) +
+[V_X, V_Y].  So [dpi_m X, dpi_m Y] = sigma dpi_m([X,Y]) holds for every m
+exactly when it holds for dpi_1 = s_X + V_X with the multiplier and the
+vector field compared separately, as ``starrep.bracket_sign`` does; each
+operator is stored as dpi_1.  The solver searches an intertwining
+automorphism alpha in {+id, -id, +theta, -theta} matching the star
+representation against dpi, reads the weight m* and compares it with the
+closed-form value (beta(o,o) + n nu c) / (2 nu r c), which follows from
+the grading element E = (0, Id, 0): h_E = Id, l_E(z) = z,
 beta(E, o) = beta(o,o)/mu and spur(E) = n give
 rho(E) = (beta(o,o)/mu + n nu)/(2 nu) + sum z^a d_a, while
 dpi_m(-E) = m r + sum z^a d_a; the solver finds alpha = -id.  The value is
@@ -123,10 +121,9 @@ def solve_equivalence(
     For each candidate alpha, ``poly.proportion`` reads m* and the l1
     residual from rows per basis element A: each component of the difference
     of the vector fields, with divisor 0, then the multipliers (tau_A, s_A)
-    of rho(A) and dpi_1(alpha A).  Raises NoEquivalence if no candidate
-    matches.  dpi is linear, so dpi(alpha e), e an int unit vector, is
-    sum_k alpha(e)_k dpi(e_k), one integer accumulation over the numerators
-    of ``ds.dpi_basis()``, brought to one denominator L.
+    of rho(A) and dpi_1(alpha A), dpi(alpha e) = sum_k alpha(e)_k dpi(e_k)
+    summed on the numerators of ``ds.dpi_basis()``.  Raises NoEquivalence
+    if no candidate matches.
 
     A candidate stops at its first basis element whose vector fields
     differ.  Only when no candidate matches are the stopped ones finished,

@@ -3,11 +3,9 @@
 Built-in instances (rank one, spin factors, real symmetric matrices), a
 generic loader, symbolic validation of the axioms, and the standard
 operators: left multiplication L, trace form tau, box operator (the
-matrix of the triple product), quadratic representation.
-
-Element coordinates are generic: they may be Fractions or Polys;
-everything here only uses +, -, * and scaling by rational structure
-constants, so the same code runs numerically and symbolically.
+matrix of the triple product), quadratic representation.  Element
+coordinates may be Fractions or Polys, so the same code runs numerically
+and symbolically.
 """
 
 from __future__ import annotations

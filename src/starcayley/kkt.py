@@ -13,42 +13,24 @@ theta(u,T,v) = (v, -T#, u); the grading element is E = (0, Id, 0) and the
 base point is o = mu * E.
 
 The sparse table of structure constants c_ij^k is written block by block
-from this formula (``GradedLieAlgebra._block_table``): every basis element
-lies in one grading block, so each pair needs one of four block formulas,
-and the g(0) pieces come from the pass that closes the span of the boxes.
-That pass runs on sparse matrices (``linalg.Sparse``): L(e_c) is formed
-once per basis vector, each box as
-
-    e_a box e_b = sum_c s_ab^c L(e_c) + L(e_a) L(e_b) - L(e_b) L(e_a)
-
-from the n^2 products L(e_a) L(e_b), and the sharps T# = G^-1 T^T G and
-the commutators of the closure as sparse products, with G the tau Gram
-matrix sum_c s_ab^c Tr L(e_c).  One ``linalg.Echelon`` reduces the
-flattened matrices in the order of the dense elimination, so the basis
-T_j of g(0), kept sparse, and every coordinate are those of a dense build.
-The build keeps the coordinates of each box and of each T_i#, and which
-box it appended as each T_j; Theta, the identifications and the closed
-Killing form read them, so every g(0) fact has one source.  The (u, T, v)
-model, with rational entries, is the construction's model: it is the
-independent oracle that the table and Theta are tested against, and the
-benchmark tracer names its bracket, but no report path runs on it.
-Outside this module an element of g is its coordinate vector in the
-basis (g(-1), T_j, g(1)): E, o and the symplectic basis are held as
-such vectors, ``coord_bracket`` brackets them, with rational or Poly
-entries, through the table, and beta pairs them through the Killing Gram
-matrix K = tr(ad_i ad_j), which is computed from the table like the spur
-vector.
+from this formula (``GradedLieAlgebra._block_table``), the g(0) pieces
+from one pass on sparse matrices that closes the span of the boxes
+e_a box e_b = sum_c s_ab^c L(e_c) + [L(e_a), L(e_b)] under T# = G^-1 T^T G,
+G the tau Gram matrix, and commutators.  One ``linalg.Echelon`` reduces
+them in the order of the dense elimination, and the build keeps the
+coordinates of each box and of each T_i#, so every g(0) fact has one
+source.  The (u, T, v) model is the independent oracle that the table and
+Theta are tested against; no report path runs on it.  Outside this module
+an element of g is its coordinate vector in the basis (g(-1), T_j, g(1)),
+bracketed through the table (``coord_bracket``) and paired through the
+Killing Gram matrix K = tr(ad_i ad_j).
 
 The table is stored once, as integer numerators D c_ij^k over one common
-denominator D, the lcm of the denominators of the constants (D = 2 on
-sym:p, D = 1 on the spin factors); this is the layout of FLINT's
-fmpq_mat.  Theta is held the same way over its own denominator D_theta.
-K, the spur vector, E and o hold an int wherever the value is integral,
-as ``poly.exact`` does.  The checks of the lie suite sum these integers
-with ``poly.lincomb`` and divide each residual once, at the end, by its
-power of D and D_theta.  Fractions are formed only there, in the views
-``bracket_coords``, ``bracket_table``, ``coord_bracket`` and
-``apply_theta``, and where a check compares with Jordan data.
+denominator D (D = 2 on sym:p, D = 1 on the spin factors), the layout of
+FLINT's fmpq_mat, and Theta the same way over D_theta.  The lie checks
+sum these integers and divide each residual once, at the end; Fractions
+are formed only there, in the views ``bracket_coords``, ``bracket_table``,
+``coord_bracket`` and ``apply_theta``, and against Jordan data.
 """
 
 from __future__ import annotations
@@ -62,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .jordan import JordanAlgebra
-from .poly import Poly, Scalar, bilinear, exact, lincomb, proportion, ratio, tally
+from .poly import NO_VARS, Poly, Scalar, bilinear, exact, lincomb, proportion, ratio, tally
 
 
 class GradingClosureFailure(ValueError):
@@ -154,11 +136,7 @@ class GradedLieAlgebra:
         self._box_coords = [absorb(m) for m in self._boxes]
         # T_j for j below the size here is the first box with coordinates {j: 1}
         self._t_boxes = [self._box_coords.index({j: 1}) for j in range(len(basis))]
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > n * n + 1:
-                raise GradingClosureFailure("degree-zero span does not stabilize")
+        for _ in range(n * n + 1):
             size = len(basis)
             sharps = [sharp(m) for m in basis]
             self._sharp_coords = [absorb(m) for m in sharps]
@@ -168,6 +146,8 @@ class GradedLieAlgebra:
                     comm[(i, j)] = absorb(linalg.sparse_commutator(basis[i], basis[j]))
             if len(basis) == size:
                 break
+        else:
+            raise GradingClosureFailure("degree-zero span does not stabilize")
 
         self._t_flat = [linalg.flat(m) for m in basis]
         d0 = self.dim0 = len(basis)
@@ -450,12 +430,10 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
     """theta is an automorphism of the bracket: with Theta the coordinates
     of theta(e_i) from ``theta_table``, Theta [e_i, e_j] = [Theta e_i,
     Theta e_j] is checked through the structure constants, both sides on
-    integer numerators over D D_theta^2.  Theta^2 = 1 is not checked: the
-    g(+-1) rows are the swap e_a <-> f_a, and on g(0) theta^2 T = T## = T
-    whenever the tau Gram matrix is symmetric, as it is for every
-    commutative table: the built-ins, and any ``file:`` table, which the
-    loader validates.  On failure the detail names the first failing pair
-    (i, j), in the order i, then j > i, and its residual."""
+    integer numerators over D D_theta^2.  Theta^2 = 1 holds whenever the
+    tau Gram matrix is symmetric, as for every table the loader accepts,
+    and is not checked.  On failure the detail names the first failing
+    pair (i, j), in the order i, then j > i, and its residual."""
     theta, dt = g.theta_table
     S = g._structure
 
@@ -482,21 +460,16 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     {e_a, e_b, e_c} = -1/2 [[e_a, theta e_b], e_c].
 
     The brackets are taken on the integer numerators of the table and of
-    Theta, with theta e_b from ``theta_table`` as in ``verify_theta``:
-    [e_a, theta e_b] over D D_theta and the double bracket over
-    D^2 D_theta.  The right-hand sides come from the Jordan algebra: the
-    matrix of e_a box e_b, with the coordinates along the T_j that the
-    build kept for it, and its column c, which is {e_a, e_b, e_c} by the
-    definition of the box.  So the check asks whether the table that every later check uses reproduces
-    the box and the triple product.
+    ``theta_table``; the right-hand sides are the matrix of e_a box e_b,
+    with the coordinates along the T_j that the build kept for it, and its
+    column c, {e_a, e_b, e_c} by the definition of the box.  So the check
+    asks whether the table reproduces the box and the triple product.
 
     It can fail only on a wrong build of the table or of theta, never on a
-    wrong structure-constant input.  theta e_b = f_b, so identity 1 reads
-    -1/2 [e_a, f_b] = e_a box e_b, which is the [e_a, f_b] block formula of
-    ``_block_table`` itself.  By identity 1 and the block [e_a, T] = -T e_a,
-    identity 2 reduces to (x box y) z = {x, y, z}, and with L(x) z = x o z
-    both sides expand to (x o y) o z + x o (y o z) - y o (x o z) for any
-    table, Jordan or not.
+    wrong structure-constant input: theta e_b = f_b, so identity 1 is the
+    [e_a, f_b] block formula of ``_block_table`` itself, and with it and
+    [e_a, T] = -T e_a identity 2 reduces to (x box y) z = {x, y, z}, true
+    for any table, Jordan or not.
 
     Both kinds of row are tallied over 2 D^2 D_theta, the box rows' over
     2 D D_theta times D.  On failure the detail names the first failing
@@ -558,23 +531,26 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
 
     and so on the T_j: when the boxes span g(0), the build appended each T_j
     as a box e_a box e_b, and beta_0(T_i, T_j) = 2 tau(T_i e_a, e_b)
-    = 2 sum_r (T_i)_ra G_rb, read from the sparse entries of T_i.  It
-    follows from invariance, beta([u, v'], T) = beta(u, [v', T]), with
-    [u, v'] = -2 u box v', [v', T] = T# v' and the -4 tau(u, v') block.
-    (The Killing form of gl(V), 2n tr(TT') - 2 tr(T) tr(T'), agrees with it
-    only when g(0) = gl(V).)
+    = 2 sum_r (T_i)_ra G_rb, summed on the integer numerators of T_i and
+    of G.  It follows from invariance, beta([u, v'], T) = beta(u, [v', T]),
+    with [u, v'] = -2 u box v', [v', T] = T# v' and the -4 tau(u, v')
+    block.  (The Killing form of gl(V) agrees only when g(0) = gl(V).)
     """
-    n, d0, G = g.n, g.dim0, g.tau_gram
+    n, d0 = g.n, g.dim0
     if len(g._t_boxes) < d0:
         raise GradingClosureFailure("g(0) is not spanned by the box operators")
+    dg = _common_denominator(x for row in g.tau_gram for x in row)
+    G = [[x.numerator * (dg // x.denominator) for x in row] for row in g.tau_gram]
     out = [[0] * g.dim for _ in range(g.dim)]
     for i, t in enumerate(g._t_flat):
+        dt = _common_denominator(t.values())
+        t = {rc: x.numerator * (dt // x.denominator) for rc, x in t.items()}
         for j, (a, b) in enumerate(divmod(ab, n) for ab in g._t_boxes):
             pair = sum(x * G[rc // n][b] for rc, x in t.items() if rc % n == a)
-            out[n + i][n + j] = exact(2 * pair)
+            out[n + i][n + j] = ratio(2 * pair, dt * dg)
     for a in range(n):
         for b in range(n):
-            out[a][n + d0 + b] = out[n + d0 + b][a] = exact(-4 * G[a][b])
+            out[a][n + d0 + b] = out[n + d0 + b][a] = ratio(-4 * G[a][b], dg)
     return out
 
 
@@ -593,7 +569,7 @@ def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction, st
         for j, (x, y) in enumerate(zip(rk, rc))
         if x or y
     )
-    kappa = None if c is None or why else Fraction(c.terms.get((0,), 0), c.den)
+    kappa = None if c is None or why else Fraction(c.terms.get(NO_VARS.one, 0), c.den)
     detail = why or (f"kappa = {kappa}" if kappa is not None else "no proportionality")
     return kappa, t.residual, detail
 

@@ -1,20 +1,13 @@
 """Small exact linear algebra helpers over Fraction.
 
 Matrices are lists of lists of Fractions (or of any commutative ring
-element for the generic routines).  Eliminations run on n x n matrices,
-n the dimension of the Jordan algebra (at most 6 for a built-in, 27 for
-the Albert algebra loaded from a table), and on the degree-zero span of
-g, whose vectors are flattened n x n matrices; plain Gaussian elimination
-is used throughout.
-
-The g build works on sparse matrices: a list of rows, row r a dict from
-column to nonzero entry, with ints where the entries are integral.  Their
-products and linear combinations are ``poly.lincomb`` sums over the
-nonzero entries, and a square one enters ``Echelon`` as the sparse vector
+element for the generic routines), eliminated by plain Gaussian
+elimination.  The g build works on sparse matrices: a list of rows, row r
+a dict from column to nonzero entry, with ints where integral, combined
+by ``poly.lincomb``; a square one enters ``Echelon`` as the sparse vector
 of its flattened entries, {r n + c: entry}.  ``Echelon`` and ``in_span``
-reduce sparse vectors, dicts from index to nonzero entry, in the order of
-dense Gaussian elimination, so the kept vectors and the coordinates are
-those of the dense elimination.
+reduce sparse vectors in the order of dense Gaussian elimination, so the
+kept vectors and the coordinates are those of the dense elimination.
 """
 
 from __future__ import annotations
@@ -173,12 +166,11 @@ def in_span(vectors: List[dict], targets: List[dict]) -> list:
 class Echelon:
     """A growing list of independent sparse vectors kept in row echelon form.
 
-    Each row is a reduced vector with 1 at its pivot and the combination of
-    the added vectors that it equals, both sparse, so reducing v against
-    the rows in order gives both membership and the coordinates of v.
-    Adding vectors one at a time is one Gaussian elimination: the vectors
-    that ``absorb`` keeps are the pivot columns of the matrix they form, in
-    order, and each pivot is the lowest index of the reduced vector.
+    Each row is a reduced vector with 1 at its pivot, the lowest index,
+    and the combination of the added vectors that it equals, both sparse,
+    so reducing v against the rows in order gives both membership and the
+    coordinates of v; the vectors ``absorb`` keeps are the pivot columns of
+    the matrix they form, in order.
     """
 
     def __init__(self):

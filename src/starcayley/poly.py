@@ -1,39 +1,30 @@
 """Multivariate polynomials over rational Laurent polynomials in nu.
 
-Variables live in an ordered ``VarSet``; the order is authoritative for the
-symplectic pairing used by the operator layer, so it is carried explicitly
-and checked on every binary operation.
-
-The coefficient ring is flat and integral, as in FLINT's fmpq_poly.
-``Poly.terms`` maps each key, the exponents of the variables followed by
-the power of nu, to a nonzero ``int`` numerator over one positive ``int``
+Variables live in an ordered ``VarSet``, checked on every binary
+operation, which also fixes the layout of the packed term keys.  The
+coefficient ring is flat and integral, as in FLINT's fmpq_poly:
+``Poly.terms`` maps each key, one int holding the exponents and the power
+of nu, to a nonzero ``int`` numerator over one positive ``int``
 ``Poly.den``, in canonical form, gcd(den, *numerators) = 1, so ``==`` and
-``hash`` are exact.  A product multiplies the denominators, a sum brings
-both to their lcm, and each result is reduced by one gcd, skipped when
-den = 1.  Fractions are formed only at the edges: a coefficient read out
-(``coeff``, ``rationals``, ``eval_nu``) and display.  nu, a trailing
-exponent that may be negative, is treated like any other exponent.
+``hash`` are exact.  Fractions are formed only at the edges: a
+coefficient read out (``rationals``, ``eval_nu``) and display.
 ``Scalar``, the Laurent polynomial in nu, is the Poly over no variables.
 The term-dict kernels (``mul_add``, ``diff_terms``, ``bilinear``) run on
-numerators; the checks bring their operands to one denominator,
-accumulate with them, and divide once.  Every pairwise check is a pass
-over (index, residual numerator) rows, which ``tally`` sums into a
-``Tally``: the residual, the failure count and the first failing row,
-whose ``witness`` is the report text.  Every measured constant is the c
-of x = c y that ``proportion`` reads from (index, x, y) rows.
+numerators and packed keys.  Every pairwise check is a pass over (index,
+residual numerator) rows that ``tally`` sums into a ``Tally``, and every
+measured constant is the c of x = c y that ``proportion`` reads.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add
+from operator import or_
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
-
-Key = Tuple[int, ...]
-
 
 def rational_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -49,11 +40,32 @@ class UnknownVariable(KeyError):
 
 @dataclass(frozen=True)
 class VarSet:
+    """Ordered variable names, and the layout of the packed term keys.
+
+    A key is one int of fields ``width`` bits wide, lowest first: a Poly
+    key holds the n exponents and the nu-power plus ``nu_offset``; an
+    operator key holds the n derivative exponents and above them a Poly
+    key.  A stored field lies in [0, 2^(width-1)), so a product, the sum of
+    two keys less ``one`` (the key of 1), is exact field by field, and the
+    nu field, on top, at any value; ``invalid`` masks what a stored Poly or
+    operator key must not hold.  A field is 1, 2, 4 or 8 bytes, the widest
+    that keeps a Poly key within 64 bits."""
+
     names: Tuple[str, ...]
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be unique")
+        n = len(self.names)
+        size = max(1, 8 >> n.bit_length())
+        w, code = 8 * size, "<%d" + {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
+        free = [sum(((1 << w - 1) - 1) << w * i for i in range(k)) for k in (n + 1, 2 * n + 1)]
+        for name, value in dict(
+            width=w, code=code, fmt=code % n, nu_shift=w * n,
+            nu_offset=1 << w - 2, one=1 << w - 2 << w * n, mono=(1 << w * n) - 1,
+            invalid=(~free[0], ~free[1]),
+        ).items():
+            object.__setattr__(self, name, value)
 
     def index(self, name: str) -> int:
         try:
@@ -63,6 +75,28 @@ class VarSet:
 
     def __len__(self) -> int:
         return len(self.names)
+
+    def nu(self, key: int) -> int:
+        """The nu-power of a Poly key."""
+        return (key >> self.nu_shift) - self.nu_offset
+
+    def pack(self, fields: Sequence[int]) -> int:
+        """The key of a Poly's fields, exponents and nu-power, or an
+        operator's, derivative exponents first; raises OverflowError, naming
+        the field, outside the range."""
+        stored = (*fields[:-1], fields[-1] + self.nu_offset)
+        top = 1 << self.width - 1
+        if min(stored) < 0 or max(stored) >= top:
+            labels = [f"d_{x}" for x in self.names] * (len(fields) > len(self) + 1)
+            f, x = next((f, x) for f, x, v in zip(fields, labels + [*self.names, "nu"], stored)
+                        if not 0 <= v < top)
+            raise OverflowError(f"{x} = {f} leaves the {self.width}-bit key fields of {self.names}")
+        return int.from_bytes(struct.pack(self.code % len(stored), *stored), "little")
+
+    def exps(self, key: int) -> Tuple[int, ...]:
+        """The n lowest fields of key: a Poly key's exponents, or an
+        operator key's derivative exponents."""
+        return struct.unpack(self.fmt, (key & self.mono).to_bytes(self.nu_shift // 8, "little"))
 
 
 def varset(*names: str) -> VarSet:
@@ -115,14 +149,15 @@ def canonical(terms: dict, den: int) -> Tuple[dict, int]:
     return terms, den
 
 
-def mul_add(acc: dict, t1: dict, t2: dict, factor: int = 1) -> dict:
-    """Add factor t1 t2 into the term dict acc, whose keys add entry by
-    entry; acc may be left with zero values.  Returns acc."""
+def mul_add(acc: dict, t1: dict, t2: dict, one: int, factor: int = 1) -> dict:
+    """Add factor t1 t2 into the term dict acc, for Poly keys whose key of 1
+    is one (``VarSet.one``); acc may be left with zero values.  Returns acc."""
     for e1, c1 in t1.items():
+        e1 -= one
         if factor != 1:
             c1 *= factor
         for e2, c2 in t2.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             if e in acc:
                 acc[e] += c1 * c2
             else:
@@ -130,10 +165,18 @@ def mul_add(acc: dict, t1: dict, t2: dict, factor: int = 1) -> dict:
     return acc
 
 
-def diff_terms(terms: dict, i: int) -> dict:
+def diff_terms(terms: dict, vs: VarSet, i: int) -> dict:
     """The numerators of the derivative in the variable at index i, over the
-    same denominator; lowering one exponent is injective on the terms kept."""
-    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
+    same denominator; lowering one nonzero field is injective on the terms
+    kept."""
+    shift = vs.width * i
+    unit, field = 1 << shift, ((1 << vs.width) - 1) << shift
+    out = {}
+    for e, c in terms.items():
+        x = e & field
+        if x:
+            out[e - unit] = c * (x >> shift)
+    return out
 
 
 def bilinear(table: Mapping, den: int, x: Sequence, y: Sequence, size: int) -> List["Poly"]:
@@ -143,11 +186,10 @@ def bilinear(table: Mapping, den: int, x: Sequence, y: Sequence, size: int) -> L
     vector is brought to one denominator, each x_i y_j formed once, on
     numerators, and each entry divided once."""
     vs = next(c.vs for c in (*x, *y) if isinstance(c, Poly))
-    one = (0,) * (len(vs) + 1)
 
     def numerators(v):
         # a rational c as the constant c.numerator over c.denominator
-        ps = [(i, c if isinstance(c, Poly) else Poly._new(vs, {one: c.numerator}, c.denominator))
+        ps = [(i, c if isinstance(c, Poly) else Poly._new(vs, {vs.one: c.numerator}, c.denominator))
               for i, c in enumerate(v) if (c.terms if isinstance(c, Poly) else c)]
         d = lcm(*(p.den for _, p in ps))
         return [(i, p.over(d)) for i, p in ps], d
@@ -158,7 +200,7 @@ def bilinear(table: Mapping, den: int, x: Sequence, y: Sequence, size: int) -> L
         for j, yj in ys:
             row = table.get((i, j))
             if row:
-                prod = mul_add({}, xi, yj)
+                prod = mul_add({}, xi, yj, vs.one)
                 for k, s in row.items():
                     lincomb(((s, prod),), acc.setdefault(k, {}))
     zero, den = Poly._new(vs, {}), den * dx * dy
@@ -167,18 +209,17 @@ def bilinear(table: Mapping, den: int, x: Sequence, y: Sequence, size: int) -> L
 
 class FlatTerms:
     """The ring structure that Poly and WeylOperator share: a variable set
-    ``vs``, a flat dict ``terms`` from keys carrying the nu-power to nonzero
+    ``vs``, a flat dict ``terms`` from packed keys (``VarSet``) to nonzero
     integer numerators, and their one positive denominator ``den``, in the
-    canonical form of ``canonical``.  No operation changes an instance."""
+    canonical form of ``canonical``.  No operation changes an instance.
+    ``_pack`` and ``_unpack`` convert a key to and from its tuple form."""
 
     __slots__ = ("vs", "terms", "den")
+    _OPERATOR = False
 
     def __init__(self, vs: VarSet, terms: Mapping | None = None):
-        """From {key: int or Fraction} over the lcm of the denominators, a canonical form."""
-        for key in terms or {}:
-            if not self._fits(key, len(vs)):
-                raise ValueError(f"key {key} does not fit {vs.names} and a nu-power")
-        terms = {k: exact(c) for k, c in (terms or {}).items()}
+        """From {tuple key: int or Fraction} over the lcm of the denominators, a canonical form."""
+        terms = {self._pack(vs, k): exact(c) for k, c in (terms or {}).items()}
         d = lcm(*(c.denominator for c in terms.values()))
         self.vs, self.den = vs, d
         self.terms = {k: c.numerator * (d // c.denominator) for k, c in terms.items() if c}
@@ -192,8 +233,14 @@ class FlatTerms:
 
     @classmethod
     def _reduced(cls, vs: VarSet, terms: dict, den: int):
-        """An instance over validated numerators, put in canonical form."""
-        return cls._new(vs, *canonical(terms, den))
+        """An instance over numerators put in canonical form; raises
+        OverflowError when a key kept leaves the range of ``VarSet``.  A sum
+        or a rational multiple, whose keys are stored keys, skips the test."""
+        terms, den = canonical(terms, den)
+        if reduce(or_, terms, 0) & vs.invalid[cls._OPERATOR]:
+            for k in terms:
+                cls._pack(vs, cls._unpack(vs, k))
+        return cls._new(vs, terms, den)
 
     def _check(self, other):
         if self.vs is not other.vs and self.vs != other.vs:
@@ -222,7 +269,7 @@ class FlatTerms:
         out = dict(self.over(den))
         for k, c in other.over(den).items():
             out[k] = out[k] + c if k in out else c
-        return self._reduced(self.vs, out, den)
+        return self._new(self.vs, *canonical(out, den))
 
     def __neg__(self):
         return self._new(self.vs, {k: -c for k, c in self.terms.items()}, self.den)
@@ -234,16 +281,18 @@ class FlatTerms:
         """self times c, a rational or a Scalar."""
         if isinstance(c, Scalar):
             out: dict = {}
-            for (s,), cs in c.terms.items():
+            unit = 1 << self.vs.nu_shift * (1 + self._OPERATOR)
+            for s, cs in c.terms.items():
+                s = NO_VARS.nu(s) * unit
                 for k, v in self.terms.items():
-                    k = self._shift(k, s)
+                    k += s
                     out[k] = out[k] + v * cs if k in out else v * cs
             return self._reduced(self.vs, out, self.den * c.den)
         c = exact(c)
         num, den = c.numerator, c.denominator
         if den == 1 and num in (0, 1):
             return self if num else self._new(self.vs, {})
-        return self._reduced(self.vs, {k: v * num for k, v in self.terms.items()}, self.den * den)
+        return self._new(self.vs, *canonical({k: v * num for k, v in self.terms.items()}, self.den * den))
 
     def __eq__(self, other) -> bool:
         mine, theirs = (self.vs, self.den, self.terms), (other.vs, other.den, other.terms)
@@ -254,18 +303,20 @@ class FlatTerms:
 
 
 class Poly(FlatTerms):
-    """Polynomial in the variables of ``vs`` with flat terms
-    {exponents + (nu-power,): nonzero numerator} over ``den``."""
+    """Polynomial in the variables of ``vs`` with flat terms {packed key of
+    exponents + (nu-power,): nonzero numerator} over ``den``."""
 
     __slots__ = ()
 
     @staticmethod
-    def _fits(e: Key, n: int) -> bool:
-        return len(e) == n + 1
+    def _pack(vs: VarSet, e: Tuple[int, ...]) -> int:
+        if len(e) != len(vs) + 1:
+            raise ValueError(f"key {e} does not fit {vs.names} and a nu-power")
+        return vs.pack(e)
 
     @staticmethod
-    def _shift(e: Key, k: int) -> Key:
-        return e[:-1] + (e[-1] + k,)
+    def _unpack(vs: VarSet, key: int) -> Tuple[int, ...]:
+        return (*vs.exps(key), vs.nu(key))
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -275,30 +326,23 @@ class Poly(FlatTerms):
     @staticmethod
     def const(vs: VarSet, c) -> "Poly":
         """The constant c, a rational or a Scalar."""
-        return Poly._new(vs, {(0,) * (len(vs) + 1): 1}).scale(c)
+        return Poly._new(vs, {vs.one: 1}).scale(c)
 
     @staticmethod
     def var(vs: VarSet, name: str) -> "Poly":
-        e = [0] * (len(vs) + 1)
-        e[vs.index(name)] = 1
-        return Poly._new(vs, {tuple(e): 1})
+        return Poly._new(vs, {vs.one + (1 << vs.width * vs.index(name)): 1})
 
     # -- accessors --------------------------------------------------------------
     def total_degree(self) -> int:
-        return max((sum(e) - e[-1] for e in self.terms), default=0)
-
-    def coeff(self, mono: Key) -> Scalar:
-        """The coefficient of the monomial with exponents ``mono``, as a Scalar."""
-        return Scalar._reduced(
-            NO_VARS, {e[-1:]: c for e, c in self.terms.items() if e[:-1] == mono}, self.den
-        )
+        return max(map(sum, map(self.vs.exps, self.terms)), default=0)
 
     # -- ring ops -----------------------------------------------------------
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly) or isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        return self._reduced(self.vs, mul_add({}, self.terms, other.terms), self.den * other.den)
+        prod = mul_add({}, self.terms, other.terms, self.vs.one)
+        return self._reduced(self.vs, prod, self.den * other.den)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -318,14 +362,14 @@ class Poly(FlatTerms):
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        r = self._new(self.vs, {(0,) * (len(self.vs) + 1): 1})
+        r = self._new(self.vs, {self.vs.one: 1})
         for _ in range(n):
             r = r * self
         return r
 
     # -- calculus --------------------------------------------------------
     def diff(self, name: str) -> "Poly":
-        return Poly._reduced(self.vs, diff_terms(self.terms, self.vs.index(name)), self.den)
+        return self._reduced(self.vs, diff_terms(self.terms, self.vs, self.vs.index(name)), self.den)
 
     def substitute(self, mapping: Mapping[str, "Poly"], target: VarSet) -> "Poly":
         """Replace every variable appearing in self by its image polynomial.
@@ -337,8 +381,9 @@ class Poly(FlatTerms):
                 raise VarSetMismatch(f"image of {name} is not over the target varset")
         result = Poly.zero(target)
         for e, c in self.terms.items():
-            term = Poly._reduced(target, {(0,) * len(target) + e[-1:]: c}, self.den)
-            for i, k in enumerate(e[:-1]):
+            *exps, nu = self._unpack(self.vs, e)
+            term = Poly._reduced(target, {target.one + (nu << target.nu_shift): c}, self.den)
+            for i, k in enumerate(exps):
                 if k == 0:
                     continue
                 name = self.vs.names[i]
@@ -350,20 +395,20 @@ class Poly(FlatTerms):
 
     def eval_nu(self, value) -> "Poly":
         """Substitute a rational for nu in every coefficient; a Poly."""
-        v = Fraction(exact(value))
+        v, vs = Fraction(exact(value)), self.vs
         out: dict = {}
         for e, c in self.terms.items():
-            k = e[:-1] + (0,)
-            out[k] = out.get(k, 0) + c * v ** e[-1]
-        return Poly(self.vs, {k: x / self.den for k, x in out.items()})
+            k = (e & vs.mono) + vs.one
+            out[k] = out.get(k, 0) + c * v ** vs.nu(e)
+        return Poly(vs, {self._unpack(vs, k): x / self.den for k, x in out.items()})
 
     # -- display ------------------------------------------------------------
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        monos: Dict[Key, dict] = {}
+        monos: Dict[Tuple[int, ...], dict] = {}
         for e, c in self.terms.items():
-            monos.setdefault(e[:-1], {})[e[-1:]] = c
+            monos.setdefault(self.vs.exps(e), {})[NO_VARS.one + self.vs.nu(e)] = c
         parts = []
         for e in sorted(monos, key=lambda t: (sum(t), t), reverse=True):
             c = Scalar._reduced(NO_VARS, monos[e], self.den)
@@ -378,7 +423,8 @@ class Poly(FlatTerms):
 
 class Scalar(Poly):
     """Laurent polynomial sum_k c_k nu^k with rational c_k: the Poly over no
-    variables, with terms {(k,): c_k den} over den.  Its ring operations
+    variables, with terms {key of nu^k: c_k den} over den, the key
+    ``NO_VARS.one + k``.  Its ring operations
     are Poly's; it adds int and Fraction operands, equality and hashing
     with rationals, evaluation at a rational nu and its own display."""
 
@@ -398,17 +444,20 @@ class Scalar(Poly):
 
     @staticmethod
     def of(c) -> "Scalar":
-        return Scalar({0: c})
+        """The rational c, built in canonical form."""
+        return Scalar.nu(0, c)
 
     @staticmethod
     def nu(k: int = 1, coeff=1) -> "Scalar":
-        """coeff * nu^k (k may be negative)."""
-        return Scalar({k: coeff})
+        """coeff * nu^k (k may be negative), built in canonical form."""
+        c = exact(coeff)
+        terms = {Scalar._pack(NO_VARS, (k,)): c.numerator} if c else {}
+        return Scalar._new(NO_VARS, terms, c.denominator)
 
     @property
     def coeffs(self) -> Mapping[int, Fraction]:
         """Read-only view {nu-power: nonzero Fraction}."""
-        return MappingProxyType({k: c for (k,), c in self.rationals().items()})
+        return MappingProxyType({NO_VARS.nu(k): c for k, c in self.rationals().items()})
 
     # -- ring operations, with rational operands ------------------------
     def __add__(self, other) -> "Scalar":
@@ -426,13 +475,13 @@ class Scalar(Poly):
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             n = other.numerator
-            return self.den == other.denominator and self.terms == ({(0,): n} if n else {})
+            return self.den == other.denominator and self.terms == ({NO_VARS.one: n} if n else {})
         return FlatTerms.__eq__(self, other) if isinstance(other, Scalar) else NotImplemented
 
     def __hash__(self):
         # a constant equals its rational, so it must hash like it
-        if self.terms.keys() <= {(0,)}:
-            c = self.terms.get((0,), 0)
+        if self.terms.keys() <= {NO_VARS.one}:
+            c = self.terms.get(NO_VARS.one, 0)
             return hash(c if self.den == 1 else Fraction(c, self.den))
         return super().__hash__()
 
@@ -441,12 +490,12 @@ class Scalar(Poly):
         """Substitute a rational for nu (CLI-level only); raises
         ZeroDivisionError at nu = 0 when a negative power is present."""
         r = super().eval_nu(value)
-        return Fraction(r.terms.get((0,), 0), r.den)
+        return Fraction(r.terms.get(NO_VARS.one, 0), r.den)
 
     # -- display ------------------------------------------------------------
     def __str__(self) -> str:
         parts = []
-        for (k,), c in sorted(self.terms.items(), reverse=True):
+        for k, c in sorted(((NO_VARS.nu(k), c) for k, c in self.terms.items()), reverse=True):
             c = rational_to_str(Fraction(c, self.den))
             parts.append(c if k == 0 else f"{c}*nu" if k == 1 else f"{c}*nu^{k}")
         return " + ".join(parts) or "0"
@@ -506,17 +555,18 @@ def proportion(rows: Iterable[tuple]) -> Tuple[Optional[Scalar], Tally]:
     ref = next(((x, y) for _, x, y in rows if y.terms), None)
     if ref:
         x, y = ref
-        if any(e[-1] for e in y.terms):
+        vs = y.vs
+        if any(k >> vs.nu_shift != vs.nu_offset for k in y.terms):
             raise ValueError(f"the divisor {y} depends on nu")
         e, b = next(iter(y.terms.items()))
-        at_e = {k[-1:]: v for k, v in x.terms.items() if k[:-1] == e[:-1]}
+        at_e = {NO_VARS.one + vs.nu(k): v for k, v in x.terms.items() if k & vs.mono == e & vs.mono}
         c = Scalar._reduced(NO_VARS, at_e, x.den).scale(Fraction(y.den, b))
-        lifted = {(0,) * len(y.vs) + k: v for k, v in c.terms.items()}
+        lifted = {vs.one + (NO_VARS.nu(k) << vs.nu_shift): v for k, v in c.terms.items()}
     L = lcm(*(x.den for _, x, _ in rows), *(c.den * y.den for _, _, y in rows))
 
     def residuals():
         for i, x, y in rows:
-            acc = mul_add(dict(x.over(L)), y.terms, lifted, -(L // (c.den * y.den)))
+            acc = mul_add(dict(x.over(L)), y.terms, lifted, y.vs.one, -(L // (c.den * y.den)))
             yield i, sum(map(abs, acc.values()))
 
     t = tally(residuals(), L)

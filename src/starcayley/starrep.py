@@ -8,20 +8,15 @@ g(-1),
     l_A(z)   = A_u + [A_t, z] + 1/2 [z, [z, A_v]]          (vector, quadratic)
     tau_A(z) = (1/2 nu) (beta(h_A(z), o) + nu spur(h_A(z)))
 
-and the first-order operator  rho(A) = tau_A + sum_a l_A(z)^a d/dz^a.
-
-Everything is computed on coordinate vectors through the structure
-constants of g, with z the coordinate vector of g(-1) whose entries are the
-variables z^a; beta(h, o) and spur(h) are dot products of the degree-zero
-coordinates of h with the precomputed vectors K.o and spur_vector.  l_A is
-cross-checked against the conformal field u + Tz + P(z)v that hds builds
-from Jordan data, and h_A against kappa * Dl_A.  The coordinates of h_A
-and l_A are built once per basis element and shared by rho and both
-cross-checks.
-
-``bracket_sign`` is the one bracket-sign check, shared by rho and by the
-weighted operators of hds: both are first order, so each commutator is a
-bracket of vector fields with multipliers, not a product of operators.
+and the first-order operator  rho(A) = tau_A + sum_a l_A(z)^a d/dz^a, all
+on coordinate vectors through the structure constants, beta(h, o) and
+spur(h) as dot products of the degree-zero coordinates of h with K.o and
+the spur vector.  h_A and l_A are built once per basis element and shared
+by rho and its cross-checks: l_A against the conformal field that hds
+builds from Jordan data, h_A against kappa * Dl_A.  ``bracket_sign`` is
+the one bracket-sign check of rho and of the operators of hds, both
+first order, so each commutator is a bracket of vector fields with
+multipliers.
 """
 
 from __future__ import annotations
@@ -143,7 +138,7 @@ class StarRepresentation:
                 h = self.g.t_from_coords(h_coords)
                 for r, p in enumerate(lp):
                     for c, hc in enumerate(h[r]):
-                        d = diff_terms(p.terms, c)
+                        d = diff_terms(p.terms, self.zvs, c)
                         if d or hc.terms:
                             yield (i, r, c), hc, Poly._reduced(self.zvs, d, p.den)
 
@@ -155,15 +150,14 @@ def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tal
     """Measure the sign s with [X_i, X_j] = s * X([e_i, e_j]) over all basis
     pairs i < j of first-order operators X_k = ops[k]; returns (s, Tally).
 
-    Each pair's commutator is formed once, and both |[X_i, X_j] -+
-    X([e_i, e_j])| are tallied from it.  The operators are brought to one
-    denominator L and split once, with their gradients
-    (``weyl.first_order_parts``); each commutator is their first-order
-    bracket, over L^2, and the image sum_k c_ij^k X_k, over D L, is
-    accumulated from the table's numerators.  s = +1 reports a
-    homomorphism, s = -1 an anti-homomorphism and s = 0 neither; the Tally
-    is that of the sign with the smaller total, +1 on a tie.  Raises
-    ValueError if an operator has a term of order > 1."""
+    The operators are brought to one denominator L and split once, with
+    their gradients (``weyl.first_order_parts``); each pair's commutator is
+    their first-order bracket, over L^2, formed once for both
+    |[X_i, X_j] -+ X([e_i, e_j])|, and the image sum_k c_ij^k X_k is summed
+    from the table's numerators.  s = +1 reports a homomorphism, s = -1 an
+    anti-homomorphism and s = 0 neither; the Tally is that of the sign with
+    the smaller total, +1 on a tie.  Raises ValueError on a term of order
+    > 1."""
     L, D = lcm(*(op.den for op in ops)), g.denom
     fields = [first_order_parts(op, L) for op in ops]
     rows = []
@@ -199,33 +193,26 @@ def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperat
     m^a -> d/deta^a, d/dm^a -> -eta^a (``weyl.fourier_conjugate``).
 
     The kernel sign follows from flipping nu.  With kernel sign s the
-    rotated transform sends m^a -> -s d/deta^a and d/dm^a -> s eta^a;
-    followed by the frame z = l + nu eta, zbar = l - nu eta, it sends
-    l -> (z+zbar)/2, d/dl -> d/dz + d/dzbar, m^a -> -s nu (d/dz^a - d/dzbar^a)
-    and d/dm^a -> s (z^a - zbar^a)/(2 nu), in which s enters only through
-    s nu.  These composite images are those of the unrotated transform
-    (m^a -> s i d/dxi^a, d/dm^a -> s i xi^a) followed by z = l + i nu xi, so
-    D_A does not depend on the rotation.  So kernel sign -1 is kernel sign
-    +1 with nu -> -nu, and D_A is the left-star construction with kernel
-    sign +1, carried through nu -> -nu as a whole; the factor 1/(2 nu) turns
-    that into a minus sign, D_A = -(left-star, +1 construction)|nu->-nu.
-
-    The flip of nu, the factor 1/(2 nu) and both conjugations are one pass
-    over the terms of the left-star operator (``weyl.star_transform``), on
-    integer numerators over one denominator; ``weyl.fourier_conjugate``
-    and ``weyl.holomorphic_frame`` applied in turn are its test oracle.
+    rotated transform followed by the frame z = l + nu eta, zbar = l - nu eta
+    sends l -> (z+zbar)/2, d/dl -> d/dz + d/dzbar,
+    m^a -> -s nu (d/dz^a - d/dzbar^a) and d/dm^a -> s (z^a - zbar^a)/(2 nu),
+    in which s enters only through s nu; these are also the images of the
+    unrotated transform followed by z = l + i nu xi, so D_A does not depend
+    on the rotation.  So kernel sign -1 is kernel sign +1 with nu -> -nu,
+    and with the factor 1/(2 nu), D_A = -(left-star, +1 construction)|nu->-nu,
+    formed in one pass over the operator's terms (``weyl.star_transform``).
     """
     return star_transform(ch.left_stars[index], ch.l_names, ch.m_names)
 
 
 def embed_z_operator(op: WeylOperator, target: VarSet) -> WeylOperator:
-    """Extend an operator in the z-variables to the (z, zbar) variable set."""
-    pad = len(target.names) - len(op.vs.names)
-    return WeylOperator._new(
-        target,
-        {(a[:-1] + (0,) * pad + a[-1:], b + (0,) * pad): c for (a, b), c in op.terms.items()},
-        op.den,
-    )
+    """Extend an operator in the z-variables to the (z, zbar) variable set,
+    each key unpacked and packed again in the layout of ``target``."""
+    pad = (0,) * (len(target.names) - len(op.vs.names))
+    keys = [op._unpack(op.vs, k) for k in op.terms]
+    terms = {WeylOperator._pack(target, (a[:-1] + pad + a[-1:], b + pad)): c
+             for (a, b), c in zip(keys, op.terms.values())}
+    return WeylOperator._new(target, terms, op.den)
 
 
 def verify_star_transform(

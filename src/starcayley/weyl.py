@@ -3,34 +3,16 @@
 A WeylOperator is a finite sum  sum c_{ab} x^a d^b  with all multiplication
 factors to the left of all derivatives; composition re-normal-orders via
 the commutation relation d x = x d + 1.  Its terms are flat like those of
-``Poly``, integer numerators over one denominator ``den``: the key (a, b)
-holds the multiplication exponents followed by the power of nu, which is
-central and so rides with them, and the derivative exponents.  Every
-kernel below runs on the numerators and divides once.  On top of this sit
-
-  * first-order operators f + sum_j a_j d_j, split into their parts
-    (f, [a_j]) and bracketed as vector fields with multipliers, with no
-    normal ordering,
-  * the Moyal star product on chart polynomials, computed straight from the
-    bidifferential formula, which factorises over the Darboux pairs on
-    monomials,
-  * left star multiplication as an operator, built from Poisson-tensor
-    contractions over multisets of indices, walked depth first so that
-    each derivative of the symbol is taken once, from its prefix's; it
-    shares no code with the star product and is its independent
-    cross-check (property B),
-  * the partial Fourier transform, in its Fourier variable rotated by i
-    so that every generator image is real, and the passage to the
-    holomorphic frame z = l + nu eta, zbar = l - nu eta, both exact
-    conjugation homomorphisms that factorise over the Darboux pairs on
-    normal-ordered words.  Neither introduces i, so all coefficients stay
-    rational,
-  * the star transform, the frame image of the Fourier image of an
-    operator carried through nu -> -nu and divided by 2 nu, as one pass
-    over its terms with a cached kernel per Darboux pair composed from the
-    two conjugations' kernels.  Every pass accumulates integer numerators
-    over one common denominator and divides once, at the end; the two
-    conjugations applied in turn are the star transform's test oracle.
+``Poly``, integer numerators over one denominator ``den``, under packed
+keys: the derivative exponents and above them the Poly key of the
+multiplication exponents and the power of nu, which is central and so
+rides with them (``poly.VarSet``).  On top of this sit first-order
+operators and their brackets, the Moyal star product on chart
+polynomials, left star multiplication as an operator (its independent
+cross-check, property B), and the partial Fourier transform, the
+holomorphic frame and the star transform, exact conjugations that
+factorise over the Darboux pairs and never introduce i.  Every kernel runs
+on numerators and packed keys and divides once, at the end.
 """
 
 from __future__ import annotations
@@ -38,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import comb, factorial, lcm, perm, prod
-from operator import add
+from operator import or_
 from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import (
@@ -46,8 +28,6 @@ from .poly import (
     tally,
 )
 from .scalars import Scalar
-
-Key = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,19 +38,23 @@ def _reorder(p: int, q: int) -> Tuple[Tuple[int, int], ...]:
 
 class WeylOperator(FlatTerms):
     """sum over (a, b) of  c * x^a d^b  on polynomials in a fixed varset,
-    with flat terms {(a + (nu-power,), b): nonzero numerator} over ``den``."""
+    with flat terms {key: nonzero numerator} over ``den``: the key holds
+    the derivative exponents b and above them the Poly key of x^a nu^k
+    (``VarSet``), and its tuple form is (a + (nu-power,), b)."""
 
-    __slots__ = ()
-
-    @staticmethod
-    def _fits(key: Key, n: int) -> bool:
-        a, b = key
-        return len(a) == n + 1 and len(b) == n
+    __slots__ = ("_groups",)
+    _OPERATOR = True
 
     @staticmethod
-    def _shift(key: Key, k: int) -> Key:
+    def _pack(vs: VarSet, key: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> int:
         a, b = key
-        return a[:-1] + (a[-1] + k,), b
+        if len(a) != len(vs) + 1 or len(b) != len(vs):
+            raise ValueError(f"key {key} does not fit {vs.names} and a nu-power")
+        return vs.pack((*b, *a))
+
+    @staticmethod
+    def _unpack(vs: VarSet, key: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        return Poly._unpack(vs, key >> vs.nu_shift), vs.exps(key)
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -79,74 +63,77 @@ class WeylOperator(FlatTerms):
 
     @staticmethod
     def identity(vs: VarSet) -> "WeylOperator":
-        return WeylOperator._new(vs, {((0,) * (len(vs) + 1), (0,) * len(vs)): 1})
+        return WeylOperator._new(vs, {vs.one << vs.nu_shift: 1})
 
     @staticmethod
     def from_poly(p: Poly) -> "WeylOperator":
         """Multiplication by p."""
-        z = (0,) * len(p.vs)
-        return WeylOperator._new(p.vs, {(e, z): c for e, c in p.terms.items()}, p.den)
+        return WeylOperator._new(p.vs, {e << p.vs.nu_shift: c for e, c in p.terms.items()}, p.den)
 
     @staticmethod
     def partial(vs: VarSet, name: str) -> "WeylOperator":
-        d = [0] * len(vs)
-        d[vs.index(name)] = 1
-        return WeylOperator._new(vs, {((0,) * (len(vs) + 1), tuple(d)): 1})
+        return WeylOperator._new(vs, {vs.one << vs.nu_shift | 1 << vs.width * vs.index(name): 1})
 
     # -- ring structure ----------------------------------------------------
     def __mul__(self, other: "WeylOperator") -> "WeylOperator":
         """Composition: self after other, re-normal-ordered variable by
-        variable (``_reorder``)."""
+        variable (``_reorder``): a move lowers x_i and d_i together."""
         self._check(other)
-        n = len(self.vs)
+        vs, s = self.vs, self.vs.nu_shift
+        drop = [(1 << vs.width * i) * (1 + (1 << s)) for i in range(len(vs))]
+        rhs = [(k - (vs.one << s), c, vs.exps(k >> s)) for k, c in other.terms.items()]
         out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                xe, de = list(map(add, a1, a2)), list(map(add, b1, b2))
+        for k1, c1 in self.terms.items():
+            b1 = vs.exps(k1)
+            for k2, c2, a2 in rhs:
                 moves = [
-                    [(i, k, w) for k, w in _reorder(b1[i], a2[i])]
-                    for i in range(n)
+                    [(k * drop[i], wk) for k, wk in _reorder(b1[i], a2[i])]
+                    for i in range(len(vs))
                     if b1[i] and a2[i]
                 ]
                 for combo in itertools.product(*moves):
-                    x, d, w = list(xe), list(de), 1
-                    for i, k, wi in combo:
-                        x[i] -= k
-                        d[i] -= k
-                        w *= wi
-                    key, c = (tuple(x), tuple(d)), c1 * c2 * w
+                    key, c = k1 + k2, c1 * c2
+                    for dk, wk in combo:
+                        key -= dk
+                        c *= wk
                     out[key] = out[key] + c if key in out else c
         return self._reduced(self.vs, out, self.den * other.den)
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
         """The operator applied to p, its terms grouped by derivative
-        exponents b: d^b p is formed once per b, one derivative at a time
-        on the terms that the previous one kept (``poly.diff_terms``), and
+        exponents b once, on the first call: d^b p is formed once per b, one
+        derivative at a time on the terms that the previous one kept, and
         multiplied by the multiplication parts that share b."""
-        if p.vs != self.vs:
-            raise VarSetMismatch(f"{self.vs.names} vs {p.vs.names}")
-        groups: Dict[Tuple[int, ...], dict] = {}
-        for (a, b), c in self.terms.items():
-            groups.setdefault(b, {})[a] = c
+        vs = self.vs
+        if p.vs != vs:
+            raise VarSetMismatch(f"{vs.names} vs {p.vs.names}")
+        if not hasattr(self, "_groups"):
+            groups: dict = {}
+            for k, c in self.terms.items():
+                groups.setdefault(k & vs.mono, {})[k >> vs.nu_shift] = c
+            # per b: the variable of each single derivative, and x^a nu^k by Poly key
+            self._groups = [([i for i, e in enumerate(vs.exps(b)) for _ in range(e)], mults)
+                            for b, mults in groups.items()]
         out: dict = {}
-        for b, mults in groups.items():
+        for steps, mults in self._groups:
             dp = p.terms
-            for i in [i for i, k in enumerate(b) if k for _ in range(k)]:
-                dp = diff_terms(dp, i)
-            mul_add(out, mults, dp)
-        return Poly._reduced(self.vs, out, self.den * p.den)
+            for i in steps:
+                dp = diff_terms(dp, vs, i)
+            mul_add(out, mults, dp, vs.one)
+        return Poly._reduced(vs, out, self.den * p.den)
 
     def order(self) -> int:
         """Highest total derivative order appearing."""
-        return max((sum(b) for (_, b) in self.terms), default=0)
+        return max(map(sum, map(self.vs.exps, self.terms)), default=0)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        words: Dict[Key, dict] = {}
-        for (a, b), c in self.terms.items():
-            words.setdefault((a[:-1], b), {})[a[-1:]] = c
+        words: Dict[Tuple, dict] = {}
+        for k, c in self.terms.items():
+            a, b = self._unpack(self.vs, k)
+            words.setdefault((a[:-1], b), {})[NO_VARS.one + a[-1]] = c
         bits = []
         for (a, b), c in sorted(words.items()):
             names = self.vs.names
@@ -165,25 +152,26 @@ class WeylOperator(FlatTerms):
 def first_order(f: Poly, a: Sequence[Poly]) -> WeylOperator:
     """The operator f + sum_j a_j d_j, over the lcm of the parts'
     denominators, canonical as the parts are and their keys disjoint."""
-    n = len(f.vs)
-    den = lcm(f.den, *(aj.den for aj in a))
-    terms = {(e, (0,) * n): c for e, c in f.over(den).items()}
+    vs = f.vs
+    den, s = lcm(f.den, *(aj.den for aj in a)), vs.nu_shift
+    terms = {e << s: c for e, c in f.over(den).items()}
     for j, aj in enumerate(a):
-        d = tuple(int(i == j) for i in range(n))
-        terms.update(((e, d), c) for e, c in aj.over(den).items())
-    return WeylOperator._new(f.vs, terms, den)
+        terms.update(((e << s) + (1 << vs.width * j), c) for e, c in aj.over(den).items())
+    return WeylOperator._new(vs, terms, den)
 
 
 def _first_order_terms(op: WeylOperator, factor: int = 1) -> List[dict]:
     """The numerators of f, a_1, ..., a_n in op = f + sum_j a_j d_j, times
     factor; raises ValueError on any term of order > 1 rather than dropping
     it."""
-    parts: List[dict] = [{} for _ in range(len(op.vs) + 1)]
-    for (e, d), c in op.terms.items():
-        order = sum(d)
-        if order > 1:
-            raise ValueError(f"not first order: a term with derivative exponents {d}")
-        parts[d.index(1) + 1 if order else 0][e] = c * factor
+    vs, n = op.vs, len(op.vs)
+    part = {0: 0} | {1 << vs.width * j: j + 1 for j in range(n)}
+    parts: List[dict] = [{} for _ in range(n + 1)]
+    for k, c in op.terms.items():
+        j = part.get(k & vs.mono)
+        if j is None:
+            raise ValueError(f"not first order: a term with derivative exponents {vs.exps(k)}")
+        parts[j][k >> vs.nu_shift] = c * factor
     return parts
 
 
@@ -196,10 +184,12 @@ def split_first_order(op: WeylOperator) -> Tuple[Poly, List[Poly]]:
 
 class FirstOrderParts(NamedTuple):
     """f + sum_j a_j d_j as the Poly term dicts parts = [f, a_1, ..., a_n],
-    with grads[c][v] the terms of d parts[c] / d x_v."""
+    with grads[c][v] the terms of d parts[c] / d x_v, and one the Poly key
+    of 1."""
 
     parts: List[dict]
     grads: List[List[dict]]
+    one: int
 
 
 def first_order_parts(op: WeylOperator, den: int = 0) -> FirstOrderParts:
@@ -207,18 +197,17 @@ def first_order_parts(op: WeylOperator, den: int = 0) -> FirstOrderParts:
     multiple of ``op.den`` (``op.den`` when 0), with the gradient of each
     part taken once, so that brackets with many operators reuse it."""
     parts = _first_order_terms(op, den // op.den if den else 1)
-    n = len(op.vs)
-    return FirstOrderParts(parts, [[diff_terms(p, i) for i in range(n)] for p in parts])
+    vs = op.vs
+    grads = [[diff_terms(p, vs, i) for i in range(len(vs))] for p in parts]
+    return FirstOrderParts(parts, grads, vs.one)
 
 
 def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
     """[f + a.d, g + b.d] = (a.grad g - b.grad f) + sum_j (a.grad b_j - b.grad a_j) d_j,
     as the term dicts of its parts [multiplier, coefficient of d_1, ...],
-    which may hold zero values, numerators over the product of the two
-    denominators.  The second-order parts of the two compositions cancel,
-    so no normal ordering is needed; part c is sum_v a_v d_v y.parts[c] -
-    b_v d_v x.parts[c], multiplied and added into one dict, over the v
-    with a_v or b_v nonzero only."""
+    numerators over the product of the two denominators, zeros kept.  The
+    second-order parts of the compositions cancel, so part c is
+    sum_v a_v d_v y.parts[c] - b_v d_v x.parts[c], over the nonzero a_v, b_v."""
     a = [(v, t) for v, t in enumerate(x.parts[1:]) if t]
     b = [(v, t) for v, t in enumerate(y.parts[1:]) if t]
     out = []
@@ -226,10 +215,10 @@ def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
         acc: dict = {}
         for v, t in a:
             if dy[v]:
-                mul_add(acc, t, dy[v])
+                mul_add(acc, t, dy[v], x.one)
         for v, t in b:
             if dx[v]:
-                mul_add(acc, t, dx[v], -1)
+                mul_add(acc, t, dx[v], x.one, -1)
         out.append(acc)
     return out
 
@@ -240,7 +229,7 @@ def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_kernel(p1: int, q1: int, p2: int, q2: int) -> Tuple[Tuple[int, int], ...]:
+def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[int, ...], ...]:
     """One Darboux pair's factor of  l^p1 m^q1  star  l^p2 m^q2.
 
     The term (alpha, beta) is nu^(alpha+beta) times
@@ -249,14 +238,15 @@ def _pair_kernel(p1: int, q1: int, p2: int, q2: int) -> Tuple[Tuple[int, int], .
     factorial ``math.perm(x, k)``; the coefficient is the integer
     (-1)^beta C(p1, alpha) q2^(alpha) C(q1, beta) p2^(beta).  Both the
     nu-power and the exponent drop depend only on s = alpha + beta, so the
-    terms are merged by s: (s, coefficient) pairs with nonzero coefficient.
+    terms are merged by s: (s drop, s, coefficient) triples with nonzero
+    coefficient, drop the change of a key per contraction in the pair.
     """
     acc: Dict[int, int] = {}
     for a in range(min(p1, q2) + 1):
         for b in range(min(q1, p2) + 1):
             c = comb(p1, a) * perm(q2, a) * comb(q1, b) * perm(p2, b)
             acc[a + b] = acc.get(a + b, 0) + (-c if b % 2 else c)
-    return tuple((s, c) for s, c in sorted(acc.items()) if c)
+    return tuple((s * drop, s, c) for s, c in sorted(acc.items()) if c)
 
 
 def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str]) -> Poly:
@@ -284,33 +274,38 @@ def _contractions(
     """The unpruned numerators, over u.den v.den, of sum_s nu^s B_s(u, v),
     where u star v is the sum over all s of nu^s B_s(u, v) and B_s takes s
     derivatives of each factor: over every s when ``orders`` is None, else
-    over the s in ``orders``.  ``moyal_star`` is the case of every s."""
+    over the s in ``orders``.  ``moyal_star`` is the case of every s.
+
+    Each term of u lists once the pairs (l^a, m^a) in which it has an
+    exponent; a pair contracts in a product of terms when its kernel is
+    not 1, and s contractions in it take s drop[a] off the sum of keys."""
     vs = u.vs
     if v.vs != vs:
         raise VarSetMismatch(f"{vs.names} vs {v.vs.names}")
     pairs = [(vs.index(la), vs.index(ma)) for la, ma in zip(l_names, m_names)]
+    drop = [(1 << vs.width * i) + (1 << vs.width * j) - (1 << vs.nu_shift) for i, j in pairs]
+    left = []
+    for k, c in u.terms.items():
+        e = vs.exps(k)
+        active = [(i, j, e[i], e[j], d) for (i, j), d in zip(pairs, drop) if e[i] or e[j]]
+        left.append((k - vs.one, c, active))
+    right = [(k, c, vs.exps(k)) for k, c in v.terms.items()]
     out: dict = {}
-    for e1, c1 in u.terms.items():
-        for e2, c2 in v.terms.items():
-            base = c1 * c2
-            esum = list(map(add, e1, e2))
-            # pairs whose exponents allow a contraction; the rest contribute 1
-            active = [
-                (i, j, _pair_kernel(e1[i], e1[j], e2[i], e2[j]))
-                for i, j in pairs
-                if (e1[i] and e2[j]) or (e1[j] and e2[i])
-            ]
-            for combo in itertools.product(*(ker for _, _, ker in active)):
-                e, w = list(esum), 1
-                for (i, j, _), (s, ws) in zip(active, combo):
-                    e[i] -= s
-                    e[j] -= s
-                    e[-1] += s
-                    w *= ws
-                if orders is not None and e[-1] - esum[-1] not in orders:
-                    continue
-                e, c = tuple(e), base * w
-                out[e] = out[e] + c if e in out else c
+    for k1, c1, active in left:
+        for k2, c2, e2 in right:
+            kers = []
+            for i, j, p1, q1, d in active:
+                p2, q2 = e2[i], e2[j]
+                if (p1 and q2) or (q1 and p2):
+                    kers.append(_pair_kernel(p1, q1, p2, q2, d))
+            for combo in itertools.product(*kers):
+                key, c, order = k1 + k2, c1 * c2, 0
+                for dk, s, ws in combo:
+                    key -= dk
+                    c *= ws
+                    order += s
+                if orders is None or order in orders:
+                    out[key] = out[key] + c if key in out else c
     return out
 
 
@@ -325,38 +320,36 @@ def left_star_operator(
     sign.  Each multiset stands for its k!/prod(mult!) orderings, so it
     carries the weight sign * nu^k / prod(mult!).
 
-    The multisets are walked depth first as nondecreasing index sequences.
-    A prefix is extended only by an index whose variable occurs in the
-    prefix's derivative of lam, and that derivative is differentiated once
-    more, on its term dict; the sign and prod(mult!) are carried along, the
-    latter one run length at a time.  prod(mult!) divides k!, and k is at
-    most the degree of lam, so every weight is an integer over
-    lam.den deg(lam)!, the one denominator of the accumulation.
+    The multisets are walked depth first as nondecreasing index sequences,
+    a prefix extended only by an index whose variable occurs in its
+    derivative of lam, which is differentiated once more; the sign and
+    prod(mult!) are carried along.  prod(mult!) divides k! and k <= deg lam,
+    so every weight is an integer over lam.den deg(lam)!.
     """
     vs = lam.vs
-    n = len(l_names)
+    n, s = len(l_names), vs.nu_shift
     var = [vs.index(x) for x in (*l_names, *m_names)]
-    dvar = var[n:] + var[:n]
-    zero_d = (0,) * len(vs)
+    dunit = [1 << vs.width * i for i in var[n:] + var[:n]]
+    nu = 1 << 2 * s
     top = factorial(lam.total_degree())
-    out: dict = {(e, zero_d): c * top for e, c in lam.terms.items()}
-    # a prefix: length k, last index, its run length, sign, prod(mult!),
-    # derivative exponents and the terms of lam's derivative
-    stack = [(0, 0, 0, 1, 1, zero_d, lam.terms)]
+    out: dict = {e << s: c * top for e, c in lam.terms.items()}
+    # a prefix of length k: last index, its run length, sign, prod(mult!),
+    # the key of its derivatives and nu^k, and the terms of lam's derivative
+    stack = [(0, 0, 1, 1, 0, lam.terms)]
     while stack:
-        k, last, run, sign, den, dexp, terms = stack.pop()
+        last, run, sign, den, dkey, terms = stack.pop()
         for c in range(last, 2 * n):
-            dterms = diff_terms(terms, var[c])
+            dterms = diff_terms(terms, vs, var[c])
             if not dterms:
                 continue
             r = run + 1 if c == last else 1
-            s, d = -sign if c >= n else sign, den * r
-            de = dexp[: dvar[c]] + (dexp[dvar[c]] + 1,) + dexp[dvar[c] + 1 :]
+            sg, d = -sign if c >= n else sign, den * r
+            dk = dkey + dunit[c] + nu
+            w = sg * (top // d)
             for e, x in dterms.items():
-                key = (e[:-1] + (e[-1] + k + 1,), de)
-                w = x * s * (top // d)
-                out[key] = out[key] + w if key in out else w
-            stack.append((k + 1, c, r, s, d, de, dterms))
+                key = (e << s) + dk
+                out[key] = out[key] + x * w if key in out else x * w
+            stack.append((c, r, sg, d, dk, dterms))
     return WeylOperator._reduced(vs, out, lam.den * top)
 
 
@@ -385,35 +378,53 @@ def _pairwise_image(
     ``flip_nu`` is set, carried through nu -> -nu.
 
     Images of different pairs commute, so the image of a normal-ordered
-    word is the product over the pairs of ``kernel`` of the pair's
-    exponents, and the target pairs are (target[a], target[n + a]).  A term
-    c x^a d^b with c = p / op.den contributes p 2^-e / op.den times the
-    products of the kernels' integer numerators, e the sum of the kernels'
-    halvings and ``halvings``.  These are accumulated as integer numerators
-    over the one denominator op.den 2^emax, emax the largest e, and the
-    image is reduced once, at the end."""
-    idx = [(op.vs.index(x), op.vs.index(y)) for x, y in pairs]
-    if sorted(i for p in idx for i in p) != list(range(len(op.vs))):
-        raise ValueError(f"{op.vs.names} are not the pairs {tuple(pairs)}")
+    word is the product over the pairs (target[a], target[n + a]) of
+    ``kernel`` of the pair's exponents, each image packed once
+    (``_packed_image``) so that the key of a product is a sum.  A term
+    c x^a d^b, c = p / op.den, contributes p 2^-e / op.den times the
+    product of the kernels' numerators, e the sum of their halvings and
+    ``halvings``, accumulated over the one denominator op.den 2^emax."""
+    vs, n = op.vs, len(pairs)
+    idx = [(vs.index(x), vs.index(y)) for x, y in pairs]
+    if sorted(i for p in idx for i in p) != list(range(len(vs))):
+        raise ValueError(f"{vs.names} are not the pairs {tuple(pairs)}")
+    one, nu = target.one << target.nu_shift, 1 << 2 * target.nu_shift
     words, emax = [], 0
-    for (a, b), c in op.terms.items():
+    for k, c in op.terms.items():
         kers, e = [], halvings
-        for i, j in idx:
-            ei, image = kernel(a[i], a[j], b[i], b[j])
-            e += ei
-            kers.append(image)
-        if flip_nu and a[-1] % 2:
+        x, d = vs.exps(k >> vs.nu_shift), vs.exps(k)
+        for a, (i, j) in enumerate(idx):
+            if x[i] or x[j] or d[i] or d[j]:  # else the pair's image is 1
+                h, image = _packed_image(kernel, target.width, n, a, (x[i], x[j], d[i], d[j]))
+                e += h
+                kers.append(image)
+        k = vs.nu(k >> vs.nu_shift)
+        if flip_nu and k % 2:
             c = -c
-        words.append((c, e, a[-1] + nu_shift, kers))
+        words.append((c, e, one + (k + nu_shift) * nu, kers))
         emax = max(emax, e)
     out: dict = {}
-    for p, e, k0, kers in words:
+    for p, e, key0, kers in words:
         w0 = p << (emax - e)
         for combo in itertools.product(*kers):
-            x1, x2, d1, d2, s, w = zip(*combo)
-            key, w = (x1 + x2 + (k0 + sum(s),), d1 + d2), w0 * prod(w)
-            out[key] = out[key] + w if key in out else w
+            key, c = key0, w0
+            for dk, wk in combo:
+                key += dk
+                c *= wk
+            out[key] = out[key] + c if key in out else c
     return WeylOperator._reduced(target, out, op.den << emax)
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_image(kernel, width: int, n: int, a: int, exps: Tuple[int, ...]) -> tuple:
+    """``kernel`` of pair a's exponents as (halvings, [(key contribution,
+    numerator)]), the contribution its term's operator key, less the key of
+    1, over n target pairs of fields ``width`` bits wide.  Each exponent of
+    a kernel image is at most the sum of two source fields, below
+    2^width, so no field carries and ``_reduced`` meets any out of range."""
+    h, image = kernel(*exps)
+    at = [width * (2 * n + a), width * (3 * n + a), width * a, width * (n + a), width * 4 * n]
+    return h, tuple((sum(f << p for f, p in zip(fields, at)), c) for *fields, c in image)
 
 
 @functools.lru_cache(maxsize=None)
@@ -440,12 +451,10 @@ def fourier_conjugate(
     kernel sign -1, in the Fourier variable rotated by i, named h1, h2, ...
 
     With kernel sign -1 the transform sends m^a -> -i d/dxi^a and
-    d/dm^a -> -i xi^a; in eta = i xi these are the real images of the
-    algebraic Fourier transform of the Weyl algebra: l and d/dl stay,
-    multiplication by m^a becomes d/deta^a, and d/dm^a becomes -eta^a.  Each
-    normal-ordered word maps to the product over the pairs (l^a, m^a) of the
-    cached ``_fourier_kernel``.  Raises ValueError when op has a variable
-    outside the pairs.
+    d/dm^a -> -i xi^a; in eta = i xi these are real: l and d/dl stay,
+    m^a becomes d/deta^a and d/dm^a becomes -eta^a.  A normal-ordered word
+    maps to the product over the pairs (l^a, m^a) of the cached
+    ``_fourier_kernel``.  Raises ValueError on a variable outside the pairs.
     """
     target = VarSet(tuple(l_names) + tuple(f"h{a + 1}" for a in range(len(m_names))))
     return _pairwise_image(op, list(zip(l_names, m_names)), _fourier_kernel, target), target
@@ -489,13 +498,11 @@ def holomorphic_frame(
     z1, z2, ... and w1, w2, ... (``_frame_target``).
 
     Generator images: mult l -> (z + zbar)/2, mult eta -> (z - zbar)/(2 nu),
-    d/dl -> d/dz + d/dzbar, d/deta -> nu (d/dz - d/dzbar).  In the unrotated
-    variable xi = -i eta these are z = l + i nu xi and its conjugate.  Every
-    x-image is a multiplication and every d-image has constant
-    coefficients, so the image of a normal-ordered word needs no
-    reordering: it is the product over the pairs (l_a, eta_a) of the cached
-    ``_frame_kernel`` of the pair's exponents.  Raises ValueError when op
-    has a variable outside the pairs.
+    d/dl -> d/dz + d/dzbar, d/deta -> nu (d/dz - d/dzbar); in the unrotated
+    variable xi = -i eta these are z = l + i nu xi and its conjugate.  A
+    normal-ordered word maps to the product over the pairs (l_a, eta_a) of
+    the cached ``_frame_kernel``.  Raises ValueError when op has a variable
+    outside the pairs.
     """
     target = _frame_target(len(l_names))
     return _pairwise_image(op, list(zip(l_names, eta_names)), _frame_kernel, target), target
@@ -527,9 +534,7 @@ def star_transform(
 ) -> Tuple[WeylOperator, VarSet]:
     """holomorphic_frame(fourier_conjugate(op|nu->-nu / (2 nu))) in one pass
     over the terms of op, through the cached ``_star_kernel`` of each
-    Darboux pair, with the flip of nu and the factor 1/(2 nu) applied to
-    each term on the way; the target variables are those of
-    ``holomorphic_frame``.  The two conjugations are its test oracle."""
+    Darboux pair; the two conjugations are its test oracle."""
     target = _frame_target(len(l_names))
     image = _pairwise_image(
         op, list(zip(l_names, m_names)), _star_kernel, target, flip_nu=True, nu_shift=-1, halvings=1
@@ -538,9 +543,11 @@ def star_transform(
 
 
 def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:
-    """True when every term touches only the given variables."""
-    others = [i for i, x in enumerate(op.vs.names) if x not in names]
-    return not any(a[i] or b[i] for a, b in op.terms for i in others)
+    """True when every term touches only the given variables: one mask
+    test on the or of the keys."""
+    vs = op.vs
+    others = sum(((1 << vs.width) - 1) << vs.width * i for i, x in enumerate(vs.names) if x not in names)
+    return not functools.reduce(or_, op.terms, 0) & (others | others << vs.nu_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -551,22 +558,26 @@ def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:
 def _swapped_cubic(lam: Poly, n: int) -> dict:
     """The degree-3 terms c l^alpha m^beta nu^k of lam, over the chart's
     variables l^1..l^n, m^1..m^n, indexed by the l <-> m swap of their
-    monomials: {l^beta m^alpha: [(k, (-1)^|beta| alpha! beta! c)]}."""
-    out: dict = {}
-    for e, c in lam.terms.items():
-        if sum(e) - e[-1] == 3:
-            w = c * prod(map(factorial, e[:-1])) * (-1) ** sum(e[n:-1])
-            out.setdefault(e[n:-1] + e[:n], []).append((e[-1], w))
+    monomials, packed: {l^beta m^alpha: [(k, (-1)^|beta| alpha! beta! c)]}."""
+    vs, out = lam.vs, {}
+    half, low = vs.width * n, (1 << vs.width * n) - 1
+    for key, c in lam.terms.items():
+        e = vs.exps(key)
+        if sum(e) == 3:
+            w = c * prod(map(factorial, e)) * (-1) ** sum(e[n:])
+            swapped = (key & low) << half | key >> half & low
+            out.setdefault(swapped, []).append((vs.nu(key), w))
     return out
 
 
 def _cubic_b3(swapped: dict, v: Poly) -> dict:
     """{nu-power: numerator} of nu^3 B_3(u, v), for u and v of degree at
     most 3, from the ``_swapped_cubic`` of u and the terms of v."""
-    out: dict = {}
+    vs, out = v.vs, {}
     for e, d in v.terms.items():
-        for k, w in swapped.get(e[:-1], ()):
-            out[k + e[-1] + 3] = out.get(k + e[-1] + 3, 0) + w * d
+        for k, w in swapped.get(e & vs.mono, ()):
+            k += vs.nu(e) + 3
+            out[k] = out.get(k, 0) + w * d
     return out
 
 
@@ -578,19 +589,16 @@ def verify_covariance(ch) -> Tally:
     factor; B_1 is the Poisson bracket.  The Moyal symmetry
     u star_{-nu} v = v star_nu u gives B_s(v, u) = (-1)^s B_s(u, v), so the
     two sides differ by exactly 2 sum over odd s >= 3 of nu^s B_s(u, v),
-    for any degrees and nu-dependent coefficients; B_s vanishes when a map
-    has degree < 3.  When both have degree 3, only B_3 of their degree-3
-    terms survives: in the sum of ``moyal_star``, the order-3 derivative
-    d_l^alpha' d_m^beta' of c l^alpha m^beta nu^k is a constant only at
-    (alpha', beta') = (alpha, beta), alpha! beta! c nu^k, and then
-    d_m^alpha d_l^beta of d l^gamma m^delta nu^k' only at
-    (gamma, delta) = (beta, alpha), alpha! beta! d nu^k'.  So the pair
-    gives (-1)^|beta| alpha! beta! c d nu^(k + k' + 3), and B_3 is one
-    sparse dot product (``_cubic_b3``) with u's cubic part indexed once by
-    its l <-> m swap (``_swapped_cubic``).  Pairs with a map of higher
-    degree take the odd orders from every pair of terms (``_contractions``).
-    Each pair's numerators are over the product of its denominators, and
-    the residuals are tallied over top, the square of the lcm.
+    which vanishes when a map has degree < 3.  When both have degree 3,
+    only B_3 of their degree-3 terms survives: d_l^alpha d_m^beta of
+    c l^alpha m^beta nu^k is alpha! beta! c nu^k, and d_m^alpha d_l^beta of
+    d l^gamma m^delta nu^k' is a constant only at (gamma, delta) =
+    (beta, alpha).  So the pair gives (-1)^|beta| alpha! beta! c d
+    nu^(k + k' + 3), and B_3 is one sparse dot product (``_cubic_b3``) with
+    u's cubic part indexed by its l <-> m swap (``_swapped_cubic``).  Pairs
+    with a map of higher degree take the odd orders from every pair of
+    terms (``_contractions``).  The residuals are tallied over the square
+    of the lcm of the denominators.
     """
     deg = [lam.total_degree() for lam in ch.moment]
     dens = [lam.den for lam in ch.moment]

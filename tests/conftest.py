@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from math import factorial, perm, prod
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from starcayley.poly import exact, pruned  # noqa: E402
 from starcayley.weyl import (  # noqa: E402
     WeylOperator,
     _contractions,
+    _pair_kernel,
     fourier_conjugate,
     holomorphic_frame,
 )
@@ -36,14 +38,108 @@ def poly_abs(p: Poly) -> Fraction:
 def degree_in(p: Poly, name: str) -> int:
     """Highest exponent of one variable in p."""
     i = p.vs.index(name)
-    return max((e[i] for e in p.terms), default=0)
+    return max((e[i] for e in unpacked(p)), default=0)
+
+
+def unpacked(obj, terms: dict = None) -> dict:
+    """terms, by default ``obj.terms``, with each packed key in the tuple
+    form of obj's class and varset: exponents + (nu-power,) for a Poly
+    or a Scalar, (a + (nu-power,), b) for a WeylOperator."""
+    terms = obj.terms if terms is None else terms
+    return {type(obj)._unpack(obj.vs, k): c for k, c in terms.items()}
+
+
+def over(cls, vs, terms: dict, den: int):
+    """The cls over vs of tuple-keyed numerators over den."""
+    return cls(vs, {k: Fraction(c, den) for k, c in terms.items()})
+
+
+# -- the tuple-key kernels that packed keys replaced, kept as oracles -------
+
+
+def tuple_mul_add(acc: dict, t1: dict, t2: dict, factor: int = 1) -> dict:
+    """The oracle of ``poly.mul_add``, on tuple keys added entry by entry."""
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2 * factor
+    return acc
+
+
+def tuple_diff_terms(terms: dict, i: int) -> dict:
+    """The oracle of ``poly.diff_terms``, on tuple keys."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in terms.items() if e[i]}
+
+
+def tuple_apply(op: WeylOperator, p: Poly) -> Poly:
+    """The oracle of ``WeylOperator.apply``, on tuple keys: the terms of op
+    grouped by derivative exponents b, d^b p one derivative at a time."""
+    groups: dict = {}
+    for (a, b), c in unpacked(op).items():
+        groups.setdefault(b, {})[a] = c
+    out: dict = {}
+    for b, mults in groups.items():
+        dp = unpacked(p)
+        for i in [i for i, k in enumerate(b) if k for _ in range(k)]:
+            dp = tuple_diff_terms(dp, i)
+        tuple_mul_add(out, mults, dp)
+    return over(Poly, op.vs, out, op.den * p.den)
+
+
+def tuple_contractions(u: Poly, v: Poly, l_names, m_names, orders=None) -> dict:
+    """The oracle of ``weyl._contractions``, on tuple keys: for each pair
+    of terms, the ``_pair_kernel`` of every Darboux pair that contracts."""
+    vs = u.vs
+    pairs = [(vs.index(la), vs.index(ma)) for la, ma in zip(l_names, m_names)]
+    out: dict = {}
+    for e1, c1 in unpacked(u).items():
+        for e2, c2 in unpacked(v).items():
+            esum = list(map(add, e1, e2))
+            active = [
+                (i, j, [(s, w) for _, s, w in _pair_kernel(e1[i], e1[j], e2[i], e2[j], 0)])
+                for i, j in pairs
+                if (e1[i] and e2[j]) or (e1[j] and e2[i])
+            ]
+            for combo in itertools.product(*(ker for _, _, ker in active)):
+                e, w = list(esum), 1
+                for (i, j, _), (s, ws) in zip(active, combo):
+                    e[i] -= s
+                    e[j] -= s
+                    e[-1] += s
+                    w *= ws
+                if orders is None or e[-1] - esum[-1] in orders:
+                    out[tuple(e)] = out.get(tuple(e), 0) + c1 * c2 * w
+    return out
+
+
+def tuple_pairwise_image(op, pairs, kernel, target, flip_nu=False, nu_shift=0, halvings=0):
+    """The oracle of ``weyl._pairwise_image``, on tuple keys: each term's
+    image the product of its pairs' kernel images, zipped field by field."""
+    idx = [(op.vs.index(x), op.vs.index(y)) for x, y in pairs]
+    words, emax = [], 0
+    for (a, b), c in unpacked(op).items():
+        kers, e = [], halvings
+        for i, j in idx:
+            ei, image = kernel(a[i], a[j], b[i], b[j])
+            e += ei
+            kers.append(image)
+        words.append((-c if flip_nu and a[-1] % 2 else c, e, a[-1] + nu_shift, kers))
+        emax = max(emax, e)
+    out: dict = {}
+    for p, e, k0, kers in words:
+        for combo in itertools.product(*kers):
+            x1, x2, d1, d2, s, w = zip(*combo)
+            key = (x1 + x2 + (k0 + sum(s),), d1 + d2)
+            out[key] = out.get(key, 0) + (p << (emax - e)) * prod(w)
+    return over(WeylOperator, target, out, op.den << emax)
 
 
 def two_conjugations(op: WeylOperator, l_names, m_names):
     """The oracle of ``weyl.star_transform``, step by step: op with
     nu -> -nu, times 1/(2 nu), through ``fourier_conjugate`` and then
     ``holomorphic_frame``."""
-    flipped = WeylOperator(op.vs, {k: -c if k[0][-1] % 2 else c for k, c in op.rationals().items()})
+    terms = unpacked(op, op.rationals())
+    flipped = WeylOperator(op.vs, {k: -c if k[0][-1] % 2 else c for k, c in terms.items()})
     fop, fvs = fourier_conjugate(flipped.scale(Scalar.nu(-1, Fraction(1, 2))), l_names, m_names)
     return holomorphic_frame(fop, l_names, fvs.names[len(l_names) :])
 
@@ -59,7 +155,7 @@ def multiset_left_star_operator(lam: Poly, l_names, m_names) -> WeylOperator:
     l_idx = [vs.index(x) for x in l_names]
     m_idx = [vs.index(x) for x in m_names]
     zero_d = (0,) * len(vs)
-    out: dict = {(e, zero_d): c for e, c in lam.rationals().items()}
+    out: dict = {(e, zero_d): c for e, c in unpacked(lam, lam.rationals()).items()}
     for k in range(1, lam.total_degree() + 1):
         for combo in itertools.combinations_with_replacement(range(2 * n), k):
             p = lam
@@ -76,7 +172,7 @@ def multiset_left_star_operator(lam: Poly, l_names, m_names) -> WeylOperator:
             if p.is_zero():
                 continue
             weight = exact(Fraction(sign, prod(factorial(m) for m in Counter(combo).values())))
-            for e, c in p.rationals().items():
+            for e, c in unpacked(p, p.rationals()).items():
                 key = (e[:-1] + (e[-1] + k,), tuple(dexp))
                 out[key] = out.get(key, 0) + c * weight
     return WeylOperator(vs, pruned(out))
@@ -87,15 +183,15 @@ def term_pair_apply(op: WeylOperator, p: Poly) -> Poly:
     against every term of p, with d^b x^e = e!/(e-b)! x^(e-b), zero when
     some e_i < b_i."""
     out: dict = {}
-    for (a, b), c in op.terms.items():
+    for (a, b), c in unpacked(op).items():
         b0 = b + (0,)
-        for e, pc in p.terms.items():
+        for e, pc in unpacked(p).items():
             w = prod(map(perm, e, b))
             if not w:
                 continue
             mono = tuple(u + v - z for u, v, z in zip(a, e, b0))
             out[mono] = out.get(mono, 0) + c * pc * w
-    return Poly._reduced(op.vs, out, op.den * p.den)
+    return over(Poly, op.vs, out, op.den * p.den)
 
 
 def contraction_b3(u: Poly, v: Poly, l_names, m_names) -> dict:
@@ -105,7 +201,7 @@ def contraction_b3(u: Poly, v: Poly, l_names, m_names) -> dict:
     without zeros; for u and v of degree at most 3 every variable's
     exponent in it is zero."""
     out = {}
-    for e, c in _contractions(u, v, l_names, m_names, (3,)).items():
+    for e, c in unpacked(u, _contractions(u, v, l_names, m_names, (3,))).items():
         assert not any(e[:-1])
         if c:
             out[e[-1]] = c

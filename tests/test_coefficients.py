@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import unpacked
+from starcayley import kkt
 from starcayley.hds import NoEquivalence, solve_equivalence
 from starcayley.poly import Poly, varset
 from starcayley.report import BUILTIN_SELECTORS, _random_poly
@@ -51,14 +53,14 @@ def assert_canonical(obj):
 
 def test_integral_values_are_stored_as_int():
     p = Poly(VS, {(1, 0, 0): Fraction(4, 2), (0, 1, -1): Fraction(1, 2)})
-    assert p.terms == {(1, 0, 0): 4, (0, 1, -1): 1} and p.den == 2
+    assert unpacked(p) == {(1, 0, 0): 4, (0, 1, -1): 1} and p.den == 2
     assert {type(c) for c in p.terms.values()} == {int}
     half = Poly.var(VS, "x") * Fraction(1, 2)
-    assert half.terms == {(1, 0, 0): 1} and half.den == 2
+    assert unpacked(half) == {(1, 0, 0): 1} and half.den == 2
     # 1/2 + 1/2 is stored as 1 over 1, and (1/2) 4 as 2 over 1
-    assert (half + half).terms == {(1, 0, 0): 1} and (half + half).den == 1
-    assert type((half + half).terms[(1, 0, 0)]) is int
-    assert (half * Fraction(4)).terms == {(1, 0, 0): 2} and (half * Fraction(4)).den == 1
+    assert unpacked(half + half) == {(1, 0, 0): 1} and (half + half).den == 1
+    assert type(unpacked(half + half)[(1, 0, 0)]) is int
+    assert unpacked(half * Fraction(4)) == {(1, 0, 0): 2} and (half * Fraction(4)).den == 1
     assert (half - half).terms == {} and (half - half).den == 1
 
 
@@ -140,7 +142,7 @@ def test_ring_results_are_canonical_and_match_fractions(a, b, k, c, s):
     ]
     for got, want in cases:
         assert_canonical(got)
-        assert got.rationals() == want
+        assert unpacked(got, got.rationals()) == want
 
 
 # -- the kernels of the checks run on ints --------------------------------------
@@ -163,6 +165,8 @@ def test_check_kernels_use_no_fraction_arithmetic(sym3, instance_cache, fraction
     assert bracket_sign(g, rho) == (-1, (0, 0, None))
     assert bracket_sign(g, dpi) == (1, (0, 0, None))
     assert ch.hamiltonicity_residual() == (0, 0, None)
+    # the Killing Gram matrix against its closed block formula, kappa = 1
+    assert kkt.measure_kappa(g) == (1, 0, "kappa = 1")
     assert verify_covariance(ch) == (0, 0, None)
     assert verify_property_B(ch, samples) == (0, 0, None)
     assert max(op.order() for op in ch.left_stars) == 3

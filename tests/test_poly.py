@@ -8,7 +8,7 @@ from starcayley.poly import (
 )
 from starcayley.scalars import Scalar
 
-from conftest import degree_in
+from conftest import degree_in, unpacked
 
 VS = varset("x", "y")
 
@@ -105,7 +105,9 @@ def laurent_polys(draw, vs=VS):
 
 
 # a Scalar is the Poly over no variables
-scalars = laurent_polys(varset()).map(lambda p: Scalar({k: c for (k,), c in p.rationals().items()}))
+scalars = laurent_polys(varset()).map(
+    lambda p: Scalar({k: c for (k,), c in unpacked(p, p.rationals()).items()})
+)
 
 
 class TestScalarOperand:
