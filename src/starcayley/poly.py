@@ -445,14 +445,15 @@ class Scalar(Poly):
     @staticmethod
     def of(c) -> "Scalar":
         """The rational c, built in canonical form."""
-        return Scalar.nu(0, c)
+        c = exact(c)
+        return Scalar._new(NO_VARS, {NO_VARS.one: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def nu(k: int = 1, coeff=1) -> "Scalar":
-        """coeff * nu^k (k may be negative), built in canonical form."""
+        """coeff * nu^k (k may be negative), built in canonical form; the
+        range test of ``_reduced`` rejects a k outside the nu field."""
         c = exact(coeff)
-        terms = {Scalar._pack(NO_VARS, (k,)): c.numerator} if c else {}
-        return Scalar._new(NO_VARS, terms, c.denominator)
+        return Scalar._reduced(NO_VARS, {NO_VARS.one + k: c.numerator} if c else {}, c.denominator)
 
     @property
     def coeffs(self) -> Mapping[int, Fraction]:
