@@ -209,8 +209,8 @@ def test_operator_field_past_its_range_raises():
     assert (d0 * big_x).terms
 
 
-def test_left_star_and_star_transform_stay_in_range(instance_cache):
-    # the built-in operators keep every field far inside the range
+def test_builtin_left_stars_stay_far_inside_the_range(instance_cache):
+    # every field of the sym:3 left-star operators is far from its bound
     ch = instance_cache("chart", "sym:3")
     for op in ch.left_stars:
         for a, b in unpacked(op):
