@@ -13,7 +13,6 @@ Poisson bracket is the canonical one, and lambda_[A,B] = {lambda_A, lambda_B}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -21,8 +20,8 @@ from math import lcm
 from typing import List, Tuple
 
 from . import weyl
-from .kkt import GradedLieAlgebra
-from .poly import Poly, Tally, VarSet, diff_terms, lincomb, mul_add, tally
+from .kkt import GradedLieAlgebra, homomorphism_tallies
+from .poly import Poly, Tally, VarSet, diff_terms, mul_add
 
 
 EXP_AD_STEPS = 8
@@ -92,24 +91,21 @@ class SymplecticChart:
     # -- verification -----------------------------------------------------
     def hamiltonicity_residual(self) -> Tally:
         """|lambda_[bi,bj] - {lambda_i, lambda_j}| tallied over the basis
-        pairs i < j, in that order.  The moment maps are brought to one
-        denominator L and their gradients taken once; each difference is
-        accumulated into one term dict of integer numerators over D L^2, D
-        the table's denominator."""
+        pairs i < j by ``kkt.homomorphism_tallies``, on the moment maps over
+        one denominator L, with their gradients taken once."""
         g, n, one = self.g, self.g.n, self.vs.one
         L = lcm(*(lam.den for lam in self.moment))
         moment = [lam.over(L) for lam in self.moment]
         grads = [[diff_terms(t, self.vs, v) for v in range(2 * n)] for t in moment]
 
-        def rows():
-            for i, j in itertools.combinations(range(g.dim), 2):
-                acc = lincomb((c * L, moment[k]) for k, c in g.bracket_numerators(i, j).items())
-                for a in range(n):
-                    mul_add(acc, grads[i][a], grads[j][n + a], one, -g.denom)
-                    mul_add(acc, grads[i][n + a], grads[j][a], one, g.denom)
-                yield (i, j), sum(map(abs, acc.values()))
+        def bracket(i, j):
+            acc: dict = {}
+            for a in range(n):
+                mul_add(acc, grads[i][a], grads[j][n + a], one, g.denom)
+                mul_add(acc, grads[i][n + a], grads[j][a], one, -g.denom)
+            return [acc]
 
-        return tally(rows(), g.denom * L * L)
+        return homomorphism_tallies(g, [[t] for t in moment], bracket, L)[0]
 
     def max_moment_degree(self) -> int:
         return max(p.total_degree() for p in self.moment)

@@ -102,8 +102,6 @@ def cmd_show(args) -> int:
         for i, op in enumerate(ctx.series.dpi_basis()):
             s_op = WeylOperator.from_poly(split_first_order(op)[0])
             print(f"dpi[{i}] = ({op - s_op})  +  m * ({s_op})")
-    else:
-        raise ConfigError(f"unknown --what {args.what!r}")
     return 0
 
 

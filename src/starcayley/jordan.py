@@ -132,9 +132,7 @@ class JordanAlgebra:
         }
 
 
-# ---------------------------------------------------------------------------
-# built-in instances
-# ---------------------------------------------------------------------------
+# -- built-in instances ------------------------------------------------------
 
 
 def make_rank_one() -> JordanAlgebra:
@@ -193,9 +191,7 @@ def _freeze(S) -> tuple:
     return tuple(tuple(tuple(row) for row in plane) for plane in S)
 
 
-# ---------------------------------------------------------------------------
-# validation and generic loader
-# ---------------------------------------------------------------------------
+# -- validation and generic loader -------------------------------------------
 
 
 @dataclass
@@ -255,6 +251,16 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
     return rep
 
 
+def min_poly_degree(A: JordanAlgebra) -> int:
+    """The degree of the minimal polynomial of x = sum_k (k+1) e_k, at most
+    the rank: the number of powers e, x, x o x, ... that one
+    ``linalg.Echelon`` absorbs before a power depends on those before it."""
+    span, x, p = linalg.Echelon(), [Fraction(k + 1) for k in range(A.dim)], list(A.unit)
+    while span.absorb(dict(enumerate(p))) is None:
+        p = A.mul(x, p)
+    return span.size
+
+
 def _table_entries(x, depth: int):
     """The JSON value x, arrays nested depth deep, as nested lists of
     Fractions; a string is not an array, though it iterates."""
@@ -276,8 +282,8 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     structure: [[[rational]]], optional basis_names: [distinct strings]},
     each rational a JSON integer or a string such as "-3/2".
     Raises UnknownAlgebra when the table does not follow the schema,
-    InvalidDimension when its sizes disagree and ValidationFailed when any
-    axiom fails.
+    InvalidDimension when its sizes disagree or the declared rank is below
+    ``min_poly_degree`` and ValidationFailed when any axiom fails.
     """
     if isinstance(data, str):
         data = json.loads(data)
@@ -318,6 +324,8 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     rep = validate_jordan(A)
     if not rep.passed:
         raise ValidationFailed(rep)
+    if rank < (k := min_poly_degree(A)):
+        raise InvalidDimension(f"rank {rank} is below {k}, the degree of a minimal polynomial")
     object.__setattr__(A, "validation", rep)  # frozen: set once, here
     return A
 

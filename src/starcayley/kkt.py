@@ -31,6 +31,8 @@ FLINT's fmpq_mat, and Theta the same way over D_theta.  The lie checks
 sum these integers and divide each residual once, at the end; Fractions
 are formed only there, in the views ``bracket_coords``, ``bracket_table``,
 ``coord_bracket`` and ``apply_theta``, and against Jordan data.
+``homomorphism_tallies`` checks that a linear map respects the bracket:
+Theta here, the moment maps in ``chart``, rho and dpi in ``starrep``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .jordan import JordanAlgebra
-from .poly import NO_VARS, Poly, Scalar, bilinear, exact, lincomb, proportion, ratio, tally
+from .poly import NO_VARS, Poly, Scalar, Tally, bilinear, exact, lincomb, proportion, ratio, tally
 
 
 class GradingClosureFailure(ValueError):
@@ -360,9 +362,7 @@ class GradedLieAlgebra:
         return unit[:n], Lp
 
 
-# ---------------------------------------------------------------------------
-# verification suites: each returns (passed, residual, detail)
-# ---------------------------------------------------------------------------
+# -- verification suites ----------------------------------------------------
 
 
 @dataclass
@@ -426,25 +426,40 @@ def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
     return _combine("grading", res)
 
 
+def homomorphism_tallies(g: GradedLieAlgebra, parts: list, bracket, L: int) -> Tuple[Tally, Tally]:
+    """The Tallies of |[X e_i, X e_j] -+ X[e_i, e_j]| over the basis pairs
+    i < j, in that order, for a linear X into a Lie algebra: ``parts[k]``
+    lists the component term dicts of X e_k over L, and ``bracket(i, j)``
+    the components of D [X e_i, X e_j] over D L^2, D the table's
+    denominator.  The image X[e_i, e_j] is summed once per component from
+    the table's numerators.  Negating X swaps the two Tallies."""
+    rows = []
+    for i, j in itertools.combinations(range(g.dim), 2):
+        plus = minus = 0
+        for c, acc in enumerate(bracket(i, j)):
+            image = lincomb((ck * L, parts[k][c]) for k, ck in g.bracket_numerators(i, j).items())
+            for e in acc.keys() | image.keys():
+                a, b = acc.get(e, 0), image.get(e, 0)
+                plus += abs(a - b)
+                minus += abs(a + b)
+        rows.append(((i, j), plus, minus))
+    den = g.denom * L * L
+    return tally(((ij, p) for ij, p, _ in rows), den), tally(((ij, m) for ij, _, m in rows), den)
+
+
 def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
-    """theta is an automorphism of the bracket: with Theta the coordinates
-    of theta(e_i) from ``theta_table``, Theta [e_i, e_j] = [Theta e_i,
-    Theta e_j] is checked through the structure constants, both sides on
-    integer numerators over D D_theta^2.  Theta^2 = 1 holds whenever the
-    tau Gram matrix is symmetric, as for every table the loader accepts,
-    and is not checked.  On failure the detail names the first failing
-    pair (i, j), in the order i, then j > i, and its residual."""
+    """theta is an automorphism, Theta [e_i, e_j] = [Theta e_i, Theta e_j],
+    by ``homomorphism_tallies`` on the rows of ``theta_table``, L = D_theta.
+    Theta^2 = 1 holds whenever the tau Gram matrix is symmetric, as for
+    every table the loader accepts, and is not checked.  On failure the
+    detail names the first failing pair (i, j) and its residual."""
     theta, dt = g.theta_table
-    S = g._structure
 
-    def rows():
-        for i, j in itertools.combinations(range(g.dim), 2):
-            acc = lincomb((dt * c, theta[k]) for k, c in S.get((i, j), {}).items())
-            products = ((p, q, tp * tq) for p, tp in theta[i].items() for q, tq in theta[j].items())
-            lincomb(((-w, S[(p, q)]) for p, q, w in products if (p, q) in S), acc)
-            yield (i, j), sum(map(abs, acc.values()))
+    def bracket(i, j):
+        pairs = ((p, q, tp * tq) for p, tp in theta[i].items() for q, tq in theta[j].items())
+        return [lincomb((w, g.bracket_numerators(p, q)) for p, q, w in pairs)]
 
-    t = tally(rows(), g.denom * dt * dt)
+    t, _ = homomorphism_tallies(g, [[row] for row in theta], bracket, dt)
     return _combine("theta", t.residual, t.witness("(i, j)") or "")
 
 

@@ -295,8 +295,9 @@ class FlatTerms:
         return self._new(self.vs, *canonical({k: v * num for k, v in self.terms.items()}, self.den * den))
 
     def __eq__(self, other) -> bool:
-        mine, theirs = (self.vs, self.den, self.terms), (other.vs, other.den, other.terms)
-        return type(other) is type(self) and mine == theirs
+        if type(other) is not type(self):
+            return False if isinstance(other, FlatTerms) else NotImplemented
+        return (self.vs, self.den, self.terms) == (other.vs, other.den, other.terms)
 
     def __hash__(self):
         return hash((self.vs, frozenset(self.terms.items()), self.den))
@@ -348,13 +349,12 @@ class Poly(FlatTerms):
         return self.scale(other)
 
     def __add__(self, other) -> "Poly":
-        # a Scalar operand is a constant, in either order, as under *
-        if other.vs is not self.vs and isinstance(other, Scalar) and not isinstance(self, Scalar):
+        # a rational operand, or a Scalar one of a non-Scalar, is a constant, as under *
+        if not isinstance(other, Poly) or type(other) is Scalar and type(self) is not Scalar:
             other = Poly.const(self.vs, other)
         return FlatTerms.__add__(self, other)
 
-    def __radd__(self, other) -> "Poly":
-        return self + Poly.const(self.vs, other)
+    __radd__ = __add__
 
     def __rsub__(self, other) -> "Poly":
         return (-self).__radd__(other)

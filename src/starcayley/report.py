@@ -161,16 +161,17 @@ class InstanceContext:
 
 
 def _random_poly(rng: random.Random, ch, max_deg: int = 3) -> Poly:
-    """A sum of 1 to 4 monomials, each a rational times up to max_deg
-    variables drawn from the chart's; its terms are summed as drawn."""
-    names, terms = ch.vs.names, {}
+    """A sum of 1 to 4 monomials, each p/q, q <= 3, times up to max_deg of
+    the chart's variables, summed as drawn: numerators over 6, packed keys."""
+    vs, terms = ch.vs, {}
+    units = [1 << vs.width * i for i in range(len(vs))]
     for _ in range(rng.randint(1, 4)):
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        e = [0] * (len(names) + 1)
+        c = rng.randint(-4, 4) * 6 // rng.randint(1, 3)
+        e = vs.one
         for _ in range(rng.randint(0, max_deg)):
-            e[names.index(rng.choice(names))] += 1
-        terms[tuple(e)] = terms.get(tuple(e), 0) + c
-    return Poly(ch.vs, terms)
+            e += rng.choice(units)
+        terms[e] = terms.get(e, 0) + c
+    return Poly._reduced(vs, terms, 6)
 
 
 # -- suite runners --------------------------------------------------------

@@ -13,15 +13,12 @@ on coordinate vectors through the structure constants, beta(h, o) and
 spur(h) as dot products of the degree-zero coordinates of h with K.o and
 the spur vector.  h_A and l_A are built once per basis element and shared
 by rho and its cross-checks: l_A against the conformal field that hds
-builds from Jordan data, h_A against kappa * Dl_A.  ``bracket_sign`` is
-the one bracket-sign check of rho and of the operators of hds, both
-first order, so each commutator is a bracket of vector fields with
-multipliers.
+builds from Jordan data, h_A against kappa * Dl_A.  ``bracket_sign``
+measures the bracket sign of rho and of the first-order operators of hds.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -30,10 +27,8 @@ from typing import List, Optional, Tuple
 
 from . import linalg
 from .chart import SymplecticChart
-from .kkt import GradedLieAlgebra
-from .poly import (
-    Poly, Tally, VarSet, abs_numerator, diff_terms, lincomb, proportion, tally,
-)
+from .kkt import GradedLieAlgebra, homomorphism_tallies
+from .poly import Poly, Tally, VarSet, abs_numerator, diff_terms, proportion, tally
 from .scalars import Scalar
 from .weyl import (
     WeylOperator,
@@ -151,28 +146,15 @@ def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tal
     pairs i < j of first-order operators X_k = ops[k]; returns (s, Tally).
 
     The operators are brought to one denominator L and split once, with
-    their gradients (``weyl.first_order_parts``); each pair's commutator is
-    their first-order bracket, over L^2, formed once for both
-    |[X_i, X_j] -+ X([e_i, e_j])|, and the image sum_k c_ij^k X_k is summed
-    from the table's numerators.  s = +1 reports a homomorphism, s = -1 an
-    anti-homomorphism and s = 0 neither; the Tally is that of the sign with
-    the smaller total, +1 on a tie.  Raises ValueError on a term of order
-    > 1."""
-    L, D = lcm(*(op.den for op in ops)), g.denom
+    their gradients (``weyl.first_order_parts``), and each pair's
+    first-order bracket feeds both Tallies of ``kkt.homomorphism_tallies``.
+    s = +1 reports a homomorphism, s = -1 an anti-homomorphism and s = 0
+    neither, with the Tally of the sign of smaller total, +1 on a tie.
+    Raises ValueError on a term of order > 1."""
+    L = lcm(*(op.den for op in ops))
     fields = [first_order_parts(op, L) for op in ops]
-    rows = []
-    for i, j in itertools.combinations(range(g.dim), 2):
-        nz = g.bracket_numerators(i, j).items()
-        plus = minus = 0
-        for c, terms in enumerate(first_order_bracket(fields[i], fields[j])):
-            image = lincomb((ck * L, fields[k].parts[c]) for k, ck in nz)
-            for e in terms.keys() | image.keys():
-                a, b = D * terms.get(e, 0), image.get(e, 0)
-                plus += abs(a - b)
-                minus += abs(a + b)
-        rows.append(((i, j), plus, minus))
-    plus = tally(((ij, p) for ij, p, _ in rows), D * L * L)
-    minus = tally(((ij, m) for ij, _, m in rows), D * L * L)
+    bracket = lambda i, j: first_order_bracket(fields[i], fields[j], g.denom)
+    plus, minus = homomorphism_tallies(g, [f.parts for f in fields], bracket, L)
     best = plus if plus.residual <= minus.residual else minus
     return (0 if best.failures else 1 if best is plus else -1), best
 

@@ -202,10 +202,10 @@ def first_order_parts(op: WeylOperator, den: int = 0) -> FirstOrderParts:
     return FirstOrderParts(parts, grads, vs.one)
 
 
-def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
+def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts, factor: int = 1) -> List[dict]:
     """[f + a.d, g + b.d] = (a.grad g - b.grad f) + sum_j (a.grad b_j - b.grad a_j) d_j,
-    as the term dicts of its parts [multiplier, coefficient of d_1, ...],
-    numerators over the product of the two denominators, zeros kept.  The
+    as the term dicts of its parts [multiplier, coefficient of d_1, ...]
+    times factor, over the product of the two denominators, zeros kept.  The
     second-order parts of the compositions cancel, so part c is
     sum_v a_v d_v y.parts[c] - b_v d_v x.parts[c], over the nonzero a_v, b_v."""
     a = [(v, t) for v, t in enumerate(x.parts[1:]) if t]
@@ -215,10 +215,10 @@ def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts) -> List[dict]:
         acc: dict = {}
         for v, t in a:
             if dy[v]:
-                mul_add(acc, t, dy[v], x.one)
+                mul_add(acc, t, dy[v], x.one, factor)
         for v, t in b:
             if dx[v]:
-                mul_add(acc, t, dx[v], x.one, -1)
+                mul_add(acc, t, dx[v], x.one, -factor)
         out.append(acc)
     return out
 

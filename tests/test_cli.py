@@ -65,6 +65,10 @@ class TestExitCodes:
                 ("show", "--algebra", "rank1"), "error: the following arguments are required: --what",
                 id="missing-what",
             ),
+            pytest.param(
+                ("show", "--algebra", "rank1", "--what", "theta"), "error: argument --what",
+                id="unknown-what",
+            ),
             pytest.param((), "error: the following arguments are required: command", id="no-subcommand"),
         ],
     )
@@ -153,6 +157,19 @@ class TestExitCodes:
         assert code == 2
         assert "PASS" not in out
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("selector, rank", [("spin:3", 1), ("sym:3", 2), ("sym:3", 1)])
+    def test_rank_below_minimal_polynomial_degree_is_config_error(
+        self, capsys, tmp_path, selector, rank
+    ):
+        # spin:3 declared of rank 1 passed every suite with a wrong m*
+        path = tmp_path / "low-rank.json"
+        path.write_text(json.dumps({**jordan.make_algebra(selector).to_json(), "rank": rank}))
+        code, out, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
+        assert code == 2
+        assert "PASS" not in out
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"rank {rank} is below" in err
 
     @pytest.mark.parametrize("target", ["absent/report.json", "."], ids=["missing-dir", "a-dir"])
     def test_unwritable_out_is_config_error(self, capsys, tmp_path, target):

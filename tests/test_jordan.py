@@ -131,6 +131,19 @@ class TestLoader:
         B = jordan.load_from_structure_constants(A.to_json())
         assert B.validation.passed and B.validation.to_json() == jordan.validate_jordan(A).to_json()
 
+    @pytest.mark.parametrize(
+        "selector", ["rank1", "spin:2", "spin:3", "spin:4", "spin:5", "sym:2", "sym:3",
+                     "spin:20", "sym:4", "sym:7"],
+    )
+    def test_minimal_polynomial_degree_is_the_rank(self, selector):
+        A = jordan.make_algebra(selector)
+        assert jordan.min_poly_degree(A) == A.rank
+
+    def test_accepts_a_rank_declared_too_high(self):
+        # the degree bounds the rank from below only
+        data = {**jordan.make_spin_factor(3).to_json(), "rank": 3}
+        assert jordan.load_from_structure_constants(data).rank == 3
+
     def test_rejects_bad_shape(self):
         A = jordan.make_rank_one()
         data = A.to_json()

@@ -1,10 +1,12 @@
 import copy
+import itertools
 from fractions import Fraction
 
 import pytest
 from conftest import dense
 
 from starcayley import jordan, kkt, linalg
+from starcayley.poly import tally
 from starcayley.report import BUILTIN_SELECTORS, SUITE_RUNNERS, InstanceContext, RunConfig
 
 
@@ -253,6 +255,38 @@ def test_theta_fails_on_perturbed_structure():
     assert not result.passed
     assert result.residual == Fraction(8, 3)
     assert result.detail == "first failing (i, j) = (0, 7), residual 4/3"
+
+
+def _theta_oracle(g: kkt.GradedLieAlgebra):
+    """The Tally of |Theta [e_i, e_j] - [Theta e_i, Theta e_j]| over the
+    pairs i < j, from the Fraction views ``apply_theta`` and
+    ``coord_bracket``."""
+    unit = linalg.identity(g.dim)
+    images = [g.apply_theta(e) for e in unit]
+
+    def rows():
+        for i, j in itertools.combinations(range(g.dim), 2):
+            lhs = g.apply_theta(g.coord_bracket(unit[i], unit[j]))
+            rhs = g.coord_bracket(images[i], images[j])
+            yield (i, j), sum(abs(a - b) for a, b in zip(lhs, rhs))
+
+    return tally(rows())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda s=s: jordan.make_algebra(s), id=s) for s in BUILTIN_SELECTORS]
+    + [pytest.param(_perturbed_spin2, id="perturbed-spin:2"),
+       pytest.param(_perturbed_sym2, id="perturbed-sym:2")],
+)
+def test_theta_tally_matches_the_fraction_oracle(make):
+    # the homomorphism kernel on Theta's integer rows against the rational
+    # views, which share none of its code
+    g = kkt.GradedLieAlgebra(make())
+    want = _theta_oracle(g)
+    result = kkt.verify_theta(g)
+    assert result.residual == want.residual
+    assert result.detail == (want.witness("(i, j)") or "")
 
 
 def test_lie_checks_never_reach_the_model(model_forbidden):

@@ -53,6 +53,30 @@ class TestRingStructure:
         assert Fraction(1) - x == Poly.const(VS, 1) - x
         assert Fraction(3) * x == x * Fraction(3)
 
+    @given(polys(), st.fractions(min_value=-9, max_value=9, max_denominator=4))
+    def test_rational_operands_are_constants_in_either_order(self, p, c):
+        assert p + c == c + p == p + Poly.const(VS, c)
+        assert p - c == p - Poly.const(VS, c) == -(c - p)
+        assert p + 1 == 1 + p and p - 1 == -(1 - p)
+
+    def test_other_operands_raise_type_error(self):
+        x = Poly.var(VS, "x")
+        for other in (1.5, True, None):
+            with pytest.raises(TypeError):
+                x + other
+
+    def test_never_equals_a_rational(self):
+        # a Poly hashes apart from its rational, so it must not equal it
+        one = Poly.const(VS, 1)
+        assert one != 1 and 1 != one and Poly.zero(VS) != 0
+        assert Poly.var(VS, "x") != Fraction(1, 2)
+        assert len({one, 1}) == 2
+
+    def test_operator_never_equals_a_rational(self):
+        from starcayley.weyl import WeylOperator
+
+        assert WeylOperator.identity(VS) != 0 and WeylOperator.identity(VS) != 1
+
 
 class TestCalculus:
     @given(polys(), polys())

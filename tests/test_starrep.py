@@ -1,5 +1,6 @@
 import copy
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -22,7 +23,7 @@ from starcayley.starrep import (
     verify_rho_homomorphism,
     verify_star_transform,
 )
-from starcayley.weyl import WeylOperator
+from starcayley.weyl import WeylOperator, first_order_bracket, first_order_parts
 
 
 def h_poly(srep, a):
@@ -211,7 +212,7 @@ def test_failing_rho_forms_each_bracket_once(selector, monkeypatch):
     ctx._cache["rho"] = rho
     calls = []
     bracket = starrep.first_order_bracket
-    counted = lambda x, y: calls.append(1) or bracket(x, y)
+    counted = lambda *a: calls.append(1) or bracket(*a)
     monkeypatch.setattr(starrep, "first_order_bracket", counted)
     out = run_theorem_suite(ctx)
     assert out["rho_bracket_sign"] == 0 and "rho_hom_witness" in out
@@ -272,6 +273,36 @@ def test_star_suite_names_the_first_failing_property_b_sample():
 def test_passing_theorem_suite_has_no_witness():
     out = run_theorem_suite(InstanceContext(RunConfig(algebra="sym:2")))
     assert out["passed"] and "rho_hom_witness" not in out and "dpi_hom_witness" not in out
+
+
+@pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
+def test_negated_rho_is_a_homomorphism(selector, instance_cache):
+    # [-X_i, -X_j] = [X_i, X_j] while the image changes sign, so negating
+    # every rho(e_k) turns the anti-homomorphism into a homomorphism
+    g = instance_cache("lie", selector)
+    rho = instance_cache("rho", selector)
+    sign, t = bracket_sign(g, rho)
+    assert (sign, t) == (-1, (0, 0, None))
+    assert bracket_sign(g, [-op for op in rho]) == (1, t)
+
+
+@pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
+def test_negation_swaps_the_two_tallies(selector, instance_cache):
+    # on a rho that fails under both signs, so that both Tallies are nonzero
+    g = instance_cache("lie", selector)
+    srep = instance_cache("srep", selector)
+    rho = list(instance_cache("rho", selector))
+    rho[1] = rho[1] + WeylOperator.identity(srep.zvs)
+
+    def tallies(ops):
+        L = lcm(*(op.den for op in ops))
+        fields = [first_order_parts(op, L) for op in ops]
+        bracket = lambda i, j: first_order_bracket(fields[i], fields[j], g.denom)
+        return kkt.homomorphism_tallies(g, [f.parts for f in fields], bracket, L)
+
+    plus, minus = tallies(rho)
+    assert plus.failures and minus.failures
+    assert tallies([-op for op in rho]) == (minus, plus)
 
 
 def test_bracket_sign_rejects_second_order_operator(instance_cache):
