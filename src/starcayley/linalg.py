@@ -81,20 +81,16 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def invert(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(a)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pr is None:
+    """a^-1 from one ``Echelon``: the rows a_i of a are absorbed, and row j
+    of a^-1 is the coordinates of e_j along them, since sum_i c_i a_i = e_j;
+    raises ValueError when a row depends on the ones before it."""
+    span = Echelon()
+    for row in a:
+        if span.absorb(dict(enumerate(row))) is not None:
             raise ValueError("singular matrix")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    n = len(a)
+    rows = (span.coords({j: 1}) for j in range(n))
+    return [[Fraction(c.get(i, 0)) for i in range(n)] for c in rows]
 
 
 def positive_definite(a: Matrix) -> bool:

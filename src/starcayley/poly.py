@@ -260,6 +260,8 @@ class FlatTerms:
         return {k: Fraction(c, self.den) for k, c in self.terms.items()}
 
     def __add__(self, other):
+        if not isinstance(other, FlatTerms) or other._OPERATOR is not self._OPERATOR:
+            return NotImplemented
         self._check(other)
         if not other.terms:
             return self
@@ -280,14 +282,10 @@ class FlatTerms:
     def scale(self, c):
         """self times c, a rational or a Scalar."""
         if isinstance(c, Scalar):
-            out: dict = {}
+            # the key of nu^k is k units of the nu field, the key of 1 zero
             unit = 1 << self.vs.nu_shift * (1 + self._OPERATOR)
-            for s, cs in c.terms.items():
-                s = NO_VARS.nu(s) * unit
-                for k, v in self.terms.items():
-                    k += s
-                    out[k] = out[k] + v * cs if k in out else v * cs
-            return self._reduced(self.vs, out, self.den * c.den)
+            shifts = {NO_VARS.nu(s) * unit: cs for s, cs in c.terms.items()}
+            return self._reduced(self.vs, mul_add({}, shifts, self.terms, 0), self.den * c.den)
         c = exact(c)
         num, den = c.numerator, c.denominator
         if den == 1 and num in (0, 1):

@@ -21,7 +21,7 @@ import functools
 import itertools
 from math import comb, factorial, lcm, perm, prod
 from operator import or_
-from typing import Callable, Container, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from .poly import (
     NO_VARS, FlatTerms, Poly, Tally, VarSet, VarSetMismatch, abs_numerator, diff_terms, mul_add,
@@ -34,6 +34,21 @@ from .scalars import Scalar
 def _reorder(p: int, q: int) -> Tuple[Tuple[int, int], ...]:
     """d^p x^q = sum_k C(p,k) C(q,k) k! x^(q-k) d^(p-k), as (k, weight) pairs."""
     return tuple((k, comb(p, k) * comb(q, k) * factorial(k)) for k in range(min(p, q) + 1))
+
+
+def _expand(words) -> dict:
+    """The sum over the words (key, c, factors) of c x^key times the product
+    of the factors, as one term dict: each factor lists (key change,
+    weight) pairs, and each term of the product takes one from every factor."""
+    out: dict = {}
+    for key0, c0, factors in words:
+        for combo in itertools.product(*factors):
+            key, c = key0, c0
+            for dk, w in combo:
+                key += dk
+                c *= w
+            out[key] = out[key] + c if key in out else c
+    return out
 
 
 class WeylOperator(FlatTerms):
@@ -78,26 +93,20 @@ class WeylOperator(FlatTerms):
     def __mul__(self, other: "WeylOperator") -> "WeylOperator":
         """Composition: self after other, re-normal-ordered variable by
         variable (``_reorder``): a move lowers x_i and d_i together."""
+        if not isinstance(other, WeylOperator):
+            return NotImplemented
         self._check(other)
         vs, s = self.vs, self.vs.nu_shift
         drop = [(1 << vs.width * i) * (1 + (1 << s)) for i in range(len(vs))]
+        lhs = [(k, c, vs.exps(k)) for k, c in self.terms.items()]
         rhs = [(k - (vs.one << s), c, vs.exps(k >> s)) for k, c in other.terms.items()]
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            b1 = vs.exps(k1)
-            for k2, c2, a2 in rhs:
-                moves = [
-                    [(k * drop[i], wk) for k, wk in _reorder(b1[i], a2[i])]
-                    for i in range(len(vs))
-                    if b1[i] and a2[i]
-                ]
-                for combo in itertools.product(*moves):
-                    key, c = k1 + k2, c1 * c2
-                    for dk, wk in combo:
-                        key -= dk
-                        c *= wk
-                    out[key] = out[key] + c if key in out else c
-        return self._reduced(self.vs, out, self.den * other.den)
+        words = (
+            (k1 + k2, c1 * c2, [[(-k * drop[i], w) for k, w in _reorder(b1[i], a2[i])]
+                                for i in range(len(vs)) if b1[i] and a2[i]])
+            for k1, c1, b1 in lhs
+            for k2, c2, a2 in rhs
+        )
+        return self._reduced(vs, _expand(words), self.den * other.den)
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
@@ -229,7 +238,7 @@ def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts, factor: int = 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[int, ...], ...]:
+def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[int, int], ...]:
     """One Darboux pair's factor of  l^p1 m^q1  star  l^p2 m^q2.
 
     The term (alpha, beta) is nu^(alpha+beta) times
@@ -238,7 +247,7 @@ def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[i
     factorial ``math.perm(x, k)``; the coefficient is the integer
     (-1)^beta C(p1, alpha) q2^(alpha) C(q1, beta) p2^(beta).  Both the
     nu-power and the exponent drop depend only on s = alpha + beta, so the
-    terms are merged by s: (s drop, s, coefficient) triples with nonzero
+    terms are merged by s: (-s drop, coefficient) pairs with nonzero
     coefficient, drop the change of a key per contraction in the pair.
     """
     acc: Dict[int, int] = {}
@@ -246,7 +255,7 @@ def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[i
         for b in range(min(q1, p2) + 1):
             c = comb(p1, a) * perm(q2, a) * comb(q1, b) * perm(p2, b)
             acc[a + b] = acc.get(a + b, 0) + (-c if b % 2 else c)
-    return tuple((s * drop, s, c) for s, c in sorted(acc.items()) if c)
+    return tuple((-s * drop, c) for s, c in sorted(acc.items()) if c)
 
 
 def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str]) -> Poly:
@@ -258,27 +267,12 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
     = 2 nu and u star v - v star u = 2 nu {u, v} + O(nu^3) (Bayen, Flato,
     Fronsdal, Lichnerowicz and Sternheimer, Ann. Phys. 111, 1978).  On two
     monomials the sum factorises over the pairs (l^a, m^a); each factor is
-    the cached ``_pair_kernel`` of the pair's exponents.  Variables outside
-    the pairs only add their exponents.
+    the cached ``_pair_kernel`` of the pair's exponents.  Each term of u
+    lists once the pairs in which it has an exponent; a pair contracts in a
+    product of terms when its kernel is not 1, and s contractions in it
+    take s drop[a] off the sum of keys.  Variables outside the pairs only
+    add their exponents.
     """
-    return Poly._reduced(u.vs, _contractions(u, v, l_names, m_names), u.den * v.den)
-
-
-def _contractions(
-    u: Poly,
-    v: Poly,
-    l_names: Sequence[str],
-    m_names: Sequence[str],
-    orders: Optional[Container[int]] = None,
-) -> dict:
-    """The unpruned numerators, over u.den v.den, of sum_s nu^s B_s(u, v),
-    where u star v is the sum over all s of nu^s B_s(u, v) and B_s takes s
-    derivatives of each factor: over every s when ``orders`` is None, else
-    over the s in ``orders``.  ``moyal_star`` is the case of every s.
-
-    Each term of u lists once the pairs (l^a, m^a) in which it has an
-    exponent; a pair contracts in a product of terms when its kernel is
-    not 1, and s contractions in it take s drop[a] off the sum of keys."""
     vs = u.vs
     if v.vs != vs:
         raise VarSetMismatch(f"{vs.names} vs {v.vs.names}")
@@ -290,23 +284,13 @@ def _contractions(
         active = [(i, j, e[i], e[j], d) for (i, j), d in zip(pairs, drop) if e[i] or e[j]]
         left.append((k - vs.one, c, active))
     right = [(k, c, vs.exps(k)) for k, c in v.terms.items()]
-    out: dict = {}
-    for k1, c1, active in left:
-        for k2, c2, e2 in right:
-            kers = []
-            for i, j, p1, q1, d in active:
-                p2, q2 = e2[i], e2[j]
-                if (p1 and q2) or (q1 and p2):
-                    kers.append(_pair_kernel(p1, q1, p2, q2, d))
-            for combo in itertools.product(*kers):
-                key, c, order = k1 + k2, c1 * c2, 0
-                for dk, s, ws in combo:
-                    key -= dk
-                    c *= ws
-                    order += s
-                if orders is None or order in orders:
-                    out[key] = out[key] + c if key in out else c
-    return out
+    words = (
+        (k1 + k2, c1 * c2, [_pair_kernel(p1, q1, e2[i], e2[j], d) for i, j, p1, q1, d in active
+                            if (p1 and e2[j]) or (q1 and e2[i])])
+        for k1, c1, active in left
+        for k2, c2, e2 in right
+    )
+    return Poly._reduced(vs, _expand(words), u.den * v.den)
 
 
 def left_star_operator(
@@ -368,22 +352,17 @@ def _pairwise_image(
     pairs: Sequence[Tuple[str, str]],
     kernel: Callable[[int, int, int, int], PairImage],
     target: VarSet,
-    flip_nu: bool = False,
-    nu_shift: int = 0,
-    halvings: int = 0,
 ) -> WeylOperator:
     """The image of op under a homomorphism that sends the generators of each
-    pair of variables to operators in the matching pair of ``target``,
-    after op has been multiplied by nu^nu_shift / 2^halvings and, when
-    ``flip_nu`` is set, carried through nu -> -nu.
+    pair of variables to operators in the matching pair of ``target``.
 
     Images of different pairs commute, so the image of a normal-ordered
     word is the product over the pairs (target[a], target[n + a]) of
     ``kernel`` of the pair's exponents, each image packed once
     (``_packed_image``) so that the key of a product is a sum.  A term
     c x^a d^b, c = p / op.den, contributes p 2^-e / op.den times the
-    product of the kernels' numerators, e the sum of their halvings and
-    ``halvings``, accumulated over the one denominator op.den 2^emax."""
+    product of the kernels' numerators, e the sum of their halvings,
+    accumulated over the one denominator op.den 2^emax."""
     vs, n = op.vs, len(pairs)
     idx = [(vs.index(x), vs.index(y)) for x, y in pairs]
     if sorted(i for p in idx for i in p) != list(range(len(vs))):
@@ -391,27 +370,16 @@ def _pairwise_image(
     one, nu = target.one << target.nu_shift, 1 << 2 * target.nu_shift
     words, emax = [], 0
     for k, c in op.terms.items():
-        kers, e = [], halvings
+        kers, e = [], 0
         x, d = vs.exps(k >> vs.nu_shift), vs.exps(k)
         for a, (i, j) in enumerate(idx):
             if x[i] or x[j] or d[i] or d[j]:  # else the pair's image is 1
                 h, image = _packed_image(kernel, target.width, n, a, (x[i], x[j], d[i], d[j]))
                 e += h
                 kers.append(image)
-        k = vs.nu(k >> vs.nu_shift)
-        if flip_nu and k % 2:
-            c = -c
-        words.append((c, e, one + (k + nu_shift) * nu, kers))
+        words.append((one + vs.nu(k >> vs.nu_shift) * nu, c, e, kers))
         emax = max(emax, e)
-    out: dict = {}
-    for p, e, key0, kers in words:
-        w0 = p << (emax - e)
-        for combo in itertools.product(*kers):
-            key, c = key0, w0
-            for dk, wk in combo:
-                key += dk
-                c *= wk
-            out[key] = out[key] + c if key in out else c
+    out = _expand((key, c << (emax - e), kers) for key, c, e, kers in words)
     return WeylOperator._reduced(target, out, op.den << emax)
 
 
@@ -534,12 +502,14 @@ def star_transform(
 ) -> Tuple[WeylOperator, VarSet]:
     """holomorphic_frame(fourier_conjugate(op|nu->-nu / (2 nu))) in one pass
     over the terms of op, through the cached ``_star_kernel`` of each
-    Darboux pair; the two conjugations are its test oracle."""
+    Darboux pair; the two conjugations are its test oracle.  The source
+    op|nu->-nu / (2 nu) is one pass over the keys: each moves one nu-step
+    down and each odd nu-power flips its sign."""
+    vs, step = op.vs, 1 << 2 * op.vs.nu_shift
+    source = {k - step: -c if vs.nu(k >> vs.nu_shift) % 2 else c for k, c in op.terms.items()}
+    source = WeylOperator._reduced(vs, source, 2 * op.den)
     target = _frame_target(len(l_names))
-    image = _pairwise_image(
-        op, list(zip(l_names, m_names)), _star_kernel, target, flip_nu=True, nu_shift=-1, halvings=1
-    )
-    return image, target
+    return _pairwise_image(source, list(zip(l_names, m_names)), _star_kernel, target), target
 
 
 def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:
@@ -595,25 +565,28 @@ def verify_covariance(ch) -> Tally:
     d l^gamma m^delta nu^k' is a constant only at (gamma, delta) =
     (beta, alpha).  So the pair gives (-1)^|beta| alpha! beta! c d
     nu^(k + k' + 3), and B_3 is one sparse dot product (``_cubic_b3``) with
-    u's cubic part indexed by its l <-> m swap (``_swapped_cubic``).  Pairs
-    with a map of higher degree take the odd orders from every pair of
-    terms (``_contractions``).  The residuals are tallied over the square
-    of the lcm of the denominators.
+    u's cubic part indexed by its l <-> m swap (``_swapped_cubic``).  A pair
+    with a map of higher degree is checked as the identity is written, from
+    two ``moyal_star`` products and ``ch.poisson``; no built chart has one,
+    its maps being of degree at most 3.  The residuals are tallied over the
+    square of the lcm of the denominators.
     """
     deg = [lam.total_degree() for lam in ch.moment]
     dens = [lam.den for lam in ch.moment]
     top = lcm(*dens) ** 2
     cubic = [i for i, d in enumerate(deg) if d >= 3]
     swapped = {i: _swapped_cubic(ch.moment[i], len(ch.l_names)) for i in cubic if deg[i] == 3}
+    lm, two_nu = (ch.l_names, ch.m_names), Scalar.nu(1, 2)
 
     def rows():
         for i, j in itertools.combinations(cubic, 2):
+            u, v = ch.moment[i], ch.moment[j]
             if deg[i] == deg[j] == 3:
-                tail = _cubic_b3(swapped[i], ch.moment[j])
+                tail = _cubic_b3(swapped[i], v)
+                yield (i, j), 2 * sum(map(abs, tail.values())) * (top // (dens[i] * dens[j]))
             else:
-                odd = range(3, min(deg[i], deg[j]) + 1, 2)
-                tail = _contractions(ch.moment[i], ch.moment[j], ch.l_names, ch.m_names, odd)
-            yield (i, j), 2 * sum(map(abs, tail.values())) * (top // (dens[i] * dens[j]))
+                comm = moyal_star(u, v, *lm) - moyal_star(v, u, *lm)
+                yield (i, j), abs_numerator(comm - ch.poisson(u, v).scale(two_nu), top)
 
     return tally(rows(), top)
 

@@ -16,7 +16,6 @@ from starcayley.scalars import Scalar  # noqa: E402
 from starcayley.poly import exact, pruned  # noqa: E402
 from starcayley.weyl import (  # noqa: E402
     WeylOperator,
-    _contractions,
     _pair_kernel,
     fourier_conjugate,
     holomorphic_frame,
@@ -87,8 +86,11 @@ def tuple_apply(op: WeylOperator, p: Poly) -> Poly:
 
 
 def tuple_contractions(u: Poly, v: Poly, l_names, m_names, orders=None) -> dict:
-    """The oracle of ``weyl._contractions``, on tuple keys: for each pair
-    of terms, the ``_pair_kernel`` of every Darboux pair that contracts."""
+    """The oracle of ``weyl.moyal_star``, on tuple keys: the unpruned
+    numerators, over u.den v.den, of the sum over s in ``orders`` (every s
+    when None) of nu^s B_s(u, v), B_s taking s derivatives of each factor;
+    for each pair of terms, the ``_pair_kernel`` of every Darboux pair that
+    contracts, read at drop -1 so that each key change is the order s."""
     vs = u.vs
     pairs = [(vs.index(la), vs.index(ma)) for la, ma in zip(l_names, m_names)]
     out: dict = {}
@@ -96,7 +98,7 @@ def tuple_contractions(u: Poly, v: Poly, l_names, m_names, orders=None) -> dict:
         for e2, c2 in unpacked(v).items():
             esum = list(map(add, e1, e2))
             active = [
-                (i, j, [(s, w) for _, s, w in _pair_kernel(e1[i], e1[j], e2[i], e2[j], 0)])
+                (i, j, _pair_kernel(e1[i], e1[j], e2[i], e2[j], -1))
                 for i, j in pairs
                 if (e1[i] and e2[j]) or (e1[j] and e2[i])
             ]
@@ -197,11 +199,11 @@ def term_pair_apply(op: WeylOperator, p: Poly) -> Poly:
 def contraction_b3(u: Poly, v: Poly, l_names, m_names) -> dict:
     """The oracle of ``weyl._cubic_b3``: the numerators of nu^3 B_3(u, v),
     over u.den v.den, from the ``_pair_kernel`` factors of every pair of
-    terms (``weyl._contractions`` at order 3), as {nu-power: numerator}
+    terms (``tuple_contractions`` at order 3), as {nu-power: numerator}
     without zeros; for u and v of degree at most 3 every variable's
     exponent in it is zero."""
     out = {}
-    for e, c in unpacked(u, _contractions(u, v, l_names, m_names, (3,))).items():
+    for e, c in tuple_contractions(u, v, l_names, m_names, (3,)).items():
         assert not any(e[:-1])
         if c:
             out[e[-1]] = c
@@ -210,13 +212,13 @@ def contraction_b3(u: Poly, v: Poly, l_names, m_names) -> dict:
 
 def contraction_covariance(ch):
     """The oracle of ``weyl.verify_covariance``: (residual, failing pairs,
-    witness) from the odd orders s >= 3 of ``weyl._contractions`` on every
+    witness) from the odd orders s >= 3 of ``tuple_contractions`` on every
     pair of moment maps of degree >= 3, term pair by term pair."""
     deg = [lam.total_degree() for lam in ch.moment]
     res, bad, witness = Fraction(0), 0, None
     for i, j in itertools.combinations(range(len(ch.moment)), 2):
         u, v = ch.moment[i], ch.moment[j]
-        tail = _contractions(u, v, ch.l_names, ch.m_names, range(3, min(deg[i], deg[j]) + 1, 2))
+        tail = tuple_contractions(u, v, ch.l_names, ch.m_names, range(3, min(deg[i], deg[j]) + 1, 2))
         r = Fraction(2 * sum(map(abs, tail.values())), u.den * v.den)
         if r:
             res, bad = res + r, bad + 1

@@ -4,7 +4,8 @@ import pytest
 from conftest import dense
 from hypothesis import given, settings, strategies as st
 
-from starcayley import linalg
+from starcayley import jordan, linalg
+from starcayley.report import BUILTIN_SELECTORS
 
 
 @pytest.mark.parametrize(
@@ -113,3 +114,28 @@ def test_echelon_coordinates_reconstruct(case):
     assert (c is None) == (_rank(vecs + [target]) > _rank(vecs))
     if c is not None:
         assert _combination(c, kept, n) == target
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param([[2, 1], [1, 2]], id="two-by-two"),
+        pytest.param([[0, 1], [1, 0]], id="zero-diagonal"),
+        pytest.param([[1, 2, 3], [0, 1, 4], [5, 6, 0]], id="three-by-three"),
+        pytest.param([[3]], id="one-by-one"),
+    ],
+)
+def test_invert_integer_matrices(a):
+    assert linalg.mat_mul(a, linalg.invert(a)) == linalg.identity(len(a))
+
+
+@pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+def test_invert_tau_gram(selector):
+    gram = jordan.make_algebra(selector).tau_gram()
+    assert linalg.mat_mul(gram, linalg.invert(gram)) == linalg.identity(len(gram))
+
+
+@pytest.mark.parametrize("a", [[[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]])
+def test_invert_singular_raises(a):
+    with pytest.raises(ValueError, match="singular matrix"):
+        linalg.invert(a)

@@ -29,6 +29,7 @@ from starcayley.weyl import (
     _star_kernel,
     _frame_target,
     moyal_star,
+    star_transform,
 )
 
 # an unpaired variable t and the Darboux pairs (l1, m1), (l2, m2), out of order
@@ -90,18 +91,19 @@ class TestAgainstTupleKernels:
         want = over(Poly, VS, tuple_contractions(u, v, L_NAMES, M_NAMES), u.den * v.den)
         assert moyal_star(u, v, L_NAMES, M_NAMES) == want
 
-    @given(
-        operators(vs=PAIRED),
-        st.sampled_from([_fourier_kernel, _frame_kernel, _star_kernel]),
-        st.booleans(),
-        st.integers(-2, 2),
-        st.integers(0, 2),
-    )
+    @given(operators(vs=PAIRED), st.sampled_from([_fourier_kernel, _frame_kernel, _star_kernel]))
     @settings(max_examples=80, deadline=None)
-    def test_pairwise_image(self, op, kernel, flip, shift, halvings):
+    def test_pairwise_image(self, op, kernel):
         pairs, target = list(zip(L_NAMES, M_NAMES)), _frame_target(2)
-        got = _pairwise_image(op, pairs, kernel, target, flip, shift, halvings)
-        assert got == tuple_pairwise_image(op, pairs, kernel, target, flip, shift, halvings)
+        assert _pairwise_image(op, pairs, kernel, target) == tuple_pairwise_image(op, pairs, kernel, target)
+
+    @given(operators(vs=PAIRED))
+    @settings(max_examples=80, deadline=None)
+    def test_star_transform(self, op):
+        # the source op|nu->-nu / (2 nu): odd nu-powers flip, one nu-step down, one halving
+        pairs, target = list(zip(L_NAMES, M_NAMES)), _frame_target(2)
+        want = tuple_pairwise_image(op, pairs, _star_kernel, target, True, -1, 1)
+        assert star_transform(op, L_NAMES, M_NAMES) == (want, target)
 
 
 # -- keys and their layout ----------------------------------------------------------

@@ -209,6 +209,16 @@ class TestNormalOrdering:
     def test_associativity(self, a, b, c):
         assert (a * b) * c == a * (b * c)
 
+    def test_poly_and_rational_operands_raise(self):
+        # a Poly's keys are not operator keys: only from_poly makes one an operator
+        vs = varset("x", "y")
+        op, p = WeylOperator.partial(vs, "x"), Poly.var(vs, "x")
+        assert op * WeylOperator.from_poly(p) == WeylOperator.identity(vs) + mult_var(vs, "x") * op
+        for bad in (lambda: op * p, lambda: op + p, lambda: p + op, lambda: op - p,
+                    lambda: op + 1, lambda: op * 2, lambda: 2 * op):
+            with pytest.raises(TypeError):
+                bad()
+
 
 class TestApply:
     @given(laurent_operators(), laurent_polys())
@@ -568,7 +578,18 @@ def test_covariance_matches_full_commutator_when_perturbed(edits, instance_cache
     ch = _perturbed_chart(instance_cache("chart", "spin:2"), edits)
     res, bad, witness = verify_covariance(ch)
     assert (res, bad) == full_commutator_covariance(ch)
+    assert (res, bad, witness) == contraction_covariance(ch)
     assert res != 0 and witness is not None
+
+
+def test_covariance_pinned_on_maps_of_degree_above_three(instance_cache):
+    # the pairs that the dot product does not cover, with the values that
+    # the order-by-order contractions gave
+    ch = instance_cache("chart", "spin:2")
+    quintic = _perturbed_chart(ch, {0: lambda l, m: l**2 * m**3, 3: lambda l, m: l**3 * m**2})
+    quartic = _perturbed_chart(ch, {4: lambda l, m: l**2 * m**2, 5: lambda l, m: l * l * m})
+    assert verify_covariance(quintic) == (156, 3, ((0, 3), 120))
+    assert verify_covariance(quartic) == (8, 1, ((4, 5), 8))
 
 
 def test_covariance_fails_on_perturbed_moment_map(instance_cache):
