@@ -98,15 +98,17 @@ class WeylOperator(FlatTerms):
         self._check(other)
         vs, s = self.vs, self.vs.nu_shift
         drop = [(1 << vs.width * i) * (1 + (1 << s)) for i in range(len(vs))]
-        lhs = [(k, c, vs.exps(k)) for k, c in self.terms.items()]
         rhs = [(k - (vs.one << s), c, vs.exps(k >> s)) for k, c in other.terms.items()]
-        words = (
-            (k1 + k2, c1 * c2, [[(-k * drop[i], w) for k, w in _reorder(b1[i], a2[i])]
-                                for i in range(len(vs)) if b1[i] and a2[i]])
-            for k1, c1, b1 in lhs
-            for k2, c2, a2 in rhs
-        )
-        return self._reduced(vs, _expand(words), self.den * other.den)
+
+        def words():
+            for k1, c1 in self.terms.items():
+                b1 = vs.exps(k1)
+                for k2, c2, a2 in rhs:
+                    moves = [[(-k * drop[i], w) for k, w in _reorder(b1[i], a2[i])]
+                             for i in range(len(vs)) if b1[i] and a2[i]]
+                    yield k1 + k2, c1 * c2, moves
+
+        return self._reduced(vs, _expand(words()), self.den * other.den)
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
@@ -284,13 +286,17 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
         active = [(i, j, e[i], e[j], d) for (i, j), d in zip(pairs, drop) if e[i] or e[j]]
         left.append((k - vs.one, c, active))
     right = [(k, c, vs.exps(k)) for k, c in v.terms.items()]
-    words = (
-        (k1 + k2, c1 * c2, [_pair_kernel(p1, q1, e2[i], e2[j], d) for i, j, p1, q1, d in active
-                            if (p1 and e2[j]) or (q1 and e2[i])])
-        for k1, c1, active in left
-        for k2, c2, e2 in right
-    )
-    return Poly._reduced(vs, _expand(words), u.den * v.den)
+
+    def words():
+        for k1, c1, active in left:
+            for k2, c2, e2 in right:
+                kers = []
+                for i, j, p1, q1, d in active:
+                    if (p1 and e2[j]) or (q1 and e2[i]):
+                        kers.append(_pair_kernel(p1, q1, e2[i], e2[j], d))
+                yield k1 + k2, c1 * c2, kers
+
+    return Poly._reduced(vs, _expand(words()), u.den * v.den)
 
 
 def left_star_operator(
@@ -506,7 +512,8 @@ def star_transform(
     op|nu->-nu / (2 nu) is one pass over the keys: each moves one nu-step
     down and each odd nu-power flips its sign."""
     vs, step = op.vs, 1 << 2 * op.vs.nu_shift
-    source = {k - step: -c if vs.nu(k >> vs.nu_shift) % 2 else c for k, c in op.terms.items()}
+    # the nu field, on top, holds the nu-power plus an even offset
+    source = {k - step: -c if k & step else c for k, c in op.terms.items()}
     source = WeylOperator._reduced(vs, source, 2 * op.den)
     target = _frame_target(len(l_names))
     return _pairwise_image(source, list(zip(l_names, m_names)), _star_kernel, target), target
