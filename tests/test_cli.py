@@ -343,7 +343,6 @@ class TestShowAndList:
         assert code == 0
         assert out.splitlines() == lines
 
-
     def test_rank_one_worked_example_script(self):
         script = Path(__file__).resolve().parent.parent / "scripts" / "show_rank_one_worked_example.py"
         out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
