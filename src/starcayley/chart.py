@@ -105,7 +105,8 @@ class SymplecticChart:
                 mul_add(acc, grads[i][n + a], grads[j][a], one, -g.denom)
             return [acc]
 
-        return homomorphism_tallies(g, [[t] for t in moment], bracket, L)[0]
+        (t,) = homomorphism_tallies(g, [[t] for t in moment], bracket, L)
+        return t
 
     def max_moment_degree(self) -> int:
         return max(p.total_degree() for p in self.moment)

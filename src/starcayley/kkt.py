@@ -349,14 +349,25 @@ class GradedLieAlgebra:
         """Symplectic pairing beta(o, [x, y])."""
         return self.beta(self.o, self.coord_bracket(x, y))
 
+    @cached_property
+    def killing_o(self) -> list:
+        """K.o, so that beta(o, y) = sum_k (K.o)_k y_k, as K is symmetric;
+        ints where integral."""
+        return [exact(sum((x * c for x, c in zip(row, self.o) if c), 0)) for row in self.killing]
+
     # -- symplectic basis ------------------------------------------------------
     def symplectic_basis(self) -> Tuple[List[list], List[list]]:
         """Coordinates of the basis L_a = e_a of g(-1) and of the dual basis
         L'_b = sum_c (P^-1)_cb f_c of g(1), P_ab = omega(e_a, f_b), so that
-        omega(L_a, L'_b) = delta_ab."""
-        n, f = self.n, self.n + self.dim0
+        omega(L_a, L'_b) = delta_ab.  P is read off the table,
+        P_ab = sum_k (K.o)_k c_{e_a f_b}^k / D."""
+        n, f, ko = self.n, self.n + self.dim0, self.killing_o
         unit = linalg.identity(self.dim)
-        P = [[self.omega(unit[a], unit[f + b]) for b in range(n)] for a in range(n)]
+        P = [
+            [Fraction(sum(ko[k] * c for k, c in self.bracket_numerators(a, f + b).items()), self.denom)
+             for b in range(n)]
+            for a in range(n)
+        ]
         Pinv = linalg.invert(P)
         Lp = [[Fraction(0)] * f + [Pinv[c][b] for c in range(n)] for b in range(n)]
         return unit[:n], Lp
@@ -426,25 +437,32 @@ def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
     return _combine("grading", res)
 
 
-def homomorphism_tallies(g: GradedLieAlgebra, parts: list, bracket, L: int) -> Tuple[Tally, Tally]:
-    """The Tallies of |[X e_i, X e_j] -+ X[e_i, e_j]| over the basis pairs
-    i < j, in that order, for a linear X into a Lie algebra: ``parts[k]``
-    lists the component term dicts of X e_k over L, and ``bracket(i, j)``
-    the components of D [X e_i, X e_j] over D L^2, D the table's
-    denominator.  The image X[e_i, e_j] is summed once per component from
-    the table's numerators.  Negating X swaps the two Tallies."""
+def homomorphism_tallies(
+    g: GradedLieAlgebra, parts: list, bracket, L: int, minus: bool = False
+) -> Tuple[Tally, ...]:
+    """The Tally of |[X e_i, X e_j] - X[e_i, e_j]| over the basis pairs
+    i < j, in that order, for a linear X into a Lie algebra, and with minus
+    that of |[X e_i, X e_j] + X[e_i, e_j]| after it: ``parts[k]`` lists the
+    component term dicts of X e_k over L, and ``bracket(i, j)`` the
+    components of D [X e_i, X e_j] over D L^2, fresh dicts, D the table's
+    denominator.  The image X[e_i, e_j] is summed from the table's
+    numerators once per component, into the bracket's dict when only the
+    first Tally is asked for.  Negating X swaps the two Tallies."""
     rows = []
     for i, j in itertools.combinations(range(g.dim), 2):
-        plus = minus = 0
+        nz, r = g.bracket_numerators(i, j).items(), [0, 0]
         for c, acc in enumerate(bracket(i, j)):
-            image = lincomb((ck * L, parts[k][c]) for k, ck in g.bracket_numerators(i, j).items())
-            for e in acc.keys() | image.keys():
-                a, b = acc.get(e, 0), image.get(e, 0)
-                plus += abs(a - b)
-                minus += abs(a + b)
-        rows.append(((i, j), plus, minus))
+            if minus:
+                image = lincomb((ck * L, parts[k][c]) for k, ck in nz)
+                for e in acc.keys() | image.keys():
+                    a, b = acc.get(e, 0), image.get(e, 0)
+                    r[0] += abs(a - b)
+                    r[1] += abs(a + b)
+            else:
+                r[0] += sum(map(abs, lincomb(((-ck * L, parts[k][c]) for k, ck in nz), acc).values()))
+        rows.append(((i, j), r))
     den = g.denom * L * L
-    return tally(((ij, p) for ij, p, _ in rows), den), tally(((ij, m) for ij, _, m in rows), den)
+    return tuple(tally(((ij, r[s]) for ij, r in rows), den) for s in range(1 + minus))
 
 
 def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
@@ -459,7 +477,7 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
         pairs = ((p, q, tp * tq) for p, tp in theta[i].items() for q, tq in theta[j].items())
         return [lincomb((w, g.bracket_numerators(p, q)) for p, q, w in pairs)]
 
-    t, _ = homomorphism_tallies(g, [[row] for row in theta], bracket, dt)
+    (t,) = homomorphism_tallies(g, [[row] for row in theta], bracket, dt)
     return _combine("theta", t.residual, t.witness("(i, j)") or "")
 
 

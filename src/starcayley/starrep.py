@@ -8,13 +8,24 @@ g(-1),
     l_A(z)   = A_u + [A_t, z] + 1/2 [z, [z, A_v]]          (vector, quadratic)
     tau_A(z) = (1/2 nu) (beta(h_A(z), o) + nu spur(h_A(z)))
 
-and the first-order operator  rho(A) = tau_A + sum_a l_A(z)^a d/dz^a, all
-on coordinate vectors through the structure constants, beta(h, o) and
-spur(h) as dot products of the degree-zero coordinates of h with K.o and
-the spur vector.  h_A and l_A are built once per basis element and shared
-by rho and its cross-checks: l_A against the conformal field that hds
-builds from Jordan data, h_A against kappa * Dl_A.  ``bracket_sign``
-measures the bracket sign of rho and of the first-order operators of hds.
+and the first-order operator  rho(A) = tau_A + sum_a l_A(z)^a d/dz^a.  The
+weights w_j = (K.o)_j / (2 nu) + spur_j / 2 turn the degree-zero
+coordinates h_j of h into tau = sum_j h_j w_j.  All three are linear in A,
+and on the bases e_a, T_j, f_b of g(-1), g(0), g(1) each is a read of the
+table, grade by grade, with k < n = dim g(-1):
+
+    e_a:  h = 0,                l = e_a,                      tau = 0;
+    T_j:  h = e_j,              l^k = [T_j, z]^k,             tau = w_j;
+    f_b:  h^j = [f_b, z]^(n+j), l^k = 1/2 sum_m [f_b, z]^m [e_m, z]^k,
+          tau = sum_j h^j w_j,
+
+where [e_i, z]^k = sum_a z_a c_{i a}^k.  These parts are built once per
+basis element, as term dicts over one denominator, and are the one source
+of rho, of its cross-checks (l_A against the conformal field that hds
+builds from Jordan data, h_A against kappa * Dl_A) and of ``l_poly``,
+``_h_coords`` and ``tau_scalar`` on any coordinate vector, their linear
+combinations.  ``bracket_sign`` measures the bracket sign of rho and of
+the first-order operators of hds.
 """
 
 from __future__ import annotations
@@ -23,18 +34,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from . import linalg
 from .chart import SymplecticChart
 from .kkt import GradedLieAlgebra, homomorphism_tallies
-from .poly import Poly, Tally, VarSet, abs_numerator, diff_terms, proportion, tally
+from .poly import (
+    NO_VARS, Poly, Tally, VarSet, abs_numerator, diff_terms, lincomb, mul_add, proportion, tally,
+)
 from .scalars import Scalar
 from .weyl import (
     WeylOperator,
-    first_order,
     first_order_bracket,
     first_order_parts,
+    first_order_terms,
     split_first_order,
     star_transform,
     uses_only,
@@ -45,68 +57,98 @@ def z_names(n: int) -> Tuple[str, ...]:
     return tuple(f"z{a + 1}" for a in range(n))
 
 
+class RhoParts(NamedTuple):
+    """tau_A, l_A and the degree-zero coordinates of h_A for one basis
+    element A, as term dicts of Poly numerators over the one denominator of
+    the ``StarRepresentation``, zeros allowed."""
+
+    tau: dict
+    l: List[dict]
+    h: List[dict]
+
+
 @dataclass
 class StarRepresentation:
     g: GradedLieAlgebra
 
     zvs: VarSet = field(init=False)
-    _z: List[Poly] = field(init=False)
     _tau_weights: List[Scalar] = field(init=False)
+    # the denominator 2 D^2 W of every term dict of ``_basis_parts``
+    _den: int = field(init=False)
 
     def __post_init__(self):
         g = self.g
         self.zvs = VarSet(z_names(g.n))
-        zero = Poly.zero(self.zvs)
-        self._z = [Poly.var(self.zvs, x) for x in self.zvs.names] + [zero] * (g.dim - g.n)
         # tau_A = (1/2 nu)(beta(h, o) + nu spur(h)) = sum_j h_j w_j over the
         # degree-zero coordinates h_j of h, w_j = (K.o)_j/(2 nu) + spur_j/2
-        ko = [sum((k * c for k, c in zip(row, g.o) if c != 0), Fraction(0)) for row in g.killing]
+        ko = g.killing_o
         self._tau_weights = [
             Scalar.nu(-1, Fraction(ko[j], 2)) + Scalar.of(Fraction(g.spur_vector[j], 2))
             for j in range(g.n, g.n + g.dim0)
         ]
+        self._den = 2 * g.denom**2 * lcm(*(w.den for w in self._tau_weights))
 
-    # -- the three building blocks ------------------------------------------
-    def _grade_parts(self, a: list) -> List[list]:
-        """Coordinate vectors of the g(-1), g(0) and g(1) parts of a."""
-        g = self.g
-        cuts = (0, g.n, g.n + g.dim0, g.dim)
-        return [
-            [x if lo <= k < hi else 0 for k, x in enumerate(a)]
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
+    @cached_property
+    def _basis_parts(self) -> List[RhoParts]:
+        """The ``RhoParts`` of each basis element, grade by grade from the
+        integer numerators of the table over D (module docstring), built on
+        first use.  On g(1), l = 1/2 [[f_b, z], z] sums over every
+        coordinate m of [f_b, z] and keeps the components k < n, as on
+        coordinate vectors, so the parts hold for any table, Jordan or not."""
+        g, vs, den = self.g, self.zvs, self._den
+        n, d0, f, D, one = g.n, g.dim0, g.n + g.dim0, g.denom, vs.one
+        W = den // (2 * D * D)
+        # w_j as key shifts by its nu-powers, with numerators over W
+        w = [{NO_VARS.nu(k) << vs.nu_shift: c * (W // wj.den) for k, c in wj.terms.items()}
+             for wj in self._tau_weights]
+        # ad[i][k]: the coordinate k of [e_i, z], numerators over D, linear in z
+        ad = [[{} for _ in range(g.dim)] for _ in range(g.dim)]
+        for (i, a), row in g._structure.items():
+            if a < n:
+                for k, c in row.items():
+                    ad[i][k][one + (1 << vs.width * a)] = c
+        scaled = lambda ts, x: [{e: c * x for e, c in t.items()} for t in ts]
+        unit = lambda j, size: [{one: den} if i == j else {} for i in range(size)]
+        parts = [RhoParts({}, unit(a, n), [{} for _ in range(d0)]) for a in range(n)]
+        for j in range(d0):
+            tau = {one + s: c * (den // W) for s, c in w[j].items()}
+            parts.append(RhoParts(tau, scaled(ad[n + j][:n], den // D), unit(j, d0)))
+        for y in ad[f:]:
+            tau, l = {}, [{} for _ in range(n)]
+            for hj, wj in zip(y[n:f], w):
+                mul_add(tau, hj, wj, 0, 2 * D)
+            for m, ym in enumerate(y):
+                if ym:
+                    for lk, t in zip(l, ad[m]):
+                        mul_add(lk, ym, t, one, W)
+            parts.append(RhoParts(tau, l, scaled(y[n:f], den // D)))
+        return parts
+
+    def _combine(self, a: list, part: Callable[[RhoParts], List[dict]]) -> List[Poly]:
+        """sum_i a_i part(P_i) over the rational coordinates a_i of a, P_i
+        the ``RhoParts`` of e_i, as Polys."""
+        d = lcm(*(x.denominator for x in a if x))
+        rows = [(x.numerator * (d // x.denominator), part(p))
+                for x, p in zip(a, self._basis_parts) if x]
+        size = len(part(self._basis_parts[0]))
+        den = self._den * d
+        return [Poly._reduced(self.zvs, lincomb((c, t[k]) for c, t in rows), den)
+                for k in range(size)]
 
     def _h_coords(self, a: list) -> List[Poly]:
         """Degree-zero coordinates of h_A(z) = A_t + [A_v, z]."""
-        g = self.g
-        _, at, av = self._grade_parts(a)
-        br = g.coord_bracket(av, self._z)
-        return [br[k] + Poly.const(self.zvs, at[k]) for k in range(g.n, g.n + g.dim0)]
-
-    def _tau(self, h_coords: List[Poly]) -> Poly:
-        return sum((hj * w for hj, w in zip(h_coords, self._tau_weights)), Poly.zero(self.zvs))
+        return self._combine(a, lambda p: p.h)
 
     def l_poly(self, a: list) -> List[Poly]:
         """Vector-valued polynomial l_A(z), quadratic in z."""
-        g = self.g
-        z = self._z
-        au, at, av = self._grade_parts(a)
-        tz = g.coord_bracket(at, z)
-        quad = g.coord_bracket(z, g.coord_bracket(z, av))
-        return [Poly.const(self.zvs, au[k]) + tz[k] + quad[k] * Fraction(1, 2) for k in range(g.n)]
+        return self._combine(a, lambda p: p.l)
 
     def tau_scalar(self, a: list) -> Poly:
-        return self._tau(self._h_coords(a))
-
-    @cached_property
-    def _basis_parts(self) -> List[Tuple[List[Poly], List[Poly]]]:
-        """(degree-zero coordinates of h_A, l_A) for each basis element A,
-        built on first use and read by rho, the field and kappa_h checks."""
-        return [(self._h_coords(e), self.l_poly(e)) for e in linalg.identity(self.g.dim)]
+        return self._combine(a, lambda p: [p.tau])[0]
 
     def rho_basis(self) -> List[WeylOperator]:
         """rho(A) = tau_A + sum_a l_A(z)^a d/dz^a for each basis element A."""
-        return [first_order(self._tau(h), lp) for h, lp in self._basis_parts]
+        return [first_order_terms(self.zvs, [p.tau, *p.l], self._den) for p in self._basis_parts]
 
     # -- invariants -------------------------------------------------------
     def field_residual(self, series) -> Tally:
@@ -116,26 +158,31 @@ class StarRepresentation:
         ``series.dpi_basis()``.  The rows are over the lcm of the
         denominators of the l_A and of the operators."""
         ops = series.dpi_basis()
-        L = lcm(*(op.den for op in ops), *(p.den for _, lp in self._basis_parts for p in lp))
-        rows = (
-            (i, sum(abs_numerator(p + q, L) for p, q in zip(lp, split_first_order(op)[1])))
-            for i, ((_, lp), op) in enumerate(zip(self._basis_parts, ops))
-        )
-        return tally(rows, L)
+        L = lcm(self._den, *(op.den for op in ops))
+        f = L // self._den
+
+        def rows():
+            for i, (p, op) in enumerate(zip(self._basis_parts, ops)):
+                diffs = (lincomb(((f, lk), (L // q.den, q.terms))) for lk, q in
+                         zip(p.l, split_first_order(op)[1]))
+                yield i, sum(sum(map(abs, d.values())) for d in diffs)
+
+        return tally(rows(), L)
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,
         read by ``poly.proportion`` from the rows (A, r, c) of the entries
         (h_A)_rc and d l_A^r / dz^c; returns (kappa or None, residual)."""
+        vs, den = self.zvs, self._den
 
         def rows():
-            for i, (h_coords, lp) in enumerate(self._basis_parts):
-                h = self.g.t_from_coords(h_coords)
-                for r, p in enumerate(lp):
+            for i, p in enumerate(self._basis_parts):
+                h = self.g.t_from_coords([Poly._reduced(vs, t, den) for t in p.h])
+                for r, lr in enumerate(p.l):
                     for c, hc in enumerate(h[r]):
-                        d = diff_terms(p.terms, self.zvs, c)
+                        d = diff_terms(lr, vs, c)
                         if d or hc.terms:
-                            yield (i, r, c), hc, Poly._reduced(self.zvs, d, p.den)
+                            yield (i, r, c), hc, Poly._reduced(vs, d, den)
 
         kappa, t = proportion(rows())
         return kappa, t.residual
@@ -154,7 +201,7 @@ def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tal
     L = lcm(*(op.den for op in ops))
     fields = [first_order_parts(op, L) for op in ops]
     bracket = lambda i, j: first_order_bracket(fields[i], fields[j], g.denom)
-    plus, minus = homomorphism_tallies(g, [f.parts for f in fields], bracket, L)
+    plus, minus = homomorphism_tallies(g, [f.parts for f in fields], bracket, L, minus=True)
     best = plus if plus.residual <= minus.residual else minus
     return (0 if best.failures else 1 if best is plus else -1), best
 

@@ -162,13 +162,20 @@ class WeylOperator(FlatTerms):
 
 def first_order(f: Poly, a: Sequence[Poly]) -> WeylOperator:
     """The operator f + sum_j a_j d_j, over the lcm of the parts'
-    denominators, canonical as the parts are and their keys disjoint."""
-    vs = f.vs
-    den, s = lcm(f.den, *(aj.den for aj in a)), vs.nu_shift
-    terms = {e << s: c for e, c in f.over(den).items()}
-    for j, aj in enumerate(a):
-        terms.update(((e << s) + (1 << vs.width * j), c) for e, c in aj.over(den).items())
-    return WeylOperator._new(vs, terms, den)
+    denominators."""
+    den = lcm(f.den, *(aj.den for aj in a))
+    return first_order_terms(f.vs, [p.over(den) for p in (f, *a)], den)
+
+
+def first_order_terms(vs: VarSet, parts: Sequence[dict], den: int) -> WeylOperator:
+    """The operator parts[0] + sum_j parts[j + 1] d_j, each part a term dict
+    of Poly numerators over den, zeros allowed, in canonical form; the
+    parts' keys stay disjoint in the operator."""
+    s, terms = vs.nu_shift, {}
+    for j, p in enumerate(parts):
+        d = 1 << vs.width * (j - 1) if j else 0
+        terms.update(((e << s) + d, c) for e, c in p.items())
+    return WeylOperator._reduced(vs, terms, den)
 
 
 def _first_order_terms(op: WeylOperator, factor: int = 1) -> List[dict]:
@@ -510,11 +517,14 @@ def star_transform(
     over the terms of op, through the cached ``_star_kernel`` of each
     Darboux pair; the two conjugations are its test oracle.  The source
     op|nu->-nu / (2 nu) is one pass over the keys: each moves one nu-step
-    down and each odd nu-power flips its sign."""
+    down and each odd nu-power flips its sign.  The source is handed on as
+    it is, neither reduced nor range-tested: its fields are read exactly
+    even when the nu field drops below zero, and the image's ``_reduced``
+    rejects a nu-power that leaves the range."""
     vs, step = op.vs, 1 << 2 * op.vs.nu_shift
     # the nu field, on top, holds the nu-power plus an even offset
     source = {k - step: -c if k & step else c for k, c in op.terms.items()}
-    source = WeylOperator._reduced(vs, source, 2 * op.den)
+    source = WeylOperator._new(vs, source, 2 * op.den)
     target = _frame_target(len(l_names))
     return _pairwise_image(source, list(zip(l_names, m_names)), _star_kernel, target), target
 

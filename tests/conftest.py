@@ -146,6 +146,26 @@ def two_conjugations(op: WeylOperator, l_names, m_names):
     return holomorphic_frame(fop, l_names, fvs.names[len(l_names) :])
 
 
+def bracket_rho_parts(srep, a: list):
+    """The oracle of ``StarRepresentation``'s per-basis parts: (degree-zero
+    coordinates of h_A, l_A, tau_A) for the rational coordinate vector a,
+    from dense vectors of Polys and three ``coord_bracket`` calls:
+    h_A = A_t + [A_v, z], l_A = A_u + [A_t, z] + 1/2 [z, [z, A_v]], each
+    read at its grade, and tau_A = sum_j h_j w_j."""
+    g, vs = srep.g, srep.zvs
+    z = [Poly.var(vs, x) for x in vs.names] + [Poly.zero(vs)] * (g.dim - g.n)
+    cuts = (0, g.n, g.n + g.dim0, g.dim)
+    au, at, av = (
+        [x if lo <= k < hi else 0 for k, x in enumerate(a)] for lo, hi in zip(cuts, cuts[1:])
+    )
+    br = g.coord_bracket(av, z)
+    h = [br[k] + Poly.const(vs, at[k]) for k in range(g.n, g.n + g.dim0)]
+    tz, quad = g.coord_bracket(at, z), g.coord_bracket(z, g.coord_bracket(z, av))
+    l = [Poly.const(vs, au[k]) + tz[k] + quad[k] * Fraction(1, 2) for k in range(g.n)]
+    tau = sum((hj * w for hj, w in zip(h, srep._tau_weights)), Poly.zero(vs))
+    return h, l, tau
+
+
 def multiset_left_star_operator(lam: Poly, l_names, m_names) -> WeylOperator:
     """The oracle of ``weyl.left_star_operator``: for every order k up to
     the degree of lam and every multiset of k contraction indices, lam is

@@ -175,8 +175,8 @@ def test_check_kernels_use_no_fraction_arithmetic(sym3, instance_cache, fraction
     # with h of a g(0) element, and then rho(e_1), perturbed
     assert srep.measure_kappa_h() == (1, 0)
     parts = list(srep._basis_parts)
-    h, lp = parts[7]
-    parts[7] = ([h[0] + Poly.const(srep.zvs, 1), *h[1:]], lp)
+    p, one = parts[7], srep.zvs.one
+    parts[7] = p._replace(h=[{**p.h[0], one: p.h[0].get(one, 0) + srep._den}, *p.h[1:]])
     bad = copy.copy(srep)
     bad._basis_parts = parts
     assert bad.measure_kappa_h() == (None, 2)

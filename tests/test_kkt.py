@@ -400,6 +400,14 @@ class TestSymplecticStructure:
             for b in range(g.n):
                 assert g.omega(L[a], Lp[b]) == (1 if a == b else 0)
 
+    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+    def test_pairing_read_off_the_table_is_omega(self, selector, instance_cache):
+        # P_ab = sum_k (K.o)_k c^k_{e_a f_b} against omega through beta
+        g = instance_cache("lie", selector)
+        assert g.killing_o == [g.beta(g.o, e) for e in linalg.identity(g.dim)]
+        L, Lp = g.symplectic_basis()
+        assert [[g.omega(x, y) for y in Lp] for x in L] == linalg.identity(g.n)
+
     def test_omega_vanishes_within_each_grade(self, instance_cache):
         g = instance_cache("lie", "spin:3")
         L, Lp = g.symplectic_basis()

@@ -211,6 +211,20 @@ def test_operator_field_past_its_range_raises():
     assert (d0 * big_x).terms
 
 
+def test_star_transform_nu_power_past_its_field_raises():
+    # the source, one nu-step down, is handed on unreduced: from the bottom
+    # of the nu range it leaves the range, and the image's range test raises
+    zero, low = (0,) * 4, -PAIRED.nu_offset
+    pairs, target = list(zip(L_NAMES, M_NAMES)), _frame_target(2)
+    with pytest.raises(OverflowError, match=r"^nu = "):
+        star_transform(WeylOperator(PAIRED, {(zero + (low,), zero): 1}), L_NAMES, M_NAMES)
+    # one step up, the image sits at the bottom itself
+    op = WeylOperator(PAIRED, {(zero + (low + 1,), zero): 3, ((1, 0, 1, 0, low + 1), zero): 1})
+    want = tuple_pairwise_image(op, pairs, _star_kernel, target, True, -1, 1)
+    assert star_transform(op, L_NAMES, M_NAMES) == (want, target)
+    assert min(k[0][-1] for k in unpacked(want)) == low
+
+
 def test_builtin_left_stars_stay_far_inside_the_range(instance_cache):
     # every field of the sym:3 left-star operators is far from its bound
     ch = instance_cache("chart", "sym:3")

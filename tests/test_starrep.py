@@ -4,7 +4,9 @@ from math import lcm
 
 import pytest
 
-from conftest import two_conjugations, unpacked
+from hypothesis import given, settings, strategies as st
+
+from conftest import bracket_rho_parts, two_conjugations, unpacked
 from starcayley import jordan, kkt, linalg, starrep
 from starcayley.poly import Poly
 from starcayley.report import (
@@ -23,7 +25,10 @@ from starcayley.starrep import (
     verify_rho_homomorphism,
     verify_star_transform,
 )
-from starcayley.weyl import WeylOperator, first_order_bracket, first_order_parts
+from starcayley.weyl import WeylOperator, first_order, first_order_bracket, first_order_parts
+from test_kkt import _perturbed_spin2, _perturbed_sym2
+
+PERTURBED = {"perturbed-spin:2": _perturbed_spin2, "perturbed-sym:2": _perturbed_sym2}
 
 
 def h_poly(srep, a):
@@ -78,21 +83,51 @@ def test_tau_weights_from_integer_killing_and_spur(instance_cache):
     assert unpacked(w) == {(-1,): 2, (0,): 1} and w.den == 2
 
 
-def test_theorem_suite_builds_h_and_l_once_per_basis_element(monkeypatch):
-    # rho, the field check and the kappa_h check share one list of
-    # (h_A, l_A); the report's tau_scalar(E) adds one h_A of its own
-    calls = {"l_poly": 0, "_h_coords": 0}
-    for name in calls:
-        real = getattr(StarRepresentation, name)
-
-        def counted(self, a, real=real, name=name):
-            calls[name] += 1
-            return real(self, a)
-
-        monkeypatch.setattr(StarRepresentation, name, counted)
+def test_theorem_suite_builds_the_per_basis_parts_once(monkeypatch):
+    # rho, the field check, the kappa_h check and the report's tau_scalar(E)
+    # all read the one list of RhoParts of a StarRepresentation
+    prop = StarRepresentation.__dict__["_basis_parts"]
+    calls = []
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda self: calls.append(1) or real(self))
     ctx = InstanceContext(RunConfig(algebra="sym:3"))
     assert run_theorem_suite(ctx)["passed"]
-    assert calls == {"l_poly": ctx.lie.dim, "_h_coords": ctx.lie.dim + 1}
+    ctx.srep.l_poly(ctx.lie.E)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("selector", [*BUILTIN_SELECTORS, *PERTURBED])
+def test_per_basis_parts_equal_the_bracket_oracle(selector, instance_cache):
+    # h_A, l_A and tau_A read off the table grade by grade, and rho(A) built
+    # from them, against the three-bracket formula on dense Poly vectors,
+    # also on the non-Jordan tables of the lie suite's negative controls
+    if selector in PERTURBED:
+        srep = StarRepresentation(kkt.GradedLieAlgebra(PERTURBED[selector]()))
+    else:
+        srep = instance_cache("srep", selector)
+    poly = lambda t: Poly._reduced(srep.zvs, dict(t), srep._den)
+    rho = srep.rho_basis()
+    for e, p, op in zip(linalg.identity(srep.g.dim), srep._basis_parts, rho):
+        h, l, tau = bracket_rho_parts(srep, e)
+        assert [poly(t) for t in p.h] == h
+        assert [poly(t) for t in p.l] == l
+        assert poly(p.tau) == tau
+        assert op == first_order(tau, l)
+
+
+@pytest.mark.parametrize("selector", ["spin:3", "sym:2"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_linear_forms_equal_the_bracket_oracle(selector, instance_cache, data):
+    # l_poly, _h_coords and tau_scalar, linear combinations of the parts,
+    # on rational coordinate vectors
+    srep = instance_cache("srep", selector)
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    a = data.draw(st.lists(entries, min_size=srep.g.dim, max_size=srep.g.dim))
+    h, l, tau = bracket_rho_parts(srep, a)
+    assert srep._h_coords(a) == h
+    assert srep.l_poly(a) == l
+    assert srep.tau_scalar(a) == tau
 
 
 class TestFieldPolynomials:
@@ -289,11 +324,15 @@ def test_negation_swaps_the_two_tallies(selector, instance_cache):
         L = lcm(*(op.den for op in ops))
         fields = [first_order_parts(op, L) for op in ops]
         bracket = lambda i, j: first_order_bracket(fields[i], fields[j], g.denom)
-        return kkt.homomorphism_tallies(g, [f.parts for f in fields], bracket, L)
+        return kkt.homomorphism_tallies(g, [f.parts for f in fields], bracket, L, **kw)
 
+    kw = {"minus": True}
     plus, minus = tallies(rho)
     assert plus.failures and minus.failures
     assert tallies([-op for op in rho]) == (minus, plus)
+    # without minus only the first Tally is formed, summed in the bracket's dicts
+    kw = {}
+    assert tallies(rho) == (plus,)
 
 
 def test_bracket_sign_rejects_second_order_operator(instance_cache):
