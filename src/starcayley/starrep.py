@@ -73,7 +73,8 @@ class StarRepresentation:
 
     zvs: VarSet = field(init=False)
     _tau_weights: List[Scalar] = field(init=False)
-    # the denominator 2 D^2 W of every term dict of ``_basis_parts``
+    # the denominator of every term dict of ``_basis_parts``: 2 D^2 times
+    # the lcm W of the weights' denominators
     _den: int = field(init=False)
 
     def __post_init__(self):
@@ -155,8 +156,8 @@ class StarRepresentation:
         """|l_A - X| tallied over the basis elements A, X the field
         u + Tz + P(z)v that ``series``, an ``hds.DiscreteSeries`` of the
         same g, builds from Jordan data: minus the vector part of
-        ``series.dpi_basis()``.  The rows are over the lcm of the
-        denominators of the l_A and of the operators."""
+        ``series.dpi_basis()``.  The rows are over the lcm of the parts'
+        denominator and the operators'."""
         ops = series.dpi_basis()
         L = lcm(self._den, *(op.den for op in ops))
         f = L // self._den
@@ -173,16 +174,17 @@ class StarRepresentation:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,
         read by ``poly.proportion`` from the rows (A, r, c) of the entries
         (h_A)_rc and d l_A^r / dz^c; returns (kappa or None, residual)."""
-        vs, den = self.zvs, self._den
+        vs, zero = self.zvs, Poly.zero(self.zvs)
+        poly = lambda t: Poly._reduced(vs, t, self._den) if t else zero
 
         def rows():
             for i, p in enumerate(self._basis_parts):
-                h = self.g.t_from_coords([Poly._reduced(vs, t, den) for t in p.h])
-                for r, lr in enumerate(p.l):
+                h = self.g.t_from_coords([poly(t) for t in p.h])
+                for r, lr in enumerate(map(poly, p.l)):
                     for c, hc in enumerate(h[r]):
-                        d = diff_terms(lr, vs, c)
+                        d = diff_terms(lr.terms, vs, c)
                         if d or hc.terms:
-                            yield (i, r, c), hc, Poly._reduced(vs, d, den)
+                            yield (i, r, c), hc, Poly._reduced(vs, d, lr.den)
 
         kappa, t = proportion(rows())
         return kappa, t.residual
