@@ -105,8 +105,7 @@ class SymplecticChart:
                 mul_add(acc, grads[i][n + a], grads[j][a], one, -g.denom)
             return [acc]
 
-        (t,) = homomorphism_tallies(g, [[t] for t in moment], bracket, L)
-        return t
+        return homomorphism_tallies(g, [[t] for t in moment], bracket, L)[0]
 
     def max_moment_degree(self) -> int:
         return max(p.total_degree() for p in self.moment)
