@@ -14,29 +14,32 @@ Poisson bracket is the canonical one, and lambda_[A,B] = {lambda_A, lambda_B}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import List, Tuple
 
 from . import weyl
 from .kkt import GradedLieAlgebra, homomorphism_tallies
-from .poly import Poly, Tally, VarSet, diff_terms, mul_add
+from .poly import Poly, Tally, VarSet, bilinear_terms, diff_terms, lincomb, mul_add, numerators
 
 
 EXP_AD_STEPS = 8
 
 
-def exp_ad(g: GradedLieAlgebra, x: list, y: list) -> list:
-    """exp(ad x) . y on coordinate vectors, for nilpotent ad x; raises if
-    the series fails to stop within ``EXP_AD_STEPS`` terms."""
-    total = list(y)
-    term = y
+def exp_ad(g: GradedLieAlgebra, x: List[dict], dx: int, y: List[dict], dy: int, one: int):
+    """exp(ad x) . y, for nilpotent ad x, on coordinate vectors of term
+    dicts over dx and dy (Poly keys whose 1 is one), as (numerators,
+    denominator): ad(x)^k y / k! is over dy (dx D)^k k!, with nothing
+    divided; raises if the series does not stop within EXP_AD_STEPS terms."""
+    xs = [(i, t) for i, t in enumerate(x) if t]
+    total, term, den = y, y, dy
     for k in range(1, EXP_AD_STEPS + 1):
-        term = [c * Fraction(1, k) for c in g.coord_bracket(x, term)]
-        if all(c.is_zero() for c in term):
-            return total
-        total = [a + b for a, b in zip(total, term)]
+        acc = bilinear_terms(g._structure, xs, [(j, t) for j, t in enumerate(term) if t], one)
+        term = [{e: c for e, c in acc.get(i, {}).items() if c} for i in range(g.dim)]
+        if not any(term):
+            return total, den
+        f = dx * g.denom * k
+        total, den = [lincomb(((f, a), (1, b))) for a, b in zip(total, term)], den * f
     raise ValueError("ad series did not terminate; element is not nilpotent here")
 
 
@@ -55,26 +58,23 @@ class SymplecticChart:
         n = g.n
         self.l_names = tuple(f"l{a + 1}" for a in range(n))
         self.m_names = tuple(f"m{a + 1}" for a in range(n))
-        self.vs = VarSet(self.l_names + self.m_names)
+        vs = self.vs = VarSet(self.l_names + self.m_names)
         L, Lp = g.symplectic_basis()  # coordinate vectors
+        keys = [vs.one + (1 << vs.width * a) for a in range(2 * n)]
+        o = self._combination([g.o], [vs.one])
+        phi, den = exp_ad(g, *self._combination(L, keys[:n]),
+                          *exp_ad(g, *self._combination(Lp, keys[n:]), *o, vs.one), vs.one)
+        self.phi = [Poly._reduced(vs, t, den) for t in phi]
+        # lambda_i = beta(phi, e_i) = sum_j phi_j K_ji, on the numerators of phi
+        K, dk = numerators(dict(enumerate(col)) for col in zip(*g.killing))
+        self.moment = [Poly._reduced(vs, lincomb((x, phi[j]) for j, x in col.items()), den * dk)
+                       for col in K]
 
-        lsym = self._combination(L, self.l_names)
-        msym = self._combination(Lp, self.m_names)
-        o = [Poly.const(self.vs, c) for c in g.o]
-        self.phi = exp_ad(g, lsym, exp_ad(g, msym, o))
-        # lambda_i = beta(phi, e_i) = sum_j phi_j K_ji
-        zero, K = Poly.zero(self.vs), g.killing
-        self.moment = [
-            sum((p * row[i] for p, row in zip(self.phi, K) if row[i]), zero) for i in range(g.dim)
-        ]
-
-    def _combination(self, elts: List[list], names: Tuple[str, ...]) -> List[Poly]:
-        """Coordinates of sum_a x^a elts[a] for the chart variables x^a."""
-        acc = [Poly.zero(self.vs)] * self.g.dim
-        for e, name in zip(elts, names):
-            x = Poly.var(self.vs, name)
-            acc = [a + x * c if c != 0 else a for a, c in zip(acc, e)]
-        return acc
+    def _combination(self, elts: List[list], keys: List[int]) -> Tuple[List[dict], int]:
+        """The coordinates of sum_a x_a elts[a], x_a the term of key
+        keys[a], as (term dicts of numerators, their one denominator)."""
+        elts, d = numerators(dict(enumerate(e)) for e in elts)
+        return [{key: e[k] for e, key in zip(elts, keys) if k in e} for k in range(self.g.dim)], d
 
     @cached_property
     def left_stars(self) -> List[weyl.WeylOperator]:

@@ -27,7 +27,7 @@ from .weyl import WeylOperator, split_first_order
 
 def _parse_mu(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return jordan.parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad --mu value {text!r}: {exc}")
 

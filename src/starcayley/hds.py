@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 
 from . import linalg
 from .kkt import GradedLieAlgebra
-from .poly import Poly, Tally, VarSet, lincomb, proportion
+from .poly import Poly, Tally, VarSet, lincomb, numerators, proportion
 from .scalars import Scalar
 from .starrep import bracket_sign, z_names
 from .weyl import WeylOperator, first_order, split_first_order
@@ -59,10 +59,10 @@ class DiscreteSeries:
         """X(z) = u + Tz + P(z)v, from the Jordan data directly: u and v are
         read from the coordinate vector a, and Tz from the nonzero entries
         of T = sum_j a_j T_j over its g(0) coordinates a_j (``t_entries``)."""
-        n, f = self.g.n, self.g.n + self.g.dim0
+        n, f, den = self.g.n, self.g.n + self.g.dim0, self.g.t_den
         comps = [Poly.const(self.zvs, x) for x in a[:n]]
         for k, x in self.g.t_entries(a[n:f]).items():
-            comps[k // n] = comps[k // n] + self._zvec[k % n] * x
+            comps[k // n] = comps[k // n] + self._zvec[k % n] * Fraction(x, den)
         for j, vj in enumerate(a[f:]):
             if vj:
                 comps = [c + self._P[i][j] * vj for i, c in enumerate(comps)]
@@ -142,9 +142,8 @@ def solve_equivalence(
         ``proportion`` over all the rows, (m* or None, Tally), at the end."""
         rows = []
         for i, (e, (tau, vec)) in enumerate(zip(units, rho_parts)):
-            cs = alpha(e)
-            da = lcm(*(c.denominator for c in cs))
-            ws = [(c.numerator * da // c.denominator, nums[k]) for k, c in enumerate(cs) if c]
+            (cs,), da = numerators([dict(enumerate(alpha(e)))])
+            ws = [(x, nums[k]) for k, x in cs.items()]
             s_poly, dpi_vec = split_first_order(WeylOperator._reduced(ds.zvs, lincomb(ws), L * da))
             diffs = [p - q for p, q in zip(vec, dpi_vec)]
             rows += [(i, d, zero) for d in diffs] + [(i, tau, s_poly)]

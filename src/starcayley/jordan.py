@@ -11,14 +11,14 @@ and symbolically.
 from __future__ import annotations
 
 import json
-import math
+import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import Poly, VarSet, bilinear, exact, lincomb
+from .poly import Poly, VarSet, bilinear, lincomb, numerators
 from .scalars import rational_to_str
 
 
@@ -61,14 +61,8 @@ class JordanAlgebra:
     def _int_structure(self) -> Tuple[dict, int]:
         """The structure constants as integer numerators
         {(a, b): {c: D s_ab^c}} over their one denominator D."""
-        S = self.structure
-        D = math.lcm(*(s.denominator for plane in S for row in plane for s in row))
-        table = {
-            (a, b): {c: s.numerator * (D // s.denominator) for c, s in enumerate(row) if s}
-            for a, plane in enumerate(S)
-            for b, row in enumerate(plane)
-        }
-        return {ab: nz for ab, nz in table.items() if nz}, D
+        rows, D = numerators(dict(enumerate(row)) for plane in self.structure for row in plane)
+        return {divmod(i, self.dim): nz for i, nz in enumerate(rows) if nz}, D
 
     def mul(self, x: Sequence, y: Sequence) -> list:
         """x o y from the integer structure table, summed once and divided
@@ -88,25 +82,21 @@ class JordanAlgebra:
         """tau(x, y) = Tr L(x o y)."""
         return linalg.trace(self.L(self.mul(x, y)))
 
-    def tau_gram(self) -> linalg.Matrix:
-        """tau(e_a, e_b) = Tr L(e_a o e_b) = sum_c s_ab^c Tr L(e_c), with
-        s_ab^c the structure constants."""
-        n, S = self.dim, self.structure
-        tr = [sum((S[c][a][a] for a in range(n)), Fraction(0)) for c in range(n)]
+    @cached_property
+    def _int_tau_gram(self) -> Tuple[list, int]:
+        """tau(e_a, e_b) = Tr L(e_a o e_b) = sum_c s_ab^c Tr L(e_c) as integer
+        numerators over D^2, D that of ``_int_structure``."""
+        (table, D), n = self._int_structure, self.dim
+        tr = [sum(table.get((c, a), {}).get(a, 0) for a in range(n)) for c in range(n)]
         return [
-            [sum((s * t for s, t in zip(S[a][b], tr) if s), Fraction(0)) for b in range(n)]
+            [sum(s * tr[c] for c, s in table.get((a, b), {}).items()) for b in range(n)]
             for a in range(n)
-        ]
+        ], D * D
 
-    def left_mult_basis(self) -> List[linalg.Sparse]:
-        """L(e_c) for every basis vector e_c, as sparse matrices with int
-        entries where integral: entry (r, a) is the coefficient of e_r in
-        e_c o e_a."""
-        n, S = self.dim, self.structure
-        return [
-            [{a: exact(S[c][a][r]) for a in range(n) if S[c][a][r]} for r in range(n)]
-            for c in range(n)
-        ]
+    def tau_gram(self) -> linalg.Matrix:
+        """tau(e_a, e_b), as Fractions."""
+        G, d = self._int_tau_gram
+        return [[Fraction(x, d) for x in row] for row in G]
 
     def box(self, x: Sequence, y: Sequence) -> list:
         """Matrix of z -> {x, y, z}: L(x o y) + [L(x), L(y)]."""
@@ -256,19 +246,26 @@ def min_poly_degree(A: JordanAlgebra) -> int:
     the rank: the number of powers e, x, x o x, ... that one
     ``linalg.Echelon`` absorbs before a power depends on those before it."""
     span, x, p = linalg.Echelon(), [Fraction(k + 1) for k in range(A.dim)], list(A.unit)
-    while span.absorb(dict(enumerate(p))) is None:
+    while span.absorb(numerators([dict(enumerate(p))])[0][0]) is None:
         p = A.mul(x, p)
     return span.size
 
 
+def parse_rational(x) -> Fraction:
+    """x, an int or a string of a signed integer or p/q, as a Fraction; any
+    other value or form, such as an exponent, whose power of ten Fraction
+    would build, raises ValueError, and q = 0 ZeroDivisionError."""
+    # bool is an int subclass and a float is inexact, so check the type itself
+    if type(x) is not int and not (type(x) is str and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x)):
+        raise ValueError(f"expected an integer or p/q, got {x!r}")
+    return Fraction(x)
+
+
 def _table_entries(x, depth: int):
     """The JSON value x, arrays nested depth deep, as nested lists of
-    Fractions; a string is not an array, though it iterates."""
+    ``parse_rational`` values; a string is not an array, though it iterates."""
     if depth == 0:
-        # bool is an int subclass and a float is inexact, so check the type itself
-        if type(x) not in (int, str):
-            raise TypeError(f"entries must be integers or rational strings, got {x!r}")
-        return Fraction(x)
+        return parse_rational(x)
     if not isinstance(x, list):
         raise TypeError(f"expected a JSON array, got {x!r}")
     return [_table_entries(y, depth - 1) for y in x]

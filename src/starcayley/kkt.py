@@ -12,25 +12,23 @@ with T# the adjoint of T for the trace form.  The involution is
 theta(u,T,v) = (v, -T#, u); the grading element is E = (0, Id, 0) and the
 base point is o = mu * E.
 
-The sparse table of structure constants c_ij^k is written block by block
-from this formula (``GradedLieAlgebra._block_table``), the g(0) pieces
-from one pass on sparse matrices that closes the span of the boxes
-e_a box e_b = sum_c s_ab^c L(e_c) + [L(e_a), L(e_b)] under T# = G^-1 T^T G,
-G the tau Gram matrix, and commutators.  One ``linalg.Echelon`` reduces
-them in the order of the dense elimination, and the build keeps the
-coordinates of each box and of each T_i#, so every g(0) fact has one
-source.  The (u, T, v) model is the independent oracle that the table and
-Theta are tested against; no report path runs on it.  Outside this module
-an element of g is its coordinate vector in the basis (g(-1), T_j, g(1)),
-bracketed through the table (``coord_bracket``) and paired through the
-Killing Gram matrix K = tr(ad_i ad_j).
-
-The table is stored once, as integer numerators D c_ij^k over one common
-denominator D (D = 2 on sym:p, D = 1 on the spin factors), the layout of
-FLINT's fmpq_mat, and Theta the same way over D_theta.  The lie checks
-sum these integers and divide each residual once, at the end; Fractions
-are formed only there, in the views ``bracket_coords``, ``bracket_table``,
-``coord_bracket`` and ``apply_theta``, and against Jordan data.
+The build runs on integers, from the Jordan algebra's integer structure
+constants and tau Gram matrix G: each box e_a box e_b = sum_c s_ab^c L(e_c)
++ [L(e_a), L(e_b)], each T_j and each T_j# = G^-1 T_j^T G is held as
+sparse integer numerators over one denominator, and one ``linalg.Echelon``
+closes the span of the boxes under # and commutators, reading the
+coordinates of each box, T_i# and [T_i, T_j] at its pivots, so every g(0)
+fact has one source.  From them the table is written block by block
+(``GradedLieAlgebra._block_table``) as integer numerators D c_ij^k over
+one denominator D (D = 2 on sym:p, D = 1 on the spin factors), the layout
+of FLINT's fmpq_mat, and Theta the same way over D_theta.  The build forms
+Fractions by construction only, for the views (``bracket_coords``,
+``coord_bracket``, ``apply_theta``, the build's coordinates); the lie
+checks sum integers, compare with Jordan data and divide each residual
+once.  The (u, T, v) model is the independent oracle of the table and
+Theta; no report path runs on it.  Outside this module an element of g is
+its coordinate vector in the basis (g(-1), T_j, g(1)), bracketed through
+the table and paired through the Killing Gram matrix K = tr(ad_i ad_j).
 ``homomorphism_tallies`` checks that a linear map respects the bracket:
 Theta here, the moment maps in ``chart``, rho and dpi in ``starrep``.
 """
@@ -46,7 +44,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .jordan import JordanAlgebra
-from .poly import NO_VARS, Poly, Scalar, Tally, bilinear, exact, lincomb, proportion, ratio, tally
+from .poly import (
+    NO_VARS, Poly, Scalar, Tally, bilinear, exact, lincomb, numerators, proportion, pruned, ratio,
+    tally,
+)
 
 
 class GradingClosureFailure(ValueError):
@@ -62,9 +63,29 @@ class LieElement:
     v: list
 
 
-def _common_denominator(values) -> int:
-    """The least common denominator of rational values."""
-    return math.lcm(*(x.denominator for x in values))
+def _rows(m: dict, n: int) -> linalg.Sparse:
+    rows = [{} for _ in range(n)]
+    for k, x in m.items():
+        rows[k // n][k % n] = x
+    return rows
+
+
+def _transposed(m: dict, n: int) -> dict:
+    return {k % n * n + k // n: x for k, x in m.items()}
+
+
+def _product(a: linalg.Sparse, b: linalg.Sparse, sign: int = 1, acc: dict | None = None) -> dict:
+    """acc plus sign a b for sparse rows a and b of ints, flat, {r n + c:
+    entry}, the form g(0) matrices are held in; zeros may be left."""
+    n, acc = len(a), {} if acc is None else acc
+    for r, row in enumerate(a):
+        for t, x in row.items():
+            if b[t]:
+                x *= sign
+                for c, y in b[t].items():
+                    k = r * n + c
+                    acc[k] = acc[k] + x * y if k in acc else x * y
+    return acc
 
 
 @dataclass
@@ -75,13 +96,13 @@ class GradedLieAlgebra:
     n: int = field(init=False)
     dim0: int = field(init=False)
     dim: int = field(init=False)
-    # the nonzero entries of each T_j as {r n + c: entry}, from the build
+    # the denominator of the numerators of the boxes e_a box e_b (at a n + b) and T_j
+    t_den: int = field(init=False)
+    _boxes: List[dict] = field(init=False)
     _t_flat: List[dict] = field(init=False)
     _span: linalg.Echelon = field(init=False)
     tau_gram: linalg.Matrix = field(init=False)
     _tau_gram_inv: linalg.Matrix = field(init=False)
-    # the sparse matrices e_a box e_b, at index a n + b
-    _boxes: List[linalg.Sparse] = field(init=False)
     # the nonzero coordinates of each box and T_i#, and the box appended as T_j
     _box_coords: List[dict] = field(init=False)
     _sharp_coords: List[dict] = field(init=False)
@@ -101,65 +122,75 @@ class GradedLieAlgebra:
             raise ValueError("mu must be nonzero")
         A = self.jordan
         n = self.n = A.dim
-        self.tau_gram = A.tau_gram()
-        self._tau_gram_inv = linalg.invert(self.tau_gram)
-        G, G_inv = linalg.sparse(self.tau_gram), linalg.sparse(self._tau_gram_inv)
-
-        def sharp(t: linalg.Sparse) -> linalg.Sparse:
-            return linalg.sparse_mul(G_inv, linalg.sparse_mul(linalg.sparse_transpose(t), G))
-
-        # g(0): the independent boxes e_a box e_b, then the span grown until
-        # it is closed under the tau-adjoint and commutators.  A round in
-        # which nothing grows holds every T_i# and the coordinates of every
-        # [T_i, T_j]; on a Jordan algebra the first round is that round.
-        basis: List[linalg.Sparse] = []
-        self._span = linalg.Echelon()
-
-        def absorb(m: linalg.Sparse) -> dict:
-            """Nonzero coordinates of m along the basis, after appending m
-            when it is independent of it."""
-            c = self._span.absorb(linalg.flat(m))
-            if c is None:
-                basis.append(m)
-                return {len(basis) - 1: 1}
-            return c
-
-        L, S = A.left_mult_basis(), A.structure
-        LL = [[linalg.sparse_mul(la, lb) for lb in L] for la in L]
-        self._boxes = [
-            linalg.sparse_sum(
-                [(exact(s), L[c]) for c, s in enumerate(S[a][b]) if s]
-                + [(1, LL[a][b]), (-1, LL[b][a])],
-                n,
-            )
-            for a in range(n)
-            for b in range(n)
+        S, ds = A._int_structure
+        G, dg = A._int_tau_gram
+        # G^-1 = dg N / di, so T# = G^-1 T^T G = N W^T G / (di D0) for T = W / D0
+        N, di = numerators(dict(enumerate(row)) for row in linalg.invert(G))
+        self.tau_gram = [[Fraction(x, dg) for x in row] for row in G]
+        self._tau_gram_inv = [[Fraction(dg * row.get(b, 0), di) for b in range(n)] for row in N]
+        G = [pruned(dict(enumerate(row))) for row in G]
+        sharp = lambda m: pruned(_product(N, _rows(_product(_rows(_transposed(m, n), n), G), n)))
+        # L(e_c) has entry (r, a) s_ca^r, over ds, and the box
+        # e_a box e_b = sum_c s_ab^c L(e_c) + [L(e_a), L(e_b)] is over ds^2
+        Lf = [{r * n + a: x for a in range(n) for r, x in S.get((c, a), {}).items()} for c in range(n)]
+        L = [_rows(m, n) for m in Lf]
+        LL = [[_product(la, lb) for lb in L] for la in L]
+        self._boxes = boxes = [
+            pruned(lincomb([(s, Lf[c]) for c, s in S.get((a, b), {}).items()]
+                           + [(1, LL[a][b]), (-1, LL[b][a])]))
+            for a in range(n) for b in range(n)
         ]
-        self._box_coords = [absorb(m) for m in self._boxes]
+
+        # g(0): the independent boxes, then the span grown until it is
+        # closed under # and commutators; a round in which nothing grows
+        # holds every T_i# and [T_i, T_j], and on a Jordan algebra it is the
+        # first.  D0 grows when an appended matrix's denominator needs it.
+        span, basis, rows, D0 = linalg.Echelon(), [], [], ds * ds
+
+        def absorb(m: dict, d: int) -> Tuple[dict, int]:
+            """The coordinates of m / d, appending it when it is independent."""
+            nonlocal D0
+            c = span.absorb(m, d)
+            if c is not None:
+                return c
+            grown = math.lcm(D0, d // math.gcd(d, *m.values()))
+            if grown != D0:
+                for held in (basis, boxes):
+                    held[:] = [{k: x * (grown // D0) for k, x in t.items()} for t in held]
+                rows[:], D0 = [_rows(t, n) for t in basis], grown
+            basis.append({k: x * D0 // d for k, x in m.items()})
+            rows.append(_rows(basis[-1], n))
+            return {len(basis) - 1: 1}, 1
+
+        view = lambda c: {k: ratio(x, c[1]) for k, x in c[0].items()}
+        box_coords = [absorb(m, D0) for m in list(boxes)]
+        self._box_coords = [view(c) for c in box_coords]
         # T_j for j below the size here is the first box with coordinates {j: 1}
         self._t_boxes = [self._box_coords.index({j: 1}) for j in range(len(basis))]
         for _ in range(n * n + 1):
             size = len(basis)
-            sharps = [sharp(m) for m in basis]
-            self._sharp_coords = [absorb(m) for m in sharps]
+            sharps = [(sharp(m), di * D0) for m in basis]
+            sharp_coords = [absorb(*s) for s in sharps]
             comm = {}
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    comm[(i, j)] = absorb(linalg.sparse_commutator(basis[i], basis[j]))
+                    m = pruned(_product(rows[j], rows[i], -1, _product(rows[i], rows[j])))
+                    comm[(i, j)] = absorb(m, D0 * D0)
             if len(basis) == size:
                 break
         else:
             raise GradingClosureFailure("degree-zero span does not stabilize")
 
-        self._t_flat = [linalg.flat(m) for m in basis]
+        self._span, self._t_flat, self.t_den = span, basis, D0
+        self._sharp_coords = [view(c) for c in sharp_coords]
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
-        table = self._block_table(basis, comm, sharps)
-        D = self.denom = _common_denominator(c for nz in table.values() for c in nz.values())
+        table = self._block_table(box_coords, comm, sharps)
+        D = self.denom = math.lcm(*(d // math.gcd(d, *nz.values()) for nz, d in table.values()))
         self._structure = {}
-        for (i, j), nz in table.items():
-            row = self._structure[(i, j)] = {k: (c * D).numerator for k, c in nz.items()}
-            self._structure[(j, i)] = {k: -c for k, c in row.items()}
+        for (i, j), (nz, d) in table.items():
+            row = self._structure[(i, j)] = {k: x * D // d for k, x in nz.items()}
+            self._structure[(j, i)] = {k: -x for k, x in row.items()}
         self.killing = self._build_killing()
         # trace of ad e_j on g(-1)
         S = self._structure
@@ -168,29 +199,30 @@ class GradedLieAlgebra:
             for j in range(self.dim)
         ]
         # E = (0, Id, 0), whose ad is the grading operator, and o = mu E
-        zero = [0] * n
-        self.E = zero + [exact(c) for c in self.t_coords(linalg.identity(n))] + zero
-        self.o = [exact(self.mu * c) for c in self.E]
+        e, zero, (p, q) = self.t_coords(linalg.identity(n)), [0] * n, self.mu.as_integer_ratio()
+        self.E = zero + [exact(c) for c in e] + zero
+        self.o = zero + [ratio(p * c.numerator, q * c.denominator) for c in e] + zero
 
     # -- coordinates --------------------------------------------------------
     def t_coords(self, t: Sequence[Sequence]) -> list:
-        """Coordinates of t along the T_j; raises GradingClosureFailure when
-        t is not in their span."""
-        c = self._span.coords(linalg.flat(linalg.sparse(t)))
+        """Coordinates of the dense rational matrix t along the T_j, as
+        Fractions; raises GradingClosureFailure when t is not in their span."""
+        (m,), d = numerators([{r * self.n + k: x for r, row in enumerate(t) for k, x in enumerate(row)}])
+        c = self._span.coords(m, d)
         if c is None:
             raise GradingClosureFailure("matrix is not in the degree-zero span")
-        return [Fraction(c.get(k, 0)) for k in range(self.dim0)]
+        return [Fraction(c[0].get(k, 0), c[1]) for k in range(self.dim0)]
 
     def t_entries(self, c: Sequence) -> dict:
-        """sum_j c_j T_j as {r n + col: entry}, summed over the nonzero c_j
-        and the nonzero entries of the sparse T_j that the build formed; an
-        entry may be zero.  The c_j may be rationals or Polys."""
+        """t_den sum_j c_j T_j as {r n + col: entry}, summed over the
+        nonzero c_j and the integer numerators of the T_j; an entry may be
+        zero.  The c_j may be rationals or Polys."""
         return lincomb((cj, t) for cj, t in zip(c, self._t_flat) if not linalg._is_zero(cj))
 
     def t_from_coords(self, c: Sequence) -> list:
-        """``t_entries`` as a dense matrix, whose zero is that of c[0]."""
-        zero, m, n = c[0] - c[0], self.t_entries(c), self.n
-        return [[m.get(r * n + col, zero) for col in range(n)] for r in range(n)]
+        """sum_j c_j T_j as a dense matrix, whose zero is that of c[0]."""
+        zero, m, n, d = c[0] - c[0], self.t_entries(c), self.n, Fraction(1, self.t_den)
+        return [[m[r * n + col] * d if r * n + col in m else zero for col in range(n)] for r in range(n)]
 
     def to_coords(self, x: LieElement) -> list:
         return list(x.u) + self.t_coords(x.t) + list(x.v)
@@ -236,10 +268,10 @@ class GradedLieAlgebra:
         and g(1) are written by index; row n + i of g(0) is -T_i#, whose
         coordinates the build kept when it closed the span."""
         n, f = self.n, self.n + self.dim0
-        den = _common_denominator(c for nz in self._sharp_coords for c in nz.values())
+        sharps, den = numerators(self._sharp_coords)
         return (
             [{f + a: den} for a in range(n)]
-            + [{n + k: (-c * den).numerator for k, c in nz.items()} for nz in self._sharp_coords]
+            + [{n + k: -x for k, x in nz.items()} for nz in sharps]
             + [{a: den} for a in range(n)]
         ), den
 
@@ -249,37 +281,44 @@ class GradedLieAlgebra:
         out = lincomb((ck, rows[k]) for k, ck in enumerate(c) if ck)
         return [Fraction(out.get(m, 0), den) for m in range(self.dim)]
 
-    def _block_table(self, T: list, comm: dict, sharps: list) -> dict:
-        """Nonzero c_ij^k for i < j, keyed in that order, block by block:
+    def _block_table(self, boxes: list, comm: dict, sharps: list) -> dict:
+        """The nonzero c_ij^k for i < j, keyed in that order, as (integer
+        numerators, denominator), block by block:
 
             [e_a, T_i] = -T_i e_a,              [e_a, f_b] = -2 e_a box e_b,
             [T_i, T_j] = T_i T_j - T_j T_i,     [T_i, f_b] = -T_i# e_b,
 
         with e_a, T_i, f_b the basis of g(-1), g(0), g(1); every other pair
-        of blocks brackets to zero.  ``T[i]`` and ``sharps[i]`` are T_i and
-        T_i#, sparse; ``_box_coords[a n + b]`` and ``comm[(i, j)]`` map g(0)
-        indices to the nonzero coordinates of e_a box e_b and of [T_i, T_j]."""
+        of blocks brackets to zero.  Each argument holds pairs (numerators,
+        denominator): the coordinates of e_a box e_b at a n + b and of
+        [T_i, T_j] at (i, j), and the flat T_i#."""
         n, d0 = self.n, self.dim0
         f = n + d0
         table = {}
 
-        def put(i, j, nz):
+        def put(i, j, nz, den):
             if nz:
-                table[(i, j)] = nz
+                table[(i, j)] = (nz, den)
 
-        def minus_column(m, b, shift):
-            return {shift + k: -row[b] for k, row in enumerate(m) if b in row}
+        def minus_columns(m, shift):
+            cols = [{} for _ in range(n)]
+            for k, x in m.items():
+                cols[k % n][shift + k // n] = -x
+            return cols
 
+        t_cols = [minus_columns(t, 0) for t in self._t_flat]
         for a in range(n):
             for i in range(d0):
-                put(a, n + i, minus_column(T[i], a, 0))
+                put(a, n + i, t_cols[i][a], self.t_den)
             for b in range(n):
-                put(a, f + b, {n + k: -2 * c for k, c in self._box_coords[a * n + b].items()})
-        for i in range(d0):
+                nz, den = boxes[a * n + b]
+                put(a, f + b, {n + k: -2 * c for k, c in nz.items()}, den)
+        for i, (m, den) in enumerate(sharps):
             for j in range(i + 1, d0):
-                put(n + i, n + j, {n + k: c for k, c in comm[(i, j)].items()})
-            for b in range(n):
-                put(n + i, f + b, minus_column(sharps[i], b, f))
+                nz, cd = comm[(i, j)]
+                put(n + i, n + j, {n + k: c for k, c in nz.items()}, cd)
+            for b, col in enumerate(minus_columns(m, f)):
+                put(n + i, f + b, col, den)
         return table
 
     def bracket_coords(self, i: int, j: int) -> dict:
@@ -320,23 +359,17 @@ class GradedLieAlgebra:
         the grading, so K_ij = 0 unless the grades of i and j sum to zero:
         only g(-1) x g(1) and g(0) x g(0) are traced, for j >= i."""
         d, n, f = self.dim, self.n, self.n + self.dim0
-        S, D2 = self._structure, self.denom**2
-        ads = [[S.get((i, l)) for l in range(d)] for i in range(d)]
-
-        def trace(adi, adj):
-            s = 0
-            for l, col in enumerate(adi):
-                if col:
-                    for k, c in col.items():
-                        if adj[k]:
-                            s += c * adj[k].get(l, 0)
-            return s
-
-        K = [[0] * d for _ in range(d)]
+        # ad e_i as {k d + l: c_il^k}, and its transpose
+        ads, adt = [{} for _ in range(d)], [{} for _ in range(d)]
+        for (i, l), row in self._structure.items():
+            for k, c in row.items():
+                ads[i][k * d + l] = adt[i][l * d + k] = c
+        K, D2 = [[0] * d for _ in range(d)], self.denom**2
         pairs = [(i, j) for i in range(n) for j in range(f, d)]
         pairs += [(i, j) for i in range(n, f) for j in range(i, f)]
         for i, j in pairs:
-            K[i][j] = K[j][i] = ratio(trace(ads[i], ads[j]), D2)
+            t = adt[j]
+            K[i][j] = K[j][i] = ratio(sum(c * t[kl] for kl, c in ads[i].items() if kl in t), D2)
         return K
 
     def beta(self, x: Sequence, y: Sequence) -> Fraction:
@@ -362,7 +395,6 @@ class GradedLieAlgebra:
         omega(L_a, L'_b) = delta_ab.  P is read off the table,
         P_ab = sum_k (K.o)_k c_{e_a f_b}^k / D."""
         n, f, ko = self.n, self.n + self.dim0, self.killing_o
-        unit = linalg.identity(self.dim)
         P = [
             [Fraction(sum(ko[k] * c for k, c in self.bracket_numerators(a, f + b).items()), self.denom)
              for b in range(n)]
@@ -370,7 +402,7 @@ class GradedLieAlgebra:
         ]
         Pinv = linalg.invert(P)
         Lp = [[Fraction(0)] * f + [Pinv[c][b] for c in range(n)] for b in range(n)]
-        return unit[:n], Lp
+        return linalg.identity(self.dim)[:n], Lp
 
 
 # -- verification suites ----------------------------------------------------
@@ -504,26 +536,24 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     [e_a, T] = -T e_a identity 2 reduces to (x box y) z = {x, y, z}, true
     for any table, Jordan or not.
 
-    Both kinds of row are tallied over 2 D^2 D_theta, the box rows' over
-    2 D D_theta times D.  On failure the detail names the first failing
-    pair (a, b) of the box identity or triple (a, b, c) of the triple
-    product, in the order a, b, then c, and its residual."""
+    Both kinds of row are tallied over 2 D^2 D_theta T, T the boxes'
+    denominator (the box rows' over 2 D D_theta times D T).  On failure the
+    detail names the first failing pair (a, b) of the box identity or triple
+    (a, b, c) of the triple product, in the order a, b, then c, and its residual."""
     n = g.n
     theta, dt = g.theta_table
-    S, D = g._structure, g.denom
+    S, D, T = g._structure, g.denom, g.t_den
 
     def rows():
         for a, b in itertools.product(range(n), repeat=2):
             inner = lincomb((t, S.get((a, q), {})) for q, t in theta[b].items())
-            box = g._boxes[a * n + b]
             want = {n + k: y for k, y in g._box_coords[a * n + b].items()}
-            yield (a, b), D * _distance(inner, -2 * D * dt, want)
-            for c in range(n):
-                dbl = lincomb((x, S.get((m, c), {})) for m, x in inner.items())
-                want = {k: row[c] for k, row in enumerate(box) if c in row}
+            yield (a, b), T * D * _distance(inner, -2 * D * dt, want)
+            for c, want in enumerate(_rows(_transposed(g._boxes[a * n + b], n), n)):  # columns
+                dbl = lincomb((T * x, S.get((m, c), {})) for m, x in inner.items())
                 yield (a, b, c), _distance(dbl, -2 * D * D * dt, want)
 
-    t = tally(rows(), 2 * D * D * dt)
+    t = tally(rows(), 2 * D * D * dt * T)
     names = "box (a, b)" if t.first and len(t.first[0]) == 2 else "triple (a, b, c)"
     detail = t.witness(names) or "box and triple product match the bracket forms"
     return _combine("identifications", t.residual, detail)
@@ -538,8 +568,7 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
     symmetric, with numerator over D D_K; X is accumulated sparsely.  On
     failure the detail names the first failing (i, j, k) and its
     residual."""
-    dk = _common_denominator(x for row in g.killing for x in row)
-    K = [{m: (x * dk).numerator for m, x in enumerate(row) if x} for row in g.killing]
+    K, dk = numerators(dict(enumerate(row)) for row in g.killing)
     S, d = g._structure, g.dim
 
     def rows():
@@ -572,15 +601,12 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
     n, d0 = g.n, g.dim0
     if len(g._t_boxes) < d0:
         raise GradingClosureFailure("g(0) is not spanned by the box operators")
-    dg = _common_denominator(x for row in g.tau_gram for x in row)
-    G = [[x.numerator * (dg // x.denominator) for x in row] for row in g.tau_gram]
+    G, dg = g.jordan._int_tau_gram
     out = [[0] * g.dim for _ in range(g.dim)]
     for i, t in enumerate(g._t_flat):
-        dt = _common_denominator(t.values())
-        t = {rc: x.numerator * (dt // x.denominator) for rc, x in t.items()}
         for j, (a, b) in enumerate(divmod(ab, n) for ab in g._t_boxes):
             pair = sum(x * G[rc // n][b] for rc, x in t.items() if rc % n == a)
-            out[n + i][n + j] = ratio(2 * pair, dt * dg)
+            out[n + i][n + j] = ratio(2 * pair, g.t_den * dg)
     for a in range(n):
         for b in range(n):
             out[a][n + d0 + b] = out[n + d0 + b][a] = ratio(-4 * G[a][b], dg)

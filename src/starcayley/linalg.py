@@ -1,13 +1,12 @@
-"""Small exact linear algebra helpers over Fraction.
+"""Small exact linear algebra helpers.
 
 Matrices are lists of lists of Fractions (or of any commutative ring
-element for the generic routines), eliminated by plain Gaussian
-elimination.  The g build works on sparse matrices: a list of rows, row r
-a dict from column to nonzero entry, with ints where integral, combined
-by ``poly.lincomb``; a square one enters ``Echelon`` as the sparse vector
-of its flattened entries, {r n + c: entry}.  ``Echelon`` and ``in_span``
-reduce sparse vectors in the order of dense Gaussian elimination, so the
-kept vectors and the coordinates are those of the dense elimination.
+element for the generic routines).  Exact elimination runs on integers:
+``Echelon`` keeps sparse integer vectors, {index: nonzero int}, in reduced
+row echelon form over one common denominator, the layout of FLINT's
+``fmpq_mat``, so that membership and coordinates are read at its pivots;
+``invert`` and ``in_span`` bring rational input to
+integer numerators (``poly.numerators``) and share it.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .poly import lincomb, pruned
+from .poly import lincomb, numerators
 
 Matrix = List[List[Fraction]]
 # row r maps column c to the nonzero entry (r, c)
@@ -81,16 +80,15 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def invert(a: Matrix) -> Matrix:
-    """a^-1 from one ``Echelon``: the rows a_i of a are absorbed, and row j
-    of a^-1 is the coordinates of e_j along them, since sum_i c_i a_i = e_j;
+    """a^-1, as Fractions, from one ``Echelon``: the rows of a = A / c are
+    absorbed, and row j of A^-1 is the coordinates of e_j along them;
     raises ValueError when a row depends on the ones before it."""
-    span = Echelon()
-    for row in a:
-        if span.absorb(dict(enumerate(row))) is not None:
-            raise ValueError("singular matrix")
-    n = len(a)
-    rows = (span.coords({j: 1}) for j in range(n))
-    return [[Fraction(c.get(i, 0)) for i in range(n)] for c in rows]
+    rows, c = numerators(dict(enumerate(row)) for row in a)
+    span, n = Echelon(), len(a)
+    if any(span.absorb(row) is not None for row in rows):
+        raise ValueError("singular matrix")
+    inverse = (span.coords({j: 1})[0] for j in range(n))
+    return [[Fraction(c * row.get(i, 0), span.den) for i in range(n)] for row in inverse]
 
 
 def positive_definite(a: Matrix) -> bool:
@@ -110,100 +108,72 @@ def positive_definite(a: Matrix) -> bool:
     return True
 
 
-def sparse(a: Matrix) -> Sparse:
-    return [{c: x for c, x in enumerate(row) if x} for row in a]
-
-
-def flat(a: Sparse) -> dict:
-    """The entries of the square sparse matrix a as a sparse vector of
-    length n^2, entry (r, c) at index r n + c."""
-    n = len(a)
-    return {r * n + c: x for r, row in enumerate(a) for c, x in row.items()}
-
-
-def sparse_transpose(a: Sparse) -> Sparse:
-    """The transpose of the square sparse matrix a."""
-    return [{r: row[c] for r, row in enumerate(a) if c in row} for c in range(len(a))]
-
-
-def sparse_sum(terms, rows: int) -> Sparse:
-    """sum of c m over the pairs (c, m) of terms, m sparse with ``rows`` rows."""
-    terms = list(terms)
-    return [pruned(lincomb((c, m[r]) for c, m in terms)) for r in range(rows)]
-
-
-def sparse_mul(a: Sparse, b: Sparse) -> Sparse:
-    return [pruned(lincomb((x, b[t]) for t, x in row.items())) for row in a]
-
-
-def sparse_commutator(a: Sparse, b: Sparse) -> Sparse:
-    return sparse_sum(((1, sparse_mul(a, b)), (-1, sparse_mul(b, a))), len(a))
-
-
 def in_span(vectors: List[dict], targets: List[dict]) -> list:
-    """Coordinates of each sparse target in the span of the sparse
-    ``vectors``, as a dense list, or None for a target off the span; the
-    vectors are eliminated once.  A vector that depends on the ones before
-    it gets coordinate zero, so the coordinates are unique."""
-    span = Echelon()
-    kept = [i for i, w in enumerate(vectors) if span.absorb(w) is None]
-    out = []
-    for v in targets:
-        c = span.coords(v)
+    """Coordinates of each sparse rational target in the span of the sparse
+    rational ``vectors``, as a dense list of Fractions, or None for a target
+    off the span; the vectors are eliminated once.  A vector that depends
+    on the ones before it gets coordinate zero, so the coordinates are
+    unique."""
+    (vectors, d), span, out = numerators(vectors), Echelon(), []
+    kept = [i for i, w in enumerate(vectors) if span.absorb(w, d) is None]
+    for (t,), dt in (numerators([v]) for v in targets):
+        c = span.coords(t, dt)
         if c is not None:
             full = [Fraction(0)] * len(vectors)
-            for k, x in c.items():
-                full[kept[k]] = x
+            for k, x in c[0].items():
+                full[kept[k]] = Fraction(x, c[1])
             c = full
         out.append(c)
     return out
 
 
 class Echelon:
-    """A growing list of independent sparse vectors kept in row echelon form.
-
-    Each row is a reduced vector with 1 at its pivot, the lowest index,
-    and the combination of the added vectors that it equals, both sparse,
-    so reducing v against the rows in order gives both membership and the
-    coordinates of v; the vectors ``absorb`` keeps are the pivot columns of
-    the matrix they form, in order.
-    """
+    """Independent sparse vectors V_k = w_k / s_k, w_k of ints, in reduced
+    row echelon form kept fraction-free as in Bareiss (Math. Comp. 22,
+    1968): row i is R_i = sum_k C_ik V_k, of ints, with the one value
+    ``den`` at its pivot p_i and zero at every other pivot.  So v lies in
+    the span exactly when den v = sum_i v[p_i] R_i, and its coordinates are
+    then sum_i v[p_i] C_ik / den, both read at the pivots.  Adding a vector
+    brings every row to the new pivot value by exact integer division."""
 
     def __init__(self):
-        self.size = 0
-        self._rows: list = []  # (pivot, reduced row, combination), both dicts
+        self.size, self.den = 0, 1
+        self._rows: dict = {}  # p_i: (R_i, C_i), dicts of ints
 
     def _reduce(self, v: dict) -> Tuple[dict, dict]:
-        r = {k: x for k, x in v.items() if x}
-        steps = []
-        for p, row, comb in self._rows:
-            f = r.get(p)
-            if f:
-                for k, y in row.items():
-                    x = r.get(k, 0) - f * y
-                    if x:
-                        r[k] = x
-                    else:
-                        del r[k]
-                steps.append((f, comb))
-        return r, pruned(lincomb(steps))
+        """den v - sum_i v[p_i] R_i and sum_i v[p_i] C_i, without zeros."""
+        steps = [(x, self._rows[p]) for p, x in v.items() if x and p in self._rows]
+        r = lincomb(((-f, row) for f, (row, _) in steps), {k: self.den * x for k, x in v.items()})
+        c = lincomb((f, comb) for f, (_, comb) in steps)
+        return {k: x for k, x in r.items() if x}, {k: x for k, x in c.items() if x}
 
-    def coords(self, v: dict) -> dict | None:
-        """Nonzero coordinates of v along the added vectors, keyed by the
-        order of addition, or None off their span."""
-        r, coords = self._reduce(v)
-        return None if r else coords
+    def coords(self, v: dict, den: int = 1) -> Tuple[dict, int] | None:
+        """The coordinates of v / den, v sparse of ints, as (numerators keyed
+        by the order of addition, denominator), or None off the span."""
+        r, c = self._reduce(v)
+        return None if r else (c, self.den * den)
 
-    def absorb(self, v: dict) -> dict | None:
-        """Nonzero coordinates of v when it lies in the span; otherwise add
-        v as the next vector and return None."""
-        r, coords = self._reduce(v)
+    def absorb(self, v: dict, den: int = 1) -> Tuple[dict, int] | None:
+        """``coords`` of v / den when it lies in the span; otherwise add it
+        as the next vector and return None."""
+        r, c = self._reduce(v)
         if not r:
-            return coords
-        p = min(r)
-        inv = 1 / Fraction(r[p])
-        comb = {k: -c * inv for k, c in coords.items()}
-        comb[self.size] = inv
-        self._rows.append((p, {k: x * inv for k, x in r.items()}, comb))
+            return c, self.den * den
+        p, old = min(r), self.den
+        sign = 1 if r[p] > 0 else -1
+        # r = old den V_new - sum_i v[p_i] R_i, made positive at p
+        comb = {k: -sign * x for k, x in c.items()}
+        comb[self.size] = sign * old * den
+        r = {k: sign * x for k, x in r.items()}
+        a = self.den = r[p]
+
+        def eliminate(x: dict, b: int, y: dict) -> dict:
+            """(a x - b y) / old, exactly, without zeros."""
+            x = {k: a * e for k, e in x.items()}
+            return {k: e // old for k, e in (lincomb(((-b, y),), x) if b else x).items() if e}
+
+        self._rows = {q: (eliminate(row, row.get(p, 0), r), eliminate(c, row.get(p, 0), comb))
+                      for q, (row, c) in self._rows.items()}
+        self._rows[p] = r, comb
         self.size += 1
         return None

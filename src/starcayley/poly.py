@@ -119,6 +119,14 @@ def ratio(num: int, den: int):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
+def numerators(vectors: Iterable[Mapping]) -> Tuple[List[dict], int]:
+    """The sparse rational vectors as dicts of their nonzero entries' integer
+    numerators over one common denominator, and that denominator."""
+    vectors = list(vectors)
+    d = lcm(*(x.denominator for v in vectors for x in v.values()))
+    return [{k: x.numerator * (d // x.denominator) for k, x in v.items() if x} for v in vectors], d
+
+
 def pruned(terms: dict) -> dict:
     """The entries of terms with a nonzero value, integral ones as int."""
     return {k: exact(c) for k, c in terms.items() if c}
@@ -195,16 +203,23 @@ def bilinear(table: Mapping, den: int, x: Sequence, y: Sequence, size: int) -> L
         return [(i, p.over(d)) for i, p in ps], d
 
     (xs, dx), (ys, dy) = numerators(x), numerators(y)
+    acc = bilinear_terms(table, xs, ys, vs.one)
+    zero, den = Poly._new(vs, {}), den * dx * dy
+    return [Poly._reduced(vs, acc[k], den) if k in acc else zero for k in range(size)]
+
+
+def bilinear_terms(table: Mapping, xs: list, ys: list, one: int) -> Dict[int, dict]:
+    """{k: sum of table[(i, j)][k] x_i y_j} over the pairs (i, x_i) of xs
+    and (j, y_j) of ys, term dicts of Poly keys whose 1 is one."""
     acc: Dict[int, dict] = {}
     for i, xi in xs:
         for j, yj in ys:
             row = table.get((i, j))
             if row:
-                prod = mul_add({}, xi, yj, vs.one)
+                prod = mul_add({}, xi, yj, one)
                 for k, s in row.items():
                     lincomb(((s, prod),), acc.setdefault(k, {}))
-    zero, den = Poly._new(vs, {}), den * dx * dy
-    return [Poly._reduced(vs, acc[k], den) if k in acc else zero for k in range(size)]
+    return acc
 
 
 class FlatTerms:
@@ -219,10 +234,8 @@ class FlatTerms:
 
     def __init__(self, vs: VarSet, terms: Mapping | None = None):
         """From {tuple key: int or Fraction} over the lcm of the denominators, a canonical form."""
-        terms = {self._pack(vs, k): exact(c) for k, c in (terms or {}).items()}
-        d = lcm(*(c.denominator for c in terms.values()))
-        self.vs, self.den = vs, d
-        self.terms = {k: c.numerator * (d // c.denominator) for k, c in terms.items() if c}
+        self.vs, ((self.terms,), self.den) = vs, numerators([{
+            self._pack(vs, k): exact(c) for k, c in (terms or {}).items()}])
 
     @classmethod
     def _new(cls, vs: VarSet, terms: dict, den: int = 1):

@@ -39,7 +39,8 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 from .chart import SymplecticChart
 from .kkt import GradedLieAlgebra, homomorphism_tallies
 from .poly import (
-    NO_VARS, Poly, Tally, VarSet, abs_numerator, diff_terms, lincomb, mul_add, proportion, tally,
+    NO_VARS, Poly, Tally, VarSet, abs_numerator, diff_terms, lincomb, mul_add, numerators, proportion,
+    tally,
 )
 from .scalars import Scalar
 from .weyl import (
@@ -128,9 +129,8 @@ class StarRepresentation:
     def _combine(self, a: list, part: Callable[[RhoParts], List[dict]]) -> List[Poly]:
         """sum_i a_i part(P_i) over the rational coordinates a_i of a, P_i
         the ``RhoParts`` of e_i, as Polys."""
-        d = lcm(*(x.denominator for x in a if x))
-        rows = [(x.numerator * (d // x.denominator), part(p))
-                for x, p in zip(a, self._basis_parts) if x]
+        (a,), d = numerators([dict(enumerate(a))])
+        rows = [(x, part(self._basis_parts[i])) for i, x in a.items()]
         size = len(part(self._basis_parts[0]))
         den = self._den * d
         return [Poly._reduced(self.zvs, lincomb((c, t[k]) for c, t in rows), den)
@@ -173,16 +173,17 @@ class StarRepresentation:
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,
         read by ``poly.proportion`` from the rows (A, r, c) of the entries
-        (h_A)_rc and d l_A^r / dz^c; returns (kappa or None, residual)."""
-        vs, zero = self.zvs, Poly.zero(self.zvs)
-        poly = lambda t: Poly._reduced(vs, t, self._den) if t else zero
+        (h_A)_rc, summed from the sparse T_j (``t_entries``), and
+        d l_A^r / dz^c; returns (kappa or None, residual)."""
+        vs, zero, n = self.zvs, Poly.zero(self.zvs), self.g.n
+        poly = lambda t, den: Poly._reduced(vs, t, den) if t else zero
 
         def rows():
             for i, p in enumerate(self._basis_parts):
-                h = self.g.t_from_coords([poly(t) for t in p.h])
-                for r, lr in enumerate(map(poly, p.l)):
-                    for c, hc in enumerate(h[r]):
-                        d = diff_terms(lr.terms, vs, c)
+                h = self.g.t_entries([poly(t, self._den * self.g.t_den) for t in p.h])
+                for r, lr in enumerate(poly(t, self._den) for t in p.l):
+                    for c in range(n):
+                        d, hc = diff_terms(lr.terms, vs, c), h.get(r * n + c, zero)
                         if d or hc.terms:
                             yield (i, r, c), hc, Poly._reduced(vs, d, lr.den)
 

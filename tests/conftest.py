@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -13,19 +14,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from starcayley import jordan, kkt, linalg  # noqa: E402
 from starcayley.poly import Poly  # noqa: E402
 from starcayley.scalars import Scalar  # noqa: E402
-from starcayley.poly import exact, pruned  # noqa: E402
+from starcayley.poly import exact, lincomb, pruned  # noqa: E402
 from starcayley.weyl import (  # noqa: E402
     WeylOperator,
     _pair_kernel,
     fourier_conjugate,
     holomorphic_frame,
 )
-
-
-def dense(a: list) -> list:
-    """The square sparse matrix a, rows of {column: entry}, as a dense matrix
-    of Fractions."""
-    return [[Fraction(row.get(c, 0)) for c in range(len(a))] for row in a]
 
 
 def poly_abs(p: Poly) -> Fraction:
@@ -244,6 +239,131 @@ def contraction_covariance(ch):
             res, bad = res + r, bad + 1
             witness = witness or ((i, j), r)
     return res, bad, witness
+
+
+# -- the Fraction build of g that the integer build replaced, kept as oracle --
+
+
+class FractionEchelon:
+    """The oracle of ``linalg.Echelon``: sparse rational vectors reduced in
+    the order of dense Gaussian elimination, each row with 1 at its pivot
+    and the combination of the added vectors it equals."""
+
+    def __init__(self):
+        self.size, self._rows = 0, []
+
+    def _reduce(self, v):
+        r, steps = {k: x for k, x in v.items() if x}, []
+        for p, row, comb in self._rows:
+            f = r.get(p)
+            if f:
+                for k, y in row.items():
+                    x = r.get(k, 0) - f * y
+                    if x:
+                        r[k] = x
+                    else:
+                        del r[k]
+                steps.append((f, comb))
+        return r, pruned(lincomb(steps))
+
+    def coords(self, v):
+        r, coords = self._reduce(v)
+        return None if r else coords
+
+    def absorb(self, v):
+        r, coords = self._reduce(v)
+        if not r:
+            return coords
+        p = min(r)
+        inv = 1 / Fraction(r[p])
+        comb = {k: -c * inv for k, c in coords.items()}
+        comb[self.size] = inv
+        self._rows.append((p, {k: x * inv for k, x in r.items()}, comb))
+        self.size += 1
+        return None
+
+
+def fraction_build(A: jordan.JordanAlgebra, mu=Fraction(1)) -> dict:
+    """The oracle of the ``kkt.GradedLieAlgebra`` build: the closure of the
+    boxes under the tau-adjoint and commutators on sparse matrices of
+    Fractions, the table written block by block over Fractions and brought
+    to one denominator afterwards.  Returns the build's fields by name."""
+    n, S = A.dim, A.structure
+    mul = lambda a, b: [pruned(lincomb((x, b[t]) for t, x in row.items())) for row in a]
+    total = lambda terms: [pruned(lincomb((c, m[r]) for c, m in terms)) for r in range(n)]
+    flat = lambda a: {r * n + c: x for r, row in enumerate(a) for c, x in row.items()}
+    tr = [sum((S[c][a][a] for a in range(n)), Fraction(0)) for c in range(n)]
+    gram = [[sum((s * t for s, t in zip(S[a][b], tr)), Fraction(0)) for b in range(n)]
+            for a in range(n)]
+    span = FractionEchelon()
+    for row in gram:
+        assert span.absorb(dict(enumerate(row))) is None
+    gram_inv = [[Fraction(span.coords({j: 1}).get(i, 0)) for i in range(n)] for j in range(n)]
+    G, G_inv = ([{c: x for c, x in enumerate(row) if x} for row in m] for m in (gram, gram_inv))
+    transpose = lambda t: [{r: row[c] for r, row in enumerate(t) if c in row} for c in range(n)]
+    sharp = lambda t: mul(G_inv, mul(transpose(t), G))
+    basis, span = [], FractionEchelon()
+
+    def absorb(m):
+        c = span.absorb(flat(m))
+        if c is None:
+            basis.append(m)
+            return {len(basis) - 1: 1}
+        return c
+
+    L = [[{a: exact(S[c][a][r]) for a in range(n) if S[c][a][r]} for r in range(n)] for c in range(n)]
+    boxes = [total([(exact(s), L[c]) for c, s in enumerate(S[a][b]) if s]
+                   + [(1, mul(L[a], L[b])), (-1, mul(L[b], L[a]))])
+             for a in range(n) for b in range(n)]
+    box_coords = [absorb(m) for m in boxes]
+    t_boxes = [box_coords.index({j: 1}) for j in range(len(basis))]
+    while True:
+        size = len(basis)
+        sharps = [sharp(m) for m in basis]
+        sharp_coords = [absorb(m) for m in sharps]
+        comm = {}
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                ab = total([(1, mul(basis[i], basis[j])), (-1, mul(basis[j], basis[i]))])
+                comm[(i, j)] = absorb(ab)
+        if len(basis) == size:
+            break
+    d0 = len(basis)
+    f, dim = n + d0, 2 * n + d0
+    table = {}
+    column = lambda m, b, shift: {shift + k: -row[b] for k, row in enumerate(m) if b in row}
+    for a in range(n):
+        for i in range(d0):
+            table[(a, n + i)] = column(basis[i], a, 0)
+        for b in range(n):
+            table[(a, f + b)] = {n + k: -2 * c for k, c in box_coords[a * n + b].items()}
+    for i in range(d0):
+        for j in range(i + 1, d0):
+            table[(n + i, n + j)] = {n + k: c for k, c in comm[(i, j)].items()}
+        for b in range(n):
+            table[(n + i, f + b)] = column(sharps[i], b, f)
+    D = math.lcm(*(c.denominator for nz in table.values() for c in nz.values()))
+    structure = {}
+    for (i, j), nz in table.items():
+        if nz:
+            structure[(i, j)] = {k: (c * D).numerator for k, c in nz.items()}
+            structure[(j, i)] = {k: -(c * D).numerator for k, c in nz.items()}
+    c = lambda i, j: {k: Fraction(x, D) for k, x in structure.get((i, j), {}).items()}
+    killing = [[exact(sum((x * c(j, k).get(l, 0) for l in range(dim) for k, x in c(i, l).items()),
+                          Fraction(0))) for j in range(dim)] for i in range(dim)]
+    spur = [exact(sum((c(j, a).get(a, 0) for a in range(n)), Fraction(0))) for j in range(dim)]
+    e = span.coords({r * (n + 1): 1 for r in range(n)})
+    E = [0] * n + [exact(Fraction(e.get(k, 0))) for k in range(d0)] + [0] * n
+    dt = math.lcm(*(c.denominator for nz in sharp_coords for c in nz.values()))
+    theta = ([{f + a: dt} for a in range(n)]
+             + [{n + k: (-c * dt).numerator for k, c in nz.items()} for nz in sharp_coords]
+             + [{a: dt} for a in range(n)])
+    return {
+        "_structure": structure, "denom": D, "killing": killing, "spur_vector": spur,
+        "theta_table": (theta, dt), "_box_coords": box_coords, "_sharp_coords": sharp_coords,
+        "_t_boxes": t_boxes, "E": E, "o": [exact(mu * x) for x in E], "tau_gram": gram,
+        "_tau_gram_inv": gram_inv,
+    }
 
 
 @pytest.fixture(scope="session")

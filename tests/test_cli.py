@@ -54,6 +54,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["1e3", "2E-1", "0.5", " 2", "1_0"])
+    def test_mu_outside_integer_or_p_over_q_is_config_error(self, capsys, text):
+        # Fraction reads an exponent by building the power of ten, so a
+        # large one ran without end; each of these was accepted
+        code, out, err = run_cli(capsys, "verify", "--algebra", "rank1", "--mu", text)
+        assert code == 2 and out == ""
+        assert err == f"error: bad --mu value {text!r}: expected an integer or p/q, got {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["1e0", "10E-1", "1.0"])
+    def test_table_entry_outside_integer_or_p_over_q_is_config_error(self, capsys, tmp_path, text):
+        # each reads as 1, the unit's first entry, so the table was accepted
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps({**SPIN2.to_json(), "unit": [text, "0"]}))
+        code, out, err = run_cli(capsys, "verify", "--algebra", f"file:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: malformed structure-constant table: ") and err.count("\n") == 1
+
     def test_bad_mu_string(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--mu", "one")
         assert code == 2

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import unpacked
-from starcayley import kkt
+from starcayley import jordan, kkt
 from starcayley.hds import NoEquivalence, solve_equivalence
 from starcayley.poly import Poly, varset
 from starcayley.report import BUILTIN_SELECTORS, _random_poly
@@ -186,6 +186,19 @@ def test_check_kernels_use_no_fraction_arithmetic(sym3, instance_cache, fraction
     rho = [rho[0], rho[1] + WeylOperator.identity(srep.zvs), *rho[2:]]
     with pytest.raises(NoEquivalence, match=r"best: -id, residual 1\)"):
         solve_equivalence(g, rho, ds)
+
+
+@pytest.mark.parametrize("selector, denom", [("sym:3", 2), ("spin:5", 1)])
+def test_lie_build_uses_no_fraction_arithmetic(selector, denom, request):
+    # g is built on integer numerators: Fractions are only constructed, for
+    # the views, and o = mu E from the numerator and denominator of mu
+    A, mu = jordan.make_algebra(selector), Fraction(-3, 2)
+    want = kkt.GradedLieAlgebra(A, mu)
+    request.getfixturevalue("fraction_arithmetic_forbidden")
+    g = kkt.GradedLieAlgebra(A, mu)
+    assert g.denom == denom
+    for name in ("_structure", "killing", "spur_vector", "E", "o", "_box_coords", "_tau_gram_inv"):
+        assert getattr(g, name) == getattr(want, name), name
 
 
 def chain_random_poly(rng, ch, max_deg=3):

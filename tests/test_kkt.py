@@ -1,9 +1,10 @@
 import copy
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from conftest import dense
+from conftest import fraction_build
 
 from starcayley import jordan, kkt, linalg
 from starcayley.poly import tally
@@ -168,7 +169,25 @@ def test_sparse_build_matches_model(selector, instance_cache):
     assert g.tau_gram == [[A.tau(x, y) for y in e] for x in e]
     for a in range(n):
         for b in range(n):
-            assert dense(g._boxes[a * n + b]) == A.box(e[a], e[b]), (a, b)
+            box = g._boxes[a * n + b]
+            dense = [[Fraction(box.get(r * n + c, 0), g.t_den) for c in range(n)] for r in range(n)]
+            assert dense == A.box(e[a], e[b]), (a, b)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda s=s: jordan.make_algebra(s), id=s) for s in BUILTIN_SELECTORS]
+    + [pytest.param(_perturbed_spin2, id="perturbed-spin:2"),
+       pytest.param(_perturbed_sym2, id="perturbed-sym:2"),
+       pytest.param(lambda: _perturbed(jordan.make_sym_matrices(2), 0, 0, 0), id="grown-sym:2")],
+)
+def test_integer_build_matches_the_fraction_oracle(make):
+    # the closure, the echelon and the table on integer numerators against
+    # the Fraction build they replaced; a mu off 1 reaches o
+    A, mu = make(), Fraction(-3, 2)
+    g, want = kkt.GradedLieAlgebra(A, mu), fraction_build(A, mu)
+    for name, value in want.items():
+        assert getattr(g, name) == value, name
 
 
 def test_perturbed_closure_grows():
@@ -176,6 +195,10 @@ def test_perturbed_closure_grows():
     # pass adds a fourth matrix
     g = kkt.GradedLieAlgebra(_perturbed_spin2())
     assert g.dim0 == 4
+    # here the closure appends matrices whose denominators do not divide
+    # the boxes' 4, so the one denominator of g(0) grows
+    g = kkt.GradedLieAlgebra(_perturbed(jordan.make_sym_matrices(2), 0, 0, 0))
+    assert (g.dim0, g.t_den) == (9, 60)
 
 
 class TestKillingForm:
@@ -324,7 +347,7 @@ def test_wrong_sharp_fails_the_lie_suite(monkeypatch):
     # without the transpose the build's sharp G^-1 T G is T itself, as the
     # tau Gram matrix of a spin factor is scalar: an involution, T## = T,
     # but not the tau-adjoint on the so(1, 2) part of g(0)
-    monkeypatch.setattr(linalg, "sparse_transpose", lambda t: t)
+    monkeypatch.setattr(kkt, "_transposed", lambda t, n: t)
     g = kkt.GradedLieAlgebra(jordan.make_spin_factor(3))
     monkeypatch.undo()
     n, f = g.n, g.n + g.dim0
@@ -352,7 +375,7 @@ def test_theta_table_matches_model(selector, instance_cache):
     g = instance_cache("lie", selector)
     model = [g.to_coords(g.theta(g.from_coords(e))) for e in linalg.identity(g.dim)]
     rows, den = g.theta_table
-    assert den == kkt._common_denominator(x for row in model for x in row)
+    assert den == math.lcm(*(x.denominator for row in model for x in row))
     assert [[Fraction(row.get(m, 0), den) for m in range(g.dim)] for row in rows] == model
 
 

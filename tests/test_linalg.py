@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from conftest import dense
 from hypothesis import given, settings, strategies as st
 
-from starcayley import jordan, linalg
+from starcayley import jordan, kkt, linalg
+from starcayley.poly import numerators
 from starcayley.report import BUILTIN_SELECTORS
 
 
@@ -46,24 +46,28 @@ def vectors(n):
     return st.lists(st.one_of(st.just(Fraction(0)), rationals), min_size=n, max_size=n)
 
 
-def square_pairs():
+integers = st.integers(min_value=-3, max_value=3)
+
+
+def int_squares():
     return st.integers(1, 4).flatmap(
-        lambda n: st.tuples(*(st.lists(vectors(n), min_size=n, max_size=n) for _ in "ab"))
+        lambda n: st.tuples(*(st.lists(st.lists(integers, min_size=n, max_size=n),
+                                       min_size=n, max_size=n) for _ in "ab"))
     )
 
 
-@given(square_pairs(), rationals)
+@given(int_squares())
 @settings(max_examples=50)
-def test_sparse_products_and_sums_match_dense(ab, c):
+def test_integer_products_match_dense(ab):
+    # the flat integer products of the g build against dense ones
     a, b = ab
-    sa, sb = linalg.sparse(a), linalg.sparse(b)
-    assert dense(linalg.sparse_mul(sa, sb)) == linalg.mat_mul(a, b)
-    assert dense(linalg.sparse_commutator(sa, sb)) == linalg.commutator(a, b)
-    total = linalg.sparse_sum(iter([(1, sa), (c, sb)]), len(a))
-    assert dense(total) == linalg.mat_add(a, linalg.mat_scale(b, c))
-    # no zero is stored, and a sum that cancels is empty
-    assert all(all(row.values()) for row in total)
-    assert linalg.sparse_sum([(c, sb), (-c, sb)], len(b)) == [{} for _ in b]
+    n = len(a)
+    flat = lambda m: {r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if x}
+    dense = lambda f: [[f.get(r * n + c, 0) for c in range(n)] for r in range(n)]
+    ra, rb = kkt._rows(flat(a), n), kkt._rows(flat(b), n)
+    assert dense(kkt._product(ra, rb)) == linalg.mat_mul(a, b)
+    assert dense(kkt._product(rb, ra, -1, kkt._product(ra, rb))) == linalg.commutator(a, b)
+    assert dense(kkt._transposed(flat(a), n)) == linalg.transpose(a)
 
 
 def _rank(rows):
@@ -93,6 +97,12 @@ def span_cases(draw):
     return vecs, target
 
 
+def _ints(v):
+    """The dense rational vector v as (sparse integer numerators, denominator)."""
+    (w,), d = numerators([dict(enumerate(v))])
+    return w, d
+
+
 def _combination(coords, kept, n):
     return [sum((c * kept[k][i] for k, c in coords.items()), Fraction(0)) for i in range(n)]
 
@@ -103,17 +113,79 @@ def test_echelon_coordinates_reconstruct(case):
     vecs, target = case
     n = len(target)
     span, kept = linalg.Echelon(), []
+    rationals = lambda c: c and {k: Fraction(x, c[1]) for k, x in c[0].items()}
     for v in vecs:
-        c = span.absorb({i: x for i, x in enumerate(v) if x})
+        c = rationals(span.absorb(*_ints(v)))
         if c is None:
             kept.append(v)
         else:
             assert all(c.values()) and _combination(c, kept, n) == v
     assert len(kept) == _rank(kept) == _rank(vecs) == span.size
-    c = span.coords({i: x for i, x in enumerate(target) if x})
+    c = rationals(span.coords(*_ints(target)))
     assert (c is None) == (_rank(vecs + [target]) > _rank(vecs))
     if c is not None:
         assert _combination(c, kept, n) == target
+
+
+def _dense_coords(kept, v):
+    """The coordinates of v along the independent kept vectors by dense
+    Gauss-Jordan elimination of [kept^T | v] over Fractions, or None when
+    v is off their span."""
+    m = [[Fraction(w[i]) for w in kept] + [Fraction(v[i])] for i in range(len(v))]
+    rank = 0
+    for col in range(len(kept)):
+        pivot = next(i for i in range(rank, len(m)) if m[i][col])
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    if any(row[-1] for row in m[rank:]):
+        return None
+    return [row[-1] for row in m[:rank]]
+
+
+@st.composite
+def vector_lists(draw):
+    """Integer or rational vectors, some of them combinations of earlier
+    ones, and a target that is one half the time."""
+    n = draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([integers, rationals]))
+    vecs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if vecs and draw(st.booleans()):
+            coeffs = draw(st.lists(entries, min_size=len(vecs), max_size=len(vecs)))
+            vecs.append([sum((c * v[i] for c, v in zip(coeffs, vecs)), 0) for i in range(n)])
+        else:
+            vecs.append(draw(st.lists(st.one_of(st.just(0), entries), min_size=n, max_size=n)))
+    target = draw(st.sampled_from(vecs + [draw(st.lists(entries, min_size=n, max_size=n))]))
+    return vecs, target
+
+
+@given(vector_lists())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_dense_elimination(case):
+    # the fraction-free reduced echelon form against dense elimination
+    vecs, target = case
+    span, kept = linalg.Echelon(), []
+    for i, v in enumerate(vecs):
+        c = span.absorb(*_ints(v))
+        # kept exactly when the rank grows
+        assert (c is None) == (_rank(vecs[: i + 1]) > _rank(vecs[:i]))
+        if c is None:
+            kept.append(v)
+        else:
+            assert [Fraction(c[0].get(k, 0), c[1]) for k in range(len(kept))] == _dense_coords(kept, v)
+        # reduced row echelon form: each row holds den at its pivot, and
+        # each pivot column is zero in every other row
+        for p, (row, comb) in span._rows.items():
+            assert row[p] == span.den and all(q not in row for q in span._rows if q != p)
+    c = span.coords(*_ints(target))
+    want = _dense_coords(kept, target)
+    assert (c is None) == (want is None)
+    if c is not None:
+        assert [Fraction(c[0].get(k, 0), c[1]) for k in range(len(kept))] == want
 
 
 @pytest.mark.parametrize(
