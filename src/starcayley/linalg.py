@@ -172,8 +172,8 @@ class Echelon:
             x = {k: a * e for k, e in x.items()}
             return {k: e // old for k, e in (lincomb(((-b, y),), x) if b else x).items() if e}
 
-        self._rows = {q: (eliminate(row, row.get(p, 0), r), eliminate(c, row.get(p, 0), comb))
-                      for q, (row, c) in self._rows.items()}
+        self._rows = {q: (eliminate(row, row.get(p, 0), r), eliminate(cq, row.get(p, 0), comb))
+                      for q, (row, cq) in self._rows.items()}
         self._rows[p] = r, comb
         self.size += 1
         return None

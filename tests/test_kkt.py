@@ -154,13 +154,16 @@ def test_killing_blocks_equal_every_trace(selector, instance_cache):
             assert g.killing[i][j] == trace, (i, j)
 
 
-@pytest.mark.parametrize("selector", [*BUILTIN_SELECTORS, "perturbed-spin:2", "perturbed-sym:2"])
+@pytest.mark.parametrize(
+    "selector", [*BUILTIN_SELECTORS, "perturbed-spin:2", "perturbed-sym:2", "grown-sym:2"]
+)
 def test_sparse_build_matches_model(selector, instance_cache):
     # the build forms each box as sum_c s_ab^c L(e_c) + [L(e_a), L(e_b)]
     # from sparse L(e_c), and tau from Tr L(e_c); the model's box and trace
-    # form are their oracle
-    if selector.startswith("perturbed"):
-        A = {"perturbed-spin:2": _perturbed_spin2, "perturbed-sym:2": _perturbed_sym2}[selector]()
+    # form are their oracle, also after the denominator of g(0) grew
+    if "-" in selector:
+        A = {"perturbed-spin:2": _perturbed_spin2, "perturbed-sym:2": _perturbed_sym2,
+             "grown-sym:2": lambda: _perturbed(jordan.make_sym_matrices(2), 0, 0, 0)}[selector]()
         g = kkt.GradedLieAlgebra(A)
     else:
         A, g = instance_cache("algebra", selector), instance_cache("lie", selector)
