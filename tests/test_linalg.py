@@ -113,15 +113,15 @@ def test_echelon_coordinates_reconstruct(case):
     vecs, target = case
     n = len(target)
     span, kept = linalg.Echelon(), []
-    rationals = lambda c: c and {k: Fraction(x, c[1]) for k, x in c[0].items()}
+    as_fractions = lambda c: c and {k: Fraction(x, c[1]) for k, x in c[0].items()}
     for v in vecs:
-        c = rationals(span.absorb(*_ints(v)))
+        c = as_fractions(span.absorb(*_ints(v)))
         if c is None:
             kept.append(v)
         else:
             assert all(c.values()) and _combination(c, kept, n) == v
     assert len(kept) == _rank(kept) == _rank(vecs) == span.size
-    c = rationals(span.coords(*_ints(target)))
+    c = as_fractions(span.coords(*_ints(target)))
     assert (c is None) == (_rank(vecs + [target]) > _rank(vecs))
     if c is not None:
         assert _combination(c, kept, n) == target
