@@ -197,15 +197,15 @@ def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tal
 
     The operators are brought to one denominator L and split once, with
     their gradients (``weyl.first_order_parts``), and each pair's
-    first-order bracket feeds both Tallies of ``kkt.homomorphism_tallies``.
-    s = +1 reports a homomorphism, s = -1 an anti-homomorphism and s = 0
-    neither, with the Tally of the sign of smaller total, +1 on a tie.
-    Raises ValueError on a term of order > 1."""
+    first-order bracket goes to ``kkt.homomorphism_tallies``, which tallies
+    one sign unless it fails.  s = +1 reports a homomorphism, s = -1 an
+    anti-homomorphism and s = 0 neither, with the Tally of the sign of
+    smaller total, +1 on a tie.  Raises ValueError on a term of order > 1."""
     L = lcm(*(op.den for op in ops))
     fields = [first_order_parts(op, L) for op in ops]
     bracket = lambda i, j: first_order_bracket(fields[i], fields[j], g.denom)
     plus, minus = homomorphism_tallies(g, [f.parts for f in fields], bracket, L, minus=True)
-    best = plus if plus.residual <= minus.residual else minus
+    best = min((t for t in (plus, minus) if t is not None), key=lambda t: t.residual)
     return (0 if best.failures else 1 if best is plus else -1), best
 
 

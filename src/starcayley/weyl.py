@@ -216,7 +216,7 @@ def first_order_parts(op: WeylOperator, den: int = 0) -> FirstOrderParts:
     part taken once, so that brackets with many operators reuse it."""
     parts = _first_order_terms(op, den // op.den if den else 1)
     vs = op.vs
-    grads = [[diff_terms(p, vs, i) for i in range(len(vs))] for p in parts]
+    grads = [[diff_terms(p, vs, i) for i in range(len(vs))] if p else [{}] * len(vs) for p in parts]
     return FirstOrderParts(parts, grads, vs.one)
 
 

@@ -65,8 +65,8 @@ def test_integer_products_match_dense(ab):
     flat = lambda m: {r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if x}
     dense = lambda f: [[f.get(r * n + c, 0) for c in range(n)] for r in range(n)]
     ra, rb = kkt._rows(flat(a), n), kkt._rows(flat(b), n)
-    assert dense(kkt._product(ra, rb)) == linalg.mat_mul(a, b)
-    assert dense(kkt._product(rb, ra, -1, kkt._product(ra, rb))) == linalg.commutator(a, b)
+    assert dense(kkt._product(flat(a), rb)) == linalg.mat_mul(a, b)
+    assert dense(kkt._product(flat(b), ra, -1, kkt._product(flat(a), rb))) == linalg.commutator(a, b)
     assert dense(kkt._transposed(flat(a), n)) == linalg.transpose(a)
 
 
@@ -79,7 +79,7 @@ def _rank(rows):
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         for i in range(rank + 1, len(m)):
-            f = m[i][col] / m[rank][col]
+            f = Fraction(m[i][col]) / m[rank][col]
             m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
