@@ -1,27 +1,22 @@
 """Derived holomorphic discrete series operators and the equivalence solver.
 
-For X in g with parts u, T and v in g(-1), g(0) and g(1), read from its
-coordinate vector, the conformal field on the tube domain is
-X(z) = u + Tz + P(z)v with Tr DX(z) = Tr T + 2 tau(z, v).  The weight-m
-operator is first order,
+For X in g with parts u, T and v in g(-1), g(0) and g(1), the conformal
+field on the tube domain is X(z) = u + Tz + P(z)v, with Tr DX(z) = Tr T +
+2 tau(z, v), and the weight-m operator is first order,
 
     dpi_m(X) = m s_X + V_X,   s_X = -(r/n) Tr DX(z),   V_X = -sum_a X(z)^a d/dz^a,
 
-with m kept formal.  The bracket of first-order operators never
-multiplies two multipliers: [dpi_m X, dpi_m Y] = m (V_X s_Y - V_Y s_X) +
-[V_X, V_Y].  So [dpi_m X, dpi_m Y] = sigma dpi_m([X,Y]) holds for every m
-exactly when it holds for dpi_1 = s_X + V_X with the multiplier and the
-vector field compared separately, as ``starrep.bracket_sign`` does; each
-operator is stored as dpi_1.  The solver searches an intertwining
-automorphism alpha in {+id, -id, +theta, -theta} matching the star
-representation against dpi, reads the weight m* and compares it with the
-closed-form value (beta(o,o) + n nu c) / (2 nu r c), which follows from
-the grading element E = (0, Id, 0): h_E = Id, l_E(z) = z,
-beta(E, o) = beta(o,o)/mu and spur(E) = n give
-rho(E) = (beta(o,o)/mu + n nu)/(2 nu) + sum z^a d_a, while
-dpi_m(-E) = m r + sum z^a d_a; the solver finds alpha = -id.  The value is
-thus fixed by this package's own normalisations of rho and dpi_m; the
-repository does not hold the paper's text to check them against.
+with m formal.  [dpi_m X, dpi_m Y] = m (V_X s_Y - V_Y s_X) + [V_X, V_Y]
+never multiplies two multipliers, so [dpi_m X, dpi_m Y] = sigma dpi_m([X,Y])
+holds for every m exactly when it holds for dpi_1 = s_X + V_X with the
+multiplier and the vector field compared apart; each operator is stored as
+dpi_1.  The solver finds an intertwiner alpha in {+id, -id, +theta, -theta},
+reads the weight m* and compares it with (beta(o,o) + n nu c) / (2 nu r c),
+from E = (0, Id, 0): h_E = Id, l_E(z) = z, beta(E, o) = beta(o,o)/mu and
+spur(E) = n give rho(E) = (beta(o,o)/mu + n nu)/(2 nu) + sum z^a d_a, while
+dpi_m(-E) = m r + sum z^a d_a, so alpha = -id.  The value is fixed by this
+package's normalisations of rho and dpi_m; the repository does not hold the
+paper's text to check them against.
 """
 
 from __future__ import annotations
@@ -119,17 +114,13 @@ def solve_equivalence(
     """Find (alpha, m*) with rho(A) = dpi_{m*}(alpha(A)) for every basis A.
 
     For each candidate alpha, ``poly.proportion`` reads m* and the l1
-    residual from rows per basis element A: each component of the difference
-    of the vector fields, with divisor 0, then the multipliers (tau_A, s_A)
-    of rho(A) and dpi_1(alpha A), dpi(alpha e) = sum_k alpha(e)_k dpi(e_k)
-    summed on the numerators of ``ds.dpi_basis()``.  Raises NoEquivalence
-    if no candidate matches.
-
-    A candidate stops at its first basis element whose vector fields
-    differ.  Only when no candidate matches are the stopped ones finished,
-    so that the error names the candidate with the smallest full residual,
-    the first of them on a tie; the candidates are drawn once, in order.
-    """
+    residual from rows per basis element A: the components of the vector
+    field difference, with divisor 0, then the multipliers (tau_A, s_A),
+    dpi(alpha e) = sum_k alpha(e)_k dpi(e_k) summed on the numerators of
+    ``ds.dpi_basis()``.  A candidate stops at its first basis element whose
+    vector fields differ; only when none matches are the stopped ones
+    finished, and NoEquivalence names the one of smallest full residual,
+    the first on a tie."""
     ds = ds or DiscreteSeries(g)
     rho_parts = [split_first_order(op) for op in rho]
     L = lcm(*(op.den for op in ds.dpi_basis()))

@@ -1,38 +1,28 @@
 """Three-graded Lie algebra built from a Euclidean Jordan algebra.
 
-g = g(-1) + g(0) + g(1), where the outer pieces are two copies of the
-Jordan algebra and g(0) is the span of the box operators, closed under
-commutators and the tau-adjoint.  In the matrix model an element is a
-triple (u, T, v) and the bracket is
+g = g(-1) + g(0) + g(1): the outer pieces are two copies of the Jordan
+algebra and g(0) is the span of the box operators, closed under
+commutators and the tau-adjoint #.  In the matrix model an element is a
+triple (u, T, v), with the bracket
 
     [(u,T,v), (u',T',v')] =
-        (Tu' - T'u,  2 u'box v + [T,T'] - 2 u box v',  T'# v - T# v')
+        (Tu' - T'u,  2 u'box v + [T,T'] - 2 u box v',  T'# v - T# v'),
 
-with T# the adjoint of T for the trace form.  The involution is
-theta(u,T,v) = (v, -T#, u); the grading element is E = (0, Id, 0) and the
-base point is o = mu * E.
-
-The build runs on integers, from the Jordan algebra's integer structure
-constants and tau Gram matrix G: each box e_a box e_b = sum_c s_ab^c L(e_c)
-+ [L(e_a), L(e_b)], each T_j and each T_j# = G^-1 T_j^T G is held as
-sparse integer numerators over one denominator, and one ``linalg.Echelon``
-closes the span of the boxes under # and commutators, reading the
-coordinates of each box, T_i# and [T_i, T_j] at its pivots, so every g(0)
-fact has one source.  From them the table is written block by block
-(``GradedLieAlgebra._block_table``) as integer numerators D c_ij^k over
-one denominator D (D = 2 on sym:p, D = 1 on the spin factors), the layout
-of FLINT's fmpq_mat, and Theta the same way over D_theta.  The build forms
-Fractions by construction only, for the views (``bracket_coords``,
-``coord_bracket``, ``apply_theta``, the build's coordinates); the lie
-checks sum integers, compare with Jordan data and divide each residual
-once.  The (u, T, v) model is the independent oracle of the table and
+theta(u,T,v) = (v, -T#, u), the grading element E = (0, Id, 0) and the base
+point o = mu E.  The build runs on integers: every box, T_j and T_j# is
+held as sparse numerators over one denominator, one ``linalg.Echelon``
+closes their span under # and commutators, reading each coordinate at its
+pivots, and the table is written block by block as numerators D c_ij^k
+over one D, as in FLINT's fmpq_mat, and Theta over D_theta.  Fractions are
+only constructed, for the views; the checks sum integers and divide each
+residual once.  The model is the independent oracle of the table and
 Theta; no report path runs on it.  Outside this module an element of g is
-its coordinate vector in the basis (g(-1), T_j, g(1)), bracketed through
-the table and paired through the Killing Gram matrix K = tr(ad_i ad_j).
-``homomorphism_tallies`` checks that a linear map respects the bracket:
-Theta here, the moment maps in ``chart``, rho and dpi in ``starrep``.
+its coordinate vector in the basis (g(-1), T_j, g(1)), paired through the
+Killing Gram matrix K.  ``homomorphism_tallies`` checks that a linear map
+respects the bracket, on the pairs that meet the certified generating set
+``GradedLieAlgebra.generators``: Theta here, the moment maps in ``chart``,
+rho and dpi in ``starrep``.
 """
-
 from __future__ import annotations
 
 import bisect
@@ -239,28 +229,14 @@ class GradedLieAlgebra:
     # -- structure maps -------------------------------------------------------
     def sharp(self, t: Sequence[Sequence]) -> list:
         """Adjoint of t with respect to the trace form: G^-1 t^T G."""
-        return linalg.mat_mul(
-            self._tau_gram_inv, linalg.mat_mul(linalg.transpose(t), self.tau_gram)
-        )
+        return linalg.mat_mul(self._tau_gram_inv, linalg.mat_mul(linalg.transpose(t), self.tau_gram))
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
-        A = self.jordan
-        u = [a - b for a, b in zip(linalg.mat_vec(x.t, y.u), linalg.mat_vec(y.t, x.u))]
-        t = linalg.mat_add(
-            linalg.mat_sub(
-                linalg.mat_scale(A.box(y.u, x.v), 2),
-                linalg.mat_scale(A.box(x.u, y.v), 2),
-            ),
-            linalg.commutator(x.t, y.t),
-        )
-        v = [
-            a - b
-            for a, b in zip(
-                linalg.mat_vec(self.sharp(y.t), x.v),
-                linalg.mat_vec(self.sharp(x.t), y.v),
-            )
-        ]
-        return LieElement(u, t, v)
+        A, mv = self.jordan, linalg.mat_vec
+        u = [a - b for a, b in zip(mv(x.t, y.u), mv(y.t, x.u))]
+        boxes = linalg.mat_scale(linalg.mat_sub(A.box(y.u, x.v), A.box(x.u, y.v)), 2)
+        v = [a - b for a, b in zip(mv(self.sharp(y.t), x.v), mv(self.sharp(x.t), y.v))]
+        return LieElement(u, linalg.mat_add(boxes, linalg.commutator(x.t, y.t)), v)
 
     def theta(self, x: LieElement) -> LieElement:
         return LieElement(list(x.v), linalg.mat_scale(self.sharp(x.t), Fraction(-1)), list(x.u))
@@ -268,17 +244,13 @@ class GradedLieAlgebra:
     @cached_property
     def theta_table(self) -> Tuple[List[dict], int]:
         """Theta as (rows, D_theta): row i maps m to the integer numerator
-        of the m-th coordinate of theta e_i over D_theta.  As
-        theta(u, T, v) = (v, -T#, u) swaps e_a and f_a, the rows of g(-1)
-        and g(1) are written by index; row n + i of g(0) is -T_i#, whose
-        coordinates the build kept when it closed the span."""
+        of the m-th coordinate of theta e_i.  theta swaps e_a and f_a, so
+        the rows of g(+-1) are written by index; row n + i is -T_i#, from
+        the coordinates the build kept."""
         n, f = self.n, self.n + self.dim0
         sharps, den = numerators(self._sharp_coords)
-        return (
-            [{f + a: den} for a in range(n)]
-            + [{n + k: -x for k, x in nz.items()} for nz in sharps]
-            + [{a: den} for a in range(n)]
-        ), den
+        minus = [{n + k: -x for k, x in nz.items()} for nz in sharps]
+        return [{f + a: den} for a in range(n)] + minus + [{a: den} for a in range(n)], den
 
     def apply_theta(self, c: Sequence) -> list:
         """theta on a rational coordinate vector, through Theta."""
@@ -395,25 +367,21 @@ class GradedLieAlgebra:
 
     @cached_property
     def generators(self) -> Tuple[int, ...]:
-        """A certified generating set S of basis indices: all of g(-1), then
-        the f_b of g(1) in index order until the smallest subspace W that
-        holds S and is closed under every ad_s, s in S, is g, grown in one
-        ``linalg.Echelon``; every index when W falls short of g.  g(-1) +
-        g(1) generates g (Koecher, Amer. J. Math. 89, 1967).
-
-        W lies in every subalgebra that holds S, so each lemma below makes
-        the pairs or triples that meet S prove an identity on all of g.
-        (1) Given Jacobi, for X linear into a Lie algebra the x with
-        [Xx, Xy] = X[x, y] for every y form a subalgebra:
+        """A certified generating set S: all of g(-1), then the f_b of g(1)
+        in index order until the smallest subspace W that holds S and is
+        closed under every ad_s, s in S, grown in one ``linalg.Echelon``, is
+        g (g(-1) + g(1) generates g: Koecher, Amer. J. Math. 89, 1967); every
+        index when W falls short.  W lies in each subalgebra that holds S,
+        so by these lemmas the pairs or triples that meet S prove an
+        identity on g.  (1) Given Jacobi, the x with [Xx, Xy] = X[x, y] for
+        all y, X linear into a Lie algebra, form a subalgebra:
         X[[a,b],y] = X[a,[b,y]] - X[b,[a,y]] = [[Xa,Xb],Xy] = [X[a,b],Xy];
-        with -X the same holds for an anti-homomorphism.  (2) The x whose
-        ad_x is a derivation form a subalgebra, as then ad_[a,b] =
-        [ad_a, ad_b]; this needs only antisymmetry.  Those whose ad_x is a
-        derivation and skew for K, ad_x^T K + K ad_x = 0, do too."""
-        n, f, T = self.n, self.n + self.dim0, self._structure
-        span, found, gens = linalg.Echelon(), [], []
+        -X covers an anti-homomorphism.  (2) The x whose ad_x is a derivation
+        form a subalgebra, as then ad_[a,b] = [ad_a, ad_b] (this needs only
+        antisymmetry), and so do those whose ad_x is also skew for K."""
+        span, found, gens, T = linalg.Echelon(), [], [], self._structure
         ad = lambda s, v: lincomb((x, T[(s, j)]) for j, x in v.items() if (s, j) in T)
-        for s in [*range(n), *range(f, self.dim)]:
+        for s in [*range(self.n), *range(self.n + self.dim0, self.dim)]:
             gens.append(s)
             todo = [{s: 1}] + [ad(s, v) for v in found]
             while todo:
@@ -463,61 +431,38 @@ def _combine(name: str, residual: Fraction, detail: str = "") -> SuiteResult:
 def verify_antisymmetry(g: GradedLieAlgebra) -> SuiteResult:
     """[e_i, e_i] = 0 in the model.  It cannot fail, as [x, x] cancels term by
     term, so no suite runs it; the benchmark tracer still patches it."""
-    res = Fraction(0)
     basis = [g.from_coords(e) for e in linalg.identity(g.dim)]
-    for i in range(g.dim):
-        d = g.bracket(basis[i], basis[i])
-        res += sum(abs(c) for c in g.to_coords(d))
-    return _combine("antisymmetry", res)
-
-
-def _meeting(g: GradedLieAlgebra):
-    """The basis pairs i < j that meet ``g.generators``, in lexicographic
-    order, enumerated directly: j runs over S alone when i is not in it."""
-    S, d = g.generators, g.dim
-    ins = set(S)
-    return ((i, j) for i in range(d) for j in (range(i + 1, d) if i in ins else S[bisect.bisect_right(S, i):]))
+    res = sum(abs(c) for x in basis for c in g.to_coords(g.bracket(x, x)))
+    return _combine("antisymmetry", Fraction(res))
 
 
 def verify_jacobi(g: GradedLieAlgebra) -> SuiteResult:
-    """Jacobi identity on the basis triples i < j < k, via the integer table:
-    each cyclic term c_bc^m c_am^p has its numerator over D^2.  First only
-    the triples that meet ``g.generators`` are checked, enumerated from the
-    nonzero constants (lemma 2 there); when one fails, every triple is, a
-    term whose inner bracket [e_b, e_c] is zero skipped, and the detail
-    names the first failing triple and its residual.  The verdict is kept
+    """The Jacobi identity on the basis triples, first on those that meet
+    ``g.generators`` (lemma 2 there) and, when one fails, on every triple
+    i < j < k, for the residual, the number of failing triples and the
+    first; each residual has its numerator over D^2.  The verdict is kept
     on g, so a report decides it once."""
     if g._jacobi is None:
-        S, den = g._structure, g.denom**2
-
-        def rows():
-            for i, j, k in itertools.combinations(range(g.dim), 3):
-                acc: dict = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    if (b, c) in S:
-                        lincomb(((x, S.get((a, m), {})) for m, x in S[(b, c)].items()), acc)
-                yield (i, j, k), sum(map(abs, acc.values()))
-
-        t = tally(_derivation_rows(g), den)
-        t = tally(rows(), den) if t.failures else t
+        t = tally(_jacobi_rows(g, g.generators), g.denom**2)
+        t = tally(sorted(_jacobi_rows(g, range(g.dim))), g.denom**2) if t.failures else t
         detail = f"{t.failures} failing triples; {t.witness('(i, j, k)')}" if t.failures else ""
         g._jacobi = _combine("jacobi", t.residual, detail)
     return g._jacobi
 
 
-def _derivation_rows(g: GradedLieAlgebra):
-    """(triple, D^2 |J(s, y, z)|) for s in ``g.generators`` and y < z, both
-    other than s, J(s, y, z) = [s, [y, z]] + [z, [s, y]] - [y, [s, z]], for
-    the pairs that some nonzero term reaches: those whose bracket has a
-    component u with [s, e_u] nonzero, and those holding such a u and a v
-    that brackets with a component of [s, e_u]."""
-    T, into, at = g._structure, defaultdict(list), defaultdict(list)
+def _jacobi_rows(g: GradedLieAlgebra, gens):
+    """(i < j < k, D^2 |J(s, y, z)|), J(s, y, z) = [s, [y, z]] + [z, [s, y]]
+    - [y, [s, z]], once per triple of s in gens and y < z that misses the
+    gens before s, reached from the nonzero constants: the y < z whose
+    bracket has a component u with [s, e_u] nonzero, and the pairs of such
+    a u and a v that brackets with a component of [s, e_u]."""
+    T, into, at, done = g._structure, defaultdict(list), defaultdict(list), set()
     for (y, z), row in T.items():
         at[z].append((y, row))  # at[m]: the v and [e_v, e_m]
         if y < z:
             for m, x in row.items():
                 into[m].append(((y, z), x))  # into[u]: the y < z and c_yz^u
-    for s in g.generators:
+    for s in gens:
         acc: dict = {}
         for u in (u for u in range(g.dim) if (s, u) in T):
             su = T[(s, u)]
@@ -528,8 +473,10 @@ def _derivation_rows(g: GradedLieAlgebra):
                 for v, vm in at[m]:
                     if v != s and v != u:
                         lincomb(((x if u < v else -x, vm),), acc.setdefault((min(u, v), max(u, v)), {}))
-        for yz, r in acc.items():
-            yield tuple(sorted((s, *yz))), sum(map(abs, r.values()))
+        done.add(s)
+        for (y, z), r in acc.items():
+            if y not in done and z not in done:
+                yield tuple(sorted((s, y, z))), sum(map(abs, r.values()))
 
 
 def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
@@ -537,15 +484,10 @@ def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
     It cannot fail, as ``_block_table`` writes each block formula into its
     target block by index, so no suite runs it; the benchmark tracer still
     patches it."""
-    n, d0 = g.n, g.dim0
-    grade = lambda idx: -1 if idx < n else (0 if idx < n + d0 else 1)
-    res = Fraction(0)
-    for (i, j), nz in g.bracket_table.items():
-        target = grade(i) + grade(j)
-        for k, c in nz.items():
-            if target < -1 or target > 1 or grade(k) != target:
-                res += abs(c)
-    return _combine("grading", res)
+    grade = lambda idx: -1 if idx < g.n else (0 if idx < g.n + g.dim0 else 1)
+    ijk = ((i, j, k, c) for (i, j), nz in g.bracket_table.items() for k, c in nz.items())
+    res = sum(abs(c) for i, j, k, c in ijk if grade(k) != grade(i) + grade(j))
+    return _combine("grading", Fraction(res))
 
 
 def homomorphism_tallies(
@@ -555,16 +497,17 @@ def homomorphism_tallies(
     i < j, in that order, for a linear X into a Lie algebra, and with minus
     that of |[X e_i, X e_j] + X[e_i, e_j]| after it: ``parts[k]`` lists the
     component term dicts of X e_k over L, and ``bracket(i, j)`` the
-    components of D [X e_i, X e_j] over D L^2, fresh dicts, D the table's
-    denominator.  Negating X swaps the two Tallies.
-
-    Once g passes Jacobi, only the pairs that meet ``g.generators`` are
-    formed (lemma 1 there).  With minus one side s is tallied, s read off
-    the first pair whose image X[e_i, e_j] is nonzero, and when it passes
-    the other side's Tally is None.  When a pair fails, both sides are
-    tallied over every pair, from the residuals kept, so each bracket is
-    formed once."""
+    components of D [X e_i, X e_j] over D L^2, fresh dicts.  Negating X
+    swaps the two Tallies.  Once g passes Jacobi only the pairs that meet
+    ``g.generators`` are formed (lemma 1 there), and with minus one side s
+    is tallied, read off the first pair whose image is nonzero; when it
+    passes, the other side's Tally is None.  When a pair fails, both sides
+    are tallied over every pair from the residuals kept, so each bracket
+    is formed once."""
     nz, every = g.bracket_numerators, list(itertools.combinations(range(g.dim), 2))
+    # the pairs i < j that meet S, in order: j runs over S alone when i is not in it
+    meet = lambda S, ins: ((i, j) for i in range(g.dim)
+                           for j in (range(i + 1, g.dim) if i in ins else S[bisect.bisect_right(S, i):]))
     nonzero = [[(c, t) for c, t in enumerate(p) if t] for p in parts]
 
     def minus_image(i, j, t, accs):
@@ -576,7 +519,7 @@ def homomorphism_tallies(
 
     l1 = lambda rs: sum(abs(x) for r in rs for x in r.values())
     s, rows = 0 if minus else 1, {}  # rows: (i, j) -> (t, residuals of side t)
-    for i, j in _meeting(g) if verify_jacobi(g).passed else every:
+    for i, j in meet(g.generators, set(g.generators)) if verify_jacobi(g).passed else every:
         accs = bracket(i, j)
         if s:
             rows[(i, j)] = s, minus_image(i, j, s, accs)
@@ -618,25 +561,16 @@ def _distance(num: dict, den: int, want: dict):
 
 def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     """Box and triple product against brackets of the table, over the Jordan
-    basis e_a of g(-1):  e_a box e_b = -1/2 [e_a, theta e_b]  and
-    {e_a, e_b, e_c} = -1/2 [[e_a, theta e_b], e_c].
-
-    The brackets are taken on the integer numerators of the table and of
-    ``theta_table``; the right-hand sides are the matrix of e_a box e_b,
-    with the coordinates along the T_j that the build kept for it, and its
-    column c, {e_a, e_b, e_c} by the definition of the box.  So the check
-    asks whether the table reproduces the box and the triple product.
-
-    It can fail only on a wrong build of the table or of theta, never on a
-    wrong structure-constant input: theta e_b = f_b, so identity 1 is the
-    [e_a, f_b] block formula of ``_block_table`` itself, and with it and
-    [e_a, T] = -T e_a identity 2 reduces to (x box y) z = {x, y, z}, true
-    for any table, Jordan or not.
-
-    Both kinds of row are tallied over 2 D^2 D_theta T, T the boxes'
-    denominator (the box rows' over 2 D D_theta times D T).  On failure the
-    detail names the first failing pair (a, b) of the box identity or triple
-    (a, b, c) of the triple product, in the order a, b, then c, and its residual."""
+    basis e_a of g(-1): e_a box e_b = -1/2 [e_a, theta e_b] and
+    {e_a, e_b, e_c} = -1/2 [[e_a, theta e_b], e_c], on the numerators of the
+    table and of ``theta_table``, against the box's coordinates that the
+    build kept and its column c.  It can fail only on a wrong build of the
+    table or of theta, never on a wrong structure-constant input:
+    theta e_b = f_b makes identity 1 the [e_a, f_b] block formula itself,
+    and with [e_a, T] = -T e_a identity 2 reduces to (x box y) z = {x, y, z}.
+    The rows are over 2 D^2 D_theta T, T the boxes' denominator; on failure
+    the detail names the first failing pair (a, b) or triple (a, b, c), in
+    that order, and its residual."""
     n = g.n
     theta, dt = g.theta_table
     S, D, T = g._structure, g.denom, g.t_den
@@ -658,14 +592,11 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
 
 def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
     """beta([x,y],z) + beta(y,[x,z]) = 0 on the basis triples, that is
-    ad_i^T K + K ad_i = 0, summed over the entries j <= k, for the i in
-    ``g.generators`` once g passes Jacobi (lemma 2 there); when a row
-    fails, for every i, and the detail names the first failing (i, j, k)
-    and its residual.
-
-    On integer numerators, K over its denominator D_K: with
-    X_jk = sum_m c_ij^m K_mk the (j, k) entry is X_jk + X_kj, as K is
-    symmetric, with numerator over D D_K; X is accumulated sparsely."""
+    ad_i^T K + K ad_i = 0 over the entries j <= k, for the i in
+    ``g.generators`` once g passes Jacobi (lemma 2 there), and for every i
+    when a row fails, the detail naming the first failing (i, j, k).  With
+    X_jk = sum_m c_ij^m K_mk, summed sparsely on numerators, the (j, k)
+    entry is X_jk + X_kj over D D_K, as K is symmetric."""
     K, dk = numerators(dict(enumerate(row)) for row in g.killing)
     S, d = g._structure, g.dim
 
@@ -677,28 +608,19 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
 
     some = g.generators if verify_jacobi(g).passed else range(d)
     t = tally(rows(some), g.denom * dk)
-    if t.failures and len(some) < d:
-        t = tally(rows(range(d)), g.denom * dk)
+    t = tally(rows(range(d)), g.denom * dk) if t.failures and len(some) < d else t
     return _combine("killing-invariance", t.residual, t.witness("(i, j, k)") or "")
 
 
 def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
-    """Gram matrix of the block formula
-
-        beta_c(X, X') = beta_0(T, T') - 4 tau(u, v') - 4 tau(v, u')
-
-    built from Jordan data only, as a cross-check against the intrinsic
-    trace form.  The degree-zero block is fixed on box operators by
-
-        beta_0(T, x box y) = 2 tau(Tx, y)
-
-    and so on the T_j: when the boxes span g(0), the build appended each T_j
-    as a box e_a box e_b, and beta_0(T_i, T_j) = 2 tau(T_i e_a, e_b)
-    = 2 sum_r (T_i)_ra G_rb, summed on the integer numerators of T_i and
-    of G.  It follows from invariance, beta([u, v'], T) = beta(u, [v', T]),
-    with [u, v'] = -2 u box v', [v', T] = T# v' and the -4 tau(u, v')
-    block.  (The Killing form of gl(V) agrees only when g(0) = gl(V).)
-    """
+    """Gram matrix of the block formula beta_c(X, X') = beta_0(T, T')
+    - 4 tau(u, v') - 4 tau(v, u'), from Jordan data only, as a cross-check
+    against the intrinsic trace form.  beta_0(T, x box y) = 2 tau(Tx, y),
+    from invariance, beta([u, v'], T) = beta(u, [v', T]), with [u, v'] =
+    -2 u box v' and [v', T] = T# v'; when the boxes span g(0) the build
+    appended each T_j as a box e_a box e_b, so beta_0(T_i, T_j) =
+    2 sum_r (T_i)_ra G_rb, on the numerators of T_i and G.  (The Killing
+    form of gl(V) agrees only when g(0) = gl(V).)"""
     n, d0 = g.n, g.dim0
     if len(g._t_boxes) < d0:
         raise GradingClosureFailure("g(0) is not spanned by the box operators")
@@ -734,12 +656,14 @@ def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction, st
     return kappa, t.residual, detail
 
 
-def run_structure_suite(g: GradedLieAlgebra) -> List[SuiteResult]:
-    kappa, res, detail = measure_kappa(g)
+def run_structure_suite(g: GradedLieAlgebra, timed=lambda name, check, g: check(g)) -> List[SuiteResult]:
+    """The lie suite's checks, each run as timed(name, check, g), so that a
+    caller can time them."""
+    kappa, res, detail = timed("killing-closed-form", measure_kappa, g)
     return [
-        verify_jacobi(g),
-        verify_theta(g),
-        verify_identifications(g),
-        verify_killing_invariance(g),
+        timed("jacobi", verify_jacobi, g),
+        timed("theta", verify_theta, g),
+        timed("identifications", verify_identifications, g),
+        timed("killing-invariance", verify_killing_invariance, g),
         SuiteResult("killing-closed-form", kappa is not None, res, detail, kappa),
     ]

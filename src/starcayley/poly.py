@@ -1,18 +1,15 @@
 """Multivariate polynomials over rational Laurent polynomials in nu.
 
 Variables live in an ordered ``VarSet``, checked on every binary
-operation, which also fixes the layout of the packed term keys.  The
-coefficient ring is flat and integral, as in FLINT's fmpq_poly:
-``Poly.terms`` maps each key, one int holding the exponents and the power
-of nu, to a nonzero ``int`` numerator over one positive ``int``
-``Poly.den``, in canonical form, gcd(den, *numerators) = 1, so ``==`` and
-``hash`` are exact.  Fractions are formed only at the edges: a
-coefficient read out (``rationals``, ``eval_nu``) and display.
-``Scalar``, the Laurent polynomial in nu, is the Poly over no variables.
-The term-dict kernels (``mul_add``, ``diff_terms``, ``bilinear``) run on
-numerators and packed keys.  Every pairwise check is a pass over (index,
-residual numerator) rows that ``tally`` sums into a ``Tally``, and every
-measured constant is the c of x = c y that ``proportion`` reads.
+operation, which also fixes the layout of the packed term keys.  As in
+FLINT's fmpq_poly, ``Poly.terms`` maps each key, one int holding the
+exponents and the power of nu, to a nonzero ``int`` numerator over one
+positive ``Poly.den``, with gcd(den, *numerators) = 1, so ``==`` and
+``hash`` are exact; Fractions are formed only to read a coefficient out
+and to display it.  ``Scalar``, the Laurent polynomial in nu, is the Poly
+over no variables.  Every pairwise check is a pass over (index, residual
+numerator) rows that ``tally`` sums into a ``Tally``, and every measured
+constant is the c of x = c y that ``proportion`` reads.
 """
 
 from __future__ import annotations

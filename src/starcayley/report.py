@@ -86,19 +86,11 @@ class VerificationReport:
 
     def to_text(self) -> str:
         lines = [f"instance {self.algebra}  mu = {self.mu}"]
-        for name in ALL_SUITES:
-            if name not in self.suites:
-                continue
-            s = self.suites[name]
+        for name, s in ((name, self.suites[name]) for name in ALL_SUITES if name in self.suites):
             mark = "PASS" if s.get("passed") else "FAIL"
             lines.append(f"  [{mark}] {name}  ({self.timings.get(name, 0):.2f}s)")
-            for k, v in sorted(s.items()):
-                if k == "passed":
-                    continue
-                lines.append(f"      {k}: {v}")
-        lines.append("constants:")
-        for k in sorted(self.constants):
-            lines.append(f"  {k} = {self.constants[k]}")
+            lines += [f"      {k}: {v}" for k, v in sorted(s.items()) if k != "passed"]
+        lines += ["constants:"] + [f"  {k} = {self.constants[k]}" for k in sorted(self.constants)]
         lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
         return "\n".join(lines)
 
@@ -108,14 +100,15 @@ class InstanceContext:
 
     A build that fails validation is cached too, so it is tried once and
     every later use re-raises the same error.  ``build_s`` holds each
-    artifact's own build time in seconds: the builds it started itself are
-    subtracted, since they have their own entries.
+    artifact's build time and ``check_s`` each check's, "<suite>.<check>",
+    in seconds, net of the builds they started, which have their own entries.
     """
 
     def __init__(self, config: RunConfig):
         self.config = config
         self._cache: dict = {}
         self.build_s: Dict[str, float] = {}
+        self.check_s: Dict[str, float] = {}
         self._nested_s = 0.0  # time of finished builds inside the current one
 
     def _get(self, key, builder):
@@ -135,6 +128,14 @@ class InstanceContext:
             raise value
         return value
 
+    def timed(self, name: str, check, *args):
+        """check(*args), its time kept as ``check_s[name]``, also when it raises."""
+        built, t0 = sum(self.build_s.values()), time.perf_counter()
+        try:
+            return check(*args)
+        finally:
+            self.check_s[name] = time.perf_counter() - t0 - (sum(self.build_s.values()) - built)
+
     @property
     def algebra(self) -> jordan_mod.JordanAlgebra:
         return self._get("algebra", lambda: jordan_mod.make_algebra(self.config.algebra))
@@ -142,6 +143,11 @@ class InstanceContext:
     @property
     def lie(self) -> kkt_mod.GradedLieAlgebra:
         return self._get("lie", lambda: kkt_mod.GradedLieAlgebra(self.algebra, self.config.mu))
+
+    @property
+    def generators(self) -> tuple:
+        """g's certified generating set, billed apart so that no check absorbs it."""
+        return self._get("generators", lambda: self.lie.generators)
 
     @property
     def chart(self) -> chart_mod.SymplecticChart:
@@ -185,7 +191,7 @@ def _put_witness(out: dict, key: str, t: Tally, names: str) -> None:
 
 def run_jordan_suite(ctx: InstanceContext) -> dict:
     A = ctx.algebra
-    rep = A.validation or jordan_mod.validate_jordan(A)
+    rep = A.validation or ctx.timed("jordan.axioms", jordan_mod.validate_jordan, A)
     out = rep.to_json()
     out["dim"] = A.dim
     out["rank"] = A.rank
@@ -193,8 +199,8 @@ def run_jordan_suite(ctx: InstanceContext) -> dict:
 
 
 def run_lie_suite(ctx: InstanceContext) -> dict:
-    g = ctx.lie
-    results = kkt_mod.run_structure_suite(g)
+    g, _ = ctx.lie, ctx.generators
+    results = kkt_mod.run_structure_suite(g, lambda name, *a: ctx.timed(f"lie.{name}", *a))
     out = {"passed": all(r.passed for r in results), "dim_g": g.dim}
     for r in results:
         out[r.name] = ("pass" if r.passed else f"FAIL residual {r.residual}") + (
@@ -206,9 +212,10 @@ def run_lie_suite(ctx: InstanceContext) -> dict:
 
 
 def run_chart_suite(ctx: InstanceContext) -> dict:
-    ch = ctx.chart
-    ham = ch.hamiltonicity_residual()
-    deg = ch.max_moment_degree()
+    ch, _ = ctx.chart, ctx.generators
+    ctx.timed("chart.jacobi", kkt_mod.verify_jacobi, ch.g)
+    ham = ctx.timed("chart.hamiltonicity", ch.hamiltonicity_residual)
+    deg = ctx.timed("chart.max_moment_degree", ch.max_moment_degree)
     out = {
         "passed": ham.failures == 0 and deg <= 3,
         "hamiltonicity_residual": str(ham.residual),
@@ -226,44 +233,41 @@ def run_star_suite(ctx: InstanceContext) -> dict:
 
     star = lambda p, q: weyl_mod.moyal_star(p, q, ch.l_names, ch.m_names)
     one = Poly.const(ch.vs, 1)
-    unit_ok = all(star(lam, one) == lam == star(one, lam) for lam in ch.moment)
-    lowest_ok = first_order_ok = True
-    for _ in range(5):
-        p, q = _random_poly(rng, ch), _random_poly(rng, ch)
-        s = star(p, q)
-        lowest_ok &= min(map(ch.vs.nu, (s - p * q).terms), default=1) > 0
-        d = s - star(q, p) - ch.poisson(p, q) * Scalar.nu(1, Fraction(2))
-        first_order_ok &= min(map(ch.vs.nu, d.terms), default=2) >= 2
-    out["unit"] = unit_ok
-    out["mod_nu_is_product"] = lowest_ok
-    out["commutator_mod_nu2_is_2nu_poisson"] = first_order_ok
+    unit_ok = ctx.timed("star.unit", lambda: all(star(x, one) == x == star(one, x) for x in ch.moment))
+
+    def low_orders(lowest_ok=True, first_order_ok=True):
+        for _ in range(5):
+            p, q = _random_poly(rng, ch), _random_poly(rng, ch)
+            s = star(p, q)
+            lowest_ok &= min(map(ch.vs.nu, (s - p * q).terms), default=1) > 0
+            d = s - star(q, p) - ch.poisson(p, q) * Scalar.nu(1, Fraction(2))
+            first_order_ok &= min(map(ch.vs.nu, d.terms), default=2) >= 2
+        return lowest_ok, first_order_ok
+
+    lowest_ok, first_order_ok = ctx.timed("star.low_orders", low_orders)
+    out.update(unit=unit_ok, mod_nu_is_product=lowest_ok,
+               commutator_mod_nu2_is_2nu_poisson=first_order_ok)
 
     triples = ([_random_poly(rng, ch) for _ in range(3)] for _ in range(ASSOCIATIVITY_TRIALS))
-    assoc_fail = sum(star(star(p, q), r) != star(p, star(q, r)) for p, q, r in triples)
-    out["associativity_trials"] = ASSOCIATIVITY_TRIALS
-    out["associativity_failures"] = assoc_fail
+    assoc = lambda: sum(star(star(p, q), r) != star(p, star(q, r)) for p, q, r in triples)
+    assoc_fail = ctx.timed("star.associativity", assoc)
+    out.update(associativity_trials=ASSOCIATIVITY_TRIALS, associativity_failures=assoc_fail)
 
-    cov = weyl_mod.verify_covariance(ch)
+    cov = ctx.timed("star.covariance", weyl_mod.verify_covariance, ch)
     out["covariance_residual"] = str(cov.residual)
     _put_witness(out, "covariance_witness", cov, "(i, j)")
     samples = [_random_poly(rng, ch) for _ in range(3)]
-    prop_b = weyl_mod.verify_property_B(ch, samples)
+    prop_b = ctx.timed("star.property_B", weyl_mod.verify_property_B, ch, samples)
     N = out["property_B_order"] = max(op.order() for op in ch.left_stars)
     _put_witness(out, "property_B_witness", prop_b, "(i, sample)")
-    out["passed"] = (
-        unit_ok
-        and lowest_ok
-        and first_order_ok
-        and assoc_fail == 0
-        and cov.failures == 0
-        and prop_b.failures == 0
-        and N == 3
-    )
+    out["passed"] = (unit_ok and lowest_ok and first_order_ok and assoc_fail == 0 and cov.failures == 0
+                     and prop_b.failures == 0 and N == 3)
     return out
 
 
 def run_fourier_suite(ctx: InstanceContext) -> dict:
-    holo, t = starrep_mod.verify_star_transform(ctx.chart, ctx.srep, ctx.rho)
+    check = starrep_mod.verify_star_transform
+    holo, t = ctx.timed("fourier.star_transform", check, ctx.chart, ctx.srep, ctx.rho)
     out = {
         "passed": holo and t.failures == 0,
         "holomorphic": holo,
@@ -275,46 +279,39 @@ def run_fourier_suite(ctx: InstanceContext) -> dict:
 
 
 def run_theorem_suite(ctx: InstanceContext) -> dict:
-    g = ctx.lie
-    out: dict = {}
-    sign_rho, rho_hom = starrep_mod.verify_rho_homomorphism(g, ctx.rho)
-    out["rho_bracket_sign"] = sign_rho
-    out["rho_hom_residual"] = str(rho_hom.residual)
+    g, _, rho, series, out = ctx.lie, ctx.generators, ctx.rho, ctx.series, {}
+    ctx.timed("theorem.jacobi", kkt_mod.verify_jacobi, g)
+    sign_rho, rho_hom = ctx.timed("theorem.rho_bracket_sign", starrep_mod.verify_rho_homomorphism, g, rho)
+    out.update(rho_bracket_sign=sign_rho, rho_hom_residual=str(rho_hom.residual))
     _put_witness(out, "rho_hom_witness", rho_hom, "(i, j)")
-    sign_dpi, dpi_hom = hds_mod.verify_dpi_homomorphism(g, ctx.series.dpi_basis())
-    out["dpi_bracket_sign"] = sign_dpi
-    out["dpi_hom_residual"] = str(dpi_hom.residual)
+    ops = series.dpi_basis()
+    sign_dpi, dpi_hom = ctx.timed("theorem.dpi_bracket_sign", hds_mod.verify_dpi_homomorphism, g, ops)
+    out.update(dpi_bracket_sign=sign_dpi, dpi_hom_residual=str(dpi_hom.residual))
     _put_witness(out, "dpi_hom_witness", dpi_hom, "(i, j)")
-    field = ctx.srep.field_residual(ctx.series)
+    field = ctx.timed("theorem.tube_field", ctx.srep.field_residual, series)
     out["tube_field_residual"] = str(field.residual)
     _put_witness(out, "tube_field_witness", field, "i")
-    kappa_h, kres = ctx.srep.measure_kappa_h()
+    kappa_h, kres = ctx.timed("theorem.kappa_h", ctx.srep.measure_kappa_h)
     out["kappa_h"] = str(kappa_h) if kappa_h is not None else f"none (residual {kres})"
     m_star = None
     try:
-        eq = hds_mod.solve_equivalence(g, ctx.rho, ctx.series)
+        eq = ctx.timed("theorem.equivalence", hds_mod.solve_equivalence, g, rho, series)
         m_star = eq.m_star
-        cmpr = hds_mod.compare_with_closed_form(g, m_star)
-        out["alpha"] = eq.alpha
-        out["m_star"] = str(eq.m_star)
-        out["m_closed_form"] = str(cmpr.m_closed)
-        out["match"] = cmpr.match
-        out["factor"] = str(cmpr.factor) if cmpr.factor is not None else None
+        cmpr = ctx.timed("theorem.closed_form", hds_mod.compare_with_closed_form, g, m_star)
+        factor = str(cmpr.factor) if cmpr.factor is not None else None
+        out.update(alpha=eq.alpha, m_star=str(eq.m_star), m_closed_form=str(cmpr.m_closed),
+                   match=cmpr.match, factor=factor)
         solved = cmpr.match in ("exact", "proportional")
     except hds_mod.NoEquivalence as exc:
-        out["match"] = "failed"
-        out["error"] = str(exc)
+        out.update(match="failed", error=str(exc))
         solved = False
-    nu0, vanish = hds_mod.special_nu_value(g, m_star)
-    out["nu0"] = str(nu0)
-    out["numerator_vanishes_at_nu0"] = vanish
+    nu0, vanish = ctx.timed("theorem.special_nu", hds_mod.special_nu_value, g, m_star)
+    out.update(nu0=str(nu0), numerator_vanishes_at_nu0=vanish)
     if solved:
         tau_e = ctx.srep.tau_scalar(g.E)
         out["tau_of_grade_element_at_nu0"] = str(tau_e.eval_nu(nu0))
-    out["passed"] = (
-        sign_rho != 0 and sign_dpi != 0 and field.failures == 0
-        and kappa_h is not None and solved and vanish
-    )
+    out["passed"] = (sign_rho != 0 and sign_dpi != 0 and field.failures == 0 and kappa_h is not None
+                     and solved and vanish)
     return out
 
 
@@ -335,38 +332,31 @@ def run(config: RunConfig) -> VerificationReport:
     for name in ALL_SUITES:
         if name not in config.suites:
             continue
-        built, t0 = sum(ctx.build_s.values()), time.perf_counter()
         try:
-            rep.suites[name] = SUITE_RUNNERS[name](ctx)
+            rep.suites[name] = ctx.timed(name, SUITE_RUNNERS[name], ctx)
         except jordan_mod.ValidationFailed as exc:
             rep.suites[name] = {"passed": False, "error": str(exc)}
         # the suite's time net of the builds it started, which have their own entries
-        rep.timings[name] = time.perf_counter() - t0 - (sum(ctx.build_s.values()) - built)
+        rep.timings[name] = ctx.check_s.pop(name)
     try:
         A = ctx.algebra
     except jordan_mod.ValidationFailed as exc:
         rep.algebra_error = str(exc)
     else:
-        rep.constants["dim_algebra"] = A.dim
-        rep.constants["rank"] = A.rank
+        rep.constants.update(dim_algebra=A.dim, rank=A.rank)
     g = ctx._cache.get("lie")
     if isinstance(g, kkt_mod.GradedLieAlgebra):
-        rep.constants["dim_g"] = g.dim
-        rep.constants["c"] = rational_to_str(g.mu)
-        rep.constants["beta_oo"] = rational_to_str(g.beta(g.o, g.o))
+        beta_oo = rational_to_str(g.beta(g.o, g.o))
+        rep.constants.update(dim_g=g.dim, c=rational_to_str(g.mu), beta_oo=beta_oo)
     if "property_B_order" in rep.suites.get("star", {}):
         rep.constants["N"] = rep.suites["star"]["property_B_order"]
-    for key, seconds in ctx.build_s.items():
-        rep.timings[f"build:{key}"] = seconds
+    rep.timings.update({f"build:{key}": seconds for key, seconds in ctx.build_s.items()})
+    rep.timings.update({f"check:{key}": seconds for key, seconds in ctx.check_s.items()})
     return rep
 
 
 def write_report(rep: VerificationReport, config: RunConfig) -> str:
-    text = (
-        json.dumps(rep.to_json(), indent=2, sort_keys=True)
-        if config.fmt == "json"
-        else rep.to_text()
-    )
+    text = json.dumps(rep.to_json(), indent=2, sort_keys=True) if config.fmt == "json" else rep.to_text()
     if config.out:
         try:
             with open(config.out, "w") as fh:

@@ -19,17 +19,16 @@ table, grade by grade, with k < n = dim g(-1):
     f_b:  h^j = [f_b, z]^(n+j), l^k = 1/2 sum_m [f_b, z]^m [e_m, z]^k,
           tau = sum_j h^j w_j,
 
-where [e_i, z]^k = sum_a z_a c_{i a}^k.  These parts are built once per
-basis element, as term dicts over one denominator, and are the one source
-of rho, of its cross-checks (l_A against the conformal field that hds
-builds from Jordan data, h_A against kappa * Dl_A) and of ``l_poly``,
-``_h_coords`` and ``tau_scalar`` on any coordinate vector, their linear
-combinations.  ``bracket_sign`` measures the bracket sign of rho and of
-the first-order operators of hds.
+where [e_i, z]^k = sum_a z_a c_{i a}^k.  These parts, term dicts over one
+denominator built once, are the one source of rho, of its cross-checks
+(l_A against the Jordan-data field of hds, h_A against kappa * Dl_A) and of
+``l_poly``, ``_h_coords`` and ``tau_scalar``.  ``bracket_sign`` measures
+the bracket sign of rho and of dpi.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -173,19 +172,27 @@ class StarRepresentation:
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,
         read by ``poly.proportion`` from the rows (A, r, c) of the entries
-        (h_A)_rc, summed from the sparse T_j (``t_entries``), and
-        d l_A^r / dz^c; returns (kappa or None, residual)."""
-        vs, zero, n = self.zvs, Poly.zero(self.zvs), self.g.n
-        poly = lambda t, den: Poly._reduced(vs, t, den) if t else zero
+        (h_A)_rc, summed on term dicts from the sparse T_j, and
+        d l_A^r / dz^c; returns (kappa or None, residual).  By grade: on
+        g(-1) both are zero and no row is formed; on g(0) l_A = [T_j, z] is
+        linear, so D l_A is read at its linear terms; only on g(1) is l_A
+        differentiated."""
+        g, vs = self.g, self.zvs
+        poly = lambda t, den: Poly._reduced(vs, t, den) if t else Poly.zero(vs)
+        n, f, one, dh = g.n, g.n + g.dim0, vs.one, self._den * g.t_den
+        units = [one + (1 << vs.width * c) for c in range(n)]
 
         def rows():
-            for i, p in enumerate(self._basis_parts):
-                h = self.g.t_entries([poly(t, self._den * self.g.t_den) for t in p.h])
-                for r, lr in enumerate(poly(t, self._den) for t in p.l):
-                    for c in range(n):
-                        d, hc = diff_terms(lr.terms, vs, c), h.get(r * n + c, zero)
-                        if d or hc.terms:
-                            yield (i, r, c), hc, Poly._reduced(vs, d, lr.den)
+            for i, p in enumerate(self._basis_parts[n:], n):
+                h: dict = {}  # (h_A)_rc at r n + c, over dh
+                for hj, t in zip(p.h, g._t_flat):
+                    for rc, x in t.items() if hj else ():
+                        lincomb(((x, hj),), h.setdefault(rc, {}))
+                for r, c in itertools.product(range(n), repeat=2):
+                    lr, hc = p.l[r], h.get(r * n + c)
+                    d = diff_terms(lr, vs, c) if i >= f else {one: lr[units[c]]} if units[c] in lr else {}
+                    if d or hc:
+                        yield (i, r, c), poly(hc, dh), poly(d, self._den)
 
         kappa, t = proportion(rows())
         return kappa, t.residual
@@ -218,22 +225,17 @@ def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tup
 def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperator, VarSet]:
     """D_A = holomorphic-frame(Fourier_-((1/2 nu) right-star(lambda_A))).
 
-    Right star multiplication u -> u star lambda_A is an anti-homomorphism
-    in A, like rho; by the Moyal symmetry a star_{-nu} b = b star_nu a it is
+    Right star multiplication by lambda_A is an anti-homomorphism in A,
+    like rho, and by the Moyal symmetry a star_{-nu} b = b star_nu a it is
     the left-star operator with nu -> -nu.  Fourier_- is the partial Fourier
-    transform with kernel sign -1, in its variable rotated by i, eta = i xi:
-    m^a -> d/deta^a, d/dm^a -> -eta^a (``weyl.fourier_conjugate``).
-
-    The kernel sign follows from flipping nu.  With kernel sign s the
-    rotated transform followed by the frame z = l + nu eta, zbar = l - nu eta
-    sends l -> (z+zbar)/2, d/dl -> d/dz + d/dzbar,
-    m^a -> -s nu (d/dz^a - d/dzbar^a) and d/dm^a -> s (z^a - zbar^a)/(2 nu),
-    in which s enters only through s nu; these are also the images of the
-    unrotated transform followed by z = l + i nu xi, so D_A does not depend
-    on the rotation.  So kernel sign -1 is kernel sign +1 with nu -> -nu,
-    and with the factor 1/(2 nu), D_A = -(left-star, +1 construction)|nu->-nu,
-    formed in one pass over the operator's terms (``weyl.star_transform``).
-    """
+    transform with kernel sign -1 in eta = i xi: m^a -> d/deta^a,
+    d/dm^a -> -eta^a (``weyl.fourier_conjugate``).  With kernel sign s it and
+    the frame z = l + nu eta, zbar = l - nu eta send l -> (z+zbar)/2,
+    d/dl -> d/dz + d/dzbar, m^a -> -s nu (d/dz^a - d/dzbar^a) and
+    d/dm^a -> s (z^a - zbar^a)/(2 nu): s enters only through s nu, as for the
+    unrotated transform with z = l + i nu xi, so D_A does not depend on the
+    rotation, and D_A = -(left-star, +1 construction)|nu->-nu, formed in one
+    pass (``weyl.star_transform``)."""
     return star_transform(ch.left_stars[index], ch.l_names, ch.m_names)
 
 

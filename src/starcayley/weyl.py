@@ -272,15 +272,12 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
     nu^(|alpha|+|beta|) (-1)^|beta| / (alpha! beta!)
     d_l^alpha d_m^beta u . d_m^alpha d_l^beta v, exactly.
 
-    The Poisson tensor pairs l^a with m^a, so that l^a star m^a - m^a star l^a
-    = 2 nu and u star v - v star u = 2 nu {u, v} + O(nu^3) (Bayen, Flato,
-    Fronsdal, Lichnerowicz and Sternheimer, Ann. Phys. 111, 1978).  On two
-    monomials the sum factorises over the pairs (l^a, m^a); each factor is
-    the cached ``_pair_kernel`` of the pair's exponents.  Each term of u
-    lists once the pairs in which it has an exponent; a pair contracts in a
-    product of terms when its kernel is not 1, and s contractions in it
-    take s drop[a] off the sum of keys.  Variables outside the pairs only
-    add their exponents.
+    The Poisson tensor pairs l^a with m^a, so u star v - v star u =
+    2 nu {u, v} + O(nu^3) (Bayen, Flato, Fronsdal, Lichnerowicz and
+    Sternheimer, Ann. Phys. 111, 1978).  On two monomials the sum factorises
+    over the pairs (l^a, m^a), each factor the cached ``_pair_kernel`` of
+    the pair's exponents; s contractions in a pair take s drop[a] off the
+    sum of keys, and variables outside the pairs only add their exponents.
     """
     vs = u.vs
     if v.vs != vs:
@@ -319,9 +316,7 @@ def left_star_operator(
 
     The multisets are walked depth first as nondecreasing index sequences,
     a prefix extended only by an index whose variable occurs in its
-    derivative of lam, which is differentiated once more; the sign and
-    prod(mult!) are carried along.  prod(mult!) divides k! and k <= deg lam,
-    so every weight is an integer over lam.den deg(lam)!.
+    derivative of lam; every weight is an integer over lam.den deg(lam)!.
     """
     vs = lam.vs
     n, s = len(l_names), vs.nu_shift
@@ -570,24 +565,18 @@ def _cubic_b3(swapped: dict, v: Poly) -> dict:
 
 def verify_covariance(ch) -> Tally:
     """lambda_A star lambda_B - lambda_B star lambda_A = 2 nu {lambda_A, lambda_B}
-    tallied over all basis pairs (i, j).
-
-    Write u star v = sum_s nu^s B_s(u, v), B_s taking s derivatives of each
-    factor; B_1 is the Poisson bracket.  The Moyal symmetry
-    u star_{-nu} v = v star_nu u gives B_s(v, u) = (-1)^s B_s(u, v), so the
-    two sides differ by exactly 2 sum over odd s >= 3 of nu^s B_s(u, v),
-    which vanishes when a map has degree < 3.  When both have degree 3,
-    only B_3 of their degree-3 terms survives: d_l^alpha d_m^beta of
-    c l^alpha m^beta nu^k is alpha! beta! c nu^k, and d_m^alpha d_l^beta of
-    d l^gamma m^delta nu^k' is a constant only at (gamma, delta) =
-    (beta, alpha).  So the pair gives (-1)^|beta| alpha! beta! c d
-    nu^(k + k' + 3), and B_3 is one sparse dot product (``_cubic_b3``) with
-    u's cubic part indexed by its l <-> m swap (``_swapped_cubic``).  A pair
-    with a map of higher degree is checked as the identity is written, from
-    two ``moyal_star`` products and ``ch.poisson``; no built chart has one,
-    its maps being of degree at most 3.  The residuals are tallied over the
-    square of the lcm of the denominators.
-    """
+    tallied over all basis pairs (i, j), over the square of the lcm of the
+    denominators.  With u star v = sum_s nu^s B_s(u, v), B_s taking s
+    derivatives of each factor and B_1 the Poisson bracket, the Moyal
+    symmetry gives B_s(v, u) = (-1)^s B_s(u, v): the sides differ by
+    2 sum over odd s >= 3 of nu^s B_s(u, v), zero when a map has degree < 3.
+    When both have degree 3 only B_3 of their cubic terms survives:
+    c l^alpha m^beta nu^k against d l^gamma m^delta nu^k' gives
+    (-1)^|beta| alpha! beta! c d nu^(k + k' + 3) at (gamma, delta) =
+    (beta, alpha) only, one sparse dot product (``_cubic_b3``) with u's cubic
+    part indexed by its l <-> m swap (``_swapped_cubic``).  A pair with a map
+    of higher degree, which no built chart has, is checked as written, from
+    two ``moyal_star`` products and ``ch.poisson``."""
     deg = [lam.total_degree() for lam in ch.moment]
     dens = [lam.den for lam in ch.moment]
     top = lcm(*dens) ** 2

@@ -392,12 +392,17 @@ class TestReportApi:
         rep = run(RunConfig(algebra="spin:3", suites=("chart",)))
         wall = time.perf_counter() - t0
         builds = {k: v for k, v in rep.timings.items() if k.startswith("build:")}
-        assert set(builds) == {"build:algebra", "build:lie", "build:chart"}
+        assert set(builds) == {"build:algebra", "build:lie", "build:generators", "build:chart"}
         assert all(v >= 0 for v in builds.values())
         # nested builds are not counted twice, and the suite's time is net
         # of the builds it started: the two add up to at most the wall time
         assert rep.timings["chart"] >= 0
         assert rep.timings["chart"] + sum(builds.values()) <= wall
+        # each check that ran has its own entry, net of builds, inside the suite's
+        checks = {k: v for k, v in rep.timings.items() if k.startswith("check:")}
+        assert set(checks) == {f"check:chart.{c}" for c in ("jacobi", "hamiltonicity", "max_moment_degree")}
+        assert all(v >= 0 for v in checks.values())
+        assert sum(checks.values()) <= rep.timings["chart"] + 1e-9
         assert "build:lie" in rep.to_json()["timings"]
         assert "build:" not in rep.to_text()
 
