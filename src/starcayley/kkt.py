@@ -23,6 +23,7 @@ respects the bracket, on the pairs that meet the certified generating set
 ``GradedLieAlgebra.generators``: Theta here, the moment maps in ``chart``,
 rho and dpi in ``starrep``.
 """
+
 from __future__ import annotations
 
 import bisect
@@ -504,7 +505,7 @@ def homomorphism_tallies(
     passes, the other side's Tally is None.  When a pair fails, both sides
     are tallied over every pair from the residuals kept, so each bracket
     is formed once."""
-    nz, every = g.bracket_numerators, list(itertools.combinations(range(g.dim), 2))
+    nz, every = g.bracket_numerators, lambda: itertools.combinations(range(g.dim), 2)
     # the pairs i < j that meet S, in order: j runs over S alone when i is not in it
     meet = lambda S, ins: ((i, j) for i in range(g.dim)
                            for j in (range(i + 1, g.dim) if i in ins else S[bisect.bisect_right(S, i):]))
@@ -518,20 +519,22 @@ def homomorphism_tallies(
         return [{e: v for e, v in acc.items() if v} for acc in accs]
 
     l1 = lambda rs: sum(abs(x) for r in rs for x in r.values())
-    s, rows = 0 if minus else 1, {}  # rows: (i, j) -> (t, residuals of side t)
-    for i, j in meet(g.generators, set(g.generators)) if verify_jacobi(g).passed else every:
-        accs = bracket(i, j)
-        if s:
-            rows[(i, j)] = s, minus_image(i, j, s, accs)
-            continue
-        sides = {t: minus_image(i, j, t, [dict(a) for a in accs]) for t in (1, -1)}
-        if sides[1] != sides[-1]:  # the image is nonzero
-            s = min((1, -1), key=lambda t: l1(sides[t]))
-        rows[(i, j)] = s or 1, sides[s or 1]
-    if not any(any(rs) for _, rs in rows.values()):
+    s, seen, kept = 0 if minus else 1, set(), {}  # kept: (i, j) -> (t, residuals of side t)
+    for ij in meet(g.generators, set(g.generators)) if verify_jacobi(g).passed else every():
+        accs, sides = bracket(*ij), {}
+        if not s:
+            sides = {t: minus_image(*ij, t, [dict(a) for a in accs]) for t in (1, -1)}
+            s = min((1, -1), key=lambda t: l1(sides[t])) if sides[1] != sides[-1] else 0
+        rs = sides.get(s or 1) or minus_image(*ij, s, accs)
+        seen.add(ij)
+        if any(rs):
+            kept[ij] = s or 1, rs
+    if not kept:
         return tuple(Tally(Fraction(0), 0, None) if t != -s else None for t in (1, -1)[: 1 + minus])
-    rows = {ij: rows.get(ij) or (1, minus_image(*ij, 1, bracket(*ij))) for ij in every}
-    # side u is side t's residual minus (u - t) X[e_i, e_j]
+    # a pair seen and passed has no residual on side s; its other side is -(u - s) X[e_i, e_j]
+    zero = [{} for _ in parts[0]]
+    rows = {ij: kept.get(ij) or (s or 1, zero) if ij in seen else (1, minus_image(*ij, 1, bracket(*ij)))
+            for ij in every()}
     side = lambda u: ((ij, l1(rs if t == u else minus_image(*ij, u - t, [dict(r) for r in rs])))
                       for ij, (t, rs) in rows.items())
     return tuple(tally(side(u), g.denom * L * L) for u in (1, -1)[: 1 + minus])
