@@ -385,7 +385,7 @@ class GradedLieAlgebra:
         for s in [*range(self.n), *range(self.n + self.dim0, self.dim)]:
             gens.append(s)
             todo = [{s: 1}] + [ad(s, v) for v in found]
-            while todo:
+            while todo and span.size < self.dim:
                 v = todo.pop()
                 d = math.gcd(*v.values())  # 0 when v is zero
                 if d and span.absorb(v := {k: x // d for k, x in v.items() if x}) is None:
@@ -467,16 +467,16 @@ def _jacobi_rows(g: GradedLieAlgebra, gens):
         acc: dict = {}
         for u in (u for u in range(g.dim) if (s, u) in T):
             su = T[(s, u)]
-            for yz, x in into[u]:
-                if s not in yz:
-                    lincomb(((x, su),), acc.setdefault(yz, {}))
-            for m, x in su.items():
-                for v, vm in at[m]:
-                    if v != s and v != u:
-                        lincomb(((x if u < v else -x, vm),), acc.setdefault((min(u, v), max(u, v)), {}))
+            terms = [(yz, x, su) for yz, x in into[u] if s not in yz]
+            terms += [((u, v), x, vm) if u < v else ((v, u), -x, vm)
+                      for m, x in su.items() for v, vm in at[m] if v != s and v != u]
+            for yz, x, row in terms:
+                r = acc.setdefault(yz, {})
+                for k, c in row.items():
+                    r[k] = r.get(k, 0) + x * c
         done.add(s)
         for (y, z), r in acc.items():
-            if y not in done and z not in done:
+            if y not in done and z not in done and any(r.values()):
                 yield tuple(sorted((s, y, z))), sum(map(abs, r.values()))
 
 
