@@ -622,17 +622,20 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
     from invariance, beta([u, v'], T) = beta(u, [v', T]), with [u, v'] =
     -2 u box v' and [v', T] = T# v'; when the boxes span g(0) the build
     appended each T_j as a box e_a box e_b, so beta_0(T_i, T_j) =
-    2 sum_r (T_i)_ra G_rb, on the numerators of T_i and G.  (The Killing
-    form of gl(V) agrees only when g(0) = gl(V).)"""
+    2 sum_r (T_i)_ra G_rb over the entries of column a of T_i, on numerators.
+    (The Killing form of gl(V) agrees only when g(0) = gl(V).)"""
     n, d0 = g.n, g.dim0
     if len(g._t_boxes) < d0:
         raise GradingClosureFailure("g(0) is not spanned by the box operators")
     G, dg = g.jordan._int_tau_gram
     out = [[0] * g.dim for _ in range(g.dim)]
     for i, t in enumerate(g._t_flat):
+        cols: dict = {}  # column a of T_i: its entries (r, x)
+        for rc, x in t.items():
+            cols.setdefault(rc % n, []).append((rc // n, x))
         for j, (a, b) in enumerate(divmod(ab, n) for ab in g._t_boxes):
-            pair = sum(x * G[rc // n][b] for rc, x in t.items() if rc % n == a)
-            out[n + i][n + j] = ratio(2 * pair, g.t_den * dg)
+            if a in cols:
+                out[n + i][n + j] = ratio(2 * sum(x * G[r][b] for r, x in cols[a]), g.t_den * dg)
     for a in range(n):
         for b in range(n):
             out[a][n + d0 + b] = out[n + d0 + b][a] = ratio(-4 * G[a][b], dg)

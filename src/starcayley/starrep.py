@@ -1,8 +1,7 @@
 """The star representation on holomorphic polynomials.
 
-For each element A of g, given by its coordinate vector with parts A_u,
-A_t and A_v in g(-1), g(0) and g(1), one forms, with a symbolic point z in
-g(-1),
+For A in g, with coordinate parts A_u, A_t and A_v in g(-1), g(0) and
+g(1), one forms, with a symbolic point z in g(-1),
 
     h_A(z)   = A_t + (degree-0 part of [A_v, z])          (matrix, linear in z)
     l_A(z)   = A_u + [A_t, z] + 1/2 [z, [z, A_v]]          (vector, quadratic)
@@ -48,8 +47,10 @@ from .weyl import (
     first_order_parts,
     first_order_terms,
     split_first_order,
+    star_pullback,
     star_transform,
     uses_only,
+    _frame_target,
 )
 
 
@@ -152,11 +153,10 @@ class StarRepresentation:
 
     # -- invariants -------------------------------------------------------
     def field_residual(self, series) -> Tally:
-        """|l_A - X| tallied over the basis elements A, X the field
-        u + Tz + P(z)v that ``series``, an ``hds.DiscreteSeries`` of the
-        same g, builds from Jordan data: minus the vector part of
-        ``series.dpi_basis()``.  The rows are over the lcm of the parts'
-        denominator and the operators'."""
+        """|l_A - X| tallied over the basis elements A, X the field u + Tz + P(z)v
+        that ``series``, an ``hds.DiscreteSeries`` of the same g, builds from
+        Jordan data: minus the vector part of ``series.dpi_basis()``, over the
+        lcm of the parts' denominator and the operators'."""
         ops = series.dpi_basis()
         L = lcm(self._den, *(op.den for op in ops))
         f = L // self._den
@@ -170,13 +170,12 @@ class StarRepresentation:
         return tally(rows(), L)
 
     def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
-        """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis,
-        read by ``poly.proportion`` from the rows (A, r, c) of the entries
-        (h_A)_rc, summed on term dicts from the sparse T_j, and
-        d l_A^r / dz^c; returns (kappa or None, residual).  By grade: on
-        g(-1) both are zero and no row is formed; on g(0) l_A = [T_j, z] is
-        linear, so D l_A is read at its linear terms; only on g(1) is l_A
-        differentiated."""
+        """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis, read
+        by ``poly.proportion`` from the rows (A, r, c) of the entries (h_A)_rc,
+        summed on term dicts from the sparse T_j, and d l_A^r / dz^c; returns
+        (kappa or None, residual).  On g(-1) both are zero and no row is formed;
+        on g(0) l_A = [T_j, z] is linear, so D l_A is read at its linear terms;
+        only on g(1) is l_A differentiated."""
         g, vs = self.g, self.zvs
         poly = lambda t, den: Poly._reduced(vs, t, den) if t else Poly.zero(vs)
         n, f, one, dh = g.n, g.n + g.dim0, vs.one, self._den * g.t_den
@@ -201,13 +200,12 @@ class StarRepresentation:
 def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tally]:
     """Measure the sign s with [X_i, X_j] = s * X([e_i, e_j]) over all basis
     pairs i < j of first-order operators X_k = ops[k]; returns (s, Tally).
-
-    The operators are brought to one denominator L and split once, with
-    their gradients (``weyl.first_order_parts``), and each pair's
-    first-order bracket goes to ``kkt.homomorphism_tallies``, which tallies
-    one sign unless it fails.  s = +1 reports a homomorphism, s = -1 an
-    anti-homomorphism and s = 0 neither, with the Tally of the sign of
-    smaller total, +1 on a tie.  Raises ValueError on a term of order > 1."""
+    The operators, over one denominator L, are split once with their
+    gradients (``weyl.first_order_parts``), and each pair's bracket goes to
+    ``kkt.homomorphism_tallies``, which tallies one sign unless it fails.
+    s = +1 reports a homomorphism, -1 an anti-homomorphism and 0 neither,
+    with the Tally of the sign of smaller total, +1 on a tie.  Raises
+    ValueError on a term of order > 1."""
     L = lcm(*(op.den for op in ops))
     fields = [first_order_parts(op, L) for op in ops]
     bracket = lambda i, j: first_order_bracket(fields[i], fields[j], g.denom)
@@ -223,19 +221,12 @@ def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tup
 
 
 def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperator, VarSet]:
-    """D_A = holomorphic-frame(Fourier_-((1/2 nu) right-star(lambda_A))).
-
-    Right star multiplication by lambda_A is an anti-homomorphism in A,
-    like rho, and by the Moyal symmetry a star_{-nu} b = b star_nu a it is
-    the left-star operator with nu -> -nu.  Fourier_- is the partial Fourier
-    transform with kernel sign -1 in eta = i xi: m^a -> d/deta^a,
-    d/dm^a -> -eta^a (``weyl.fourier_conjugate``).  With kernel sign s it and
-    the frame z = l + nu eta, zbar = l - nu eta send l -> (z+zbar)/2,
-    d/dl -> d/dz + d/dzbar, m^a -> -s nu (d/dz^a - d/dzbar^a) and
-    d/dm^a -> s (z^a - zbar^a)/(2 nu): s enters only through s nu, as for the
-    unrotated transform with z = l + i nu xi, so D_A does not depend on the
-    rotation, and D_A = -(left-star, +1 construction)|nu->-nu, formed in one
-    pass (``weyl.star_transform``)."""
+    """D_A = holomorphic-frame(Fourier_-((1/2 nu) right-star(lambda_A))), in
+    one pass (``weyl.star_transform``).  Right star multiplication by
+    lambda_A, an anti-homomorphism in A like rho, is by the Moyal symmetry
+    a star_{-nu} b = b star_nu a the left-star operator at -nu.  The kernel
+    sign s of Fourier_- enters only through s nu, so D_A does not depend on
+    the rotation eta = i xi (README, "Star transform")."""
     return star_transform(ch.left_stars[index], ch.l_names, ch.m_names)
 
 
@@ -256,11 +247,20 @@ def verify_star_transform(
     element: returns whether every D_A is holomorphic, and |D_A - rho(A)|
     tallied over the basis, over the lcm of the differences' denominators.
     A D_A that is not holomorphic differs from the embedded rho(A), so the
-    Tally's witness covers both failures."""
-    n, holomorphic, diffs = srep.g.n, True, []
+    Tally's witness covers both failures.  The transform is a bijection, so
+    D_A = rho(A) exactly when the pull-back of the embedded rho(A)
+    (``weyl.star_pullback``) is A's left-star operator, decided first; when
+    every A matches, the Tally is zero.  Otherwise the forward pass forms
+    each D_A, and a row it finds zero keeps the pull-back's residual."""
+    n, hvs = srep.g.n, _frame_target(srep.g.n)
+    pulled = lambda i: star_pullback(embed_z_operator(rho[i], hvs), ch.vs)
+    if all(pulled(i) == op for i, op in enumerate(ch.left_stars)):
+        return True, tally(())
+    holomorphic, diffs = True, []
     for i in range(srep.g.dim):
         d_op, hvs = star_transform_operator(ch, i)
         holomorphic &= uses_only(d_op, hvs.names[:n])
-        diffs.append(d_op - embed_z_operator(rho[i], hvs))
+        d = d_op - embed_z_operator(rho[i], hvs)
+        diffs.append(d if d.terms else pulled(i) - ch.left_stars[i])
     L = lcm(*(d.den for d in diffs))
     return holomorphic, tally(((i, abs_numerator(d, L)) for i, d in enumerate(diffs)), L)

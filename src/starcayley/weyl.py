@@ -10,9 +10,10 @@ rides with them (``poly.VarSet``).  On top of this sit first-order
 operators and their brackets, the Moyal star product on chart
 polynomials, left star multiplication as an operator (its independent
 cross-check, property B), and the partial Fourier transform, the
-holomorphic frame and the star transform, exact conjugations that
-factorise over the Darboux pairs and never introduce i.  Every kernel runs
-on numerators and packed keys and divides once, at the end.
+holomorphic frame, the star transform and its inverse ``star_pullback``
+(``_pullback_kernel``), exact conjugations that factorise over the
+Darboux pairs and never introduce i.  Every kernel runs on numerators and
+packed keys and divides once, at the end.
 """
 
 from __future__ import annotations
@@ -112,10 +113,9 @@ class WeylOperator(FlatTerms):
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
-        """The operator applied to p, its terms grouped by derivative
-        exponents b once, on the first call: d^b p is formed once per b, one
-        derivative at a time on the terms that the previous one kept, and
-        multiplied by the multiplication parts that share b."""
+        """The operator applied to p: its terms are grouped by derivative
+        exponents b once, on the first call, and d^b p, formed one derivative
+        at a time, is multiplied by the multiplication parts that share b."""
         vs = self.vs
         if p.vs != vs:
             raise VarSetMismatch(f"{vs.names} vs {p.vs.names}")
@@ -248,17 +248,12 @@ def first_order_bracket(x: FirstOrderParts, y: FirstOrderParts, factor: int = 1)
 
 @functools.lru_cache(maxsize=None)
 def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[int, int], ...]:
-    """One Darboux pair's factor of  l^p1 m^q1  star  l^p2 m^q2.
-
-    The term (alpha, beta) is nu^(alpha+beta) times
-    (-1)^beta p1^(alpha) q2^(alpha) q1^(beta) p2^(beta) / (alpha! beta!)
-    times l^(p1+p2-alpha-beta) m^(q1+q2-alpha-beta), with x^(k) the falling
-    factorial ``math.perm(x, k)``; the coefficient is the integer
-    (-1)^beta C(p1, alpha) q2^(alpha) C(q1, beta) p2^(beta).  Both the
-    nu-power and the exponent drop depend only on s = alpha + beta, so the
-    terms are merged by s: (-s drop, coefficient) pairs with nonzero
-    coefficient, drop the change of a key per contraction in the pair.
-    """
+    """One Darboux pair's factor of  l^p1 m^q1  star  l^p2 m^q2: the term
+    (alpha, beta) is (-1)^beta p1^(alpha) q2^(alpha) q1^(beta) p2^(beta) /
+    (alpha! beta!) = (-1)^beta C(p1, alpha) q2^(alpha) C(q1, beta) p2^(beta),
+    x^(k) the falling factorial ``math.perm(x, k)``, times nu^s
+    l^(p1+p2-s) m^(q1+q2-s), s = alpha + beta.  The terms are merged by s:
+    (-s drop, nonzero coefficient) pairs, drop a contraction's key change."""
     acc: Dict[int, int] = {}
     for a in range(min(p1, q2) + 1):
         for b in range(min(q1, p2) + 1):
@@ -267,27 +262,31 @@ def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[i
     return tuple((-s * drop, c) for s, c in sorted(acc.items()) if c)
 
 
-def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str]) -> Poly:
-    """u star v = sum over multi-indices alpha, beta of
-    nu^(|alpha|+|beta|) (-1)^|beta| / (alpha! beta!)
-    d_l^alpha d_m^beta u . d_m^alpha d_l^beta v, exactly.
+@functools.lru_cache(maxsize=None)
+def _darboux_layout(vs: VarSet, l_names: tuple, m_names: tuple) -> Tuple[Tuple[int, int, int], ...]:
+    """(i, j, drop) per Darboux pair (l^a, m^a) of vs: the pair's variable
+    indices and the change of a key per contraction in the pair."""
+    pairs = [(vs.index(la), vs.index(ma)) for la, ma in zip(l_names, m_names)]
+    return tuple((i, j, (1 << vs.width * i) + (1 << vs.width * j) - (1 << vs.nu_shift)) for i, j in pairs)
 
-    The Poisson tensor pairs l^a with m^a, so u star v - v star u =
+
+def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str]) -> Poly:
+    """u star v = sum over multi-indices alpha, beta of nu^(|alpha|+|beta|)
+    (-1)^|beta| / (alpha! beta!) d_l^alpha d_m^beta u . d_m^alpha d_l^beta v,
+    exactly: the Poisson tensor pairs l^a with m^a, so u star v - v star u =
     2 nu {u, v} + O(nu^3) (Bayen, Flato, Fronsdal, Lichnerowicz and
     Sternheimer, Ann. Phys. 111, 1978).  On two monomials the sum factorises
-    over the pairs (l^a, m^a), each factor the cached ``_pair_kernel`` of
-    the pair's exponents; s contractions in a pair take s drop[a] off the
-    sum of keys, and variables outside the pairs only add their exponents.
-    """
+    over the pairs, each factor the cached ``_pair_kernel`` of the pair's
+    exponents, s contractions taking s drops off the sum of keys
+    (``_darboux_layout``); variables outside the pairs add their exponents."""
     vs = u.vs
     if v.vs != vs:
         raise VarSetMismatch(f"{vs.names} vs {v.vs.names}")
-    pairs = [(vs.index(la), vs.index(ma)) for la, ma in zip(l_names, m_names)]
-    drop = [(1 << vs.width * i) + (1 << vs.width * j) - (1 << vs.nu_shift) for i, j in pairs]
+    layout = _darboux_layout(vs, tuple(l_names), tuple(m_names))
     left = []
     for k, c in u.terms.items():
         e = vs.exps(k)
-        active = [(i, j, e[i], e[j], d) for (i, j), d in zip(pairs, drop) if e[i] or e[j]]
+        active = [(i, j, e[i], e[j], d) for i, j, d in layout if e[i] or e[j]]
         left.append((k - vs.one, c, active))
     right = [(k, c, vs.exps(k)) for k, c in v.terms.items()]
 
@@ -306,18 +305,15 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
 def left_star_operator(
     lam: Poly, l_names: Sequence[str], m_names: Sequence[str]
 ) -> WeylOperator:
-    """The operator u -> lam star u, built from Poisson-tensor contractions.
-
-    The k-th order part sums over multisets of k contraction indices
-    c < 2n: index c < n differentiates lam in l^c and contributes d/dm^c,
-    index n + a differentiates it in m^a, contributes d/dl^a and flips the
-    sign.  Each multiset stands for its k!/prod(mult!) orderings, so it
-    carries the weight sign * nu^k / prod(mult!).
-
-    The multisets are walked depth first as nondecreasing index sequences,
-    a prefix extended only by an index whose variable occurs in its
-    derivative of lam; every weight is an integer over lam.den deg(lam)!.
-    """
+    """The operator u -> lam star u, built from Poisson-tensor contractions:
+    the k-th order part sums over multisets of k contraction indices c < 2n;
+    index c < n differentiates lam in l^c and contributes d/dm^c, index
+    n + a differentiates it in m^a, contributes d/dl^a and flips the sign.
+    A multiset stands for its k!/prod(mult!) orderings, so it weighs
+    sign * nu^k / prod(mult!).  The multisets are walked depth first as
+    nondecreasing index sequences, a prefix extended only by an index whose
+    variable occurs in its derivative of lam; every weight is an integer
+    over lam.den deg(lam)!."""
     vs = lam.vs
     n, s = len(l_names), vs.nu_shift
     var = [vs.index(x) for x in (*l_names, *m_names)]
@@ -363,14 +359,11 @@ def _pairwise_image(
 ) -> WeylOperator:
     """The image of op under a homomorphism that sends the generators of each
     pair of variables to operators in the matching pair of ``target``.
-
-    Images of different pairs commute, so the image of a normal-ordered
-    word is the product over the pairs (target[a], target[n + a]) of
-    ``kernel`` of the pair's exponents, each image packed once
-    (``_packed_image``) so that the key of a product is a sum.  A term
-    c x^a d^b, c = p / op.den, contributes p 2^-e / op.den times the
-    product of the kernels' numerators, e the sum of their halvings,
-    accumulated over the one denominator op.den 2^emax."""
+    Images of different pairs commute, so a normal-ordered word maps to the
+    product over the pairs (target[a], target[n + a]) of ``kernel`` of the
+    pair's exponents, each packed once (``_packed_image``) so that the key
+    of a product is a sum.  A term p x^a d^b / op.den contributes p 2^-e
+    times the kernels' numerators, e their halvings, over op.den 2^emax."""
     vs, n = op.vs, len(pairs)
     idx = [(vs.index(x), vs.index(y)) for x, y in pairs]
     if sorted(i for p in idx for i in p) != list(range(len(vs))):
@@ -405,13 +398,9 @@ def _packed_image(kernel, width: int, n: int, a: int, exps: Tuple[int, ...]) -> 
 
 @functools.lru_cache(maxsize=None)
 def _fourier_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
-    """One Darboux pair's factor of the Fourier image of
-    l^alpha m^gamma d_l^beta d_m^delta, that is of
-
-        l^alpha d_eta^gamma d_l^beta (-eta)^delta,
-
-    with d_eta^gamma eta^delta normal-ordered by ``_reorder``.
-    """
+    """One Darboux pair's factor of the Fourier image of l^alpha m^gamma
+    d_l^beta d_m^delta, l^alpha d_eta^gamma d_l^beta (-eta)^delta, with
+    d_eta^gamma eta^delta normal-ordered by ``_reorder``."""
     sign = -1 if delta % 2 else 1
     return 0, tuple(
         (alpha, delta - k, beta, gamma - k, 0, sign * w) for k, w in _reorder(gamma, delta)
@@ -423,45 +412,36 @@ def fourier_conjugate(
     l_names: Sequence[str],
     m_names: Sequence[str],
 ) -> Tuple[WeylOperator, VarSet]:
-    """Conjugate by the partial Fourier transform in the m-variables, with
-    kernel sign -1, in the Fourier variable rotated by i, named h1, h2, ...
-
-    With kernel sign -1 the transform sends m^a -> -i d/dxi^a and
-    d/dm^a -> -i xi^a; in eta = i xi these are real: l and d/dl stay,
-    m^a becomes d/deta^a and d/dm^a becomes -eta^a.  A normal-ordered word
-    maps to the product over the pairs (l^a, m^a) of the cached
-    ``_fourier_kernel``.  Raises ValueError on a variable outside the pairs.
-    """
+    """Conjugate by the partial Fourier transform in the m-variables, kernel
+    sign -1: m^a -> -i d/dxi^a, d/dm^a -> -i xi^a, real in eta = i xi, named
+    h1, h2, ...: l and d/dl stay, m^a -> d/deta^a, d/dm^a -> -eta^a, through
+    the cached ``_fourier_kernel`` of each pair (l^a, m^a).  Raises
+    ValueError on a variable outside the pairs."""
     target = VarSet(tuple(l_names) + tuple(f"h{a + 1}" for a in range(len(m_names))))
     return _pairwise_image(op, list(zip(l_names, m_names)), _fourier_kernel, target), target
 
 
 @functools.lru_cache(maxsize=None)
+def _plus_minus(p: int, q: int) -> Tuple[Tuple[int, int], ...]:
+    """(x + y)^p (x - y)^q as (exponent of x, nonzero coefficient) pairs."""
+    acc: Dict[int, int] = {}
+    for i in range(p + 1):
+        for j in range(q + 1):
+            acc[i + j] = acc.get(i + j, 0) + comb(p, i) * comb(q, j) * (-1) ** (q - j)
+    return tuple((i, c) for i, c in acc.items() if c)
+
+
+@functools.lru_cache(maxsize=None)
 def _frame_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
-    """One Darboux pair's factor of the frame image of
-    l^alpha eta^gamma d_l^beta d_eta^delta, that is of
-
-        ((z + zbar)/2)^alpha ((z - zbar)/(2 nu))^gamma
-        (d_z + d_zbar)^beta (nu (d_z - d_zbar))^delta.
-
-    The multiplications stand left of the constant-coefficient derivatives,
-    so the product is already normal-ordered.  Its nu-power is
-    delta - gamma, and its halvings alpha + gamma.
-    """
-
-    def expand(p: int, q: int) -> Dict[int, int]:
-        # (x + y)^p (x - y)^q as {exponent of x: coefficient}
-        acc: Dict[int, int] = {}
-        for i in range(p + 1):
-            for j in range(q + 1):
-                acc[i + j] = acc.get(i + j, 0) + comb(p, i) * comb(q, j) * (-1) ** (q - j)
-        return {i: c for i, c in acc.items() if c}
-
-    mult, der = expand(alpha, gamma), expand(beta, delta)
+    """One Darboux pair's factor of the frame image of l^alpha eta^gamma
+    d_l^beta d_eta^delta, ((z + zbar)/2)^alpha ((z - zbar)/(2 nu))^gamma
+    (d_z + d_zbar)^beta (nu (d_z - d_zbar))^delta, already normal-ordered,
+    at nu-power delta - gamma, with alpha + gamma halvings."""
+    mult, der = _plus_minus(alpha, gamma), _plus_minus(beta, delta)
     return alpha + gamma, tuple(
         (i, alpha + gamma - i, p, beta + delta - p, delta - gamma, c * d)
-        for i, c in mult.items()
-        for p, d in der.items()
+        for i, c in mult
+        for p, d in der
     )
 
 
@@ -470,20 +450,16 @@ def holomorphic_frame(
     l_names: Sequence[str],
     eta_names: Sequence[str],
 ) -> Tuple[WeylOperator, VarSet]:
-    """Change variables to z = l + nu eta and zbar = l - nu eta, named
-    z1, z2, ... and w1, w2, ... (``_frame_target``).
-
-    Generator images: mult l -> (z + zbar)/2, mult eta -> (z - zbar)/(2 nu),
-    d/dl -> d/dz + d/dzbar, d/deta -> nu (d/dz - d/dzbar); in the unrotated
-    variable xi = -i eta these are z = l + i nu xi and its conjugate.  A
-    normal-ordered word maps to the product over the pairs (l_a, eta_a) of
-    the cached ``_frame_kernel``.  Raises ValueError when op has a variable
-    outside the pairs.
-    """
+    """Change variables to z = l + nu eta = l + i nu xi and zbar = l - nu eta,
+    named z1, z2, ... and w1, w2, ... (``_frame_target``): l -> (z + zbar)/2,
+    eta -> (z - zbar)/(2 nu), d/dl -> d/dz + d/dzbar, d/deta -> nu (d/dz -
+    d/dzbar), through the cached ``_frame_kernel`` of each pair (l_a, eta_a).
+    Raises ValueError on a variable outside the pairs."""
     target = _frame_target(len(l_names))
     return _pairwise_image(op, list(zip(l_names, eta_names)), _frame_kernel, target), target
 
 
+@functools.lru_cache(maxsize=None)
 def _frame_target(n: int) -> VarSet:
     return VarSet(tuple(f"z{a + 1}" for a in range(n)) + tuple(f"w{a + 1}" for a in range(n)))
 
@@ -508,20 +484,46 @@ def _star_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
 def star_transform(
     op: WeylOperator, l_names: Sequence[str], m_names: Sequence[str]
 ) -> Tuple[WeylOperator, VarSet]:
-    """holomorphic_frame(fourier_conjugate(op|nu->-nu / (2 nu))) in one pass
-    over the terms of op, through the cached ``_star_kernel`` of each
-    Darboux pair; the two conjugations are its test oracle.  The source
-    op|nu->-nu / (2 nu) is one pass over the keys: each moves one nu-step
-    down and each odd nu-power flips its sign.  The source is handed on as
-    it is, neither reduced nor range-tested: its fields are read exactly
-    even when the nu field drops below zero, and the image's ``_reduced``
-    rejects a nu-power that leaves the range."""
+    """holomorphic_frame(fourier_conjugate(op|nu->-nu / (2 nu))) in one pass,
+    through the cached ``_star_kernel`` of each Darboux pair; the two
+    conjugations are its test oracle.  The source is one pass over the keys,
+    each one nu-step down and odd nu-powers negated, handed on unreduced:
+    its fields are read exactly even below the nu range, and the image's
+    ``_reduced`` rejects a nu-power that leaves it."""
     vs, step = op.vs, 1 << 2 * op.vs.nu_shift
     # the nu field, on top, holds the nu-power plus an even offset
     source = {k - step: -c if k & step else c for k, c in op.terms.items()}
     source = WeylOperator._new(vs, source, 2 * op.den)
     target = _frame_target(len(l_names))
     return _pairwise_image(source, list(zip(l_names, m_names)), _star_kernel, target), target
+
+
+@functools.lru_cache(maxsize=None)
+def _pullback_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
+    """One pair's factor of the pull-back of z^alpha w^gamma d_z^beta d_w^delta.
+    The inverse frame z, w -> l +- nu eta, d_z, d_w -> (d_l +- d_eta / nu)/2
+    gives l^i eta^g d_l^j d_eta^h nu^(g - h), normal-ordered; the inverse
+    Fourier step eta -> -d_m, d_eta -> m gives (-1)^g l^i d_l^j d_m^g m^h,
+    reordered by ``_reorder``; nu -> -nu signs it by (-1)^(g - h)."""
+    p, q = alpha + gamma, beta + delta
+    return q, tuple(
+        (i, q - j - k, j, p - i - k, p - i - q + j, (-1) ** (q - j) * c * d * w)
+        for i, c in _plus_minus(alpha, gamma)
+        for j, d in _plus_minus(beta, delta)
+        for k, w in _reorder(p - i, q - j)
+    )
+
+
+def star_pullback(op: WeylOperator, target: VarSet) -> WeylOperator:
+    """The inverse of ``star_transform``, from the frame variables
+    (``_frame_target``) to target, named l1..ln, m1..mn, in one pass through
+    the cached ``_pullback_kernel`` of each pair (z_a, w_a), which undoes the
+    frame and the Fourier step; the source step X -> (2 nu X)|nu->-nu moves
+    each key one nu-step up, times 2 (-1)^(k+1) at nu-power k, first."""
+    vs, step, n = op.vs, 1 << 2 * op.vs.nu_shift, len(op.vs) // 2
+    source = {k + step: 2 * c if k & step else -2 * c for k, c in op.terms.items()}
+    pairs = list(zip(vs.names[:n], vs.names[n:]))
+    return _pairwise_image(WeylOperator._new(vs, source, op.den), pairs, _pullback_kernel, target)
 
 
 def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:
@@ -565,18 +567,16 @@ def _cubic_b3(swapped: dict, v: Poly) -> dict:
 
 def verify_covariance(ch) -> Tally:
     """lambda_A star lambda_B - lambda_B star lambda_A = 2 nu {lambda_A, lambda_B}
-    tallied over all basis pairs (i, j), over the square of the lcm of the
+    tallied over all basis pairs (i, j), over the squared lcm of the
     denominators.  With u star v = sum_s nu^s B_s(u, v), B_s taking s
-    derivatives of each factor and B_1 the Poisson bracket, the Moyal
-    symmetry gives B_s(v, u) = (-1)^s B_s(u, v): the sides differ by
-    2 sum over odd s >= 3 of nu^s B_s(u, v), zero when a map has degree < 3.
-    When both have degree 3 only B_3 of their cubic terms survives:
-    c l^alpha m^beta nu^k against d l^gamma m^delta nu^k' gives
-    (-1)^|beta| alpha! beta! c d nu^(k + k' + 3) at (gamma, delta) =
-    (beta, alpha) only, one sparse dot product (``_cubic_b3``) with u's cubic
-    part indexed by its l <-> m swap (``_swapped_cubic``).  A pair with a map
-    of higher degree, which no built chart has, is checked as written, from
-    two ``moyal_star`` products and ``ch.poisson``."""
+    derivatives of each factor, B_1 the Poisson bracket and B_s(v, u) =
+    (-1)^s B_s(u, v), the sides differ by 2 sum over odd s >= 3 of
+    nu^s B_s(u, v), zero below degree 3.  Of two cubic maps only B_3 of the
+    cubic terms survives: c l^alpha m^beta nu^k against d l^gamma m^delta
+    nu^k' gives (-1)^|beta| alpha! beta! c d nu^(k + k' + 3) at (gamma,
+    delta) = (beta, alpha) only, one sparse dot product (``_cubic_b3``)
+    against u's l <-> m swap (``_swapped_cubic``).  A map of higher degree,
+    on no built chart, is checked as written, by ``moyal_star``."""
     deg = [lam.total_degree() for lam in ch.moment]
     dens = [lam.den for lam in ch.moment]
     top = lcm(*dens) ** 2

@@ -255,15 +255,15 @@ class TestExitCodes:
         assert "restriction <5>" in err_p
 
     def test_failing_suite_exit_one(self, capsys, monkeypatch):
-        # a fault injected into the star transform (D_A shifted by the
-        # identity) must fail the fourier suite and surface as exit 1
-        real = starrep.star_transform_operator
+        # a fault injected into the pull-back that decides D_A = rho(A) (its
+        # image shifted by the identity) must fail the fourier suite and
+        # surface as exit 1
+        real = starrep.star_pullback
 
-        def shifted(ch, index):
-            op, vs = real(ch, index)
-            return op + WeylOperator.identity(vs), vs
+        def shifted(op, target):
+            return real(op, target) + WeylOperator.identity(target)
 
-        monkeypatch.setattr(starrep, "star_transform_operator", shifted)
+        monkeypatch.setattr(starrep, "star_pullback", shifted)
         code, out, _ = run_cli(
             capsys, "verify", "--algebra", "rank1", "--suites", "fourier"
         )

@@ -26,9 +26,11 @@ from starcayley.weyl import (
     _fourier_kernel,
     _frame_kernel,
     _pairwise_image,
+    _pullback_kernel,
     _star_kernel,
     _frame_target,
     moyal_star,
+    star_pullback,
     star_transform,
 )
 
@@ -91,7 +93,10 @@ class TestAgainstTupleKernels:
         want = over(Poly, VS, tuple_contractions(u, v, L_NAMES, M_NAMES), u.den * v.den)
         assert moyal_star(u, v, L_NAMES, M_NAMES) == want
 
-    @given(operators(vs=PAIRED), st.sampled_from([_fourier_kernel, _frame_kernel, _star_kernel]))
+    @given(
+        operators(vs=PAIRED),
+        st.sampled_from([_fourier_kernel, _frame_kernel, _star_kernel, _pullback_kernel]),
+    )
     @settings(max_examples=80, deadline=None)
     def test_pairwise_image(self, op, kernel):
         pairs, target = list(zip(L_NAMES, M_NAMES)), _frame_target(2)
@@ -104,6 +109,17 @@ class TestAgainstTupleKernels:
         pairs, target = list(zip(L_NAMES, M_NAMES)), _frame_target(2)
         want = tuple_pairwise_image(op, pairs, _star_kernel, target, True, -1, 1)
         assert star_transform(op, L_NAMES, M_NAMES) == (want, target)
+
+    @given(operators(vs=PAIRED))
+    @settings(max_examples=80, deadline=None)
+    def test_pull_back_inverts_the_star_transform(self, op):
+        image, target = star_transform(op, L_NAMES, M_NAMES)
+        assert star_pullback(image, PAIRED) == op
+
+    @given(operators(vs=_frame_target(2)))
+    @settings(max_examples=80, deadline=None)
+    def test_star_transform_inverts_the_pull_back(self, op):
+        assert star_transform(star_pullback(op, PAIRED), L_NAMES, M_NAMES) == (op, _frame_target(2))
 
 
 # -- keys and their layout ----------------------------------------------------------

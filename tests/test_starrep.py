@@ -21,11 +21,14 @@ from starcayley.scalars import Scalar
 from starcayley.starrep import (
     StarRepresentation,
     bracket_sign,
+    embed_z_operator,
     star_transform_operator,
     verify_rho_homomorphism,
     verify_star_transform,
 )
-from starcayley.weyl import WeylOperator, first_order, first_order_bracket, first_order_parts
+from starcayley.weyl import (
+    WeylOperator, _frame_target, first_order, first_order_bracket, first_order_parts, star_pullback,
+)
 from test_kkt import _perturbed_spin2, _perturbed_sym2
 
 PERTURBED = {"perturbed-spin:2": _perturbed_spin2, "perturbed-sym:2": _perturbed_sym2}
@@ -293,6 +296,24 @@ def test_fourier_witness_names_a_non_holomorphic_transform():
     assert out["star_transform_witness"] == "first failing i = 3, residual 1/2"
 
 
+def test_fourier_suite_fails_on_a_fault_in_the_pull_back(monkeypatch):
+    # the pull-back shifted by 1/3, and rho(e_9) by 1: the forward pass finds
+    # every D_A holomorphic, keeps its own residual 1 at i = 9, and each row
+    # it finds zero keeps the pull-back's residual 1/3, so the check fails
+    # rather than passing on the forward pass alone
+    real = starrep.star_pullback
+    shifted = lambda op, target: real(op, target) + WeylOperator.identity(target).scale(Fraction(1, 3))
+    monkeypatch.setattr(starrep, "star_pullback", shifted)
+    ctx = InstanceContext(RunConfig(algebra="sym:2"))
+    rho = list(ctx.rho)
+    rho[9] = rho[9] + WeylOperator.identity(ctx.srep.zvs)
+    ctx._cache["rho"] = rho
+    out = run_fourier_suite(ctx)
+    assert not out["passed"] and out["holomorphic"] and not out["matches_rho"]
+    assert out["residual"] == "4"  # 9 rows of 1/3 and the forward row of 1
+    assert out["star_transform_witness"] == "first failing i = 0, residual 1/3"
+
+
 def test_star_suite_names_the_first_failing_property_b_sample():
     # 1/2 added to the fourth left-star operator adds u/2 to its image of
     # each sample u; the star suite's first sample, 3/2 l2 m1 - m1 m2, then
@@ -368,6 +389,14 @@ class TestStarTransform:
             assert tvs == wvs
             assert op == want, i
 
+    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+    def test_pull_back_of_rho_is_the_left_star_operator(self, selector, instance_cache):
+        # the reduced check of criterion 5, basis element by basis element
+        ch, rho = instance_cache("chart", selector), instance_cache("rho", selector)
+        hvs = _frame_target(ch.g.n)
+        for i, left in enumerate(ch.left_stars):
+            assert star_pullback(embed_z_operator(rho[i], hvs), ch.vs) == left, i
+
     def test_rank_one_transform_values(self, instance_cache):
         ch = instance_cache("chart", "rank1")
         op, tvs = star_transform_operator(ch, 0)
@@ -380,8 +409,6 @@ class TestStarTransform:
         ch = instance_cache("chart", "rank1")
         rho = instance_cache("rho", "rank1")
         op, tvs = star_transform_operator(ch, 2)
-        from starcayley.starrep import embed_z_operator
-
         f = Poly.var(tvs, "z1") * Poly.var(tvs, "z1")
         lhs = op.apply(f)
         rhs = embed_z_operator(rho[2], tvs).apply(f)
