@@ -264,8 +264,7 @@ def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[i
 
 @functools.lru_cache(maxsize=None)
 def _darboux_layout(vs: VarSet, l_names: tuple, m_names: tuple) -> Tuple[Tuple[int, int, int], ...]:
-    """(i, j, drop) per Darboux pair (l^a, m^a) of vs: the pair's variable
-    indices and the change of a key per contraction in the pair."""
+    """(i, j, key change per contraction) per Darboux pair, i and j its indices in vs."""
     pairs = [(vs.index(la), vs.index(ma)) for la, ma in zip(l_names, m_names)]
     return tuple((i, j, (1 << vs.width * i) + (1 << vs.width * j) - (1 << vs.nu_shift)) for i, j in pairs)
 
@@ -520,8 +519,9 @@ def star_pullback(op: WeylOperator, target: VarSet) -> WeylOperator:
     the cached ``_pullback_kernel`` of each pair (z_a, w_a), which undoes the
     frame and the Fourier step; the source step X -> (2 nu X)|nu->-nu moves
     each key one nu-step up, times 2 (-1)^(k+1) at nu-power k, first."""
-    vs, step, n = op.vs, 1 << 2 * op.vs.nu_shift, len(op.vs) // 2
+    vs, step = op.vs, 1 << 2 * op.vs.nu_shift
     source = {k + step: 2 * c if k & step else -2 * c for k, c in op.terms.items()}
+    n = len(vs) // 2
     pairs = list(zip(vs.names[:n], vs.names[n:]))
     return _pairwise_image(WeylOperator._new(vs, source, op.den), pairs, _pullback_kernel, target)
 
