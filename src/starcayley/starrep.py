@@ -22,7 +22,10 @@ where [e_i, z]^k = sum_a z_a c_{i a}^k.  These parts, term dicts over one
 denominator built once, are the one source of rho, of its cross-checks
 (l_A against the Jordan-data field of hds, h_A against kappa * Dl_A) and of
 ``l_poly``, ``_h_coords`` and ``tau_scalar``.  ``bracket_sign`` measures
-the bracket sign of rho and of dpi.
+the bracket sign of rho and of dpi.  ``verify_star_transform`` decides
+D_A = rho(A) on one path: it pulls rho(A) back through the star transform
+and, on a mismatch, transforms only the differences from the left-star
+operators.
 """
 
 from __future__ import annotations
@@ -220,16 +223,6 @@ def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tup
     return bracket_sign(g, rho)
 
 
-def star_transform_operator(ch: SymplecticChart, index: int) -> Tuple[WeylOperator, VarSet]:
-    """D_A = holomorphic-frame(Fourier_-((1/2 nu) right-star(lambda_A))), in
-    one pass (``weyl.star_transform``).  Right star multiplication by
-    lambda_A, an anti-homomorphism in A like rho, is by the Moyal symmetry
-    a star_{-nu} b = b star_nu a the left-star operator at -nu.  The kernel
-    sign s of Fourier_- enters only through s nu, so D_A does not depend on
-    the rotation eta = i xi (README, "Star transform")."""
-    return star_transform(ch.left_stars[index], ch.l_names, ch.m_names)
-
-
 def embed_z_operator(op: WeylOperator, target: VarSet) -> WeylOperator:
     """Extend an operator in the z-variables to the (z, zbar) variable set,
     each key unpacked and packed again in the layout of ``target``."""
@@ -243,24 +236,22 @@ def embed_z_operator(op: WeylOperator, target: VarSet) -> WeylOperator:
 def verify_star_transform(
     ch: SymplecticChart, srep: StarRepresentation, rho: List[WeylOperator]
 ) -> Tuple[bool, Tally]:
-    """Compare the transformed star operators D_A against rho(A), per basis
-    element: returns whether every D_A is holomorphic, and |D_A - rho(A)|
-    tallied over the basis, over the lcm of the differences' denominators.
-    A D_A that is not holomorphic differs from the embedded rho(A), so the
-    Tally's witness covers both failures.  The transform is a bijection, so
-    D_A = rho(A) exactly when the pull-back of the embedded rho(A)
-    (``weyl.star_pullback``) is A's left-star operator, decided first; when
-    every A matches, the Tally is zero.  Otherwise the forward pass forms
-    each D_A, and a row it finds zero keeps the pull-back's residual."""
+    """Compare the transformed star operators D_A, ``weyl.star_transform``
+    of A's left-star operator L_A, against rho(A), per basis element:
+    returns whether every D_A is holomorphic, and |D_A - rho(A)| tallied
+    over the basis, over the lcm of the differences' denominators.  The
+    transform T is linear and bijective, so D_A - rho(A) = T(L_A - P_A),
+    P_A the pull-back of the embedded rho(A) (``weyl.star_pullback``).
+    When every P_A is L_A the Tally is zero; otherwise only the differences
+    are transformed.  rho(A) is holomorphic, so D_A is exactly when its
+    difference is, and a D_A that is not differs from rho(A): the Tally's
+    witness covers both failures."""
     n, hvs = srep.g.n, _frame_target(srep.g.n)
     pulled = lambda i: star_pullback(embed_z_operator(rho[i], hvs), ch.vs)
     if all(pulled(i) == op for i, op in enumerate(ch.left_stars)):
         return True, tally(())
-    holomorphic, diffs = True, []
-    for i in range(srep.g.dim):
-        d_op, hvs = star_transform_operator(ch, i)
-        holomorphic &= uses_only(d_op, hvs.names[:n])
-        d = d_op - embed_z_operator(rho[i], hvs)
-        diffs.append(d if d.terms else pulled(i) - ch.left_stars[i])
+    diffs = [star_transform(op - pulled(i), ch.l_names, ch.m_names)[0]
+             for i, op in enumerate(ch.left_stars)]
+    holomorphic = all(uses_only(d, hvs.names[:n]) for d in diffs)
     L = lcm(*(d.den for d in diffs))
     return holomorphic, tally(((i, abs_numerator(d, L)) for i, d in enumerate(diffs)), L)

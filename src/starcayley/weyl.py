@@ -9,11 +9,12 @@ multiplication exponents and the power of nu, which is central and so
 rides with them (``poly.VarSet``).  On top of this sit first-order
 operators and their brackets, the Moyal star product on chart
 polynomials, left star multiplication as an operator (its independent
-cross-check, property B), and the partial Fourier transform, the
-holomorphic frame, the star transform and its inverse ``star_pullback``
-(``_pullback_kernel``), exact conjugations that factorise over the
-Darboux pairs and never introduce i.  Every kernel runs on numerators and
-packed keys and divides once, at the end.
+cross-check, property B), and the partial Fourier transform and the
+holomorphic frame, exact conjugations that factorise over the Darboux
+pairs and never introduce i.  The star transform applies the two in turn
+to op|nu->-nu / (2 nu); its inverse ``star_pullback`` is one pass through
+``_pullback_kernel``.  Every kernel runs on numerators and packed keys
+and divides once, at the end.
 """
 
 from __future__ import annotations
@@ -463,38 +464,18 @@ def _frame_target(n: int) -> VarSet:
     return VarSet(tuple(f"z{a + 1}" for a in range(n)) + tuple(f"w{a + 1}" for a in range(n)))
 
 
-@functools.lru_cache(maxsize=None)
-def _star_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
-    """One Darboux pair's factor of the frame image of the Fourier image of
-    l^alpha m^gamma d_l^beta d_m^delta: ``_frame_kernel`` applied to each
-    term of ``_fourier_kernel``, over the largest of the frame halvings,
-    with equal terms merged."""
-    _, fourier = _fourier_kernel(alpha, gamma, beta, delta)
-    frames = [(s, w, _frame_kernel(*e)) for *e, s, w in fourier]
-    top = max(h for _, _, (h, _) in frames)
-    acc: Dict[Tuple[int, ...], int] = {}
-    for s, w, (h, image) in frames:
-        for *e, t, c in image:
-            key = (*e, s + t)
-            acc[key] = acc.get(key, 0) + (w * c << (top - h))
-    return top, tuple((*key, c) for key, c in acc.items() if c)
-
-
 def star_transform(
     op: WeylOperator, l_names: Sequence[str], m_names: Sequence[str]
 ) -> Tuple[WeylOperator, VarSet]:
-    """holomorphic_frame(fourier_conjugate(op|nu->-nu / (2 nu))) in one pass,
-    through the cached ``_star_kernel`` of each Darboux pair; the two
-    conjugations are its test oracle.  The source is one pass over the keys,
-    each one nu-step down and odd nu-powers negated, handed on unreduced:
-    its fields are read exactly even below the nu range, and the image's
-    ``_reduced`` rejects a nu-power that leaves it."""
+    """holomorphic_frame(fourier_conjugate(op|nu->-nu / (2 nu))).  The
+    source moves each key one nu-step down and negates the odd nu-powers,
+    over 2 op.den; its ``_reduced`` rejects a nu-power that leaves the
+    range."""
     vs, step = op.vs, 1 << 2 * op.vs.nu_shift
     # the nu field, on top, holds the nu-power plus an even offset
     source = {k - step: -c if k & step else c for k, c in op.terms.items()}
-    source = WeylOperator._new(vs, source, 2 * op.den)
-    target = _frame_target(len(l_names))
-    return _pairwise_image(source, list(zip(l_names, m_names)), _star_kernel, target), target
+    fop, fvs = fourier_conjugate(WeylOperator._reduced(vs, source, 2 * op.den), l_names, m_names)
+    return holomorphic_frame(fop, l_names, fvs.names[len(l_names) :])
 
 
 @functools.lru_cache(maxsize=None)

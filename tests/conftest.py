@@ -13,14 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from starcayley import jordan, kkt, linalg  # noqa: E402
 from starcayley.poly import Poly  # noqa: E402
-from starcayley.scalars import Scalar  # noqa: E402
 from starcayley.poly import exact, lincomb, pruned  # noqa: E402
-from starcayley.weyl import (  # noqa: E402
-    WeylOperator,
-    _pair_kernel,
-    fourier_conjugate,
-    holomorphic_frame,
-)
+from starcayley.weyl import WeylOperator, _pair_kernel  # noqa: E402
 
 
 def poly_abs(p: Poly) -> Fraction:
@@ -109,18 +103,18 @@ def tuple_contractions(u: Poly, v: Poly, l_names, m_names, orders=None) -> dict:
     return out
 
 
-def tuple_pairwise_image(op, pairs, kernel, target, flip_nu=False, nu_shift=0, halvings=0):
+def tuple_pairwise_image(op, pairs, kernel, target):
     """The oracle of ``weyl._pairwise_image``, on tuple keys: each term's
     image the product of its pairs' kernel images, zipped field by field."""
     idx = [(op.vs.index(x), op.vs.index(y)) for x, y in pairs]
     words, emax = [], 0
     for (a, b), c in unpacked(op).items():
-        kers, e = [], halvings
+        kers, e = [], 0
         for i, j in idx:
             ei, image = kernel(a[i], a[j], b[i], b[j])
             e += ei
             kers.append(image)
-        words.append((-c if flip_nu and a[-1] % 2 else c, e, a[-1] + nu_shift, kers))
+        words.append((c, e, a[-1], kers))
         emax = max(emax, e)
     out: dict = {}
     for p, e, k0, kers in words:
@@ -129,16 +123,6 @@ def tuple_pairwise_image(op, pairs, kernel, target, flip_nu=False, nu_shift=0, h
             key = (x1 + x2 + (k0 + sum(s),), d1 + d2)
             out[key] = out.get(key, 0) + (p << (emax - e)) * prod(w)
     return over(WeylOperator, target, out, op.den << emax)
-
-
-def two_conjugations(op: WeylOperator, l_names, m_names):
-    """The oracle of ``weyl.star_transform``, step by step: op with
-    nu -> -nu, times 1/(2 nu), through ``fourier_conjugate`` and then
-    ``holomorphic_frame``."""
-    terms = unpacked(op, op.rationals())
-    flipped = WeylOperator(op.vs, {k: -c if k[0][-1] % 2 else c for k, c in terms.items()})
-    fop, fvs = fourier_conjugate(flipped.scale(Scalar.nu(-1, Fraction(1, 2))), l_names, m_names)
-    return holomorphic_frame(fop, l_names, fvs.names[len(l_names) :])
 
 
 def bracket_rho_parts(srep, a: list):

@@ -19,8 +19,8 @@ from starcayley.hds import NoEquivalence, solve_equivalence
 from starcayley.poly import Poly, varset
 from starcayley.report import BUILTIN_SELECTORS, _random_poly
 from starcayley.scalars import Scalar
-from starcayley.starrep import bracket_sign, star_transform_operator, verify_star_transform
-from starcayley.weyl import WeylOperator, verify_covariance, verify_property_B
+from starcayley.starrep import bracket_sign, verify_star_transform
+from starcayley.weyl import WeylOperator, star_transform, verify_covariance, verify_property_B
 
 VS = varset("x", "y")
 
@@ -78,7 +78,7 @@ def test_artifacts_hold_only_exact_rationals(selector, instance_cache):
         "left-star operators": ch.left_stars,
         "rho": instance_cache("rho", selector),
         "dpi_1": series.dpi_basis(),
-        "D_A": [star_transform_operator(ch, i)[0] for i in range(ch.g.dim)],
+        "D_A": [star_transform(op, ch.l_names, ch.m_names)[0] for op in ch.left_stars],
     }
     for name, objs in artifacts.items():
         types = {type(c) for c in _values(objs)}

@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import bracket_rho_parts, two_conjugations, unpacked
+from conftest import bracket_rho_parts, unpacked
 from starcayley import jordan, kkt, linalg, starrep
 from starcayley.poly import Poly
 from starcayley.report import (
@@ -22,12 +22,12 @@ from starcayley.starrep import (
     StarRepresentation,
     bracket_sign,
     embed_z_operator,
-    star_transform_operator,
     verify_rho_homomorphism,
     verify_star_transform,
 )
 from starcayley.weyl import (
     WeylOperator, _frame_target, first_order, first_order_bracket, first_order_parts, star_pullback,
+    star_transform, uses_only,
 )
 from test_kkt import _perturbed_spin2, _perturbed_sym2
 
@@ -297,10 +297,10 @@ def test_fourier_witness_names_a_non_holomorphic_transform():
 
 
 def test_fourier_suite_fails_on_a_fault_in_the_pull_back(monkeypatch):
-    # the pull-back shifted by 1/3, and rho(e_9) by 1: the forward pass finds
-    # every D_A holomorphic, keeps its own residual 1 at i = 9, and each row
-    # it finds zero keeps the pull-back's residual 1/3, so the check fails
-    # rather than passing on the forward pass alone
+    # the pull-back shifted by 1/3, and rho(e_9) by 1, whose pull-back is
+    # -2 nu: every difference L_A - P_A is -1/3, and 2 nu - 1/3 at i = 9.
+    # The transform c -> c|nu->-nu / (2 nu) makes them -1/(6 nu), residual
+    # 1/6, and -1 - 1/(6 nu), residual 7/6: holomorphic, yet the check fails
     real = starrep.star_pullback
     shifted = lambda op, target: real(op, target) + WeylOperator.identity(target).scale(Fraction(1, 3))
     monkeypatch.setattr(starrep, "star_pullback", shifted)
@@ -310,8 +310,8 @@ def test_fourier_suite_fails_on_a_fault_in_the_pull_back(monkeypatch):
     ctx._cache["rho"] = rho
     out = run_fourier_suite(ctx)
     assert not out["passed"] and out["holomorphic"] and not out["matches_rho"]
-    assert out["residual"] == "4"  # 9 rows of 1/3 and the forward row of 1
-    assert out["star_transform_witness"] == "first failing i = 0, residual 1/3"
+    assert out["residual"] == "8/3"  # 9 rows of 1/6 and one of 7/6
+    assert out["star_transform_witness"] == "first failing i = 0, residual 1/6"
 
 
 def test_star_suite_names_the_first_failing_property_b_sample():
@@ -377,17 +377,30 @@ class TestStarTransform:
         # D_A = rho(A), exactly, for every basis element
         assert tally == (0, 0, None)
 
-    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
-    def test_transform_equals_the_two_conjugations(self, selector, instance_cache):
-        # the one pass over each left-star operator against the Fourier
-        # conjugation and the holomorphic frame of the scaled right-star
-        # operator, applied in turn, term for term
-        ch = instance_cache("chart", selector)
-        for i, left in enumerate(ch.left_stars):
-            op, tvs = star_transform_operator(ch, i)
-            want, wvs = two_conjugations(left, ch.l_names, ch.m_names)
-            assert tvs == wvs
-            assert op == want, i
+    @pytest.mark.parametrize("perturbed", ["rho", "left-star", "both"])
+    @pytest.mark.parametrize("selector", ["sym:2", "spin:3"])
+    def test_failing_check_equals_the_direct_formula(self, selector, perturbed, instance_cache):
+        # the transformed differences against D_A formed from the whole
+        # left-star operator: sum_A |star_transform(L_A) - rho(A)|, with rho(e_2)
+        # shifted by 1/3 and L_3 by l1, and D_A holomorphic on the z-variables
+        ch = copy.copy(instance_cache("chart", selector))
+        srep = instance_cache("srep", selector)
+        rho, stars = list(instance_cache("rho", selector)), list(ch.left_stars)
+        if perturbed != "left-star":
+            rho[2] = rho[2] + WeylOperator.identity(srep.zvs).scale(Fraction(1, 3))
+        if perturbed != "rho":
+            stars[3] = stars[3] + WeylOperator.from_poly(Poly.var(ch.vs, "l1"))
+        ch.left_stars = stars
+        holomorphic, rows = True, []
+        for i, (left, r) in enumerate(zip(stars, rho)):
+            d, hvs = star_transform(left, ch.l_names, ch.m_names)
+            holomorphic &= uses_only(d, hvs.names[: ch.g.n])
+            diff = d - embed_z_operator(r, hvs)
+            rows.append((i, Fraction(sum(map(abs, diff.terms.values())), diff.den)))
+        failing = [row for row in rows if row[1]]
+        want = (holomorphic, (sum(r for _, r in rows), len(failing), failing[0]))
+        assert failing and want[0] == (perturbed == "rho")
+        assert verify_star_transform(ch, srep, rho) == want
 
     @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
     def test_pull_back_of_rho_is_the_left_star_operator(self, selector, instance_cache):
@@ -399,7 +412,7 @@ class TestStarTransform:
 
     def test_rank_one_transform_values(self, instance_cache):
         ch = instance_cache("chart", "rank1")
-        op, tvs = star_transform_operator(ch, 0)
+        op, tvs = star_transform(ch.left_stars[0], ch.l_names, ch.m_names)
         # D_u = d_z = rho(u), embedded in the (z, zbar) variable set
         expected = WeylOperator.partial(tvs, "z1")
         assert op == expected
@@ -408,7 +421,7 @@ class TestStarTransform:
         # operator identity implies identity on polynomials; spot-check one
         ch = instance_cache("chart", "rank1")
         rho = instance_cache("rho", "rank1")
-        op, tvs = star_transform_operator(ch, 2)
+        op, tvs = star_transform(ch.left_stars[2], ch.l_names, ch.m_names)
         f = Poly.var(tvs, "z1") * Poly.var(tvs, "z1")
         lhs = op.apply(f)
         rhs = embed_z_operator(rho[2], tvs).apply(f)

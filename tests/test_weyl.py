@@ -12,7 +12,6 @@ from conftest import (
     multiset_left_star_operator,
     poly_abs,
     term_pair_apply,
-    two_conjugations,
     unpacked,
 )
 from starcayley.poly import Poly, VarSet, varset
@@ -497,19 +496,6 @@ class TestHolomorphicFrame:
 
 
 class TestStarTransform:
-    @given(paired_operators("l", "m"), st.integers(-2, 2))
-    @settings(max_examples=30, deadline=None)
-    def test_equals_the_two_conjugations(self, op, k):
-        # coefficients at nu^k and nu^(k+1), so that the flip of nu meets
-        # both parities; one pass against the conjugations applied in turn
-        op = op.scale(Scalar.nu(k) + Scalar.nu(k + 1, Fraction(1, 3)))
-        n = len(op.vs.names) // 2
-        l_names, m_names = op.vs.names[:n], op.vs.names[n:]
-        img, tvs = star_transform(op, l_names, m_names)
-        want, wvs = two_conjugations(op, l_names, m_names)
-        assert tvs == wvs
-        assert img == want
-
     def test_rejects_variables_outside_the_pairs(self):
         op = mult_var(VarSet(("l1", "m1", "x")), "x")
         with pytest.raises(ValueError):
