@@ -1,7 +1,8 @@
 """Symplectic chart on the orbit of the base point, and moment maps.
 
 Coordinates (l^1..l^n, m^1..m^n) are attached to a symplectic basis
-L_a of g(-1) and its omega-dual L'_a in g(1).  The chart is
+L_a of g(-1) and its omega-dual L'_a in g(1); in this order Darboux pair
+a is variables a and n + a (``weyl._darboux_layout``).  The chart is
 
     phi(l, m) = exp(ad(sum l^a L_a)) exp(ad(sum m^a L'_a)) . o
 
@@ -48,17 +49,13 @@ class SymplecticChart:
     g: GradedLieAlgebra
 
     vs: VarSet = field(init=False)
-    l_names: Tuple[str, ...] = field(init=False)
-    m_names: Tuple[str, ...] = field(init=False)
     phi: List[Poly] = field(init=False)
     moment: List[Poly] = field(init=False)
 
     def __post_init__(self):
         g = self.g
         n = g.n
-        self.l_names = tuple(f"l{a + 1}" for a in range(n))
-        self.m_names = tuple(f"m{a + 1}" for a in range(n))
-        vs = self.vs = VarSet(self.l_names + self.m_names)
+        vs = self.vs = VarSet(tuple(f"{x}{a + 1}" for x in "lm" for a in range(n)))
         L, Lp = g.symplectic_basis()  # coordinate vectors
         keys = [vs.one + (1 << vs.width * a) for a in range(2 * n)]
         o = self._combination([g.o], [vs.one])
@@ -80,11 +77,11 @@ class SymplecticChart:
     def left_stars(self) -> List[weyl.WeylOperator]:
         """The operators u -> lambda_i star u, one per basis element, built
         on first use."""
-        return [weyl.left_star_operator(lam, self.l_names, self.m_names) for lam in self.moment]
+        return [weyl.left_star_operator(lam) for lam in self.moment]
 
     def poisson(self, p: Poly, q: Poly) -> Poly:
-        acc = Poly.zero(self.vs)
-        for la, ma in zip(self.l_names, self.m_names):
+        acc, n = Poly.zero(self.vs), self.g.n
+        for la, ma in zip(self.vs.names[:n], self.vs.names[n:]):
             acc = acc + p.diff(la) * q.diff(ma) - p.diff(ma) * q.diff(la)
         return acc
 

@@ -297,6 +297,12 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
     # bool is an int subclass, so compare the type itself
     if type(n) is not int or type(rank) is not int:
         raise UnknownAlgebra(f"dim and rank must be integers, got {n!r} and {rank!r}")
+    # the shapes first: they bound dim by the size of the table, before the
+    # default names are made for it
+    if len(S) != n or any(len(p) != n for p in S) or any(len(r) != n for p in S for r in p):
+        raise InvalidDimension("structure table shape does not match dim")
+    if len(unit) != n:
+        raise InvalidDimension(f"unit has {len(unit)} entries, dim is {n}")
     names = data.get("basis_names", [f"e{i + 1}" for i in range(n)])
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise UnknownAlgebra("basis_names must be a list of strings")
@@ -304,10 +310,6 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
         raise UnknownAlgebra("basis_names must be distinct")
     if len(names) != n:
         raise InvalidDimension(f"basis_names has {len(names)} entries, dim is {n}")
-    if len(S) != n or any(len(p) != n for p in S) or any(len(r) != n for p in S for r in p):
-        raise InvalidDimension("structure table shape does not match dim")
-    if len(unit) != n:
-        raise InvalidDimension(f"unit has {len(unit)} entries, dim is {n}")
     if not 1 <= rank <= n:
         raise InvalidDimension(f"rank {rank} is not between 1 and dim {n}")
     A = JordanAlgebra(

@@ -166,15 +166,15 @@ class InstanceContext:
         return self._get("series", lambda: hds_mod.DiscreteSeries(self.lie))
 
 
-def _random_poly(rng: random.Random, ch, max_deg: int = 3) -> Poly:
-    """A sum of 1 to 4 monomials, each p/q, q <= 3, times up to max_deg of
+def _random_poly(rng: random.Random, ch) -> Poly:
+    """A sum of 1 to 4 monomials, each p/q, q <= 3, times up to 3 of
     the chart's variables, summed as drawn: numerators over 6, packed keys."""
     vs, terms = ch.vs, {}
     units = [1 << vs.width * i for i in range(len(vs))]
     for _ in range(rng.randint(1, 4)):
         c = rng.randint(-4, 4) * 6 // rng.randint(1, 3)
         e = vs.one
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randint(0, 3)):
             e += rng.choice(units)
         terms[e] = terms.get(e, 0) + c
     return Poly._reduced(vs, terms, 6)
@@ -231,7 +231,7 @@ def run_star_suite(ctx: InstanceContext) -> dict:
     rng = random.Random(ctx.config.seed)
     out: dict = {}
 
-    star = lambda p, q: weyl_mod.moyal_star(p, q, ch.l_names, ch.m_names)
+    star = weyl_mod.moyal_star
     one = Poly.const(ch.vs, 1)
     unit_ok = ctx.timed("star.unit", lambda: all(star(x, one) == x == star(one, x) for x in ch.moment))
 

@@ -223,16 +223,6 @@ def verify_rho_homomorphism(g: GradedLieAlgebra, rho: List[WeylOperator]) -> Tup
     return bracket_sign(g, rho)
 
 
-def embed_z_operator(op: WeylOperator, target: VarSet) -> WeylOperator:
-    """Extend an operator in the z-variables to the (z, zbar) variable set,
-    each key unpacked and packed again in the layout of ``target``."""
-    pad = (0,) * (len(target.names) - len(op.vs.names))
-    keys = [op._unpack(op.vs, k) for k in op.terms]
-    terms = {WeylOperator._pack(target, (a[:-1] + pad + a[-1:], b + pad)): c
-             for (a, b), c in zip(keys, op.terms.values())}
-    return WeylOperator._new(target, terms, op.den)
-
-
 def verify_star_transform(
     ch: SymplecticChart, srep: StarRepresentation, rho: List[WeylOperator]
 ) -> Tuple[bool, Tally]:
@@ -241,17 +231,17 @@ def verify_star_transform(
     returns whether every D_A is holomorphic, and |D_A - rho(A)| tallied
     over the basis, over the lcm of the differences' denominators.  The
     transform T is linear and bijective, so D_A - rho(A) = T(L_A - P_A),
-    P_A the pull-back of the embedded rho(A) (``weyl.star_pullback``).
-    When every P_A is L_A the Tally is zero; otherwise only the differences
-    are transformed.  rho(A) is holomorphic, so D_A is exactly when its
+    P_A the pull-back of rho(A) (``weyl.star_pullback``, which reads an
+    operator in z as one in (z, zbar) that does not touch zbar).  When
+    every P_A is L_A the Tally is zero; otherwise only the differences are
+    transformed.  rho(A) is holomorphic, so D_A is exactly when its
     difference is, and a D_A that is not differs from rho(A): the Tally's
     witness covers both failures."""
     n, hvs = srep.g.n, _frame_target(srep.g.n)
-    pulled = lambda i: star_pullback(embed_z_operator(rho[i], hvs), ch.vs)
+    pulled = lambda i: star_pullback(rho[i], ch.vs)
     if all(pulled(i) == op for i, op in enumerate(ch.left_stars)):
         return True, tally(())
-    diffs = [star_transform(op - pulled(i), ch.l_names, ch.m_names)[0]
-             for i, op in enumerate(ch.left_stars)]
+    diffs = [star_transform(op - pulled(i)) for i, op in enumerate(ch.left_stars)]
     holomorphic = all(uses_only(d, hvs.names[:n]) for d in diffs)
     L = lcm(*(d.den for d in diffs))
     return holomorphic, tally(((i, abs_numerator(d, L)) for i, d in enumerate(diffs)), L)

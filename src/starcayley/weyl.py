@@ -11,7 +11,9 @@ operators and their brackets, the Moyal star product on chart
 polynomials, left star multiplication as an operator (its independent
 cross-check, property B), and the partial Fourier transform and the
 holomorphic frame, exact conjugations that factorise over the Darboux
-pairs and never introduce i.  The star transform applies the two in turn
+pairs and never introduce i.  The pairing is a fact of the varset, kept
+in ``_darboux_layout`` alone: pair a of 2n variables is (a, n + a), as in
+the chart's l1..ln, m1..mn.  The star transform applies the two in turn
 to op|nu->-nu / (2 nu); its inverse ``star_pullback`` is one pass through
 ``_pullback_kernel``.  Every kernel runs on numerators and packed keys
 and divides once, at the end.
@@ -264,25 +266,30 @@ def _pair_kernel(p1: int, q1: int, p2: int, q2: int, drop: int) -> Tuple[Tuple[i
 
 
 @functools.lru_cache(maxsize=None)
-def _darboux_layout(vs: VarSet, l_names: tuple, m_names: tuple) -> Tuple[Tuple[int, int, int], ...]:
-    """(i, j, key change per contraction) per Darboux pair, i and j its indices in vs."""
-    pairs = [(vs.index(la), vs.index(ma)) for la, ma in zip(l_names, m_names)]
-    return tuple((i, j, (1 << vs.width * i) + (1 << vs.width * j) - (1 << vs.nu_shift)) for i, j in pairs)
+def _darboux_layout(vs: VarSet) -> Tuple[Tuple[int, int, int], ...]:
+    """(i, j, key change per contraction) per Darboux pair of vs: pair a of
+    2n variables is (a, n + a), as in the chart's l1..ln, m1..mn.  Raises
+    ValueError on an odd number of variables."""
+    n, odd = divmod(len(vs), 2)
+    if odd:
+        raise ValueError(f"{vs.names} are not Darboux pairs: an odd number of variables")
+    return tuple((a, n + a, (1 << vs.width * a) + (1 << vs.width * (n + a)) - (1 << vs.nu_shift))
+                 for a in range(n))
 
 
-def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str]) -> Poly:
+def moyal_star(u: Poly, v: Poly) -> Poly:
     """u star v = sum over multi-indices alpha, beta of nu^(|alpha|+|beta|)
     (-1)^|beta| / (alpha! beta!) d_l^alpha d_m^beta u . d_m^alpha d_l^beta v,
     exactly: the Poisson tensor pairs l^a with m^a, so u star v - v star u =
     2 nu {u, v} + O(nu^3) (Bayen, Flato, Fronsdal, Lichnerowicz and
     Sternheimer, Ann. Phys. 111, 1978).  On two monomials the sum factorises
-    over the pairs, each factor the cached ``_pair_kernel`` of the pair's
-    exponents, s contractions taking s drops off the sum of keys
-    (``_darboux_layout``); variables outside the pairs add their exponents."""
+    over the Darboux pairs (``_darboux_layout``), each factor the cached
+    ``_pair_kernel`` of the pair's exponents, s contractions taking s drops
+    off the sum of keys."""
     vs = u.vs
     if v.vs != vs:
         raise VarSetMismatch(f"{vs.names} vs {v.vs.names}")
-    layout = _darboux_layout(vs, tuple(l_names), tuple(m_names))
+    layout = _darboux_layout(vs)
     left = []
     for k, c in u.terms.items():
         e = vs.exps(k)
@@ -302,21 +309,21 @@ def moyal_star(u: Poly, v: Poly, l_names: Sequence[str], m_names: Sequence[str])
     return Poly._reduced(vs, _expand(words()), u.den * v.den)
 
 
-def left_star_operator(
-    lam: Poly, l_names: Sequence[str], m_names: Sequence[str]
-) -> WeylOperator:
-    """The operator u -> lam star u, built from Poisson-tensor contractions:
-    the k-th order part sums over multisets of k contraction indices c < 2n;
-    index c < n differentiates lam in l^c and contributes d/dm^c, index
-    n + a differentiates it in m^a, contributes d/dl^a and flips the sign.
+def left_star_operator(lam: Poly) -> WeylOperator:
+    """The operator u -> lam star u, built from Poisson-tensor contractions
+    over the Darboux pairs (l^a, m^a) of ``_darboux_layout``: the k-th order
+    part sums over multisets of k contraction indices c < 2n; index c < n
+    differentiates lam in l^c and contributes d/dm^c, index n + a
+    differentiates it in m^a, contributes d/dl^a and flips the sign.
     A multiset stands for its k!/prod(mult!) orderings, so it weighs
     sign * nu^k / prod(mult!).  The multisets are walked depth first as
     nondecreasing index sequences, a prefix extended only by an index whose
     variable occurs in its derivative of lam; every weight is an integer
     over lam.den deg(lam)!."""
     vs = lam.vs
-    n, s = len(l_names), vs.nu_shift
-    var = [vs.index(x) for x in (*l_names, *m_names)]
+    layout = _darboux_layout(vs)
+    n, s = len(layout), vs.nu_shift
+    var = [i for i, _, _ in layout] + [j for _, j, _ in layout]
     dunit = [1 << vs.width * i for i in var[n:] + var[:n]]
     nu = 1 << 2 * s
     top = factorial(lam.total_degree())
@@ -353,27 +360,30 @@ PairImage = Tuple[int, Tuple[Tuple[int, int, int, int, int, int], ...]]
 
 def _pairwise_image(
     op: WeylOperator,
-    pairs: Sequence[Tuple[str, str]],
     kernel: Callable[[int, int, int, int], PairImage],
     target: VarSet,
 ) -> WeylOperator:
     """The image of op under a homomorphism that sends the generators of each
-    pair of variables to operators in the matching pair of ``target``.
-    Images of different pairs commute, so a normal-ordered word maps to the
-    product over the pairs (target[a], target[n + a]) of ``kernel`` of the
-    pair's exponents, each packed once (``_packed_image``) so that the key
-    of a product is a sum.  A term p x^a d^b / op.den contributes p 2^-e
-    times the kernels' numerators, e their halvings, over op.den 2^emax."""
-    vs, n = op.vs, len(pairs)
-    idx = [(vs.index(x), vs.index(y)) for x, y in pairs]
-    if sorted(i for p in idx for i in p) != list(range(len(vs))):
-        raise ValueError(f"{vs.names} are not the pairs {tuple(pairs)}")
+    Darboux pair (``_darboux_layout``) to operators in the same pair of the
+    2n variables of ``target``.  Source pair a is at fields a and n + a; a
+    source of n variables holds the first halves of the pairs, the partner
+    exponents zero.  Images of different pairs commute, so a normal-ordered
+    word maps to the product over the pairs of ``kernel`` of the pair's
+    exponents, each packed once (``_packed_image``) so that the key of a
+    product is a sum.  A term p x^a d^b / op.den contributes p 2^-e times
+    the kernels' numerators, e their halvings, over op.den 2^emax.  Raises
+    ValueError on a source of any other size."""
+    vs, layout = op.vs, _darboux_layout(target)
+    n = len(layout)
+    if len(vs) not in (n, 2 * n):
+        raise ValueError(f"{vs.names} are neither {n} Darboux pairs nor their first halves")
+    pad = (0,) * (2 * n - len(vs))
     one, nu = target.one << target.nu_shift, 1 << 2 * target.nu_shift
     words, emax = [], 0
     for k, c in op.terms.items():
         kers, e = [], 0
-        x, d = vs.exps(k >> vs.nu_shift), vs.exps(k)
-        for a, (i, j) in enumerate(idx):
+        x, d = vs.exps(k >> vs.nu_shift) + pad, vs.exps(k) + pad
+        for a, (i, j, _) in enumerate(layout):
             if x[i] or x[j] or d[i] or d[j]:  # else the pair's image is 1
                 h, image = _packed_image(kernel, target.width, n, a, (x[i], x[j], d[i], d[j]))
                 e += h
@@ -407,18 +417,15 @@ def _fourier_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
     )
 
 
-def fourier_conjugate(
-    op: WeylOperator,
-    l_names: Sequence[str],
-    m_names: Sequence[str],
-) -> Tuple[WeylOperator, VarSet]:
+def fourier_conjugate(op: WeylOperator) -> WeylOperator:
     """Conjugate by the partial Fourier transform in the m-variables, kernel
     sign -1: m^a -> -i d/dxi^a, d/dm^a -> -i xi^a, real in eta = i xi, named
     h1, h2, ...: l and d/dl stay, m^a -> d/deta^a, d/dm^a -> -eta^a, through
-    the cached ``_fourier_kernel`` of each pair (l^a, m^a).  Raises
-    ValueError on a variable outside the pairs."""
-    target = VarSet(tuple(l_names) + tuple(f"h{a + 1}" for a in range(len(m_names))))
-    return _pairwise_image(op, list(zip(l_names, m_names)), _fourier_kernel, target), target
+    the cached ``_fourier_kernel`` of each Darboux pair (l^a, m^a).  Raises
+    ValueError on an odd number of variables."""
+    n = len(_darboux_layout(op.vs))
+    target = VarSet(op.vs.names[:n] + tuple(f"h{a + 1}" for a in range(n)))
+    return _pairwise_image(op, _fourier_kernel, target)
 
 
 @functools.lru_cache(maxsize=None)
@@ -445,18 +452,13 @@ def _frame_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage:
     )
 
 
-def holomorphic_frame(
-    op: WeylOperator,
-    l_names: Sequence[str],
-    eta_names: Sequence[str],
-) -> Tuple[WeylOperator, VarSet]:
+def holomorphic_frame(op: WeylOperator) -> WeylOperator:
     """Change variables to z = l + nu eta = l + i nu xi and zbar = l - nu eta,
     named z1, z2, ... and w1, w2, ... (``_frame_target``): l -> (z + zbar)/2,
     eta -> (z - zbar)/(2 nu), d/dl -> d/dz + d/dzbar, d/deta -> nu (d/dz -
-    d/dzbar), through the cached ``_frame_kernel`` of each pair (l_a, eta_a).
-    Raises ValueError on a variable outside the pairs."""
-    target = _frame_target(len(l_names))
-    return _pairwise_image(op, list(zip(l_names, eta_names)), _frame_kernel, target), target
+    d/dzbar), through the cached ``_frame_kernel`` of each Darboux pair
+    (l_a, eta_a).  Raises ValueError on an odd number of variables."""
+    return _pairwise_image(op, _frame_kernel, _frame_target(len(_darboux_layout(op.vs))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,9 +466,7 @@ def _frame_target(n: int) -> VarSet:
     return VarSet(tuple(f"z{a + 1}" for a in range(n)) + tuple(f"w{a + 1}" for a in range(n)))
 
 
-def star_transform(
-    op: WeylOperator, l_names: Sequence[str], m_names: Sequence[str]
-) -> Tuple[WeylOperator, VarSet]:
+def star_transform(op: WeylOperator) -> WeylOperator:
     """holomorphic_frame(fourier_conjugate(op|nu->-nu / (2 nu))).  The
     source moves each key one nu-step down and negates the odd nu-powers,
     over 2 op.den; its ``_reduced`` rejects a nu-power that leaves the
@@ -474,8 +474,7 @@ def star_transform(
     vs, step = op.vs, 1 << 2 * op.vs.nu_shift
     # the nu field, on top, holds the nu-power plus an even offset
     source = {k - step: -c if k & step else c for k, c in op.terms.items()}
-    fop, fvs = fourier_conjugate(WeylOperator._reduced(vs, source, 2 * op.den), l_names, m_names)
-    return holomorphic_frame(fop, l_names, fvs.names[len(l_names) :])
+    return holomorphic_frame(fourier_conjugate(WeylOperator._reduced(vs, source, 2 * op.den)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -496,15 +495,14 @@ def _pullback_kernel(alpha: int, gamma: int, beta: int, delta: int) -> PairImage
 
 def star_pullback(op: WeylOperator, target: VarSet) -> WeylOperator:
     """The inverse of ``star_transform``, from the frame variables
-    (``_frame_target``) to target, named l1..ln, m1..mn, in one pass through
-    the cached ``_pullback_kernel`` of each pair (z_a, w_a), which undoes the
-    frame and the Fourier step; the source step X -> (2 nu X)|nu->-nu moves
-    each key one nu-step up, times 2 (-1)^(k+1) at nu-power k, first."""
+    (``_frame_target``), or from the z-variables alone, to target, named
+    l1..ln, m1..mn, in one pass through the cached ``_pullback_kernel`` of
+    each Darboux pair (z_a, w_a), which undoes the frame and the Fourier
+    step; the source step X -> (2 nu X)|nu->-nu moves each key one nu-step
+    up, times 2 (-1)^(k+1) at nu-power k, first."""
     vs, step = op.vs, 1 << 2 * op.vs.nu_shift
     source = {k + step: 2 * c if k & step else -2 * c for k, c in op.terms.items()}
-    n = len(vs) // 2
-    pairs = list(zip(vs.names[:n], vs.names[n:]))
-    return _pairwise_image(WeylOperator._new(vs, source, op.den), pairs, _pullback_kernel, target)
+    return _pairwise_image(WeylOperator._new(vs, source, op.den), _pullback_kernel, target)
 
 
 def uses_only(op: WeylOperator, names: Sequence[str]) -> bool:
@@ -562,8 +560,8 @@ def verify_covariance(ch) -> Tally:
     dens = [lam.den for lam in ch.moment]
     top = lcm(*dens) ** 2
     cubic = [i for i, d in enumerate(deg) if d >= 3]
-    swapped = {i: _swapped_cubic(ch.moment[i], len(ch.l_names)) for i in cubic if deg[i] == 3}
-    lm, two_nu = (ch.l_names, ch.m_names), Scalar.nu(1, 2)
+    swapped = {i: _swapped_cubic(ch.moment[i], ch.g.n) for i in cubic if deg[i] == 3}
+    two_nu = Scalar.nu(1, 2)
 
     def rows():
         for i, j in itertools.combinations(cubic, 2):
@@ -572,7 +570,7 @@ def verify_covariance(ch) -> Tally:
                 tail = _cubic_b3(swapped[i], v)
                 yield (i, j), 2 * sum(map(abs, tail.values())) * (top // (dens[i] * dens[j]))
             else:
-                comm = moyal_star(u, v, *lm) - moyal_star(v, u, *lm)
+                comm = moyal_star(u, v) - moyal_star(v, u)
                 yield (i, j), abs_numerator(comm - ch.poisson(u, v).scale(two_nu), top)
 
     return tally(rows(), top)
@@ -590,7 +588,7 @@ def verify_property_B(ch, samples: Sequence[Poly]) -> Tally:
     def rows():
         for i, (op, lam) in enumerate(zip(ops, moment)):
             for k, u in enumerate(samples):
-                lhs, rhs = op.apply(u), moyal_star(lam, u, ch.l_names, ch.m_names)
+                lhs, rhs = op.apply(u), moyal_star(lam, u)
                 yield (i, k), 0 if lhs == rhs else abs_numerator(lhs - rhs, top)
 
     return tally(rows(), top)

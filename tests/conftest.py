@@ -42,6 +42,25 @@ def over(cls, vs, terms: dict, den: int):
     return cls(vs, {k: Fraction(c, den) for k, c in terms.items()})
 
 
+def darboux_names(vs) -> tuple:
+    """(l names, m names) of the Darboux pairs of vs, read from positions:
+    pair a of 2n variables is (a, n + a)."""
+    n = len(vs) // 2
+    return vs.names[:n], vs.names[n:]
+
+
+def embed_z_operator(op: WeylOperator, target) -> WeylOperator:
+    """An operator in the n z-variables as one in the 2n variables of
+    target, (z, zbar), that does not touch zbar: each key unpacked and
+    packed again in the layout of target, the zbar exponents zero."""
+    pad = (0,) * (len(target) - len(op.vs))
+    terms = {}
+    for k, c in op.terms.items():
+        a, b = op._unpack(op.vs, k)
+        terms[WeylOperator._pack(target, (a[:-1] + pad + a[-1:], b + pad))] = c
+    return WeylOperator._new(target, terms, op.den)
+
+
 # -- the tuple-key kernels that packed keys replaced, kept as oracles -------
 
 
@@ -217,7 +236,7 @@ def contraction_covariance(ch):
     res, bad, witness = Fraction(0), 0, None
     for i, j in itertools.combinations(range(len(ch.moment)), 2):
         u, v = ch.moment[i], ch.moment[j]
-        tail = tuple_contractions(u, v, ch.l_names, ch.m_names, range(3, min(deg[i], deg[j]) + 1, 2))
+        tail = tuple_contractions(u, v, *darboux_names(ch.vs), range(3, min(deg[i], deg[j]) + 1, 2))
         r = Fraction(2 * sum(map(abs, tail.values())), u.den * v.den)
         if r:
             res, bad = res + r, bad + 1

@@ -72,7 +72,8 @@ class TestRankOneOracle:
 class TestPoissonBracket:
     def test_darboux_pairs(self, instance_cache):
         ch = instance_cache("chart", "spin:3")
-        for a, (la, ma) in enumerate(zip(ch.l_names, ch.m_names)):
+        n = ch.g.n
+        for la, ma in zip(ch.vs.names[:n], ch.vs.names[n:]):
             p = Poly.var(ch.vs, la)
             q = Poly.var(ch.vs, ma)
             assert ch.poisson(p, q) == Poly.const(ch.vs, 1)
@@ -98,8 +99,8 @@ def test_degree_bounds(selector, instance_cache):
     ch = instance_cache("chart", selector)
     for lam in ch.moment:
         assert lam.total_degree() <= 3
-        assert max(degree_in(lam, x) for x in ch.m_names) <= 1
-        assert max(degree_in(lam, x) for x in ch.l_names) <= 2
+        assert max(degree_in(lam, x) for x in ch.vs.names[ch.g.n:]) <= 1
+        assert max(degree_in(lam, x) for x in ch.vs.names[: ch.g.n]) <= 2
 
 
 def test_moment_of_base_point_at_origin(instance_cache):

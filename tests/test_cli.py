@@ -453,9 +453,9 @@ class TestReportApi:
         real = weyl.left_star_operator
         calls = []
 
-        def counted(lam, l_names, m_names):
+        def counted(lam):
             calls.append(lam)
-            return real(lam, l_names, m_names)
+            return real(lam)
 
         # every module of the package that holds the function, so that a
         # build through an imported name is counted as well

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,19 @@ class TestLoader:
         data["dim"] = 2
         with pytest.raises(jordan.InvalidDimension):
             jordan.load_from_structure_constants(data)
+
+    def test_a_declared_dim_is_checked_against_the_table_before_use(self):
+        # the shapes are checked before default basis names are made for
+        # dim, so a dim far above the table's size costs no memory
+        data = {"dim": 10**6, "rank": 1, "unit": [], "structure": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(jordan.InvalidDimension, match="shape does not match dim"):
+                jordan.load_from_structure_constants(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize(
         "edit",

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    darboux_names,
+    embed_z_operator,
     over,
     tuple_apply,
     tuple_contractions,
@@ -33,9 +35,9 @@ from starcayley.weyl import (
     star_transform,
 )
 
-# an unpaired variable t and the Darboux pairs (l1, m1), (l2, m2), out of order
+# five variables in no particular order, for the kernels that know no pairs
 VS = VarSet(("m2", "t", "l1", "m1", "l2"))
-L_NAMES, M_NAMES = ("l1", "l2"), ("m1", "m2")
+# the Darboux pairs (l1, m1), (l2, m2), at variables a and 2 + a
 PAIRED = VarSet(("l1", "l2", "m1", "m2"))
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -86,11 +88,11 @@ class TestAgainstTupleKernels:
         # the grouping is formed once and kept: a second apply agrees
         assert op.apply(p) == tuple_apply(op, p)
 
-    @given(polys(max_exp=2), polys(max_exp=2))
+    @given(polys(vs=PAIRED, max_exp=2), polys(vs=PAIRED, max_exp=2))
     @settings(max_examples=60, deadline=None)
     def test_moyal_star(self, u, v):
-        want = over(Poly, VS, tuple_contractions(u, v, L_NAMES, M_NAMES), u.den * v.den)
-        assert moyal_star(u, v, L_NAMES, M_NAMES) == want
+        want = over(Poly, PAIRED, tuple_contractions(u, v, *darboux_names(PAIRED)), u.den * v.den)
+        assert moyal_star(u, v) == want
 
     @given(
         operators(vs=PAIRED),
@@ -98,19 +100,38 @@ class TestAgainstTupleKernels:
     )
     @settings(max_examples=80, deadline=None)
     def test_pairwise_image(self, op, kernel):
-        pairs, target = list(zip(L_NAMES, M_NAMES)), _frame_target(2)
-        assert _pairwise_image(op, pairs, kernel, target) == tuple_pairwise_image(op, pairs, kernel, target)
+        pairs, target = list(zip(*darboux_names(PAIRED))), _frame_target(2)
+        assert _pairwise_image(op, kernel, target) == tuple_pairwise_image(op, pairs, kernel, target)
 
     @given(operators(vs=PAIRED))
     @settings(max_examples=80, deadline=None)
     def test_pull_back_inverts_the_star_transform(self, op):
-        image, target = star_transform(op, L_NAMES, M_NAMES)
-        assert star_pullback(image, PAIRED) == op
+        image = star_transform(op)
+        assert image.vs == _frame_target(2) and star_pullback(image, PAIRED) == op
 
     @given(operators(vs=_frame_target(2)))
     @settings(max_examples=80, deadline=None)
     def test_star_transform_inverts_the_pull_back(self, op):
-        assert star_transform(star_pullback(op, PAIRED), L_NAMES, M_NAMES) == (op, _frame_target(2))
+        assert star_transform(star_pullback(op, PAIRED)) == op
+
+
+@st.composite
+def z_operators(draw):
+    """(op, n): an operator in the n z-variables of ``_frame_target(n)``, n
+    = 1 or 3, whose key fields are wider than those of the 2n frame
+    variables at n = 1 and at n = 3."""
+    n = draw(st.sampled_from([1, 3]))
+    return draw(operators(vs=VarSet(_frame_target(n).names[:n]))), n
+
+
+@given(z_operators())
+@settings(max_examples=80, deadline=None)
+def test_pull_back_reads_z_operators_as_first_halves(opn):
+    # the pull-back of an operator in z alone against the pull-back of its
+    # tuple-key embedding in (z, zbar), its zbar exponents zero
+    op, n = opn
+    frame, chart = _frame_target(n), VarSet(tuple(f"{x}{a + 1}" for x in "lm" for a in range(n)))
+    assert star_pullback(op, chart) == star_pullback(embed_z_operator(op, frame), chart)
 
 
 # -- keys and their layout ----------------------------------------------------------
@@ -223,11 +244,11 @@ def test_star_transform_nu_power_past_its_field_raises():
     # its range test raises
     zero, low = (0,) * 4, -PAIRED.nu_offset
     with pytest.raises(OverflowError, match=r"^nu = "):
-        star_transform(WeylOperator(PAIRED, {(zero + (low,), zero): 1}), L_NAMES, M_NAMES)
+        star_transform(WeylOperator(PAIRED, {(zero + (low,), zero): 1}))
     # one step up, the image sits at the bottom itself, and pulls back
     op = WeylOperator(PAIRED, {(zero + (low + 1,), zero): 3, ((1, 0, 1, 0, low + 1), zero): 1})
-    image, target = star_transform(op, L_NAMES, M_NAMES)
-    assert target == _frame_target(2) and min(k[0][-1] for k in unpacked(image)) == low
+    image = star_transform(op)
+    assert image.vs == _frame_target(2) and min(k[0][-1] for k in unpacked(image)) == low
     assert star_pullback(image, PAIRED) == op
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     contraction_b3,
     contraction_covariance,
+    darboux_names,
     multiset_left_star_operator,
     poly_abs,
     term_pair_apply,
@@ -20,6 +21,9 @@ from starcayley.scalars import Scalar
 from starcayley.weyl import (
     WeylOperator,
     _cubic_b3,
+    _frame_kernel,
+    _frame_target,
+    _pairwise_image,
     _swapped_cubic,
     first_order,
     first_order_bracket,
@@ -36,7 +40,6 @@ from starcayley.weyl import (
 )
 
 VS = varset("l1", "m1")
-L_NAMES, M_NAMES = ("l1",), ("m1",)
 
 
 def mult_var(vs: VarSet, name: str) -> WeylOperator:
@@ -106,10 +109,10 @@ def paired_operators(first, second):
     )
 
 
-# one unpaired variable t, and the Darboux pairs (l1, m1), (l2, m2) listed
-# out of chart order
+# five variables in no particular order, for what knows no Darboux pairs
 MIXED_VS = VarSet(("m2", "t", "l1", "m1", "l2"))
-MIXED_L, MIXED_M = ("l1", "l2"), ("m1", "m2")
+# two Darboux pairs, (l1, m1) and (l2, m2), at variables a and 2 + a
+PAIRED_VS = VarSet(("l1", "l2", "m1", "m2"))
 
 
 @st.composite
@@ -124,7 +127,7 @@ def laurent_polys(draw, vs=MIXED_VS, max_exp=2):
 
 
 @st.composite
-def nu_polys(draw, vs=MIXED_VS, max_deg=5):
+def nu_polys(draw, vs=PAIRED_VS, max_deg=5):
     """Sums of monomials of degree up to max_deg with rational coefficients
     of denominator up to 4 at nu-powers -1..2."""
     terms = {}
@@ -275,64 +278,56 @@ class TestMoyalStar:
         l = Poly.var(VS, "l1")
         m = Poly.var(VS, "m1")
         nu = Poly.const(VS, 0) + Poly.const(VS, 1) * Scalar.nu(1)
-        assert moyal_star(l, m, L_NAMES, M_NAMES) == l * m + nu
-        assert moyal_star(m, l, L_NAMES, M_NAMES) == l * m - nu
+        assert moyal_star(l, m) == l * m + nu
+        assert moyal_star(m, l) == l * m - nu
 
     @given(polys())
     def test_unit(self, p):
         one = Poly.const(VS, 1)
-        assert moyal_star(p, one, L_NAMES, M_NAMES) == p
-        assert moyal_star(one, p, L_NAMES, M_NAMES) == p
+        assert moyal_star(p, one) == p
+        assert moyal_star(one, p) == p
 
     @given(polys(), polys(), polys())
     @settings(max_examples=25, deadline=None)
     def test_associativity(self, p, q, r):
-        star = lambda a, b: moyal_star(a, b, L_NAMES, M_NAMES)
+        star = moyal_star
         assert star(star(p, q), r) == star(p, star(q, r))
 
     @given(polys(), polys())
     @settings(max_examples=30, deadline=None)
     def test_classical_limit(self, p, q):
-        d = moyal_star(p, q, L_NAMES, M_NAMES) - p * q
+        d = moyal_star(p, q) - p * q
         # only positive nu-powers survive in the difference
         assert all(e[-1] >= 1 for e in unpacked(d))
 
-    @given(laurent_polys(), laurent_polys())
+    @given(laurent_polys(PAIRED_VS), laurent_polys(PAIRED_VS))
     @settings(max_examples=40, deadline=None)
     def test_matches_doubled_variable_reference(self, u, v):
-        assert moyal_star(u, v, MIXED_L, MIXED_M) == reference_moyal_star(u, v, MIXED_L, MIXED_M)
-
-    def test_unpaired_variable_only_multiplies(self):
-        t = Poly.var(MIXED_VS, "t")
-        l1 = Poly.var(MIXED_VS, "l1")
-        m1 = Poly.var(MIXED_VS, "m1")
-        nu = Poly.const(MIXED_VS, Scalar.nu(1))
-        assert moyal_star(t * l1, t * m1, MIXED_L, MIXED_M) == t * t * (l1 * m1 + nu)
-        assert moyal_star(t, m1, MIXED_L, MIXED_M) == t * m1
+        assert moyal_star(u, v) == reference_moyal_star(u, v, *darboux_names(PAIRED_VS))
 
 
 class TestLeftStarOperator:
     def test_linear_symbol(self):
         l = Poly.var(VS, "l1")
-        op = left_star_operator(l, L_NAMES, M_NAMES)
+        op = left_star_operator(l)
         expected = mult_var(VS, "l1") + WeylOperator.partial(VS, "m1").scale(
             Scalar.nu(1)
         )
         assert op == expected
 
     def test_constant_symbol(self):
-        op = left_star_operator(Poly.const(VS, 1), L_NAMES, M_NAMES)
+        op = left_star_operator(Poly.const(VS, 1))
         assert op == WeylOperator.identity(VS)
 
     @given(polys(), polys())
     @settings(max_examples=40, deadline=None)
     def test_agrees_with_moyal(self, lam, u):
-        op = left_star_operator(lam, L_NAMES, M_NAMES)
-        assert op.apply(u) == moyal_star(lam, u, L_NAMES, M_NAMES)
+        op = left_star_operator(lam)
+        assert op.apply(u) == moyal_star(lam, u)
 
     @given(polys())
     def test_order_bounded_by_degree(self, lam):
-        op = left_star_operator(lam, L_NAMES, M_NAMES)
+        op = left_star_operator(lam)
         assert op.order() <= lam.total_degree()
 
     @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
@@ -340,39 +335,35 @@ class TestLeftStarOperator:
         # the prefix walk against differentiation from scratch per multiset
         ch = instance_cache("chart", selector)
         for i, lam in enumerate(ch.moment):
-            want = multiset_left_star_operator(lam, ch.l_names, ch.m_names)
-            assert left_star_operator(lam, ch.l_names, ch.m_names) == want, i
+            want = multiset_left_star_operator(lam, *darboux_names(ch.vs))
+            assert left_star_operator(lam) == want, i
 
     @given(nu_polys())
     @settings(max_examples=60, deadline=None)
     def test_matches_multiset_oracle(self, lam):
         # degree up to 5, coefficients at several nu-powers and with
-        # denominators other than 1, an unpaired variable and the pairs out
-        # of chart order: the walk may assume none of what the built-ins give
-        want = multiset_left_star_operator(lam, MIXED_L, MIXED_M)
-        assert left_star_operator(lam, MIXED_L, MIXED_M) == want
+        # denominators other than 1: the walk may assume none of what the
+        # built-ins give
+        want = multiset_left_star_operator(lam, *darboux_names(PAIRED_VS))
+        assert left_star_operator(lam) == want
 
 
 class TestFourierConjugation:
     def test_generator_images(self):
         m_mult = mult_var(VS, "m1")
-        img, tvs = fourier_conjugate(m_mult, L_NAMES, M_NAMES)
+        img = fourier_conjugate(m_mult)
+        tvs = img.vs
         # kernel sign -1 in the rotated variable: m -> d/deta, d/dm -> -eta
-        assert img == WeylOperator.partial(tvs, "h1")
+        assert tvs == VarSet(("l1", "h1")) and img == WeylOperator.partial(tvs, "h1")
         dm = WeylOperator.partial(VS, "m1")
-        img2, _ = fourier_conjugate(dm, L_NAMES, M_NAMES)
-        assert img2 == -mult_var(tvs, "h1")
+        assert fourier_conjugate(dm) == -mult_var(tvs, "h1")
         for gen in (mult_var(VS, "l1"), WeylOperator.partial(VS, "l1")):
-            img3, _ = fourier_conjugate(gen, L_NAMES, M_NAMES)
-            assert str(img3) == str(gen)
+            assert str(fourier_conjugate(gen)) == str(gen)
 
     @given(operators(), operators())
     @settings(max_examples=25, deadline=None)
     def test_homomorphism(self, a, b):
-        fa, _ = fourier_conjugate(a, L_NAMES, M_NAMES)
-        fb, _ = fourier_conjugate(b, L_NAMES, M_NAMES)
-        fab, _ = fourier_conjugate(a * b, L_NAMES, M_NAMES)
-        assert fab == fa * fb
+        assert fourier_conjugate(a * b) == fourier_conjugate(a) * fourier_conjugate(b)
 
     @given(paired_operators("l", "m"))
     @settings(max_examples=30, deadline=None)
@@ -380,33 +371,26 @@ class TestFourierConjugation:
         # the per-pair kernels against map_generators, which composes the
         # generator images l -> l, d_l -> d_l, m -> d_eta, d_m -> -eta
         # factor by factor with normal ordering
-        k = len(op.vs.names) // 2
-        l_names, m_names = op.vs.names[:k], op.vs.names[k:]
-        img, tvs = fourier_conjugate(op, l_names, m_names)
+        l_names, m_names = darboux_names(op.vs)
+        img = fourier_conjugate(op)
+        tvs = img.vs
         x_images, d_images = {}, {}
-        for la, ma, ea in zip(l_names, m_names, tvs.names[k:]):
+        for la, ma, ea in zip(l_names, m_names, darboux_names(tvs)[1]):
             x_images[la] = mult_var(tvs, la)
             d_images[la] = WeylOperator.partial(tvs, la)
             x_images[ma] = WeylOperator.partial(tvs, ea)
             d_images[ma] = -mult_var(tvs, ea)
         assert img == map_generators(op, tvs, x_images, d_images)
 
-    def test_rejects_variables_outside_the_pairs(self):
-        op = mult_var(VarSet(("l1", "m1", "x")), "x")
-        with pytest.raises(ValueError):
-            fourier_conjugate(op, L_NAMES, M_NAMES)
-
     def test_ccr_preserved(self):
         # the image of [d_m, m] = 1 must again be the identity
         m_mult = mult_var(VS, "m1")
         dm = WeylOperator.partial(VS, "m1")
-        img, tvs = fourier_conjugate(dm * m_mult - m_mult * dm, L_NAMES, M_NAMES)
-        assert img == WeylOperator.identity(tvs)
+        img = fourier_conjugate(dm * m_mult - m_mult * dm)
+        assert img == WeylOperator.identity(img.vs)
 
 
 class TestHolomorphicFrame:
-    ETA = ("h1",)
-
     def _roundtrip_names(self):
         fvs = VarSet(("l1", "h1"))
         return fvs
@@ -415,10 +399,10 @@ class TestHolomorphicFrame:
         fvs = self._roundtrip_names()
         # mult by l + nu eta becomes mult by z, and l - nu eta mult by zbar
         l, eta = mult_var(fvs, "l1"), mult_var(fvs, "h1")
-        img, tvs = holomorphic_frame(l + eta.scale(Scalar.nu(1)), ("l1",), self.ETA)
-        assert img == mult_var(tvs, "z1")
-        img2, _ = holomorphic_frame(l - eta.scale(Scalar.nu(1)), ("l1",), self.ETA)
-        assert img2 == mult_var(tvs, "w1")
+        img = holomorphic_frame(l + eta.scale(Scalar.nu(1)))
+        tvs = img.vs
+        assert tvs == VarSet(("z1", "w1")) and img == mult_var(tvs, "z1")
+        assert holomorphic_frame(l - eta.scale(Scalar.nu(1))) == mult_var(tvs, "w1")
 
     def test_dz_formula(self):
         fvs = self._roundtrip_names()
@@ -426,34 +410,30 @@ class TestHolomorphicFrame:
         dl = WeylOperator.partial(fvs, "l1").scale(Scalar.nu(1))
         deta = WeylOperator.partial(fvs, "h1")
         half_nu_inv = Scalar.nu(-1, Fraction(1, 2))
-        img, tvs = holomorphic_frame((dl + deta).scale(half_nu_inv), ("l1",), self.ETA)
-        assert img == WeylOperator.partial(tvs, "z1")
-        img2, _ = holomorphic_frame((dl - deta).scale(half_nu_inv), ("l1",), self.ETA)
-        assert img2 == WeylOperator.partial(tvs, "w1")
+        img = holomorphic_frame((dl + deta).scale(half_nu_inv))
+        assert img == WeylOperator.partial(img.vs, "z1")
+        assert holomorphic_frame((dl - deta).scale(half_nu_inv)) == WeylOperator.partial(img.vs, "w1")
 
     def test_ccr_preserved(self):
         fvs = self._roundtrip_names()
         x = mult_var(fvs, "h1")
         d = WeylOperator.partial(fvs, "h1")
-        img, tvs = holomorphic_frame(d * x - x * d, ("l1",), self.ETA)
-        assert img == WeylOperator.identity(tvs)
+        img = holomorphic_frame(d * x - x * d)
+        assert img == WeylOperator.identity(img.vs)
 
     @given(operators(vs=VarSet(("l1", "h1"))), operators(vs=VarSet(("l1", "h1"))))
     @settings(max_examples=20, deadline=None)
     def test_homomorphism(self, a, b):
-        ia, _ = holomorphic_frame(a, ("l1",), self.ETA)
-        ib, _ = holomorphic_frame(b, ("l1",), self.ETA)
-        iab, _ = holomorphic_frame(a * b, ("l1",), self.ETA)
-        assert iab == ia * ib
+        assert holomorphic_frame(a * b) == holomorphic_frame(a) * holomorphic_frame(b)
 
     @given(paired_operators("l", "h"))
     @settings(max_examples=30, deadline=None)
     def test_matches_generator_map(self, op):
         # the per-pair kernels against map_generators, which composes the
         # generator images factor by factor with normal ordering
-        k = len(op.vs.names) // 2
-        l_names, eta_names = op.vs.names[:k], op.vs.names[k:]
-        img, tvs = holomorphic_frame(op, l_names, eta_names)
+        l_names, eta_names = darboux_names(op.vs)
+        img = holomorphic_frame(op)
+        tvs = img.vs
         x_images, d_images = {}, {}
         for a, (la, ea) in enumerate(zip(l_names, eta_names)):
             mz, mw = mult_var(tvs, f"z{a + 1}"), mult_var(tvs, f"w{a + 1}")
@@ -463,12 +443,6 @@ class TestHolomorphicFrame:
             d_images[la] = dz + dw
             d_images[ea] = (dz - dw).scale(Scalar.nu(1))
         assert img == map_generators(op, tvs, x_images, d_images)
-
-    def test_rejects_variables_outside_the_pairs(self):
-        # a variable with no frame image would otherwise be dropped
-        op = mult_var(VarSet(("l1", "h1", "x")), "x")
-        with pytest.raises(ValueError):
-            holomorphic_frame(op, ("l1",), self.ETA)
 
     def test_composite_images(self):
         # Fourier, then the frame: l -> (z+zbar)/2, d_l -> d_z + d_zbar,
@@ -484,9 +458,8 @@ class TestHolomorphicFrame:
             WeylOperator.partial(VS, "m1"): (w - z).scale(Scalar.nu(-1, Fraction(1, 2))),
         }
         for gen, image in want.items():
-            fop, fvs = fourier_conjugate(gen, L_NAMES, M_NAMES)
-            img, hvs = holomorphic_frame(fop, L_NAMES, fvs.names[1:])
-            assert hvs == tvs and img == image
+            img = holomorphic_frame(fourier_conjugate(gen))
+            assert img.vs == tvs and img == image
 
     def test_uses_only(self):
         tvs = VarSet(("z1", "w1"))
@@ -495,11 +468,32 @@ class TestHolomorphicFrame:
         assert not uses_only(op * WeylOperator.partial(tvs, "w1"), ("z1",))
 
 
-class TestStarTransform:
-    def test_rejects_variables_outside_the_pairs(self):
-        op = mult_var(VarSet(("l1", "m1", "x")), "x")
-        with pytest.raises(ValueError):
-            star_transform(op, L_NAMES, M_NAMES)
+class TestDarbouxLayout:
+    # pair a of 2n variables is (a, n + a); an odd varset has no such pairs
+    ODD_VS = VarSet(("l1", "m1", "x"))
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            pytest.param(lambda p: moyal_star(p, p), id="moyal_star"),
+            pytest.param(left_star_operator, id="left_star_operator"),
+            pytest.param(lambda p: fourier_conjugate(WeylOperator.from_poly(p)), id="fourier_conjugate"),
+            pytest.param(lambda p: holomorphic_frame(WeylOperator.from_poly(p)), id="holomorphic_frame"),
+            pytest.param(lambda p: star_transform(WeylOperator.from_poly(p)), id="star_transform"),
+        ],
+    )
+    def test_odd_varset_is_refused(self, transform):
+        # a variable without a partner would otherwise only multiply, or be
+        # dropped from the image
+        with pytest.raises(ValueError, match="odd number of variables"):
+            transform(Poly.var(self.ODD_VS, "x"))
+
+    @pytest.mark.parametrize("size", [1, 3, 5, 6])
+    def test_pairwise_image_refuses_a_source_of_another_size(self, size):
+        # the target's 2 pairs take a source of 2 pairs or of their 2 first halves
+        op = mult_var(VarSet(tuple(f"x{i}" for i in range(size))), "x0")
+        with pytest.raises(ValueError, match="neither 2 Darboux pairs nor their first halves"):
+            _pairwise_image(op, _frame_kernel, _frame_target(2))
 
 
 def test_property_b_fails_on_perturbed_operator(instance_cache):
@@ -526,7 +520,7 @@ def full_commutator_covariance(ch):
     for i in range(ch.g.dim):
         for j in range(i + 1, ch.g.dim):
             u, v = ch.moment[i], ch.moment[j]
-            comm = moyal_star(u, v, ch.l_names, ch.m_names) - moyal_star(v, u, ch.l_names, ch.m_names)
+            comm = moyal_star(u, v) - moyal_star(v, u)
             r = poly_abs(comm - ch.poisson(u, v) * two_nu)
             if r:
                 res, bad = res + r, bad + 1
@@ -625,7 +619,6 @@ def test_covariance_matches_both_oracles_when_perturbed(edits, instance_cache):
 
 
 CHART_L, CHART_M = ("l1", "l2"), ("m1", "m2")
-CHART_VS = VarSet(CHART_L + CHART_M)
 
 
 @st.composite
@@ -668,10 +661,10 @@ class TestCubicDotProduct:
         cubic = [lam for lam in ch.moment if lam.total_degree() == 3]
         nonzero = 0
         for i, u in enumerate(cubic):
-            swapped = _swapped_cubic(u, len(ch.l_names))
+            swapped = _swapped_cubic(u, ch.g.n)
             for v in cubic[i:]:
                 for w in (v, v + extra):
-                    want = contraction_b3(u, w, ch.l_names, ch.m_names)
+                    want = contraction_b3(u, w, *darboux_names(ch.vs))
                     assert {k: c for k, c in _cubic_b3(swapped, w).items() if c} == want
                     nonzero += bool(want)
         assert nonzero > 0
