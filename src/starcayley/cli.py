@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suites", default="all", help="comma list or 'all'")
     v.add_argument("--format", default="text", choices=("text", "json"))
     v.add_argument("--out", default=None)
-    v.add_argument("--seed", type=int, default=20260826)
+    v.add_argument("--seed", type=int, default=RunConfig.seed)
     v.add_argument("--profile", default=None, metavar="N", help="print the top N by own time")
     v.set_defaults(func=cmd_verify)
 

@@ -109,7 +109,7 @@ class EquivalenceResult:
 def solve_equivalence(
     g: GradedLieAlgebra,
     rho: List[WeylOperator],
-    ds: Optional[DiscreteSeries] = None,
+    ds: DiscreteSeries,
 ) -> EquivalenceResult:
     """Find (alpha, m*) with rho(A) = dpi_{m*}(alpha(A)) for every basis A.
 
@@ -121,7 +121,6 @@ def solve_equivalence(
     vector fields differ; only when none matches are the stopped ones
     finished, and NoEquivalence names the one of smallest full residual,
     the first on a tie."""
-    ds = ds or DiscreteSeries(g)
     rho_parts = [split_first_order(op) for op in rho]
     L = lcm(*(op.den for op in ds.dpi_basis()))
     nums = [op.over(L) for op in ds.dpi_basis()]

@@ -246,7 +246,7 @@ def min_poly_degree(A: JordanAlgebra) -> int:
     the rank: the number of powers e, x, x o x, ... that one
     ``linalg.Echelon`` absorbs before a power depends on those before it."""
     span, x, p = linalg.Echelon(), [Fraction(k + 1) for k in range(A.dim)], list(A.unit)
-    while span.absorb(numerators([dict(enumerate(p))])[0][0]) is None:
+    while span.absorb(numerators([dict(enumerate(p))])[0][0]):
         p = A.mul(x, p)
     return span.size
 

@@ -11,8 +11,8 @@ triple (u, T, v), with the bracket
 theta(u,T,v) = (v, -T#, u), the grading element E = (0, Id, 0) and the base
 point o = mu E.  The build runs on integers: every box, T_j and T_j# is
 held as sparse numerators over one denominator, one ``linalg.Echelon``
-closes their span under # and commutators, reading each coordinate at its
-pivots, and the table is written block by block as numerators D c_ij^k
+closes their span under # and commutators, reading each coordinate from
+its bookkeeping columns, and the table is written block by block as numerators D c_ij^k
 over one D, as in FLINT's fmpq_mat, and Theta over D_theta.  Fractions are
 only constructed, for the views; the checks sum integers and divide each
 residual once.  The model is the independent oracle of the table and
@@ -144,9 +144,10 @@ class GradedLieAlgebra:
         span, basis, rows, D0 = linalg.Echelon(), [], [], ds * ds
 
         def absorb(m: dict, d: int) -> Tuple[dict, int]:
-            """The coordinates of m / d, appending it when it is independent."""
+            """The coordinates of m / d, appending it as {**m, ~j: d}, j its
+            index in the basis, when it is independent."""
             nonlocal D0
-            c = span.absorb(m, d)
+            c = span.coords(m, d)
             if c is not None:
                 return c
             grown = math.lcm(D0, d // math.gcd(d, *m.values()))
@@ -154,6 +155,7 @@ class GradedLieAlgebra:
                 for held in (basis, boxes):
                     held[:] = [{k: x * (grown // D0) for k, x in t.items()} for t in held]
                 rows[:], D0 = [_rows(t, n) for t in basis], grown
+            span.absorb({**m, ~len(basis): d})
             basis.append({k: x * D0 // d for k, x in m.items()})
             rows.append(_rows(basis[-1], n))
             return {len(basis) - 1: 1}, 1
@@ -388,7 +390,7 @@ class GradedLieAlgebra:
             while todo and span.size < self.dim:
                 v = todo.pop()
                 d = math.gcd(*v.values())  # 0 when v is zero
-                if d and span.absorb(v := {k: x // d for k, x in v.items() if x}) is None:
+                if d and span.absorb(v := {k: x // d for k, x in v.items() if x}):
                     found.append(v)
                     todo += [ad(t, v) for t in gens]
             if span.size == self.dim:

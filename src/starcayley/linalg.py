@@ -4,9 +4,11 @@ Matrices are lists of lists of Fractions (or of any commutative ring
 element for the generic routines).  Exact elimination runs on integers:
 ``Echelon`` keeps sparse integer vectors, {index: nonzero int}, in reduced
 row echelon form over one common denominator, the layout of FLINT's
-``fmpq_mat``, so that membership and coordinates are read at its pivots;
-``invert`` and ``in_span`` bring rational input to
-integer numerators (``poly.numerators``) and share it.
+``fmpq_mat``.  Its pivots are the keys >= 0; negative keys are bookkeeping
+columns, as in Gauss-Jordan elimination on [A | I], so a caller that wants
+coordinates appends them and reads them back with ``coords``.  ``invert``
+and ``in_span`` bring rational input to integer numerators
+(``poly.numerators``) and share it.
 """
 
 from __future__ import annotations
@@ -80,12 +82,13 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def invert(a: Matrix) -> Matrix:
-    """a^-1, as Fractions, from one ``Echelon``: the rows of a = A / c are
-    absorbed, and row j of A^-1 is the coordinates of e_j along them;
-    raises ValueError when a row depends on the ones before it."""
+    """a^-1, as Fractions, from one ``Echelon``: row j of a = A / c is
+    appended with the bookkeeping key ~j, and row j of A^-1 is the
+    coordinates of e_j along them; raises ValueError when a row depends on
+    the ones before it."""
     rows, c = numerators(dict(enumerate(row)) for row in a)
     span, n = Echelon(), len(a)
-    if any(span.absorb(row) is not None for row in rows):
+    if not all(span.absorb({**row, ~j: 1}) for j, row in enumerate(rows)):
         raise ValueError("singular matrix")
     inverse = (span.coords({j: 1})[0] for j in range(n))
     return [[Fraction(c * row.get(i, 0), span.den) for i in range(n)] for row in inverse]
@@ -115,65 +118,60 @@ def in_span(vectors: List[dict], targets: List[dict]) -> list:
     on the ones before it gets coordinate zero, so the coordinates are
     unique."""
     (vectors, d), span, out = numerators(vectors), Echelon(), []
-    kept = [i for i, w in enumerate(vectors) if span.absorb(w, d) is None]
+    for i, w in enumerate(vectors):
+        span.absorb({**w, ~i: d})
     for (t,), dt in (numerators([v]) for v in targets):
         c = span.coords(t, dt)
-        if c is not None:
-            full = [Fraction(0)] * len(vectors)
-            for k, x in c[0].items():
-                full[kept[k]] = Fraction(x, c[1])
-            c = full
-        out.append(c)
+        out.append(c and [Fraction(c[0].get(i, 0), c[1]) for i in range(len(vectors))])
     return out
 
 
 class Echelon:
-    """Independent sparse vectors V_k = w_k / s_k, w_k of ints, in reduced
-    row echelon form kept fraction-free as in Bareiss (Math. Comp. 22,
-    1968): row i is R_i = sum_k C_ik V_k, of ints, with the one value
-    ``den`` at its pivot p_i and zero at every other pivot.  So v lies in
-    the span exactly when den v = sum_i v[p_i] R_i, and its coordinates are
-    then sum_i v[p_i] C_ik / den, both read at the pivots.  Adding a vector
-    brings every row to the new pivot value by exact integer division."""
+    """Sparse integer vectors in reduced row echelon form, kept
+    fraction-free as in Bareiss (Math. Comp. 22, 1968): each row has the
+    one value ``den`` at its pivot, the smallest key >= 0 it holds, and
+    zero at every other pivot.  A negative key is never a pivot: it is a
+    bookkeeping column.  A caller that wants coordinates appends
+    V_k = w_k / s_k as {**w_k, ~k: s_k}; every row [x | a] then has
+    x = sum_k a[~k] V_k, so the remainder r of den v, v with no negative
+    key, has no key >= 0 left exactly when v lies in the span, and then
+    v = -sum_k r[~k] V_k / den.  Appending a vector brings every row to
+    the new pivot value by exact integer division."""
 
     def __init__(self):
         self.size, self.den = 0, 1
-        self._rows: dict = {}  # p_i: (R_i, C_i), dicts of ints
+        self._rows: dict = {}  # p_i: R_i, a dict of ints
 
-    def _reduce(self, v: dict) -> Tuple[dict, dict]:
-        """den v - sum_i v[p_i] R_i and sum_i v[p_i] C_i, without zeros."""
-        steps = [(x, self._rows[p]) for p, x in v.items() if x and p in self._rows]
-        r = lincomb(((-f, row) for f, (row, _) in steps), {k: self.den * x for k, x in v.items()})
-        c = lincomb((f, comb) for f, (_, comb) in steps)
-        return {k: x for k, x in r.items() if x}, {k: x for k, x in c.items() if x}
+    def _reduce(self, v: dict) -> dict:
+        """den v - sum_i v[p_i] R_i, without zeros."""
+        steps = ((-x, self._rows[p]) for p, x in v.items() if x and p in self._rows)
+        return {k: x for k, x in lincomb(steps, {k: self.den * x for k, x in v.items()}).items() if x}
 
     def coords(self, v: dict, den: int = 1) -> Tuple[dict, int] | None:
-        """The coordinates of v / den, v sparse of ints, as (numerators keyed
-        by the order of addition, denominator), or None off the span."""
-        r, c = self._reduce(v)
-        return None if r else (c, self.den * den)
+        """The coordinates of v / den, v sparse of ints with no negative
+        key, along the V_k, as (numerators keyed by k, denominator), or
+        None off the span."""
+        r = self._reduce(v)
+        return None if max(r, default=-1) >= 0 else ({~k: -x for k, x in r.items()}, self.den * den)
 
-    def absorb(self, v: dict, den: int = 1) -> Tuple[dict, int] | None:
-        """``coords`` of v / den when it lies in the span; otherwise add it
-        as the next vector and return None."""
-        r, c = self._reduce(v)
-        if not r:
-            return c, self.den * den
-        p, old = min(r), self.den
-        sign = 1 if r[p] > 0 else -1
-        # r = old den V_new - sum_i v[p_i] R_i, made positive at p
-        comb = {k: -sign * x for k, x in c.items()}
-        comb[self.size] = sign * old * den
-        r = {k: sign * x for k, x in r.items()}
+    def absorb(self, v: dict) -> bool:
+        """Append v when its keys >= 0 leave the span, and return whether
+        it did."""
+        r = self._reduce(v)
+        p = min((k for k in r if k >= 0), default=None)
+        if p is None:
+            return False
+        old = self.den
+        if r[p] < 0:
+            r = {k: -x for k, x in r.items()}
         a = self.den = r[p]
 
-        def eliminate(x: dict, b: int, y: dict) -> dict:
-            """(a x - b y) / old, exactly, without zeros."""
-            x = {k: a * e for k, e in x.items()}
-            return {k: e // old for k, e in (lincomb(((-b, y),), x) if b else x).items() if e}
+        def eliminate(x: dict) -> dict:
+            """(a x - x[p] r) / old, exactly, without zeros."""
+            b, x = x.get(p, 0), {k: a * e for k, e in x.items()}
+            return {k: e // old for k, e in (lincomb(((-b, r),), x) if b else x).items() if e}
 
-        self._rows = {q: (eliminate(row, row.get(p, 0), r), eliminate(cq, row.get(p, 0), comb))
-                      for q, (row, cq) in self._rows.items()}
-        self._rows[p] = r, comb
+        self._rows = {q: eliminate(row) for q, row in self._rows.items()}
+        self._rows[p] = r
         self.size += 1
-        return None
+        return True

@@ -238,10 +238,10 @@ def verify_star_transform(
     difference is, and a D_A that is not differs from rho(A): the Tally's
     witness covers both failures."""
     n, hvs = srep.g.n, _frame_target(srep.g.n)
-    pulled = lambda i: star_pullback(rho[i], ch.vs)
-    if all(pulled(i) == op for i, op in enumerate(ch.left_stars)):
+    pulled = [star_pullback(op, ch.vs) for op in rho]
+    if all(p == op for p, op in zip(pulled, ch.left_stars)):
         return True, tally(())
-    diffs = [star_transform(op - pulled(i)) for i, op in enumerate(ch.left_stars)]
+    diffs = [star_transform(op - p) for p, op in zip(pulled, ch.left_stars)]
     holomorphic = all(uses_only(d, hvs.names[:n]) for d in diffs)
     L = lcm(*(d.den for d in diffs))
     return holomorphic, tally(((i, abs_numerator(d, L)) for i, d in enumerate(diffs)), L)

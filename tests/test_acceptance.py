@@ -167,7 +167,7 @@ def test_criterion_7_equivalence(instance_cache):
     details = []
     for mu in (Fraction(1), Fraction(2), Fraction(-3)):
         g = kkt.GradedLieAlgebra(jordan.make_rank_one(), mu)
-        eq = hds.solve_equivalence(g, StarRepresentation(g).rho_basis())
+        eq = hds.solve_equivalence(g, StarRepresentation(g).rho_basis(), hds.DiscreteSeries(g))
         expected = (Scalar.nu(1) + Scalar.of(2 * mu)) * Scalar.nu(-1, Fraction(1, 2))
         cmpr = hds.compare_with_closed_form(g, eq.m_star)
         exact = eq.m_star == expected and cmpr.match == "exact"
@@ -214,7 +214,7 @@ def test_criterion_9_negative_controls(instance_cache):
     rho = list(instance_cache("rho", "rank1"))
     rho[1] = rho[1] + WeylOperator.from_poly(Poly.const(srep.zvs, 1))
     try:
-        hds.solve_equivalence(g, rho)
+        hds.solve_equivalence(g, rho, hds.DiscreteSeries(g))
         tau_detected = False
     except hds.NoEquivalence as exc:
         tau_detected = exc.residual > 0

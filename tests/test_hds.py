@@ -145,7 +145,7 @@ class TestEquivalence:
     def test_rank_one_weight(self, mu):
         g = kkt.GradedLieAlgebra(jordan.make_rank_one(), mu)
         srep = StarRepresentation(g)
-        eq = solve_equivalence(g, srep.rho_basis())
+        eq = solve_equivalence(g, srep.rho_basis(), DiscreteSeries(g))
         assert eq.alpha == "-id"
         # measured weight: (2 mu + nu) / (2 nu)
         assert eq.m_star == Scalar.nu(-1, mu) + Scalar.of(Fraction(1, 2))
@@ -194,7 +194,7 @@ class TestEquivalence:
         counts = Counter()
         count_candidates(monkeypatch, counts)
         with pytest.raises(NoEquivalence) as exc:
-            solve_equivalence(g, rho)
+            solve_equivalence(g, rho, DiscreteSeries(g))
         assert str(exc.value) == "no candidate automorphism matches (best: -id, residual 2)"
         assert exc.value.residual == 2
         assert counts["candidates"] == 4

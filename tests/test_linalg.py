@@ -115,7 +115,10 @@ def test_echelon_coordinates_reconstruct(case):
     span, kept = linalg.Echelon(), []
     as_fractions = lambda c: c and {k: Fraction(x, c[1]) for k, x in c[0].items()}
     for v in vecs:
-        c = as_fractions(span.absorb(*_ints(v)))
+        w, d = _ints(v)
+        c = as_fractions(span.coords(w, d))
+        # appended, with the bookkeeping key of its index, exactly when off the span
+        assert span.absorb({**w, ~len(kept): d}) == (c is None)
         if c is None:
             kept.append(v)
         else:
@@ -170,22 +173,42 @@ def test_echelon_matches_dense_elimination(case):
     vecs, target = case
     span, kept = linalg.Echelon(), []
     for i, v in enumerate(vecs):
-        c = span.absorb(*_ints(v))
+        w, d = _ints(v)
+        c = span.coords(w, d)
         # kept exactly when the rank grows
         assert (c is None) == (_rank(vecs[: i + 1]) > _rank(vecs[:i]))
+        assert span.absorb({**w, ~len(kept): d}) == (c is None)
         if c is None:
             kept.append(v)
         else:
             assert [Fraction(c[0].get(k, 0), c[1]) for k in range(len(kept))] == _dense_coords(kept, v)
-        # reduced row echelon form: each row holds den at its pivot, and
-        # each pivot column is zero in every other row
-        for p, (row, comb) in span._rows.items():
+        # reduced row echelon form: each row holds den at its pivot, the
+        # smallest key >= 0, and each pivot column is zero in every other row
+        for p, row in span._rows.items():
+            assert p == min(k for k in row if k >= 0)
             assert row[p] == span.den and all(q not in row for q in span._rows if q != p)
     c = span.coords(*_ints(target))
     want = _dense_coords(kept, target)
     assert (c is None) == (want is None)
     if c is not None:
         assert [Fraction(c[0].get(k, 0), c[1]) for k in range(len(kept))] == want
+
+
+@given(vector_lists())
+@settings(max_examples=100, deadline=None)
+def test_in_span_coordinates_match_dense_elimination(case):
+    # every vector and the target against dense elimination along the
+    # independent vectors; each dependent vector gets coordinate 0
+    vecs, target = case
+    kept = [i for i in range(len(vecs)) if _rank(vecs[: i + 1]) > _rank(vecs[:i])]
+    sparse = lambda v: {k: x for k, x in enumerate(v) if x}
+    targets = vecs + [target]
+    for t, got in zip(targets, linalg.in_span([sparse(v) for v in vecs], [sparse(t) for t in targets])):
+        want = _dense_coords([vecs[i] for i in kept], t)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(got[i] == 0 for i in range(len(vecs)) if i not in kept)
+            assert [got[i] for i in kept] == want
 
 
 @pytest.mark.parametrize(

@@ -281,6 +281,20 @@ def test_fourier_suite_names_the_first_failing_basis_element(index, shift, witne
     assert out["star_transform_witness"] == witness
 
 
+@pytest.mark.parametrize("index", [2, 9])
+def test_failing_fourier_check_pulls_back_each_element_once(index, monkeypatch):
+    # the differences reuse the pull-backs formed for the comparison, so a
+    # mismatch at e_2 or at the last element costs dim g pull-backs alike
+    calls, real = [], starrep.star_pullback
+    monkeypatch.setattr(starrep, "star_pullback", lambda op, target: calls.append(1) or real(op, target))
+    ctx = InstanceContext(RunConfig(algebra="sym:2"))
+    rho = list(ctx.rho)
+    rho[index] = rho[index] + WeylOperator.identity(ctx.srep.zvs).scale(Fraction(1, 3))
+    ctx._cache["rho"] = rho
+    assert not run_fourier_suite(ctx)["passed"]
+    assert len(calls) == ctx.lie.dim == 10
+
+
 def test_fourier_witness_names_a_non_holomorphic_transform():
     # l1 added to the fourth left-star operator puts (z1 + w1)/2 over 2 nu
     # into D_3, which is then not holomorphic and so differs from rho(e_3)
