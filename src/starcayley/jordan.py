@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -22,8 +23,8 @@ from .poly import Poly, VarSet, bilinear, lincomb, numerators
 from .scalars import rational_to_str
 
 
-# the largest dimension a built-in spin:k or sym:p may have; the builders
-# allocate a dense dim^3 table, and 64 keeps the Albert algebra's 27
+# the largest dimension a built-in spin:k or sym:p may have, a fixed limit on
+# the size of a report; 64 keeps the Albert algebra's 27
 MAX_BUILTIN_DIM = 64
 
 
@@ -47,8 +48,9 @@ class JordanAlgebra:
     dim: int
     rank: int
     basis_names: Tuple[str, ...]
-    # structure[a][b][c]: coefficient of e_c in e_a o e_b
-    structure: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
+    # e_a o e_b = sum_c table[(a, b)][c] e_c / den: nonzero numerators only
+    table: dict
+    den: int
     unit: Tuple[Fraction, ...]
     # the report of the validation that loaded the algebra from a table, so
     # that a report validates it once; None for a built-in
@@ -56,18 +58,19 @@ class JordanAlgebra:
         default=None, init=False, compare=False, repr=False
     )
 
-    # -- products ---------------------------------------------------------
-    @cached_property
-    def _int_structure(self) -> Tuple[dict, int]:
-        """The structure constants as integer numerators
-        {(a, b): {c: D s_ab^c}} over their one denominator D."""
-        rows, D = numerators(dict(enumerate(row)) for plane in self.structure for row in plane)
-        return {divmod(i, self.dim): nz for i, nz in enumerate(rows) if nz}, D
+    def __post_init__(self):
+        if type(self.den) is not int or self.den < 1:
+            raise ValueError(f"den must be a positive int, got {self.den!r}")
+        keys = set(range(self.dim))
+        for ab, row in self.table.items():
+            if len(ab) != 2 or not {*ab, *row} <= keys or not row or not all(row.values()):
+                raise ValueError(f"table row {ab}: {row} is not a nonzero row in range({self.dim})")
 
+    # -- products ---------------------------------------------------------
     def mul(self, x: Sequence, y: Sequence) -> list:
-        """x o y from the integer structure table, summed once and divided
-        by D once; on Poly coordinates through ``poly.bilinear``."""
-        table, D = self._int_structure
+        """x o y from the integer table, summed once and divided by den
+        once; on Poly coordinates through ``poly.bilinear``."""
+        table, D = self.table, self.den
         if isinstance(x[0], Poly) or isinstance(y[0], Poly):
             return bilinear(table, D, x, y, self.dim)
         out = lincomb((x[a] * y[b], nz) for (a, b), nz in table.items() if x[a] and y[b])
@@ -85,8 +88,8 @@ class JordanAlgebra:
     @cached_property
     def _int_tau_gram(self) -> Tuple[list, int]:
         """tau(e_a, e_b) = Tr L(e_a o e_b) = sum_c s_ab^c Tr L(e_c) as integer
-        numerators over D^2, D that of ``_int_structure``."""
-        (table, D), n = self._int_structure, self.dim
+        numerators over den^2."""
+        table, D, n = self.table, self.den, self.dim
         tr = [sum(table.get((c, a), {}).get(a, 0) for a in range(n)) for c in range(n)]
         return [
             [sum(s * tr[c] for c, s in table.get((a, b), {}).items()) for b in range(n)]
@@ -104,21 +107,23 @@ class JordanAlgebra:
         return linalg.mat_add(self.L(self.mul(x, y)), linalg.commutator(lx, ly))
 
     def quadratic_rep(self, z: Sequence) -> list:
-        """P(z) = 2 L(z)^2 - L(z^2); satisfies P(z)v = {z, v, z}."""
-        lz = self.L(z)
-        return linalg.mat_sub(linalg.mat_scale(linalg.mat_mul(lz, lz), 2), self.L(self.mul(z, z)))
+        """P(z) = 2 L(z)^2 - L(z^2), column by column: P(z)e_j =
+        2 z o (z o e_j) - z^2 o e_j; satisfies P(z)v = {z, v, z}."""
+        z2 = self.mul(z, z)
+        cols = [zip(self.mul(z, self.mul(z, e)), self.mul(z2, e)) for e in linalg.identity(self.dim)]
+        return linalg.transpose([[2 * a - b for a, b in col] for col in cols])
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> dict:
+        """The dense table of the loader's schema."""
+        n = self.dim
         return {
             "name": self.name,
             "dim": self.dim,
             "rank": self.rank,
             "unit": [rational_to_str(u) for u in self.unit],
-            "structure": [
-                [[rational_to_str(c) for c in row] for row in plane]
-                for plane in self.structure
-            ],
+            "structure": [[[rational_to_str(Fraction(self.table.get((a, b), {}).get(c, 0), self.den))
+                            for c in range(n)] for b in range(n)] for a in range(n)],
         }
 
 
@@ -127,8 +132,7 @@ class JordanAlgebra:
 
 def make_rank_one() -> JordanAlgebra:
     """The one-dimensional algebra: x o y = xy, unit 1."""
-    one = Fraction(1)
-    return JordanAlgebra("rank1", 1, 1, ("e",), structure=(((one,),),), unit=(one,))
+    return JordanAlgebra("rank1", 1, 1, ("e",), table={(0, 0): {0: 1}}, den=1, unit=(Fraction(1),))
 
 
 def _check_builtin_dim(name: str, n: int) -> None:
@@ -144,41 +148,39 @@ def make_spin_factor(k: int) -> JordanAlgebra:
     if k < 2:
         raise InvalidDimension("spin factor needs k >= 2")
     _check_builtin_dim(f"spin:{k}", k)
-    n = k
-
-    def s(a, b, c):  # e_0 is the unit, and e_a o e_b = delta_ab e_0 for a, b >= 1
-        return Fraction(int(c == a + b if 0 in (a, b) else a == b and c == 0))
-
-    S = [[[s(a, b, c) for c in range(n)] for b in range(n)] for a in range(n)]
-    unit = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    names = ("s",) + tuple(f"u{a}" for a in range(1, n))
-    return JordanAlgebra(f"spin:{k}", n, 2, names, structure=_freeze(S), unit=tuple(unit))
+    # e_0 is the unit, and e_a o e_b = delta_ab e_0 for a, b >= 1
+    table = {(a, b): {a + b if 0 in (a, b) else 0: 1}
+             for a in range(k) for b in range(k) if 0 in (a, b) or a == b}
+    unit = (Fraction(1),) + (Fraction(0),) * (k - 1)
+    names = ("s",) + tuple(f"u{a}" for a in range(1, k))
+    return JordanAlgebra(f"spin:{k}", k, 2, names, table=table, den=1, unit=unit)
 
 
 def make_sym_matrices(p: int) -> JordanAlgebra:
     """Real symmetric p x p matrices with x o y = (xy + yx)/2.
 
-    Basis: E_aa, then unnormalized E_ab + E_ba (a < b); rank p.
+    Basis: E_aa, then unnormalized F_ab = E_ab + E_ba (a < b); rank p.
+    Each basis element is its set of matrix units (r, c), and entry (a, b),
+    a <= b, of xy + yx, the number of unit products that land there, is
+    twice the coefficient of the basis element at (a, b).
     """
     if p < 1:
         raise InvalidDimension("need p >= 1")
     _check_builtin_dim(f"sym:{p}", p * (p + 1) // 2)
     pairs = [(a, a) for a in range(p)] + [(a, b) for a in range(p) for b in range(a + 1, p)]
-    idx = range(p)
-    basis = [[[Fraction(int({r, c} == s)) for c in idx] for r in idx] for s in map(set, pairs)]
+    col = {ab: k for k, ab in enumerate(pairs)}
+    units = [{(a, b), (b, a)} for a, b in pairs]
+    D = 2 if p > 1 else 1  # F_12 o E_11 = F_12 / 2
 
-    def product(x, y):  # (xy + yx)/2 along the basis
-        xy = linalg.mat_add(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
-        return [xy[a][b] / 2 for a, b in pairs]
+    def twice(x, y):  # entry (r, d), r <= d, of xy + yx
+        return Counter((r, d) for s, t in ((x, y), (y, x))
+                       for r, c in s for e, d in t if c == e and r <= d)
 
-    S = [[product(x, y) for y in basis] for x in basis]
-    unit = [Fraction(int(a == b)) for a, b in pairs]
+    table = {(i, j): dict(sorted((col[rd], m * D // 2) for rd, m in xy.items()))
+             for i, x in enumerate(units) for j, y in enumerate(units) if (xy := twice(x, y))}
+    unit = tuple(Fraction(int(a == b)) for a, b in pairs)
     names = tuple(f"{'E' if a == b else 'F'}{a + 1}{b + 1}" for a, b in pairs)
-    return JordanAlgebra(f"sym:{p}", len(pairs), p, names, structure=_freeze(S), unit=tuple(unit))
-
-
-def _freeze(S) -> tuple:
-    return tuple(tuple(tuple(row) for row in plane) for plane in S)
+    return JordanAlgebra(f"sym:{p}", len(pairs), p, names, table=table, den=D, unit=unit)
 
 
 # -- validation and generic loader -------------------------------------------
@@ -211,9 +213,7 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
     rep = JordanValidationReport(name=A.name)
     n = A.dim
 
-    rep.commutative = all(
-        A.structure[a][b] == A.structure[b][a] for a in range(n) for b in range(n)
-    )
+    rep.commutative = all(A.table.get((b, a)) == row for (a, b), row in A.table.items())
     if not rep.commutative:
         rep.failures.append("commutativity: structure constants not symmetric")
 
@@ -221,20 +221,16 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
     xy = [Poly.var(vs, name) for name in vs.names]
     x, y = xy[:n], xy[n:]
     x2 = A.mul(x, x)
-    lhs = A.mul(x, A.mul(x2, y))
-    rhs = A.mul(x2, A.mul(x, y))
-    rep.jordan_identity = all((a - b).is_zero() for a, b in zip(lhs, rhs))
+    rep.jordan_identity = A.mul(x, A.mul(x2, y)) == A.mul(x2, A.mul(x, y))
     if not rep.jordan_identity:
         rep.failures.append("jordan identity: x o (x^2 o y) != x^2 o (x o y)")
 
-    ex = A.mul([Poly.const(vs, Fraction(u)) for u in A.unit], x)
-    rep.unital = all((a - b).is_zero() for a, b in zip(ex, x))
+    rep.unital = A.mul(list(A.unit), x) == x
     if not rep.unital:
         rep.failures.append("unit: e o x != x")
 
     gram = A.tau_gram()
-    sym = all(gram[a][b] == gram[b][a] for a in range(n) for b in range(n))
-    rep.positive_definite = sym and linalg.positive_definite(gram)
+    rep.positive_definite = gram == linalg.transpose(gram) and linalg.positive_definite(gram)
     if not rep.positive_definite:
         rep.failures.append("trace form: Gram matrix not positive definite")
 
@@ -312,12 +308,14 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
         raise InvalidDimension(f"basis_names has {len(names)} entries, dim is {n}")
     if not 1 <= rank <= n:
         raise InvalidDimension(f"rank {rank} is not between 1 and dim {n}")
+    rows, den = numerators(dict(enumerate(row)) for plane in S for row in plane)
     A = JordanAlgebra(
         name=str(data.get("name", "custom")),
         dim=n,
         rank=rank,
         basis_names=tuple(names),
-        structure=_freeze(S),
+        table={divmod(i, n): nz for i, nz in enumerate(rows) if nz},
+        den=den,
         unit=unit,
     )
     rep = validate_jordan(A)

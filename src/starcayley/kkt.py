@@ -94,7 +94,6 @@ class GradedLieAlgebra:
     _boxes: List[dict] = field(init=False)
     _t_flat: List[dict] = field(init=False)
     _span: linalg.Echelon = field(init=False)
-    tau_gram: linalg.Matrix = field(init=False)
     _tau_gram_inv: linalg.Matrix = field(init=False)
     # the nonzero coordinates of each box and T_i#, and the box appended as T_j
     _box_coords: List[dict] = field(init=False)
@@ -117,11 +116,10 @@ class GradedLieAlgebra:
             raise ValueError("mu must be nonzero")
         A = self.jordan
         n = self.n = A.dim
-        S, ds = A._int_structure
+        S, ds = A.table, A.den
         G, dg = A._int_tau_gram
         # G^-1 = dg N / di, so T# = G^-1 T^T G = N W^T G / (di D0) for T = W / D0
         N, di = numerators(dict(enumerate(row)) for row in linalg.invert(G))
-        self.tau_gram = [[Fraction(x, dg) for x in row] for row in G]
         self._tau_gram_inv = [[Fraction(dg * row.get(b, 0), di) for b in range(n)] for row in N]
         G = [pruned(dict(enumerate(row))) for row in G]
         N = {r * n + c: x for r, row in enumerate(N) for c, x in row.items()}
@@ -232,7 +230,8 @@ class GradedLieAlgebra:
     # -- structure maps -------------------------------------------------------
     def sharp(self, t: Sequence[Sequence]) -> list:
         """Adjoint of t with respect to the trace form: G^-1 t^T G."""
-        return linalg.mat_mul(self._tau_gram_inv, linalg.mat_mul(linalg.transpose(t), self.tau_gram))
+        G = self.jordan.tau_gram()
+        return linalg.mat_mul(self._tau_gram_inv, linalg.mat_mul(linalg.transpose(t), G))
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
         A, mv = self.jordan, linalg.mat_vec

@@ -56,6 +56,8 @@ class RunConfig:
             raise ConfigError(f"unknown suites: {bad}")
         if self.fmt not in ("text", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.out is not None and (not self.out or os.path.isdir(self.out)):
+            raise ConfigError(f"cannot write {self.out!r}: not a file name")
         if self.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
             raise ConfigError(f"cannot write {self.out!r}: no such directory")
 
@@ -357,7 +359,7 @@ def run(config: RunConfig) -> VerificationReport:
 
 def write_report(rep: VerificationReport, config: RunConfig) -> str:
     text = json.dumps(rep.to_json(), indent=2, sort_keys=True) if config.fmt == "json" else rep.to_text()
-    if config.out:
+    if config.out is not None:
         try:
             with open(config.out, "w") as fh:
                 fh.write(text + "\n")

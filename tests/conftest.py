@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -291,12 +292,14 @@ def fraction_build(A: jordan.JordanAlgebra, mu=Fraction(1)) -> dict:
     boxes under the tau-adjoint and commutators on sparse matrices of
     Fractions, the table written block by block over Fractions and brought
     to one denominator afterwards.  Returns the build's fields by name."""
-    n, S = A.dim, A.structure
+    n = A.dim
+    S = {ab: {c: Fraction(x, A.den) for c, x in row.items()} for ab, row in A.table.items()}
+    s = lambda a, b: S.get((a, b), {})
     mul = lambda a, b: [pruned(lincomb((x, b[t]) for t, x in row.items())) for row in a]
     total = lambda terms: [pruned(lincomb((c, m[r]) for c, m in terms)) for r in range(n)]
     flat = lambda a: {r * n + c: x for r, row in enumerate(a) for c, x in row.items()}
-    tr = [sum((S[c][a][a] for a in range(n)), Fraction(0)) for c in range(n)]
-    gram = [[sum((s * t for s, t in zip(S[a][b], tr)), Fraction(0)) for b in range(n)]
+    tr = [sum((s(c, a).get(a, 0) for a in range(n)), Fraction(0)) for c in range(n)]
+    gram = [[sum((x * tr[c] for c, x in s(a, b).items()), Fraction(0)) for b in range(n)]
             for a in range(n)]
     span = FractionEchelon()
     for row in gram:
@@ -314,8 +317,8 @@ def fraction_build(A: jordan.JordanAlgebra, mu=Fraction(1)) -> dict:
             return {len(basis) - 1: 1}
         return c
 
-    L = [[{a: exact(S[c][a][r]) for a in range(n) if S[c][a][r]} for r in range(n)] for c in range(n)]
-    boxes = [total([(exact(s), L[c]) for c, s in enumerate(S[a][b]) if s]
+    L = [[{a: exact(s(c, a)[r]) for a in range(n) if r in s(c, a)} for r in range(n)] for c in range(n)]
+    boxes = [total([(exact(x), L[c]) for c, x in s(a, b).items()]
                    + [(1, mul(L[a], L[b])), (-1, mul(L[b], L[a]))])
              for a in range(n) for b in range(n)]
     box_coords = [absorb(m) for m in boxes]
@@ -367,6 +370,41 @@ def fraction_build(A: jordan.JordanAlgebra, mu=Fraction(1)) -> dict:
         "_t_boxes": t_boxes, "E": E, "o": [exact(mu * x) for x in E], "tau_gram": gram,
         "_tau_gram_inv": gram_inv,
     }
+
+
+def dense_structure(selector: str) -> list:
+    """The dense table s[a][b][c] (the coefficient of e_c in e_a o e_b) of
+    the built-in rank1, spin:k or sym:p, from the products the builders
+    formed before they wrote sparse numerators: basis matrices multiplied
+    for sym:p.  The oracle of ``JordanAlgebra.table``."""
+    kind, _, arg = selector.partition(":")
+    if kind == "rank1":
+        return [[[Fraction(1)]]]
+    n = int(arg)
+    if kind == "spin":
+        def s(a, b, c):  # e_0 is the unit, and e_a o e_b = delta_ab e_0 for a, b >= 1
+            return Fraction(int(c == a + b if 0 in (a, b) else a == b and c == 0))
+
+        return [[[s(a, b, c) for c in range(n)] for b in range(n)] for a in range(n)]
+    pairs = [(a, a) for a in range(n)] + [(a, b) for a in range(n) for b in range(a + 1, n)]
+    idx = range(n)
+    basis = [[[Fraction(int({r, c} == s)) for c in idx] for r in idx] for s in map(set, pairs)]
+
+    def product(x, y):  # (xy + yx)/2 along the basis
+        xy = linalg.mat_add(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
+        return [xy[a][b] / 2 for a, b in pairs]
+
+    return [[product(x, y) for y in basis] for x in basis]
+
+
+def perturbed(A: jordan.JordanAlgebra, a: int, b: int, c: int, name="perturbed") -> jordan.JordanAlgebra:
+    """A with the structure constant of e_c in e_a o e_b raised by 1, so its
+    numerator by den, which stays the denominator: not a Jordan algebra."""
+    row = dict(A.table.get((a, b), {}))
+    row[c] = row.get(c, 0) + A.den
+    table = {**A.table, (a, b): row}
+    table = {k: dict(sorted(pruned(r).items())) for k, r in sorted(table.items()) if pruned(r)}
+    return dataclasses.replace(A, name=name, table=table)
 
 
 @pytest.fixture(scope="session")

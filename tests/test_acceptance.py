@@ -35,6 +35,8 @@ from starcayley.starrep import (
 )
 from starcayley.weyl import WeylOperator
 
+from conftest import perturbed
+
 JORDAN_SELECTORS = ("rank1", "spin:2", "spin:3", "spin:4", "spin:5", "sym:2", "sym:3")
 LIE_SELECTORS = ("rank1", "spin:3", "sym:2", "sym:3")
 EXPECTED_DIM_G = {"rank1": 3, "spin:3": 10, "sym:2": 10, "sym:3": 21}
@@ -46,17 +48,7 @@ def _line(num, ok, detail):
 
 
 def _perturbed_spin2():
-    A = jordan.make_spin_factor(2)
-    S = [[[Fraction(c) for c in row] for row in plane] for plane in A.structure]
-    S[0][1][1] += 1
-    return jordan.JordanAlgebra(
-        name="spin:2-perturbed",
-        dim=A.dim,
-        rank=A.rank,
-        basis_names=A.basis_names,
-        structure=jordan._freeze(S),
-        unit=A.unit,
-    )
+    return perturbed(jordan.make_spin_factor(2), 0, 1, 1, name="spin:2-perturbed")
 
 
 def test_criterion_1_jordan_axioms():

@@ -7,7 +7,7 @@ from starcayley.chart import SymplecticChart
 from starcayley.poly import Poly
 from starcayley.report import InstanceContext, RunConfig, run_chart_suite
 
-from conftest import degree_in, poly_abs, unpacked
+from conftest import degree_in, perturbed, poly_abs, unpacked
 
 
 def poly_chain_hamiltonicity(ch):
@@ -26,20 +26,6 @@ def poly_chain_hamiltonicity(ch):
                 res, bad = res + r, bad + 1
                 first = first or ((i, j), r)
     return res, bad, first
-
-
-def _perturbed(A: jordan.JordanAlgebra, a: int, b: int, c: int) -> jordan.JordanAlgebra:
-    """A with the structure constant of e_c in e_a o e_b raised by 1."""
-    S = [[list(row) for row in plane] for plane in A.structure]
-    S[a][b][c] += Fraction(1)
-    return jordan.JordanAlgebra(
-        name="perturbed",
-        dim=A.dim,
-        rank=A.rank,
-        basis_names=A.basis_names,
-        structure=jordan._freeze(S),
-        unit=A.unit,
-    )
 
 
 class TestRankOneOracle:
@@ -121,7 +107,7 @@ def test_moment_of_base_point_at_origin(instance_cache):
 
 
 def test_perturbed_structure_breaks_hamiltonicity():
-    bad = _perturbed(jordan.make_spin_factor(2), 0, 1, 1)
+    bad = perturbed(jordan.make_spin_factor(2), 0, 1, 1)
     g = kkt.GradedLieAlgebra(bad, Fraction(1))
     ch = SymplecticChart(g)
     res, failing, first = ch.hamiltonicity_residual()
@@ -139,8 +125,8 @@ def test_perturbed_structure_breaks_hamiltonicity():
 @pytest.mark.parametrize(
     "perturb",
     [
-        pytest.param(lambda: _perturbed(jordan.make_spin_factor(2), 0, 1, 1), id="spin:2"),
-        pytest.param(lambda: _perturbed(jordan.make_sym_matrices(2), 1, 0, 1), id="sym:2"),
+        pytest.param(lambda: perturbed(jordan.make_spin_factor(2), 0, 1, 1), id="spin:2"),
+        pytest.param(lambda: perturbed(jordan.make_sym_matrices(2), 1, 0, 1), id="sym:2"),
     ],
 )
 def test_hamiltonicity_matches_poly_chain(perturb):

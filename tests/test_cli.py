@@ -163,7 +163,7 @@ class TestExitCodes:
             pytest.param({"unit": "10"}, id="string-unit"),
             pytest.param({"structure": [["10", "01"], ["01", "10"]]}, id="string-rows"),
             pytest.param(
-                {"structure": [[list(map(float, r)) for r in p] for p in SPIN2.structure]},
+                {"structure": [[list(map(float, r)) for r in p] for p in SPIN2.to_json()["structure"]]},
                 id="float-structure",
             ),
         ],
@@ -198,6 +198,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["", "."], ids=["empty", "a-dir"])
+    def test_out_is_refused_before_any_suite_runs(self, capsys, monkeypatch, tmp_path, target):
+        # an empty --out ran every suite, wrote no file and exited 0; a
+        # directory ran every suite before it exited 2
+        def boom(ctx):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setitem(cli.report.SUITE_RUNNERS, "jordan", boom)
+        out = str(tmp_path / target) if target else target
+        code, stdout, err = run_cli(
+            capsys, "verify", "--algebra", "rank1", "--suites", "jordan", "--out", out
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {out!r}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("suites", [",", " , "])
     def test_empty_suite_list_is_config_error(self, capsys, suites):

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kkt import _perturbed, _perturbed_spin2, _perturbed_sym2
+from conftest import perturbed
+from test_kkt import _perturbed_spin2, _perturbed_sym2
 
 from starcayley import jordan, kkt, linalg, starrep
 from starcayley.chart import SymplecticChart
@@ -88,8 +89,8 @@ def _direct_jacobi(g: kkt.GradedLieAlgebra) -> dict:
 
 @pytest.mark.parametrize(
     "make",
-    [_perturbed_spin2, _perturbed_sym2, lambda: _perturbed(jordan.make_sym_matrices(2), 0, 0, 0),
-     lambda: _perturbed(jordan.make_spin_factor(3), 1, 2, 0)],
+    [_perturbed_spin2, _perturbed_sym2, lambda: perturbed(jordan.make_sym_matrices(2), 0, 0, 0),
+     lambda: perturbed(jordan.make_spin_factor(3), 1, 2, 0)],
     ids=["perturbed-spin:2", "perturbed-sym:2", "grown-sym:2", "perturbed-spin:3"],
 )
 def test_sparse_jacobi_rows_match_every_triple(make):

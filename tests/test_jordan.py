@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starcayley import jordan
+from starcayley import jordan, linalg
+from starcayley.poly import Poly, VarSet, numerators
+from starcayley.report import BUILTIN_SELECTORS
+
+from conftest import dense_structure
 
 
 def basis_vector(A: jordan.JordanAlgebra, a: int) -> list:
@@ -59,6 +63,38 @@ class TestBuiltins:
             jordan.make_algebra(f"{kind}:{size}")
         assert bound >= 27  # the Albert algebra's dimension
 
+    @pytest.mark.parametrize(
+        "selector",
+        ["rank1", *(f"sym:{p}" for p in range(1, 7)), *(f"spin:{k}" for k in range(2, 11))],
+    )
+    def test_table_equals_the_dense_oracle(self, selector):
+        # the nonzero products each builder writes, against the dense table
+        # of Fractions the builders formed before, brought to one denominator
+        A = jordan.make_algebra(selector)
+        rows, den = numerators(dict(enumerate(row)) for plane in dense_structure(selector) for row in plane)
+        assert (A.table, A.den) == ({divmod(i, A.dim): r for i, r in enumerate(rows) if r}, den)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param({"den": 0}, id="zero-den"),
+            pytest.param({"den": -1}, id="negative-den"),
+            pytest.param({"den": Fraction(1)}, id="fraction-den"),
+            pytest.param({"den": True}, id="bool-den"),
+            pytest.param({"table": {(0, 1): {0: 1}}}, id="key-outside-dim"),
+            pytest.param({"table": {(0, 0): {-1: 1}}}, id="product-outside-dim"),
+            pytest.param({"table": {(0,): {0: 1}}}, id="key-not-a-pair"),
+            pytest.param({"table": {(0, 0): {}}}, id="empty-row"),
+            pytest.param({"table": {(0, 0): {0: 0}}}, id="zero-numerator"),
+        ],
+    )
+    def test_constructor_rejects_a_bad_table(self, edit):
+        fields = {"name": "rank1", "dim": 1, "rank": 1, "basis_names": ("e",),
+                  "table": {(0, 0): {0: 1}}, "den": 1, "unit": (Fraction(1),)}
+        assert jordan.JordanAlgebra(**fields) == jordan.make_rank_one()
+        with pytest.raises(ValueError):
+            jordan.JordanAlgebra(**{**fields, **edit})
+
     def test_sym_matrices_product_matches_matrices(self):
         A = jordan.make_sym_matrices(2)
         # E11 o F12 = 1/2 (E11 F12 + F12 E11) = 1/2 F12
@@ -92,6 +128,17 @@ class TestOperators:
         via_p = [sum(row[j] * v[j] for j in range(3)) for row in P]
         assert via_p == triple(A, z, v, z)
 
+    @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
+    def test_quadratic_rep_equals_the_matrix_product(self, selector):
+        # P(z) column by column from mul, against 2 L(z)^2 - L(z^2) from
+        # matrix products, on the indeterminates z the discrete series uses
+        A = jordan.make_algebra(selector)
+        vs = VarSet(tuple(f"z{i + 1}" for i in range(A.dim)))
+        z = [Poly.var(vs, name) for name in vs.names]
+        lz = A.L(z)
+        want = linalg.mat_sub(linalg.mat_scale(linalg.mat_mul(lz, lz), 2), A.L(A.mul(z, z)))
+        assert A.quadratic_rep(z) == want
+
     @given(rational_vectors(3), rational_vectors(3))
     @settings(max_examples=30)
     def test_tau_is_symmetric_and_associative(self, x, y):
@@ -104,10 +151,12 @@ class TestOperators:
 
 class TestLoader:
     def test_roundtrip_through_json(self):
-        A = jordan.make_spin_factor(2)
-        B = jordan.load_from_structure_constants(A.to_json())
-        assert B.structure == A.structure
-        assert B.unit == A.unit
+        # to_json leaves the basis names out; with them the loader gives
+        # back an equal algebra
+        for selector in (*BUILTIN_SELECTORS, "sym:4", "spin:6"):
+            A = jordan.make_algebra(selector)
+            B = jordan.load_from_structure_constants({**A.to_json(), "basis_names": list(A.basis_names)})
+            assert B == A, selector
 
     def test_rejects_non_jordan_table(self):
         A = jordan.make_spin_factor(2)

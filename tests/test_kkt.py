@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import fraction_build
+from conftest import fraction_build, perturbed
 
 from starcayley import jordan, kkt, linalg
 from starcayley.poly import tally
@@ -39,29 +39,14 @@ def spur(g: kkt.GradedLieAlgebra, h: list) -> Fraction:
     return sum((s * c for s, c in zip(g.spur_vector, h)), Fraction(0))
 
 
-def _perturbed(A: jordan.JordanAlgebra, a: int, b: int, c: int) -> jordan.JordanAlgebra:
-    """A with the structure constant of e_c in e_a o e_b raised by 1: not a
-    Jordan algebra."""
-    S = [[list(row) for row in plane] for plane in A.structure]
-    S[a][b][c] += 1
-    return jordan.JordanAlgebra(
-        name="perturbed",
-        dim=A.dim,
-        rank=A.rank,
-        basis_names=A.basis_names,
-        structure=jordan._freeze(S),
-        unit=A.unit,
-    )
-
-
 def _perturbed_spin2() -> jordan.JordanAlgebra:
     # its table has D = 1 and its Theta D_theta = 3
-    return _perturbed(jordan.make_spin_factor(2), 0, 1, 1)
+    return perturbed(jordan.make_spin_factor(2), 0, 1, 1)
 
 
 def _perturbed_sym2() -> jordan.JordanAlgebra:
     # its table has D = 2
-    return _perturbed(jordan.make_sym_matrices(2), 1, 0, 1)
+    return perturbed(jordan.make_sym_matrices(2), 1, 0, 1)
 
 
 def _fraction_residuals(g: kkt.GradedLieAlgebra):
@@ -163,13 +148,13 @@ def test_sparse_build_matches_model(selector, instance_cache):
     # form are their oracle, also after the denominator of g(0) grew
     if "-" in selector:
         A = {"perturbed-spin:2": _perturbed_spin2, "perturbed-sym:2": _perturbed_sym2,
-             "grown-sym:2": lambda: _perturbed(jordan.make_sym_matrices(2), 0, 0, 0)}[selector]()
+             "grown-sym:2": lambda: perturbed(jordan.make_sym_matrices(2), 0, 0, 0)}[selector]()
         g = kkt.GradedLieAlgebra(A)
     else:
         A, g = instance_cache("algebra", selector), instance_cache("lie", selector)
     n = A.dim
     e = linalg.identity(n)
-    assert g.tau_gram == [[A.tau(x, y) for y in e] for x in e]
+    assert A.tau_gram() == [[A.tau(x, y) for y in e] for x in e]
     for a in range(n):
         for b in range(n):
             box = g._boxes[a * n + b]
@@ -182,13 +167,14 @@ def test_sparse_build_matches_model(selector, instance_cache):
     [pytest.param(lambda s=s: jordan.make_algebra(s), id=s) for s in BUILTIN_SELECTORS]
     + [pytest.param(_perturbed_spin2, id="perturbed-spin:2"),
        pytest.param(_perturbed_sym2, id="perturbed-sym:2"),
-       pytest.param(lambda: _perturbed(jordan.make_sym_matrices(2), 0, 0, 0), id="grown-sym:2")],
+       pytest.param(lambda: perturbed(jordan.make_sym_matrices(2), 0, 0, 0), id="grown-sym:2")],
 )
 def test_integer_build_matches_the_fraction_oracle(make):
     # the closure, the echelon and the table on integer numerators against
     # the Fraction build they replaced; a mu off 1 reaches o
     A, mu = make(), Fraction(-3, 2)
     g, want = kkt.GradedLieAlgebra(A, mu), fraction_build(A, mu)
+    assert A.tau_gram() == want.pop("tau_gram")
     for name, value in want.items():
         assert getattr(g, name) == value, name
 
@@ -200,7 +186,7 @@ def test_perturbed_closure_grows():
     assert g.dim0 == 4
     # here the closure appends matrices whose denominators do not divide
     # the boxes' 4, so the one denominator of g(0) grows
-    g = kkt.GradedLieAlgebra(_perturbed(jordan.make_sym_matrices(2), 0, 0, 0))
+    g = kkt.GradedLieAlgebra(perturbed(jordan.make_sym_matrices(2), 0, 0, 0))
     assert (g.dim0, g.t_den) == (9, 60)
 
 
@@ -413,7 +399,7 @@ def test_integer_checks_match_fraction_reference(make, denom, theta_denom):
     # theta^2 = 1, which the check leaves out, fails only where the tau Gram
     # matrix is not symmetric, as on the non-commutative perturbed sym:2; a
     # validated algebra is commutative
-    G = g.tau_gram
+    G = g.jordan.tau_gram()
     symmetric = all(G[a][b] == G[b][a] for a in range(g.n) for b in range(a))
     assert symmetric == (not square)
 
