@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -172,11 +171,11 @@ def make_sym_matrices(p: int) -> JordanAlgebra:
     units = [{(a, b), (b, a)} for a, b in pairs]
     D = 2 if p > 1 else 1  # F_12 o E_11 = F_12 / 2
 
-    def twice(x, y):  # entry (r, d), r <= d, of xy + yx
-        return Counter((r, d) for s, t in ((x, y), (y, x))
+    def twice(x, y):  # 2 (x o y) along the basis: entry (r, d), r <= d, of xy + yx
+        return lincomb((1, {col[r, d]: 1}) for s, t in ((x, y), (y, x))
                        for r, c in s for e, d in t if c == e and r <= d)
 
-    table = {(i, j): dict(sorted((col[rd], m * D // 2) for rd, m in xy.items()))
+    table = {(i, j): {k: m * D // 2 for k, m in sorted(xy.items())}
              for i, x in enumerate(units) for j, y in enumerate(units) if (xy := twice(x, y))}
     unit = tuple(Fraction(int(a == b)) for a, b in pairs)
     names = tuple(f"{'E' if a == b else 'F'}{a + 1}{b + 1}" for a, b in pairs)
@@ -221,7 +220,9 @@ def validate_jordan(A: JordanAlgebra) -> JordanValidationReport:
     xy = [Poly.var(vs, name) for name in vs.names]
     x, y = xy[:n], xy[n:]
     x2 = A.mul(x, x)
-    rep.jordan_identity = A.mul(x, A.mul(x2, y)) == A.mul(x2, A.mul(x, y))
+    lhs = A.mul(x, A.mul(x2, y))
+    rhs = A.mul(x2, A.mul(x, y))
+    rep.jordan_identity = lhs == rhs
     if not rep.jordan_identity:
         rep.failures.append("jordan identity: x o (x^2 o y) != x^2 o (x o y)")
 

@@ -56,10 +56,9 @@ class RunConfig:
             raise ConfigError(f"unknown suites: {bad}")
         if self.fmt not in ("text", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.out is not None and (not self.out or os.path.isdir(self.out)):
-            raise ConfigError(f"cannot write {self.out!r}: not a file name")
-        if self.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(self.out))):
-            raise ConfigError(f"cannot write {self.out!r}: no such directory")
+        if self.out is not None and (not self.out or os.path.isdir(self.out)
+                                     or not os.path.isdir(os.path.dirname(os.path.abspath(self.out)))):
+            raise ConfigError(f"cannot write {self.out!r}: not a file in an existing directory")
 
 
 @dataclass
