@@ -402,9 +402,8 @@ def perturbed(A: jordan.JordanAlgebra, a: int, b: int, c: int, name="perturbed")
     numerator by den, which stays the denominator: not a Jordan algebra."""
     row = dict(A.table.get((a, b), {}))
     row[c] = row.get(c, 0) + A.den
-    table = {**A.table, (a, b): row}
-    table = {k: dict(sorted(pruned(r).items())) for k, r in sorted(table.items()) if pruned(r)}
-    return dataclasses.replace(A, name=name, table=table)
+    table = {**A.table, (a, b): dict(sorted(pruned(row).items()))}
+    return dataclasses.replace(A, name=name, table={k: table[k] for k in sorted(table) if table[k]})
 
 
 @pytest.fixture(scope="session")
