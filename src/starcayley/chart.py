@@ -62,10 +62,9 @@ class SymplecticChart:
         phi, den = exp_ad(g, *self._combination(L, keys[:n]),
                           *exp_ad(g, *self._combination(Lp, keys[n:]), *o, vs.one), vs.one)
         self.phi = [Poly._reduced(vs, t, den) for t in phi]
-        # lambda_i = beta(phi, e_i) = sum_j phi_j K_ji, on the numerators of phi
-        K, dk = numerators(dict(enumerate(col)) for col in zip(*g.killing))
-        self.moment = [Poly._reduced(vs, lincomb((x, phi[j]) for j, x in col.items()), den * dk)
-                       for col in K]
+        # lambda_i = beta(phi, e_i) = sum_j K_ij phi_j on the numerators of phi and K
+        self.moment = [Poly._reduced(vs, lincomb((x, phi[j]) for j, x in row.items()), den * g.denom**2)
+                       for row in g._killing]
 
     def _combination(self, elts: List[list], keys: List[int]) -> Tuple[List[dict], int]:
         """The coordinates of sum_a x_a elts[a], x_a the term of key

@@ -58,9 +58,18 @@ class JordanAlgebra:
     )
 
     def __post_init__(self):
+        n, rank = self.dim, self.rank
+        if len(self.unit) != n:
+            raise InvalidDimension(f"unit has {len(self.unit)} entries, dim is {n}")
+        if not all(type(u) in (int, Fraction) for u in self.unit):
+            raise ValueError(f"unit entries must be int or Fraction, got {self.unit!r}")
+        if len(self.basis_names) != n:
+            raise InvalidDimension(f"basis_names has {len(self.basis_names)} entries, dim is {n}")
+        if not (type(n) is type(rank) is int and 1 <= rank <= n):
+            raise InvalidDimension(f"rank {rank!r} is not between 1 and dim {n!r}")
         if type(self.den) is not int or self.den < 1:
             raise ValueError(f"den must be a positive int, got {self.den!r}")
-        keys = set(range(self.dim))
+        keys = set(range(n))
         for ab, row in self.table.items():
             if len(ab) != 2 or not {*ab, *row} <= keys or not row or not all(row.values()):
                 raise ValueError(f"table row {ab}: {row} is not a nonzero row in range({self.dim})")
@@ -305,10 +314,6 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
         raise UnknownAlgebra("basis_names must be a list of strings")
     if len(set(names)) != len(names):
         raise UnknownAlgebra("basis_names must be distinct")
-    if len(names) != n:
-        raise InvalidDimension(f"basis_names has {len(names)} entries, dim is {n}")
-    if not 1 <= rank <= n:
-        raise InvalidDimension(f"rank {rank} is not between 1 and dim {n}")
     rows, den = numerators(dict(enumerate(row)) for plane in S for row in plane)
     A = JordanAlgebra(
         name=str(data.get("name", "custom")),

@@ -9,16 +9,17 @@ triple (u, T, v), with the bracket
         (Tu' - T'u,  2 u'box v + [T,T'] - 2 u box v',  T'# v - T# v'),
 
 theta(u,T,v) = (v, -T#, u), the grading element E = (0, Id, 0) and the base
-point o = mu E.  The build runs on integers: every box, T_j and T_j# is
-held as sparse numerators over one denominator, one ``linalg.Echelon``
+point o = mu E.  The build runs on integers: every box and T_j is held as
+sparse numerators over its own denominator while one ``linalg.Echelon``
 closes their span under # and commutators, reading each coordinate from
-its bookkeeping columns, and the table is written block by block as numerators D c_ij^k
-over one D, as in FLINT's fmpq_mat, and Theta over D_theta.  Fractions are
-only constructed, for the views; the checks sum integers and divide each
-residual once.  The model is the independent oracle of the table and
-Theta; no report path runs on it.  Outside this module an element of g is
-its coordinate vector in the basis (g(-1), T_j, g(1)), paired through the
-Killing Gram matrix K.  ``homomorphism_tallies`` checks that a linear map
+its bookkeeping columns as a (numerators, denominator) pair.  The table
+is written block by block as numerators D c_ij^k over one D, as in
+FLINT's fmpq_mat, Theta over D_theta and the Killing Gram matrix K over
+D^2.  Fractions are only constructed, for E, o and the views; the checks
+sum integers and divide each residual once.  The model is the independent
+oracle of the table and Theta; no report path runs on it.  Outside this
+module an element of g is its coordinate vector in the basis (g(-1), T_j,
+g(1)), paired through K.  ``homomorphism_tallies`` checks that a linear map
 respects the bracket, on the pairs that meet the certified generating set
 ``GradedLieAlgebra.generators``: Theta here, the moment maps in ``chart``,
 rho and dpi in ``starrep``.
@@ -38,8 +39,8 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .jordan import JordanAlgebra
 from .poly import (
-    NO_VARS, Poly, Scalar, Tally, bilinear, exact, lincomb, numerators, proportion, pruned, ratio,
-    tally,
+    NO_VARS, Poly, Scalar, Tally, bilinear, canonical, exact, lincomb, numerators, proportion, pruned,
+    ratio, tally,
 )
 
 
@@ -81,6 +82,13 @@ def _product(a: dict, b: linalg.Sparse, sign: int = 1, acc: dict | None = None) 
     return acc
 
 
+def _over_one(pairs) -> Tuple[List[dict], int]:
+    """A collection of (numerators, denominator) pairs as numerators over
+    one denominator, the lcm of their reduced denominators."""
+    D = math.lcm(*(d // math.gcd(d, *nz.values()) for nz, d in pairs))
+    return [{k: x * D // d for k, x in nz.items()} for nz, d in pairs], D
+
+
 @dataclass
 class GradedLieAlgebra:
     jordan: JordanAlgebra
@@ -89,20 +97,21 @@ class GradedLieAlgebra:
     n: int = field(init=False)
     dim0: int = field(init=False)
     dim: int = field(init=False)
-    # the denominator of the numerators of the boxes e_a box e_b (at a n + b) and T_j
-    t_den: int = field(init=False)
+    # the numerators of the boxes e_a box e_b (at a n + b), over den^2, and T_j
     _boxes: List[dict] = field(init=False)
+    t_den: int = field(init=False)
     _t_flat: List[dict] = field(init=False)
     _span: linalg.Echelon = field(init=False)
-    _tau_gram_inv: linalg.Matrix = field(init=False)
-    # the nonzero coordinates of each box and T_i#, and the box appended as T_j
-    _box_coords: List[dict] = field(init=False)
-    _sharp_coords: List[dict] = field(init=False)
+    # each box's coordinates, reduced (numerators, denominator), and the box appended as T_j
+    _box_coords: List[Tuple[dict, int]] = field(init=False)
     _t_boxes: List[int] = field(init=False)
     # D and the numerators D c_ij^k, keyed (i, j) in both orders
     denom: int = field(init=False)
     _structure: dict = field(init=False)
-    killing: linalg.Matrix = field(init=False)
+    # Theta as (rows, D_theta), row i {m: D_theta (theta e_i)_m}
+    theta_table: Tuple[List[dict], int] = field(init=False)
+    # the rows {j: D^2 K_ij} of the Killing Gram matrix, nonzero only
+    _killing: List[dict] = field(init=False)
     # the Jacobi verdict, kept by ``verify_jacobi``
     _jacobi: Optional["SuiteResult"] = field(init=False, default=None)
     spur_vector: list = field(init=False)
@@ -118,9 +127,8 @@ class GradedLieAlgebra:
         n = self.n = A.dim
         S, ds = A.table, A.den
         G, dg = A._int_tau_gram
-        # G^-1 = dg N / di, so T# = G^-1 T^T G = N W^T G / (di D0) for T = W / D0
+        # G^-1 = dg N / di, so T# = G^-1 T^T G = N W^T G / (di d) for T = W / d
         N, di = numerators(dict(enumerate(row)) for row in linalg.invert(G))
-        self._tau_gram_inv = [[Fraction(dg * row.get(b, 0), di) for b in range(n)] for row in N]
         G = [pruned(dict(enumerate(row))) for row in G]
         N = {r * n + c: x for r, row in enumerate(N) for c, x in row.items()}
         sharp = lambda m: pruned(_product(N, _rows(_product(_transposed(m, n), G), n)))
@@ -129,7 +137,7 @@ class GradedLieAlgebra:
         Lf = [{r * n + a: x for a in range(n) for r, x in S.get((c, a), {}).items()} for c in range(n)]
         L = [_rows(m, n) for m in Lf]
         LL = [[_product(la, lb) for lb in L] for la in Lf]
-        self._boxes = boxes = [
+        self._boxes = [
             pruned(lincomb([(s, Lf[c]) for c, s in S.get((a, b), {}).items()]
                            + [(1, LL[a][b]), (-1, LL[b][a])]))
             for a in range(n) for b in range(n)
@@ -138,56 +146,51 @@ class GradedLieAlgebra:
         # g(0): the independent boxes, then the span grown until it is
         # closed under # and commutators; a round in which nothing grows
         # holds every T_i# and [T_i, T_j], and on a Jordan algebra it is the
-        # first.  D0 grows when an appended matrix's denominator needs it.
-        span, basis, rows, D0 = linalg.Echelon(), [], [], ds * ds
+        # first.  Each T_j is held as reduced (numerators, denominator).
+        span, basis, rows = linalg.Echelon(), [], []
 
         def absorb(m: dict, d: int) -> Tuple[dict, int]:
             """The coordinates of m / d, appending it as {**m, ~j: d}, j its
             index in the basis, when it is independent."""
-            nonlocal D0
             c = span.coords(m, d)
             if c is not None:
                 return c
-            grown = math.lcm(D0, d // math.gcd(d, *m.values()))
-            if grown != D0:
-                for held in (basis, boxes):
-                    held[:] = [{k: x * (grown // D0) for k, x in t.items()} for t in held]
-                rows[:], D0 = [_rows(t, n) for t in basis], grown
             span.absorb({**m, ~len(basis): d})
-            basis.append({k: x * D0 // d for k, x in m.items()})
-            rows.append(_rows(basis[-1], n))
+            basis.append(canonical(m, d))
+            rows.append(_rows(basis[-1][0], n))
             return {len(basis) - 1: 1}, 1
 
-        view = lambda c: {k: ratio(x, c[1]) for k, x in c[0].items()}
-        box_coords = [absorb(m, D0) for m in list(boxes)]
-        self._box_coords = [view(c) for c in box_coords]
+        box_coords = self._box_coords = [canonical(*absorb(m, ds * ds)) for m in self._boxes]
         # T_j for j below the size here is the first box with coordinates {j: 1}
-        self._t_boxes = [self._box_coords.index({j: 1}) for j in range(len(basis))]
+        self._t_boxes = [box_coords.index(({j: 1}, 1)) for j in range(len(basis))]
         for _ in range(n * n + 1):
             size = len(basis)
-            sharps = [(sharp(m), di * D0) for m in basis]
+            sharps = [(sharp(m), di * d) for m, d in basis]
             sharp_coords = [absorb(*s) for s in sharps]
             comm = {}
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    m = pruned(_product(basis[j], rows[i], -1, _product(basis[i], rows[j])))
-                    comm[(i, j)] = absorb(m, D0 * D0)
+                    m = pruned(_product(basis[j][0], rows[i], -1, _product(basis[i][0], rows[j])))
+                    comm[(i, j)] = absorb(m, basis[i][1] * basis[j][1])
             if len(basis) == size:
                 break
         else:
             raise GradingClosureFailure("degree-zero span does not stabilize")
 
-        self._span, self._t_flat, self.t_den = span, basis, D0
-        self._sharp_coords = [view(c) for c in sharp_coords]
+        self._span, t_den = span, math.lcm(ds * ds, *(d for _, d in basis))
+        self._t_flat, self.t_den = [{k: x * (t_den // d) for k, x in m.items()} for m, d in basis], t_den
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
         table = self._block_table(box_coords, comm, sharps)
-        D = self.denom = math.lcm(*(d // math.gcd(d, *nz.values()) for nz, d in table.values()))
+        numer, self.denom = _over_one(table.values())
         self._structure = {}
-        for (i, j), (nz, d) in table.items():
-            row = self._structure[(i, j)] = {k: x * D // d for k, x in nz.items()}
-            self._structure[(j, i)] = {k: -x for k, x in row.items()}
-        self.killing = self._build_killing()
+        for (i, j), row in zip(table, numer):
+            self._structure[(i, j)], self._structure[(j, i)] = row, {k: -x for k, x in row.items()}
+        # theta swaps e_a and f_a, and its g(0) rows are the coordinates of -T_i#
+        minus, dt = _over_one(sharp_coords)
+        self.theta_table = [{n + d0 + a: dt} for a in range(n)] + [
+            {n + k: -x for k, x in nz.items()} for nz in minus] + [{a: dt} for a in range(n)], dt
+        self._killing = self._build_killing()
         # trace of ad e_j on g(-1)
         S = self._structure
         self.spur_vector = [
@@ -231,7 +234,7 @@ class GradedLieAlgebra:
     def sharp(self, t: Sequence[Sequence]) -> list:
         """Adjoint of t with respect to the trace form: G^-1 t^T G."""
         G = self.jordan.tau_gram()
-        return linalg.mat_mul(self._tau_gram_inv, linalg.mat_mul(linalg.transpose(t), G))
+        return linalg.mat_mul(linalg.invert(G), linalg.mat_mul(linalg.transpose(t), G))
 
     def bracket(self, x: LieElement, y: LieElement) -> LieElement:
         A, mv = self.jordan, linalg.mat_vec
@@ -242,17 +245,6 @@ class GradedLieAlgebra:
 
     def theta(self, x: LieElement) -> LieElement:
         return LieElement(list(x.v), linalg.mat_scale(self.sharp(x.t), Fraction(-1)), list(x.u))
-
-    @cached_property
-    def theta_table(self) -> Tuple[List[dict], int]:
-        """Theta as (rows, D_theta): row i maps m to the integer numerator
-        of the m-th coordinate of theta e_i.  theta swaps e_a and f_a, so
-        the rows of g(+-1) are written by index; row n + i is -T_i#, from
-        the coordinates the build kept."""
-        n, f = self.n, self.n + self.dim0
-        sharps, den = numerators(self._sharp_coords)
-        minus = [{n + k: -x for k, x in nz.items()} for nz in sharps]
-        return [{f + a: den} for a in range(n)] + minus + [{a: den} for a in range(n)], den
 
     def apply_theta(self, c: Sequence) -> list:
         """theta on a rational coordinate vector, through Theta."""
@@ -332,30 +324,33 @@ class GradedLieAlgebra:
         out = lincomb((xi * yj, S[(i, j)]) for i, xi in xs for j, yj in ys if (i, j) in S)
         return [Fraction(out[k]) / self.denom if k in out else 0 for k in range(self.dim)]
 
-    def _build_killing(self) -> linalg.Matrix:
-        """K_ij = tr(ad e_i ad e_j) = sum over k, l of c_il^k c_jk^l, summed
-        over the integer numerators and divided by D^2.  The table respects
-        the grading, so K_ij = 0 unless the grades of i and j sum to zero:
-        only g(-1) x g(1) and g(0) x g(0) are traced, for j >= i."""
-        d, n, f = self.dim, self.n, self.n + self.dim0
-        # ad e_i as {k d + l: c_il^k}, and its transpose
-        ads, adt = [{} for _ in range(d)], [{} for _ in range(d)]
-        for (i, l), row in self._structure.items():
-            for k, c in row.items():
-                ads[i][k * d + l] = adt[i][l * d + k] = c
-        K, D2 = [[0] * d for _ in range(d)], self.denom**2
-        pairs = [(i, j) for i in range(n) for j in range(f, d)]
-        pairs += [(i, j) for i in range(n, f) for j in range(i, f)]
-        for i, j in pairs:
-            t = adt[j]
-            K[i][j] = K[j][i] = ratio(sum(c * t[kl] for kl, c in ads[i].items() if kl in t), D2)
-        return K
+    def _build_killing(self) -> List[dict]:
+        """The rows {j: D^2 K_ij}, nonzero only, of K_ij = tr(ad e_i ad e_j)
+        = sum over k, l of c_il^k c_jk^l, as one sparse product (Gustavson,
+        ACM TOMS 4, 1978): the numerators of the c_jk^l are indexed by
+        (k, l) once, and each c_il^k meets only those at its transposed key."""
+        at = defaultdict(list)  # at[(k, l)]: the (j, c_jk^l)
+        for (j, k), row in self._structure.items():
+            for l, c in row.items():
+                at[(k, l)].append((j, c))
+        K = [{} for _ in range(self.dim)]
+        for (l, k), left in at.items():
+            for j, x in at.get((k, l), ()):
+                for i, c in left:
+                    K[i][j] = K[i][j] + c * x if j in K[i] else c * x
+        return [{j: x for j, x in sorted(row.items()) if x} for row in K]
+
+    @cached_property
+    def killing(self) -> linalg.Matrix:
+        """K as a dense matrix, ints where integral, formed on first use."""
+        D2 = self.denom**2
+        return [[ratio(row.get(j, 0), D2) for j in range(self.dim)] for row in self._killing]
 
     def beta(self, x: Sequence, y: Sequence) -> Fraction:
-        """Killing form of two coordinate vectors, through the Gram matrix."""
-        K, ys = self.killing, [(j, yj) for j, yj in enumerate(y) if yj != 0]
-        terms = (xi * K[i][j] * yj for i, xi in enumerate(x) if xi != 0 for j, yj in ys)
-        return sum(terms, Fraction(0))
+        """Killing form of two coordinate vectors, through K's rows."""
+        K = self._killing
+        terms = (xi * c * y[j] for i, xi in enumerate(x) if xi for j, c in K[i].items() if y[j])
+        return Fraction(sum(terms, Fraction(0)), self.denom**2)
 
     def omega(self, x: Sequence, y: Sequence) -> Fraction:
         """Symplectic pairing beta(o, [x, y])."""
@@ -365,7 +360,8 @@ class GradedLieAlgebra:
     def killing_o(self) -> list:
         """K.o, so that beta(o, y) = sum_k (K.o)_k y_k, as K is symmetric;
         ints where integral."""
-        return [exact(sum((x * c for x, c in zip(row, self.o) if c), 0)) for row in self.killing]
+        o, D2 = self.o, self.denom**2
+        return [exact(Fraction(sum(x * o[j] for j, x in row.items()), D2)) for row in self._killing]
 
     @cached_property
     def generators(self) -> Tuple[int, ...]:
@@ -408,9 +404,9 @@ class GradedLieAlgebra:
              for b in range(n)]
             for a in range(n)
         ]
-        Pinv = linalg.invert(P)
-        Lp = [[Fraction(0)] * f + [Pinv[c][b] for c in range(n)] for b in range(n)]
-        return linalg.identity(self.dim)[:n], Lp
+        Pinv, zero, one = linalg.invert(P), Fraction(0), Fraction(1)
+        Lp = [[zero] * f + [Pinv[c][b] for c in range(n)] for b in range(n)]
+        return [[zero] * a + [one] + [zero] * (self.dim - a - 1) for a in range(n)], Lp
 
 
 # -- verification suites ----------------------------------------------------
@@ -557,10 +553,9 @@ def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
     return _combine("theta", t.residual, t.witness("(i, j)") or "")
 
 
-def _distance(num: dict, den: int, want: dict):
-    """den times the l1 distance between the vector num / den and want,
-    both sparse."""
-    return sum(abs(num.get(m, 0) - den * want.get(m, 0)) for m in num.keys() | want.keys())
+def _distance(num: dict, a: int, want: dict, b: int):
+    """The l1 norm of a num - b want, both sparse."""
+    return sum(abs(a * num.get(m, 0) - b * want.get(m, 0)) for m in num.keys() | want.keys())
 
 
 def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
@@ -572,23 +567,24 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     table or of theta, never on a wrong structure-constant input:
     theta e_b = f_b makes identity 1 the [e_a, f_b] block formula itself,
     and with [e_a, T] = -T e_a identity 2 reduces to (x box y) z = {x, y, z}.
-    The rows are over 2 D^2 D_theta T, T the boxes' denominator; on failure
-    the detail names the first failing pair (a, b) or triple (a, b, c), in
-    that order, and its residual."""
+    The rows are over 2 D^2 D_theta B C, B and C the denominators of the
+    boxes and their coordinates; on failure the detail names the first
+    failing pair (a, b) or triple (a, b, c), in that order, and its residual."""
     n = g.n
     theta, dt = g.theta_table
-    S, D, T = g._structure, g.denom, g.t_den
+    S, D, B = g._structure, g.denom, g.jordan.den**2
+    coords, C = _over_one(g._box_coords)
 
     def rows():
         for a, b in itertools.product(range(n), repeat=2):
             inner = lincomb((t, S.get((a, q), {})) for q, t in theta[b].items())
-            want = {n + k: y for k, y in g._box_coords[a * n + b].items()}
-            yield (a, b), T * D * _distance(inner, -2 * D * dt, want)
+            want = {n + k: y for k, y in coords[a * n + b].items()}
+            yield (a, b), B * D * _distance(inner, C, want, -2 * D * dt)
             for c, want in enumerate(_rows(_transposed(g._boxes[a * n + b], n), n)):  # columns
-                dbl = lincomb((T * x, S.get((m, c), {})) for m, x in inner.items())
-                yield (a, b, c), _distance(dbl, -2 * D * D * dt, want)
+                dbl = lincomb((x, S.get((m, c), {})) for m, x in inner.items())
+                yield (a, b, c), C * _distance(dbl, B, want, -2 * D * D * dt)
 
-    t = tally(rows(), 2 * D * D * dt * T)
+    t = tally(rows(), 2 * D * D * dt * B * C)
     names = "box (a, b)" if t.first and len(t.first[0]) == 2 else "triple (a, b, c)"
     detail = t.witness(names) or "box and triple product match the bracket forms"
     return _combine("identifications", t.residual, detail)
@@ -600,9 +596,8 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
     ``g.generators`` once g passes Jacobi (lemma 2 there), and for every i
     when a row fails, the detail naming the first failing (i, j, k).  With
     X_jk = sum_m c_ij^m K_mk, summed sparsely on numerators, the (j, k)
-    entry is X_jk + X_kj over D D_K, as K is symmetric."""
-    K, dk = numerators(dict(enumerate(row)) for row in g.killing)
-    S, d = g._structure, g.dim
+    entry is X_jk + X_kj over D^3, as K is symmetric, over D^2."""
+    K, S, d = g._killing, g._structure, g.dim
 
     def rows(indices):
         for i in indices:
@@ -611,8 +606,8 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
                 yield (i, j, k), abs(X[j].get(k, 0) + X[k].get(j, 0))
 
     some = g.generators if verify_jacobi(g).passed else range(d)
-    t = tally(rows(some), g.denom * dk)
-    t = tally(rows(range(d)), g.denom * dk) if t.failures and len(some) < d else t
+    t = tally(rows(some), g.denom**3)
+    t = tally(rows(range(d)), g.denom**3) if t.failures and len(some) < d else t
     return _combine("killing-invariance", t.residual, t.witness("(i, j, k)") or "")
 
 
@@ -644,19 +639,19 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
 
 
 def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction, str]:
-    """(kappa or None, residual, detail) for K = kappa * closed, the Killing
-    Gram matrix and the closed block formula, by ``poly.proportion`` over
-    their entries in row-major order.  With no closed form, when the boxes
-    miss part of g(0), K is measured against zero and the detail says why."""
+    """(kappa or None, residual, detail) for K = kappa * closed, K's rows and
+    the closed block formula, by ``poly.proportion`` over their entries in
+    row-major order.  With no closed form, when the boxes miss part of
+    g(0), K is measured against zero and the detail says why."""
     try:
         closed, why = closed_form_killing(g), None
     except GradingClosureFailure as exc:
         closed, why = [[0] * g.dim for _ in range(g.dim)], str(exc)
     c, t = proportion(
-        ((i, j), Scalar.of(x), Scalar.of(y))
-        for i, (rk, rc) in enumerate(zip(g.killing, closed))
-        for j, (x, y) in enumerate(zip(rk, rc))
-        if x or y
+        ((i, j), Scalar._reduced(NO_VARS, {NO_VARS.one: rk.get(j, 0)}, g.denom**2), Scalar.of(y))
+        for i, (rk, rc) in enumerate(zip(g._killing, closed))
+        for j, y in enumerate(rc)
+        if y or j in rk
     )
     kappa = None if c is None or why else Fraction(c.terms.get(NO_VARS.one, 0), c.den)
     detail = why or (f"kappa = {kappa}" if kappa is not None else "no proportionality")

@@ -291,7 +291,10 @@ def fraction_build(A: jordan.JordanAlgebra, mu=Fraction(1)) -> dict:
     """The oracle of the ``kkt.GradedLieAlgebra`` build: the closure of the
     boxes under the tau-adjoint and commutators on sparse matrices of
     Fractions, the table written block by block over Fractions and brought
-    to one denominator afterwards.  Returns the build's fields by name."""
+    to one denominator afterwards.  Returns the build's fields by name, the
+    box coordinates as reduced (numerators, denominator) pairs and K also as
+    its rows of nonzero numerators over D^2, and the tau Gram matrix and its
+    inverse."""
     n = A.dim
     S = {ab: {c: Fraction(x, A.den) for c, x in row.items()} for ab, row in A.table.items()}
     s = lambda a, b: S.get((a, b), {})
@@ -357,6 +360,11 @@ def fraction_build(A: jordan.JordanAlgebra, mu=Fraction(1)) -> dict:
     c = lambda i, j: {k: Fraction(x, D) for k, x in structure.get((i, j), {}).items()}
     killing = [[exact(sum((x * c(j, k).get(l, 0) for l in range(dim) for k, x in c(i, l).items()),
                           Fraction(0))) for j in range(dim)] for i in range(dim)]
+    def reduced(c):  # the rational vector c as reduced (numerators, denominator)
+        d = math.lcm(*(Fraction(x).denominator for x in c.values()))
+        return {k: (x * d).numerator for k, x in c.items()}, d
+
+    rows_K = [{j: (x * D * D).numerator for j, x in enumerate(row) if x} for row in killing]
     spur = [exact(sum((c(j, a).get(a, 0) for a in range(n)), Fraction(0))) for j in range(dim)]
     e = span.coords({r * (n + 1): 1 for r in range(n)})
     E = [0] * n + [exact(Fraction(e.get(k, 0))) for k in range(d0)] + [0] * n
@@ -365,10 +373,11 @@ def fraction_build(A: jordan.JordanAlgebra, mu=Fraction(1)) -> dict:
              + [{n + k: (-c * dt).numerator for k, c in nz.items()} for nz in sharp_coords]
              + [{a: dt} for a in range(n)])
     return {
-        "_structure": structure, "denom": D, "killing": killing, "spur_vector": spur,
-        "theta_table": (theta, dt), "_box_coords": box_coords, "_sharp_coords": sharp_coords,
+        "_structure": structure, "denom": D, "killing": killing, "_killing": rows_K,
+        "spur_vector": spur, "theta_table": (theta, dt),
+        "_box_coords": [reduced(c) for c in box_coords],
         "_t_boxes": t_boxes, "E": E, "o": [exact(mu * x) for x in E], "tau_gram": gram,
-        "_tau_gram_inv": gram_inv,
+        "tau_gram_inv": gram_inv,
     }
 
 

@@ -191,13 +191,15 @@ def test_check_kernels_use_no_fraction_arithmetic(sym3, instance_cache, fraction
 @pytest.mark.parametrize("selector, denom", [("sym:3", 2), ("spin:5", 1)])
 def test_lie_build_uses_no_fraction_arithmetic(selector, denom, request):
     # g is built on integer numerators: Fractions are only constructed, for
-    # the views, and o = mu E from the numerator and denominator of mu
+    # E and o = mu E from the numerator and denominator of mu, and K's view
+    # is formed from its integer rows on first use
     A, mu = jordan.make_algebra(selector), Fraction(-3, 2)
     want = kkt.GradedLieAlgebra(A, mu)
     request.getfixturevalue("fraction_arithmetic_forbidden")
     g = kkt.GradedLieAlgebra(A, mu)
     assert g.denom == denom
-    for name in ("_structure", "killing", "spur_vector", "E", "o", "_box_coords", "_tau_gram_inv"):
+    for name in ("_structure", "_killing", "killing", "spur_vector", "E", "o", "_box_coords",
+                 "theta_table"):
         assert getattr(g, name) == getattr(want, name), name
 
 

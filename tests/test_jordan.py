@@ -95,6 +95,33 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             jordan.JordanAlgebra(**{**fields, **edit})
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            # an empty table: validation raised IndexError
+            pytest.param({"dim": 0, "basis_names": (), "table": {}, "unit": ()}, "rank 2 is not", id="dim-0"),
+            # and g was built with dim -2
+            pytest.param({"dim": -1, "basis_names": (), "table": {}, "unit": ()}, "unit has 0", id="dim-minus-1"),
+            # validation passed on these
+            pytest.param({"rank": 0}, "rank 0 is not between 1 and dim 2", id="rank-0"),
+            pytest.param({"rank": 5}, "rank 5 is not between 1 and dim 2", id="rank-above-dim"),
+            pytest.param({"unit": (Fraction(1),)}, "unit has 1 entries", id="short-unit"),
+            pytest.param({"basis_names": ("s", "u1", "u2")}, "basis_names has 3", id="long-names"),
+        ],
+    )
+    def test_constructor_rejects_a_bad_size(self, edit, error):
+        A = jordan.make_spin_factor(2)
+        fields = {"name": A.name, "dim": 2, "rank": 2, "basis_names": A.basis_names,
+                  "table": A.table, "den": 1, "unit": A.unit}
+        assert jordan.JordanAlgebra(**fields) == A
+        with pytest.raises(jordan.InvalidDimension, match=error):
+            jordan.JordanAlgebra(**{**fields, **edit})
+
+    @pytest.mark.parametrize("unit", [(1.0, Fraction(0)), (True, 0)], ids=["float", "bool"])
+    def test_constructor_rejects_an_inexact_unit(self, unit):
+        with pytest.raises(ValueError, match="unit entries must be int or Fraction"):
+            jordan.JordanAlgebra("spin:2", 2, 2, ("s", "u1"), jordan.make_spin_factor(2).table, 1, unit)
+
     def test_sym_matrices_product_matches_matrices(self):
         A = jordan.make_sym_matrices(2)
         # E11 o F12 = 1/2 (E11 F12 + F12 E11) = 1/2 F12

@@ -49,6 +49,16 @@ def _perturbed_sym2() -> jordan.JordanAlgebra:
     return perturbed(jordan.make_sym_matrices(2), 1, 0, 1)
 
 
+def _grown_sym2() -> jordan.JordanAlgebra:
+    # the closure appends matrices whose denominators do not divide the
+    # boxes' 4
+    return perturbed(jordan.make_sym_matrices(2), 0, 0, 0)
+
+
+PERTURBED = {"perturbed-spin:2": _perturbed_spin2, "perturbed-sym:2": _perturbed_sym2,
+             "grown-sym:2": _grown_sym2}
+
+
 def _fraction_residuals(g: kkt.GradedLieAlgebra):
     """Reference residuals in Fraction arithmetic, from ``bracket_coords``
     and the model's theta only: the Jacobi and Killing-invariance residual
@@ -122,12 +132,15 @@ def test_block_table_matches_model_bracket(selector, instance_cache):
             assert nz == g.bracket_table.get((i, j), {}), (i, j)
 
 
-@pytest.mark.parametrize("selector", ["rank1", "spin:2", "spin:3", "sym:2", "perturbed"])
+@pytest.mark.parametrize(
+    "selector", ["rank1", "spin:2", "spin:3", "sym:2", "perturbed", "perturbed-sym:2", "grown-sym:2"]
+)
 def test_killing_blocks_equal_every_trace(selector, instance_cache):
-    # K is traced only where the grades sum to zero, for j >= i; every
-    # dim^2 trace tr(ad_i ad_j) of the table must agree with it
-    if selector == "perturbed":
-        g = kkt.GradedLieAlgebra(_perturbed_spin2())
+    # K is summed as one sparse product over the entries that share a key;
+    # every dim^2 trace tr(ad_i ad_j) of the table must agree with it, also
+    # where g(0) grew ("perturbed" is perturbed-spin:2)
+    if selector.startswith(("perturbed", "grown")):
+        g = kkt.GradedLieAlgebra(PERTURBED.get(selector, _perturbed_spin2)())
     else:
         g = instance_cache("lie", selector)
     ad = [[g.bracket_coords(i, l) for l in range(g.dim)] for i in range(g.dim)]
@@ -140,15 +153,14 @@ def test_killing_blocks_equal_every_trace(selector, instance_cache):
 
 
 @pytest.mark.parametrize(
-    "selector", [*BUILTIN_SELECTORS, "perturbed-spin:2", "perturbed-sym:2", "grown-sym:2"]
+    "selector", [*BUILTIN_SELECTORS, *PERTURBED]
 )
 def test_sparse_build_matches_model(selector, instance_cache):
     # the build forms each box as sum_c s_ab^c L(e_c) + [L(e_a), L(e_b)]
-    # from sparse L(e_c), and tau from Tr L(e_c); the model's box and trace
-    # form are their oracle, also after the denominator of g(0) grew
-    if "-" in selector:
-        A = {"perturbed-spin:2": _perturbed_spin2, "perturbed-sym:2": _perturbed_sym2,
-             "grown-sym:2": lambda: perturbed(jordan.make_sym_matrices(2), 0, 0, 0)}[selector]()
+    # from sparse L(e_c), over den^2, and tau from Tr L(e_c); the model's
+    # box and trace form are their oracle, also where g(0) grew
+    if selector in PERTURBED:
+        A = PERTURBED[selector]()
         g = kkt.GradedLieAlgebra(A)
     else:
         A, g = instance_cache("algebra", selector), instance_cache("lie", selector)
@@ -158,23 +170,24 @@ def test_sparse_build_matches_model(selector, instance_cache):
     for a in range(n):
         for b in range(n):
             box = g._boxes[a * n + b]
-            dense = [[Fraction(box.get(r * n + c, 0), g.t_den) for c in range(n)] for r in range(n)]
+            dense = [[Fraction(box.get(r * n + c, 0), A.den**2) for c in range(n)] for r in range(n)]
             assert dense == A.box(e[a], e[b]), (a, b)
 
 
 @pytest.mark.parametrize(
     "make",
     [pytest.param(lambda s=s: jordan.make_algebra(s), id=s) for s in BUILTIN_SELECTORS]
-    + [pytest.param(_perturbed_spin2, id="perturbed-spin:2"),
-       pytest.param(_perturbed_sym2, id="perturbed-sym:2"),
-       pytest.param(lambda: perturbed(jordan.make_sym_matrices(2), 0, 0, 0), id="grown-sym:2")],
+    + [pytest.param(make, id=name) for name, make in PERTURBED.items()],
 )
 def test_integer_build_matches_the_fraction_oracle(make):
     # the closure, the echelon and the table on integer numerators against
-    # the Fraction build they replaced; a mu off 1 reaches o
+    # the Fraction build they replaced; a mu off 1 reaches o.  Theta's
+    # g(0) rows are the coordinates of -T_i#, and the model's sharp reads
+    # the inverse tau Gram matrix
     A, mu = make(), Fraction(-3, 2)
     g, want = kkt.GradedLieAlgebra(A, mu), fraction_build(A, mu)
     assert A.tau_gram() == want.pop("tau_gram")
+    assert linalg.invert(A.tau_gram()) == want.pop("tau_gram_inv")
     for name, value in want.items():
         assert getattr(g, name) == value, name
 
@@ -185,8 +198,8 @@ def test_perturbed_closure_grows():
     g = kkt.GradedLieAlgebra(_perturbed_spin2())
     assert g.dim0 == 4
     # here the closure appends matrices whose denominators do not divide
-    # the boxes' 4, so the one denominator of g(0) grows
-    g = kkt.GradedLieAlgebra(perturbed(jordan.make_sym_matrices(2), 0, 0, 0))
+    # the boxes' 4, so the one denominator of g(0), their lcm, is larger
+    g = kkt.GradedLieAlgebra(_grown_sym2())
     assert (g.dim0, g.t_den) == (9, 60)
 
 
@@ -288,8 +301,7 @@ def _theta_oracle(g: kkt.GradedLieAlgebra):
 @pytest.mark.parametrize(
     "make",
     [pytest.param(lambda s=s: jordan.make_algebra(s), id=s) for s in BUILTIN_SELECTORS]
-    + [pytest.param(_perturbed_spin2, id="perturbed-spin:2"),
-       pytest.param(_perturbed_sym2, id="perturbed-sym:2")],
+    + [pytest.param(PERTURBED[name], id=name) for name in ("perturbed-spin:2", "perturbed-sym:2")],
 )
 def test_theta_tally_matches_the_fraction_oracle(make):
     # the homomorphism kernel on Theta's integer rows against the rational
