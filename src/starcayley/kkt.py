@@ -97,7 +97,7 @@ class GradedLieAlgebra:
     n: int = field(init=False)
     dim0: int = field(init=False)
     dim: int = field(init=False)
-    # the numerators of the boxes e_a box e_b (at a n + b), over den^2, and T_j
+    # numerators: the boxes e_a box e_b (at a n + b) over den^2, the T_j over t_den
     _boxes: List[dict] = field(init=False)
     t_den: int = field(init=False)
     _t_flat: List[dict] = field(init=False)
@@ -188,8 +188,8 @@ class GradedLieAlgebra:
             self._structure[(i, j)], self._structure[(j, i)] = row, {k: -x for k, x in row.items()}
         # theta swaps e_a and f_a, and its g(0) rows are the coordinates of -T_i#
         minus, dt = _over_one(sharp_coords)
-        self.theta_table = [{n + d0 + a: dt} for a in range(n)] + [
-            {n + k: -x for k, x in nz.items()} for nz in minus] + [{a: dt} for a in range(n)], dt
+        minus = [{n + k: -x for k, x in nz.items()} for nz in minus]
+        self.theta_table = [{n + d0 + a: dt} for a in range(n)] + minus + [{a: dt} for a in range(n)], dt
         self._killing = self._build_killing()
         # trace of ad e_j on g(-1)
         S = self._structure
