@@ -99,7 +99,7 @@ def cmd_show(args) -> int:
             print(f"rho[{i}] = {op}")
     elif args.what == "dpi":
         # dpi_m = V + m*S, with S the multiplier of dpi_1 and V its vector field
-        for i, op in enumerate(ctx.series.dpi_basis()):
+        for i, op in enumerate(ctx.dpi):
             s_op = WeylOperator.from_poly(split_first_order(op)[0])
             print(f"dpi[{i}] = ({op - s_op})  +  m * ({s_op})")
     return 0

@@ -103,7 +103,6 @@ def _automorphism_candidates(g: GradedLieAlgebra):
 class EquivalenceResult:
     alpha: str
     m_star: Scalar
-    residual: Fraction
 
 
 def solve_equivalence(
@@ -146,7 +145,7 @@ def solve_equivalence(
         run = check(alpha)
         first = next(run)
         if first and first[0] is not None:
-            return EquivalenceResult(alpha=name, m_star=first[0], residual=first[1].residual)
+            return EquivalenceResult(alpha=name, m_star=first[0])
         tried.append((name, first, run))
     full = [(name, (first or list(run)[-1])[1].residual) for name, first, run in tried]
     name, res = min(full, key=lambda t: t[1])

@@ -59,13 +59,15 @@ class JordanAlgebra:
 
     def __post_init__(self):
         n, rank = self.dim, self.rank
+        if type(n) is not int:
+            raise InvalidDimension(f"dim must be an int, got {n!r}")
         if len(self.unit) != n:
             raise InvalidDimension(f"unit has {len(self.unit)} entries, dim is {n}")
         if not all(type(u) in (int, Fraction) for u in self.unit):
             raise ValueError(f"unit entries must be int or Fraction, got {self.unit!r}")
         if len(self.basis_names) != n:
             raise InvalidDimension(f"basis_names has {len(self.basis_names)} entries, dim is {n}")
-        if not (type(n) is type(rank) is int and 1 <= rank <= n):
+        if not (type(rank) is int and 1 <= rank <= n):
             raise InvalidDimension(f"rank {rank!r} is not between 1 and dim {n!r}")
         if type(self.den) is not int or self.den < 1:
             raise ValueError(f"den must be a positive int, got {self.den!r}")

@@ -15,14 +15,15 @@ closes their span under # and commutators, reading each coordinate from
 its bookkeeping columns as a (numerators, denominator) pair.  The table
 is written block by block as numerators D c_ij^k over one D, as in
 FLINT's fmpq_mat, Theta over D_theta and the Killing Gram matrix K over
-D^2.  Fractions are only constructed, for E, o and the views; the checks
-sum integers and divide each residual once.  The model is the independent
-oracle of the table and Theta; no report path runs on it.  Outside this
-module an element of g is its coordinate vector in the basis (g(-1), T_j,
-g(1)), paired through K.  ``homomorphism_tallies`` checks that a linear map
-respects the bracket, on the pairs that meet the certified generating set
-``GradedLieAlgebra.generators``: Theta here, the moment maps in ``chart``,
-rho and dpi in ``starrep``.
+D^2.  Fractions are only constructed, for E, o and the views; each check
+sums integers into the ``poly.Tally`` it returns, dividing each residual
+once, and ``report`` puts the Tallies into words.  The model is the
+independent oracle of the table and Theta; no report path runs on it.
+Outside this module an element of g is its coordinate vector in the basis
+(g(-1), T_j, g(1)), paired through K.  ``homomorphism_tallies`` checks
+that a linear map respects the bracket, on the pairs that meet the
+certified generating set ``GradedLieAlgebra.generators``: Theta here, the
+moment maps in ``chart``, rho and dpi in ``starrep``.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class GradedLieAlgebra:
     theta_table: Tuple[List[dict], int] = field(init=False)
     # the rows {j: D^2 K_ij} of the Killing Gram matrix, nonzero only
     _killing: List[dict] = field(init=False)
-    # the Jacobi verdict, kept by ``verify_jacobi``
-    _jacobi: Optional["SuiteResult"] = field(init=False, default=None)
+    # the Jacobi Tally, kept by ``verify_jacobi``
+    _jacobi: Optional[Tally] = field(init=False, default=None)
     spur_vector: list = field(init=False)
     E: list = field(init=False)
     o: list = field(init=False)
@@ -412,39 +413,22 @@ class GradedLieAlgebra:
 # -- verification suites ----------------------------------------------------
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    residual: Fraction
-    detail: str = ""
-    # the measured constant of a check that measures one (kappa), else None
-    value: Optional[Fraction] = None
-
-
-def _combine(name: str, residual: Fraction, detail: str = "") -> SuiteResult:
-    return SuiteResult(name=name, passed=residual == 0, residual=residual, detail=detail)
-
-
-def verify_antisymmetry(g: GradedLieAlgebra) -> SuiteResult:
+def verify_antisymmetry(g: GradedLieAlgebra) -> Tally:
     """[e_i, e_i] = 0 in the model.  It cannot fail, as [x, x] cancels term by
     term, so no suite runs it; the benchmark tracer still patches it."""
-    basis = [g.from_coords(e) for e in linalg.identity(g.dim)]
-    res = sum(abs(c) for x in basis for c in g.to_coords(g.bracket(x, x)))
-    return _combine("antisymmetry", Fraction(res))
+    basis = enumerate(g.from_coords(e) for e in linalg.identity(g.dim))
+    return tally((i, sum(abs(c) for c in g.to_coords(g.bracket(x, x)))) for i, x in basis)
 
 
-def verify_jacobi(g: GradedLieAlgebra) -> SuiteResult:
+def verify_jacobi(g: GradedLieAlgebra) -> Tally:
     """The Jacobi identity on the basis triples, first on those that meet
     ``g.generators`` (lemma 2 there) and, when one fails, on every triple
     i < j < k, for the residual, the number of failing triples and the
-    first; each residual has its numerator over D^2.  The verdict is kept
+    first; each residual has its numerator over D^2.  The Tally is kept
     on g, so a report decides it once."""
     if g._jacobi is None:
         t = tally(_jacobi_rows(g, g.generators), g.denom**2)
-        t = tally(sorted(_jacobi_rows(g, range(g.dim))), g.denom**2) if t.failures else t
-        detail = f"{t.failures} failing triples; {t.witness('(i, j, k)')}" if t.failures else ""
-        g._jacobi = _combine("jacobi", t.residual, detail)
+        g._jacobi = tally(sorted(_jacobi_rows(g, range(g.dim))), g.denom**2) if t.failures else t
     return g._jacobi
 
 
@@ -477,15 +461,15 @@ def _jacobi_rows(g: GradedLieAlgebra, gens):
                 yield tuple(sorted((s, y, z))), sum(map(abs, r.values()))
 
 
-def verify_grading(g: GradedLieAlgebra) -> SuiteResult:
+def verify_grading(g: GradedLieAlgebra) -> Tally:
     """[g_i, g_j] lands in g_{i+j} (zero when |i+j| > 1), checked per block.
     It cannot fail, as ``_block_table`` writes each block formula into its
     target block by index, so no suite runs it; the benchmark tracer still
     patches it."""
     grade = lambda idx: -1 if idx < g.n else (0 if idx < g.n + g.dim0 else 1)
-    ijk = ((i, j, k, c) for (i, j), nz in g.bracket_table.items() for k, c in nz.items())
-    res = sum(abs(c) for i, j, k, c in ijk if grade(k) != grade(i) + grade(j))
-    return _combine("grading", Fraction(res))
+    rows = (((i, j, k), abs(c)) for (i, j), nz in g._structure.items() if i < j
+            for k, c in nz.items() if grade(k) != grade(i) + grade(j))
+    return tally(rows, g.denom)
 
 
 def homomorphism_tallies(
@@ -517,7 +501,7 @@ def homomorphism_tallies(
 
     l1 = lambda rs: sum(abs(x) for r in rs for x in r.values())
     s, seen, kept = 0 if minus else 1, set(), {}  # kept: (i, j) -> (t, residuals of side t)
-    for ij in meet(g.generators, set(g.generators)) if verify_jacobi(g).passed else every():
+    for ij in every() if verify_jacobi(g).failures else meet(g.generators, set(g.generators)):
         accs, sides = bracket(*ij), {}
         if not s:
             sides = {t: minus_image(*ij, t, [dict(a) for a in accs]) for t in (1, -1)}
@@ -537,20 +521,18 @@ def homomorphism_tallies(
     return tuple(tally(side(u), g.denom * L * L) for u in (1, -1)[: 1 + minus])
 
 
-def verify_theta(g: GradedLieAlgebra) -> SuiteResult:
+def verify_theta(g: GradedLieAlgebra) -> Tally:
     """theta is an automorphism, Theta [e_i, e_j] = [Theta e_i, Theta e_j],
     by ``homomorphism_tallies`` on the rows of ``theta_table``, L = D_theta.
     Theta^2 = 1 holds whenever the tau Gram matrix is symmetric, as for
-    every table the loader accepts, and is not checked.  On failure the
-    detail names the first failing pair (i, j) and its residual."""
+    every table the loader accepts, and is not checked."""
     theta, dt = g.theta_table
 
     def bracket(i, j):
         pairs = ((p, q, tp * tq) for p, tp in theta[i].items() for q, tq in theta[j].items())
         return [lincomb((w, g.bracket_numerators(p, q)) for p, q, w in pairs)]
 
-    (t,) = homomorphism_tallies(g, [[row] for row in theta], bracket, dt)
-    return _combine("theta", t.residual, t.witness("(i, j)") or "")
+    return homomorphism_tallies(g, [[row] for row in theta], bracket, dt)[0]
 
 
 def _distance(num: dict, a: int, want: dict, b: int):
@@ -558,7 +540,7 @@ def _distance(num: dict, a: int, want: dict, b: int):
     return sum(abs(a * num.get(m, 0) - b * want.get(m, 0)) for m in num.keys() | want.keys())
 
 
-def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
+def verify_identifications(g: GradedLieAlgebra) -> Tally:
     """Box and triple product against brackets of the table, over the Jordan
     basis e_a of g(-1): e_a box e_b = -1/2 [e_a, theta e_b] and
     {e_a, e_b, e_c} = -1/2 [[e_a, theta e_b], e_c], on the numerators of the
@@ -567,9 +549,9 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
     table or of theta, never on a wrong structure-constant input:
     theta e_b = f_b makes identity 1 the [e_a, f_b] block formula itself,
     and with [e_a, T] = -T e_a identity 2 reduces to (x box y) z = {x, y, z}.
-    The rows are over 2 D^2 D_theta B C, B and C the denominators of the
-    boxes and their coordinates; on failure the detail names the first
-    failing pair (a, b) or triple (a, b, c), in that order, and its residual."""
+    The rows, indexed by the pair (a, b) of a box and then its triples
+    (a, b, c), are over 2 D^2 D_theta B C, B and C the denominators of the
+    boxes and their coordinates."""
     n = g.n
     theta, dt = g.theta_table
     S, D, B = g._structure, g.denom, g.jordan.den**2
@@ -584,17 +566,14 @@ def verify_identifications(g: GradedLieAlgebra) -> SuiteResult:
                 dbl = lincomb((x, S.get((m, c), {})) for m, x in inner.items())
                 yield (a, b, c), C * _distance(dbl, B, want, -2 * D * D * dt)
 
-    t = tally(rows(), 2 * D * D * dt * B * C)
-    names = "box (a, b)" if t.first and len(t.first[0]) == 2 else "triple (a, b, c)"
-    detail = t.witness(names) or "box and triple product match the bracket forms"
-    return _combine("identifications", t.residual, detail)
+    return tally(rows(), 2 * D * D * dt * B * C)
 
 
-def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
+def verify_killing_invariance(g: GradedLieAlgebra) -> Tally:
     """beta([x,y],z) + beta(y,[x,z]) = 0 on the basis triples, that is
     ad_i^T K + K ad_i = 0 over the entries j <= k, for the i in
     ``g.generators`` once g passes Jacobi (lemma 2 there), and for every i
-    when a row fails, the detail naming the first failing (i, j, k).  With
+    when a row fails, each row indexed (i, j, k).  With
     X_jk = sum_m c_ij^m K_mk, summed sparsely on numerators, the (j, k)
     entry is X_jk + X_kj over D^3, as K is symmetric, over D^2."""
     K, S, d = g._killing, g._structure, g.dim
@@ -605,10 +584,9 @@ def verify_killing_invariance(g: GradedLieAlgebra) -> SuiteResult:
             for j, k in sorted({(min(j, k), max(j, k)) for j, row in enumerate(X) for k in row}):
                 yield (i, j, k), abs(X[j].get(k, 0) + X[k].get(j, 0))
 
-    some = g.generators if verify_jacobi(g).passed else range(d)
+    some = range(d) if verify_jacobi(g).failures else g.generators
     t = tally(rows(some), g.denom**3)
-    t = tally(rows(range(d)), g.denom**3) if t.failures and len(some) < d else t
-    return _combine("killing-invariance", t.residual, t.witness("(i, j, k)") or "")
+    return tally(rows(range(d)), g.denom**3) if t.failures and len(some) < d else t
 
 
 def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
@@ -638,11 +616,12 @@ def closed_form_killing(g: GradedLieAlgebra) -> linalg.Matrix:
     return out
 
 
-def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction, str]:
-    """(kappa or None, residual, detail) for K = kappa * closed, K's rows and
-    the closed block formula, by ``poly.proportion`` over their entries in
-    row-major order.  With no closed form, when the boxes miss part of
-    g(0), K is measured against zero and the detail says why."""
+def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Tally, Optional[str]]:
+    """(kappa or None, Tally, reason or None) for K = kappa * closed, K's
+    rows and the closed block formula, by ``poly.proportion`` over their
+    entries in row-major order.  With no closed form, when the boxes miss
+    part of g(0), K is measured against zero, kappa is None and the reason
+    says why."""
     try:
         closed, why = closed_form_killing(g), None
     except GradingClosureFailure as exc:
@@ -653,19 +632,5 @@ def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Fraction, st
         for j, y in enumerate(rc)
         if y or j in rk
     )
-    kappa = None if c is None or why else Fraction(c.terms.get(NO_VARS.one, 0), c.den)
-    detail = why or (f"kappa = {kappa}" if kappa is not None else "no proportionality")
-    return kappa, t.residual, detail
+    return None if c is None or why else Fraction(c.terms.get(NO_VARS.one, 0), c.den), t, why
 
-
-def run_structure_suite(g: GradedLieAlgebra, timed=lambda name, check, g: check(g)) -> List[SuiteResult]:
-    """The lie suite's checks, each run as timed(name, check, g), so that a
-    caller can time them."""
-    kappa, res, detail = timed("killing-closed-form", measure_kappa, g)
-    return [
-        timed("jacobi", verify_jacobi, g),
-        timed("theta", verify_theta, g),
-        timed("identifications", verify_identifications, g),
-        timed("killing-invariance", verify_killing_invariance, g),
-        SuiteResult("killing-closed-form", kappa is not None, res, detail, kappa),
-    ]

@@ -155,6 +155,11 @@ class InstanceContext:
         return self._get("chart", lambda: chart_mod.SymplecticChart(self.lie))
 
     @property
+    def left_stars(self) -> List[weyl_mod.WeylOperator]:
+        """The chart's left-star operators, billed apart from the checks that read them."""
+        return self._get("left_stars", lambda: self.chart.left_stars)
+
+    @property
     def srep(self) -> starrep_mod.StarRepresentation:
         return self._get("srep", lambda: starrep_mod.StarRepresentation(self.lie))
 
@@ -165,6 +170,11 @@ class InstanceContext:
     @property
     def series(self) -> hds_mod.DiscreteSeries:
         return self._get("series", lambda: hds_mod.DiscreteSeries(self.lie))
+
+    @property
+    def dpi(self) -> List[weyl_mod.WeylOperator]:
+        """dpi_1 of each basis element, the series' ``dpi_basis``."""
+        return self._get("dpi", lambda: self.series.dpi_basis())
 
 
 def _random_poly(rng: random.Random, ch) -> Poly:
@@ -201,13 +211,27 @@ def run_jordan_suite(ctx: InstanceContext) -> dict:
 
 def run_lie_suite(ctx: InstanceContext) -> dict:
     g, _ = ctx.lie, ctx.generators
-    results = kkt_mod.run_structure_suite(g, lambda name, *a: ctx.timed(f"lie.{name}", *a))
-    out = {"passed": all(r.passed for r in results), "dim_g": g.dim}
-    for r in results:
-        out[r.name] = ("pass" if r.passed else f"FAIL residual {r.residual}") + (
-            f" ({r.detail})" if r.detail else ""
-        )
-    kappa = next(r.value for r in results if r.name == "killing-closed-form")
+    jac = ctx.timed("lie.jacobi", kkt_mod.verify_jacobi, g)
+    theta = ctx.timed("lie.theta", kkt_mod.verify_theta, g)
+    ident = ctx.timed("lie.identifications", kkt_mod.verify_identifications, g)
+    inv = ctx.timed("lie.killing-invariance", kkt_mod.verify_killing_invariance, g)
+    kappa, closed, why = ctx.timed("lie.killing-closed-form", kkt_mod.measure_kappa, g)
+    # the identifications' rows are the boxes (a, b) and their triples (a, b, c)
+    box = ident.first and len(ident.first[0]) == 2
+    # K(E, E) = 2n, so K never matches zero: closed fails exactly when kappa is None
+    proportional = f"kappa = {kappa}" if kappa is not None else "no proportionality"
+    checks = {
+        "jacobi": (jac, jac.failures and f"{jac.failures} failing triples; {jac.witness('(i, j, k)')}"),
+        "theta": (theta, theta.witness("(i, j)")),
+        "identifications": (ident, ident.witness("box (a, b)" if box else "triple (a, b, c)")
+                            or "box and triple product match the bracket forms"),
+        "killing-invariance": (inv, inv.witness("(i, j, k)")),
+        "killing-closed-form": (closed, why or proportional),
+    }
+    out = {"passed": not any(t.failures for t, _ in checks.values()), "dim_g": g.dim}
+    for name, (t, detail) in checks.items():
+        verdict = f"FAIL residual {t.residual}" if t.failures else "pass"
+        out[name] = verdict + (f" ({detail})" if detail else "")
     out["kappa_g"] = str(kappa) if kappa is not None else "not proportional"
     return out
 
@@ -228,7 +252,7 @@ def run_chart_suite(ctx: InstanceContext) -> dict:
 
 
 def run_star_suite(ctx: InstanceContext) -> dict:
-    ch = ctx.chart
+    ch, _ = ctx.chart, ctx.left_stars
     rng = random.Random(ctx.config.seed)
     out: dict = {}
 
@@ -267,8 +291,8 @@ def run_star_suite(ctx: InstanceContext) -> dict:
 
 
 def run_fourier_suite(ctx: InstanceContext) -> dict:
-    check = starrep_mod.verify_star_transform
-    holo, t = ctx.timed("fourier.star_transform", check, ctx.chart, ctx.srep, ctx.rho)
+    ch, _, check = ctx.chart, ctx.left_stars, starrep_mod.verify_star_transform
+    holo, t = ctx.timed("fourier.star_transform", check, ch, ctx.srep, ctx.rho)
     out = {
         "passed": holo and t.failures == 0,
         "holomorphic": holo,
@@ -285,15 +309,14 @@ def run_theorem_suite(ctx: InstanceContext) -> dict:
     sign_rho, rho_hom = ctx.timed("theorem.rho_bracket_sign", starrep_mod.verify_rho_homomorphism, g, rho)
     out.update(rho_bracket_sign=sign_rho, rho_hom_residual=str(rho_hom.residual))
     _put_witness(out, "rho_hom_witness", rho_hom, "(i, j)")
-    ops = series.dpi_basis()
-    sign_dpi, dpi_hom = ctx.timed("theorem.dpi_bracket_sign", hds_mod.verify_dpi_homomorphism, g, ops)
+    sign_dpi, dpi_hom = ctx.timed("theorem.dpi_bracket_sign", hds_mod.verify_dpi_homomorphism, g, ctx.dpi)
     out.update(dpi_bracket_sign=sign_dpi, dpi_hom_residual=str(dpi_hom.residual))
     _put_witness(out, "dpi_hom_witness", dpi_hom, "(i, j)")
     field = ctx.timed("theorem.tube_field", ctx.srep.field_residual, series)
     out["tube_field_residual"] = str(field.residual)
     _put_witness(out, "tube_field_witness", field, "i")
-    kappa_h, kres = ctx.timed("theorem.kappa_h", ctx.srep.measure_kappa_h)
-    out["kappa_h"] = str(kappa_h) if kappa_h is not None else f"none (residual {kres})"
+    kappa_h, kt = ctx.timed("theorem.kappa_h", ctx.srep.measure_kappa_h)
+    out["kappa_h"] = str(kappa_h) if kappa_h is not None else f"none (residual {kt.residual})"
     m_star = None
     try:
         eq = ctx.timed("theorem.equivalence", hds_mod.solve_equivalence, g, rho, series)

@@ -172,13 +172,13 @@ class StarRepresentation:
 
         return tally(rows(), L)
 
-    def measure_kappa_h(self) -> Tuple[Optional[Scalar], Fraction]:
+    def measure_kappa_h(self) -> Tuple[Optional[Scalar], Tally]:
         """Constant kappa with h_A(z) = kappa * D(l_A)(z) across the basis, read
         by ``poly.proportion`` from the rows (A, r, c) of the entries (h_A)_rc,
         summed on term dicts from the sparse T_j, and d l_A^r / dz^c; returns
-        (kappa or None, residual).  On g(-1) both are zero and no row is formed;
-        on g(0) l_A = [T_j, z] is linear, so D l_A is read at its linear terms;
-        only on g(1) is l_A differentiated."""
+        ``proportion``'s pair (kappa or None, Tally).  On g(-1) both are zero
+        and no row is formed; on g(0) l_A = [T_j, z] is linear, so D l_A is
+        read at its linear terms; only on g(1) is l_A differentiated."""
         g, vs = self.g, self.zvs
         poly = lambda t, den: Poly._reduced(vs, t, den) if t else Poly.zero(vs)
         n, f, one, dh = g.n, g.n + g.dim0, vs.one, self._den * g.t_den
@@ -196,8 +196,7 @@ class StarRepresentation:
                     if d or hc:
                         yield (i, r, c), poly(hc, dh), poly(d, self._den)
 
-        kappa, t = proportion(rows())
-        return kappa, t.residual
+        return proportion(rows())
 
 
 def bracket_sign(g: GradedLieAlgebra, ops: List[WeylOperator]) -> Tuple[int, Tally]:

@@ -26,7 +26,7 @@ import pytest
 from starcayley import hds, jordan, kkt, weyl
 from starcayley.chart import SymplecticChart
 from starcayley.poly import Poly
-from starcayley.report import InstanceContext, RunConfig, run_star_suite
+from starcayley.report import InstanceContext, RunConfig, run_lie_suite, run_star_suite
 from starcayley.scalars import Scalar
 from starcayley.starrep import (
     StarRepresentation,
@@ -68,16 +68,17 @@ def test_criterion_2_lie_structure():
     ok = True
     details = []
     for sel in LIE_SELECTORS:
-        g = kkt.GradedLieAlgebra(jordan.make_algebra(sel))
+        ctx = InstanceContext(RunConfig(algebra=sel))
+        g, out = ctx.lie, run_lie_suite(ctx)
         ok = ok and g.dim == EXPECTED_DIM_G[sel]
-        for r in kkt.run_structure_suite(g):
-            if not r.passed:
+        for name, line in out.items():
+            if name not in ("passed", "dim_g", "kappa_g") and not line.startswith("pass"):
                 ok = False
-                details.append(f"{sel}/{r.name}")
-        kappa, res, _ = kkt.measure_kappa(g)
+                details.append(f"{sel}/{name}")
+        kappa, t, _ = kkt.measure_kappa(g)
         if kappa is None:
             ok = False
-            details.append(f"{sel}/kappa_g absent (residual {res})")
+            details.append(f"{sel}/kappa_g absent (residual {t.residual})")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60
     _line(2, ok, f"{elapsed:.1f}s; " + ("; ".join(details) if details else "all clean"))
@@ -199,7 +200,7 @@ def test_criterion_9_negative_controls(instance_cache):
     g_bad = kkt.GradedLieAlgebra(bad)
     jac = kkt.verify_jacobi(g_bad)
     ham_res, ham_bad, _ = SymplecticChart(g_bad).hamiltonicity_residual()
-    structure_detected = (not jac.passed) and ham_res > 0 and ham_bad > 0
+    structure_detected = jac.failures > 0 and ham_res > 0 and ham_bad > 0
 
     g = instance_cache("lie", "rank1")
     srep = instance_cache("srep", "rank1")

@@ -133,11 +133,11 @@ def test_perturbed_spin2_takes_the_full_path():
     g.generators, _Counted.reads = _Counted(g.generators), 0
     jacobi = kkt.verify_jacobi(g)
     assert (jacobi.residual, _Counted.reads) == (170, 1)
-    assert jacobi.detail == "13 failing triples; first failing (i, j, k) = (0, 1, 6), residual 4"
+    assert (jacobi.failures, jacobi.witness("(i, j, k)")) == (13, "first failing (i, j, k) = (0, 1, 6), residual 4")
     theta = kkt.verify_theta(g)
-    assert (theta.residual, theta.detail) == (Fraction(8, 3), "first failing (i, j) = (0, 7), residual 4/3")
+    assert (theta.residual, theta.witness("(i, j)")) == (Fraction(8, 3), "first failing (i, j) = (0, 7), residual 4/3")
     killing = kkt.verify_killing_invariance(g)
-    assert (killing.residual, killing.detail) == (708, "first failing (i, j, k) = (0, 2, 6), residual 18")
+    assert (killing.residual, killing.witness("(i, j, k)")) == (708, "first failing (i, j, k) = (0, 2, 6), residual 18")
     assert _Counted.reads == 1
 
 
@@ -160,7 +160,7 @@ def test_kappa_h_differentiates_only_g1(instance_cache, monkeypatch):
     calls = []
     diff = starrep.diff_terms
     monkeypatch.setattr(starrep, "diff_terms", lambda *a: calls.append(1) or diff(*a))
-    assert srep.measure_kappa_h() == (1, 0)
+    assert srep.measure_kappa_h() == (1, (0, 0, None))
     assert len(calls) == srep.g.n ** 3
 
 

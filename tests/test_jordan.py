@@ -107,6 +107,10 @@ class TestBuiltins:
             pytest.param({"rank": 5}, "rank 5 is not between 1 and dim 2", id="rank-above-dim"),
             pytest.param({"unit": (Fraction(1),)}, "unit has 1 entries", id="short-unit"),
             pytest.param({"basis_names": ("s", "u1", "u2")}, "basis_names has 3", id="long-names"),
+            # blamed on the unit or the rank before dim was checked
+            pytest.param({"dim": "1"}, "dim must be an int, got '1'", id="dim-str"),
+            pytest.param({"dim": 1.0}, r"dim must be an int, got 1\.0", id="dim-float"),
+            pytest.param({"dim": True}, "dim must be an int, got True", id="dim-bool"),
         ],
     )
     def test_constructor_rejects_a_bad_size(self, edit, error):

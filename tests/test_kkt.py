@@ -8,7 +8,9 @@ from conftest import fraction_build, perturbed
 
 from starcayley import jordan, kkt, linalg
 from starcayley.poly import tally
-from starcayley.report import BUILTIN_SELECTORS, SUITE_RUNNERS, InstanceContext, RunConfig
+from starcayley.report import BUILTIN_SELECTORS, SUITE_RUNNERS, InstanceContext, RunConfig, run_lie_suite
+
+LIE_CHECKS = ["jacobi", "theta", "identifications", "killing-invariance", "killing-closed-form"]
 
 
 @pytest.mark.parametrize(
@@ -22,16 +24,24 @@ def test_dimension_table(selector, dim_g, instance_cache):
 
 @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
 def test_structure_suites(selector, instance_cache):
-    g = instance_cache("lie", selector)
-    results = kkt.run_structure_suite(g)
-    assert [r.name for r in results] == [
-        "jacobi", "theta", "identifications", "killing-invariance", "killing-closed-form"
-    ]
+    out = lie_suite(instance_cache("lie", selector))
+    assert [k for k in out if k not in ("passed", "dim_g", "kappa_g")] == LIE_CHECKS
+    assert out["passed"]
+    for name in LIE_CHECKS:
+        assert out[name].startswith("pass"), f"{selector}: {out[name]}"
     # antisymmetry and grading hold by construction and left the suite; they
     # stay asserted for as long as the functions exist
-    results += [kkt.verify_antisymmetry(g), kkt.verify_grading(g)]
-    for result in results:
-        assert result.passed, f"{selector}: {result.name} residual {result.residual}"
+    g = instance_cache("lie", selector)
+    for name, check in (("antisymmetry", kkt.verify_antisymmetry), ("grading", kkt.verify_grading)):
+        result = check(g)
+        assert not result.failures, f"{selector}: {name} residual {result.residual}"
+
+
+def lie_suite(g: kkt.GradedLieAlgebra) -> dict:
+    """The lie suite's report dict on g."""
+    ctx = InstanceContext(RunConfig())
+    ctx._cache["lie"] = g
+    return run_lie_suite(ctx)
 
 
 def spur(g: kkt.GradedLieAlgebra, h: list) -> Fraction:
@@ -240,24 +250,25 @@ class TestKillingForm:
 
     def test_rank_one_closed_form_is_exact(self, instance_cache):
         g = instance_cache("lie", "rank1")
-        kappa, res, detail = kkt.measure_kappa(g)
-        assert kappa == 1 and res == 0 and detail == "kappa = 1"
+        kappa, t, why = kkt.measure_kappa(g)
+        assert kappa == 1 and t.residual == 0 and why is None
+        assert lie_suite(g)["killing-closed-form"] == "pass (kappa = 1)"
 
     @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
     def test_kappa_is_a_fraction(self, selector, instance_cache):
         # K and the closed form hold ints, and int / int would be a float
         g = instance_cache("lie", selector)
-        kappa, res, _ = kkt.measure_kappa(g)
+        kappa, t, _ = kkt.measure_kappa(g)
         assert type(kappa) is Fraction and kappa == 1
-        assert type(res) is Fraction and res == 0
+        assert type(t.residual) is Fraction and t.residual == 0
 
     def test_invariance_fails_on_perturbed_structure(self):
         # its bracket is not Killing-invariant; the detail names the first
         # failing triple
         result = kkt.verify_killing_invariance(kkt.GradedLieAlgebra(_perturbed_spin2()))
-        assert not result.passed
+        assert result.failures
         assert result.residual == 708
-        assert result.detail == "first failing (i, j, k) = (0, 2, 6), residual 18"
+        assert result.witness("(i, j, k)") == "first failing (i, j, k) = (0, 2, 6), residual 18"
 
 
 def test_identifications_fail_on_perturbed_table(instance_cache):
@@ -269,17 +280,18 @@ def test_identifications_fail_on_perturbed_table(instance_cache):
     structure[key] = {**structure[key], g.n: structure[key].get(g.n, 0) + g.denom}
     g._structure = structure
     result = kkt.verify_identifications(g)
-    assert not result.passed
+    assert result.failures
     assert result.residual == Fraction(3, 2)
-    assert result.detail == "first failing box (a, b) = (0, 0), residual 1/2"
+    assert result.witness("box (a, b)") == "first failing box (a, b) = (0, 0), residual 1/2"
+    assert lie_suite(g)["identifications"] == "FAIL residual 3/2 (first failing box (a, b) = (0, 0), residual 1/2)"
 
 
 def test_theta_fails_on_perturbed_structure():
     # theta is not an automorphism of the perturbed bracket
     result = kkt.verify_theta(kkt.GradedLieAlgebra(_perturbed_spin2()))
-    assert not result.passed
+    assert result.failures
     assert result.residual == Fraction(8, 3)
-    assert result.detail == "first failing (i, j) = (0, 7), residual 4/3"
+    assert result.witness("(i, j)") == "first failing (i, j) = (0, 7), residual 4/3"
 
 
 def _theta_oracle(g: kkt.GradedLieAlgebra):
@@ -310,7 +322,7 @@ def test_theta_tally_matches_the_fraction_oracle(make):
     want = _theta_oracle(g)
     result = kkt.verify_theta(g)
     assert result.residual == want.residual
-    assert result.detail == (want.witness("(i, j)") or "")
+    assert result.witness("(i, j)") == want.witness("(i, j)")
 
 
 def test_lie_checks_never_reach_the_model(model_forbidden):
@@ -321,9 +333,9 @@ def test_lie_checks_never_reach_the_model(model_forbidden):
     assert g.theta_table[1] == 3
     result = kkt.verify_theta(g)
     assert result.residual == Fraction(8, 3)
-    assert result.detail == "first failing (i, j) = (0, 7), residual 4/3"
+    assert result.witness("(i, j)") == "first failing (i, j) = (0, 7), residual 4/3"
     assert kkt.verify_jacobi(g).residual == 170
-    assert kkt.verify_identifications(g).passed
+    assert not kkt.verify_identifications(g).failures
     assert kkt.verify_killing_invariance(g).residual == 708
     with pytest.raises(kkt.GradingClosureFailure):
         kkt.closed_form_killing(g)
@@ -363,10 +375,10 @@ def test_wrong_sharp_fails_the_lie_suite(monkeypatch):
     # the model takes its own sharp, so it disagrees with this Theta
     model = [g.to_coords(g.theta(g.from_coords(e))) for e in linalg.identity(g.dim)]
     assert [[Fraction(row.get(m, 0), den) for m in range(g.dim)] for row in rows] != model
-    results = kkt.run_structure_suite(g)
-    failing = [r.name for r in results if not r.passed]
+    out = lie_suite(g)
+    failing = [name for name in LIE_CHECKS if not out[name].startswith("pass")]
     assert failing == ["jacobi", "theta", "killing-invariance", "killing-closed-form"]
-    assert results[0].detail == "14 failing triples; first failing (i, j, k) = (0, 6, 8), residual 4"
+    assert out["jacobi"].endswith("(14 failing triples; first failing (i, j, k) = (0, 6, 8), residual 4)")
 
 
 @pytest.mark.parametrize("selector", BUILTIN_SELECTORS)
@@ -382,10 +394,13 @@ def test_theta_table_matches_model(selector, instance_cache):
 
 def test_jacobi_fails_on_perturbed_structure():
     # the detail counts the failing triples and names the first
-    result = kkt.verify_jacobi(kkt.GradedLieAlgebra(_perturbed_spin2()))
-    assert not result.passed
+    g = kkt.GradedLieAlgebra(_perturbed_spin2())
+    result = kkt.verify_jacobi(g)
+    assert result.failures == 13
     assert result.residual == 170
-    assert result.detail == "13 failing triples; first failing (i, j, k) = (0, 1, 6), residual 4"
+    assert result.witness("(i, j, k)") == "first failing (i, j, k) = (0, 1, 6), residual 4"
+    assert lie_suite(g)["jacobi"] == (
+        "FAIL residual 170 (13 failing triples; first failing (i, j, k) = (0, 1, 6), residual 4)")
 
 
 @pytest.mark.parametrize(
@@ -400,14 +415,14 @@ def test_integer_checks_match_fraction_reference(make, denom, theta_denom):
     results = kkt.verify_jacobi(g), kkt.verify_theta(g), kkt.verify_killing_invariance(g)
     residuals = [sum(jacobi.values()), sum(theta.values()), sum(killing.values())]
     assert [r.residual for r in results] == residuals
-    assert not any(r.passed for r in results)
+    assert all(r.failures for r in results)
     for result, by_triple in ((results[0], jacobi), (results[2], killing)):
         first = min(by_triple)
         witness = f"first failing (i, j, k) = {first}, residual {by_triple[first]}"
-        assert result.detail.endswith(witness)
-    assert results[0].detail.startswith(f"{len(jacobi)} failing triples; ")
+        assert result.witness("(i, j, k)") == witness
+    assert lie_suite(g)["jacobi"].startswith(f"FAIL residual {residuals[0]} ({len(jacobi)} failing triples; ")
     first = min(theta)
-    assert results[1].detail == f"first failing (i, j) = {first}, residual {theta[first]}"
+    assert results[1].witness("(i, j)") == f"first failing (i, j) = {first}, residual {theta[first]}"
     # theta^2 = 1, which the check leaves out, fails only where the tau Gram
     # matrix is not symmetric, as on the non-commutative perturbed sym:2; a
     # validated algebra is commutative

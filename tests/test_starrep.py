@@ -161,8 +161,8 @@ class TestFieldPolynomials:
     @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
     def test_kappa_h_is_one(self, selector, instance_cache):
         srep = instance_cache("srep", selector)
-        kappa, res = srep.measure_kappa_h()
-        assert res == 0
+        kappa, t = srep.measure_kappa_h()
+        assert t.residual == 0
         assert kappa == Scalar.one()
 
     def test_degree_bounds(self, instance_cache):
