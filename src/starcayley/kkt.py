@@ -621,7 +621,8 @@ def measure_kappa(g: GradedLieAlgebra) -> Tuple[Optional[Fraction], Tally, Optio
     rows and the closed block formula, by ``poly.proportion`` over their
     entries in row-major order.  With no closed form, when the boxes miss
     part of g(0), K is measured against zero, kappa is None and the reason
-    says why."""
+    says why.  K(E, E) = 2n, so K is never zero: the Tally fails exactly
+    when kappa is None."""
     try:
         closed, why = closed_form_killing(g), None
     except GradingClosureFailure as exc:

@@ -218,7 +218,7 @@ def run_lie_suite(ctx: InstanceContext) -> dict:
     kappa, closed, why = ctx.timed("lie.killing-closed-form", kkt_mod.measure_kappa, g)
     # the identifications' rows are the boxes (a, b) and their triples (a, b, c)
     box = ident.first and len(ident.first[0]) == 2
-    # K(E, E) = 2n, so K never matches zero: closed fails exactly when kappa is None
+    # closed fails exactly when kappa is None (see measure_kappa)
     proportional = f"kappa = {kappa}" if kappa is not None else "no proportionality"
     checks = {
         "jacobi": (jac, jac.failures and f"{jac.failures} failing triples; {jac.witness('(i, j, k)')}"),

@@ -24,14 +24,14 @@ def test_dimension_table(selector, dim_g, instance_cache):
 
 @pytest.mark.parametrize("selector", ["rank1", "spin:3", "sym:2"])
 def test_structure_suites(selector, instance_cache):
-    out = lie_suite(instance_cache("lie", selector))
+    g = instance_cache("lie", selector)
+    out = lie_suite(g)
     assert [k for k in out if k not in ("passed", "dim_g", "kappa_g")] == LIE_CHECKS
     assert out["passed"]
     for name in LIE_CHECKS:
         assert out[name].startswith("pass"), f"{selector}: {out[name]}"
     # antisymmetry and grading hold by construction and left the suite; they
     # stay asserted for as long as the functions exist
-    g = instance_cache("lie", selector)
     for name, check in (("antisymmetry", kkt.verify_antisymmetry), ("grading", kkt.verify_grading)):
         result = check(g)
         assert not result.failures, f"{selector}: {name} residual {result.residual}"
