@@ -30,7 +30,7 @@ def main() -> int:
             f"{name}={'ok' if rep.suites[name].get('passed') else 'FAIL'}"
             for name in ALL_SUITES
         )
-        print(f"{sel:8s} {elapsed:6.1f}s  {marks}")
+        print(f"{sel:8s} {elapsed * 1000:8.1f} ms  {marks}")
         any_failed = any_failed or not rep.passed
     print("reports written to", out_dir)
     return 1 if any_failed else 0

@@ -14,7 +14,6 @@ Poisson bracket is the canonical one, and lambda_[A,B] = {lambda_A, lambda_B}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from typing import List, Tuple
@@ -44,16 +43,9 @@ def exp_ad(g: GradedLieAlgebra, x: List[dict], dx: int, y: List[dict], dy: int, 
     raise ValueError("ad series did not terminate; element is not nilpotent here")
 
 
-@dataclass
 class SymplecticChart:
-    g: GradedLieAlgebra
-
-    vs: VarSet = field(init=False)
-    phi: List[Poly] = field(init=False)
-    moment: List[Poly] = field(init=False)
-
-    def __post_init__(self):
-        g = self.g
+    def __init__(self, g: GradedLieAlgebra):
+        self.g = g
         n = g.n
         vs = self.vs = VarSet(tuple(f"{x}{a + 1}" for x in "lm" for a in range(n)))
         L, Lp = g.symplectic_basis()  # coordinate vectors

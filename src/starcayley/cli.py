@@ -14,9 +14,7 @@ change.
 from __future__ import annotations
 
 import argparse
-import cProfile
 import json
-import pstats
 import sys
 from fractions import Fraction
 
@@ -63,6 +61,9 @@ def cmd_verify(args) -> int:
     if top is None:
         rep = report.run(config)
     else:
+        import cProfile
+        import pstats
+
         profile = cProfile.Profile()
         rep = profile.runcall(report.run, config)
         pstats.Stats(profile, stream=sys.stderr).sort_stats("tottime").print_stats(top)

@@ -21,7 +21,6 @@ paper's text to check them against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -41,14 +40,11 @@ class NoEquivalence(ValueError):
         self.residual = residual
 
 
-@dataclass
 class DiscreteSeries:
-    g: GradedLieAlgebra
-
-    def __post_init__(self):
-        self.zvs = VarSet(z_names(self.g.n))
+    def __init__(self, g: GradedLieAlgebra):
+        self.g, self.zvs = g, VarSet(z_names(g.n))
         self._zvec = [Poly.var(self.zvs, x) for x in self.zvs.names]
-        self._P = self.g.jordan.quadratic_rep(self._zvec)
+        self._P = g.jordan.quadratic_rep(self._zvec)
 
     def field(self, a: list) -> List[Poly]:
         """X(z) = u + Tz + P(z)v, from the Jordan data directly: u and v are
@@ -99,10 +95,9 @@ def _automorphism_candidates(g: GradedLieAlgebra):
     yield "-theta", lambda a: g.apply_theta([-x for x in a])
 
 
-@dataclass
 class EquivalenceResult:
-    alpha: str
-    m_star: Scalar
+    def __init__(self, alpha: str, m_star: Scalar):
+        self.alpha, self.m_star = alpha, m_star
 
 
 def solve_equivalence(
@@ -157,12 +152,10 @@ def solve_equivalence(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WeightComparison:
-    m_star: Scalar
-    m_closed: Scalar
-    match: str  # "exact" | "proportional" | "failed"
-    factor: Optional[Scalar]
+    def __init__(self, m_star: Scalar, m_closed: Scalar, match: str, factor: Optional[Scalar]):
+        # match is "exact" | "proportional" | "failed"
+        self.m_star, self.m_closed, self.match, self.factor = m_star, m_closed, match, factor
 
 
 def closed_form_weight(g: GradedLieAlgebra) -> Scalar:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import Poly, VarSet, bilinear, lincomb, numerators
@@ -41,40 +40,45 @@ class ValidationFailed(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
 class JordanAlgebra:
-    name: str
-    dim: int
-    rank: int
-    basis_names: Tuple[str, ...]
-    # e_a o e_b = sum_c table[(a, b)][c] e_c / den: nonzero numerators only
-    table: dict
-    den: int
-    unit: Tuple[Fraction, ...]
-    # the report of the validation that loaded the algebra from a table, so
-    # that a report validates it once; None for a built-in
-    validation: Optional["JordanValidationReport"] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    """e_a o e_b = sum_c table[(a, b)][c] e_c / den, the table holding the
+    nonzero numerators only; immutable, and equal when the seven
+    constructor fields are.  ``validation`` is the report of the validation
+    that loaded the algebra from a table, so that a report validates it
+    once; None for a built-in."""
 
-    def __post_init__(self):
-        n, rank = self.dim, self.rank
-        if type(n) is not int:
-            raise InvalidDimension(f"dim must be an int, got {n!r}")
-        if len(self.unit) != n:
-            raise InvalidDimension(f"unit has {len(self.unit)} entries, dim is {n}")
-        if not all(type(u) in (int, Fraction) for u in self.unit):
-            raise ValueError(f"unit entries must be int or Fraction, got {self.unit!r}")
-        if len(self.basis_names) != n:
-            raise InvalidDimension(f"basis_names has {len(self.basis_names)} entries, dim is {n}")
-        if not (type(rank) is int and 1 <= rank <= n):
-            raise InvalidDimension(f"rank {rank!r} is not between 1 and dim {n!r}")
-        if type(self.den) is not int or self.den < 1:
-            raise ValueError(f"den must be a positive int, got {self.den!r}")
-        keys = set(range(n))
-        for ab, row in self.table.items():
+    _FIELDS = ("name", "dim", "rank", "basis_names", "table", "den", "unit")
+    validation: Optional["JordanValidationReport"] = None
+    __hash__ = None
+
+    def __init__(self, name: str, dim: int, rank: int, basis_names: Tuple[str, ...], table: dict,
+                 den: int, unit: Tuple[Fraction, ...]):
+        if type(dim) is not int:
+            raise InvalidDimension(f"dim must be an int, got {dim!r}")
+        if len(unit) != dim:
+            raise InvalidDimension(f"unit has {len(unit)} entries, dim is {dim}")
+        if not all(type(u) in (int, Fraction) for u in unit):
+            raise ValueError(f"unit entries must be int or Fraction, got {unit!r}")
+        if len(basis_names) != dim:
+            raise InvalidDimension(f"basis_names has {len(basis_names)} entries, dim is {dim}")
+        if not (type(rank) is int and 1 <= rank <= dim):
+            raise InvalidDimension(f"rank {rank!r} is not between 1 and dim {dim!r}")
+        if type(den) is not int or den < 1:
+            raise ValueError(f"den must be a positive int, got {den!r}")
+        keys = set(range(dim))
+        for ab, row in table.items():
             if len(ab) != 2 or not {*ab, *row} <= keys or not row or not all(row.values()):
-                raise ValueError(f"table row {ab}: {row} is not a nonzero row in range({self.dim})")
+                raise ValueError(f"table row {ab}: {row} is not a nonzero row in range({dim})")
+        for k, v in zip(self._FIELDS, (name, dim, rank, basis_names, table, den, unit)):
+            object.__setattr__(self, k, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"JordanAlgebra is immutable: cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not JordanAlgebra:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
 
     # -- products ---------------------------------------------------------
     def mul(self, x: Sequence, y: Sequence) -> list:
@@ -196,21 +200,18 @@ def make_sym_matrices(p: int) -> JordanAlgebra:
 # -- validation and generic loader -------------------------------------------
 
 
-@dataclass
 class JordanValidationReport:
-    name: str
-    commutative: bool = False
-    jordan_identity: bool = False
-    unital: bool = False
-    positive_definite: bool = False
-    failures: List[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.failures = name, []
+        self.commutative = self.jordan_identity = self.unital = self.positive_definite = False
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_json(self) -> dict:
-        out = {k: v for k, v in asdict(self).items() if k != "failures"}
+        keys = ("name", "commutative", "jordan_identity", "unital", "positive_definite")
+        out = {k: getattr(self, k) for k in keys}
         return {**out, "passed": self.passed, "failures": list(self.failures)}
 
 
@@ -331,7 +332,7 @@ def load_from_structure_constants(data: dict | str) -> JordanAlgebra:
         raise ValidationFailed(rep)
     if rank < (k := min_poly_degree(A)):
         raise InvalidDimension(f"rank {rank} is below {k}, the degree of a minimal polynomial")
-    object.__setattr__(A, "validation", rep)  # frozen: set once, here
+    object.__setattr__(A, "validation", rep)  # immutable: set once, here
     return A
 
 

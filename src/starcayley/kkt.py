@@ -32,7 +32,6 @@ import bisect
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -49,13 +48,11 @@ class GradingClosureFailure(ValueError):
     """The candidate degree-zero subspace is not closed as required."""
 
 
-@dataclass
 class LieElement:
     """(u, T, v) with u, v coordinate vectors and T an n x n matrix."""
 
-    u: list
-    t: list  # matrix
-    v: list
+    def __init__(self, u: list, t: list, v: list):
+        self.u, self.t, self.v = u, t, v
 
 
 def _rows(m: dict, n: int) -> linalg.Sparse:
@@ -90,41 +87,18 @@ def _over_one(pairs) -> Tuple[List[dict], int]:
     return [{k: x * D // d for k, x in nz.items()} for nz, d in pairs], D
 
 
-@dataclass
 class GradedLieAlgebra:
-    jordan: JordanAlgebra
-    mu: Fraction = Fraction(1)
+    """g = g(-1) + g(0) + g(1) of a Jordan algebra and a nonzero mu, built
+    once: its structure constants, Theta and the Killing Gram matrix."""
 
-    n: int = field(init=False)
-    dim0: int = field(init=False)
-    dim: int = field(init=False)
-    # numerators: the boxes e_a box e_b (at a n + b) over den^2, the T_j over t_den
-    _boxes: List[dict] = field(init=False)
-    t_den: int = field(init=False)
-    _t_flat: List[dict] = field(init=False)
-    _span: linalg.Echelon = field(init=False)
-    # each box's coordinates, reduced (numerators, denominator), and the box appended as T_j
-    _box_coords: List[Tuple[dict, int]] = field(init=False)
-    _t_boxes: List[int] = field(init=False)
-    # D and the numerators D c_ij^k, keyed (i, j) in both orders
-    denom: int = field(init=False)
-    _structure: dict = field(init=False)
-    # Theta as (rows, D_theta), row i {m: D_theta (theta e_i)_m}
-    theta_table: Tuple[List[dict], int] = field(init=False)
-    # the rows {j: D^2 K_ij} of the Killing Gram matrix, nonzero only
-    _killing: List[dict] = field(init=False)
-    # the Jacobi Tally, kept by ``verify_jacobi``
-    _jacobi: Optional[Tally] = field(init=False, default=None)
-    spur_vector: list = field(init=False)
-    E: list = field(init=False)
-    o: list = field(init=False)
-
-    def __post_init__(self):
-        if type(self.mu) not in (int, Fraction):
-            raise TypeError(f"mu must be int or Fraction, got {type(self.mu).__name__}")
-        if self.mu == 0:
+    def __init__(self, jordan: JordanAlgebra, mu: Fraction = Fraction(1)):
+        if type(mu) not in (int, Fraction):
+            raise TypeError(f"mu must be int or Fraction, got {type(mu).__name__}")
+        if mu == 0:
             raise ValueError("mu must be nonzero")
-        A = self.jordan
+        A = self.jordan = jordan
+        self.mu = mu
+        self._jacobi = None  # the Jacobi Tally, kept by ``verify_jacobi``
         n = self.n = A.dim
         S, ds = A.table, A.den
         G, dg = A._int_tau_gram
@@ -138,6 +112,7 @@ class GradedLieAlgebra:
         Lf = [{r * n + a: x for a in range(n) for r, x in S.get((c, a), {}).items()} for c in range(n)]
         L = [_rows(m, n) for m in Lf]
         LL = [[_product(la, lb) for lb in L] for la in Lf]
+        # numerators: the box e_a box e_b at a n + b
         self._boxes = [
             pruned(lincomb([(s, Lf[c]) for c, s in S.get((a, b), {}).items()]
                            + [(1, LL[a][b]), (-1, LL[b][a])]))
@@ -161,6 +136,7 @@ class GradedLieAlgebra:
             rows.append(_rows(basis[-1][0], n))
             return {len(basis) - 1: 1}, 1
 
+        # each box's coordinates, reduced (numerators, denominator)
         box_coords = self._box_coords = [canonical(*absorb(m, ds * ds)) for m in self._boxes]
         # T_j for j below the size here is the first box with coordinates {j: 1}
         self._t_boxes = [box_coords.index(({j: 1}, 1)) for j in range(len(basis))]
@@ -178,19 +154,23 @@ class GradedLieAlgebra:
         else:
             raise GradingClosureFailure("degree-zero span does not stabilize")
 
+        # the T_j as numerators over t_den
         self._span, t_den = span, math.lcm(ds * ds, *(d for _, d in basis))
         self._t_flat, self.t_den = [{k: x * (t_den // d) for k, x in m.items()} for m, d in basis], t_den
         d0 = self.dim0 = len(basis)
         self.dim = 2 * n + d0
         table = self._block_table(box_coords, comm, sharps)
+        # D and the numerators D c_ij^k, keyed (i, j) in both orders
         numer, self.denom = _over_one(table.values())
         self._structure = {}
         for (i, j), row in zip(table, numer):
             self._structure[(i, j)], self._structure[(j, i)] = row, {k: -x for k, x in row.items()}
-        # theta swaps e_a and f_a, and its g(0) rows are the coordinates of -T_i#
+        # Theta as (rows, D_theta), row i {m: D_theta (theta e_i)_m}: it swaps
+        # e_a and f_a, and its g(0) rows are the coordinates of -T_i#
         minus, dt = _over_one(sharp_coords)
         minus = [{n + k: -x for k, x in nz.items()} for nz in minus]
         self.theta_table = [{n + d0 + a: dt} for a in range(n)] + minus + [{a: dt} for a in range(n)], dt
+        # the rows {j: D^2 K_ij} of the Killing Gram matrix, nonzero only
         self._killing = self._build_killing()
         # trace of ad e_j on g(-1)
         S = self._structure

@@ -15,7 +15,6 @@ constant is the c of x = c y that ``proportion`` reads.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -35,7 +34,6 @@ class UnknownVariable(KeyError):
     pass
 
 
-@dataclass(frozen=True)
 class VarSet:
     """Ordered variable names, and the layout of the packed term keys.
 
@@ -48,21 +46,28 @@ class VarSet:
     operator key must not hold.  A field is 1, 2, 4 or 8 bytes, the widest
     that keeps a Poly key within 64 bits."""
 
-    names: Tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+    def __init__(self, names: Tuple[str, ...]):
+        if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
-        n = len(self.names)
+        n = len(names)
         size = max(1, 8 >> n.bit_length())
         w, code = 8 * size, "<%d" + {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
         free = [sum(((1 << w - 1) - 1) << w * i for i in range(k)) for k in (n + 1, 2 * n + 1)]
         for name, value in dict(
-            width=w, code=code, fmt=code % n, nu_shift=w * n,
+            names=names, width=w, code=code, fmt=code % n, nu_shift=w * n,
             nu_offset=1 << w - 2, one=1 << w - 2 << w * n, mono=(1 << w * n) - 1,
             invalid=(~free[0], ~free[1]),
         ).items():
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"VarSet is immutable: cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        return self.names == other.names if type(other) is VarSet else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.names)
 
     def index(self, name: str) -> int:
         try:

@@ -11,7 +11,6 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -35,14 +34,13 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    algebra: str = "rank1"
-    mu: Fraction = Fraction(1)
-    suites: tuple = ALL_SUITES
-    fmt: str = "text"
-    out: Optional[str] = None
-    seed: int = 20260826
+    seed = 20260826  # the default, also of ``verify --seed``
+
+    def __init__(self, algebra: str = "rank1", mu: Fraction = Fraction(1), suites: tuple = ALL_SUITES,
+                 fmt: str = "text", out: Optional[str] = None, seed: int = seed):
+        self.algebra, self.mu, self.suites = algebra, mu, suites
+        self.fmt, self.out, self.seed = fmt, out, seed
 
     def validate(self):
         if type(self.mu) not in (int, Fraction):
@@ -61,15 +59,14 @@ class RunConfig:
             raise ConfigError(f"cannot write {self.out!r}: not a file in an existing directory")
 
 
-@dataclass
 class VerificationReport:
-    algebra: str
-    mu: str
-    suites: Dict[str, dict] = field(default_factory=dict)
-    constants: Dict[str, object] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
-    # why the algebra could not be built; every suite then records it too
-    algebra_error: Optional[str] = None
+    def __init__(self, algebra: str, mu: str):
+        self.algebra, self.mu = algebra, mu
+        self.suites: Dict[str, dict] = {}
+        self.constants: Dict[str, object] = {}
+        self.timings: Dict[str, float] = {}
+        # why the algebra could not be built; every suite then records it too
+        self.algebra_error: Optional[str] = None
 
     @property
     def passed(self) -> bool:

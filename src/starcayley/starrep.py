@@ -31,7 +31,6 @@ operators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -71,19 +70,9 @@ class RhoParts(NamedTuple):
     h: List[dict]
 
 
-@dataclass
 class StarRepresentation:
-    g: GradedLieAlgebra
-
-    zvs: VarSet = field(init=False)
-    _tau_weights: List[Scalar] = field(init=False)
-    # the denominator of every term dict of ``_basis_parts``: 2 D^2 times
-    # the lcm W of the weights' denominators
-    _den: int = field(init=False)
-
-    def __post_init__(self):
-        g = self.g
-        self.zvs = VarSet(z_names(g.n))
+    def __init__(self, g: GradedLieAlgebra):
+        self.g, self.zvs = g, VarSet(z_names(g.n))
         # tau_A = (1/2 nu)(beta(h, o) + nu spur(h)) = sum_j h_j w_j over the
         # degree-zero coordinates h_j of h, w_j = (K.o)_j/(2 nu) + spur_j/2
         ko = g.killing_o
@@ -91,6 +80,8 @@ class StarRepresentation:
             Scalar.nu(-1, Fraction(ko[j], 2)) + Scalar.of(Fraction(g.spur_vector[j], 2))
             for j in range(g.n, g.n + g.dim0)
         ]
+        # the denominator of every term dict of ``_basis_parts``: 2 D^2 times
+        # the lcm W of the weights' denominators
         self._den = 2 * g.denom**2 * lcm(*(w.den for w in self._tau_weights))
 
     @cached_property

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import sys
@@ -412,7 +411,8 @@ def perturbed(A: jordan.JordanAlgebra, a: int, b: int, c: int, name="perturbed")
     row = dict(A.table.get((a, b), {}))
     row[c] = row.get(c, 0) + A.den
     table = {**A.table, (a, b): dict(sorted(pruned(row).items()))}
-    return dataclasses.replace(A, name=name, table={k: table[k] for k in sorted(table) if table[k]})
+    table = {k: table[k] for k in sorted(table) if table[k]}
+    return jordan.JordanAlgebra(name, A.dim, A.rank, A.basis_names, table, A.den, A.unit)
 
 
 @pytest.fixture(scope="session")

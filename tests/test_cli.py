@@ -386,6 +386,14 @@ class TestReportApi:
     def test_all_suites_constant(self):
         assert ALL_SUITES == ("jordan", "lie", "chart", "star", "fourier", "theorem")
 
+    def test_run_config_defaults(self):
+        config = RunConfig()
+        assert (config.algebra, config.mu, config.suites) == ("rank1", 1, ALL_SUITES)
+        assert (config.fmt, config.out, config.seed) == ("text", None, 20260826)
+        # the default of verify --seed is read off the class
+        assert RunConfig.seed == 20260826
+        assert cli.build_parser().parse_args(["verify"]).seed == RunConfig.seed
+
     @pytest.mark.parametrize("mu", [0.5, 1.0, True, "1"])
     def test_inexact_mu_is_config_error(self, mu):
         config = RunConfig(algebra="rank1", mu=mu)

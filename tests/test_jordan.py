@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -126,6 +127,14 @@ class TestBuiltins:
         with pytest.raises(ValueError, match="unit entries must be int or Fraction"):
             jordan.JordanAlgebra("spin:2", 2, 2, ("s", "u1"), jordan.make_spin_factor(2).table, 1, unit)
 
+    @pytest.mark.parametrize("field", ["name", "dim", "table", "den", "unit", "validation"])
+    def test_fields_cannot_be_assigned(self, field):
+        A = jordan.make_spin_factor(2)
+        with pytest.raises(AttributeError):
+            setattr(A, field, getattr(A, field))
+        with pytest.raises(TypeError):
+            hash(A)
+
     def test_sym_matrices_product_matches_matrices(self):
         A = jordan.make_sym_matrices(2)
         # E11 o F12 = 1/2 (E11 F12 + F12 E11) = 1/2 F12
@@ -205,6 +214,16 @@ class TestLoader:
             jordan.load_from_structure_constants(data)
         assert info.value.report.failures == ["trace form: Gram matrix not positive definite"]
         assert str(info.value) == "trace form: Gram matrix not positive definite"
+
+    def test_file_algebra_equals_the_builtin(self, tmp_path):
+        # equality reads the seven constructor fields, not the validation
+        A = jordan.make_sym_matrices(2)
+        path = tmp_path / "sym2.json"
+        path.write_text(json.dumps({**A.to_json(), "name": A.name, "basis_names": list(A.basis_names)}))
+        B = jordan.make_algebra(f"file:{path}")
+        assert B.validation.passed and A.validation is None
+        assert B == A and A == B
+        assert B != jordan.load_from_structure_constants(A.to_json())  # default basis names
 
     def test_loaded_algebra_keeps_its_validation(self):
         A = jordan.make_spin_factor(2)

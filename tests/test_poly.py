@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from starcayley.poly import (
     Poly, Tally, UnknownVariable, VarSet, lincomb, proportion, ratio, tally, varset,
 )
+from starcayley import weyl
 from starcayley.scalars import Scalar
 from starcayley.weyl import WeylOperator
 
@@ -283,3 +284,19 @@ class TestTally:
         bad = [(i, Fraction(r, den)) for i, r in rows if r]
         want = (sum((r for _, r in bad), Fraction(0)), len(bad), bad[0] if bad else None)
         assert tally(rows, den) == want
+
+
+class TestVarSet:
+    def test_equal_varsets_have_one_hash(self):
+        a, b = varset("l1", "m1"), varset("l1", "m1")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != varset("m1", "l1") and a != ("l1", "m1")
+        # a key of FlatTerms.__hash__ and of the lru_cache of weyl._darboux_layout
+        assert hash(Poly.var(a, "l1")) == hash(Poly.var(b, "l1"))
+        assert weyl._darboux_layout(a) is weyl._darboux_layout(b)
+
+    @pytest.mark.parametrize("field", ["names", "width", "one"])
+    def test_fields_cannot_be_assigned(self, field):
+        vs = varset("x")
+        with pytest.raises(AttributeError):
+            setattr(vs, field, getattr(vs, field))
