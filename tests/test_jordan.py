@@ -219,7 +219,7 @@ class TestLoader:
         # equality reads the seven constructor fields, not the validation
         A = jordan.make_sym_matrices(2)
         path = tmp_path / "sym2.json"
-        path.write_text(json.dumps({**A.to_json(), "name": A.name, "basis_names": list(A.basis_names)}))
+        path.write_text(json.dumps({**A.to_json(), "basis_names": list(A.basis_names)}))
         B = jordan.make_algebra(f"file:{path}")
         assert B.validation.passed and A.validation is None
         assert B == A and A == B

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from starcayley.poly import (
     Poly, Tally, UnknownVariable, VarSet, lincomb, proportion, ratio, tally, varset,
 )
-from starcayley import weyl
 from starcayley.scalars import Scalar
-from starcayley.weyl import WeylOperator
+from starcayley.weyl import WeylOperator, _darboux_layout
 
 from conftest import degree_in, unpacked
 
@@ -291,9 +290,9 @@ class TestVarSet:
         a, b = varset("l1", "m1"), varset("l1", "m1")
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != varset("m1", "l1") and a != ("l1", "m1")
-        # a key of FlatTerms.__hash__ and of the lru_cache of weyl._darboux_layout
+        # a key of FlatTerms.__hash__ and of the lru_cache of _darboux_layout
         assert hash(Poly.var(a, "l1")) == hash(Poly.var(b, "l1"))
-        assert weyl._darboux_layout(a) is weyl._darboux_layout(b)
+        assert _darboux_layout(a) is _darboux_layout(b)
 
     @pytest.mark.parametrize("field", ["names", "width", "one"])
     def test_fields_cannot_be_assigned(self, field):
