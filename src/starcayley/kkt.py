@@ -473,11 +473,12 @@ def homomorphism_tallies(
     nonzero = [[(c, t) for c, t in enumerate(p) if t] for p in parts]
 
     def minus_image(i, j, t, accs):
-        """The components of accs - t X[e_i, e_j], summed into accs, without zeros."""
+        """The components of accs - t X[e_i, e_j], summed into accs, without
+        zeros: a component is rebuilt only when it holds a nonzero value."""
         for k, x in nz(i, j).items():
             for c, part in nonzero[k]:
                 lincomb(((-t * x * L, part),), accs[c])
-        return [{e: v for e, v in acc.items() if v} for acc in accs]
+        return [{e: v for e, v in acc.items() if v} if any(acc.values()) else {} for acc in accs]
 
     l1 = lambda rs: sum(abs(x) for r in rs for x in r.values())
     s, seen, kept = 0 if minus else 1, set(), {}  # kept: (i, j) -> (t, residuals of side t)

@@ -61,7 +61,7 @@ class WeylOperator(FlatTerms):
     the derivative exponents b and above them the Poly key of x^a nu^k
     (``VarSet``), and its tuple form is (a + (nu-power,), b)."""
 
-    __slots__ = ("_groups",)
+    __slots__ = ()
     _OPERATOR = True
 
     @staticmethod
@@ -116,25 +116,28 @@ class WeylOperator(FlatTerms):
 
     # -- semantics ---------------------------------------------------------
     def apply(self, p: Poly) -> Poly:
-        """The operator applied to p: its terms are grouped by derivative
-        exponents b once, on the first call, and d^b p, formed one derivative
-        at a time, is multiplied by the multiplication parts that share b."""
+        """The operator applied to p, in one pass over the pairs of a term
+        c x^a nu^k d^b of the operator and a term x^e of p.  No stored field
+        sets its top bit, so with that bit set in each exponent field of e,
+        subtracting b keeps every top bit exactly when b <= e field by field;
+        such a pair adds c c_p prod e_i!/(e_i - b_i)! at the key a + e - b,
+        the falling factorials formed only when b != 0."""
         vs = self.vs
         if p.vs != vs:
             raise VarSetMismatch(f"{vs.names} vs {p.vs.names}")
-        if not hasattr(self, "_groups"):
-            groups: dict = {}
-            for k, c in self.terms.items():
-                groups.setdefault(k & vs.mono, {})[k >> vs.nu_shift] = c
-            # per b: the variable of each single derivative, and x^a nu^k by Poly key
-            self._groups = [([i for i, e in enumerate(vs.exps(b)) for _ in range(e)], mults)
-                            for b, mults in groups.items()]
+        mono, shift = vs.mono, vs.nu_shift
+        high = mono & vs.invalid[0]  # the top bit of each exponent field
+        rhs = [(e | high, c, vs.exps(e)) for e, c in p.terms.items()]
         out: dict = {}
-        for steps, mults in self._groups:
-            dp = p.terms
-            for i in steps:
-                dp = diff_terms(dp, vs, i)
-            mul_add(out, mults, dp, vs.one)
+        for k, c in self.terms.items():
+            b = k & mono
+            base = (k >> shift) - vs.one - high
+            for e, cp, ex in rhs:
+                x = e - b
+                if x & high == high:
+                    w = c * cp * prod(map(perm, ex, vs.exps(b))) if b else c * cp
+                    key = base + x
+                    out[key] = out[key] + w if key in out else w
         return Poly._reduced(vs, out, self.den * p.den)
 
     def order(self) -> int:
@@ -318,13 +321,14 @@ def left_star_operator(lam: Poly) -> WeylOperator:
     A multiset stands for its k!/prod(mult!) orderings, so it weighs
     sign * nu^k / prod(mult!).  The multisets are walked depth first as
     nondecreasing index sequences, a prefix extended only by an index whose
-    variable occurs in its derivative of lam; every weight is an integer
-    over lam.den deg(lam)!."""
+    variable field is nonzero in the or of the keys of its derivative of
+    lam; every weight is an integer over lam.den deg(lam)!."""
     vs = lam.vs
     layout = _darboux_layout(vs)
     n, s = len(layout), vs.nu_shift
     var = [i for i, _, _ in layout] + [j for _, j, _ in layout]
     dunit = [1 << vs.width * i for i in var[n:] + var[:n]]
+    field = [((1 << vs.width) - 1) << vs.width * i for i in var]
     nu = 1 << 2 * s
     top = factorial(lam.total_degree())
     out: dict = {e << s: c * top for e, c in lam.terms.items()}
@@ -333,10 +337,11 @@ def left_star_operator(lam: Poly) -> WeylOperator:
     stack = [(0, 0, 1, 1, 0, lam.terms)]
     while stack:
         last, run, sign, den, dkey, terms = stack.pop()
+        present = functools.reduce(or_, terms, 0)
         for c in range(last, 2 * n):
-            dterms = diff_terms(terms, vs, var[c])
-            if not dterms:
+            if not present & field[c]:
                 continue
+            dterms = diff_terms(terms, vs, var[c])
             r = run + 1 if c == last else 1
             sg, d = -sign if c >= n else sign, den * r
             dk = dkey + dunit[c] + nu

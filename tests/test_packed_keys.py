@@ -14,6 +14,7 @@ from conftest import (
     darboux_names,
     embed_z_operator,
     over,
+    term_pair_apply,
     tuple_apply,
     tuple_contractions,
     tuple_diff_terms,
@@ -85,7 +86,7 @@ class TestAgainstTupleKernels:
     @settings(max_examples=60, deadline=None)
     def test_apply(self, op, p):
         assert op.apply(p) == tuple_apply(op, p)
-        # the grouping is formed once and kept: a second apply agrees
+        # a second apply agrees: the first left nothing behind on op
         assert op.apply(p) == tuple_apply(op, p)
 
     @given(polys(vs=PAIRED, max_exp=2), polys(vs=PAIRED, max_exp=2))
@@ -237,6 +238,61 @@ def test_operator_field_past_its_range_raises():
         WeylOperator(vs, {(zero + (0,), (0, top + 1) + zero[2:]): 1})
     # a move of the normal ordering lowers both fields back into range
     assert (d0 * big_x).terms
+
+
+# -- apply at the edges of the key fields -------------------------------------------
+
+# 32-, 16-, 8- and 8-bit fields; at eight variables a Poly key is 72 bits wide
+EDGE_SIZES = [1, 3, 4, 8]
+
+
+def _field_edges(top: int, width: int) -> list:
+    """(e_i, b_i) in one field: b <= e with both at 0, 1 or top, and b > e
+    by one at the bottom and at the top of the range, or by all of it.  A
+    32-bit field keeps b small: b = top there is 2^31 - 1 derivatives, and
+    b = e = top weighs (2^31 - 1)!."""
+    cases = [(0, 0), (1, 1), (top, 0), (top, 1), (0, 1), (1, 2)]
+    return cases + [(top - 1, top), (0, top), (top, top)] * (width <= 16)
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_apply_at_the_edges_of_the_key_fields(n):
+    # one term against one term: field i takes each edge case, every other
+    # field e = b = 1, so b > e in at most field i; a kept term has field i
+    # at top, and the nu-powers take both ends of their range in turn
+    vs = varset(*(f"x{i}" for i in range(n)))
+    top, half = (1 << vs.width - 1) - 1, vs.nu_offset
+    nu_ends = [(0, -half), (0, half - 1), (-half, 0), (half - 1, 0), (-half, half - 1)]
+    for i in range(n):
+        for r, (e_i, b_i) in enumerate(_field_edges(top, vs.width)):
+            e, b = ([x if j == i else 1 for j in range(n)] for x in (e_i, b_i))
+            a = [top - (e_i - b_i) if j == i and b_i <= e_i else 0 for j in range(n)]
+            k_op, k_p = nu_ends[(i + r) % len(nu_ends)]
+            op = WeylOperator(vs, {((*a, k_op), tuple(b)): Fraction(3, 2)})
+            p = Poly(vs, {(*e, k_p): -2})
+            got = op.apply(p)
+            assert got == term_pair_apply(op, p)
+            assert got.is_zero() == (b_i > e_i)
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_apply_past_the_edges_of_the_key_fields_raises(n):
+    vs = varset(*(f"x{i}" for i in range(n)))
+    top, half = (1 << vs.width - 1) - 1, vs.nu_offset
+    zero, unit = (0,) * n, (1,) + (0,) * (n - 1)
+    x0 = Poly.var(vs, "x0")
+    # x0^top times x0, and x0^top d_x0 on x0^2
+    with pytest.raises(OverflowError, match=r"^x0 = "):
+        WeylOperator(vs, {((top, *zero[1:], 0), zero): 1}).apply(x0)
+    with pytest.raises(OverflowError, match=r"^x0 = "):
+        WeylOperator(vs, {((top, *zero[1:], 0), unit): 1}).apply(x0 * x0)
+    # one step past either end of the nu range, after a derivative
+    for k_op, k_p in ((half - 1, 1), (-half, -1)):
+        op = WeylOperator(vs, {((*zero, k_op), unit): 1})
+        with pytest.raises(OverflowError, match=r"^nu = "):
+            op.apply(Poly(vs, {(*unit, k_p): 1}))
+    # at the ends themselves the result is kept
+    assert WeylOperator(vs, {((top - 1, *zero[1:], half - 1), unit): 1}).apply(x0 * x0).terms
 
 
 def test_star_transform_nu_power_past_its_field_raises():

@@ -236,6 +236,18 @@ class TestApply:
             for op in ch.left_stars:
                 assert op.apply(u) == term_pair_apply(op, u)
 
+    def test_an_operator_holds_no_hidden_state(self, instance_cache):
+        # apply caches nothing on the operator: no slot of its own, and after
+        # two calls the same terms object and no attribute that was not there
+        assert WeylOperator.__slots__ == ()
+        ch = instance_cache("chart", "spin:3")
+        op, u = left_star_operator(ch.moment[0]), _random_poly(random.Random(1), ch)
+        slots = [s for cls in type(op).__mro__ for s in getattr(cls, "__slots__", ())]
+        state = lambda: ({s: getattr(op, s) for s in slots if hasattr(op, s)}, dict(getattr(op, "__dict__", {})))
+        terms, before = op.terms, state()
+        assert op.apply(u) == op.apply(u) == term_pair_apply(op, u)
+        assert op.terms is terms and state() == before
+
 
 @st.composite
 def split_operator_pairs(draw):
